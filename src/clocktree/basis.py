@@ -75,12 +75,6 @@ def mirror(f: np.ndarray) -> np.ndarray:
     return np.concatenate(([f[0]], f[1:][::-1]))
 
 
-def is_symmetric(f: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
-    """True if f(k) = f(q-k) for all k within tol."""
-    f = np.asarray(f, dtype=float)
-    return bool(np.abs(f - mirror(f)).max() <= tol)
-
-
 def _check_symmetric(q: int, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (q,):

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedQ,
 )
 from .recursion import V5, mode_map, mode_map_q5
-from .spectral import SymmetricDist, potts_theta, spec_from_lambdas, validate_non_increasing
+from .spectral import SymmetricDist, feasibility, potts_theta, spec_from_lambdas, validate_non_increasing
 
 log = logging.getLogger(__name__)
 
@@ -488,8 +488,7 @@ def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     Infeasible (lambda1, lambda2) produce a note, not an error.
     """
     notes: list[str] = []
-    feas = validate_non_increasing(spec_from_lambdas(4, lambda1, lambda2)) if _row_ok(4, lambda1, lambda2) else None
-    if feas is None or not feas.feasible:
+    if not feasibility(4, lambda1, lambda2).feasible:
         notes.append("parameters are outside the non-increasing feasibility region")
     candidates: list[tuple[float, float]] = []
     if lambda2 > 0.0:
@@ -517,15 +516,6 @@ def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
             a1 = math.sqrt(max(p1, 0.0)) / lambda1
             candidates += [(a1, a2), (-a1, a2)]
     return _assemble(4, lambda1, lambda2, candidates, notes)
-
-
-def _row_ok(q: int, lambda1: float, lambda2: float) -> bool:
-    """True when the spectrum produces a (clamped) non-negative row."""
-    try:
-        spec_from_lambdas(q, lambda1, lambda2)
-    except ValueError:
-        return False
-    return True
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:

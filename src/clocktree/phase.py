@@ -31,7 +31,7 @@ from .fixedpoint import (
     q5_solutions,
 )
 from .recursion import Cayley, TreeFamily, Verdict, branching_number, pt_probe
-from .spectral import spec_from_lambdas, validate_non_increasing
+from .spectral import feasibility, spec_from_lambdas
 
 RPT_MARGIN = 1e-9
 
@@ -71,14 +71,6 @@ def q4_critical_line(lambda2: float) -> float:
     return 4.0 * lambda2 * (1.0 - lambda2) / (1.0 + lambda2) ** 2
 
 
-def _feasible(q: int, lambda1: float, lambda2: float) -> bool:
-    try:
-        spec = spec_from_lambdas(q, lambda1, lambda2)
-    except ValueError:
-        return False
-    return validate_non_increasing(spec).feasible
-
-
 def classify_point(
     q: int,
     lambda1: float,
@@ -95,7 +87,7 @@ def classify_point(
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
-    if not _feasible(q, lambda1, lambda2):
+    if not feasibility(q, lambda1, lambda2).feasible:
         return PhasePoint(q, lambda1, lambda2, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
     rpt_excess = lambda1 * branching_number(tree) - 1.0
 

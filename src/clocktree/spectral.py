@@ -18,6 +18,7 @@ and are stored by their NORMALIZED Fourier modes alpha_1..alpha_{floor(q/2)}
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,12 +44,84 @@ from .errors import (
 ROW_TOL = 1e-12
 
 
+# The transforms below multiply by these tables instead of summing complex
+# exponentials in a loop.  Each entry is computed with the scalar expression a
+# direct complex summation evaluates (the tests keep that loop as the
+# reference), so the products reproduce it bit for bit; a vectorised np.cos
+# table, or mixing numpy and Python integers for k, moves the last ulp for
+# some q (6, 9, 12, 33, ...), and the CLI prints 17 digits.
+
+
+@functools.lru_cache(maxsize=64)
+def _row_table(q: int) -> np.ndarray:
+    """Stacked (2q x q) table: Re, then Im, of np.exp(2j*pi*l*k/q) with numpy-int k."""
+    table = np.empty((2 * q, q))
+    for l in range(q):
+        for kk in np.arange(q):
+            z = np.exp(2j * math.pi * l * kk / q)
+            table[l, kk] = z.real
+            table[q + l, kk] = z.imag
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _spectrum_table(q: int) -> np.ndarray:
+    """(q x q) table of np.exp(-2j*pi*j*k/q).real with Python-int k."""
+    table = np.array([[np.exp(-2j * math.pi * j * kk / q).real for kk in range(q)] for j in range(q)])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _circulant_index(q: int) -> np.ndarray:
+    """Index array (j - i) mod q that gathers a row into its circulant."""
+    k = np.arange(q)
+    idx = (k[None, :] - k[:, None]) % q
+    idx.setflags(write=False)
+    return idx
+
+
+def _sequential_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k table[:, k] * x[k], added left to right from +0.0 for every row.
+
+    `table @ x` and `np.sum` group the terms differently (pairwise for
+    q >= 8) and change the last ulp; a running sum keeps the order of a
+    scalar loop, and `+ 0.0` turns its -0.0 into the loop's +0.0.
+    """
+    return (table * x).cumsum(axis=1)[:, -1] + 0.0
+
+
+def _first_above_tol(values) -> int | None:
+    """Index of the first |value| > ROW_TOL, or None (NaN never counts).
+
+    A plain loop: for q <= 64 it beats a chain of small numpy calls.
+    """
+    for k, v in enumerate(values):
+        if abs(v) > ROW_TOL:
+            return k
+    return None
+
+
+def _first_asymmetry(v: np.ndarray) -> int | None:
+    """Smallest k >= 1 with |v[k] - v[q-k]| > ROW_TOL, or None."""
+    k = _first_above_tol((v[1:] - v[:0:-1]).tolist())
+    return None if k is None else k + 1
+
+
+def _symmetrize(v: np.ndarray) -> None:
+    """v[k] = v[q-k] = (v[k] + v[q-k]) / 2 in place, averaging away the last ulps."""
+    v[1:] = 0.5 * (v[1:] + v[:0:-1])
+
+
 def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     """First row of the circulant, r_l = (1/q) sum_k lambda_k e^{2*pi*i*l*k/q}.
 
-    Direct summation (no FFT): q stays tiny here and the arithmetic is
-    transparent.  The imaginary parts are analytically zero by the symmetry
-    lambda_j = lambda_{q-j}; they are asserted below 1e-12 and discarded.
+    One product with a cached per-q table holding the real and imaginary
+    parts of e^{2*pi*i*l*k/q}, summed left to right (`_sequential_rows`), so
+    the row equals a direct complex summation bit for bit.  The imaginary
+    parts are analytically zero by the symmetry lambda_j = lambda_{q-j}; they
+    are asserted below 1e-12 and discarded.
 
     Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic when a
     row entry falls below -1e-12.  Entries in [-1e-12, 0) are clamped to 0 so
@@ -57,54 +130,47 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (q,):
         raise SpectrumAsymmetric(f"expected {q} eigenvalues, got shape {lam.shape}")
-    for j in range(1, q):
-        if abs(lam[j] - lam[q - j]) > ROW_TOL:
-            raise SpectrumAsymmetric(
-                f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
-            )
-    k = np.arange(q)
-    row = np.empty(q)
-    for l in range(q):
-        total = complex(0.0)
-        for kk in k:
-            total += lam[kk] * np.exp(2j * math.pi * l * kk / q)
-        if abs(total.imag) > ROW_TOL:
-            raise SpectrumAsymmetric(f"row entry {l} has imaginary part {total.imag:.3e}")
-        row[l] = total.real / q
-    if row.min() < -ROW_TOL:
-        raise NotStochastic(f"row entry {row.argmin()} = {row.min():.6e} below -1e-12")
-    # r_l = r_{q-l} holds analytically; average away the last few ulps
-    for l in range(1, q // 2 + 1):
-        m = 0.5 * (row[l] + row[q - l]) if l != q - l else row[l]
-        row[l] = m
-        row[q - l] = m
-    return np.where((row < 0.0) & (row >= -ROW_TOL), 0.0, row)
+    j = _first_asymmetry(lam)
+    if j is not None:
+        raise SpectrumAsymmetric(
+            f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
+        )
+    sums = _sequential_rows(_row_table(q), lam)
+    l = _first_above_tol(sums[q:].tolist())
+    if l is not None:
+        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {sums[q + l]:.3e}")
+    row = sums[:q] / q
+    lowest = row.min()
+    if lowest < -ROW_TOL:
+        raise NotStochastic(f"row entry {row.argmin()} = {lowest:.6e} below -1e-12")
+    _symmetrize(row)
+    # averaging cannot push an entry below the smallest one, so a
+    # non-negative row needs no clamping
+    if lowest < 0.0:
+        row = np.where((row < 0.0) & (row >= -ROW_TOL), 0.0, row)
+    return row
 
 
 def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
-    """Spectrum lambda_j = sum_k r_k e^{-2*pi*i*j*k/q} of a symmetric probability row."""
+    """Spectrum lambda_j = sum_k r_k e^{-2*pi*i*j*k/q} of a symmetric probability row.
+
+    Like `row_from_eigenvalues`: one sequential product with a cached cosine
+    table, equal bit for bit to a direct complex summation loop.
+    """
     r = np.asarray(row, dtype=float)
     if r.shape != (q,):
         raise RowAsymmetric(f"expected a length-{q} row, got shape {r.shape}")
-    for kk in range(1, q):
-        if abs(r[kk] - r[q - kk]) > ROW_TOL:
-            raise RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
+    kk = _first_asymmetry(r)
+    if kk is not None:
+        raise RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
     if r.min() < -ROW_TOL:
         raise NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
     if abs(r.sum() - 1.0) > ROW_TOL:
         raise NotAProbability(f"row sums to {r.sum()!r}, not 1")
-    lam = np.empty(q)
-    for j in range(q):
-        total = complex(0.0)
-        for kk in range(q):
-            total += r[kk] * np.exp(-2j * math.pi * j * kk / q)
-        lam[j] = total.real
+    lam = _sequential_rows(_spectrum_table(q), r)
     lam[0] = 1.0
     # symmetrize away the last few ulps so the spectrum invariant is exact
-    for j in range(1, q // 2 + 1):
-        m = 0.5 * (lam[j] + lam[q - j]) if j != q - j else lam[j]
-        lam[j] = m
-        lam[q - j] = m
+    _symmetrize(lam)
     return lam
 
 
@@ -136,19 +202,22 @@ class TransferSpec:
         row = row_from_eigenvalues(q, lam)
         if abs(row.sum() - 1.0) > ROW_TOL:
             raise NotStochastic(f"row sums to {row.sum()!r}, not 1")
-        return cls(q=q, eigenvalues=tuple(map(float, lam)), row=tuple(map(float, row)))
+        return cls(q=q, eigenvalues=tuple(lam.tolist()), row=tuple(row.tolist()))
 
     @classmethod
     def from_row(cls, q: int, row) -> "TransferSpec":
         lam = eigenvalues_from_row(q, row)
         r = np.asarray(row, dtype=float)
         r = np.where((r < 0.0) & (r >= -ROW_TOL), 0.0, r)
-        return cls(q=q, eigenvalues=tuple(map(float, lam)), row=tuple(map(float, r)))
+        return cls(q=q, eigenvalues=tuple(lam.tolist()), row=tuple(r.tolist()))
 
     def matrix(self) -> np.ndarray:
-        """The full q x q circulant, M[i, j] = r[(j - i) mod q]."""
-        r = np.asarray(self.row)
-        return np.array([[r[(j - i) % self.q] for j in range(self.q)] for i in range(self.q)])
+        """The full q x q circulant, M[i, j] = r[(j - i) mod q].
+
+        One gather through a cached per-q index array; every entry is a
+        copy of a row entry, so no arithmetic can change a bit.
+        """
+        return np.asarray(self.row)[_circulant_index(self.q)]
 
     @property
     def lambda1(self) -> float:
@@ -160,7 +229,19 @@ class TransferSpec:
 
 
 def spec_from_lambdas(q: int, lambda1: float, lambda2: float) -> TransferSpec:
-    """Transfer matrix for q in {4, 5} from its two free eigenvalues."""
+    """Transfer matrix for q in {4, 5} from its two free eigenvalues.
+
+    Memoized: a grid point asks for its spec from the feasibility check, the
+    solver and the probe, one right after the other, so a short memo of
+    immutable specs is enough.
+    """
+    # lru_cache compares keys with ==, which would merge -0.0 with 0.0; the
+    # signs keep them apart because the spectrum stores the zero as given
+    return _spec_from_lambdas(q, lambda1, lambda2, math.copysign(1.0, lambda1), math.copysign(1.0, lambda2))
+
+
+@functools.lru_cache(maxsize=32)
+def _spec_from_lambdas(q: int, lambda1: float, lambda2: float, _sign1: float, _sign2: float) -> TransferSpec:
     if q == 4:
         lam = (1.0, lambda1, lambda2, lambda1)
     elif q == 5:
@@ -230,6 +311,15 @@ def validate_non_increasing(spec: TransferSpec) -> FeasibilityReport:
             False, f"lambda1 < lambda2 ({spec.lambda1!r} < {spec.lambda2!r})"
         )
     return FeasibilityReport(True, None)
+
+
+def feasibility(q: int, lambda1: float, lambda2: float) -> FeasibilityReport:
+    """Non-increasing check at (lambda1, lambda2); a spectrum without a valid row is infeasible."""
+    try:
+        spec = spec_from_lambdas(q, lambda1, lambda2)
+    except ValueError as exc:
+        return FeasibilityReport(False, str(exc))
+    return validate_non_increasing(spec)
 
 
 def weakened_row(spec: TransferSpec, u: float) -> TransferSpec:
@@ -319,10 +409,3 @@ def apply_transfer(spec: TransferSpec, dist: SymmetricDist) -> SymmetricDist:
         raise DimensionMismatch(f"transfer has q={spec.q}, distribution q={dist.q}")
     new = tuple(spec.eigenvalues[k] * a for k, a in enumerate(dist.modes, start=1))
     return SymmetricDist(q=dist.q, modes=new)
-
-
-def a_norm_distance_to_uniform(q: int, p: np.ndarray) -> float:
-    """||p - uniform||_A for a pointwise symmetric probability vector."""
-    from .basis import a_norm
-
-    return a_norm(q, np.asarray(p, dtype=float) - 1.0 / q)

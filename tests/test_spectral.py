@@ -237,3 +237,185 @@ def test_lambda0_exact():
     assert spec.eigenvalues[0] == 1.0
     with pytest.raises(ct.SpectrumAsymmetric):
         ct.TransferSpec(q=4, eigenvalues=(0.9999, 0.3, 0.2, 0.3), row=(0.4, 0.2, 0.2, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the direct-summation loops the tables replace
+# ---------------------------------------------------------------------------
+
+
+def _loop_row_from_eigenvalues(q, eigenvalues):
+    """Reference: complex DFT loop over numpy-int k, as the tables must reproduce."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    for j in range(1, q):
+        if abs(lam[j] - lam[q - j]) > 1e-12:
+            raise ct.SpectrumAsymmetric(
+                f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
+            )
+    row = np.empty(q)
+    for l in range(q):
+        total = complex(0.0)
+        for kk in np.arange(q):
+            total += lam[kk] * np.exp(2j * math.pi * l * kk / q)
+        if abs(total.imag) > 1e-12:
+            raise ct.SpectrumAsymmetric(f"row entry {l} has imaginary part {total.imag:.3e}")
+        row[l] = total.real / q
+    if row.min() < -1e-12:
+        raise ct.NotStochastic(f"row entry {row.argmin()} = {row.min():.6e} below -1e-12")
+    for l in range(1, q // 2 + 1):
+        m = 0.5 * (row[l] + row[q - l]) if l != q - l else row[l]
+        row[l] = m
+        row[q - l] = m
+    return np.where((row < 0.0) & (row >= -1e-12), 0.0, row)
+
+
+def _loop_eigenvalues_from_row(q, row):
+    """Reference: complex DFT loop over Python-int k."""
+    r = np.asarray(row, dtype=float)
+    for kk in range(1, q):
+        if abs(r[kk] - r[q - kk]) > 1e-12:
+            raise ct.RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
+    if r.min() < -1e-12:
+        raise ct.NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
+    if abs(r.sum() - 1.0) > 1e-12:
+        raise ct.NotAProbability(f"row sums to {r.sum()!r}, not 1")
+    lam = np.empty(q)
+    for j in range(q):
+        total = complex(0.0)
+        for kk in range(q):
+            total += r[kk] * np.exp(-2j * math.pi * j * kk / q)
+        lam[j] = total.real
+    lam[0] = 1.0
+    for j in range(1, q // 2 + 1):
+        m = 0.5 * (lam[j] + lam[q - j]) if j != q - j else lam[j]
+        lam[j] = m
+        lam[q - j] = m
+    return lam
+
+
+def _loop_matrix(row):
+    q = len(row)
+    r = np.asarray(row)
+    return np.array([[r[(j - i) % q] for j in range(q)] for i in range(q)])
+
+
+def _same_bits(a, b):
+    """Equal as float64 bit patterns, so -0.0 differs from 0.0 (np.array_equal merges them)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or its exception's type and message."""
+    try:
+        return fn(*args)
+    except ct.ClockTreeError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _same_bits(got, want)
+
+
+def test_transforms_bit_identical_to_loops(rng):
+    for q in range(3, 65):
+        for _ in range(3):
+            row = random_symmetric_row(rng, q)
+            lam = _loop_eigenvalues_from_row(q, row)
+            assert _same_bits(ct.eigenvalues_from_row(q, row), lam)
+            assert _same_bits(ct.row_from_eigenvalues(q, lam), _loop_row_from_eigenvalues(q, lam))
+            spec = ct.TransferSpec.from_row(q, row)
+            assert _same_bits(spec.matrix(), _loop_matrix(spec.row))
+        # signed zeros: the loops start every sum at +0.0
+        for zero in (0.0, -0.0):
+            lam = np.full(q, zero)
+            assert _same_bits(ct.row_from_eigenvalues(q, lam), _loop_row_from_eigenvalues(q, lam))
+
+
+def test_potts_and_clock_bit_identical_to_loops():
+    for q in range(3, 20):
+        for beta in (0.0, 0.3, 0.7, 2.5):
+            lam = np.full(q, ct.potts_lambda(q, math.exp(beta)))
+            lam[0] = 1.0
+            spec = ct.make_potts(q, beta)
+            assert _same_bits(spec.row, _loop_row_from_eigenvalues(q, lam))
+            assert _same_bits(spec.matrix(), _loop_matrix(spec.row))
+        for coupling in (0.0, 0.4, 1.3, 5.0):
+            row = np.exp(coupling * np.cos(2.0 * math.pi * np.arange(q) / q))
+            row /= row.sum()
+            spec = ct.make_standard_clock(q, coupling)
+            assert _same_bits(spec.eigenvalues, _loop_eigenvalues_from_row(q, row))
+
+
+def test_transform_errors_name_first_offending_index():
+    q = 7
+    lam = np.array([1.0, 0.3, 0.2, 0.1, 0.15, 0.25, 0.3])  # lambda_2 and lambda_3 both asymmetric
+    want = _outcome(_loop_row_from_eigenvalues, q, lam)
+    assert want[0] is ct.SpectrumAsymmetric and "lambda_2 =" in want[1]
+    _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
+    lam = np.array([1.0, 0.3, 0.2, 0.1, 0.1, 0.2, 0.3])
+    lam[1:4] += 0.9e-12  # within the symmetry slack, yet imaginary parts above 1e-12
+    want = _outcome(_loop_row_from_eigenvalues, q, lam)
+    assert want[0] is ct.SpectrumAsymmetric and "imaginary part" in want[1]
+    _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
+    lam = np.array([1.0, 0.9, -0.9, -0.9, -0.9, -0.9, 0.9])  # several negative row entries
+    want = _outcome(_loop_row_from_eigenvalues, q, lam)
+    assert want[0] is ct.NotStochastic
+    _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
+    row = np.array([0.4, 0.1, 0.05, 0.15, 0.1, 0.1, 0.1])  # r_2 and r_3 both asymmetric
+    want = _outcome(_loop_eigenvalues_from_row, q, row)
+    assert want[0] is ct.RowAsymmetric and "r_2 =" in want[1]
+    _assert_same(_outcome(ct.eigenvalues_from_row, q, row), want)
+    row = np.array([0.6, 0.25, -0.05, 0.0, 0.0, -0.05, 0.25])  # r_2 and r_5 negative
+    want = _outcome(_loop_eigenvalues_from_row, q, row)
+    assert want[0] is ct.NotAProbability and "row entry 2 " in want[1]
+    _assert_same(_outcome(ct.eigenvalues_from_row, q, row), want)
+
+
+# ---------------------------------------------------------------------------
+# one spec build per grid point
+# ---------------------------------------------------------------------------
+
+
+def _count_transforms(monkeypatch):
+    from clocktree import spectral
+
+    spectral._spec_from_lambdas.cache_clear()
+    calls = []
+    for name in ("row_from_eigenvalues", "eigenvalues_from_row"):
+        fn = getattr(spectral, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+def test_classify_point_builds_spec_once_q4(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    point = ct.classify_point(4, 0.5, 0.4)
+    assert point.feasible and point.regime is ct.Regime.PT_NOT_RPT and point.n_nontrivial > 0
+    assert calls == ["row_from_eigenvalues"]
+
+
+def test_classify_point_builds_spec_once_q5_probe_fallback(monkeypatch):
+    # row entries r_2 = r_3 = 0: the probe-seeded Newton run is skipped and
+    # the solver finds nothing, so classify_point falls back to the probe
+    l2 = 0.3
+    l1 = (1.0 + 2.0 * l2 * math.cos(2 * math.pi / 5)) / (-2.0 * math.cos(4 * math.pi / 5))
+    calls = _count_transforms(monkeypatch)
+    point = ct.classify_point(5, l1, l2)
+    assert point.evidence is ct.Evidence.PROBE and point.regime is ct.Regime.PT_AND_RPT
+    assert calls == ["row_from_eigenvalues"]
+
+
+def test_spec_memo_keeps_signed_zero():
+    assert math.copysign(1.0, ct.spec_from_lambdas(4, 0.0, 0.3).eigenvalues[1]) == 1.0
+    spec = ct.spec_from_lambdas(4, -0.0, 0.3)
+    assert math.copysign(1.0, spec.eigenvalues[1]) == -1.0
+    assert math.copysign(1.0, ct.spec_from_lambdas(4, 0.3, -0.0).eigenvalues[2]) == -1.0
