@@ -9,6 +9,7 @@ line endings) or a self-contained SVG for phase diagrams.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from typing import Iterable, Optional, Sequence
@@ -159,12 +160,14 @@ def cmd_sweep(args) -> int:
         with open(args.svg, "w", newline="\n") as fh:
             fh.write(svg)
         return EXIT_OK
+    # the grid is row-major, so each axis value is formatted once; a memo
+    # keyed by the float would merge -0.0 with 0.0, which print differently
+    res = args.res
+    l1_text = [_fmt(points[i * res].lambda1) for i in range(res)]
+    l2_text = [_fmt(points[j].lambda2) for j in range(res)]
     lines = ["lambda1,lambda2,feasible,regime,n_nontrivial"]
-    for p in points:
-        lines.append(
-            f"{_fmt(p.lambda1)},{_fmt(p.lambda2)},{str(p.feasible).lower()},"
-            f"{p.regime.value},{p.n_nontrivial}"
-        )
+    for (t1, t2), p in zip(itertools.product(l1_text, l2_text), points):
+        lines.append(f"{t1},{t2},{'true' if p.feasible else 'false'},{p.regime.value},{p.n_nontrivial}")
     _emit(lines, args.out)
     return EXIT_OK
 

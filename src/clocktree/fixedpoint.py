@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .basis import unit_basis_vector
 from .errors import (
     AtSpecialPoint,
     ClockTreeError,
@@ -44,7 +45,14 @@ from .errors import (
     UnsupportedQ,
 )
 from .recursion import V5, mode_map, mode_map_q5
-from .spectral import SymmetricDist, feasibility, potts_theta, spec_from_lambdas, validate_non_increasing
+from .spectral import (
+    DIST_TOL,
+    SymmetricDist,
+    feasible_lambdas,
+    potts_theta,
+    spec_from_lambdas,
+    validate_non_increasing,
+)
 
 log = logging.getLogger(__name__)
 
@@ -361,14 +369,6 @@ def _residual(q: int, lambda1: float, lambda2: float, alpha: tuple[float, float]
     return max(abs(alpha[0] - f[0]), abs(alpha[1] - f[1]))
 
 
-def _is_probability(q: int, alpha: tuple[float, float]) -> bool:
-    try:
-        SymmetricDist(q=q, modes=alpha)
-    except ValueError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class SolutionSet:
     """Verified fixed points (alpha1, alpha2) of the mode recursion.
@@ -396,6 +396,61 @@ class SolutionSet:
         return len(self.nontrivial)
 
 
+# how a candidate fixed point fared, in the order the checks run
+_SKIPPED, _ACCEPTED, _NOT_FINITE, _RESIDUAL, _NOT_PROBABILITY = range(5)
+
+
+def _pymax(x, y):
+    """Elementwise max(x, y) as Python's builtin picks it: y only where y > x (NaN included)."""
+    return np.where(y > x, y, x)
+
+
+def _verify_candidates(
+    q: int,
+    lambda1: float | np.ndarray,
+    lambda2: float | np.ndarray,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    valid: bool | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Status and residual of candidate fixed points (a1, a2), shape (n, k), at n points.
+
+    lambda1 and lambda2 broadcast against the candidates: (n, 1) arrays for
+    a grid, plain floats for a batch of one, where numpy then dispatches
+    fewer operations; the numbers are the same.  `valid` masks the slots a
+    point does not use.  Slots are checked left to
+    right, as a loop over one point's candidate list would: a valid
+    candidate is rejected when it is not finite, skipped when it coincides
+    with the trivial solution or with an earlier accepted candidate,
+    rejected when its residual is at least 1e-9 or when its modes do not
+    reconstruct to a probability vector, and accepted otherwise.  The
+    residual and the reconstruction repeat the arithmetic of `_residual` and
+    `SymmetricDist` operation by operation, so each number is the one a
+    single-point check computes.
+    """
+    status = np.full(a1.shape, _SKIPPED, dtype=np.int8)
+    if a1.size == 0:
+        return status, np.zeros(a1.shape)
+    with np.errstate(all="ignore"):
+        f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
+        residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
+        p = 1.0 / q + a1[..., None] * unit_basis_vector(q, 1) + a2[..., None] * unit_basis_vector(q, 2)
+        # the status of a candidate that reaches the residual check
+        checked = np.where(
+            residual >= RESIDUAL_TOL, _RESIDUAL, np.where(p.min(axis=-1) < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED)
+        )
+        finite = np.isfinite(a1) & np.isfinite(a2)
+        status[valid & ~finite] = _NOT_FINITE
+        live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
+        for k in range(a1.shape[1]):
+            live_k = live[:, k]
+            for j in range(k):
+                near = _pymax(np.abs(a1[:, k] - a1[:, j]), np.abs(a2[:, k] - a2[:, j])) <= DEDUP_TOL
+                live_k &= ~(near & (status[:, j] == _ACCEPTED))
+            status[live_k, k] = checked[live_k, k]
+    return status, residual
+
+
 def _assemble(
     q: int,
     lambda1: float,
@@ -403,32 +458,34 @@ def _assemble(
     candidates: Sequence[tuple[float, float]],
     notes: Sequence[str] = (),
 ) -> SolutionSet:
-    accepted: list[tuple[float, float]] = [(0.0, 0.0)]
-    rejected: list[str] = []
-    for cand in candidates:
-        a = (float(cand[0]), float(cand[1]))
-        if not all(map(math.isfinite, a)):
+    """Verified solution set at one point: the candidates as a batch of one.
+
+    The trivial solution comes first, then the accepted candidates sorted by
+    alpha1 (ties keep the candidate order); rejected candidates are listed
+    with the reason.
+    """
+    cands = np.array(candidates, dtype=float).reshape(1, -1, 2)
+    a1, a2 = cands[..., 0], cands[..., 1]
+    status, residual = _verify_candidates(q, float(lambda1), float(lambda2), a1, a2, True)
+    accepted = []
+    rejected = []
+    for a, st, res in zip(zip(a1[0].tolist(), a2[0].tolist()), status[0].tolist(), residual[0].tolist()):
+        if st == _ACCEPTED:
+            accepted.append((a, res))
+        elif st == _NOT_FINITE:
             rejected.append(f"{a}: not finite")
-            continue
-        if max(abs(a[0]), abs(a[1])) <= DEDUP_TOL:
-            continue  # coincides with the trivial solution
-        if any(max(abs(a[0] - s[0]), abs(a[1] - s[1])) <= DEDUP_TOL for s in accepted):
-            continue
-        res = _residual(q, lambda1, lambda2, a)
-        if res >= RESIDUAL_TOL:
+        elif st == _RESIDUAL:
             rejected.append(f"{a}: residual {res:.3e}")
-            continue
-        if not _is_probability(q, a):
+        elif st == _NOT_PROBABILITY:
             rejected.append(f"{a}: does not reconstruct to a probability vector")
-            continue
-        accepted.append(a)
-    ordered = [accepted[0]] + sorted(accepted[1:], key=lambda s: s[0])
+    accepted.sort(key=lambda s: s[0][0])
+    trivial = (0.0, 0.0)
     return SolutionSet(
         q=q,
         lambda1=lambda1,
         lambda2=lambda2,
-        solutions=tuple(ordered),
-        residuals=tuple(_residual(q, lambda1, lambda2, s) for s in ordered),
+        solutions=(trivial,) + tuple(a for a, _ in accepted),
+        residuals=(_residual(q, lambda1, lambda2, trivial),) + tuple(res for _, res in accepted),
         includes_trivial=True,
         rejected=tuple(rejected),
         notes=tuple(notes),
@@ -474,58 +531,98 @@ def q5_solutions_at_critical(lambda2: float) -> SolutionSet:
     return _assemble(5, 0.5, lambda2, candidates, notes)
 
 
+def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form q=4 candidates (alpha1, alpha2, valid), each of shape (n, 6).
+
+    Slots 0-1 hold the alpha1 = 0 pair (0, +-r) with
+    r^2 = (2*lambda2 - 1)/(4*lambda2^2), present for lambda2 >= 1/2.  Slots
+    2-3 hold (+-a1, a2) at lambda1 = 1/2, where
+    a2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) and
+    a1 = sqrt(2*lambda2*a2 - 4*lambda2^2*a2^2) when that radicand is
+    non-negative.  Elsewhere (|lambda1| > 1e-12) the quadratics
+    P1 = lambda1/2 + lambda1*lambda2*alpha2 - 1/4 - lambda2^2*alpha2^2 and
+    P2 = -lambda2*alpha2 + lambda1*alpha2 + 2*lambda1*lambda2*alpha2^2 are
+    intersected as a quadratic in alpha2, and each root with P1 >= 0 gives
+    (+-sqrt(P1)/lambda1, alpha2) in slots 2-3 and 4-5.  Each value takes
+    the operations of evaluating these formulas at one point, in the same
+    order, so a grid and a batch of one agree bit for bit.
+    """
+    n = len(lambda1)
+    a1 = np.zeros((n, 6))
+    a2 = np.zeros((n, 6))
+    valid = np.zeros((n, 6), dtype=bool)
+    l1, l2 = lambda1, lambda2
+    with np.errstate(all="ignore"):
+        # alpha1 = 0 branch of the second equation.  The sign test alone
+        # keeps exactly lambda2 >= 1/2: below 1/2 the numerator is negative,
+        # and where 4*lambda2^2 is 0 (lambda2 = 0, or tiny enough to
+        # underflow) the quotient is -inf
+        rad = (2.0 * l2 - 1.0) / (4.0 * l2 * l2)
+        r = np.sqrt(rad)
+        a2[:, 0], a2[:, 1] = r, -r
+        valid[:, 0] = valid[:, 1] = rad >= 0.0
+
+        half = np.abs(l1 - 0.5) < 1e-12
+        general = ~half & (np.abs(l1) > 1e-12)
+        qa = -(l2 * l2 + 2.0 * l1 * l2)
+        qb = l1 * l2 + l2 - l1
+        qc = 0.5 * l1 - 0.25
+        linear = qa == 0.0
+        disc = qb * qb - 4.0 * qa * qc
+        sq = np.sqrt(disc)
+        roots = (
+            (np.where(linear, -qc / qb, (-qb - sq) / (2.0 * qa)), general & np.where(linear, qb != 0.0, ~(disc < 0.0))),
+            ((-qb + sq) / (2.0 * qa), general & ~linear & ~(disc < 0.0)),
+        )
+        for slot, (root, has_root) in zip((2, 4), roots):
+            p1 = 0.5 * l1 + l1 * l2 * root - 0.25 - l2 * l2 * root * root
+            a1[:, slot] = np.sqrt(_pymax(p1, 0.0)) / l1
+            a2[:, slot] = root
+            valid[:, slot] = has_root & ~(p1 < -1e-15)
+
+        # lambda1 = 1/2 has its own closed form in slots 2-3
+        h2 = (3.0 * l2 - 1.0) / (2.0 * (l2 + l2 * l2))
+        hrad = 2.0 * l2 * h2 - 4.0 * l2 * l2 * h2 * h2
+        a1[:, 2] = np.where(half, np.sqrt(_pymax(hrad, 0.0)), a1[:, 2])
+        a2[:, 2] = np.where(half, h2, a2[:, 2])
+        valid[:, 2] |= half & (l2 > 0.0) & (hrad >= -1e-15)
+
+        # the second slot of each pair flips the sign of alpha1
+        a1[:, 3::2] = -a1[:, 2::2]
+        a2[:, 3::2] = a2[:, 2::2]
+        valid[:, 3::2] = valid[:, 2::2]
+    return a1, a2, valid
+
+
+def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """Number of verified non-trivial q=4 fixed points at each (lambda1[i], lambda2[i]).
+
+    The grid form of `q4_solutions(...).n_nontrivial`: the same candidates
+    and the same checks, as array operations.
+    """
+    l1 = np.asarray(lambda1, dtype=float)
+    l2 = np.asarray(lambda2, dtype=float)
+    a1, a2, valid = _q4_candidates(l1, l2)
+    status, _ = _verify_candidates(4, l1[:, None], l2[:, None], a1, a2, valid)
+    return (status == _ACCEPTED).sum(axis=1)
+
+
 def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     """All symmetric fixed points for q = 4 in closed form.
 
-    At lambda1 = 1/2: alpha2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) and
-    alpha1 = +-sqrt(2*lambda2*alpha2 - 4*lambda2^2*alpha2^2) when the radicand
-    is non-negative.  For general lambda1 the quadratics
-    P1 = lambda1/2 + lambda1*lambda2*alpha2 - 1/4 - lambda2^2*alpha2^2 and
-    P2 = -lambda2*alpha2 + lambda1*alpha2 + 2*lambda1*lambda2*alpha2^2 are
-    intersected and roots with P1 >= 0 yield alpha1 = +-sqrt(P1)/lambda1.
-    Pure-alpha2 solutions (alpha1 = 0) with
-    alpha2^2 = (2*lambda2 - 1)/(4*lambda2^2) are included when real.
-    Infeasible (lambda1, lambda2) produce a note, not an error.
+    A batch of one of the grid solver (`_q4_candidates`, whose docstring has
+    the formulas); this view only lists the accepted candidates, the rejected
+    ones with their reasons, and a note when (lambda1, lambda2) is outside
+    the non-increasing region, which is not an error.
     """
-    notes: list[str] = []
-    if not feasibility(4, lambda1, lambda2).feasible:
+    l1 = np.array([lambda1], dtype=float)
+    l2 = np.array([lambda2], dtype=float)
+    notes = []
+    if not feasible_lambdas(4, l1, l2)[0]:
         notes.append("parameters are outside the non-increasing feasibility region")
-    candidates: list[tuple[float, float]] = []
-    if lambda2 > 0.0:
-        # alpha1 = 0 branch of the second equation
-        rad = (2.0 * lambda2 - 1.0) / (4.0 * lambda2 * lambda2)
-        if rad >= 0.0:
-            r = math.sqrt(rad)
-            candidates += [(0.0, r), (0.0, -r)]
-    if abs(lambda1 - 0.5) < 1e-12:
-        if lambda2 > 0.0:
-            a2 = (3.0 * lambda2 - 1.0) / (2.0 * (lambda2 + lambda2 * lambda2))
-            rad = 2.0 * lambda2 * a2 - 4.0 * lambda2 * lambda2 * a2 * a2
-            if rad >= -1e-15:
-                a1 = math.sqrt(max(rad, 0.0))
-                candidates += [(a1, a2), (-a1, a2)]
-    elif abs(lambda1) > 1e-12:
-        # intersect P1 and P2 as a quadratic in alpha2
-        qa = -(lambda2 * lambda2 + 2.0 * lambda1 * lambda2)
-        qb = lambda1 * lambda2 + lambda2 - lambda1
-        qc = 0.5 * lambda1 - 0.25
-        for a2 in _quadratic_roots(qa, qb, qc):
-            p1 = 0.5 * lambda1 + lambda1 * lambda2 * a2 - 0.25 - lambda2 * lambda2 * a2 * a2
-            if p1 < -1e-15:
-                continue
-            a1 = math.sqrt(max(p1, 0.0)) / lambda1
-            candidates += [(a1, a2), (-a1, a2)]
+    a1, a2, valid = _q4_candidates(l1, l2)
+    candidates = [(x, y) for x, y, ok in zip(a1[0].tolist(), a2[0].tolist(), valid[0].tolist()) if ok]
     return _assemble(4, lambda1, lambda2, candidates, notes)
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,23 @@ laws are out of scope.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContinuationLost, UnsupportedQ
+from .errors import ClockTreeError, ContinuationLost, UnsupportedQ
 from .fixedpoint import (
     newton_solve,
-    q4_solutions,
+    q4_solution_counts,
     q5_jacobian,
     q5_potts_diagonal_solutions,
     q5_solutions,
 )
 from .recursion import Cayley, TreeFamily, Verdict, branching_number, pt_probe
-from .spectral import feasibility, spec_from_lambdas
+from .spectral import feasible_lambdas, spec_from_lambdas
 
 RPT_MARGIN = 1e-9
 
@@ -50,7 +51,7 @@ class Evidence(enum.Enum):
     PROBE = "PROBE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePoint:
     q: int
     lambda1: float
@@ -79,43 +80,15 @@ def classify_point(
 ) -> PhasePoint:
     """Regime of one parameter point on the given tree.
 
-    Feasibility comes from the non-increasing check; the existence of a phase
-    transition from the closed-form solver (q=4) or Newton continuation (q=5)
-    with a probe fallback; robustness from the strict threshold
-    lambda1 * br(T) > 1.  A probe that cannot decide (its honest outcome near
-    critical lines) yields the CRITICAL label rather than a forced regime.
+    The point is a 1 x 1 grid of the sweep's classification, so a point and
+    the grid around it cannot disagree; see `sweep` for how the regime is
+    decided.  Non-finite parameters raise ClockTreeError, and a point whose
+    q = 5 solver raises comes back as the sweep marks it: CRITICAL with
+    feasible = False and the error message.
     """
-    if q not in (4, 5):
-        raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
-    if not feasibility(q, lambda1, lambda2).feasible:
-        return PhasePoint(q, lambda1, lambda2, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
-    rpt_excess = lambda1 * branching_number(tree) - 1.0
-
-    if q == 4:
-        sols = q4_solutions(lambda1, lambda2)
-        n = sols.n_nontrivial
-        evidence = Evidence.CLOSED_FORM
-    else:
-        sols = q5_solutions(lambda1, lambda2)
-        n = sols.n_nontrivial
-        evidence = Evidence.NEWTON
-        if n == 0 and rpt_excess > RPT_MARGIN:
-            # solver found nothing although robustness guarantees a transition;
-            # fall back to the probe for an honest answer
-            verdict = pt_probe(spec_from_lambdas(q, lambda1, lambda2), Cayley(2)).verdict
-            evidence = Evidence.PROBE
-            if verdict is Verdict.BOUNDED_AWAY:
-                n = 1
-            elif verdict is Verdict.UNDECIDED:
-                return PhasePoint(q, lambda1, lambda2, True, Regime.CRITICAL, 0, evidence)
-
-    if rpt_excess > RPT_MARGIN:
-        regime = Regime.PT_AND_RPT
-    elif n >= 1:
-        regime = Regime.PT_NOT_RPT
-    else:
-        regime = Regime.NO_PT
-    return PhasePoint(q, lambda1, lambda2, True, regime, n, evidence)
+    if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
+        raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {lambda1!r} and {lambda2!r}")
+    return _classify_grid(q, np.array([lambda1], dtype=float), np.array([lambda2], dtype=float), tree)[0]
 
 
 def potts_thresholds(q: int, d: int) -> tuple[float, float, float]:
@@ -199,28 +172,94 @@ def sweep(
 ) -> list[PhasePoint]:
     """Classify a resolution x resolution grid, row-major in (lambda1, lambda2).
 
-    Grid points are independent; with workers > 1 they are evaluated in a
-    process pool, and the output order is by grid index either way.
-    Infeasible points are classified and kept, never skipped.
+    Feasibility comes from the non-increasing check; the existence of a phase
+    transition from the closed-form solver (q=4) or Newton continuation (q=5)
+    with a probe fallback; robustness from the strict threshold
+    lambda1 * br(T) > 1.  A probe that cannot decide (its honest outcome near
+    critical lines) yields the CRITICAL label rather than a forced regime.
+
+    The grid is classified as array operations: feasibility, robustness and
+    the q=4 fixed points.  Only the q=5 solver and its probe fallback run
+    point by point, on the feasible points; with workers > 1 that per-point
+    work, and nothing else, runs in a process pool, so a q=4 sweep starts no
+    pool.  The output order is by grid index either way.  Infeasible points
+    are classified and kept, never skipped.  A point whose q=5 solver raises
+    is marked CRITICAL with feasible = False and the error message.  A
+    non-finite range raises ClockTreeError.
     """
     if resolution < 1:
         raise UnsupportedQ(f"resolution must be >= 1, got {resolution}")
+    if not all(math.isfinite(x) for x in (*lambda1_range, *lambda2_range)):
+        raise ClockTreeError(
+            f"sweep ranges must be finite, got lambda1 in {lambda1_range!r} and lambda2 in {lambda2_range!r}"
+        )
     l1s = np.linspace(lambda1_range[0], lambda1_range[1], resolution)
     l2s = np.linspace(lambda2_range[0], lambda2_range[1], resolution)
-    tasks = [(q, float(l1), float(l2), tree) for l1 in l1s for l2 in l2s]
-    if workers is not None and workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(_classify_task, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-    return [_classify_task(t) for t in tasks]
+    return _classify_grid(q, l1s, l2s, tree, workers)
 
 
-def _classify_task(task: tuple) -> PhasePoint:
-    q, l1, l2, tree = task
+# a point takes the first of these regimes whose condition in _classify_grid holds
+_REGIMES = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
+
+
+def _classify_grid(
+    q: int,
+    l1s: np.ndarray,
+    l2s: np.ndarray,
+    tree: TreeFamily,
+    workers: Optional[int] = None,
+) -> list[PhasePoint]:
+    """Points of the grid l1s x l2s, row-major; the engine behind `sweep` and `classify_point`."""
+    if q not in (4, 5):
+        raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
+    lambda1 = np.repeat(l1s, len(l2s))
+    lambda2 = np.tile(l2s, len(l1s))
+    feasible = feasible_lambdas(q, lambda1, lambda2)
+    robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
+    n = np.zeros(len(lambda1), dtype=int)
+    critical = np.zeros(len(lambda1), dtype=bool)
+    evidence = [Evidence.CLOSED_FORM] * len(lambda1)
+    error: list[Optional[str]] = [None] * len(lambda1)
+    if q == 4:
+        n[feasible] = q4_solution_counts(lambda1[feasible], lambda2[feasible])
+    else:
+        idx = np.flatnonzero(feasible).tolist()
+        tasks = [(float(lambda1[i]), float(lambda2[i]), bool(robust[i])) for i in idx]
+        if workers is not None and workers > 1:
+            import multiprocessing
+
+            with multiprocessing.Pool(workers) as pool:
+                results = pool.map(_q5_task, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
+        else:
+            results = [_q5_task(t) for t in tasks]
+        for i, (m, ev, undecided, err) in zip(idx, results):
+            n[i], evidence[i], critical[i], error[i] = m, ev, undecided, err
+            feasible[i] = err is None
+    regime = np.select([critical, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
+    axes = itertools.product(l1s.tolist(), l2s.tolist())
+    return [
+        PhasePoint(q, a, b, f, _REGIMES[c], m, ev, err)
+        for (a, b), f, c, m, ev, err in zip(axes, feasible.tolist(), regime.tolist(), n.tolist(), evidence, error)
+    ]
+
+
+def _q5_task(task: tuple[float, float, bool]) -> tuple[int, Evidence, bool, Optional[str]]:
+    """(n_nontrivial, evidence, undecided, error) of one feasible q=5 point.
+
+    Newton continuation first; when it finds nothing although the point is
+    robust, the full-coupling probe decides.  An undecided probe, and any
+    exception, makes the point CRITICAL; the exception's message is kept.
+    """
+    l1, l2, robust = task
     try:
-        return classify_point(q, l1, l2, tree)
-    except UnsupportedQ:
-        raise
+        n = q5_solutions(l1, l2).n_nontrivial
+        if n > 0 or not robust:
+            return n, Evidence.NEWTON, False, None
+        # solver found nothing although robustness guarantees a transition;
+        # fall back to the probe for an honest answer
+        verdict = pt_probe(spec_from_lambdas(5, l1, l2), Cayley(2)).verdict
     except Exception as exc:  # a failed point must not abort the whole grid
-        return PhasePoint(q, l1, l2, False, Regime.CRITICAL, 0, Evidence.PROBE, error=str(exc))
+        return 0, Evidence.PROBE, True, str(exc)
+    if verdict is Verdict.BOUNDED_AWAY:
+        return 1, Evidence.PROBE, False, None
+    return 0, Evidence.PROBE, verdict is Verdict.UNDECIDED, None

@@ -83,13 +83,19 @@ def _circulant_index(q: int) -> np.ndarray:
 
 
 def _sequential_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k table[:, k] * x[k], added left to right from +0.0 for every row.
+    """sum_k table[:, k] * x[:, k] for every row of the batch x, shape (n, len(table)).
 
-    `table @ x` and `np.sum` group the terms differently (pairwise for
-    q >= 8) and change the last ulp; a running sum keeps the order of a
-    scalar loop, and `+ 0.0` turns its -0.0 into the loop's +0.0.
+    A whole grid is one batch; a single spectrum or row is a batch of one.
+    The sums start from +0.0 and add the columns left to right, the order of
+    a scalar loop: `x @ table.T` and `np.sum` group the terms differently
+    (pairwise for q >= 8) and change the last ulp, and the CLI prints 17
+    digits.  Accumulating column by column keeps the temporaries at (n, 2q)
+    instead of broadcasting an (n, 2q, q) product.
     """
-    return (table * x).cumsum(axis=1)[:, -1] + 0.0
+    out = np.zeros((x.shape[0], table.shape[0]))
+    for k in range(table.shape[1]):
+        out += x[:, k, None] * table[:, k]
+    return out
 
 
 def _first_above_tol(values) -> int | None:
@@ -110,16 +116,33 @@ def _first_asymmetry(v: np.ndarray) -> int | None:
 
 
 def _symmetrize(v: np.ndarray) -> None:
-    """v[k] = v[q-k] = (v[k] + v[q-k]) / 2 in place, averaging away the last ulps."""
-    v[1:] = 0.5 * (v[1:] + v[:0:-1])
+    """v[..., k] = v[..., q-k] = (v[..., k] + v[..., q-k]) / 2 in place, averaging away the last ulps."""
+    v[..., 1:] = 0.5 * (v[..., 1:] + v[..., :0:-1])
+
+
+def _raw_rows(q: int, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r_l before symmetrization, imaginary parts) of each spectrum in an (n, q) batch."""
+    sums = _sequential_rows(_row_table(q), spectra)
+    return sums[:, :q] / q, sums[:, q:]
+
+
+def _finish_rows(rows: np.ndarray) -> np.ndarray:
+    """Symmetrize a batch of raw rows and clamp entries in [-1e-12, 0) to 0.
+
+    Averaging cannot push an entry below the smallest one, so a row whose raw
+    entries are all non-negative passes the clamp unchanged.
+    """
+    _symmetrize(rows)
+    return np.where((rows < 0.0) & (rows >= -ROW_TOL), 0.0, rows)
 
 
 def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     """First row of the circulant, r_l = (1/q) sum_k lambda_k e^{2*pi*i*l*k/q}.
 
-    One product with a cached per-q table holding the real and imaginary
-    parts of e^{2*pi*i*l*k/q}, summed left to right (`_sequential_rows`), so
-    the row equals a direct complex summation bit for bit.  The imaginary
+    A batch of one of the grid transform (`_raw_rows`, `_finish_rows`): one
+    product with a cached per-q table holding the real and imaginary parts of
+    e^{2*pi*i*l*k/q}, summed left to right (`_sequential_rows`), so the row
+    equals a direct complex summation bit for bit.  The imaginary
     parts are analytically zero by the symmetry lambda_j = lambda_{q-j}; they
     are asserted below 1e-12 and discarded.
 
@@ -135,20 +158,14 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
         raise SpectrumAsymmetric(
             f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
         )
-    sums = _sequential_rows(_row_table(q), lam)
-    l = _first_above_tol(sums[q:].tolist())
+    raw, imag = _raw_rows(q, lam[None, :])
+    l = _first_above_tol(imag[0].tolist())
     if l is not None:
-        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {sums[q + l]:.3e}")
-    row = sums[:q] / q
-    lowest = row.min()
+        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[0, l]:.3e}")
+    lowest = raw.min()
     if lowest < -ROW_TOL:
-        raise NotStochastic(f"row entry {row.argmin()} = {lowest:.6e} below -1e-12")
-    _symmetrize(row)
-    # averaging cannot push an entry below the smallest one, so a
-    # non-negative row needs no clamping
-    if lowest < 0.0:
-        row = np.where((row < 0.0) & (row >= -ROW_TOL), 0.0, row)
-    return row
+        raise NotStochastic(f"row entry {raw.argmin()} = {lowest:.6e} below -1e-12")
+    return _finish_rows(raw)[0]
 
 
 def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
@@ -167,7 +184,7 @@ def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
         raise NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
     if abs(r.sum() - 1.0) > ROW_TOL:
         raise NotAProbability(f"row sums to {r.sum()!r}, not 1")
-    lam = _sequential_rows(_spectrum_table(q), r)
+    lam = _sequential_rows(_spectrum_table(q), r[None, :])[0]
     lam[0] = 1.0
     # symmetrize away the last few ulps so the spectrum invariant is exact
     _symmetrize(lam)
@@ -231,9 +248,9 @@ class TransferSpec:
 def spec_from_lambdas(q: int, lambda1: float, lambda2: float) -> TransferSpec:
     """Transfer matrix for q in {4, 5} from its two free eigenvalues.
 
-    Memoized: a grid point asks for its spec from the feasibility check, the
-    solver and the probe, one right after the other, so a short memo of
-    immutable specs is enough.
+    Memoized: a q=5 grid point asks for its spec from the probe-seeded solver
+    and then from the probe fallback, one right after the other, so a short
+    memo of immutable specs is enough.
     """
     # lru_cache compares keys with ==, which would merge -0.0 with 0.0; the
     # signs keep them apart because the spectrum stores the zero as given
@@ -313,13 +330,36 @@ def validate_non_increasing(spec: TransferSpec) -> FeasibilityReport:
     return FeasibilityReport(True, None)
 
 
-def feasibility(q: int, lambda1: float, lambda2: float) -> FeasibilityReport:
-    """Non-increasing check at (lambda1, lambda2); a spectrum without a valid row is infeasible."""
-    try:
-        spec = spec_from_lambdas(q, lambda1, lambda2)
-    except ValueError as exc:
-        return FeasibilityReport(False, str(exc))
-    return validate_non_increasing(spec)
+def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
+    """Feasibility of every point (lambda1[i], lambda2[i]), q in {4, 5}, as a bool array.
+
+    The batched form of `validate_non_increasing(spec_from_lambdas(q, l1, l2))`
+    in which a spectrum without a valid row is infeasible.  It runs the same
+    transform and every check of that path, with the same operations in the
+    same order: imaginary parts at most 1e-12, no raw row entry below -1e-12,
+    symmetrize and clamp, row sum within 1e-12 of 1, then
+    r_0 >= ... >= r_{q//2} >= 0 and lambda1 >= lambda2, each with 1e-12 slack.
+    """
+    l1 = np.asarray(lambda1, dtype=float)
+    l2 = np.asarray(lambda2, dtype=float)
+    ones = np.ones_like(l1)
+    if q == 4:
+        spectra = np.stack([ones, l1, l2, l1], axis=1)
+    elif q == 5:
+        spectra = np.stack([ones, l1, l2, l2, l1], axis=1)
+    else:
+        raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
+    raw, imag = _raw_rows(q, spectra)
+    ok = ~(np.abs(imag) > ROW_TOL).any(axis=1)
+    ok &= ~(raw.min(axis=1) < -ROW_TOL)
+    rows = _finish_rows(raw)
+    ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)
+    half = q // 2
+    for j in range(half):
+        ok &= ~(rows[:, j] + ROW_TOL < rows[:, j + 1])
+    ok &= ~(rows[:, half] < -ROW_TOL)
+    ok &= ~(l1 + ROW_TOL < l2)
+    return ok
 
 
 def weakened_row(spec: TransferSpec, u: float) -> TransferSpec:

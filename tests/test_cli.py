@@ -210,6 +210,19 @@ def test_usage_errors(capsys):
     assert main(["solve", "--q", "6", "--lambda1", "0.5", "--lambda2", "0.3"]) == 2
 
 
+def test_sweep_non_finite_range_is_usage_error(capsys):
+    for flag in ("--l1min", "--l1max", "--l2min", "--l2max"):
+        for value in ("nan", "inf"):
+            assert main(["sweep", "--q", "4", "--res", "3", flag, value]) == 2
+            assert "finite" in capsys.readouterr().err
+
+
+def test_solve_q4_tiny_lambda2(capsys):
+    code, out = run_cli(capsys, "solve", "--q", "4", "--lambda1", "0.1", "--lambda2", "1e-200")
+    assert code == 0
+    assert out == "alpha1,alpha2,residual\n0,0,0\n"
+
+
 def test_output_file_lf_endings(tmp_path, capsys):
     out_file = tmp_path / "m.csv"
     code, _ = run_cli(

@@ -277,6 +277,17 @@ def test_q4_infeasible_is_note_not_error():
     assert any("feasib" in n for n in s.notes)
 
 
+def test_q4_tiny_positive_lambda2():
+    # 4*lambda2*lambda2 underflows to 0 here; the point is feasible and has
+    # only the trivial solution
+    s = ct.q4_solutions(0.1, 1e-200)
+    assert s.solutions == ((0.0, 0.0),) and s.notes == ()
+    for l2 in (1e-200, 5e-324):
+        p = ct.classify_point(4, 0.1, l2)
+        assert (p.feasible, p.regime, p.n_nontrivial, p.error) == (True, ct.Regime.NO_PT, 0, None)
+        assert ct.sweep(4, (0.1, 0.1), (l2, l2), resolution=1) == [p]
+
+
 def test_q4_pure_alpha2_solutions():
     # alpha1 = 0 branch appears for lambda2 > 1/2 (outside the non-increasing
     # region, still a solution of the equations)

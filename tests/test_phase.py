@@ -103,6 +103,14 @@ def test_sweep_row_major_and_marks_infeasible():
     assert any(p.regime is ct.Regime.INFEASIBLE for p in pts)
 
 
+def test_sweep_rejects_non_finite_range():
+    for bad in (math.nan, math.inf, -math.inf):
+        for l1_range, l2_range in (((bad, 0.6), (0.0, 0.6)), ((0.0, bad), (0.0, 0.6)),
+                                   ((0.0, 0.6), (bad, 0.6)), ((0.0, 0.6), (0.0, bad))):
+            with pytest.raises(ct.ClockTreeError):
+                ct.sweep(4, l1_range, l2_range, resolution=3)
+
+
 def test_sweep_workers_deterministic():
     serial = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=6)
     parallel = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=6, workers=2)

@@ -376,7 +376,7 @@ def test_transform_errors_name_first_offending_index():
 
 
 # ---------------------------------------------------------------------------
-# one spec build per grid point
+# spec builds per grid point: none for q=4, one for q=5
 # ---------------------------------------------------------------------------
 
 
@@ -396,11 +396,12 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-def test_classify_point_builds_spec_once_q4(monkeypatch):
+def test_classify_point_builds_no_spec_q4(monkeypatch):
+    # q=4 feasibility and fixed points are grid arrays; no TransferSpec is built
     calls = _count_transforms(monkeypatch)
     point = ct.classify_point(4, 0.5, 0.4)
     assert point.feasible and point.regime is ct.Regime.PT_NOT_RPT and point.n_nontrivial > 0
-    assert calls == ["row_from_eigenvalues"]
+    assert calls == []
 
 
 def test_classify_point_builds_spec_once_q5_probe_fallback(monkeypatch):

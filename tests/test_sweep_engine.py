@@ -1,0 +1,276 @@
+"""The batched sweep engine against the per-point code it replaced.
+
+`ref_feasible`, `ref_q4_solutions`, `ref_quadratic_roots` and `ref_assemble`
+are the scalar feasibility check, q=4 closed form and candidate verifier
+that classified one grid point at a time, kept here as the reference (the
+only change is the lambda2 underflow fix in `ref_q4_solutions`, which tests
+the sign of 2*lambda2 - 1 before dividing by 4*lambda2^2).  The engine must
+reproduce them bit for bit, signed zeros included, because the CLI prints 17
+significant digits.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import clocktree as ct
+from clocktree import phase
+from clocktree.fixedpoint import DEDUP_TOL, RESIDUAL_TOL, SolutionSet, _assemble
+from clocktree.phase import RPT_MARGIN, Evidence, PhasePoint, Regime
+from clocktree.recursion import mode_map
+from clocktree.spectral import SymmetricDist, spec_from_lambdas, validate_non_increasing
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# the per-point reference
+# ---------------------------------------------------------------------------
+
+
+def ref_feasible(q, lambda1, lambda2):
+    try:
+        spec = spec_from_lambdas(q, lambda1, lambda2)
+    except ValueError:
+        return False
+    return validate_non_increasing(spec).feasible
+
+
+def ref_residual(q, lambda1, lambda2, alpha):
+    f = mode_map(q, lambda1, lambda2, alpha)
+    return max(abs(alpha[0] - f[0]), abs(alpha[1] - f[1]))
+
+
+def ref_is_probability(q, alpha):
+    try:
+        SymmetricDist(q=q, modes=alpha)
+    except ValueError:
+        return False
+    return True
+
+
+def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
+    accepted = [(0.0, 0.0)]
+    rejected = []
+    for cand in candidates:
+        a = (float(cand[0]), float(cand[1]))
+        if not all(map(math.isfinite, a)):
+            rejected.append(f"{a}: not finite")
+            continue
+        if max(abs(a[0]), abs(a[1])) <= DEDUP_TOL:
+            continue
+        if any(max(abs(a[0] - s[0]), abs(a[1] - s[1])) <= DEDUP_TOL for s in accepted):
+            continue
+        res = ref_residual(q, lambda1, lambda2, a)
+        if res >= RESIDUAL_TOL:
+            rejected.append(f"{a}: residual {res:.3e}")
+            continue
+        if not ref_is_probability(q, a):
+            rejected.append(f"{a}: does not reconstruct to a probability vector")
+            continue
+        accepted.append(a)
+    ordered = [accepted[0]] + sorted(accepted[1:], key=lambda s: s[0])
+    return SolutionSet(
+        q=q,
+        lambda1=lambda1,
+        lambda2=lambda2,
+        solutions=tuple(ordered),
+        residuals=tuple(ref_residual(q, lambda1, lambda2, s) for s in ordered),
+        includes_trivial=True,
+        rejected=tuple(rejected),
+        notes=tuple(notes),
+    )
+
+
+def ref_quadratic_roots(a, b, c):
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    s = math.sqrt(disc)
+    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
+
+
+def ref_q4_solutions(lambda1, lambda2):
+    notes = []
+    if not ref_feasible(4, lambda1, lambda2):
+        notes.append("parameters are outside the non-increasing feasibility region")
+    candidates = []
+    if lambda2 > 0.0 and 2.0 * lambda2 - 1.0 >= 0.0:
+        rad = (2.0 * lambda2 - 1.0) / (4.0 * lambda2 * lambda2)
+        if rad >= 0.0:
+            r = math.sqrt(rad)
+            candidates += [(0.0, r), (0.0, -r)]
+    if abs(lambda1 - 0.5) < 1e-12:
+        if lambda2 > 0.0:
+            a2 = (3.0 * lambda2 - 1.0) / (2.0 * (lambda2 + lambda2 * lambda2))
+            rad = 2.0 * lambda2 * a2 - 4.0 * lambda2 * lambda2 * a2 * a2
+            if rad >= -1e-15:
+                a1 = math.sqrt(max(rad, 0.0))
+                candidates += [(a1, a2), (-a1, a2)]
+    elif abs(lambda1) > 1e-12:
+        qa = -(lambda2 * lambda2 + 2.0 * lambda1 * lambda2)
+        qb = lambda1 * lambda2 + lambda2 - lambda1
+        qc = 0.5 * lambda1 - 0.25
+        for a2 in ref_quadratic_roots(qa, qb, qc):
+            p1 = 0.5 * lambda1 + lambda1 * lambda2 * a2 - 0.25 - lambda2 * lambda2 * a2 * a2
+            if p1 < -1e-15:
+                continue
+            a1 = math.sqrt(max(p1, 0.0)) / lambda1
+            candidates += [(a1, a2), (-a1, a2)]
+    return ref_assemble(4, lambda1, lambda2, candidates, notes)
+
+
+def ref_classify_q4(lambda1, lambda2):
+    if not ref_feasible(4, lambda1, lambda2):
+        return PhasePoint(4, lambda1, lambda2, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
+    n = ref_q4_solutions(lambda1, lambda2).n_nontrivial
+    if lambda1 * 2.0 - 1.0 > RPT_MARGIN:
+        regime = Regime.PT_AND_RPT
+    elif n >= 1:
+        regime = Regime.PT_NOT_RPT
+    else:
+        regime = Regime.NO_PT
+    return PhasePoint(4, lambda1, lambda2, True, regime, n, Evidence.CLOSED_FORM)
+
+
+# ---------------------------------------------------------------------------
+# bit-level keys
+# ---------------------------------------------------------------------------
+
+
+def _bits(x):
+    """float.hex tells -0.0 from 0.0 and prints every NaN alike."""
+    return float(x).hex()
+
+
+def point_key(p):
+    return (p.q, _bits(p.lambda1), _bits(p.lambda2), p.feasible, p.regime, p.n_nontrivial, p.evidence, p.error)
+
+
+def solution_key(s):
+    return (
+        s.q,
+        tuple((_bits(a), _bits(b)) for a, b in s.solutions),
+        tuple(_bits(r) for r in s.residuals),
+        s.includes_trivial,
+        s.rejected,
+        s.notes,
+    )
+
+
+# ---------------------------------------------------------------------------
+# strategies: plain ranges plus the places where a slip would show
+# ---------------------------------------------------------------------------
+
+LAMBDA1 = st.one_of(
+    st.floats(-0.3, 1.1),
+    st.sampled_from([0.0, -0.0, 0.5, 0.5 - 5e-13, 0.5 + 5e-13, 0.5 - 2e-12, 0.5 + 2e-12,
+                     1e-12, -1e-12, 1.0 / 3.0, 0.4641016151377546, 1.0, -1.0]),
+)
+LAMBDA2 = st.one_of(
+    st.floats(-1.2, 1.2),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-200, -1e-200, 1.0 / 3.0, 0.5,
+                     0.49999999999999994, 0.4, 0.9, -1.0]),
+)
+
+
+@SETTINGS
+@given(l1_range=st.tuples(LAMBDA1, LAMBDA1), l2_range=st.tuples(LAMBDA2, LAMBDA2), res=st.integers(1, 5))
+def test_sweep_matches_per_point_reference(l1_range, l2_range, res):
+    points = ct.sweep(4, l1_range, l2_range, resolution=res)
+    l1s = np.linspace(l1_range[0], l1_range[1], res).tolist()
+    l2s = np.linspace(l2_range[0], l2_range[1], res).tolist()
+    want = [ref_classify_q4(a, b) for a in l1s for b in l2s]
+    assert [point_key(p) for p in points] == [point_key(p) for p in want]
+    for p in points:
+        assert point_key(ct.classify_point(4, p.lambda1, p.lambda2)) == point_key(p)
+
+
+@SETTINGS
+@given(lambda1=LAMBDA1, lambda2=LAMBDA2)
+def test_classify_point_matches_reference(lambda1, lambda2):
+    assert point_key(ct.classify_point(4, lambda1, lambda2)) == point_key(ref_classify_q4(lambda1, lambda2))
+
+
+@SETTINGS
+@given(lambda1=st.one_of(LAMBDA1, st.floats()), lambda2=st.one_of(LAMBDA2, st.floats()))
+def test_q4_solutions_matches_reference(lambda1, lambda2):
+    with np.errstate(all="ignore"):
+        want = ref_q4_solutions(lambda1, lambda2)
+    assert solution_key(ct.q4_solutions(lambda1, lambda2)) == solution_key(want)
+
+
+# candidate values: verified fixed points, their mirror images and near
+# copies, the trivial solution, non-finite and out-of-range values
+_Q4_SOLUTIONS = [a for s in (ref_q4_solutions(0.5, 0.4), ref_q4_solutions(0.47, 0.42)) for a in s.solutions]
+_Q5_SOLUTIONS = list(ct.q5_solutions_at_critical(0.45).solutions)
+_COMPONENT = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 5e-9, math.nan, math.inf, -math.inf, 1e200, -1e200]),
+)
+
+
+def _candidate(known):
+    exact = st.sampled_from(known)
+    near = st.tuples(exact, st.sampled_from([0.0, 5e-9, -5e-9, 2e-8, 1e-12])).map(
+        lambda t: (t[0][0] + t[1], t[0][1] - t[1])
+    )
+    return st.one_of(exact, near, st.tuples(_COMPONENT, _COMPONENT))
+
+
+@SETTINGS
+@given(
+    q4=st.lists(_candidate(_Q4_SOLUTIONS), max_size=7),
+    q5=st.lists(_candidate(_Q5_SOLUTIONS), max_size=7),
+)
+def test_assemble_matches_reference(q4, q5):
+    for q, l1, l2, cands in ((4, 0.5, 0.4, q4), (4, 0.47, 0.42, q4), (5, 0.5, 0.45, q5)):
+        with np.errstate(all="ignore"):
+            want = ref_assemble(q, l1, l2, cands, ["note"])
+        assert solution_key(_assemble(q, l1, l2, cands, ["note"])) == solution_key(want)
+
+
+# ---------------------------------------------------------------------------
+# q=5: only the solver stage is per point
+# ---------------------------------------------------------------------------
+
+
+def test_q5_sweep_workers_match_serial():
+    args = (5, (0.44, 0.52), (0.30, 0.50))
+    serial = ct.sweep(*args, resolution=3)
+    parallel = ct.sweep(*args, resolution=3, workers=2)
+    assert [point_key(p) for p in parallel] == [point_key(p) for p in serial]
+    assert {p.regime for p in serial} >= {Regime.INFEASIBLE, Regime.PT_AND_RPT}
+
+
+def test_q4_sweep_starts_no_pool(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a q=4 sweep must not start a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    serial = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4)
+    assert ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4, workers=2) == serial
+
+
+def test_q5_solver_failure_keeps_marker(monkeypatch):
+    def boom(lambda1, lambda2):
+        raise ct.ContinuationLost("solver gave up")
+
+    monkeypatch.setattr(phase, "q5_solutions", boom)
+    points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
+    assert points[0] == PhasePoint(5, 0.2, 0.4, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
+    assert points[2] == PhasePoint(5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.PROBE, error="solver gave up")
+    assert ct.classify_point(5, 0.48, 0.4) == points[2]
+
+
+def test_phase_point_has_no_instance_dict():
+    p = ct.classify_point(4, 0.5, 0.4)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.n_nontrivial = 3
