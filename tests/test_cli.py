@@ -241,3 +241,26 @@ def test_float_format_roundtrip(capsys):
     printed = [float(l.split(",")[0]) for l in out.strip().split("\n")[1:]]
     exact = [s[0] for s in ct.q4_solutions(0.5, 0.4).solutions]
     assert printed == exact  # 17 significant digits reparse losslessly
+
+
+def test_sweep_unsupported_tree_is_usage_error(capsys):
+    assert main(["sweep", "--q", "4", "--res", "2", "--children", "3"]) == 2
+    assert main(["sweep", "--q", "5", "--res", "2", "--children", "3"]) == 2
+
+
+def test_sweep_q5_negative_lambda2_has_no_failed_rows(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--q", "5", "--res", "4", "--l1min", "0.3", "--l1max", "0.6",
+        "--l2min", "-0.2", "--l2max", "-0.05",
+    )
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 16
+    assert not [r for r in rows if ",false,CRITICAL," in r]
+    assert sum(",true," in r for r in rows) == 8
+
+
+def test_solve_q5_negative_lambda2_at_half(capsys):
+    code, out = run_cli(capsys, "solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "-0.1")
+    assert code == 0
+    assert out.split("\n")[1] == "0,0,0"

@@ -182,3 +182,14 @@ def test_solver_probe_agreement_q4():
                 assert probe.verdict is ct.Verdict.BOUNDED_AWAY, (l1, l2)
             elif l1 * 2 < 1:
                 assert probe.verdict is ct.Verdict.CONVERGES_TO_UNIFORM, (l1, l2)
+
+
+def test_classification_rejects_trees_it_does_not_model():
+    # the q=4 and q=5 mode maps are the binary-tree maps
+    for q in (4, 5):
+        for tree in (ct.Cayley(3), ct.SphericallySymmetric((2, 3))):
+            with pytest.raises(ct.UnsupportedTree):
+                ct.classify_point(q, 0.40, 0.40, tree)
+            with pytest.raises(ct.UnsupportedTree):
+                ct.sweep(q, (0.3, 0.5), (0.3, 0.5), resolution=2, tree=tree)
+    assert ct.classify_point(4, 0.40, 0.40, ct.Cayley(2)).regime is ct.Regime.NO_PT
