@@ -23,7 +23,6 @@ from .fixedpoint import (
     q4_solutions,
     q5_quartic_coeffs,
     q5_solutions,
-    q5_solutions_at_critical,
 )
 
 EXIT_OK = 0
@@ -96,10 +95,7 @@ def cmd_solve(args) -> int:
     if args.q == 4:
         sols = q4_solutions(args.lambda1, args.lambda2)
     elif args.q == 5:
-        if abs(args.lambda1 - 0.5) < 1e-12:
-            sols = q5_solutions_at_critical(args.lambda2)
-        else:
-            sols = q5_solutions(args.lambda1, args.lambda2)
+        sols = q5_solutions(args.lambda1, args.lambda2)
     else:
         raise ClockTreeError(f"solve supports q in {{4, 5}}, got q={args.q}")
     lines = ["alpha1,alpha2,residual"]
@@ -147,7 +143,6 @@ def cmd_sweep(args) -> int:
         lambda2_range=(args.l2min, args.l2max),
         resolution=args.res,
         tree=recursion.Cayley(args.children),
-        workers=args.workers,
     )
     if args.svg:
         svg = render_phase_svg(
@@ -405,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2min", type=float, default=0.0)
     p.add_argument("--l2max", type=float, default=0.6)
     p.add_argument("--children", type=int, default=2)
-    p.add_argument("--workers", type=int, default=None, help="parallel workers")
     p.add_argument("--svg", type=str, default=None, help="write an SVG phase diagram here")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sweep)

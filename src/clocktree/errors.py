@@ -66,8 +66,8 @@ class UnsupportedQ(ClockTreeError):
 
 
 class UnsupportedTree(ClockTreeError):
-    """Probes require a Cayley family (homogeneous reduction)."""
+    """Tree the operation does not model: probes need a Cayley family, the mode maps the binary tree."""
 
 
 class ContinuationLost(ClockTreeError):
-    """No seed solution survived the homotopy to the target parameters."""
+    """The solution branch a computation follows does not exist at the requested parameters."""

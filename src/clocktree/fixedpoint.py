@@ -15,6 +15,11 @@ lambda2 ~ 0.370748 (first non-trivial solutions) and lambda2 ~ 0.494119
 (second pair) and the elimination degenerates at alpha1 = v exactly for
 lambda2 = 37/96 ~ 0.385417.
 
+At any (lambda1, lambda2) the resultant in alpha2 of the two cleared
+equations is alpha1 * lambda2^4 * S(alpha1) / 50000 with a sextic S, so all
+q = 5 fixed points come from the real roots of S, taken for a whole grid at
+once as eigenvalues of a stack of companion matrices.
+
 For q = 4 the system is solvable in closed form: at lambda1 = 1/2 the
 non-trivial branch is alpha2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) with
 alpha1 = +-sqrt(2*lambda2*alpha2 - 4*lambda2^2*alpha2^2); for general lambda1
@@ -26,7 +31,6 @@ to a probability vector; the long printed radicals are never trusted blindly.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -45,14 +49,7 @@ from .errors import (
     UnsupportedQ,
 )
 from .recursion import V5, mode_map, mode_map_q5
-from .spectral import (
-    DIST_TOL,
-    SymmetricDist,
-    feasible_lambdas,
-    potts_theta,
-    spec_from_lambdas,
-    validate_non_increasing,
-)
+from .spectral import DIST_TOL, feasible_lambdas, potts_theta
 
 log = logging.getLogger(__name__)
 
@@ -594,17 +591,25 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     return a1, a2, valid
 
 
-def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    """Number of verified non-trivial q=4 fixed points at each (lambda1[i], lambda2[i]).
-
-    The grid form of `q4_solutions(...).n_nontrivial`: the same candidates
-    and the same checks, as array operations.
-    """
-    l1 = np.asarray(lambda1, dtype=float)
-    l2 = np.asarray(lambda2, dtype=float)
-    a1, a2, valid = _q4_candidates(l1, l2)
-    status, _ = _verify_candidates(4, l1[:, None], l2[:, None], a1, a2, valid)
+def _solution_counts(q: int, candidates, lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    a1, a2, valid = candidates(l1, l2)
+    status, _ = _verify_candidates(q, l1[:, None], l2[:, None], a1, a2, valid)
     return (status == _ACCEPTED).sum(axis=1)
+
+
+def _solution_view(q: int, candidates, lambda1: float, lambda2: float) -> SolutionSet:
+    l1, l2 = np.array([lambda1], dtype=float), np.array([lambda2], dtype=float)
+    feasible = feasible_lambdas(q, l1, l2)[0]
+    notes = [] if feasible else ["parameters are outside the non-increasing feasibility region"]
+    a1, a2, valid = candidates(l1, l2)
+    kept = [(x, y) for x, y, ok in zip(a1[0].tolist(), a2[0].tolist(), valid[0].tolist()) if ok]
+    return _assemble(q, lambda1, lambda2, kept, notes)
+
+
+def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """The grid form of `q4_solutions(...).n_nontrivial`, as array operations."""
+    return _solution_counts(4, _q4_candidates, lambda1, lambda2)
 
 
 def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
@@ -615,14 +620,136 @@ def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     ones with their reasons, and a note when (lambda1, lambda2) is outside
     the non-increasing region, which is not an error.
     """
-    l1 = np.array([lambda1], dtype=float)
-    l2 = np.array([lambda2], dtype=float)
-    notes = []
-    if not feasible_lambdas(4, l1, l2)[0]:
-        notes.append("parameters are outside the non-increasing feasibility region")
-    a1, a2, valid = _q4_candidates(l1, l2)
-    candidates = [(x, y) for x, y, ok in zip(a1[0].tolist(), a2[0].tolist(), valid[0].tolist()) if ok]
-    return _assemble(4, lambda1, lambda2, candidates, notes)
+    return _solution_view(4, _q4_candidates, lambda1, lambda2)
+
+
+# ---------------------------------------------------------------------------
+# q=5 at any (lambda1, lambda2): elimination of alpha2 to a sextic in alpha1
+# ---------------------------------------------------------------------------
+
+
+def _q5_sextic(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """Coefficients (n, 7), highest power first, of the sextic S(alpha1).
+
+    The fixed-point equations of `mode_map_q5`, times its denominator, are
+        E1 = l2^2 (a1 - v) a2^2 - 2 v l1 l2 a1 a2 + a1 (l1^2 a1^2 - 2 l1/5 + 1/5),
+        E2 = l2^2 a2^3 + (l1^2 a1^2 - 2 v l1 l2 a1 - 2 l2/5 + 1/5) a2 - v l1^2 a1^2,
+    with resultant a1 l2^4 (a1 - v)^2 S(a1) / (5000 (sqrt(10) a1 - 1)^2) in
+    alpha2.  At lambda1 = 1/2, S = 25/(4 lambda2^2) a1^2 q_{lambda2}(a1).
+    """
+    l1, l2, s = lambda1, lambda2, SQRT10
+    p2, p3, q2, pq = l1 * l1, l1 * l1 * l1, l2 * l2, l1 * l2
+    return np.stack(
+        [
+            5000.0 * p2 * p2 * (5 * p2 + 8 * pq + 5 * q2),
+            -500.0 * s * p3 * (14 * p2 * l2 + 8 * p2 + 7 * l1 * q2 + 8 * pq - 16 * q2),
+            -500.0 * p2 * (
+                10 * p3 * l2 + 20 * p3 + p2 * q2 + 48 * p2 * l2 - 38 * p2 + 40 * l1 * q2 + 8 * pq - 24 * q2
+            ),
+            50.0 * s * l1 * (
+                3 * p3 * q2 + 72 * p3 * l2 + 32 * p3 + 32 * p2 * q2 + 28 * p2 * l2 - 32 * p2 - 112 * l1 * q2 + 32 * q2
+            ),
+            -200.0 * (
+                2 * p3 * q2 - 7 * p3 * l2 + 28 * p3 - 38 * p2 * q2 - 16 * p2 * l2 - 15 * p2
+                + 32 * l1 * q2 + 12 * pq - 8 * q2
+            ),
+            -80.0 * s * (2 * l1 - 1) * (2 * l2 - 1) * (pq + 2 * l1 - 2 * l2),
+            -40.0 * (2 * l1 - 1) * (2 * l2 - 1) ** 2,
+        ],
+        axis=-1,
+    )
+
+
+def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values at x (n, k) of the polynomials coeffs (n, d + 1), by Horner's rule."""
+    p = np.zeros_like(x)
+    for k in range(coeffs.shape[1]):
+        p = p * x + coeffs[:, k, None]
+    return p
+
+
+def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Complex roots (n, d) of the polynomials coeffs (n, d + 1), highest power first.
+
+    Leading coefficients below 1e-13 of a row's largest are dropped (missing
+    roots are NaN); each degree's rows are one stack of companion matrices.
+    """
+    n, m = coeffs.shape
+    roots = np.full((n, m - 1), complex(np.nan, np.nan))
+    big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
+    lead = np.where(big.any(axis=1), big.argmax(axis=1), m - 1)
+    for first in sorted(set(lead.tolist()) - {m - 1}):  # np.unique would import numpy.ma
+        deg, rows = m - 1 - first, lead == first
+        companion = np.zeros((int(rows.sum()), deg, deg))
+        companion[:, 0, :] = -coeffs[rows, first + 1 :] / coeffs[rows, first, None]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        roots[rows, :deg] = np.linalg.eigvals(companion)
+    return roots
+
+
+def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate q=5 fixed points (alpha1, alpha2, valid), each of shape (n, 6).
+
+    alpha1 runs over the roots of S (`_q5_sextic`), each polished by a
+    Newton step (kept where |S| drops and the step is below 1e-6).  A root
+    is real if returned real or if S at its real part is within rounding,
+    32 eps sum |c_k x^k| (a double root comes out split by about sqrt(eps));
+    a real root whose midpoint with the next smaller one is within rounding
+    is that root again, so a double root counts once.  alpha2 is the common
+    root of E1 = l2^2 A a2^2 + l2 B a2 + C and E2 = l2^2 a2^3 + E a2 + F:
+    of -(B C + l2 F A^2) / (l2 (B^2 - A C + E A^2)) (their subresultant,
+    finite at A = a1 - v = 0, the special solution at lambda2 = 37/96) and
+    -F/E (exact at lambda2 = 0), each polished by a Newton step on E2, the
+    one with the smaller fixed-point residual.  At lambda1 = 0 a pair
+    (a1, +-a2) is not recovered; it would need lambda2 > 1/2, infeasible.
+    """
+    coeffs = _q5_sextic(lambda1, lambda2)
+    slope = coeffs[:, :-1] * np.arange(6, 0, -1)
+    roots = _polynomial_roots(coeffs)
+    x = roots.real
+    with np.errstate(all="ignore"):
+        p = _polyval(coeffs, x)
+        step = p / _polyval(slope, x)
+        x = np.where((np.abs(step) <= 1e-6) & (np.abs(_polyval(coeffs, x - step)) < np.abs(p)), x - step, x)
+
+        def indistinct(at):
+            return np.abs(_polyval(coeffs, at)) <= 32.0 * np.finfo(float).eps * _polyval(np.abs(coeffs), np.abs(at))
+
+        valid = (roots.imag == 0.0) | indistinct(x)
+        order = np.argsort(np.where(valid, x, np.inf), axis=1)
+        x, valid = np.take_along_axis(x, order, axis=1), np.take_along_axis(valid, order, axis=1)
+        # the real roots come first; each is checked against its predecessor
+        valid[:, 1:] &= ~indistinct(0.5 * (x[:, :-1] + x[:, 1:]))
+
+        l1, l2 = lambda1[:, None], lambda2[:, None]
+        a, b, c = x - V5, -2.0 * V5 * l1 * x, x * (l1 * l1 * x * x - 0.4 * l1 + 0.2)
+        e, f = l1 * l1 * x * x - 2.0 * V5 * l1 * l2 * x - 0.4 * l2 + 0.2, -V5 * l1 * l1 * x * x
+
+        def e2(a2):
+            return (l2 * l2 * a2 * a2 + e) * a2 + f
+
+        # the two estimates, the subresultant's root and -F/E, side by side
+        a2 = np.stack([-(b * c + l2 * f * a * a) / (l2 * (b * b - a * c + e * a * a)), -f / e])
+        a2 = np.where(x == 0.0, 0.0, a2)
+        polished = a2 - e2(a2) / (3.0 * l2 * l2 * a2 * a2 + e)
+        a2 = np.where(np.abs(e2(polished)) < np.abs(e2(a2)), polished, a2)
+        f1, f2 = mode_map_q5(l1, l2, (x, a2))
+        residual = np.maximum(np.abs(x - f1), np.abs(a2 - f2))
+    return x, np.where(residual[0] <= residual[1], a2[0], a2[1]), valid
+
+
+def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations."""
+    return _solution_counts(5, _q5_candidates, lambda1, lambda2)
+
+
+def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:
+    """All symmetric fixed points for q = 5, at any (lambda1, lambda2).
+
+    A batch of one of the grid solver (`_q5_candidates`), formatted as
+    `q4_solutions` formats q = 4's.
+    """
+    return _solution_view(5, _q5_candidates, lambda1, lambda2)
 
 
 # ---------------------------------------------------------------------------
@@ -697,83 +824,6 @@ def newton_solve(
             return None
         x = x - factor * step
     return None
-
-
-def q5_solutions(
-    lambda1: float,
-    lambda2: float,
-    step: float = 0.005,
-    probe_seed: bool = True,
-) -> SolutionSet:
-    """Symmetric fixed points for q = 5 at general (lambda1, lambda2).
-
-    Continuation: the analytic solutions at lambda1 = 1/2 are tracked by
-    damped Newton while lambda1 steps toward the target in increments of
-    `step`.  A branch that collapses onto the trivial solution or loses
-    Newton convergence has genuinely disappeared through a fold.  When the
-    transfer matrix is strictly positive, a probe-converged iterate seeds one
-    extra Newton run so stable branches unreachable by continuation (e.g. for
-    lambda1 above the threshold) are still found.
-    """
-    if abs(lambda1 - 0.5) < 1e-12:
-        return q5_solutions_at_critical(lambda2)
-    notes: list[str] = []
-    seeds = [np.array(s) for s in _critical_solutions_cached(lambda2).nontrivial]
-    current = seeds
-    if seeds:
-        path = _continuation_path(0.5, lambda1, step)
-        for l1 in path:
-            survivors = []
-            for s in current:
-                r = newton_solve(l1, lambda2, (s[0], s[1]))
-                if r is not None and max(abs(r[0]), abs(r[1])) > DEDUP_TOL:
-                    survivors.append(np.array(r))
-            current = survivors
-            if not current:
-                notes.append(f"continuation lost all branches at lambda1 = {l1!r}")
-                break
-    candidates = [(float(s[0]), float(s[1])) for s in current]
-    if probe_seed:
-        cand = _probe_seeded_candidate(lambda1, lambda2)
-        if cand is not None:
-            candidates.append(cand)
-            notes.append("probe-seeded candidate included")
-    return _assemble(5, lambda1, lambda2, candidates, notes)
-
-
-@functools.lru_cache(maxsize=8192)
-def _critical_solutions_cached(lambda2: float) -> SolutionSet:
-    # sweeps revisit the same lambda2 column for every lambda1 row
-    return q5_solutions_at_critical(lambda2)
-
-
-def _continuation_path(start: float, target: float, step: float) -> list[float]:
-    if target == start:
-        return [target]
-    n = max(1, int(math.ceil(abs(target - start) / step)))
-    return [start + (target - start) * (i + 1) / n for i in range(n)]
-
-
-def _probe_seeded_candidate(lambda1: float, lambda2: float) -> Optional[tuple[float, float]]:
-    """Modes of the probe limit, Newton-polished, when the probe retains order."""
-    try:
-        spec = spec_from_lambdas(5, lambda1, lambda2)
-    except ValueError:
-        return None
-    if min(spec.row) <= 0.0 or not validate_non_increasing(spec).feasible:
-        return None
-    M = spec.matrix()
-    p = np.asarray(spec.row) ** 2
-    p /= p.sum()
-    for _ in range(300):
-        p = np.power(M @ p, 2)
-        p /= p.sum()
-        if np.abs(p - 0.2).max() < 1e-9:
-            return None
-    if np.abs(p - 0.2).max() < 1e-6:
-        return None
-    dist = SymmetricDist.from_probabilities(p)
-    return newton_solve(lambda1, lambda2, (dist.modes[0], dist.modes[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ coupling however weak orders the root), and the window of non-robust phase
 transitions where a non-trivial symmetric fixed point of the mode recursion
 exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
-q = 5 it is computed numerically by continuation from the lambda1 = 1/2
-analysis.
+q = 5 it is found by bisection on the count of the all-roots elimination
+solver (`fixedpoint.q5_solution_counts`).
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -23,17 +23,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ClockTreeError, ContinuationLost, UnsupportedQ
+from .errors import ClockTreeError, ContinuationLost, UnsupportedQ, UnsupportedTree
 from .fixedpoint import (
     newton_solve,
     q4_solution_counts,
     q5_jacobian,
     q5_potts_diagonal_solutions,
-    q5_solutions,
+    q5_solution_counts,
 )
-from .recursion import Cayley, TreeFamily, Verdict, branching_number, pt_probe
-from .spectral import feasible_lambdas, spec_from_lambdas
+from .recursion import Cayley, TreeFamily, branching_number
+from .spectral import feasible_lambdas
 
+# robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
+# and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
 RPT_MARGIN = 1e-9
 
 
@@ -46,9 +48,8 @@ class Regime(enum.Enum):
 
 
 class Evidence(enum.Enum):
-    CLOSED_FORM = "CLOSED_FORM"
-    NEWTON = "NEWTON"
-    PROBE = "PROBE"
+    CLOSED_FORM = "CLOSED_FORM"  # the feasibility check, or q = 4's closed-form fixed points
+    ELIMINATION = "ELIMINATION"  # q = 5's fixed points, all roots of the eliminated sextic
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +84,7 @@ def classify_point(
     The point is a 1 x 1 grid of the sweep's classification, so a point and
     the grid around it cannot disagree; see `sweep` for how the regime is
     decided.  Non-finite parameters raise ClockTreeError, and a point whose
-    q = 5 solver raises comes back as the sweep marks it: CRITICAL with
+    solver raises comes back as the sweep marks it: CRITICAL with
     feasible = False and the error message.
     """
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
@@ -114,33 +115,26 @@ def q5_transition_line(
 ) -> list[tuple[float, float]]:
     """Critical lambda2 for each lambda1, by bisection on solution existence.
 
-    The predicate "a residual-verified non-trivial Newton solution exists" is
-    evaluated through continuation from the lambda1 = 1/2 analytic solutions;
-    at lambda1 = 1/2 the bisection therefore lands on the discriminant root.
-    A grid point whose bracket never sees a solution is reported as
-    (lambda1, nan) rather than aborting the whole line.
+    The predicate, `q5_solution_counts` > 0, is evaluated for every lambda1
+    in one batched call per bisection step.  At lambda1 = 1/2 the bisection
+    lands on the discriminant root.  A grid point whose bracket never sees
+    a solution is reported as (lambda1, nan) rather than aborting the line.
     """
-    out: list[tuple[float, float]] = []
-    lo0, hi0 = lambda2_bracket
-    for l1 in lambda1_grid:
+    grid = list(lambda1_grid)
+    for l1 in grid:
         if not (0.0 < l1 <= 0.5 + RPT_MARGIN):
             raise ContinuationLost(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
-        if not _has_nontrivial(l1, hi0):
-            out.append((l1, math.nan))
-            continue
-        lo, hi = lo0, hi0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _has_nontrivial(l1, mid):
-                hi = mid
-            else:
-                lo = mid
-        out.append((l1, 0.5 * (lo + hi)))
-    return out
-
-
-def _has_nontrivial(lambda1: float, lambda2: float) -> bool:
-    return q5_solutions(lambda1, lambda2, probe_seed=False).n_nontrivial > 0
+    l1s = np.array(grid, dtype=float)
+    lo, hi = (np.full(len(grid), float(end)) for end in lambda2_bracket)
+    found = q5_solution_counts(l1s, hi) > 0
+    active = found & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        exists = q5_solution_counts(l1s[active], mid[active]) > 0
+        hi[active] = np.where(exists, mid[active], hi[active])
+        lo[active] = np.where(exists, lo[active], mid[active])
+        active &= hi - lo > tol
+    return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
 
 
 def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
@@ -168,24 +162,17 @@ def sweep(
     lambda2_range: tuple[float, float] = (0.0, 0.6),
     resolution: int = 100,
     tree: TreeFamily = Cayley(2),
-    workers: Optional[int] = None,
 ) -> list[PhasePoint]:
     """Classify a resolution x resolution grid, row-major in (lambda1, lambda2).
 
-    Feasibility comes from the non-increasing check; the existence of a phase
-    transition from the closed-form solver (q=4) or Newton continuation (q=5)
-    with a probe fallback; robustness from the strict threshold
-    lambda1 * br(T) > 1.  A probe that cannot decide (its honest outcome near
-    critical lines) yields the CRITICAL label rather than a forced regime.
-
-    The grid is classified as array operations: feasibility, robustness and
-    the q=4 fixed points.  Only the q=5 solver and its probe fallback run
-    point by point, on the feasible points; with workers > 1 that per-point
-    work, and nothing else, runs in a process pool, so a q=4 sweep starts no
-    pool.  The output order is by grid index either way.  Infeasible points
-    are classified and kept, never skipped.  A point whose q=5 solver raises
-    is marked CRITICAL with feasible = False and the error message.  A
-    non-finite range raises ClockTreeError.
+    The grid is classified as array operations: feasibility from the
+    non-increasing check, a phase transition from the verified fixed points
+    (closed form for q = 4, all roots of the eliminated sextic for q = 5),
+    robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
+    points are kept.  If the solver raises, every feasible point is CRITICAL
+    with feasible = False and the error message.  The mode maps are the
+    binary tree's: another tree raises UnsupportedTree, and a non-finite
+    range ClockTreeError.
     """
     if resolution < 1:
         raise UnsupportedQ(f"resolution must be >= 1, got {resolution}")
@@ -195,71 +182,38 @@ def sweep(
         )
     l1s = np.linspace(lambda1_range[0], lambda1_range[1], resolution)
     l2s = np.linspace(lambda2_range[0], lambda2_range[1], resolution)
-    return _classify_grid(q, l1s, l2s, tree, workers)
+    return _classify_grid(q, l1s, l2s, tree)
 
 
 # a point takes the first of these regimes whose condition in _classify_grid holds
 _REGIMES = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
 
 
-def _classify_grid(
-    q: int,
-    l1s: np.ndarray,
-    l2s: np.ndarray,
-    tree: TreeFamily,
-    workers: Optional[int] = None,
-) -> list[PhasePoint]:
+def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> list[PhasePoint]:
     """Points of the grid l1s x l2s, row-major; the engine behind `sweep` and `classify_point`."""
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
+    if tree != Cayley(2):
+        raise UnsupportedTree(f"the q = {q} mode maps are those of the binary tree Cayley(2), got {tree!r}")
     lambda1 = np.repeat(l1s, len(l2s))
     lambda2 = np.tile(l2s, len(l1s))
     feasible = feasible_lambdas(q, lambda1, lambda2)
     robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
     n = np.zeros(len(lambda1), dtype=int)
-    critical = np.zeros(len(lambda1), dtype=bool)
-    evidence = [Evidence.CLOSED_FORM] * len(lambda1)
-    error: list[Optional[str]] = [None] * len(lambda1)
-    if q == 4:
-        n[feasible] = q4_solution_counts(lambda1[feasible], lambda2[feasible])
-    else:
-        idx = np.flatnonzero(feasible).tolist()
-        tasks = [(float(lambda1[i]), float(lambda2[i]), bool(robust[i])) for i in idx]
-        if workers is not None and workers > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_q5_task, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-        else:
-            results = [_q5_task(t) for t in tasks]
-        for i, (m, ev, undecided, err) in zip(idx, results):
-            n[i], evidence[i], critical[i], error[i] = m, ev, undecided, err
-            feasible[i] = err is None
-    regime = np.select([critical, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
+    error = None
+    try:
+        n[feasible] = (q4_solution_counts if q == 4 else q5_solution_counts)(lambda1[feasible], lambda2[feasible])
+    except Exception as exc:  # a solver failure stays visible in every point it decides
+        error = str(exc)
+    failed = feasible & (error is not None)
+    regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
+    method = Evidence.CLOSED_FORM if q == 4 else Evidence.ELIMINATION
+    evidence = np.where(feasible, method, Evidence.CLOSED_FORM).tolist()
+    errors = np.where(failed, error, None).tolist()
     axes = itertools.product(l1s.tolist(), l2s.tolist())
     return [
         PhasePoint(q, a, b, f, _REGIMES[c], m, ev, err)
-        for (a, b), f, c, m, ev, err in zip(axes, feasible.tolist(), regime.tolist(), n.tolist(), evidence, error)
+        for (a, b), f, c, m, ev, err in zip(
+            axes, (feasible & ~failed).tolist(), regime.tolist(), n.tolist(), evidence, errors
+        )
     ]
-
-
-def _q5_task(task: tuple[float, float, bool]) -> tuple[int, Evidence, bool, Optional[str]]:
-    """(n_nontrivial, evidence, undecided, error) of one feasible q=5 point.
-
-    Newton continuation first; when it finds nothing although the point is
-    robust, the full-coupling probe decides.  An undecided probe, and any
-    exception, makes the point CRITICAL; the exception's message is kept.
-    """
-    l1, l2, robust = task
-    try:
-        n = q5_solutions(l1, l2).n_nontrivial
-        if n > 0 or not robust:
-            return n, Evidence.NEWTON, False, None
-        # solver found nothing although robustness guarantees a transition;
-        # fall back to the probe for an honest answer
-        verdict = pt_probe(spec_from_lambdas(5, l1, l2), Cayley(2)).verdict
-    except Exception as exc:  # a failed point must not abort the whole grid
-        return 0, Evidence.PROBE, True, str(exc)
-    if verdict is Verdict.BOUNDED_AWAY:
-        return 1, Evidence.PROBE, False, None
-    return 0, Evidence.PROBE, verdict is Verdict.UNDECIDED, None

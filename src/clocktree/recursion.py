@@ -111,6 +111,8 @@ def branching_estimate(tree: TreeFamily) -> BranchingEstimate:
 
 
 def branching_number(tree: TreeFamily) -> float:
+    """br(T) of R. Lyons (Ann. Probab. 18 (1990) 931-958): 1/br(T) is the critical
+    probability of percolation on T; the robust threshold is lambda1 * br(T) = 1."""
     return branching_estimate(tree).value
 
 

@@ -246,19 +246,7 @@ class TransferSpec:
 
 
 def spec_from_lambdas(q: int, lambda1: float, lambda2: float) -> TransferSpec:
-    """Transfer matrix for q in {4, 5} from its two free eigenvalues.
-
-    Memoized: a q=5 grid point asks for its spec from the probe-seeded solver
-    and then from the probe fallback, one right after the other, so a short
-    memo of immutable specs is enough.
-    """
-    # lru_cache compares keys with ==, which would merge -0.0 with 0.0; the
-    # signs keep them apart because the spectrum stores the zero as given
-    return _spec_from_lambdas(q, lambda1, lambda2, math.copysign(1.0, lambda1), math.copysign(1.0, lambda2))
-
-
-@functools.lru_cache(maxsize=32)
-def _spec_from_lambdas(q: int, lambda1: float, lambda2: float, _sign1: float, _sign2: float) -> TransferSpec:
+    """Transfer matrix for q in {4, 5} from its two free eigenvalues."""
     if q == 4:
         lam = (1.0, lambda1, lambda2, lambda1)
     elif q == 5:

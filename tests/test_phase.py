@@ -111,12 +111,6 @@ def test_sweep_rejects_non_finite_range():
                 ct.sweep(4, l1_range, l2_range, resolution=3)
 
 
-def test_sweep_workers_deterministic():
-    serial = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=6)
-    parallel = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=6, workers=2)
-    assert serial == parallel
-
-
 def test_q4_sweep_boundary_small_grid():
     # at modest resolution the regime flip tracks the closed-form line cell by cell
     res = 50

@@ -1,9 +1,88 @@
-"""The q=5 solver against the analytic facts it must reproduce."""
+"""The q=5 elimination solver against the analysis it generalizes and the solver it replaced.
+
+`ref_q5_solutions` is the continuation solver that `q5_solutions` replaced:
+Newton continuation of the lambda1 = 1/2 solutions, then a 300-level
+probe-seeded Newton run.  It misses branches that are not connected to the
+lambda1 = 1/2 solutions, so it is a one-sided reference: every solution it
+finds must be among the new solver's.  It raised where the lambda1 = 1/2
+analysis does (lambda2 < 0, or a quartic that underflows to zero); here it
+then continues nothing and only the probe seed runs.
+"""
+import functools
+import math
+
 import numpy as np
-import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.spectral import feasible_lambdas
+from clocktree.fixedpoint import DEDUP_TOL, V5, _assemble, _q5_sextic, q5_solution_counts
+from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# the continuation reference
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def ref_critical_solutions(lambda2):
+    return ct.q5_solutions_at_critical(lambda2)
+
+
+def ref_continuation_path(start, target, step):
+    if target == start:
+        return [target]
+    n = max(1, int(math.ceil(abs(target - start) / step)))
+    return [start + (target - start) * (i + 1) / n for i in range(n)]
+
+
+def ref_probe_seeded_candidate(lambda1, lambda2):
+    try:
+        spec = spec_from_lambdas(5, lambda1, lambda2)
+    except ValueError:
+        return None
+    if min(spec.row) <= 0.0 or not validate_non_increasing(spec).feasible:
+        return None
+    M = spec.matrix()
+    p = np.asarray(spec.row) ** 2
+    p /= p.sum()
+    for _ in range(300):
+        p = np.power(M @ p, 2)
+        p /= p.sum()
+        if np.abs(p - 0.2).max() < 1e-9:
+            return None
+    if np.abs(p - 0.2).max() < 1e-6:
+        return None
+    dist = SymmetricDist.from_probabilities(p)
+    return ct.newton_solve(lambda1, lambda2, (dist.modes[0], dist.modes[1]))
+
+
+def ref_q5_solutions(lambda1, lambda2, step=0.005):
+    if abs(lambda1 - 0.5) < 1e-12:
+        return ref_critical_solutions(lambda2)
+    try:
+        seeds = ref_critical_solutions(lambda2).nontrivial
+    except ct.ClockTreeError:
+        seeds = []
+    current = [np.array(s) for s in seeds]
+    if current:
+        for l1 in ref_continuation_path(0.5, lambda1, step):
+            survivors = []
+            for s in current:
+                r = ct.newton_solve(l1, lambda2, (s[0], s[1]))
+                if r is not None and max(abs(r[0]), abs(r[1])) > DEDUP_TOL:
+                    survivors.append(np.array(r))
+            current = survivors
+            if not current:
+                break
+    candidates = [(float(s[0]), float(s[1])) for s in current]
+    cand = ref_probe_seeded_candidate(lambda1, lambda2)
+    if cand is not None:
+        candidates.append(cand)
+    return _assemble(5, lambda1, lambda2, candidates)
 
 
 def _contains(solutions, alpha, tol=1e-8):
@@ -55,3 +134,197 @@ def test_negative_lambda2_at_half():
     s = ct.q5_solutions(0.5, -0.1)
     assert s.solutions[0] == (0.0, 0.0)
     assert all(r < 1e-9 for r in s.residuals)
+
+
+# ---------------------------------------------------------------------------
+# the sextic is the resultant
+# ---------------------------------------------------------------------------
+
+
+def _cleared_equations(l1, l2, a1):
+    """Coefficients in alpha2, highest first, of a1*D - N1 and a2*D - N2 (`mode_map_q5`)."""
+    v = V5
+    e1 = [l2 * l2 * (a1 - v), -2.0 * v * l1 * l2 * a1, a1 * (0.2 + l1 * l1 * a1 * a1 - 0.4 * l1)]
+    e2 = [l2 * l2, 0.0, 0.2 + l1 * l1 * a1 * a1 - 0.4 * l2 - 2.0 * v * l1 * l2 * a1, -v * l1 * l1 * a1 * a1]
+    return e1, e2
+
+
+def test_cleared_equations_are_the_mode_map(rng):
+    for _ in range(50):
+        l1, l2, a1, a2 = rng.uniform(-0.7, 0.7, 4)
+        e1, e2 = _cleared_equations(l1, l2, a1)
+        den = 0.2 + a1 * a1 * l1 * l1 + a2 * a2 * l2 * l2
+        f1, f2 = ct.mode_map_q5(l1, l2, (a1, a2))
+        assert math.isclose(np.polyval(e1, a2), (a1 - f1) * den, rel_tol=1e-9, abs_tol=1e-14)
+        assert math.isclose(np.polyval(e2, a2), (a2 - f2) * den, rel_tol=1e-9, abs_tol=1e-14)
+
+
+def test_sextic_is_the_resultant(rng):
+    # Res_alpha2(E1, E2) = a1 l2^4 (a1 - v)^2 S(a1) / (5000 (sqrt(10) a1 - 1)^2)
+    #                    = a1 l2^4 S(a1) / 50000
+    for _ in range(200):
+        l1, l2 = rng.uniform(-0.8, 0.8, 2)
+        a1 = rng.uniform(-1.0, 1.0)
+        e1, e2 = _cleared_equations(l1, l2, a1)
+        sylvester = np.zeros((5, 5))
+        for i in range(3):
+            sylvester[i, i : i + 3] = e1
+        for i in range(2):
+            sylvester[3 + i, i : i + 4] = e2
+        sextic = np.polyval(_q5_sextic(np.array([l1]), np.array([l2]))[0], a1)
+        want = a1 * l2**4 * (a1 - V5) ** 2 * sextic / (5000.0 * (math.sqrt(10.0) * a1 - 1.0) ** 2)
+        assert math.isclose(np.linalg.det(sylvester), want, rel_tol=1e-10, abs_tol=1e-300)
+
+
+def test_sextic_at_half_is_the_quartic():
+    for l2 in (0.3, 0.45, 0.5, -0.2):
+        c = _q5_sextic(np.array([0.5]), np.array([l2]))[0]
+        assert c[5] == 0.0 and c[6] == 0.0
+        quartic = ct.q5_quartic_coeffs(l2).as_array()
+        np.testing.assert_allclose(c[:5], 25.0 / (4.0 * l2 * l2) * quartic, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the lambda1 = 1/2 analysis and the continuation reference
+# ---------------------------------------------------------------------------
+
+
+def _same_solutions(got, want, tol=1e-8):
+    return len(got) == len(want) and all(
+        max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= tol for a, b in zip(got, want)
+    )
+
+
+def test_agrees_with_critical_analysis():
+    grid = [i / 200.0 for i in range(200)] + [37.0 / 96.0, ct.q5_special_lambda2()]
+    # the discriminant roots, where the quartic's root count changes
+    grid = [l2 for l2 in grid if abs(l2 - 0.370748) > 1e-3 and abs(l2 - 0.494119) > 1e-3]
+    for l2 in grid:
+        want = ct.q5_solutions_at_critical(l2)
+        got = ct.q5_solutions(0.5, l2)
+        assert _same_solutions(got.solutions, want.solutions), (l2, got.solutions, want.solutions)
+        assert all(r < 1e-9 for r in got.residuals)
+
+
+def test_potts_point_zero_roots_are_the_trivial_solution():
+    # at (1/2, 1/2) the sextic is a1^3 times a cubic; its zero roots give
+    # alpha2 = 0, the trivial solution, and nothing is rejected
+    s = ct.q5_solutions(0.5, 0.5)
+    assert s.n_nontrivial == 3 and s.rejected == ()
+
+
+def test_special_solution_at_37_96():
+    l2 = 37.0 / 96.0
+    sols = ct.q5_solutions(0.5, l2).solutions
+    assert _contains(sols, (V5, V5 / (4.0 * l2)))
+
+
+def _feasible_point(l1, l2):
+    return bool(feasible_lambdas(5, np.array([l1]), np.array([l2]))[0])
+
+
+def _isolated_solutions(l1, l2, solutions):
+    """The solutions whose displacement Jacobian is invertible.
+
+    Where it is singular (a fold, or the trivial solution at lambda2 = 1/2)
+    Newton stops within about sqrt(1e-9) of the fixed point, and the
+    reference can report a near-trivial point such as (5e-12, 1e-6) that is
+    only the degenerate trivial solution.
+    """
+    return [a for a in solutions if abs(ct.q5_jacobian(l1, l2, a)[1]) > 1e-6]
+
+
+@SETTINGS
+@given(l1=st.floats(0.40, 0.52), l2=st.floats(0.30, 0.56))
+def test_finds_every_continuation_solution_in_window(l1, l2):
+    new = ct.q5_solutions(l1, l2)
+    for alpha in _isolated_solutions(l1, l2, ref_q5_solutions(l1, l2).solutions):
+        assert _contains(new.solutions, alpha), (l1, l2, alpha, new.solutions)
+    assert q5_solution_counts(np.array([l1]), np.array([l2]))[0] == new.n_nontrivial
+
+
+@SETTINGS
+@given(l1=st.floats(0.5 + 1e-6, 0.7), t=st.floats(-0.5, 1.0))
+def test_finds_every_continuation_solution_at_robust_points(l1, t):
+    l2 = t * l1
+    if not _feasible_point(l1, l2):
+        return
+    new = ct.q5_solutions(l1, l2)
+    # lambda1 * br(T) > 1 guarantees a transition
+    assert new.n_nontrivial >= 1
+    for alpha in _isolated_solutions(l1, l2, ref_q5_solutions(l1, l2).solutions):
+        assert _contains(new.solutions, alpha), (l1, l2, alpha, new.solutions)
+
+
+# ---------------------------------------------------------------------------
+# degenerate cases of the alpha2 recovery and of the root count
+# ---------------------------------------------------------------------------
+
+
+def test_lambda2_zero():
+    # E1 does not involve alpha2: l1^2 a1^2 = 2 l1/5 - 1/5, and E2 gives
+    # a2 = v l1^2 a1^2 / (1/5 + l1^2 a1^2)
+    for l1 in (0.55, 0.6):
+        a1 = math.sqrt(0.4 * l1 - 0.2) / l1
+        a2 = V5 * (0.4 * l1 - 0.2) / (0.4 * l1)
+        s = ct.q5_solutions(l1, 0.0)
+        assert _same_solutions(s.solutions, [(0.0, 0.0), (-a1, a2), (a1, a2)], tol=1e-12)
+        assert ct.classify_point(5, l1, 0.0).n_nontrivial == 2
+    assert abs(ct.q5_solutions(0.6, 0.0).nontrivial[1][0] - 1.0 / 3.0) < 1e-12
+
+
+def test_double_root_at_potts_fold_counted_once():
+    # at lambda = 4/9 the two diagonal fixed points merge; within a few ulps
+    # below it the rounded sextic cannot tell one double root from two roots
+    lam = 4.0 / 9.0
+    assert ct.q5_solutions(lam, lam).n_nontrivial == 1
+    assert _contains(ct.q5_solutions(lam, lam).solutions, (0.75 * V5, 0.75 * V5))
+    for _ in range(8):
+        lam = math.nextafter(lam, 0.0)
+        assert ct.q5_solutions(lam, lam).n_nontrivial <= 1, lam
+
+
+def test_lambda1_zero_drops_the_degree():
+    # the sextic's four leading coefficients vanish; no root is invented
+    for l2 in (-0.2, 0.0, 0.3):
+        s = ct.q5_solutions(0.0, l2)
+        assert s.solutions == ((0.0, 0.0),)
+
+
+# ---------------------------------------------------------------------------
+# the transition line
+# ---------------------------------------------------------------------------
+
+# q5_transition_line on 0.40, 0.41, ..., 0.50 computed with the continuation solver
+CONTINUATION_LINE = [
+    0.483711, 0.475977, 0.467539, 0.458398, 0.448867, 0.438789,
+    0.428320, 0.417148, 0.404961, 0.390898, 0.370742,
+]
+
+
+def test_transition_line_matches_continuation():
+    grid = [0.40 + 0.01 * i for i in range(10)] + [0.5]
+    line = ct.q5_transition_line(grid)
+    assert [l1 for l1, _ in line] == grid
+    for (_, got), want in zip(line, CONTINUATION_LINE):
+        assert abs(got - want) < 1e-4
+    assert abs(line[-1][1] - 0.370748) < 1e-4
+
+
+def test_transition_line_is_batched_bisection(monkeypatch):
+    # one batched call at the top of the bracket, then one per bisection step
+    calls = []
+    original = ct.phase.q5_solution_counts
+
+    def counted(l1, l2):
+        calls.append(len(l1))
+        return original(l1, l2)
+
+    monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
+    line = ct.q5_transition_line([0.42, 0.46, 0.5], tol=1e-4)
+    monkeypatch.undo()
+    steps = math.ceil(math.log2((0.65 - 0.33) / 1e-4))
+    assert calls == [3] * (steps + 1)
+    for l1, l2c in line:
+        assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
+        assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0

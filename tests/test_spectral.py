@@ -383,7 +383,6 @@ def test_transform_errors_name_first_offending_index():
 def _count_transforms(monkeypatch):
     from clocktree import spectral
 
-    spectral._spec_from_lambdas.cache_clear()
     calls = []
     for name in ("row_from_eigenvalues", "eigenvalues_from_row"):
         fn = getattr(spectral, name)
@@ -404,15 +403,17 @@ def test_classify_point_builds_no_spec_q4(monkeypatch):
     assert calls == []
 
 
-def test_classify_point_builds_spec_once_q5_probe_fallback(monkeypatch):
-    # row entries r_2 = r_3 = 0: the probe-seeded Newton run is skipped and
-    # the solver finds nothing, so classify_point falls back to the probe
+def test_classify_point_builds_no_spec_q5(monkeypatch):
+    # row entries r_2 = r_3 = 0, a point where the continuation solver found
+    # nothing and fell back to a probe; the elimination solver verifies two
+    # fixed points there, and like q=4 it builds no TransferSpec
     l2 = 0.3
     l1 = (1.0 + 2.0 * l2 * math.cos(2 * math.pi / 5)) / (-2.0 * math.cos(4 * math.pi / 5))
     calls = _count_transforms(monkeypatch)
     point = ct.classify_point(5, l1, l2)
-    assert point.evidence is ct.Evidence.PROBE and point.regime is ct.Regime.PT_AND_RPT
-    assert calls == ["row_from_eigenvalues"]
+    assert point.evidence is ct.Evidence.ELIMINATION and point.regime is ct.Regime.PT_AND_RPT
+    assert point.n_nontrivial == 2
+    assert calls == []
 
 
 def test_spec_memo_keeps_signed_zero():

@@ -235,37 +235,37 @@ def test_assemble_matches_reference(q4, q5):
 
 
 # ---------------------------------------------------------------------------
-# q=5: only the solver stage is per point
+# q=5 and the grid as a whole
 # ---------------------------------------------------------------------------
 
 
-def test_q5_sweep_workers_match_serial():
-    args = (5, (0.44, 0.52), (0.30, 0.50))
-    serial = ct.sweep(*args, resolution=3)
-    parallel = ct.sweep(*args, resolution=3, workers=2)
-    assert [point_key(p) for p in parallel] == [point_key(p) for p in serial]
-    assert {p.regime for p in serial} >= {Regime.INFEASIBLE, Regime.PT_AND_RPT}
+def test_q5_sweep_matches_classify_point():
+    points = ct.sweep(5, (0.44, 0.52), (0.30, 0.50), resolution=3)
+    assert points == [ct.classify_point(5, p.lambda1, p.lambda2) for p in points]
+    assert {p.regime for p in points} >= {Regime.INFEASIBLE, Regime.PT_AND_RPT}
 
 
 def test_q4_sweep_starts_no_pool(monkeypatch):
     import multiprocessing
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a q=4 sweep must not start a process pool")
+        raise AssertionError("a sweep must not start a process pool")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    serial = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4)
-    assert ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4, workers=2) == serial
+    points = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4)
+    assert points == [ct.classify_point(4, p.lambda1, p.lambda2) for p in points]
 
 
 def test_q5_solver_failure_keeps_marker(monkeypatch):
     def boom(lambda1, lambda2):
         raise ct.ContinuationLost("solver gave up")
 
-    monkeypatch.setattr(phase, "q5_solutions", boom)
+    monkeypatch.setattr(phase, "q5_solution_counts", boom)
     points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
     assert points[0] == PhasePoint(5, 0.2, 0.4, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
-    assert points[2] == PhasePoint(5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.PROBE, error="solver gave up")
+    assert points[2] == PhasePoint(
+        5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="solver gave up"
+    )
     assert ct.classify_point(5, 0.48, 0.4) == points[2]
 
 
