@@ -122,6 +122,24 @@ def test_classify_degenerate(capsys):
     assert "DEGENERATE_ZERO" in out
 
 
+def test_classify_tiny_lambda2_is_not_degenerate(capsys):
+    # every coefficient carries lambda2^2: the invariants underflow below
+    # about 1e-26 and the coefficients below about 1e-162, yet the quartic
+    # divided by lambda2^2 tends to a fixed quartic without real roots
+    for text in ("1e-20", "1e-25", "1e-27", "1e-30", "1e-100", "1e-170", "1e-200", "5e-324",
+                 "-1e-30", "-1e-200"):
+        code, out = run_cli(capsys, "classify", "--lambda2", text)
+        assert code == 0
+        fields = out.strip().split("\n")[1].split(",")
+        assert fields[10:] == ["NO_REAL", ""], text
+    # the coefficient columns stay those of the quartic itself
+    code, out = run_cli(capsys, "classify", "--lambda2", "1e-30")
+    fields = out.strip().split("\n")[1].split(",")
+    assert fields[1:6] == ["6.2500000000000006e-59", "-6.3245553203367601e-59",
+                           "1.4000000000000002e-58", "-5.0596442562694075e-59",
+                           "8.0000000000000009e-60"]
+
+
 def test_classify_scan_brackets_critical_values(capsys):
     code, out = run_cli(capsys, "classify", "--scan", "0.3:0.55:0.001")
     assert code == 0

@@ -253,6 +253,15 @@ def test_q5_degenerate_lambda2():
     assert any("degenerate" in n for n in s.notes)
 
 
+def test_q5_tiny_lambda2_trivial_only():
+    # the quartic's coefficients underflow to 0 below lambda2 ~ 1e-162 and its
+    # invariants below ~1e-26; neither makes the quartic degenerate
+    for l2 in (1e-25, 1e-30, 1e-100, 1e-200, 2.7e-229, 5e-324):
+        s = ct.q5_solutions_at_critical(l2)
+        assert s.solutions == ((0.0, 0.0),)
+        assert s.rejected == ()
+
+
 def test_q4_solutions_below_window():
     assert ct.q4_solutions(0.5, 0.30).n_nontrivial == 0
 
