@@ -43,6 +43,7 @@ from .fixedpoint import (
     q5_alpha2_from_alpha1,
     q5_jacobian,
     q5_potts_diagonal_solutions,
+    q5_quartic_analysis,
     q5_quartic_coeffs,
     q5_solutions,
     q5_solutions_at_critical,

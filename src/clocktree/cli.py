@@ -18,11 +18,12 @@ from . import phase, recursion, spectral
 from .errors import ClockTreeError, ContinuationLost
 from .fixedpoint import (
     DegenerateQuartic,
-    classify_quartic,
     potts_boundary_laws,
     q4_solutions,
+    q5_quartic_analysis,
     q5_quartic_coeffs,
     q5_solutions,
+    quartic_invariants,
 )
 
 EXIT_OK = 0
@@ -83,9 +84,13 @@ def cmd_probe(args) -> int:
         levels=args.levels,
         tol=args.tol,
     )
+    # past the first repeated state the distances cycle, and so does their text
+    dists = result.distances
+    start, period = result.cycle or (len(dists), 0)
+    text = [_fmt(d) for d in dists[: start + period]]
+    text.extend(itertools.islice(itertools.cycle(text[start:]), len(dists) - start - period))
     lines = ["level,distance"]
-    for level, dist in enumerate(result.distances):
-        lines.append(f"{level},{_fmt(dist)}")
+    lines.extend(f"{level},{t}" for level, t in enumerate(text))
     lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{_fmt(result.u)}")
     _emit(lines, args.out)
     return EXIT_OK
@@ -107,19 +112,22 @@ def cmd_solve(args) -> int:
 
 def _classify_row(lambda2: float) -> str:
     try:
-        analysis = classify_quartic(q5_quartic_coeffs(lambda2))
+        analysis = q5_quartic_analysis(lambda2)
     except DegenerateQuartic:
         return f"{_fmt(lambda2)},0,0,0,0,0,0,0,0,0,DEGENERATE_ZERO,"
-    c = analysis.coeffs
+    # the columns are those of the quartic itself, even where its invariants
+    # or coefficients underflowed and the structure came from the quartic
+    # divided by lambda2^2
+    c = q5_quartic_coeffs(lambda2)
+    try:
+        invariants = quartic_invariants(c)
+    except DegenerateQuartic:  # every coefficient underflowed to zero
+        invariants = (0.0, 0.0, 0.0, 0.0)
     roots = ";".join(_fmt(r) for r, m in analysis.real_roots for _ in range(m))
     structure = analysis.structure.value
     if analysis.n_simple is not None:
         structure = f"{structure}({analysis.n_simple})"
-    return (
-        f"{_fmt(lambda2)},{_fmt(c.a)},{_fmt(c.b)},{_fmt(c.c)},{_fmt(c.d)},{_fmt(c.e)},"
-        f"{_fmt(analysis.delta)},{_fmt(analysis.p)},{_fmt(analysis.d)},{_fmt(analysis.delta0)},"
-        f"{structure},{roots}"
-    )
+    return ",".join(_fmt(x) for x in (lambda2, c.a, c.b, c.c, c.d, c.e, *invariants)) + f",{structure},{roots}"
 
 
 def cmd_classify(args) -> int:

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -87,19 +88,27 @@ class QuarticCoeffs:
         return ((4.0 * self.a * x + 3.0 * self.b) * x + 2.0 * self.c) * x + self.d
 
 
+# (c0, c1, c2) per coefficient, highest power of x first: each coefficient of
+# q_{lambda2} is (c0 + c1*lambda2 + c2*lambda2^2) * lambda2^2
+_Q5_QUARTIC = (
+    (62.5, 200.0, 250.0),
+    (-20.0 * SQRT10, -75.0 * SQRT10, 125.0 * SQRT10),
+    (140.0, -345.0, 75.0),
+    (-16.0 * SQRT10, 64.0 * SQRT10, -125.0 * math.sqrt(2.5)),
+    (8.0, -36.0, 40.0),
+)
+
+
 def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
     """Quartic factor of the eliminated fixed-point polynomial at lambda1 = 1/2.
 
     Every coefficient carries a factor lambda2^2, so the quartic vanishes
-    identically at lambda2 = 0.
+    identically at lambda2 = 0 and its coefficients underflow to 0 for
+    |lambda2| below about 1e-162; `q5_quartic_analysis` classifies it at any
+    nonzero lambda2.
     """
     t = lambda2
-    a = 62.5 * t**2 + 200.0 * t**3 + 250.0 * t**4
-    b = -20.0 * SQRT10 * t**2 - 75.0 * SQRT10 * t**3 + 125.0 * SQRT10 * t**4
-    c = 140.0 * t**2 - 345.0 * t**3 + 75.0 * t**4
-    d = -16.0 * SQRT10 * t**2 + 64.0 * SQRT10 * t**3 - 125.0 * math.sqrt(2.5) * t**4
-    e = 8.0 * t**2 - 36.0 * t**3 + 40.0 * t**4
-    return QuarticCoeffs(a, b, c, d, e, lambda2=t)
+    return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
 
 
 def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
@@ -290,6 +299,32 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
         n_simple=n_simple,
         real_roots=roots,
     )
+
+
+def _q5_reduced_quartic(lambda2: float) -> QuarticCoeffs:
+    """q_{lambda2} / lambda2^2, which tends to a fixed quartic as lambda2 -> 0."""
+    t = lambda2
+    return QuarticCoeffs(*(c0 + c1 * t + c2 * t**2 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
+
+
+def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
+    """Root structure and real roots of q_{lambda2} at a nonzero lambda2.
+
+    The invariants have degree up to 6 in the coefficients, which all carry
+    lambda2^2, so they underflow for |lambda2| below about 1e-26.  There the
+    quartic divided by lambda2^2 is classified instead: dividing by a positive
+    number changes neither the roots nor the signs of the invariants.
+    Elsewhere q_{lambda2} itself is classified, because the divided quartic's
+    roots differ from its roots in the last digits.  Raises DegenerateQuartic
+    at lambda2 = 0, where the quartic vanishes identically.
+    """
+    if lambda2 == 0.0:
+        raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
+    coeffs = q5_quartic_coeffs(lambda2)
+    # classify_quartic's zero threshold for Delta must be a normal float
+    if 1e-12 * max(abs(x) for x in coeffs.as_array()) ** 6 < sys.float_info.min:
+        coeffs = _q5_reduced_quartic(lambda2)
+    return classify_quartic(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +544,7 @@ def q5_solutions_at_critical(lambda2: float) -> SolutionSet:
             includes_trivial=True,
             notes=("degenerate quartic at lambda2 = 0: trivial solution only",),
         )
-    analysis = classify_quartic(q5_quartic_coeffs(lambda2))
+    analysis = q5_quartic_analysis(lambda2)
     candidates: list[tuple[float, float]] = []
     notes: list[str] = []
     for root, _mult in analysis.real_roots:
@@ -860,13 +895,16 @@ def q5_potts_diagonal_solutions(lam: float) -> Optional[tuple[tuple[float, float
 class PottsBoundaryLaws:
     """Residual-verified boundary-law pair on the q=5 Potts line.
 
-    `sign_convention` records whether the printed (1 - e^beta) or the flipped
-    (e^beta - 1) leading term produced verified values; `mode_conversion`
-    records which a -> (alpha1, alpha2) rule passed the fixed-point residual
-    check ("printed" is 2*(1-a)/5; "bl-ratio" reads a as the reciprocal
-    square-root of the boundary-law ratio z = (q-1)^2/a^2 and converts the
-    normalized marginal (z,1,1,1,1)/(z+4) to modes).
+    The pair is (a+, a-) = 2*(q-1) / ((theta - 1) +- sqrt(rad)), the flip of
+    the printed leading term (1 - theta), which gives negative boundary-law
+    components.  `a` reads as the reciprocal square root of the boundary-law
+    ratio z = (q-1)^2/a^2, and the normalized marginal (z,1,1,1,1)/(z+4)
+    gives the modes; the printed conversion 2*(1-a)/5 fails the fixed-point
+    residual check.  The two class attributes name these conventions.
     """
+
+    sign_convention: ClassVar[str] = "theta-1"
+    mode_conversion: ClassVar[str] = "bl-ratio"
 
     lam: float
     theta: float
@@ -876,16 +914,9 @@ class PottsBoundaryLaws:
     modes_minus: tuple[float, float]
     residual_plus: float
     residual_minus: float
-    sign_convention: str
-    mode_conversion: str
 
 
-def _bl_modes_printed(a: float) -> tuple[float, float]:
-    m = 2.0 * (1.0 - a) / 5.0
-    return (m, m)
-
-
-def _bl_modes_ratio(a: float) -> tuple[float, float]:
+def _bl_modes(a: float) -> tuple[float, float]:
     z = 16.0 / (a * a)
     m = (z - 1.0) / (C5 * (z + 4.0))
     return (m, m)
@@ -895,11 +926,10 @@ def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[Po
     """The two boundary-law solutions (a+, a-) on the Potts line, verified.
 
     Real solutions exist for lam in [4/9, 1/2) where the radicand
-    theta^2 - 2*theta + 5 - 4*q is non-negative (theta = e^beta).  The printed
-    sign convention and mode conversion are tried first; variants are accepted
-    only if both branches satisfy the fixed-point equations to 1e-9, and the
-    accepted combination is recorded.  Returns None (or raises
-    RadicandNegative with strict=True) outside the existence interval.
+    theta^2 - 2*theta + 5 - 4*q is non-negative (theta = e^beta).  Both
+    branches must satisfy the fixed-point equations to 1e-9, or
+    ClockTreeError is raised.  Returns None (or raises RadicandNegative with
+    strict=True) outside the existence interval.
     """
     if q != 5:
         raise UnsupportedQ(f"boundary-law formulas are specific to q = 5, got q={q}")
@@ -914,41 +944,24 @@ def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[Po
             return None
     s = math.sqrt(rad)
     denom = 2.0 * (q - 1.0)
-    pairs = {}
-    for sign_name, lead in (("1-theta", 1.0 - theta), ("theta-1", theta - 1.0)):
-        if lead + s == 0.0 or lead - s == 0.0:
-            continue
-        pairs[sign_name] = (denom / (lead + s), denom / (lead - s))
-    # the literally printed combination first, then the sign flip, then the
-    # boundary-law-ratio reading (positive-a conventions before negative)
-    order = [
-        ("1-theta", "printed", _bl_modes_printed),
-        ("theta-1", "printed", _bl_modes_printed),
-        ("theta-1", "bl-ratio", _bl_modes_ratio),
-        ("1-theta", "bl-ratio", _bl_modes_ratio),
-    ]
-    attempts = [
-        (sign, conv_name, pairs[sign][0], pairs[sign][1], conv(pairs[sign][0]), conv(pairs[sign][1]))
-        for sign, conv_name, conv in order
-        if sign in pairs
-    ]
-    for sign_name, conv_name, a_plus, a_minus, mp, mm in attempts:
-        rp = _residual(5, lam, lam, mp)
-        rm = _residual(5, lam, lam, mm)
-        if rp < RESIDUAL_TOL and rm < RESIDUAL_TOL:
-            return PottsBoundaryLaws(
-                lam=lam,
-                theta=theta,
-                a_plus=a_plus,
-                a_minus=a_minus,
-                modes_plus=mp,
-                modes_minus=mm,
-                residual_plus=rp,
-                residual_minus=rm,
-                sign_convention=sign_name,
-                mode_conversion=conv_name,
-            )
-    raise ClockTreeError(
-        f"no boundary-law convention verified at lambda = {lam!r} "
-        "(all candidate conversions failed the fixed-point residual check)"
+    # |theta - 1| > s, since (theta - 1)^2 - s^2 = 4*q - 4 > 0: neither denominator vanishes
+    a_plus = denom / (theta - 1.0 + s)
+    a_minus = denom / (theta - 1.0 - s)
+    mp, mm = _bl_modes(a_plus), _bl_modes(a_minus)
+    rp = _residual(5, lam, lam, mp)
+    rm = _residual(5, lam, lam, mm)
+    if not (rp < RESIDUAL_TOL and rm < RESIDUAL_TOL):
+        raise ClockTreeError(
+            f"boundary laws at lambda = {lam!r} fail the fixed-point residual check "
+            f"(residuals {rp!r}, {rm!r})"
+        )
+    return PottsBoundaryLaws(
+        lam=lam,
+        theta=theta,
+        a_plus=a_plus,
+        a_minus=a_minus,
+        modes_plus=mp,
+        modes_minus=mm,
+        residual_plus=rp,
+        residual_minus=rm,
     )

@@ -23,12 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import a_norm
 from .errors import (
+    ClockTreeError,
     DimensionMismatch,
     EmptyChildren,
     NormalizationUnderflow,
@@ -197,6 +198,11 @@ class ProbeResult:
     slow power-law transients near criticality otherwise masquerade as order.
     CONVERGES_TO_UNIFORM needs the final distance below tol.  Anything else is
     UNDECIDED, which callers must not coerce.
+
+    `cycle` is (start_level, period) when the state at level
+    start_level + period repeats the state at start_level bit for bit, so
+    that distances[level] == distances[level - period] for every level from
+    start_level + period on; None when no state repeats within the run.
     """
 
     distances: tuple[float, ...]
@@ -205,6 +211,7 @@ class ProbeResult:
     u: float
     tol: float
     boundary_init: str
+    cycle: Optional[tuple[int, int]] = None
 
     @property
     def final_distance(self) -> float:
@@ -235,27 +242,46 @@ def rpt_probe(
     p -> normalize((M p)^k) applies `levels` times; the sup distance to
     uniform is recorded after every step (entry 0 is the leaf layer).
 
+    The step is a fixed map on the float64 vector p, so once p equals, bit
+    for bit, its value at an earlier level s, the states and distances of
+    the levels s + 1 .. L repeat for ever (L being the level of the repeat).
+    The iteration stops there and the remaining distances are that cycle's,
+    exactly the numbers further steps would produce; the result records the
+    cycle.  The mass check cannot fire after the repeat, because the
+    unnormalized masses repeat with the states.
+
     Only Cayley families are supported: on irregular trees the number of
     weakened edges per leaf varies and there is no canonical single-vector
     reduction.
     """
     if not isinstance(tree, Cayley):
         raise UnsupportedTree("probes require a Cayley family")
+    if levels < 0:
+        raise ClockTreeError(f"levels must be >= 0, got {levels}")
     k = tree.children
     M = spec.matrix()
     mu = weakened_row(spec, u)
+    states = np.empty((levels + 1, spec.q))
     # column 0 of M^u equals its first row by symmetry
-    p = np.power(np.asarray(mu.row), k)
+    p = np.power(np.asarray(mu.row), k, out=states[0])
     p /= p.sum()
-    distances = [float(np.abs(p - 1.0 / spec.q).max())]
-    for _ in range(levels):
-        p = np.power(M @ p, k)
+    first_level = {p.tobytes(): 0}
+    cycle = None
+    computed = levels + 1
+    for level in range(1, levels + 1):
+        p = np.power(M @ p, k, out=states[level])
         total = p.sum()
         if total < 1e-300:
             raise NormalizationUnderflow(f"unnormalized mass {total!r} below 1e-300")
         p /= total
-        distances.append(float(np.abs(p - 1.0 / spec.q).max()))
-    dist = np.array(distances)
+        start = first_level.setdefault(p.tobytes(), level)
+        if start != level:
+            cycle = (start, level - start)
+            computed = level + 1
+            break
+    dist = np.abs(states[:computed] - 1.0 / spec.q).max(axis=1)
+    if cycle is not None:
+        dist = np.concatenate([dist, np.resize(dist[cycle[0] + 1:], levels + 1 - computed)])
     return ProbeResult(
         distances=tuple(dist),
         verdict=_verdict(dist, tol),
@@ -263,6 +289,7 @@ def rpt_probe(
         u=u,
         tol=tol,
         boundary_init=f"(M^u(.,0))^{k}",
+        cycle=cycle,
     )
 
 

@@ -128,7 +128,7 @@ def test_classify_tiny_lambda2_is_not_degenerate(capsys):
     # divided by lambda2^2 tends to a fixed quartic without real roots
     for text in ("1e-20", "1e-25", "1e-27", "1e-30", "1e-100", "1e-170", "1e-200", "5e-324",
                  "-1e-30", "-1e-200"):
-        code, out = run_cli(capsys, "classify", "--lambda2", text)
+        code, out = run_cli(capsys, "classify", f"--lambda2={text}")
         assert code == 0
         fields = out.strip().split("\n")[1].split(",")
         assert fields[10:] == ["NO_REAL", ""], text

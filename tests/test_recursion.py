@@ -1,9 +1,12 @@
 """Tree recursion, closed mode maps, probes, linearization."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree.basis import a_norm, basis_norms, raw_coefficients
+from clocktree.recursion import _verdict
 
 from conftest import random_feasible_lambdas, random_symmetric_probability, recursion_oracle
 
@@ -183,6 +186,80 @@ def test_probe_distance_sequence_shape():
     res = ct.rpt_probe(spec, ct.Cayley(2), u=0.5, levels=50)
     assert len(res.distances) == 51 and res.levels_used == 50
     assert res.u == 0.5
+
+
+def _reference_probe(spec, k, u, levels, tol):
+    """The probe loop that iterates every level: distances, verdict and each level's state bytes."""
+    M = spec.matrix()
+    p = np.power(np.asarray(ct.weakened_row(spec, u).row), k)
+    p /= p.sum()
+    states = [p.tobytes()]
+    distances = [float(np.abs(p - 1.0 / spec.q).max())]
+    for _ in range(levels):
+        p = np.power(M @ p, k)
+        total = p.sum()
+        if total < 1e-300:
+            raise ct.NormalizationUnderflow(f"unnormalized mass {total!r} below 1e-300")
+        p /= total
+        states.append(p.tobytes())
+        distances.append(float(np.abs(p - 1.0 / spec.q).max()))
+    dist = np.array(distances)
+    return dist, _verdict(dist, tol), states
+
+
+@st.composite
+def _probe_inputs(draw):
+    family = draw(st.sampled_from(("q4", "q5", "potts")))
+    if family == "potts":
+        spec = ct.make_potts(draw(st.integers(3, 12)), draw(st.floats(0.0, 4.0)))
+    else:
+        q = 4 if family == "q4" else 5
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = ct.spec_from_lambdas(q, *random_feasible_lambdas(rng, q))
+    return (
+        spec,
+        draw(st.integers(2, 4)),
+        draw(st.floats(0.0, 1.0, exclude_min=True)),
+        draw(st.integers(0, 2000)),
+        draw(st.sampled_from((1e-12, 1e-6, 2e-2))),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_probe_inputs())
+def test_rpt_probe_matches_every_level_loop(inputs):
+    spec, k, u, levels, tol = inputs
+    try:
+        want, verdict, states = _reference_probe(spec, k, u, levels, tol)
+    except ct.NormalizationUnderflow:
+        with pytest.raises(ct.NormalizationUnderflow):
+            ct.rpt_probe(spec, ct.Cayley(k), u=u, levels=levels, tol=tol)
+        return
+    res = ct.rpt_probe(spec, ct.Cayley(k), u=u, levels=levels, tol=tol)
+    got = np.array(res.distances)
+    assert got.shape == want.shape
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert res.verdict is verdict
+    assert res.levels_used == levels
+    # the recorded cycle closes at the first level whose state was seen before
+    first = {}
+    repeat = next(((first[b], level) for level, b in enumerate(states)
+                   if first.setdefault(b, level) != level), None)
+    assert res.cycle == (None if repeat is None else (repeat[0], repeat[1] - repeat[0]))
+
+
+def test_rpt_probe_records_cycle():
+    spec = ct.spec_from_lambdas(5, 0.4, 0.05)
+    res = ct.rpt_probe(spec, ct.Cayley(2), u=1.0, levels=400)
+    assert res.cycle == (158, 8)
+    start, period = res.cycle
+    assert res.distances[start + period:] == res.distances[start:400 - period + 1]
+    # a run that ends before the first repeat closes no cycle
+    assert ct.rpt_probe(spec, ct.Cayley(2), u=1.0, levels=165).cycle is None
+    assert ct.rpt_probe(spec, ct.Cayley(2), u=1.0, levels=166).cycle == (158, 8)
+    assert ct.rpt_probe(ct.spec_from_lambdas(4, 0.55, 0.35), levels=400).cycle == (148, 3)
+    with pytest.raises(ct.ClockTreeError):
+        ct.rpt_probe(spec, levels=-1)
 
 
 def test_fourier_positivity_and_domination_along_iterates():
