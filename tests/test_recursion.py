@@ -242,10 +242,13 @@ def test_rpt_probe_matches_every_level_loop(inputs):
     assert res.verdict is verdict
     assert res.levels_used == levels
     # the recorded cycle closes at the first level whose state was seen before
-    first = {}
-    repeat = next(((first[b], level) for level, b in enumerate(states)
-                   if first.setdefault(b, level) != level), None)
-    assert res.cycle == (None if repeat is None else (repeat[0], repeat[1] - repeat[0]))
+    first, cycle = {}, None
+    for level, state in enumerate(states):
+        if state in first:
+            cycle = (first[state], level - first[state])
+            break
+        first[state] = level
+    assert res.cycle == cycle
 
 
 def test_rpt_probe_records_cycle():
