@@ -69,7 +69,7 @@ GOLDEN = [
      "691095fd5a40eaa2646969991029844be7a980c2f184ea0f6829d18b353efb35"),
     (("classify", "--scan=-1:0:0.001"),
      "36e6d3face97bd04dfbff7ff83f0eff8c0211a33ae51ab408d651ee22d4e0c6e"),
-    # the smallest lambda2 at which the quartic's invariants are all normal floats
+    # down to 1e-25, where the quartic's own invariants are still normal floats
     (("classify", "--scan", "1e-25:1e-22:1e-25"),
      "704f38ccba1fe47154b5a5fe257ac8f7f5453ecbc670e1dffbae415aa23ce862"),
     (POTTS_BL + ("0.4444444444444444",),
