@@ -53,6 +53,7 @@ from .fixedpoint import (
 )
 from .phase import (
     Evidence,
+    PhaseGrid,
     PhasePoint,
     Regime,
     classify_point,

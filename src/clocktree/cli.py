@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import re
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -145,7 +146,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    points = phase.sweep(
+    grid = phase.sweep(
         q=args.q,
         lambda1_range=(args.l1min, args.l1max),
         lambda2_range=(args.l2min, args.l2max),
@@ -154,8 +155,7 @@ def cmd_sweep(args) -> int:
     )
     if args.svg:
         svg = render_phase_svg(
-            points,
-            args.res,
+            grid,
             (args.l1min, args.l1max),
             (args.l2min, args.l2max),
             q=args.q,
@@ -163,14 +163,19 @@ def cmd_sweep(args) -> int:
         with open(args.svg, "w", newline="\n") as fh:
             fh.write(svg)
         return EXIT_OK
-    # the grid is row-major, so each axis value is formatted once; a memo
-    # keyed by the float would merge -0.0 with 0.0, which print differently
-    res = args.res
-    l1_text = [_fmt(points[i * res].lambda1) for i in range(res)]
-    l2_text = [_fmt(points[j].lambda2) for j in range(res)]
+    # each axis value is formatted once (a memo keyed by the float would merge
+    # -0.0 with 0.0, which print differently), and so is each distinct
+    # (feasible, regime, n_nontrivial), packed into one int per point
+    n_regimes = len(grid.regimes)
+    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).tolist()
+    tails = {}
+    for key in set(keys):
+        m, rest = divmod(key, 2 * n_regimes)
+        c, f = divmod(rest, 2)
+        tails[key] = f"{'true' if f else 'false'},{grid.regimes[c].value},{m}"
+    axes = itertools.product(map(_fmt, grid.lambda1), map(_fmt, grid.lambda2))
     lines = ["lambda1,lambda2,feasible,regime,n_nontrivial"]
-    for (t1, t2), p in zip(itertools.product(l1_text, l2_text), points):
-        lines.append(f"{t1},{t2},{'true' if p.feasible else 'false'},{p.regime.value},{p.n_nontrivial}")
+    lines.extend(f"{t1},{t2},{tails[key]}" for (t1, t2), key in zip(axes, keys))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -223,16 +228,16 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 50
 
 
 def render_phase_svg(
-    points: Sequence[phase.PhasePoint],
-    resolution: int,
+    grid: phase.PhaseGrid,
     lambda1_range: tuple[float, float],
     lambda2_range: tuple[float, float],
     q: int,
 ) -> str:
-    """Phase diagram as one self-contained SVG 1.1 document.
+    """Phase diagram of a sweep's grid as one self-contained SVG 1.1 document.
 
     lambda2 runs along x, lambda1 along y; one rectangle per grid cell,
-    the critical line overlaid as a dashed polyline.
+    coloured by the cell's regime, the critical line overlaid as a dashed
+    polyline.
     """
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
@@ -245,23 +250,24 @@ def render_phase_svg(
     def sy(l1: float) -> float:
         return _MARGIN_T + (l1_hi - l1) / max(l1_hi - l1_lo, 1e-300) * plot_h
 
-    cell_w = plot_w / resolution
-    cell_h = plot_h / resolution
+    rows, cols = len(grid.lambda1), len(grid.lambda2)
+    cell_w = plot_w / cols
+    cell_h = plot_h / rows
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_VIEW_W}" '
         f'height="{_VIEW_H}" viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="#ffffff"/>',
     ]
-    for idx, p in enumerate(points):
-        i, j = divmod(idx, resolution)  # i indexes lambda1, j lambda2
-        x = _MARGIN_L + j * cell_w
-        y = _MARGIN_T + (resolution - 1 - i) * cell_h
-        color = _REGIME_COLORS[p.regime]
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.5:.2f}" '
-            f'height="{cell_h + 0.5:.2f}" fill="{color}"/>'
-        )
+    # row i of the grid (lambda1) is drawn bottom up, column j (lambda2) left to right
+    x_text = [f"{_MARGIN_L + j * cell_w:.2f}" for j in range(cols)]
+    y_text = [f"{_MARGIN_T + (rows - 1 - i) * cell_h:.2f}" for i in range(rows)]
+    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
+    colors = [_REGIME_COLORS[r] for r in grid.regimes]
+    parts.extend(
+        f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
+        for (y, x), c in zip(itertools.product(y_text, x_text), grid.regime.tolist())
+    )
     line_pts = _critical_polyline(q, l1_lo, l1_hi, l2_lo, l2_hi)
     if line_pts:
         path = " ".join(f"{sx(l2):.2f},{sy(l1):.2f}" for l1, l2 in line_pts)
@@ -352,8 +358,21 @@ def _grid_from_range(spec: str) -> list[float]:
     return grid
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "-1e-3" as a negative number, not an option.
+
+    argparse's own negative-number pattern has no exponent, so `--lambda2
+    -1e-3` would fail with "expected one argument"; subparsers are built
+    from the same class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clocktree",
         description="Phase transitions of generalized q-state clock models on trees.",
     )

@@ -458,7 +458,10 @@ def _verify_candidates(
     reconstruct to a probability vector, and accepted otherwise.  The
     residual and the reconstruction repeat the arithmetic of `_residual` and
     `SymmetricDist` operation by operation, so each number is the one a
-    single-point check computes.
+    single-point check computes: each state's entry 1/q + a1*u1[m] + a2*u2[m]
+    is formed as `SymmetricDist` forms it, and the smallest entry is taken
+    state by state (a NaN entry makes the minimum NaN, as `min` over the
+    vector does).
     """
     status = np.full(a1.shape, _SKIPPED, dtype=np.int8)
     if a1.size == 0:
@@ -466,10 +469,14 @@ def _verify_candidates(
     with np.errstate(all="ignore"):
         f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
         residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
-        p = 1.0 / q + a1[..., None] * unit_basis_vector(q, 1) + a2[..., None] * unit_basis_vector(q, 2)
+        # the smallest entry of the reconstructed vector, one state at a time
+        u1, u2 = unit_basis_vector(q, 1), unit_basis_vector(q, 2)
+        pmin = 1.0 / q + a1 * u1[0] + a2 * u2[0]
+        for m in range(1, q):
+            pmin = np.minimum(pmin, 1.0 / q + a1 * u1[m] + a2 * u2[m])
         # the status of a candidate that reaches the residual check
         checked = np.where(
-            residual >= RESIDUAL_TOL, _RESIDUAL, np.where(p.min(axis=-1) < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED)
+            residual >= RESIDUAL_TOL, _RESIDUAL, np.where(pmin < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED)
         )
         finite = np.isfinite(a1) & np.isfinite(a2)
         status[valid & ~finite] = _NOT_FINITE

@@ -19,7 +19,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,57 @@ class PhasePoint:
     error: Optional[str] = None  # set when a sweep point failed exceptionally
 
 
+class PhaseGrid(Sequence[PhasePoint]):
+    """Classified points of a grid, row-major in (lambda1, lambda2), held as columns.
+
+    `lambda1` and `lambda2` are the grid's two axes as lists of floats;
+    point i lies at (lambda1[i // len(lambda2)], lambda2[i % len(lambda2)]).
+    The per-point columns are arrays: `feasible` (bool), `regime` (int codes
+    into `regimes`), `n_nontrivial` (int) and `evidence` (int codes into
+    `evidences`), plus `error`, a list of the failure message or None.  A
+    `PhasePoint` is built only when one is indexed or iterated; a slice is a
+    list of points.
+    """
+
+    regimes = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
+    evidences = (Evidence.CLOSED_FORM, Evidence.ELIMINATION)
+
+    __slots__ = ("q", "lambda1", "lambda2", "feasible", "regime", "n_nontrivial", "evidence", "error")
+
+    def __init__(
+        self,
+        q: int,
+        lambda1: list[float],
+        lambda2: list[float],
+        feasible: np.ndarray,
+        regime: np.ndarray,
+        n_nontrivial: np.ndarray,
+        evidence: np.ndarray,
+        error: list[Optional[str]],
+    ) -> None:
+        self.q, self.lambda1, self.lambda2 = q, lambda1, lambda2
+        self.feasible, self.regime, self.n_nontrivial = feasible, regime, n_nontrivial
+        self.evidence, self.error = evidence, error
+
+    def __len__(self) -> int:
+        return len(self.error)
+
+    def __getitem__(self, index: int | slice) -> PhasePoint | list[PhasePoint]:
+        i = range(len(self))[index]
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        a, b = divmod(i, len(self.lambda2))
+        return PhasePoint(
+            self.q, self.lambda1[a], self.lambda2[b], bool(self.feasible[i]), self.regimes[self.regime[i]],
+            int(self.n_nontrivial[i]), self.evidences[self.evidence[i]], self.error[i],
+        )
+
+    def __iter__(self) -> Iterator[PhasePoint]:
+        columns = (self.feasible.tolist(), self.regime.tolist(), self.n_nontrivial.tolist(), self.evidence.tolist())
+        for (a, b), f, c, m, ev, err in zip(itertools.product(self.lambda1, self.lambda2), *columns, self.error):
+            yield PhasePoint(self.q, a, b, f, self.regimes[c], m, self.evidences[ev], err)
+
+
 def q4_critical_line(lambda2: float) -> float:
     """lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2, the q=4 fold line.
 
@@ -85,7 +136,8 @@ def classify_point(
     the grid around it cannot disagree; see `sweep` for how the regime is
     decided.  Non-finite parameters raise ClockTreeError, and a point whose
     solver raises comes back as the sweep marks it: CRITICAL with
-    feasible = False and the error message.
+    feasible = False and the error message.  The point is the only entry of
+    the grid's `PhaseGrid`.
     """
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
         raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {lambda1!r} and {lambda2!r}")
@@ -162,17 +214,18 @@ def sweep(
     lambda2_range: tuple[float, float] = (0.0, 0.6),
     resolution: int = 100,
     tree: TreeFamily = Cayley(2),
-) -> list[PhasePoint]:
+) -> PhaseGrid:
     """Classify a resolution x resolution grid, row-major in (lambda1, lambda2).
 
     The grid is classified as array operations: feasibility from the
     non-increasing check, a phase transition from the verified fixed points
     (closed form for q = 4, all roots of the eliminated sextic for q = 5),
     robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
-    points are kept.  If the solver raises, every feasible point is CRITICAL
-    with feasible = False and the error message.  The mode maps are the
-    binary tree's: another tree raises UnsupportedTree, and a non-finite
-    range ClockTreeError.
+    points are kept.  A feasible point whose solver raises is CRITICAL with
+    feasible = False and the error message; every other point keeps its
+    answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
+    as columns.  The mode maps are the binary tree's: another tree raises
+    UnsupportedTree, and a non-finite range ClockTreeError.
     """
     if resolution < 1:
         raise UnsupportedQ(f"resolution must be >= 1, got {resolution}")
@@ -185,12 +238,8 @@ def sweep(
     return _classify_grid(q, l1s, l2s, tree)
 
 
-# a point takes the first of these regimes whose condition in _classify_grid holds
-_REGIMES = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
-
-
-def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> list[PhasePoint]:
-    """Points of the grid l1s x l2s, row-major; the engine behind `sweep` and `classify_point`."""
+def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> PhaseGrid:
+    """The grid l1s x l2s as a row-major `PhaseGrid`; the engine behind `sweep` and `classify_point`."""
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
     if tree != Cayley(2):
@@ -200,20 +249,38 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     feasible = feasible_lambdas(q, lambda1, lambda2)
     robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
     n = np.zeros(len(lambda1), dtype=int)
-    error = None
-    try:
-        n[feasible] = (q4_solution_counts if q == 4 else q5_solution_counts)(lambda1[feasible], lambda2[feasible])
-    except Exception as exc:  # a solver failure stays visible in every point it decides
-        error = str(exc)
-    failed = feasible & (error is not None)
+    counts = q4_solution_counts if q == 4 else q5_solution_counts
+    n[feasible], failures = _counts_by_row(counts, lambda1[feasible], lambda2[feasible])
+    failed = np.zeros(len(lambda1), dtype=bool)
+    error: list[Optional[str]] = [None] * len(lambda1)
+    for k, message in zip(np.flatnonzero(feasible)[list(failures)].tolist(), failures.values()):
+        failed[k] = True
+        error[k] = message
+    # a point takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
-    method = Evidence.CLOSED_FORM if q == 4 else Evidence.ELIMINATION
-    evidence = np.where(feasible, method, Evidence.CLOSED_FORM).tolist()
-    errors = np.where(failed, error, None).tolist()
-    axes = itertools.product(l1s.tolist(), l2s.tolist())
-    return [
-        PhasePoint(q, a, b, f, _REGIMES[c], m, ev, err)
-        for (a, b), f, c, m, ev, err in zip(
-            axes, (feasible & ~failed).tolist(), regime.tolist(), n.tolist(), evidence, errors
-        )
-    ]
+    # codes into PhaseGrid.evidences: a feasible point's fixed points come
+    # from the closed form (q = 4) or the elimination (q = 5), an infeasible
+    # point is decided by the closed-form check
+    evidence = np.where(feasible, 0 if q == 4 else 1, 0)
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), feasible & ~failed, regime, n, evidence, error)
+
+
+def _counts_by_row(
+    counts: Callable[[np.ndarray, np.ndarray], np.ndarray], lambda1: np.ndarray, lambda2: np.ndarray
+) -> tuple[np.ndarray, dict[int, str]]:
+    """counts(lambda1, lambda2) and {row: message} of the rows that raised.
+
+    A batch that raises is split in halves, recursively, until each raising
+    row stands alone, so one failure does not fail its neighbours; a batch
+    that does not raise costs one call.  A row's count does not depend on
+    the rest of its batch.
+    """
+    try:
+        return counts(lambda1, lambda2), {}
+    except Exception as exc:  # a solver failure stays visible in the rows it decides
+        if len(lambda1) <= 1:
+            return np.zeros(len(lambda1), dtype=int), dict.fromkeys(range(len(lambda1)), str(exc))
+    half = len(lambda1) // 2
+    n_lo, failed_lo = _counts_by_row(counts, lambda1[:half], lambda2[:half])
+    n_hi, failed_hi = _counts_by_row(counts, lambda1[half:], lambda2[half:])
+    return np.concatenate([n_lo, n_hi]), {**failed_lo, **{half + k: m for k, m in failed_hi.items()}}

@@ -139,7 +139,7 @@ def test_criterion_6_q4_critical_line_sweep():
             ok = ok and dev <= cell * 1.0001 and cells[-1] <= 0.5 + cell
         else:
             ok = ok and (0.5 - lo_edge) <= 2 * cell
-    ok = ok and elapsed < 5.0
+    ok = ok and elapsed < 2.0
     _report(
         "criterion-6 q4-sweep-boundary",
         ok,

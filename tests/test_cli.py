@@ -282,3 +282,33 @@ def test_solve_q5_negative_lambda2_at_half(capsys):
     code, out = run_cli(capsys, "solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "-0.1")
     assert code == 0
     assert out.split("\n")[1] == "0,0,0"
+
+
+NEGATIVE_EXPONENT_ARGV = [
+    ("probe", "--q", "5", "--lambda1", "0.3", "--lambda2", "-1e-3", "--levels", "3"),
+    ("classify", "--lambda2", "-1e-30"),
+    ("sweep", "--q", "4", "--res", "2", "--l2min", "-1e-3", "--l1min", "-2.5E-1"),
+    ("matrix", "--q", "5", "--lambda1", "0.3", "--lambda2", "-1.e-3"),
+    ("solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "-1E-1"),
+    ("potts", "--q", "5", "--bl", "-4e-1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_EXPONENT_ARGV, ids=[a[0] for a in NEGATIVE_EXPONENT_ARGV])
+def test_negative_exponent_token_is_a_value(capsys, argv):
+    # "--flag -1e-3" reads like "--flag=-1e-3", not like a second option
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, capsys.readouterr().err
+    joined = []
+    for token in argv:
+        if token[:1] == "-" and token[1:2] != "-" and joined:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert run_cli(capsys, *joined) == (0, out)
+
+
+def test_negative_exponent_token_reaches_validation(capsys):
+    argv = ["probe", "--q", "4", "--lambda1", "0.5", "--lambda2", "0.3", "--u", "-1e-3"]
+    assert main(argv) == 2
+    assert "--u must lie in (0, 1]" in capsys.readouterr().err

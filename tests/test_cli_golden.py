@@ -101,8 +101,21 @@ def test_cli_output_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_sweep_svg_bytes(tmp_path, capsys):
-    path = tmp_path / "q4.svg"
-    assert main(["sweep", "--q", "4", "--res", "24", "--svg", str(path)]) == 0
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+def _svg_digest(tmp_path, argv):
+    path = tmp_path / "phase.svg"
+    assert main(["sweep", *argv, "--svg", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sweep_svg_bytes(tmp_path):
+    digest = _svg_digest(tmp_path, ("--q", "4", "--res", "24"))
     assert digest == "58eb9361498ff2de14ddde5a63e87cb202612b5373ce1e393d34ff1771cd91cf"
+
+
+# recorded from the SVG writer that read one PhasePoint per cell
+@pytest.mark.parametrize("argv,digest", [
+    (("--q", "5", "--res", "12") + Q5_WINDOW, "20f8853b5bd542acce2bbc8484da01ab181fbf05301ed99f3f508f8bf6662bcc"),
+    (("--q", "4", "--res", "200"), "27c5ed51328c1b1db6c4e1e1611d6cec370ec10dfc588b97b92ccf0e2b73047e"),
+], ids=["q5-window", "q4-res200"])
+def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
+    assert _svg_digest(tmp_path, argv) == digest

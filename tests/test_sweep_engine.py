@@ -6,9 +6,12 @@ that classified one grid point at a time, kept here as the reference (the
 only change is the lambda2 underflow fix in `ref_q4_solutions`, which tests
 the sign of 2*lambda2 - 1 before dividing by 4*lambda2^2).  The engine must
 reproduce them bit for bit, signed zeros included, because the CLI prints 17
-significant digits.
+significant digits.  `ref_verify_candidates` is the grid verifier as it was
+before it took the minimum over the q states one column at a time.
 """
 import math
+from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +19,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree import phase
-from clocktree.fixedpoint import DEDUP_TOL, RESIDUAL_TOL, SolutionSet, _assemble
+from clocktree import fixedpoint, phase
+from clocktree.basis import unit_basis_vector
+from clocktree.cli import main
+from clocktree.fixedpoint import (
+    _ACCEPTED,
+    _NOT_FINITE,
+    _NOT_PROBABILITY,
+    _RESIDUAL,
+    _SKIPPED,
+    DEDUP_TOL,
+    RESIDUAL_TOL,
+    SolutionSet,
+    _assemble,
+    _pymax,
+    _verify_candidates,
+)
 from clocktree.phase import RPT_MARGIN, Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
-from clocktree.spectral import SymmetricDist, spec_from_lambdas, validate_non_increasing
+from clocktree.spectral import DIST_TOL, SymmetricDist, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -82,6 +99,33 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
         rejected=tuple(rejected),
         notes=tuple(notes),
     )
+
+
+def ref_verify_candidates(q, lambda1, lambda2, a1, a2, valid):
+    """The grid verifier as it took the probability check: one (n, k, q)
+    broadcast of the reconstructed vectors and a min over its last axis."""
+    status = np.full(a1.shape, _SKIPPED, dtype=np.int8)
+    if a1.size == 0:
+        return status, np.zeros(a1.shape)
+    with np.errstate(all="ignore"):
+        f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
+        residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
+        p = 1.0 / q + a1[..., None] * unit_basis_vector(q, 1) + a2[..., None] * unit_basis_vector(q, 2)
+        checked = np.where(
+            residual >= fixedpoint.RESIDUAL_TOL,
+            _RESIDUAL,
+            np.where(p.min(axis=-1) < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED),
+        )
+        finite = np.isfinite(a1) & np.isfinite(a2)
+        status[valid & ~finite] = _NOT_FINITE
+        live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
+        for k in range(a1.shape[1]):
+            live_k = live[:, k]
+            for j in range(k):
+                near = _pymax(np.abs(a1[:, k] - a1[:, j]), np.abs(a2[:, k] - a2[:, j])) <= DEDUP_TOL
+                live_k &= ~(near & (status[:, j] == _ACCEPTED))
+            status[live_k, k] = checked[live_k, k]
+    return status, residual
 
 
 def ref_quadratic_roots(a, b, c):
@@ -240,7 +284,7 @@ def test_assemble_matches_reference(q4, q5):
 
 
 def test_q5_sweep_matches_classify_point():
-    points = ct.sweep(5, (0.44, 0.52), (0.30, 0.50), resolution=3)
+    points = list(ct.sweep(5, (0.44, 0.52), (0.30, 0.50), resolution=3))
     assert points == [ct.classify_point(5, p.lambda1, p.lambda2) for p in points]
     assert {p.regime for p in points} >= {Regime.INFEASIBLE, Regime.PT_AND_RPT}
 
@@ -252,7 +296,7 @@ def test_q4_sweep_starts_no_pool(monkeypatch):
         raise AssertionError("a sweep must not start a process pool")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    points = ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4)
+    points = list(ct.sweep(4, (0.3, 0.6), (0.2, 0.5), resolution=4))
     assert points == [ct.classify_point(4, p.lambda1, p.lambda2) for p in points]
 
 
@@ -274,3 +318,98 @@ def test_phase_point_has_no_instance_dict():
     assert not hasattr(p, "__dict__")
     with pytest.raises(AttributeError):
         p.n_nontrivial = 3
+
+
+# ---------------------------------------------------------------------------
+# the column-wise probability check, the columnar grid, failures row by row
+# ---------------------------------------------------------------------------
+
+_EXTREME = st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324])
+
+
+@st.composite
+def _candidate_grid(draw, q):
+    """(lambda1, lambda2, a1, a2, valid) for the verifier: an (n, 1) grid, or
+    plain floats and valid=True as a batch of one is passed."""
+    known = _Q4_SOLUTIONS if q == 4 else _Q5_SOLUTIONS
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    slot = st.one_of(_candidate(known), st.tuples(_EXTREME, _COMPONENT), st.tuples(_COMPONENT, _EXTREME))
+    cands = np.array(draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=n, max_size=n)), dtype=float)
+    cands = cands.reshape(n, k, 2)
+    if n == 1 and draw(st.booleans()):
+        return draw(LAMBDA1), draw(LAMBDA2), cands[..., 0], cands[..., 1], True
+    l1 = np.array(draw(st.lists(LAMBDA1, min_size=n, max_size=n)))[:, None]
+    l2 = np.array(draw(st.lists(LAMBDA2, min_size=n, max_size=n)))[:, None]
+    valid = np.array(draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=n, max_size=n)))
+    return l1, l2, cands[..., 0], cands[..., 1], valid.reshape(n, k)
+
+
+@SETTINGS
+@given(q4=_candidate_grid(4), q5=_candidate_grid(5))
+def test_verify_candidates_matches_broadcast_reference(q4, q5):
+    # a verified fixed point practically never fails the probability check,
+    # so an infinite residual tolerance sends every finite candidate to it
+    for tol in (RESIDUAL_TOL, math.inf):
+        with mock.patch.object(fixedpoint, "RESIDUAL_TOL", tol):
+            for q, args in ((4, q4), (5, q5)):
+                status, residual = _verify_candidates(q, *args)
+                want_status, want_residual = ref_verify_candidates(q, *args)
+                assert status.dtype == want_status.dtype and status.tolist() == want_status.tolist()
+                assert residual.shape == want_residual.shape and residual.tobytes() == want_residual.tobytes()
+
+
+Q5_WINDOW = ((0.40, 0.52), (0.30, 0.56))
+# a feasible point of the res-12 window with four non-trivial fixed points
+Q5_BAD = (np.linspace(0.40, 0.52, 12)[9], np.linspace(0.30, 0.56, 12)[7])
+
+
+def _raise_at(monkeypatch, bad, calls=None):
+    """Make phase's q5_solution_counts raise for any batch that holds the pair `bad`."""
+    real = phase.q5_solution_counts
+
+    def counts(lambda1, lambda2):
+        if calls is not None:
+            calls.append(len(lambda1))
+        if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
+            raise ct.ContinuationLost("solver gave up")
+        return real(lambda1, lambda2)
+
+    monkeypatch.setattr(phase, "q5_solution_counts", counts)
+
+
+def test_one_raising_row_fails_only_itself(monkeypatch, capsys):
+    argv = ["sweep", "--q", "5", "--res", "12", "--l1min", "0.40", "--l1max", "0.52",
+            "--l2min", "0.30", "--l2max", "0.56"]
+    calls = []
+    _raise_at(monkeypatch, (math.nan, math.nan), calls)
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.split("\n")
+    assert calls == [88]  # the feasible points, in one call: nothing extra runs
+    _raise_at(monkeypatch, Q5_BAD)
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.split("\n")
+    changed = [i for i, (a, b) in enumerate(zip(rows, clean)) if a != b]
+    assert len(rows) == len(clean) and changed == [1 + 9 * 12 + 7]
+    assert clean[changed[0]].endswith(",true,PT_NOT_RPT,4")
+    assert rows[changed[0]] == ",".join(clean[changed[0]].split(",")[:2]) + ",false,CRITICAL,0"
+
+
+def test_phase_grid_is_a_lazy_sequence(monkeypatch):
+    _raise_at(monkeypatch, Q5_BAD)
+    grid = ct.sweep(5, *Q5_WINDOW, resolution=12)
+    assert isinstance(grid, ct.PhaseGrid) and isinstance(grid, Sequence)
+    assert len(grid) == 144
+    points = list(grid)
+    assert points == [ct.classify_point(5, p.lambda1, p.lambda2) for p in points]
+    assert [i for i, p in enumerate(points) if p.error is not None] == [9 * 12 + 7]
+    assert points[9 * 12 + 7] == PhasePoint(
+        5, *Q5_BAD, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="solver gave up"
+    )
+    assert [grid[i] for i in range(-144, 144)] == points + points
+    assert grid[np.int64(5)] == points[5]
+    for sl in (slice(10, 14), slice(None, None, -7), slice(5, 2), slice(-3, None), slice(0, 1000)):
+        assert grid[sl] == points[sl]
+    for i in (144, -145):
+        with pytest.raises(IndexError):
+            grid[i]
+    assert grid != points  # a sequence of points, not a list
