@@ -6,8 +6,10 @@ coupling however weak orders the root), and the window of non-robust phase
 transitions where a non-trivial symmetric fixed point of the mode recursion
 exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
-q = 5 it is found by bisection on the count of the all-roots elimination
-solver (`fixedpoint.q5_solution_counts`).
+q = 5 it is found by bisection on the count of the elimination solver
+(`fixedpoint.q5_solution_counts`, which certifies the sextic's roots in the
+box |alpha1| <= 2/sqrt(10) and eigensolves only the rows it leaves
+undecided), each batched call deciding several bisection steps at once.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -37,6 +39,8 @@ from .spectral import feasible_lambdas
 # robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
 # and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
 RPT_MARGIN = 1e-9
+# bisection steps of `q5_transition_line` decided by one batched call
+_TREE_LEVELS = 3
 
 
 class Regime(enum.Enum):
@@ -167,10 +171,15 @@ def q5_transition_line(
 ) -> list[tuple[float, float]]:
     """Critical lambda2 for each lambda1, by bisection on solution existence.
 
-    The predicate, `q5_solution_counts` > 0, is evaluated for every lambda1
-    in one batched call per bisection step.  At lambda1 = 1/2 the bisection
-    lands on the discriminant root.  A grid point whose bracket never sees
-    a solution is reported as (lambda1, nan) rather than aborting the line.
+    The predicate is `q5_solution_counts` > 0.  One batched call decides the
+    top of the bracket for every lambda1; each further call evaluates, for
+    every lambda1 still bisecting, all 2^k - 1 midpoints that the next
+    k = _TREE_LEVELS bisection steps can visit (each computed as
+    0.5 * (lo + hi) along its path), and the bisection then walks that tree
+    step by step.  The line is therefore the one that one call per step
+    gives, bit for bit.  At lambda1 = 1/2 the bisection lands on the
+    discriminant root.  A grid point whose bracket never sees a solution is
+    reported as (lambda1, nan) rather than aborting the line.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
@@ -181,11 +190,25 @@ def q5_transition_line(
     found = q5_solution_counts(l1s, hi) > 0
     active = found & (hi - lo > tol)
     while active.any():
-        mid = 0.5 * (lo + hi)
-        exists = q5_solution_counts(l1s[active], mid[active]) > 0
-        hi[active] = np.where(exists, mid[active], hi[active])
-        lo[active] = np.where(exists, lo[active], mid[active])
-        active &= hi - lo > tol
+        rows = np.flatnonzero(active)
+        # the tree's midpoints level by level, level d in columns 2^d - 1 onward
+        lo_d, hi_d, mids = lo[rows, None], hi[rows, None], []
+        for _ in range(_TREE_LEVELS):
+            mid = 0.5 * (lo_d + hi_d)
+            mids.append(mid)
+            # node p's children, 2p and 2p + 1, bisect (lo, mid) and (mid, hi)
+            lo_d = np.stack([lo_d, mid], axis=-1).reshape(len(rows), -1)
+            hi_d = np.stack([mid, hi_d], axis=-1).reshape(len(rows), -1)
+        mids = np.concatenate(mids, axis=1)
+        exists = (q5_solution_counts(np.repeat(l1s[rows], mids.shape[1]), mids.ravel()) > 0).reshape(mids.shape)
+        node = np.zeros(len(rows), dtype=int)  # the step's midpoint within its level
+        for level in range(_TREE_LEVELS):
+            at = np.arange(len(rows)), 2**level - 1 + node
+            step = active[rows]
+            hi[rows] = np.where(step & exists[at], mids[at], hi[rows])
+            lo[rows] = np.where(step & ~exists[at], mids[at], lo[rows])
+            active[rows] &= hi[rows] - lo[rows] > tol
+            node = 2 * node + ~exists[at]
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
 
 

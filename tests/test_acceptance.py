@@ -147,6 +147,16 @@ def test_criterion_6_q4_critical_line_sweep():
     )
 
 
+def test_q5_sweep_time_bound():
+    # the q=5 grid at criterion 6's resolution, pinned at about 4x its median
+    # (0.13 s on a 2-core Xeon; 0.4-0.5 s when every row was eigensolved)
+    start = time.perf_counter()
+    pts = ct.sweep(5, (0.0, 0.6), (0.0, 0.6), resolution=200)
+    elapsed = time.perf_counter() - start
+    ok = len(pts) == 200 * 200 and elapsed < 0.5
+    _report("q5-sweep-time", ok, f"res=200 t={elapsed:.2f}s")
+
+
 def test_criterion_7_potts_identities():
     ok = True
     for q in range(2, 9):

@@ -12,6 +12,9 @@ The probes whose states fall into a cycle longer than one level, the
 `classify` scans and the `potts --bl` rows were recorded from the
 implementation that iterated every probe level, tried four boundary-law
 conventions, and classified the lambda1 = 1/2 quartic only as computed.
+The q=5 `solve` rows and the res-61 q=5 sweep were recorded from the
+implementation that took every sextic root of every grid row from the
+companion eigensolve.
 """
 import hashlib
 
@@ -82,6 +85,21 @@ GOLDEN = [
      "f83ab6621b00c02f38b1d421a2e06c706b83e131624fd08cd80f91c94fb4bd1c"),
     (POTTS_BL + ("0.4",),
      "0f3d8dbbd1a34999c00df6b89b21c59468cc3ea0fb8aa199751d652b62f219a9"),
+    # the q=5 roots as `solve` prints them: the Potts point, a robust point,
+    # lambda1 = 1/2 with the special alpha1 = v solution at 37/96, lambda2 < 0
+    (("solve", "--q", "5", "--lambda1", "0.45", "--lambda2", "0.45"),
+     "cc6de05b2e235cc84d5d5f7fb81458638d909ba8af3f7f687fa246089b05a69b"),
+    (("solve", "--q", "5", "--lambda1", "0.55", "--lambda2", "0.3"),
+     "5c609051c0211fe60c9e3fec510cf82ac69bfff2a0ad2d26e9f16fd09b25bfe4"),
+    (("solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "0.45"),
+     "91824e96ff63b9974cd566fdd69e9243743319f8f4315c5c327cc8f4a33c4124"),
+    (("solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "0.3854166666666667"),
+     "d0b011f8bc6ba8cab4cfa104531eed8d91996c7f9bce4583c70c328ca3652642"),
+    (("solve", "--q", "5", "--lambda1", "0.55", "--lambda2", "-0.1"),
+     "28fcf34de4176408d4403d9d8b3a0762d4c9e5946a73540c26160fede2650873"),
+    # the default [0, 0.6]^2, whose lambda1 axis holds 0 and 0.5 exactly
+    (("sweep", "--q", "5", "--res", "61"),
+     "d0949add370889c3f6b45e4225737c9483149957b97c9ca310365eb334321490"),
 ]
 
 
@@ -91,7 +109,9 @@ IDS = ["sweep-q4", "sweep-q5-window", "probe-q5-u1", "probe-q5-u0.01",
        "probe-q4-period3", "probe-q5-period8", "probe-q5-before-repeat", "probe-q5-mid-cycle",
        "probe-q4-u0.01-period4", "probe-q5-children3-period2",
        "classify-scan", "classify-scan-negative", "classify-scan-tiny",
-       "potts-bl-edge", "potts-bl-0.45", "potts-bl-0.47", "potts-bl-near-half", "potts-bl-none"]
+       "potts-bl-edge", "potts-bl-0.45", "potts-bl-0.47", "potts-bl-near-half", "potts-bl-none",
+       "solve-q5-potts", "solve-q5-robust", "solve-q5-half", "solve-q5-special", "solve-q5-negative",
+       "sweep-q5-default-res61"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

@@ -312,7 +312,8 @@ def test_transition_line_matches_continuation():
 
 
 def test_transition_line_is_batched_bisection(monkeypatch):
-    # one batched call at the top of the bracket, then one per bisection step
+    # one batched call at the top of the bracket, then one per k bisection
+    # steps, each with the 2^k - 1 midpoints those steps can visit
     calls = []
     original = ct.phase.q5_solution_counts
 
@@ -324,7 +325,8 @@ def test_transition_line_is_batched_bisection(monkeypatch):
     line = ct.q5_transition_line([0.42, 0.46, 0.5], tol=1e-4)
     monkeypatch.undo()
     steps = math.ceil(math.log2((0.65 - 0.33) / 1e-4))
-    assert calls == [3] * (steps + 1)
+    k = ct.phase._TREE_LEVELS
+    assert calls == [3] + [3 * (2**k - 1)] * math.ceil(steps / k)
     for l1, l2c in line:
         assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
         assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0
