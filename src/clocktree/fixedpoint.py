@@ -834,7 +834,10 @@ def _bernstein_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     terms = binom[k, l] * s ** np.maximum(k - l, 0) * (binom[i, l] * (60 // binom[6, l]))
     table = (terms.sum(axis=-1) * (h ** k[..., 0] / 60.0)).reshape(7, 7 * m)
     edges = h * np.arange(-m // 2, m // 2 + 1)
-    return edges, table, _MARGIN_ULPS * np.finfo(float).eps * np.abs(table)
+    arrays = edges, table, _MARGIN_ULPS * np.finfo(float).eps * np.abs(table)
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return arrays
 
 
 def _q5_box_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -891,7 +894,7 @@ def _bracketed_roots(
     `_q5_fixed_points`, or when a step moves by at most an ulp.
     """
     slope = coeffs[:, :-1] * np.arange(6, 0, -1)
-    x = start
+    lo, hi, x = lo.copy(), hi.copy(), start.copy()
     live = np.arange(len(x))
     with np.errstate(all="ignore"):
         for _ in range(_BRACKET_ITERS):
