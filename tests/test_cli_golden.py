@@ -14,7 +14,9 @@ implementation that iterated every probe level, tried four boundary-law
 conventions, and classified the lambda1 = 1/2 quartic only as computed.
 The q=5 `solve` rows and the res-61 q=5 sweep were recorded from the
 implementation that took every sextic root of every grid row from the
-companion eigensolve.
+companion eigensolve.  The `potts --jacobian` profile was recorded from the
+implementation that polished each lower Potts-diagonal root by damped Newton
+steps before taking the Jacobian.
 """
 import hashlib
 
@@ -100,6 +102,9 @@ GOLDEN = [
     # the default [0, 0.6]^2, whose lambda1 axis holds 0 and 0.5 exactly
     (("sweep", "--q", "5", "--res", "61"),
      "d0949add370889c3f6b45e4225737c9483149957b97c9ca310365eb334321490"),
+    # det of the displacement Jacobian at the lower Potts-diagonal root, 555 values of lambda
+    (("potts", "--q", "5", "--jacobian", "0.4445:0.4999:0.0001"),
+     "6094aeb2204ebce5a1d322ddd81c856ee9d357de12d13f690fdd56b38ba056e0"),
 ]
 
 
@@ -111,7 +116,7 @@ IDS = ["sweep-q4", "sweep-q5-window", "probe-q5-u1", "probe-q5-u0.01",
        "classify-scan", "classify-scan-negative", "classify-scan-tiny",
        "potts-bl-edge", "potts-bl-0.45", "potts-bl-0.47", "potts-bl-near-half", "potts-bl-none",
        "solve-q5-potts", "solve-q5-robust", "solve-q5-half", "solve-q5-special", "solve-q5-negative",
-       "sweep-q5-default-res61"]
+       "sweep-q5-default-res61", "potts-jacobian"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

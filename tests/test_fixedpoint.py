@@ -1,11 +1,25 @@
-"""Quartic machinery, elimination, closed-form and Newton solvers."""
+"""Quartic machinery, the elimination oracle, closed-form solvers and the Jacobian.
+
+The P4/P3 elimination, the 37/96 special case and damped Newton are the
+test-local references of `test_q5_elimination`.
+"""
 import math
 
 import numpy as np
 import pytest
+import sympy
 
 import clocktree as ct
-from clocktree.fixedpoint import _p3, _p4, _residual
+from clocktree.fixedpoint import DEDUP_TOL, _residual
+from test_q5_elimination import (
+    RefAtSpecialPoint,
+    ref_alpha2_from_alpha1,
+    ref_newton_solve,
+    ref_p3,
+    ref_p4,
+    ref_special_case,
+    ref_special_lambda2,
+)
 
 V = 1.0 / math.sqrt(10.0)
 
@@ -149,42 +163,42 @@ def test_classification_synthetic_multiple_roots():
 
 
 # ---------------------------------------------------------------------------
-# elimination and special case
+# the elimination oracle and the special case
 # ---------------------------------------------------------------------------
 
 
 def test_alpha2_of_zero_is_zero():
-    assert ct.q5_alpha2_from_alpha1(0.0, 0.45) == 0.0
+    assert ref_alpha2_from_alpha1(0.0, 0.45) == 0.0
 
 
 def test_elimination_produces_fixed_points():
     for l2 in (0.42, 0.45, 0.48):
         analysis = ct.classify_quartic(ct.q5_quartic_coeffs(l2))
         for root, _ in analysis.real_roots:
-            a2 = ct.q5_alpha2_from_alpha1(root, l2)
+            a2 = ref_alpha2_from_alpha1(root, l2)
             assert _residual(5, 0.5, l2, (root, a2)) < 1e-9
 
 
 def test_at_special_point_guard():
-    with pytest.raises(ct.AtSpecialPoint):
-        ct.q5_alpha2_from_alpha1(V, 0.45)
+    with pytest.raises(RefAtSpecialPoint):
+        ref_alpha2_from_alpha1(V, 0.45)
     # just off the removable point the value is finite but the pair is not a
     # fixed point away from the special lambda2
     for s in (1 + 1e-6, 1 - 1e-6):
         a1 = V * s
-        a2 = ct.q5_alpha2_from_alpha1(a1, 0.45)
+        a2 = ref_alpha2_from_alpha1(a1, 0.45)
         assert math.isfinite(a2)
         assert _residual(5, 0.5, 0.45, (a1, a2)) > 1e-6
 
 
 def test_special_case():
-    star = ct.q5_special_lambda2()
+    star = ref_special_lambda2()
     assert abs(star - 37.0 / 96.0) < 1e-15
     assert abs(star - 0.385417) < 1e-6
-    sol = ct.q5_special_case(star)
+    sol = ref_special_case(star)
     assert sol is not None
     assert _residual(5, 0.5, star, sol) < 1e-9
-    assert ct.q5_special_case(0.4) is None
+    assert ref_special_case(0.4) is None
 
 
 def test_factorization_identity():
@@ -193,8 +207,8 @@ def test_factorization_identity():
     for l2 in (0.1, 0.25, 0.37, 0.45, 0.55):
         c = ct.q5_quartic_coeffs(l2)
         for a1 in np.linspace(-0.5, 0.6, 45):
-            p3 = _p3(a1, l2)
-            p4 = _p4(a1, l2)
+            p3 = ref_p3(a1, l2)
+            p4 = ref_p4(a1, l2)
             terms = [
                 5.0 * a1**3 * p3 * p3,
                 20.0 * l2 * l2 * p4 * p4 * a1,
@@ -251,6 +265,22 @@ def test_q5_degenerate_lambda2():
     s = ct.q5_solutions_at_critical(0.0)
     assert s.solutions == ((0.0, 0.0),)
     assert any("degenerate" in n for n in s.notes)
+
+
+def test_q5_critical_counts_just_above_the_discriminant_roots():
+    # 0.370749 lies about 1e-6 above the first root of Delta (0.3707480445...)
+    # and 0.494119 about 1.6e-9 above the second (0.4941189984...): the
+    # quartic has its new real pair there, and every real root but alpha1 = 0
+    # is a fixed point
+    x = sympy.Symbol("x")
+    want = []
+    for l2 in (0.370749, 0.494119):
+        quartic = sympy.Poly([sympy.Rational(c) for c in ct.q5_quartic_coeffs(l2).as_array().tolist()], x)
+        want.append(sum(1 for r in set(quartic.real_roots()) if abs(r) > DEDUP_TOL))
+        s = ct.q5_solutions_at_critical(l2)
+        assert s.n_nontrivial == want[-1], (l2, s.solutions)
+        assert all(r < 1e-9 for r in s.residuals)
+    assert want == [2, 4]
 
 
 def test_q5_tiny_lambda2_trivial_only():
@@ -328,17 +358,17 @@ def test_q4_small_branch_below_threshold():
 
 
 # ---------------------------------------------------------------------------
-# Newton, Jacobian, continuation
+# Newton (the test-local reference), Jacobian, continuation
 # ---------------------------------------------------------------------------
 
 
 def test_newton_trivial_root():
-    assert ct.newton_solve(0.45, 0.4, (0.0, 0.0)) == (0.0, 0.0)
+    assert ref_newton_solve(0.45, 0.4, (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_newton_recovers_analytic_solutions():
     for base in ct.q5_solutions_at_critical(0.45).nontrivial:
-        r = ct.newton_solve(0.5, 0.45, (base[0] + 5e-5, base[1] - 5e-5))
+        r = ref_newton_solve(0.5, 0.45, (base[0] + 5e-5, base[1] - 5e-5))
         assert r is not None
         assert max(abs(r[0] - base[0]), abs(r[1] - base[1])) < 1e-9
 
@@ -347,7 +377,7 @@ def test_newton_seed_perturbation_stability(rng):
     for base in ct.q5_solutions_at_critical(0.48).nontrivial:
         for _ in range(5):
             seed = (base[0] + rng.uniform(-1e-4, 1e-4), base[1] + rng.uniform(-1e-4, 1e-4))
-            r = ct.newton_solve(0.5, 0.48, seed)
+            r = ref_newton_solve(0.5, 0.48, seed)
             assert r is not None
             assert max(abs(r[0] - base[0]), abs(r[1] - base[1])) < 1e-8
 

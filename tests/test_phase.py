@@ -1,5 +1,10 @@
 """Critical lines, regime classification, thresholds, sweeps."""
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,26 @@ def test_transition_line_monotone():
     values = [l2 for _, l2 in pts]
     assert all(not math.isnan(v) for v in values)
     assert all(values[i] >= values[i + 1] - 1e-3 for i in range(len(values) - 1))
+
+
+def test_transition_line_stops_below_the_float_spacing():
+    # with tol under the float spacing at the line, 0.5*(lo + hi) rounds to
+    # lo or hi once the two are adjacent floats; the bisection must stop
+    # there.  It runs in a child process so that a hang fails the test.
+    code = "import clocktree as ct; print([ct.q5_transition_line([0.45, 0.5], tol=t) for t in (0.0, 1e-17)])"
+    env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("q5_transition_line with tol below the float spacing did not return within 60 s")
+    for line in ast.literal_eval(run.stdout):
+        for l1, l2c in line:
+            # the count flips between the neighbours of the reported float
+            below, above = math.nextafter(l2c, 0.0), math.nextafter(l2c, 1.0)
+            assert ct.q5_solutions(l1, below).n_nontrivial == 0, (l1, l2c)
+            assert ct.q5_solutions(l1, above).n_nontrivial >= 1, (l1, l2c)
 
 
 def test_jacobian_profile():

@@ -1,12 +1,20 @@
 """The q=5 elimination solver against the analysis it generalizes and the solver it replaced.
 
+`ref_q5_solutions_at_critical` is the paper's analysis at lambda1 = 1/2:
+the real roots of the quartic q_{lambda2} (`q5_quartic_analysis`), alpha2
+from the rational elimination alpha2 = P4(alpha1)/P3(alpha1), and the
+special alpha1 = v solution at lambda2 = 37/96 that the elimination
+cannot reach.  It is the oracle for the paper's formulas; near the folds,
+within about 7.4e-6 above lambda2 = 0.370748 and 5.8e-8 above 0.494119,
+its quartic classifier misses a root pair.
+
 `ref_q5_solutions` is the continuation solver that `q5_solutions` replaced:
-Newton continuation of the lambda1 = 1/2 solutions, then a 300-level
-probe-seeded Newton run.  It misses branches that are not connected to the
-lambda1 = 1/2 solutions, so it is a one-sided reference: every solution it
-finds must be among the new solver's.  It raised where the lambda1 = 1/2
-analysis does (lambda2 < 0, or a quartic that underflows to zero); here it
-then continues nothing and only the probe seed runs.
+Newton continuation (`ref_newton_solve`) of the lambda1 = 1/2 solutions,
+then a 300-level probe-seeded Newton run.  It misses branches that are not
+connected to the lambda1 = 1/2 solutions, so it is a one-sided reference:
+every solution it finds must be among the new solver's.  Where the
+lambda1 = 1/2 analysis raises (lambda2 outside [0, 1)) it continues nothing
+and only the probe seed runs.
 """
 import functools
 import math
@@ -23,13 +31,133 @@ SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 
 
 # ---------------------------------------------------------------------------
+# the lambda1 = 1/2 analysis: quartic roots and the rational elimination
+# ---------------------------------------------------------------------------
+
+
+class RefAtSpecialPoint(ct.ClockTreeError):
+    """Rational elimination evaluated at the removable point alpha1 = v."""
+
+
+class RefP3Vanishes(ct.ClockTreeError):
+    """Cubic denominator of the elimination vanishes; only the trivial solution."""
+
+
+def ref_p3(alpha1, lambda2):
+    v, t = V5, lambda2
+    w = alpha1 - v
+    return math.fsum(
+        [
+            4.0 * t * w * w,
+            -5.0 * t * v * alpha1 * alpha1 * w,
+            20.0 * t * v * v * alpha1 * alpha1,
+            -8.0 * t * t * w * w,
+            -20.0 * t * t * v * alpha1 * w * w,
+        ]
+    )
+
+
+def ref_p4(alpha1, lambda2):
+    v, t = V5, lambda2
+    w = alpha1 - v
+    return 5.0 * v * alpha1**4 + 5.0 * v * t * alpha1 * alpha1 * w * w
+
+
+def ref_alpha2_from_alpha1(alpha1, lambda2):
+    """alpha2 = P4(alpha1)/P3(alpha1).
+
+    Raises RefAtSpecialPoint within 1e-12 of the removable point alpha1 = v
+    and RefP3Vanishes when the denominator vanishes.
+    """
+    if abs(alpha1 - V5) < 1e-12:
+        raise RefAtSpecialPoint(f"alpha1 = {alpha1!r} is at the special point v = {V5!r}")
+    p3 = ref_p3(alpha1, lambda2)
+    w = alpha1 - V5
+    p3_scale = max(
+        abs(4.0 * lambda2 * w**2),
+        abs(5.0 * lambda2 * V5 * alpha1 * alpha1 * w),
+        abs(20.0 * lambda2 * V5 * V5 * alpha1 * alpha1),
+        abs(8.0 * lambda2 * lambda2 * w**2),
+        abs(20.0 * lambda2 * lambda2 * V5 * alpha1 * w**2),
+        1e-30,
+    )
+    if abs(p3) <= 1e-12 * p3_scale:
+        raise RefP3Vanishes(f"P3({alpha1!r}) vanishes at lambda2 = {lambda2!r}")
+    return ref_p4(alpha1, lambda2) / p3
+
+
+def ref_special_lambda2():
+    """The unique lambda2 at which alpha1 = v solves the system (= 37/96)."""
+    v = V5
+    return (v / 5.0 + v**3 / 4.0 + v**3 / 16.0) / (2.0 * v / 5.0 + 2.0 * v**3)
+
+
+def ref_special_case(lambda2, tol=1e-9):
+    """(v, v/(4*lambda2)) within tol of lambda2 = 37/96, else None."""
+    if abs(lambda2 - ref_special_lambda2()) < tol:
+        return (V5, V5 / (4.0 * lambda2))
+    return None
+
+
+def ref_q5_solutions_at_critical(lambda2):
+    """The q=5 fixed points at lambda1 = 1/2 from the quartic's roots and the elimination."""
+    if not (0.0 <= lambda2 < 1.0):
+        raise ct.ClockTreeError(f"lambda2 must lie in [0, 1), got {lambda2!r}")
+    if lambda2 == 0.0:
+        return _assemble(5, 0.5, 0.0, [], ["degenerate quartic at lambda2 = 0: trivial solution only"])
+    candidates, notes = [], []
+    for root, _mult in ct.q5_quartic_analysis(lambda2).real_roots:
+        if abs(root) <= DEDUP_TOL:
+            continue  # the alpha1 = 0 root is the trivial solution
+        try:
+            candidates.append((root, ref_alpha2_from_alpha1(root, lambda2)))
+        except RefAtSpecialPoint:
+            notes.append(f"quartic root {root!r} hit the special point v")
+        except RefP3Vanishes:
+            notes.append(f"quartic root {root!r} lies on the P3 = 0 branch (trivial only)")
+    special = ref_special_case(lambda2)
+    if special is not None:
+        candidates.append(special)
+        notes.append("special alpha1 = v solution included")
+    return _assemble(5, 0.5, lambda2, candidates, notes)
+
+
+# ---------------------------------------------------------------------------
 # the continuation reference
 # ---------------------------------------------------------------------------
 
 
+def ref_newton_solve(lambda1, lambda2, seed, damping=0.5, max_iter=100):
+    """Damped Newton iteration on the q=5 displacement map.
+
+    Returns a point with sup-norm displacement below 1e-12, or None when the
+    iteration meets a singular Jacobian or does not converge within max_iter.
+    """
+    x = np.array(seed, dtype=float)
+    for _ in range(max_iter):
+        t = ct.displacement(lambda1, lambda2, (x[0], x[1]))
+        err = np.abs(t).max()
+        if err < 1e-12:
+            return (float(x[0]), float(x[1]))
+        jt, det = ct.q5_jacobian(lambda1, lambda2, (x[0], x[1]))
+        if not math.isfinite(det) or abs(det) < 1e-300:
+            return None
+        step = np.linalg.solve(jt, t)
+        factor = 1.0
+        for _ in range(60):
+            cand = x - factor * step
+            if np.abs(ct.displacement(lambda1, lambda2, (cand[0], cand[1]))).max() < err:
+                break
+            factor *= damping
+        else:
+            return None
+        x = x - factor * step
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def ref_critical_solutions(lambda2):
-    return ct.q5_solutions_at_critical(lambda2)
+    return ref_q5_solutions_at_critical(lambda2)
 
 
 def ref_continuation_path(start, target, step):
@@ -57,7 +185,7 @@ def ref_probe_seeded_candidate(lambda1, lambda2):
     if np.abs(p - 0.2).max() < 1e-6:
         return None
     dist = SymmetricDist.from_probabilities(p)
-    return ct.newton_solve(lambda1, lambda2, (dist.modes[0], dist.modes[1]))
+    return ref_newton_solve(lambda1, lambda2, (dist.modes[0], dist.modes[1]))
 
 
 def ref_q5_solutions(lambda1, lambda2, step=0.005):
@@ -72,7 +200,7 @@ def ref_q5_solutions(lambda1, lambda2, step=0.005):
         for l1 in ref_continuation_path(0.5, lambda1, step):
             survivors = []
             for s in current:
-                r = ct.newton_solve(l1, lambda2, (s[0], s[1]))
+                r = ref_newton_solve(l1, lambda2, (s[0], s[1]))
                 if r is not None and max(abs(r[0]), abs(r[1])) > DEDUP_TOL:
                     survivors.append(np.array(r))
             current = survivors
@@ -196,11 +324,11 @@ def _same_solutions(got, want, tol=1e-8):
 
 
 def test_agrees_with_critical_analysis():
-    grid = [i / 200.0 for i in range(200)] + [37.0 / 96.0, ct.q5_special_lambda2()]
+    grid = [i / 200.0 for i in range(200)] + [37.0 / 96.0, ref_special_lambda2()]
     # the discriminant roots, where the quartic's root count changes
     grid = [l2 for l2 in grid if abs(l2 - 0.370748) > 1e-3 and abs(l2 - 0.494119) > 1e-3]
     for l2 in grid:
-        want = ct.q5_solutions_at_critical(l2)
+        want = ref_q5_solutions_at_critical(l2)
         got = ct.q5_solutions(0.5, l2)
         assert _same_solutions(got.solutions, want.solutions), (l2, got.solutions, want.solutions)
         assert all(r < 1e-9 for r in got.residuals)
