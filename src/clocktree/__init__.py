@@ -12,7 +12,6 @@ phase diagrams in the (lambda1, lambda2) plane.
 from .basis import BasisConvention, a_norm, basis_norms, raw_coefficients
 from .errors import (
     AsymmetricVector,
-    AtSpecialPoint,
     ClockTreeError,
     ContinuationLost,
     DegenerateQuartic,
@@ -21,7 +20,6 @@ from .errors import (
     NormalizationUnderflow,
     NotAProbability,
     NotStochastic,
-    P3Vanishes,
     RadicandNegative,
     RowAsymmetric,
     SpectrumAsymmetric,
@@ -37,18 +35,14 @@ from .fixedpoint import (
     SolutionSet,
     classify_quartic,
     displacement,
-    newton_solve,
     potts_boundary_laws,
     q4_solutions,
-    q5_alpha2_from_alpha1,
     q5_jacobian,
     q5_potts_diagonal_solutions,
     q5_quartic_analysis,
     q5_quartic_coeffs,
     q5_solutions,
     q5_solutions_at_critical,
-    q5_special_case,
-    q5_special_lambda2,
     quartic_invariants,
 )
 from .phase import (

@@ -49,14 +49,6 @@ class DegenerateQuartic(ClockTreeError):
     """All quartic coefficients vanish (lambda2 = 0), nothing to classify."""
 
 
-class AtSpecialPoint(ClockTreeError):
-    """Rational elimination evaluated at the removable point alpha1 = v."""
-
-
-class P3Vanishes(ClockTreeError):
-    """Cubic denominator of the elimination vanishes; only the trivial solution."""
-
-
 class RadicandNegative(ClockTreeError):
     """Boundary-law radicand negative: outside the existence interval."""
 

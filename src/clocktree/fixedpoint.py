@@ -1,26 +1,27 @@
-"""Exact and numerical solution of the mode fixed-point equations.
+"""Fixed points of the q = 4 and q = 5 mode recursions on the binary tree.
 
-For q = 5 on the binary tree at the robust-transition threshold lambda1 = 1/2
-the fixed points of the mode recursion solve, after eliminating alpha2 through
-the rational function alpha2 = P4(alpha1)/P3(alpha1), the one-dimensional
-polynomial equation
+For q = 5, at any (lambda1, lambda2), the resultant in alpha2 of the two
+cleared fixed-point equations is alpha1 * lambda2^4 * S(alpha1) / 50000 with
+a sextic S, so all fixed points come from the real roots of S, each paired
+with the common root alpha2 of the two equations.  A single point takes the
+roots as eigenvalues of S's companion matrix.  A grid certifies them first
+on the box |alpha1| <= 2/sqrt(10), which holds every fixed point, from
+Bernstein forms of S, and eigensolves only the rows the certificate leaves
+undecided.  `q5_solutions_at_critical` is the single-point solver at
+lambda1 = 1/2.
 
-    alpha1^3 * (alpha1 - v)^2 * q_{lambda2}(alpha1) = 0,      v = 1/sqrt(10),
-
-whose quartic factor q_{lambda2} carries all non-trivial solutions.  Its real
-roots are classified through the discriminant Delta and the auxiliary
+At lambda1 = 1/2, S = 25/(4*lambda2^2) * alpha1^2 * q_{lambda2}(alpha1), with
+the quartic q_{lambda2} of the paper's analysis.  `classify_quartic`
+classifies its real roots through the discriminant Delta and the auxiliary
 invariants P = 8ac - 3b^2, D = 64a^3e - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4
-and Delta0 = c^2 - 3bd + 12ae.  The discriminant changes sign at
-lambda2 ~ 0.370748 (first non-trivial solutions) and lambda2 ~ 0.494119
-(second pair) and the elimination degenerates at alpha1 = v exactly for
-lambda2 = 37/96 ~ 0.385417.
-
-At any (lambda1, lambda2) the resultant in alpha2 of the two cleared
-equations is alpha1 * lambda2^4 * S(alpha1) / 50000 with a sextic S, so all
-q = 5 fixed points come from the real roots of S.  A single point takes them
-as eigenvalues of S's companion matrix.  A grid certifies them first on the
-box |alpha1| <= 2/sqrt(10), which holds every fixed point, from Bernstein
-forms of S, and eigensolves only the rows the certificate leaves undecided.
+and Delta0 = c^2 - 3bd + 12ae, as the `classify` command prints them.  The
+discriminant changes sign at lambda2 ~ 0.370748 (first non-trivial
+solutions) and lambda2 ~ 0.494119 (second pair).  The paper eliminates
+alpha2 through the rational function alpha2 = P4(alpha1)/P3(alpha1) to
+alpha1^3 * (alpha1 - v)^2 * q_{lambda2}(alpha1) = 0, v = 1/sqrt(10), whose
+root alpha1 = v is a solution only at lambda2 = 37/96 ~ 0.385417, the
+special solution (v, v/(4*lambda2)); S has no such factor, and the special
+solution is one of its ordinary roots.
 
 For q = 4 the system is solvable in closed form: at lambda1 = 1/2 the
 non-trivial branch is alpha2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) with
@@ -34,32 +35,21 @@ to a probability vector; the long printed radicals are never trusted blindly.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .basis import unit_basis_vector
-from .errors import (
-    AtSpecialPoint,
-    ClockTreeError,
-    DegenerateQuartic,
-    P3Vanishes,
-    RadicandNegative,
-    UnsupportedQ,
-)
+from .errors import ClockTreeError, DegenerateQuartic, RadicandNegative, UnsupportedQ
 from .recursion import V5, mode_map, mode_map_q5
 from .spectral import DIST_TOL, feasible_lambdas, potts_theta
 
-log = logging.getLogger(__name__)
-
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-8
-NEWTON_TOL = 1e-12
 
 SQRT10 = math.sqrt(10.0)
 C5 = math.sqrt(2.5)  # normalizer of the q=5 unit cosine basis
@@ -331,70 +321,6 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# q=5 elimination helpers (lambda1 = 1/2)
-# ---------------------------------------------------------------------------
-
-
-def _p3(alpha1: float, lambda2: float) -> float:
-    v, t = V5, lambda2
-    w = alpha1 - v
-    return math.fsum(
-        [
-            4.0 * t * w * w,
-            -5.0 * t * v * alpha1 * alpha1 * w,
-            20.0 * t * v * v * alpha1 * alpha1,
-            -8.0 * t * t * w * w,
-            -20.0 * t * t * v * alpha1 * w * w,
-        ]
-    )
-
-
-def _p4(alpha1: float, lambda2: float) -> float:
-    v, t = V5, lambda2
-    w = alpha1 - v
-    return 5.0 * v * alpha1**4 + 5.0 * v * t * alpha1 * alpha1 * w * w
-
-
-def q5_alpha2_from_alpha1(alpha1: float, lambda2: float) -> float:
-    """Rational elimination alpha2 = P4(alpha1)/P3(alpha1).
-
-    Raises AtSpecialPoint within 1e-12 of the removable point alpha1 = v and
-    P3Vanishes when the denominator vanishes (only the trivial solution on
-    that branch).
-    """
-    if abs(alpha1 - V5) < 1e-12:
-        raise AtSpecialPoint(f"alpha1 = {alpha1!r} is at the special point v = {V5!r}")
-    p3 = _p3(alpha1, lambda2)
-    p3_scale = max(
-        abs(4.0 * lambda2 * (alpha1 - V5) ** 2),
-        abs(5.0 * lambda2 * V5 * alpha1 * alpha1 * (alpha1 - V5)),
-        abs(20.0 * lambda2 * V5 * V5 * alpha1 * alpha1),
-        abs(8.0 * lambda2 * lambda2 * (alpha1 - V5) ** 2),
-        abs(20.0 * lambda2 * lambda2 * V5 * alpha1 * (alpha1 - V5) ** 2),
-        1e-30,
-    )
-    if abs(p3) <= 1e-12 * p3_scale:
-        raise P3Vanishes(f"P3({alpha1!r}) vanishes at lambda2 = {lambda2!r}")
-    return _p4(alpha1, lambda2) / p3
-
-
-def q5_special_lambda2() -> float:
-    """The unique lambda2 at which alpha1 = v solves the system (= 37/96)."""
-    v = V5
-    return (v / 5.0 + v**3 / 4.0 + v**3 / 16.0) / (2.0 * v / 5.0 + 2.0 * v**3)
-
-
-def q5_special_case(lambda2: float, tol: float = 1e-9) -> Optional[tuple[float, float]]:
-    """The solution with alpha1 = v, present only at lambda2 = 37/96.
-
-    Returns (v, v/(4*lambda2)) when |lambda2 - 37/96| < tol, else None.
-    """
-    if abs(lambda2 - q5_special_lambda2()) < tol:
-        return (V5, V5 / (4.0 * lambda2))
-    return None
-
-
-# ---------------------------------------------------------------------------
 # solution sets
 # ---------------------------------------------------------------------------
 
@@ -532,45 +458,6 @@ def _assemble(
         rejected=tuple(rejected),
         notes=tuple(notes),
     )
-
-
-def q5_solutions_at_critical(lambda2: float) -> SolutionSet:
-    """All symmetric fixed points for q = 5 at lambda1 = 1/2.
-
-    Union of the trivial solution, the quartic-root branch through the
-    rational elimination, and the special alpha1 = v solution; every candidate
-    is residual- and probability-verified.  lambda2 = 0 short-circuits to the
-    trivial-only set (the quartic degenerates identically).
-    """
-    if not (0.0 <= lambda2 < 1.0):
-        raise ClockTreeError(f"lambda2 must lie in [0, 1), got {lambda2!r}")
-    if lambda2 == 0.0:
-        return SolutionSet(
-            q=5,
-            lambda1=0.5,
-            lambda2=0.0,
-            solutions=((0.0, 0.0),),
-            residuals=(0.0,),
-            includes_trivial=True,
-            notes=("degenerate quartic at lambda2 = 0: trivial solution only",),
-        )
-    analysis = q5_quartic_analysis(lambda2)
-    candidates: list[tuple[float, float]] = []
-    notes: list[str] = []
-    for root, _mult in analysis.real_roots:
-        if abs(root) <= DEDUP_TOL:
-            continue  # the alpha1 = 0 root is the trivial solution
-        try:
-            candidates.append((root, q5_alpha2_from_alpha1(root, lambda2)))
-        except AtSpecialPoint:
-            notes.append(f"quartic root {root!r} hit the special point v")
-        except P3Vanishes:
-            notes.append(f"quartic root {root!r} lies on the P3 = 0 branch (trivial only)")
-    special = q5_special_case(lambda2)
-    if special is not None:
-        candidates.append(special)
-        notes.append("special alpha1 = v solution included")
-    return _assemble(5, 0.5, lambda2, candidates, notes)
 
 
 def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -950,8 +837,24 @@ def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     return _solution_view(5, _q5_candidates, lambda1, lambda2)
 
 
+def q5_solutions_at_critical(lambda2: float) -> SolutionSet:
+    """All symmetric fixed points for q = 5 at lambda1 = 1/2: `q5_solutions(0.5, lambda2)`.
+
+    lambda2 must lie in [0, 1).  At lambda2 = 0, where the paper's quartic
+    vanishes identically, the set (the trivial solution only) carries a note
+    saying so.
+    """
+    if not (0.0 <= lambda2 < 1.0):
+        raise ClockTreeError(f"lambda2 must lie in [0, 1), got {lambda2!r}")
+    solutions = q5_solutions(0.5, lambda2)
+    if lambda2 == 0.0:
+        notes = solutions.notes + ("degenerate quartic at lambda2 = 0: trivial solution only",)
+        return replace(solutions, notes=notes)
+    return solutions
+
+
 # ---------------------------------------------------------------------------
-# Newton solver on the q=5 displacement map
+# the q=5 displacement map and its Jacobian
 # ---------------------------------------------------------------------------
 
 
@@ -986,42 +889,6 @@ def q5_jacobian(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> t
     ) / (den * den)
     jt = np.eye(2) - jf
     return jt, float(np.linalg.det(jt))
-
-
-def newton_solve(
-    lambda1: float,
-    lambda2: float,
-    seed: tuple[float, float],
-    damping: float = 0.5,
-    max_iter: int = 100,
-) -> Optional[tuple[float, float]]:
-    """Damped Newton iteration on the q=5 displacement map.
-
-    Returns a point with sup-norm displacement below 1e-12, or None when the
-    iteration does not converge within max_iter (a singular Jacobian is
-    reported through the log and counts as non-convergence).
-    """
-    x = np.array(seed, dtype=float)
-    for _ in range(max_iter):
-        t = displacement(lambda1, lambda2, (x[0], x[1]))
-        err = np.abs(t).max()
-        if err < NEWTON_TOL:
-            return (float(x[0]), float(x[1]))
-        jt, det = q5_jacobian(lambda1, lambda2, (x[0], x[1]))
-        if not math.isfinite(det) or abs(det) < 1e-300:
-            log.debug("singular Jacobian at %s (lambda1=%s, lambda2=%s)", x, lambda1, lambda2)
-            return None
-        step = np.linalg.solve(jt, t)
-        factor = 1.0
-        for _ in range(60):
-            cand = x - factor * step
-            if np.abs(displacement(lambda1, lambda2, (cand[0], cand[1]))).max() < err:
-                break
-            factor *= damping
-        else:
-            return None
-        x = x - factor * step
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ClockTreeError, ContinuationLost, UnsupportedQ, UnsupportedTree
-from .fixedpoint import (
-    newton_solve,
-    q4_solution_counts,
-    q5_jacobian,
-    q5_potts_diagonal_solutions,
-    q5_solution_counts,
-)
+from .fixedpoint import q4_solution_counts, q5_jacobian, q5_potts_diagonal_solutions, q5_solution_counts
 from .recursion import Cayley, TreeFamily, branching_number
 from .spectral import feasible_lambdas
 
@@ -177,9 +171,12 @@ def q5_transition_line(
     k = _TREE_LEVELS bisection steps can visit (each computed as
     0.5 * (lo + hi) along its path), and the bisection then walks that tree
     step by step.  The line is therefore the one that one call per step
-    gives, bit for bit.  At lambda1 = 1/2 the bisection lands on the
-    discriminant root.  A grid point whose bracket never sees a solution is
-    reported as (lambda1, nan) rather than aborting the line.
+    gives, bit for bit.  A row stops when its bracket is at most tol wide,
+    or when 0.5 * (lo + hi) rounds to lo or hi, so that a tol below the
+    float spacing (0 included) ends at adjacent floats.  At lambda1 = 1/2
+    the bisection lands on the discriminant root.  A grid point whose
+    bracket never sees a solution is reported as (lambda1, nan) rather than
+    aborting the line.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
@@ -188,7 +185,7 @@ def q5_transition_line(
     l1s = np.array(grid, dtype=float)
     lo, hi = (np.full(len(grid), float(end)) for end in lambda2_bracket)
     found = q5_solution_counts(l1s, hi) > 0
-    active = found & (hi - lo > tol)
+    active = found & _splits(lo, hi, tol)
     while active.any():
         rows = np.flatnonzero(active)
         # the tree's midpoints level by level, level d in columns 2^d - 1 onward
@@ -207,16 +204,24 @@ def q5_transition_line(
             step = active[rows]
             hi[rows] = np.where(step & exists[at], mids[at], hi[rows])
             lo[rows] = np.where(step & ~exists[at], mids[at], lo[rows])
-            active[rows] &= hi[rows] - lo[rows] > tol
+            active[rows] &= _splits(lo[rows], hi[rows], tol)
             node = 2 * node + ~exists[at]
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
+
+
+def _splits(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each bracket (lo, hi) is wider than tol and its midpoint lies strictly inside it."""
+    mid = 0.5 * (lo + hi)
+    return (hi - lo > tol) & (lo < mid) & (mid < hi)
 
 
 def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
     """det of the displacement Jacobian at the lower-branch Potts solution.
 
-    The lower branch merges with the free solution as lambda -> 1/2, where the
-    Jacobian loses invertibility; the profile therefore tends to 0.
+    The Jacobian (`q5_jacobian`) is taken at the closed-form lower diagonal
+    root of `q5_potts_diagonal_solutions`.  The lower branch merges with the
+    free solution as lambda -> 1/2, where the Jacobian loses invertibility;
+    the profile therefore tends to 0.
     """
     out = []
     for lam in lambda_grid:
@@ -225,8 +230,7 @@ def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
         diag = q5_potts_diagonal_solutions(lam)
         if diag is None:
             raise ContinuationLost(f"no diagonal solution at lambda = {lam!r}")
-        lower = newton_solve(lam, lam, diag[0]) or diag[0]
-        _, det = q5_jacobian(lam, lam, lower)
+        _, det = q5_jacobian(lam, lam, diag[0])
         out.append((lam, det))
     return out
 
