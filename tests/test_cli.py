@@ -140,6 +140,18 @@ def test_classify_tiny_lambda2_is_not_degenerate(capsys):
                            "8.0000000000000009e-60"]
 
 
+def test_classify_just_above_the_discriminant_roots(capsys):
+    # 0.370749 lies about 1e-6 above the first root of Delta, 0.494119 about
+    # 1.6e-9 above the second: two and four simple real roots
+    for text, structure, n_roots in (("0.370749", "TWO_DISTINCT", 2), ("0.494119", "FOUR_DISTINCT", 4)):
+        code, out = run_cli(capsys, "classify", "--lambda2", text)
+        assert code == 0
+        fields = out.strip().split("\n")[1].split(",")
+        assert float(fields[6]) < 0.0 if n_roots == 2 else float(fields[6]) > 0.0
+        assert fields[10] == structure, (text, fields[10])
+        assert len(fields[11].split(";")) == n_roots
+
+
 def test_classify_scan_brackets_critical_values(capsys):
     code, out = run_cli(capsys, "classify", "--scan", "0.3:0.55:0.001")
     assert code == 0

@@ -111,6 +111,24 @@ def test_classification_regimes():
     assert a499.real_root_count() == 4
 
 
+@pytest.mark.parametrize("root", [0.3707480445408525, 0.4941189983741158])
+def test_classification_near_the_discriminant_roots(root):
+    # the first two real roots of Delta in lambda2, where a real root pair
+    # of the quartic appears; on either side the roots are simple, and the
+    # structure and the roots must be those of sympy's real roots of the
+    # quartic's own (rounded) coefficients
+    x = sympy.Symbol("x")
+    count_of = {0: ct.RootStructure.NO_REAL, 2: ct.RootStructure.TWO_DISTINCT, 4: ct.RootStructure.FOUR_DISTINCT}
+    for offset in (-1e-6, -1e-8, -1e-10, 1e-10, 1e-8, 1e-6):
+        coeffs = ct.q5_quartic_coeffs(root + offset)
+        quartic = sympy.Poly([sympy.Rational(c) for c in coeffs.as_array().tolist()], x)
+        want = sorted(float(r) for r in set(quartic.real_roots()))
+        analysis = ct.classify_quartic(coeffs)
+        assert analysis.structure is count_of[len(want)], (offset, analysis.structure, want)
+        assert [m for _, m in analysis.real_roots] == [1] * len(want), offset
+        np.testing.assert_allclose(analysis.distinct_real_roots(), want, rtol=0, atol=1e-9)
+
+
 def test_classification_matches_root_count_randomly(rng):
     count_of = {
         ct.RootStructure.NO_REAL: 0,
