@@ -104,36 +104,45 @@ def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
     return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
 
 
+def _delta_terms(a: float, b: float, c: float, d: float, e: float) -> list[float]:
+    """The 16 terms of the quartic's discriminant Delta, each a product of six coefficients."""
+    return [
+        256 * a**3 * e**3,
+        -192 * a**2 * b * d * e**2,
+        -128 * a**2 * c**2 * e**2,
+        144 * a**2 * c * d**2 * e,
+        -27 * a**2 * d**4,
+        144 * a * b**2 * c * e**2,
+        -6 * a * b**2 * d**2 * e,
+        -80 * a * b * c**2 * d * e,
+        18 * a * b * c * d**3,
+        16 * a * c**4 * e,
+        -4 * a * c**3 * d**2,
+        -27 * b**4 * e**2,
+        18 * b**3 * c * d * e,
+        -4 * b**3 * d**3,
+        -4 * b**2 * c**3 * e,
+        b**2 * c**2 * d**2,
+    ]
+
+
 def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
     """(Delta, P, D, Delta0), each accumulated with compensated summation."""
     a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e))
     if scale == 0.0:
         raise DegenerateQuartic("all quartic coefficients vanish")
-    delta = math.fsum(
-        [
-            256 * a**3 * e**3,
-            -192 * a**2 * b * d * e**2,
-            -128 * a**2 * c**2 * e**2,
-            144 * a**2 * c * d**2 * e,
-            -27 * a**2 * d**4,
-            144 * a * b**2 * c * e**2,
-            -6 * a * b**2 * d**2 * e,
-            -80 * a * b * c**2 * d * e,
-            18 * a * b * c * d**3,
-            16 * a * c**4 * e,
-            -4 * a * c**3 * d**2,
-            -27 * b**4 * e**2,
-            18 * b**3 * c * d * e,
-            -4 * b**3 * d**3,
-            -4 * b**2 * c**3 * e,
-            b**2 * c**2 * d**2,
-        ]
-    )
+    delta = math.fsum(_delta_terms(a, b, c, d, e))
     p = math.fsum([8 * a * c, -3 * b**2])
     big_d = math.fsum([64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4])
     delta0 = math.fsum([c**2, -3 * b * d, 12 * a * e])
     return delta, p, big_d, delta0
+
+
+# each term of Delta is a product of six rounded coefficients, rounded about
+# six more times, so fsum of the terms is Delta to within about 12 eps of the
+# terms' magnitudes; the margin is larger, as `_MARGIN_ULPS` below
+_DELTA_ULPS = 64.0
 
 
 class RootStructure(Enum):
@@ -237,15 +246,19 @@ def _reconcile_clusters(
 def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     """Real-root structure from the (Delta, P, D, Delta0) sign pattern.
 
-    Zero tests use relative thresholds 1e-12 * scale^h where h is the
-    homogeneity degree of the invariant in the coefficients (6, 2, 4, 2):
-    the invariants span many orders of magnitude across lambda2.
-    Roots are computed independently by the companion-matrix eigenvalue
-    method with Newton polishing.
+    Delta counts as zero within its rounding, _DELTA_ULPS eps times the sum
+    of its terms' magnitudes: Delta is a^6 times the product of the squared
+    root differences, so a threshold in powers of the coefficients' scale
+    would call two real roots 2e-3 apart a double root.  The zero tests of
+    P, D and Delta0 use relative thresholds 1e-12 * scale^h, where h is the
+    invariant's degree in the coefficients (2, 4, 2).  Roots are computed
+    independently by the companion-matrix eigenvalue method with Newton
+    polishing.
     """
     delta, p, big_d, delta0 = quartic_invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
-    z_delta = 1e-12 * scale**6
+    terms = _delta_terms(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e)
+    z_delta = _DELTA_ULPS * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
     z_p = 1e-12 * scale**2
     z_d = 1e-12 * scale**4
     z_d0 = 1e-12 * scale**2
@@ -314,7 +327,8 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     if lambda2 == 0.0:
         raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
     coeffs = q5_quartic_coeffs(lambda2)
-    # classify_quartic's zero threshold for Delta must be a normal float
+    # the invariants, of degree up to 6 in the coefficients, must stay far
+    # from underflow
     if 1e-12 * max(abs(x) for x in coeffs.as_array()) ** 6 < sys.float_info.min:
         coeffs = _q5_reduced_quartic(lambda2)
     return classify_quartic(coeffs)
