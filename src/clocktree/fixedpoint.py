@@ -842,6 +842,74 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     return counts
 
 
+# The folds of S: with alpha1 = x/sqrt(10), S's discriminant in x is
+#     c l1^14 (2 l1 - 1) (2 l2 - 1)^3 G(l1, l2)^2 F(l1, l2)
+# with a constant c and integer polynomials G (total degree 9) and F (total
+# degree 18, symmetric in l1 and l2).  A count of fixed points can change
+# where S has a multiple real root, on this zero set.  Row i of each table
+# holds the coefficients of l1^i in l2, highest power of l2 first.
+_FOLD_F = (
+    (-524288,),
+    (524288, 4718592),
+    (98304, -4915200, -18776064),
+    (-2646016, 5103616, 15581184, 44875776),
+    (-2613760, 23345152, -53392384, -2979840, -77787648),
+    (-655104, -3633920, 23600384, 41392384, -2450432, 93835264),
+    (111744, -6298944, -34959840, -1195520, -31739840, -2450432, -77787648),
+    (51392, 2825280, 13650048, 8055040, -1195520, 41392384, -2979840, 44875776),
+    (1152, 170358, 5359077, 13650048, -34959840, 23600384, -53392384, 15581184, -18776064),
+    (0, 2196, 170358, 2825280, -6298944, -3633920, 23345152, 5103616, -4915200, 4718592),
+    (0, 0, 1152, 51392, 111744, -655104, -2613760, -2646016, 98304, 524288, -524288),
+)
+_FOLD_G = (
+    (128, 0, 0, 0),
+    (-384, 72, 0, 0),
+    (160, -752, -384, 0),
+    (320, 2284, 1216, 256),
+    (-160, -2288, -192, -512),
+    (-64, 566, -2368, -512),
+    (32, -508, 1984, 256),
+    (0, 25, -400, 1600),
+)
+_FOLD_LINE = ((2, -1),)  # 2 l2 - 1
+
+
+@functools.cache
+def _fold_table() -> np.ndarray:
+    """The (3, 11, 11) table of F, G and 2 l2 - 1: factor, power of l1, coefficient in l2 (highest first).
+
+    Each factor's coefficients are right-aligned to degree 10 in l2, so
+    that `l1 powers @ table` gives the three polynomials in l2 at a batch
+    of lambda1, with zero leading coefficients where the degree is lower.
+    """
+    table = np.zeros((3, 11, 11))
+    for f, rows in enumerate((_FOLD_F, _FOLD_G, _FOLD_LINE)):
+        for i, row in enumerate(rows):
+            table[f, i, 11 - len(rows[-1]) : 11 - len(rows[-1]) + len(row)] = row
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, lambda2) of the real roots in (lo, hi) of F, G and 2 l2 - 1 at each lambda1[row].
+
+    The three polynomials in lambda2 are one batched companion eigensolve
+    (`_polynomial_roots`); each real root is polished by one Newton step.
+    A count of fixed points can change at lambda1 only at these lambda2 (or
+    where a root of S leaves the verifier's bounds), so they are the
+    candidates for the transition line; nothing here checks a count.
+    """
+    table = _fold_table()
+    n = len(lambda1)
+    coeffs = ((np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ table).reshape(3 * n, 11)
+    roots = _polynomial_roots(coeffs)
+    x = roots.real
+    with np.errstate(all="ignore"):
+        x = x - _polyval(coeffs, x) / _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), x)
+    rows, k = np.nonzero((roots.imag == 0.0) & (x > lo) & (x < hi))
+    return rows % n, x[rows, k]
+
+
 def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     """All symmetric fixed points for q = 5, at any (lambda1, lambda2).
 

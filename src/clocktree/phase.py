@@ -6,10 +6,13 @@ coupling however weak orders the root), and the window of non-robust phase
 transitions where a non-trivial symmetric fixed point of the mode recursion
 exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
-q = 5 it is found by bisection on the count of the elimination solver
-(`fixedpoint.q5_solution_counts`, which certifies the sextic's roots in the
-box |alpha1| <= 2/sqrt(10) and eigensolves only the rows it leaves
-undecided), each batched call deciding several bisection steps at once.
+q = 5 it lies on the folds of the eliminated sextic, the zero set of its
+discriminant (`fixedpoint.q5_fold_roots`).  Each fold candidate is checked
+by the count of the elimination solver (`fixedpoint.q5_solution_counts`,
+which certifies the sextic's roots in the box |alpha1| <= 2/sqrt(10) and
+eigensolves only the rows it leaves undecided) on both of its sides, all in
+one batched call; bisection on that count runs only where the check leaves
+a bracket wider than the tolerance.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -26,14 +29,27 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ClockTreeError, ContinuationLost, UnsupportedQ, UnsupportedTree
-from .fixedpoint import q4_solution_counts, q5_jacobian, q5_potts_diagonal_solutions, q5_solution_counts
+from .fixedpoint import (
+    q4_solution_counts,
+    q5_fold_roots,
+    q5_jacobian,
+    q5_potts_diagonal_solutions,
+    q5_solution_counts,
+)
 from .recursion import Cayley, TreeFamily, branching_number
 from .spectral import feasible_lambdas
 
 # robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
 # and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
 RPT_MARGIN = 1e-9
-# bisection steps of `q5_transition_line` decided by one batched call
+# a fold candidate r of `q5_transition_line` is checked on the smallest
+# bisection node that holds [r - _FOLD_STEP, r + _FOLD_STEP]; the step is
+# far above the error of the polished roots (at most about 6e-10) and the
+# width of the counts' rounding noise at a fold (about 2e-11, 5e-8 at
+# lambda1 = 0.005)
+_FOLD_STEP = 1e-7
+# bisection steps of `q5_transition_line` decided by one batched call, for
+# the rows that no fold candidate narrowed or that tol asks to narrow further
 _TREE_LEVELS = 3
 
 
@@ -163,20 +179,33 @@ def q5_transition_line(
     tol: float = 1e-4,
     lambda2_bracket: tuple[float, float] = (0.33, 0.65),
 ) -> list[tuple[float, float]]:
-    """Critical lambda2 for each lambda1, by bisection on solution existence.
+    """Critical lambda2 for each lambda1: a count change of q=5 fixed points from 0 to at least 1.
 
-    The predicate is `q5_solution_counts` > 0.  One batched call decides the
-    top of the bracket for every lambda1; each further call evaluates, for
-    every lambda1 still bisecting, all 2^k - 1 midpoints that the next
-    k = _TREE_LEVELS bisection steps can visit (each computed as
-    0.5 * (lo + hi) along its path), and the bisection then walks that tree
-    step by step.  The line is therefore the one that one call per step
-    gives, bit for bit.  A row stops when its bracket is at most tol wide,
-    or when 0.5 * (lo + hi) rounds to lo or hi, so that a tol below the
-    float spacing (0 included) ends at adjacent floats.  At lambda1 = 1/2
-    the bisection lands on the discriminant root.  A grid point whose
-    bracket never sees a solution is reported as (lambda1, nan) rather than
-    aborting the line.
+    The line is found by bisection of `lambda2_bracket` on the predicate
+    `q5_solution_counts` > 0, the bracket's bottom taken to have none and
+    its top checked to have some.  A count changes only on the folds of the
+    sextic, so the real roots r in lambda2 of its discriminant's factors
+    (`fixedpoint.q5_fold_roots`) tell the bisection where to go: for each r
+    the smallest node of the bisection tree that holds
+    [r - _FOLD_STEP, r + _FOLD_STEP] (no narrower than tol asks) is checked,
+    and a row whose node has no solution at its bottom and some at its top
+    starts from that node (its highest such node, if several pass).  The top
+    of every bracket and both ends of every node are one batched call.  A
+    row that no candidate passes keeps the whole bracket.  Where the
+    predicate is monotone away from r the bisection would have reached the
+    same node, so the line is the bisection's, bit for bit.
+
+    Every row still wider than tol is then bisected: each further call
+    evaluates, for every row still bisecting, all 2^k - 1 midpoints that
+    the next k = _TREE_LEVELS steps can visit (each computed as
+    0.5 * (lo + hi) along its path), and the bisection walks that tree step
+    by step.  A row stops when its bracket is at most tol wide, or when
+    0.5 * (lo + hi) rounds to lo or hi, so that a tol below the float
+    spacing (0 included) ends at adjacent floats.  At the default tol a
+    narrowed row is usually done after the first call.  At lambda1 = 1/2
+    the line is the quartic's discriminant root 0.370748; below about
+    lambda1 = 0.38 it is lambda2 = 1/2.  A grid point whose bracket top has
+    no solution is reported as (lambda1, nan) rather than aborting the line.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
@@ -184,7 +213,21 @@ def q5_transition_line(
             raise ContinuationLost(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
     l1s = np.array(grid, dtype=float)
     lo, hi = (np.full(len(grid), float(end)) for end in lambda2_bracket)
-    found = q5_solution_counts(l1s, hi) > 0
+    n = len(grid)
+    rows, roots = q5_fold_roots(l1s, lambda2_bracket[0] + _FOLD_STEP, lambda2_bracket[1] - _FOLD_STEP)
+    node_lo, node_hi = _tree_node(lo[rows], hi[rows], roots - _FOLD_STEP, roots + _FOLD_STEP, tol)
+    # one call: the top of every bracket, then both ends of each candidate's node
+    counts = q5_solution_counts(
+        np.concatenate([l1s, l1s[rows], l1s[rows]]), np.concatenate([hi, node_lo, node_hi])
+    )
+    found = counts[:n] > 0
+    below, above = counts[n:].reshape(2, -1)
+    passed = found[rows] & (below == 0) & (above > 0)
+    # a row takes the node of its highest passing candidate
+    best = np.full(n, -math.inf)
+    np.maximum.at(best, rows[passed], roots[passed])
+    take = passed & (roots == best[rows])
+    lo[rows[take]], hi[rows[take]] = node_lo[take], node_hi[take]
     active = found & _splits(lo, hi, tol)
     while active.any():
         rows = np.flatnonzero(active)
@@ -207,6 +250,23 @@ def q5_transition_line(
             active[rows] &= _splits(lo[rows], hi[rows], tol)
             node = 2 * node + ~exists[at]
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
+
+
+def _tree_node(
+    lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest node of the bisection tree of each (lo, hi) that holds [below, above].
+
+    The nodes are the brackets the bisection visits, each midpoint computed
+    as 0.5 * (lo + hi); the descent stops where `_splits` would stop the
+    bisection, so a node is never narrower than the bisection gets.
+    """
+    while True:
+        mid, split = 0.5 * (lo + hi), _splits(lo, hi, tol)
+        up, down = split & (mid <= below), split & (mid >= above)
+        if not (up | down).any():
+            return lo, hi
+        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
 
 
 def _splits(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import DEDUP_TOL, V5, _assemble, _q5_sextic, q5_solution_counts
+from clocktree.fixedpoint import DEDUP_TOL, V5, _assemble, _q5_sextic, q5_fold_roots, q5_solution_counts
 from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -440,8 +440,8 @@ def test_transition_line_matches_continuation():
 
 
 def test_transition_line_is_batched_bisection(monkeypatch):
-    # one batched call at the top of the bracket, then one per k bisection
-    # steps, each with the 2^k - 1 midpoints those steps can visit
+    # at the default tol the fold candidates' check is the only call: the
+    # top of each bracket and both ends of each candidate's bisection node
     calls = []
     original = ct.phase.q5_solution_counts
 
@@ -452,9 +452,8 @@ def test_transition_line_is_batched_bisection(monkeypatch):
     monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
     line = ct.q5_transition_line([0.42, 0.46, 0.5], tol=1e-4)
     monkeypatch.undo()
-    steps = math.ceil(math.log2((0.65 - 0.33) / 1e-4))
-    k = ct.phase._TREE_LEVELS
-    assert calls == [3] + [3 * (2**k - 1)] * math.ceil(steps / k)
+    rows, _ = q5_fold_roots(np.array([0.42, 0.46, 0.5]), 0.33, 0.65)
+    assert calls == [3 + 2 * len(rows)]
     for l1, l2c in line:
         assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
         assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0
