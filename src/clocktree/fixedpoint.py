@@ -847,7 +847,8 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
 # with a constant c and integer polynomials G (total degree 9) and F (total
 # degree 18, symmetric in l1 and l2).  A count of fixed points can change
 # where S has a multiple real root, on this zero set.  Row i of each table
-# holds the coefficients of l1^i in l2, highest power of l2 first.
+# holds the coefficients of l1^i in l2, highest power of l2 first, without
+# trailing zeros.
 _FOLD_F = (
     (-524288,),
     (524288, 4718592),
@@ -884,8 +885,9 @@ def _fold_table() -> np.ndarray:
     """
     table = np.zeros((3, 11, 11))
     for f, rows in enumerate((_FOLD_F, _FOLD_G, _FOLD_LINE)):
+        start = 11 - max(len(row) for row in rows)
         for i, row in enumerate(rows):
-            table[f, i, 11 - len(rows[-1]) : 11 - len(rows[-1]) + len(row)] = row
+            table[f, i, start : start + len(row)] = row
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
