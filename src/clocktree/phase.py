@@ -203,9 +203,10 @@ def q5_transition_line(
     0.5 * (lo + hi) rounds to lo or hi, so that a tol below the float
     spacing (0 included) ends at adjacent floats.  At the default tol a
     narrowed row is usually done after the first call.  At lambda1 = 1/2
-    the line is the quartic's discriminant root 0.370748; below about
-    lambda1 = 0.38 it is lambda2 = 1/2.  A grid point whose bracket top has
-    no solution is reported as (lambda1, nan) rather than aborting the line.
+    the line is the quartic's discriminant root 0.370748, and since F is
+    symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for lambda1 up to
+    0.370748.  A grid point whose bracket top has no solution is reported as
+    (lambda1, nan) rather than aborting the line.
     """
     grid = list(lambda1_grid)
     for l1 in grid:

@@ -104,6 +104,17 @@ def test_fold_at_half_is_the_quartic_discriminant():
     assert np.abs(roots - first).min() < 1e-9
 
 
+def test_line_leaves_one_half_at_the_mirror_of_the_half_root():
+    # F is symmetric in l1 and l2, so F(l1, 1/2) vanishes at l1 = 0.370748...:
+    # the line is lambda2 = 1/2 (the 2 l2 - 1 factor) up to there and F's root
+    # above it
+    f = _table_poly(_FOLD_F).as_expr()
+    assert sympy.expand(f - f.subs({L1: L2, L2: L1}, simultaneous=True)) == 0
+    first = float(sympy.Poly(QUINTIC, L2).real_roots()[0])
+    (_, left), (_, right) = ct.q5_transition_line([first - 1e-7, first + 1e-7], tol=1e-12)
+    assert abs(left - 0.5) < 1e-9 and right < 0.5 - 1e-9
+
+
 def test_second_fold_at_045_doubles_the_count():
     # F's second root in the bracket at lambda1 = 0.45, where a second pair
     # of fixed points appears
@@ -131,7 +142,7 @@ def test_transition_line_falls_back_to_bisection(monkeypatch):
 
 
 def test_transition_line_on_a_fine_grid():
-    # 400 values of lambda1 in (0.005, 1/2]; the line is 1/2 up to about 0.38
+    # 400 values of lambda1 in (0.005, 1/2]; the line is 1/2 up to 0.370748
     grid = np.linspace(0.5, 0.005, 400, endpoint=False)[::-1].tolist()
     for tol in (1e-4, 1e-12):
         got, want = ct.q5_transition_line(grid, tol=tol), ref_transition_line(grid, tol=tol)
