@@ -80,6 +80,26 @@ def test_transition_line_monotone():
     assert all(values[i] >= values[i + 1] - 1e-3 for i in range(len(values) - 1))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"lambda2_bracket": (0.65, 0.5)},
+        {"lambda2_bracket": (0.45, 0.45)},
+        {"lambda2_bracket": (math.nan, 0.65)},
+        {"lambda2_bracket": (0.33, math.inf)},
+        {"lambda2_bracket": (0.33,)},
+        {"lambda2_bracket": (0.33, 0.5, 0.65)},
+        {"tol": math.nan},
+    ],
+    ids=["reversed", "empty", "nan-bottom", "infinite-top", "one-end", "three-ends", "nan-tol"],
+)
+def test_transition_line_rejects_bad_input(kwargs):
+    # without the checks these returned a value with no error: the reversed
+    # bracket 0.575, the empty one 0.45 and tol = nan 0.49
+    with pytest.raises(ct.ContinuationLost):
+        ct.q5_transition_line([0.45], **kwargs)
+
+
 def test_transition_line_stops_below_the_float_spacing():
     # with tol under the float spacing at the line, 0.5*(lo + hi) rounds to
     # lo or hi once the two are adjacent floats; the bisection must stop
