@@ -45,7 +45,7 @@ import numpy as np
 
 from .basis import unit_basis_vector
 from .errors import ClockTreeError, DegenerateQuartic, RadicandNegative, UnsupportedQ
-from .recursion import V5, mode_map, mode_map_q5
+from .recursion import V5, mode_map, mode_map_q5, mode_terms_q5
 from .spectral import DIST_TOL, feasible_lambdas, potts_theta
 
 RESIDUAL_TOL = 1e-9
@@ -846,7 +846,9 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
 #     c l1^14 (2 l1 - 1) (2 l2 - 1)^3 G(l1, l2)^2 F(l1, l2)
 # with a constant c and integer polynomials G (total degree 9) and F (total
 # degree 18, symmetric in l1 and l2).  A count of fixed points can change
-# where S has a multiple real root, on this zero set.  Row i of each table
+# where S has a multiple real root, on this zero set.  Only F needs a table:
+# the discriminant does not change sign across G = 0, where it touches zero
+# as a square, and the only root of 2 l2 - 1 is the constant 1/2.  Row i
 # holds the coefficients of l1^i in l2, highest power of l2 first, without
 # trailing zeros.
 _FOLD_F = (
@@ -862,54 +864,42 @@ _FOLD_F = (
     (0, 2196, 170358, 2825280, -6298944, -3633920, 23345152, 5103616, -4915200, 4718592),
     (0, 0, 1152, 51392, 111744, -655104, -2613760, -2646016, 98304, 524288, -524288),
 )
-_FOLD_G = (
-    (128, 0, 0, 0),
-    (-384, 72, 0, 0),
-    (160, -752, -384, 0),
-    (320, 2284, 1216, 256),
-    (-160, -2288, -192, -512),
-    (-64, 566, -2368, -512),
-    (32, -508, 1984, 256),
-    (0, 25, -400, 1600),
-)
-_FOLD_LINE = ((2, -1),)  # 2 l2 - 1
 
 
 @functools.cache
 def _fold_table() -> np.ndarray:
-    """The (3, 11, 11) table of F, G and 2 l2 - 1: factor, power of l1, coefficient in l2 (highest first).
+    """The (11, 11) table of F: power of l1, coefficient in l2 (highest first).
 
-    Each factor's coefficients are right-aligned to degree 10 in l2, so
-    that `l1 powers @ table` gives the three polynomials in l2 at a batch
-    of lambda1, with zero leading coefficients where the degree is lower.
+    `l1 powers @ table` gives F as a polynomial in l2 at a batch of lambda1.
     """
-    table = np.zeros((3, 11, 11))
-    for f, rows in enumerate((_FOLD_F, _FOLD_G, _FOLD_LINE)):
-        start = 11 - max(len(row) for row in rows)
-        for i, row in enumerate(rows):
-            table[f, i, start : start + len(row)] = row
+    table = np.zeros((11, 11))
+    for i, row in enumerate(_FOLD_F):
+        table[i, : len(row)] = row
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
 
 def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, lambda2) of the real roots in (lo, hi) of F, G and 2 l2 - 1 at each lambda1[row].
+    """(rows, lambda2) of the fold candidates in (lo, hi) at each lambda1[row].
 
-    The three polynomials in lambda2 are one batched companion eigensolve
-    (`_polynomial_roots`); each real root is polished by one Newton step.
-    A count of fixed points can change at lambda1 only at these lambda2 (or
-    where a root of S leaves the verifier's bounds), so they are the
-    candidates for the transition line; nothing here checks a count.
+    The candidates are the real roots of F in lambda2, one batched companion
+    eigensolve (`_polynomial_roots`) with each root polished by one Newton
+    step, and lambda2 = 1/2 for every row when it lies in (lo, hi).  A count
+    of fixed points can change at lambda1 only at these lambda2 (or where a
+    root of S leaves the verifier's bounds), so they are the candidates for
+    the transition line; nothing here checks a count.
     """
-    table = _fold_table()
-    n = len(lambda1)
-    coeffs = ((np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ table).reshape(3 * n, 11)
+    coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
     roots = _polynomial_roots(coeffs)
     x = roots.real
     with np.errstate(all="ignore"):
         x = x - _polyval(coeffs, x) / _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), x)
     rows, k = np.nonzero((roots.imag == 0.0) & (x > lo) & (x < hi))
-    return rows % n, x[rows, k]
+    x = x[rows, k]
+    if lo < 0.5 < hi:  # the root of 2 l2 - 1, at every lambda1
+        n = len(coeffs)
+        rows, x = np.concatenate([rows, np.arange(n)]), np.concatenate([x, np.full(n, 0.5)])
+    return rows, x
 
 
 def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:
@@ -954,11 +944,9 @@ def q5_jacobian(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> t
     Quotient-rule partials of the two mode updates; validated elsewhere
     against central finite differences.
     """
+    den, n1, n2 = mode_terms_q5(lambda1, lambda2, alpha)
     a1, a2 = alpha
     l1, l2, v = lambda1, lambda2, V5
-    den = 0.2 + a1 * a1 * l1 * l1 + a2 * a2 * l2 * l2
-    n1 = 0.4 * l1 * a1 + 2.0 * l1 * l2 * v * a1 * a2 + v * l2 * l2 * a2 * a2
-    n2 = 0.4 * l2 * a2 + 2.0 * l1 * l2 * v * a1 * a2 + v * l1 * l1 * a1 * a1
     dden_a1 = 2.0 * l1 * l1 * a1
     dden_a2 = 2.0 * l2 * l2 * a2
     dn1_a1 = 0.4 * l1 + 2.0 * l1 * l2 * v * a2

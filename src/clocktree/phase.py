@@ -7,12 +7,13 @@ transitions where a non-trivial symmetric fixed point of the mode recursion
 exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
 q = 5 it lies on the folds of the eliminated sextic, the zero set of its
-discriminant (`fixedpoint.q5_fold_roots`).  Each fold candidate is checked
+discriminant, whose candidates in lambda2 are the real roots of the factor F
+and lambda2 = 1/2 (`fixedpoint.q5_fold_roots`).  Each candidate is checked
 by the count of the elimination solver (`fixedpoint.q5_solution_counts`,
 which certifies the sextic's roots in the box |alpha1| <= 2/sqrt(10) and
 eigensolves only the rows it leaves undecided) on both of its sides, all in
-one batched call; bisection on that count runs only where the check leaves
-a bracket wider than the tolerance.
+one batched call; plain bisection on that count, one call per step, runs
+only where the check leaves a bracket wider than the tolerance.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -48,9 +49,6 @@ RPT_MARGIN = 1e-9
 # width of the counts' rounding noise at a fold (about 2e-11, 5e-8 at
 # lambda1 = 0.005)
 _FOLD_STEP = 1e-7
-# bisection steps of `q5_transition_line` decided by one batched call, for
-# the rows that no fold candidate narrowed or that tol asks to narrow further
-_TREE_LEVELS = 3
 
 
 class Regime(enum.Enum):
@@ -184,8 +182,9 @@ def q5_transition_line(
     The line is found by bisection of `lambda2_bracket` on the predicate
     `q5_solution_counts` > 0, the bracket's bottom taken to have none and
     its top checked to have some.  A count changes only on the folds of the
-    sextic, so the real roots r in lambda2 of its discriminant's factors
-    (`fixedpoint.q5_fold_roots`) tell the bisection where to go: for each r
+    sextic, so the fold candidates r at each lambda1 (the real roots in
+    lambda2 of the discriminant's factor F, and lambda2 = 1/2;
+    `fixedpoint.q5_fold_roots`) tell the bisection where to go: for each r
     the smallest node of the bisection tree that holds
     [r - _FOLD_STEP, r + _FOLD_STEP] (no narrower than tol asks) is checked,
     and a row whose node has no solution at its bottom and some at its top
@@ -195,27 +194,33 @@ def q5_transition_line(
     predicate is monotone away from r the bisection would have reached the
     same node, so the line is the bisection's, bit for bit.
 
-    Every row still wider than tol is then bisected: each further call
-    evaluates, for every row still bisecting, all 2^k - 1 midpoints that
-    the next k = _TREE_LEVELS steps can visit (each computed as
-    0.5 * (lo + hi) along its path), and the bisection walks that tree step
-    by step.  A row stops when its bracket is at most tol wide, or when
-    0.5 * (lo + hi) rounds to lo or hi, so that a tol below the float
-    spacing (0 included) ends at adjacent floats.  At the default tol a
-    narrowed row is usually done after the first call.  At lambda1 = 1/2
-    the line is the quartic's discriminant root 0.370748, and since F is
-    symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for lambda1 up to
-    0.370748.  A grid point whose bracket top has no solution is reported as
-    (lambda1, nan) rather than aborting the line.
+    Every row still wider than tol is then bisected, one batched call per
+    step with one midpoint 0.5 * (lo + hi) per row.  A row stops when its
+    bracket is at most tol wide, or when the midpoint rounds to lo or hi,
+    so that a tol below the float spacing (0 included) ends at adjacent
+    floats.  At the default tol a narrowed row is usually done after the
+    first call; a row whose candidate is a midpoint of the bracket, as 1/2
+    is of the default one, is left a node around it to bisect.  At
+    lambda1 = 1/2 the line is the quartic's discriminant root 0.370748, and
+    since F is symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for
+    lambda1 up to 0.370748.  A grid point whose bracket top has no solution
+    is reported as (lambda1, nan) rather than aborting the line.  A lambda1
+    outside (0, 1/2], a bracket that is not two finite numbers lo < hi, or a
+    NaN tol raises ContinuationLost.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
         if not (0.0 < l1 <= 0.5 + RPT_MARGIN):
             raise ContinuationLost(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
+    bracket = tuple(lambda2_bracket)
+    if not (len(bracket) == 2 and all(map(math.isfinite, bracket)) and bracket[0] < bracket[1]):
+        raise ContinuationLost(f"transition line expects a finite lambda2_bracket lo < hi, got {bracket!r}")
+    if math.isnan(tol):
+        raise ContinuationLost(f"transition line expects a tol that is a number, got {tol!r}")
     l1s = np.array(grid, dtype=float)
-    lo, hi = (np.full(len(grid), float(end)) for end in lambda2_bracket)
+    lo, hi = (np.full(len(grid), float(end)) for end in bracket)
     n = len(grid)
-    rows, roots = q5_fold_roots(l1s, lambda2_bracket[0] + _FOLD_STEP, lambda2_bracket[1] - _FOLD_STEP)
+    rows, roots = q5_fold_roots(l1s, bracket[0] + _FOLD_STEP, bracket[1] - _FOLD_STEP)
     node_lo, node_hi = _tree_node(lo[rows], hi[rows], roots - _FOLD_STEP, roots + _FOLD_STEP, tol)
     # one call: the top of every bracket, then both ends of each candidate's node
     counts = q5_solution_counts(
@@ -231,25 +236,11 @@ def q5_transition_line(
     lo[rows[take]], hi[rows[take]] = node_lo[take], node_hi[take]
     active = found & _splits(lo, hi, tol)
     while active.any():
-        rows = np.flatnonzero(active)
-        # the tree's midpoints level by level, level d in columns 2^d - 1 onward
-        lo_d, hi_d, mids = lo[rows, None], hi[rows, None], []
-        for _ in range(_TREE_LEVELS):
-            mid = 0.5 * (lo_d + hi_d)
-            mids.append(mid)
-            # node p's children, 2p and 2p + 1, bisect (lo, mid) and (mid, hi)
-            lo_d = np.stack([lo_d, mid], axis=-1).reshape(len(rows), -1)
-            hi_d = np.stack([mid, hi_d], axis=-1).reshape(len(rows), -1)
-        mids = np.concatenate(mids, axis=1)
-        exists = (q5_solution_counts(np.repeat(l1s[rows], mids.shape[1]), mids.ravel()) > 0).reshape(mids.shape)
-        node = np.zeros(len(rows), dtype=int)  # the step's midpoint within its level
-        for level in range(_TREE_LEVELS):
-            at = np.arange(len(rows)), 2**level - 1 + node
-            step = active[rows]
-            hi[rows] = np.where(step & exists[at], mids[at], hi[rows])
-            lo[rows] = np.where(step & ~exists[at], mids[at], lo[rows])
-            active[rows] &= _splits(lo[rows], hi[rows], tol)
-            node = 2 * node + ~exists[at]
+        mid = 0.5 * (lo + hi)
+        exists = q5_solution_counts(l1s[active], mid[active]) > 0
+        hi[active] = np.where(exists, mid[active], hi[active])
+        lo[active] = np.where(exists, lo[active], mid[active])
+        active &= _splits(lo, hi, tol)
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
 
 

@@ -162,12 +162,18 @@ def mode_map_q5(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> t
     alpha2' = (2*lambda2*alpha2/5 + 2*lambda1*lambda2*v*alpha1*alpha2 + v*lambda1^2*alpha1^2) / D
     with D = 1/5 + alpha1^2*lambda1^2 + alpha2^2*lambda2^2.
     """
+    den, n1, n2 = mode_terms_q5(lambda1, lambda2, alpha)
+    return (n1 / den, n2 / den)
+
+
+def mode_terms_q5(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> tuple[float, float, float]:
+    """(D, N1, N2) of `mode_map_q5`, whose modes are N1/D and N2/D; `q5_jacobian` differentiates them."""
     a1, a2 = alpha
     den = 0.2 + a1 * a1 * lambda1 * lambda1 + a2 * a2 * lambda2 * lambda2
     cross = 2.0 * lambda1 * lambda2 * V5 * a1 * a2
     n1 = 0.4 * lambda1 * a1 + cross + V5 * lambda2 * lambda2 * a2 * a2
     n2 = 0.4 * lambda2 * a2 + cross + V5 * lambda1 * lambda1 * a1 * a1
-    return (n1 / den, n2 / den)
+    return den, n1, n2
 
 
 def mode_map(q: int, lambda1: float, lambda2: float, alpha: tuple[float, float]):

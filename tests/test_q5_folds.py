@@ -1,20 +1,23 @@
 """The folds of the q=5 sextic and the transition line taken from them.
 
-The tables `_FOLD_F`, `_FOLD_G` and `_FOLD_LINE` are the factors of the
-sextic's discriminant that depend on lambda2; sympy derives them here from
-`_q5_sextic`'s own formula.  `q5_transition_line` checks their roots with one
-count call and bisects only what the check leaves open, so its line is the
-bisection's (`ref_transition_line`) to the bit wherever the count predicate
-is monotone away from the candidate.
+sympy derives the sextic's discriminant here from `_q5_sextic`'s own formula.
+Its factor F is the table `_FOLD_F`; its other factors that depend on
+lambda2 are 2 l2 - 1, whose only root 1/2 is a fold candidate as it stands,
+and a squared factor, across whose roots no count changes.
+`q5_transition_line` checks the candidates with one count call and bisects
+only what the check leaves open, so its line is the bisection's
+(`ref_transition_line`) to the bit wherever the count predicate is monotone
+away from the candidate.
 """
 import math
 
 import numpy as np
+import pytest
 import sympy
 
 import clocktree as ct
 from clocktree import fixedpoint, phase
-from clocktree.fixedpoint import _FOLD_F, _FOLD_G, _FOLD_LINE, q5_fold_roots, q5_solution_counts
+from clocktree.fixedpoint import _FOLD_F, q5_fold_roots, q5_solution_counts
 from test_q5_root_certificate import ref_transition_line
 
 L1, L2, X = sympy.symbols("l1 l2 x")
@@ -45,40 +48,60 @@ def _counting_calls(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_fold_tables_are_the_discriminant_factors(monkeypatch):
-    # _q5_sextic's formula with sqrt(10) exact; its float literals are integers
-    monkeypatch.setattr(fixedpoint, "SQRT10", sympy.sqrt(10))
-    coeffs = []
-    for c in fixedpoint._q5_sextic(L1, L2).tolist():
-        assert all(float(f).is_integer() for f in c.atoms(sympy.Float))
-        coeffs.append(c.xreplace({f: sympy.Integer(int(f)) for f in c.atoms(sympy.Float)}))
+@pytest.fixture(scope="module")
+def discriminant_factors():
+    """{factor: multiplicity} of the sextic's discriminant in x = sqrt(10) alpha1 (about 5 s)."""
+    with pytest.MonkeyPatch.context() as mp:
+        # _q5_sextic's formula with sqrt(10) exact; its float literals are integers
+        mp.setattr(fixedpoint, "SQRT10", sympy.sqrt(10))
+        coeffs = []
+        for c in fixedpoint._q5_sextic(L1, L2).tolist():
+            assert all(float(f).is_integer() for f in c.atoms(sympy.Float))
+            coeffs.append(c.xreplace({f: sympy.Integer(int(f)) for f in c.atoms(sympy.Float)}))
     # alpha1 = x / sqrt(10) clears sqrt(10) from the coefficients
     sextic = sympy.Poly(sympy.expand(sum(c * (X / sympy.sqrt(10)) ** (6 - k) for k, c in enumerate(coeffs))), X)
     assert all(c.is_polynomial(L1, L2) and not c.has(sympy.sqrt(10)) for c in sextic.all_coeffs())
     _, factors = sympy.factor_list(sympy.discriminant(sextic, X), L1, L2)
-    got = {sympy.Poly(f, L1, L2): m for f, m in factors}
-    want = {
-        _table_poly(_FOLD_F): 1,
-        _table_poly(_FOLD_G): 2,
-        _table_poly(_FOLD_LINE): 3,
-        sympy.Poly(L1, L1, L2): 14,
-        sympy.Poly(2 * L1 - 1, L1, L2): 1,
-    }
+    return {sympy.Poly(f, L1, L2): m for f, m in factors}
+
+
+def _multiplicity(factors, poly):
     # factor_list normalises signs; a table may be the negated factor
-    assert len(got) == len(want)
-    for poly, m in want.items():
-        assert got.get(poly, got.get(-poly)) == m, poly
+    return factors.get(poly, factors.get(-poly))
+
+
+def test_fold_tables_are_the_discriminant_factors(discriminant_factors):
+    fold_f = _table_poly(_FOLD_F)
+    assert _multiplicity(discriminant_factors, fold_f) == 1
+    assert _multiplicity(discriminant_factors, sympy.Poly(2 * L2 - 1, L1, L2)) == 3
+    assert _multiplicity(discriminant_factors, sympy.Poly(L1, L1, L2)) == 14
+    assert _multiplicity(discriminant_factors, sympy.Poly(2 * L1 - 1, L1, L2)) == 1
+    # the one other nonlinear factor is G, squared
+    (g, m), = ((f, m) for f, m in discriminant_factors.items() if f.total_degree() > 1 and f not in (fold_f, -fold_f))
+    assert (g.total_degree(), m) == (9, 2)
+    assert len(discriminant_factors) == 5
+
+
+def test_counts_do_not_change_across_the_squared_factor(discriminant_factors):
+    # G enters squared, so the discriminant keeps its sign across G = 0 and
+    # its roots need no candidate: the counts agree just below and above each
+    (g,) = (f for f, m in discriminant_factors.items() if m == 2)
+    for l1 in (0.05, 0.2, 0.3707, 0.45, 0.5):
+        roots = [float(r) for r in sympy.Poly(g.as_expr().subs(L1, sympy.Rational(l1)), L2).real_roots()]
+        assert roots, l1
+        below, above = (q5_solution_counts(np.full(len(roots), l1), np.array(roots) + t) for t in (-1e-7, 1e-7))
+        np.testing.assert_array_equal(below, above)
 
 
 def test_fold_table_matches_the_tuples():
     table = fixedpoint._fold_table()
     assert not table.flags.writeable
+    fold_f = _table_poly(_FOLD_F)
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, (20, 2)).tolist():
-        values = (np.array(l1) ** np.arange(11)) @ table @ (l2 ** np.arange(10, -1, -1))
-        for value, rows in zip(values, (_FOLD_F, _FOLD_G, _FOLD_LINE)):
-            exact = float(_table_poly(rows).eval({L1: sympy.Rational(l1), L2: sympy.Rational(l2)}))
-            assert math.isclose(value, exact, rel_tol=1e-9, abs_tol=1e-6)
+        value = (np.array(l1) ** np.arange(11)) @ table @ (l2 ** np.arange(10, -1, -1))
+        exact = float(fold_f.eval({L1: sympy.Rational(l1), L2: sympy.Rational(l2)}))
+        assert math.isclose(value, exact, rel_tol=1e-9, abs_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +164,28 @@ def test_transition_line_falls_back_to_bisection(monkeypatch):
     assert line == ref_transition_line([0.5], lambda2_bracket=(0.40, 0.65))
 
 
+def test_candidate_one_half_narrows_the_row(monkeypatch):
+    # below lambda1 = 0.370748 the line is 1/2, a midpoint of the default
+    # bracket, so its check leaves the node (0.49, 0.51): eight bisection
+    # calls to tol 1e-4, where the whole bracket would take twelve
+    calls = _counting_calls(monkeypatch)
+    ct.q5_transition_line([0.3])
+    monkeypatch.undo()
+    rows, _ = q5_fold_roots(np.array([0.3]), 0.33, 0.65)
+    assert calls == [1 + 2 * len(rows)] + [1] * 8
+
+
 def test_transition_line_on_a_fine_grid():
-    # 400 values of lambda1 in (0.005, 1/2]; the line is 1/2 up to 0.370748
-    grid = np.linspace(0.5, 0.005, 400, endpoint=False)[::-1].tolist()
-    for tol in (1e-4, 1e-12):
-        got, want = ct.q5_transition_line(grid, tol=tol), ref_transition_line(grid, tol=tol)
-        np.testing.assert_array_equal(np.array(got), np.array(want))
-        assert not np.isnan(np.array(got)).any()
-        # the count flips on rounding noise within about 2e-11 of 1/2
-        assert all(abs(l2c - 0.5) <= max(tol, 1e-10) for l1, l2c in got if 0.01 <= l1 <= 0.37)
+    # n values of lambda1 in (0.005, 1/2] per bracket; the line is 1/2 up to
+    # 0.370748.  Below that the default bracket leaves its rows (0.49, 0.51)
+    # to bisect, since 1/2 is one of its midpoints; (-0.5, 0.99) holds the
+    # real roots of the squared factor G, which are no candidates.
+    for bracket, n in (((0.33, 0.65), 400), ((0.2, 0.9), 60), ((-0.5, 0.99), 60)):
+        grid = np.linspace(0.5, 0.005, n, endpoint=False)[::-1].tolist()
+        for tol in (1e-4, 1e-12):
+            got = ct.q5_transition_line(grid, tol=tol, lambda2_bracket=bracket)
+            want = ref_transition_line(grid, tol=tol, lambda2_bracket=bracket)
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+            assert not np.isnan(np.array(got)).any()
+            # the count flips on rounding noise within about 2e-11 of 1/2
+            assert all(abs(l2c - 0.5) <= max(tol, 1e-10) for l1, l2c in got if 0.01 <= l1 <= 0.37)

@@ -3,9 +3,9 @@
 `ref_q5_counts` is `q5_solution_counts` as it was before the Bernstein
 certificate: all six roots of the sextic from the companion eigensolve on
 every row, then the same candidate tail and verifier.  `ref_transition_line`
-is `q5_transition_line` as it was before the tree bisection: one batched
-call per bisection step.  Both must be reproduced exactly: the counts are
-printed in the sweep CSV, the line to 17 digits.
+is `q5_transition_line` without its fold check: plain bisection of the whole
+bracket, one batched call per step.  Both must be reproduced exactly: the
+counts are printed in the sweep CSV, the line to 17 digits.
 """
 import math
 from fractions import Fraction
