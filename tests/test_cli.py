@@ -201,6 +201,41 @@ def test_sweep_svg(tmp_path, capsys):
     assert "http" not in text.replace("http://www.w3.org/2000/svg", "")  # self-contained
 
 
+def _svg_coordinates(path):
+    """(xs, ys) of every rectangle corner, text anchor and polyline vertex, and the polyline's vertices."""
+    root = ET.fromstring(path.read_text())
+    xs, ys, line = [], [], []
+    for el in root.iter():
+        tag = el.tag.rsplit("}", 1)[-1]
+        if tag in ("rect", "text"):
+            xs.append(float(el.get("x")))
+            ys.append(float(el.get("y")))
+        elif tag == "polyline":
+            line = [tuple(map(float, pair.split(","))) for pair in el.get("points").split()]
+            xs.extend(x for x, _ in line)
+            ys.extend(y for _, y in line)
+    return xs, ys, line
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_sweep_svg_with_a_descending_range_mirrors_the_ascending_one(tmp_path, capsys, q):
+    # the plot is 800 x 600 with margins (70, 20) left and (20, 50) top and
+    # bottom, so lambda1 runs over y in [20, 550] and lambda2 over x in [70, 780]
+    l2 = ("--l2min", "0.0", "--l2max", "0.6") if q == 4 else ("--l2min", "0.30", "--l2max", "0.56")
+    l1 = ("0.0", "0.6") if q == 4 else ("0.40", "0.52")
+    lines = {}
+    for name, (lo, hi) in (("up", l1), ("down", l1[::-1])):
+        path = tmp_path / f"{name}.svg"
+        code, _ = run_cli(capsys, "sweep", "--q", str(q), "--res", "5", "--l1min", lo, "--l1max", hi,
+                          *l2, "--svg", str(path))
+        assert code == 0
+        xs, ys, lines[name] = _svg_coordinates(path)
+        assert all(0.0 <= x <= 800.0 for x in xs) and all(0.0 <= y <= 600.0 for y in ys)
+    assert lines["up"] and len(lines["down"]) == len(lines["up"])
+    for (x_up, y_up), (x_down, y_down) in zip(lines["up"], lines["down"]):
+        assert x_down == x_up and y_down + y_up == pytest.approx(20.0 + 550.0, abs=0.011)
+
+
 def test_potts_thresholds(capsys):
     code, out = run_cli(capsys, "potts", "--q", "5", "--degree", "2")
     assert code == 0

@@ -156,6 +156,14 @@ def test_sweep_rejects_non_finite_range():
                 ct.sweep(4, l1_range, l2_range, resolution=3)
 
 
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, "5", None])
+def test_sweep_rejects_a_resolution_that_is_not_a_positive_integer(resolution):
+    with pytest.raises(ct.ClockTreeError, match="resolution") as info:
+        ct.sweep(4, (0.0, 0.6), (0.0, 0.6), resolution=resolution)
+    assert not isinstance(info.value, ct.UnsupportedQ)  # the error is about the grid, not about q
+    assert len(ct.sweep(4, (0.0, 0.6), (0.0, 0.6), resolution=np.int64(3))) == 9
+
+
 def test_q4_sweep_boundary_small_grid():
     # at modest resolution the regime flip tracks the closed-form line cell by cell
     res = 50
