@@ -537,6 +537,34 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     return a1, a2, valid
 
 
+def q4_fold_roots(lambda1: np.ndarray) -> np.ndarray:
+    """(n, 7) lambda2 values at which `q4_solution_counts(lambda1[i], .)` can change; NaN where a root is not real.
+
+    For |lambda1| > 1e-12 and |lambda1 - 1/2| > 1e-12, where `_q4_candidates`
+    takes the general branch, a candidate appears, vanishes or merges only at
+      - the roots of (l1 + 4) l2^2 + (2 l1 - 4) l2 + l1, the alpha2
+        quadratic's discriminant divided by l1 (the fold of
+        `phase.q4_critical_line`);
+      - the roots of l2^2 - 2 l1 (l1 + 1) l2 + 2 l1^2, where P1 vanishes at
+        a root of the alpha2 quadratic, so that alpha1 = +-sqrt(P1)/l1 merge;
+      - l2 = 0 and l2 = -2 l1, where qa = 0, and l2 = 1/2, where the
+        alpha1 = 0 pair appears.
+    Each quadratic's roots come from a form without cancellation: the first
+    has discriminant 16 (1 - 2 l1), and its roots multiply to l1/(l1 + 4);
+    the second's are l1 (s +- sqrt(s^2 - 2)) with s = l1 + 1, multiplying to
+    2 l1^2.  A root at infinity, or one that overflows, is +-inf.
+    """
+    l1 = np.asarray(lambda1, dtype=float)
+    with np.errstate(all="ignore"):
+        t = 2.0 - l1 + 2.0 * np.sqrt(1.0 - 2.0 * l1)  # at least 3/2 where it is real
+        s = l1 + 1.0
+        u = s + np.copysign(np.sqrt(s * s - 2.0), s)
+        return np.stack(
+            [t / (l1 + 4.0), l1 / t, l1 * u, 2.0 * l1 / u, np.zeros_like(l1), np.full_like(l1, 0.5), -2.0 * l1],
+            axis=1,
+        )
+
+
 def _solution_counts(q: int, candidates, lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
     a1, a2, valid = candidates(l1, l2)
@@ -879,6 +907,11 @@ def _fold_table() -> np.ndarray:
     return table
 
 
+def _fold_coeffs(lambda1: np.ndarray) -> np.ndarray:
+    """F as a polynomial in l2 at each lambda1, shape (n, 11), highest power first."""
+    return (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+
+
 def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """(rows, lambda2) of the fold candidates in (lo, hi) at each lambda1[row].
 
@@ -886,10 +919,12 @@ def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray
     eigensolve (`_polynomial_roots`) with each root polished by one Newton
     step, and lambda2 = 1/2 for every row when it lies in (lo, hi).  A count
     of fixed points can change at lambda1 only at these lambda2 (or where a
-    root of S leaves the verifier's bounds), so they are the candidates for
-    the transition line; nothing here checks a count.
+    root of S leaves the verifier's bounds), so they are the candidates of
+    the transition line.  Near a multiple root of F a computed root can be
+    off by far more than the guard of a sweep; the sweep takes F's roots
+    with their error bounds from `q5_fold_bands`.
     """
-    coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+    coeffs = _fold_coeffs(lambda1)
     roots = _polynomial_roots(coeffs)
     x = roots.real
     with np.errstate(all="ignore"):
@@ -900,6 +935,32 @@ def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray
         n = len(coeffs)
         rows, x = np.concatenate([rows, np.arange(n)]), np.concatenate([x, np.full(n, 0.5)])
     return rows, x
+
+
+def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, lambda2, radius): at each lambda1[row], lambda2 +- radius holds a real root of F.
+
+    The roots z of F in lambda2 come from the eigensolve of `q5_fold_roots`,
+    unpolished.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)|
+    holds a root of F, which has degree 10 (|F'/F| = |sum 1/(z - r)| over
+    its roots r); e bounds the rounding of F's coefficients and of Horner's
+    rule at z.  Each z whose disc reaches the real axis, complex ones
+    included, gives its real part and the radius.  Away from a multiple root
+    the radius is below 1e-6 (about 5e-7 at lambda1 = 0.45); near F's triple
+    root at (1/2, 2/5), where a computed root can be off by 2e-4, it grows
+    with the error, to about 0.02 at lambda1 = 1/2 - 1e-11.
+    """
+    l1 = np.asarray(lambda1, dtype=float)
+    with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
+        coeffs = _fold_coeffs(l1)
+        z = _polynomial_roots(coeffs)
+        magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_fold_table())
+        rounding = 32.0 * np.finfo(float).eps * _polyval(magnitudes, np.abs(z))
+        radius = 10.0 * (np.abs(_polyval(coeffs, z)) + rounding) / np.abs(
+            _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), z)
+        )
+    rows, k = np.nonzero(np.abs(z.imag) <= radius)
+    return rows, z.real[rows, k], radius[rows, k]
 
 
 def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:

@@ -15,6 +15,15 @@ eigensolves only the rows it leaves undecided) on both of its sides, all in
 one batched call; plain bisection on that count, one call per step, runs
 only where the check leaves a bracket wider than the tolerance.
 
+A sweep's answer is piecewise constant along each lambda1 column: feasibility
+changes only where a compared row quantity, affine in lambda2, changes sign
+(`spectral.feasibility_breakpoints`), and the count of fixed points only on a
+fold (`fixedpoint.q4_fold_roots`, and F's roots with their error bounds,
+`fixedpoint.q5_fold_bands`).  So a sweep evaluates only the grid points near
+such a breakpoint and the first point of each interval between two of them,
+with the same library calls as one point, and the rest of each interval takes
+that first point's answer.
+
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
 laws are out of scope.
@@ -31,14 +40,16 @@ import numpy as np
 
 from .errors import ClockTreeError, ContinuationLost, UnsupportedQ, UnsupportedTree
 from .fixedpoint import (
+    q4_fold_roots,
     q4_solution_counts,
+    q5_fold_bands,
     q5_fold_roots,
     q5_jacobian,
     q5_potts_diagonal_solutions,
     q5_solution_counts,
 )
 from .recursion import Cayley, TreeFamily, branching_number
-from .spectral import feasible_lambdas
+from .spectral import feasibility_breakpoints, feasible_lambdas
 
 # robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
 # and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
@@ -49,6 +60,11 @@ RPT_MARGIN = 1e-9
 # width of the counts' rounding noise at a fold (about 2e-11, 5e-8 at
 # lambda1 = 0.005)
 _FOLD_STEP = 1e-7
+# a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
+# breakpoint b of its column (`_interval_sources`): the counts flip on
+# rounding noise near a fold, in a band up to about 1e-6 wide just above
+# lambda2 = 1/2 at lambda1 = 0.001 (q = 5)
+_GUARD = 1e-6
 
 
 class Regime(enum.Enum):
@@ -300,7 +316,11 @@ def sweep(
     non-increasing check, a phase transition from the verified fixed points
     (closed form for q = 4, all roots of the eliminated sextic for q = 5),
     robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
-    points are kept.  A feasible point whose solver raises is CRITICAL with
+    points are kept.  Only the points within 1e-6 * max(1, |b|) of a
+    breakpoint b of their lambda1 column, or within an F root's error bound,
+    and the first point of each interval between breakpoints are evaluated;
+    the other points of an interval take its first point's answer
+    (`_classify_grid`).  A feasible point whose solver raises is CRITICAL with
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
     as columns.  The mode maps are the binary tree's: another tree raises
@@ -318,23 +338,43 @@ def sweep(
 
 
 def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> PhaseGrid:
-    """The grid l1s x l2s as a row-major `PhaseGrid`; the engine behind `sweep` and `classify_point`."""
+    """The grid l1s x l2s as a row-major `PhaseGrid`; the engine behind `sweep` and `classify_point`.
+
+    Only the points `_interval_sources` picks are evaluated: their
+    feasibility in one `feasible_lambdas` call, then the counts of the
+    feasible ones in one call through `_counts_by_row`.  Every other point
+    takes the (feasible, n_nontrivial) of the point it names, which lies
+    between the same two breakpoints of its column.  When that point's
+    solver raised, the points that named it are counted on their own, so a
+    failure stays with the row that raised.
+    """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
     if tree != Cayley(2):
         raise UnsupportedTree(f"the q = {q} mode maps are those of the binary tree Cayley(2), got {tree!r}")
     lambda1 = np.repeat(l1s, len(l2s))
     lambda2 = np.tile(l2s, len(l1s))
-    feasible = feasible_lambdas(q, lambda1, lambda2)
-    robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
-    n = np.zeros(len(lambda1), dtype=int)
+    source = _interval_sources(q, l1s, l2s)
+    evaluated = source == np.arange(len(source))
+    feasible = np.zeros(len(lambda1), dtype=bool)
+    feasible[evaluated] = feasible_lambdas(q, lambda1[evaluated], lambda2[evaluated])
     counts = q4_solution_counts if q == 4 else q5_solution_counts
-    n[feasible], failures = _counts_by_row(counts, lambda1[feasible], lambda2[feasible])
+    n = np.zeros(len(lambda1), dtype=int)
     failed = np.zeros(len(lambda1), dtype=bool)
     error: list[Optional[str]] = [None] * len(lambda1)
-    for k, message in zip(np.flatnonzero(feasible)[list(failures)].tolist(), failures.values()):
-        failed[k] = True
-        error[k] = message
+
+    def count(rows: np.ndarray) -> None:
+        n[rows], failures = _counts_by_row(counts, lambda1[rows], lambda2[rows])
+        for k, message in zip(rows[list(failures)].tolist(), failures.values()):
+            failed[k] = True
+            error[k] = message
+
+    count(np.flatnonzero(feasible))
+    retry = np.flatnonzero(failed[source] & ~evaluated)
+    feasible[:], n[:] = feasible[source], n[source]
+    if len(retry):
+        count(retry)
+    robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
     # a point takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
     # codes into PhaseGrid.evidences: a feasible point's fixed points come
@@ -342,6 +382,64 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     # point is decided by the closed-form check
     evidence = np.where(feasible, 0 if q == 4 else 1, 0)
     return PhaseGrid(q, l1s.tolist(), l2s.tolist(), feasible & ~failed, regime, n, evidence, error)
+
+
+def _interval_sources(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
+    """For each point of the row-major grid l1s x l2s, the point whose answer it takes: itself when evaluated.
+
+    In a column, (feasible, n_nontrivial) can change only at a breakpoint in
+    lambda2 (`_breakpoints`).  A point within _GUARD * max(1, |b|) of a
+    breakpoint b is evaluated; so is the first of the other points in each
+    open interval between breakpoints, whose answer the rest of the interval
+    takes.  Every point is evaluated in a column with |lambda1| or
+    |lambda1 - 1/2| at most 1e-12 (where `_q4_candidates` switches branch and
+    the q = 5 discriminant vanishes identically), and in every column when
+    the lambda2 axis has one value or is not strictly increasing.
+    """
+    m = len(l2s)
+    size = len(l1s) * m
+    own = np.arange(size)
+    if m == 1 or not (l2s[1:] > l2s[:-1]).all():
+        return own
+    cols, b, guard = _breakpoints(q, l1s)
+    # Marks on the row-major grid.  A position m in column c (above its last
+    # point) is the first point of column c + 1, so a band that reaches the
+    # top of its column closes there.
+    first_point = cols * m
+    start = first_point + np.searchsorted(l2s, b - guard)
+    stop = first_point + np.searchsorted(l2s, b + guard, "right")
+    near = np.cumsum(np.bincount(start, minlength=size + 1) - np.bincount(stop, minlength=size + 1))[:size] > 0
+    near.reshape(-1, m)[(np.abs(l1s) <= 1e-12) | (np.abs(l1s - 0.5) <= 1e-12)] = True
+    cut = np.bincount(first_point + np.searchsorted(l2s, b), minlength=size + 1)[:size] > 0
+    cut[::m] = True
+    # An interval's points that are not near a breakpoint are consecutive,
+    # and a point near one lies between two intervals, so an interval's
+    # first point follows a cut or a point near a breakpoint.
+    head = ~near & (cut | np.concatenate([[True], near[:-1]]))
+    return np.where(near, own, np.maximum.accumulate(np.where(head, own, 0)))
+
+
+def _breakpoints(q: int, l1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(column, lambda2, guard) of every finite breakpoint of the columns l1s.
+
+    These are the lambda2 where feasibility can change
+    (`spectral.feasibility_breakpoints`) and where the count of fixed points
+    can change: the fold roots of `fixedpoint.q4_fold_roots` for q = 4; for
+    q = 5 lambda2 = 1/2 and 0, where S degenerates, and the real roots of F
+    (`fixedpoint.q5_fold_bands`).  The guard is _GUARD * max(1, |b|), or an
+    F root's error bound where that is wider.  Entries that are not finite
+    are dropped: a root that is not real, and a root at infinity or an
+    overflowed one, which lies beyond every grid point.
+    """
+    folds = q4_fold_roots(l1s) if q == 4 else np.tile([0.0, 0.5], (len(l1s), 1))
+    table = np.concatenate([feasibility_breakpoints(q, l1s), folds], axis=1)
+    cols, k = np.nonzero(np.isfinite(table))
+    b = table[cols, k]
+    radius = np.zeros(len(b))
+    if q == 5:
+        fold_cols, folds, fold_radius = q5_fold_bands(l1s)
+        cols, b, radius = (np.concatenate(pair) for pair in ((cols, fold_cols), (b, folds), (radius, fold_radius)))
+    return cols, b, np.maximum(_GUARD * np.maximum(1.0, np.abs(b)), radius)
 
 
 def _counts_by_row(

@@ -350,6 +350,40 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     return ok
 
 
+# (A_j, B_j) with q r_j = 1 + A_j lambda1 + B_j lambda2, j = 0..q//2, the row
+# of the spectrum (1, lambda1, lambda2, ..., lambda1): A_j = 2 cos(2 pi j/q),
+# and B_j = cos(pi j) for q = 4, 2 cos(4 pi j/5) for q = 5, in closed form
+_COS72, _COS144 = (math.sqrt(5.0) - 1.0) / 4.0, -(math.sqrt(5.0) + 1.0) / 4.0
+_ROW_FORMS = {
+    4: ((2.0, 0.0, -2.0), (1.0, -1.0, 1.0)),
+    5: ((2.0, 2.0 * _COS72, 2.0 * _COS144), (2.0, 2.0 * _COS144, 2.0 * _COS72)),
+}
+
+
+def feasibility_breakpoints(q: int, lambda1) -> np.ndarray:
+    """(n, q//2 + q//2 + 1) lambda2 values at which `feasible_lambdas(q, lambda1[i], .)` can change.
+
+    At fixed lambda1 every quantity the check compares is affine in lambda2:
+    the raw row entries r_j, the differences r_j - r_{j+1} and
+    lambda1 - lambda2 (for q = 4 the roots are -1 - 2 lambda1, 1,
+    2 lambda1 - 1, -lambda1 and lambda1).  Each root is taken from the
+    closed-form coefficients, never from two evaluations of the row, which
+    would cancel at large |lambda1|.  The 1e-12 slacks move a root by less
+    than 1e-11.  The imaginary parts and the row sum need no breakpoint:
+    they fail only where |lambda| is about 4e3 or more, outside the bounded
+    feasible polygon, where one of the compared quantities already fails.
+    A root at infinity, or one that overflows, is +-inf.
+    """
+    if q not in _ROW_FORMS:
+        raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
+    a, b = (np.array(form) for form in _ROW_FORMS[q])
+    l1 = np.asarray(lambda1, dtype=float)[:, None]
+    with np.errstate(all="ignore"):
+        entries = -(1.0 + a * l1) / b
+        steps = -((a[:-1] - a[1:]) / (b[:-1] - b[1:])) * l1
+    return np.concatenate([entries, steps, l1], axis=1)
+
+
 def weakened_row(spec: TransferSpec, u: float) -> TransferSpec:
     """Transfer matrix of the weakened potential u*Phi: new row prop. to r^u.
 

@@ -384,13 +384,19 @@ def test_one_raising_row_fails_only_itself(monkeypatch, capsys):
     _raise_at(monkeypatch, (math.nan, math.nan), calls)
     assert main(argv) == 0
     clean = capsys.readouterr().out.split("\n")
-    assert calls == [88]  # the feasible points, in one call: nothing extra runs
-    _raise_at(monkeypatch, Q5_BAD)
+    assert calls == [20]  # the evaluated feasible points, in one call: nothing extra runs
+    # Q5_BAD is evaluated, as the first point of an interval that also holds
+    # the next point of its row: the batch is halved until Q5_BAD stands
+    # alone, then that next point is counted on its own
+    calls = []
+    _raise_at(monkeypatch, Q5_BAD, calls)
     assert main(argv) == 0
+    assert calls == [20, 10, 10, 5, 5, 2, 1, 1, 3, 1]
     rows = capsys.readouterr().out.split("\n")
     changed = [i for i, (a, b) in enumerate(zip(rows, clean)) if a != b]
     assert len(rows) == len(clean) and changed == [1 + 9 * 12 + 7]
     assert clean[changed[0]].endswith(",true,PT_NOT_RPT,4")
+    assert rows[changed[0] + 1] == clean[changed[0] + 1] and rows[changed[0] + 1].endswith(",true,PT_NOT_RPT,4")
     assert rows[changed[0]] == ",".join(clean[changed[0]].split(",")[:2]) + ",false,CRITICAL,0"
 
 
