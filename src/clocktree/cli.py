@@ -9,11 +9,12 @@ line endings) or a self-contained SVG for phase diagrams.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import re
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import phase, recursion, spectral
 from .errors import ClockTreeError, ContinuationLost
@@ -37,13 +38,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(out_path: Optional[str]) -> Iterator[TextIO]:
+    """The file at out_path, written with LF line endings, or standard output."""
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
+    with _output(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _spec_from_args(args) -> spectral.TransferSpec:
@@ -173,10 +180,14 @@ def cmd_sweep(args) -> int:
         m, rest = divmod(key, 2 * n_regimes)
         c, f = divmod(rest, 2)
         tails[key] = f"{'true' if f else 'false'},{grid.regimes[c].value},{m}"
-    axes = itertools.product(map(_fmt, grid.lambda1), map(_fmt, grid.lambda2))
-    lines = ["lambda1,lambda2,feasible,regime,n_nontrivial"]
-    lines.extend(f"{t1},{t2},{tails[key]}" for (t1, t2), key in zip(axes, keys))
-    _emit(lines, args.out)
+    # written one lambda1 row at a time, so the text of the whole grid is never held
+    l2_text = [_fmt(l2) for l2 in grid.lambda2]
+    m = len(l2_text)
+    with _output(args.out) as fh:
+        fh.write("lambda1,lambda2,feasible,regime,n_nontrivial\n")
+        for i, t1 in enumerate(map(_fmt, grid.lambda1)):
+            row = zip(l2_text, keys[i * m : (i + 1) * m])
+            fh.write("".join(f"{t1},{t2},{tails[key]}\n" for t2, key in row))
     return EXIT_OK
 
 
