@@ -255,11 +255,12 @@ def render_phase_svg(
     l1_lo, l1_hi = lambda1_range
     l2_lo, l2_hi = lambda2_range
 
+    # a descending range keeps its sign, so its axis runs the other way
     def sx(l2: float) -> float:
-        return _MARGIN_L + (l2 - l2_lo) / max(l2_hi - l2_lo, 1e-300) * plot_w
+        return _MARGIN_L + (l2 - l2_lo) / ((l2_hi - l2_lo) or 1e-300) * plot_w
 
     def sy(l1: float) -> float:
-        return _MARGIN_T + (l1_hi - l1) / max(l1_hi - l1_lo, 1e-300) * plot_h
+        return _MARGIN_T + (l1_hi - l1) / ((l1_hi - l1_lo) or 1e-300) * plot_h
 
     rows, cols = len(grid.lambda1), len(grid.lambda2)
     cell_w = plot_w / cols
@@ -333,13 +334,13 @@ def _critical_polyline(q, l1_lo, l1_hi, l2_lo, l2_hi) -> list[tuple[float, float
             if l2 <= 0.0:
                 continue
             l1 = phase.q4_critical_line(l2)
-            if l1_lo <= l1 <= l1_hi:
+            if min(l1_lo, l1_hi) <= l1 <= max(l1_lo, l1_hi):
                 pts.append((l1, l2))
     elif q == 5:
         grid = [0.4 + 0.01 * i for i in range(11)]
-        grid = [g for g in grid if l1_lo <= g <= l1_hi]
+        grid = [g for g in grid if min(l1_lo, l1_hi) <= g <= max(l1_lo, l1_hi)]
         for l1, l2c in phase.q5_transition_line(grid):
-            if not math.isnan(l2c) and l2_lo <= l2c <= l2_hi:
+            if not math.isnan(l2c) and min(l2_lo, l2_hi) <= l2c <= max(l2_lo, l2_hi):
                 pts.append((l1, l2c))
     return pts
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -324,10 +325,15 @@ def sweep(
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
     as columns.  The mode maps are the binary tree's: another tree raises
-    UnsupportedTree, and a non-finite range ClockTreeError.
+    UnsupportedTree, and a non-finite range or a resolution that is not an
+    integer >= 1 ClockTreeError.
     """
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise ClockTreeError(f"resolution must be an integer, got {resolution!r}") from None
     if resolution < 1:
-        raise UnsupportedQ(f"resolution must be >= 1, got {resolution}")
+        raise ClockTreeError(f"resolution must be >= 1, got {resolution}")
     if not all(math.isfinite(x) for x in (*lambda1_range, *lambda2_range)):
         raise ClockTreeError(
             f"sweep ranges must be finite, got lambda1 in {lambda1_range!r} and lambda2 in {lambda2_range!r}"
