@@ -57,9 +57,12 @@ def _near_half_and_zero():
     # columns within 1e-15..1e-5 of lambda1 = 0 and 1/2, across the folds of both q
     for centre in (0.0, 0.5):
         for offset in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
-            for l2_range, res in (((-1.0, 1.0), 41), ((0.3, 0.6), 37)):
+            for l2_range, res in (((-1.0, 1.0), 41), ((0.3, 0.6), 37), ((0.395, 0.405), 60)):
                 yield (centre - offset, centre + offset), l2_range, res
                 yield (centre + offset, centre + 5 * offset), l2_range, res
+                # one column on a fine axis: near F's triple root at (1/2, 2/5)
+                # a computed root of F is off by up to 3e-4
+                yield (centre - offset, centre - offset), l2_range, res
 
 
 GRIDS = [
