@@ -552,7 +552,10 @@ def q4_fold_roots(lambda1: np.ndarray) -> np.ndarray:
     Each quadratic's roots come from a form without cancellation: the first
     has discriminant 16 (1 - 2 l1), and its roots multiply to l1/(l1 + 4);
     the second's are l1 (s +- sqrt(s^2 - 2)) with s = l1 + 1, multiplying to
-    2 l1^2.  A root at infinity, or one that overflows, is +-inf.
+    2 l1^2.  The root at infinity of the first (l1 = -4) is inf.  Where
+    |lambda1| is above about 1e154 the forms overflow and the values are not
+    the roots; no lambda2 is feasible there (feasible lambda1 lie in
+    [-1/3, 1]), so no count depends on them.
     """
     l1 = np.asarray(lambda1, dtype=float)
     with np.errstate(all="ignore"):
@@ -938,7 +941,7 @@ def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray
 
 
 def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, lambda2, radius): at each lambda1[row], lambda2 +- radius holds a real root of F.
+    """(rows, lambda2, radius): roots of F in lambda2 at each lambda1[row], with a bound on their error.
 
     The roots z of F in lambda2 come from the eigensolve of `q5_fold_roots`,
     unpolished.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)|

@@ -361,7 +361,7 @@ _ROW_FORMS = {
 
 
 def feasibility_breakpoints(q: int, lambda1) -> np.ndarray:
-    """(n, q//2 + q//2 + 1) lambda2 values at which `feasible_lambdas(q, lambda1[i], .)` can change.
+    """(n, 2 (q//2) + 2) lambda2 values at which `feasible_lambdas(q, lambda1[i], .)` can change.
 
     At fixed lambda1 every quantity the check compares is affine in lambda2:
     the raw row entries r_j, the differences r_j - r_{j+1} and
@@ -372,7 +372,7 @@ def feasibility_breakpoints(q: int, lambda1) -> np.ndarray:
     than 1e-11.  The imaginary parts and the row sum need no breakpoint:
     they fail only where |lambda| is about 4e3 or more, outside the bounded
     feasible polygon, where one of the compared quantities already fails.
-    A root at infinity, or one that overflows, is +-inf.
+    A root that overflows is +-inf.
     """
     if q not in _ROW_FORMS:
         raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
