@@ -10,7 +10,9 @@ formulas of `_q4_candidates` with sympy, as `test_q5_folds.py` derives F.
 """
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import phase
-from clocktree.fixedpoint import q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
+from clocktree.fixedpoint import _FOLD_F, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
 from clocktree.spectral import _raw_rows, feasibility_breakpoints, feasible_lambdas
 
 COUNTS = {4: q4_solution_counts, 5: q5_solution_counts}
@@ -227,20 +229,15 @@ def test_feasibility_breakpoints_are_the_roots_of_the_compared_quantities():
 def test_q5_fold_bands_hold_the_real_roots_of_f():
     # F has a triple root at (1/2, 2/5): just off lambda1 = 1/2 the computed
     # roots near 2/5 are off by up to about 2e-4, and the band must say so
-    from fractions import Fraction
-
-    import mpmath
-
-    from clocktree.fixedpoint import _FOLD_F
-
-    mpmath.mp.dps = 60
     for l1 in (0.5 - 1e-11, 0.5 + 1e-11, 0.5 - 1e-8, 0.45, 0.3):
         exact = [Fraction(0)] * 11
         for i, row in enumerate(_FOLD_F):
             for j, v in enumerate(row):
                 exact[j] += v * Fraction(l1) ** i
-        roots = mpmath.polyroots([mpmath.mpf(x.numerator) / x.denominator for x in exact], maxsteps=400, extraprec=400)
-        real = [float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-40]
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(x.numerator) / x.denominator for x in exact]
+            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+            real = [float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-40]
         _, centre, radius = q5_fold_bands(np.array([l1]))
         for r in real:
             assert (np.abs(centre - r) <= radius).any(), (l1, r)
