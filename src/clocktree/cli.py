@@ -355,6 +355,8 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ClockTreeError(f"expected lo:hi:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ClockTreeError(f"lo, hi and step must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ClockTreeError(f"invalid range {spec!r}")
     return lo, hi, step

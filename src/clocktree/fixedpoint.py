@@ -3,12 +3,10 @@
 For q = 5, at any (lambda1, lambda2), the resultant in alpha2 of the two
 cleared fixed-point equations is alpha1 * lambda2^4 * S(alpha1) / 50000 with
 a sextic S, so all fixed points come from the real roots of S, each paired
-with the common root alpha2 of the two equations.  A single point takes the
-roots as eigenvalues of S's companion matrix.  A grid certifies them first
-on the box |alpha1| <= 2/sqrt(10), which holds every fixed point, from
-Bernstein forms of S, and eigensolves only the rows the certificate leaves
-undecided.  `q5_solutions_at_critical` is the single-point solver at
-lambda1 = 1/2.
+with the common root alpha2 of the two equations.  A grid and a single point
+alike take the roots as eigenvalues of S's companion matrices, one batched
+eigensolve (`_q5_candidates`).  `q5_solutions_at_critical` is the
+single-point solver at lambda1 = 1/2.
 
 At lambda1 = 1/2, S = 25/(4*lambda2^2) * alpha1^2 * q_{lambda2}(alpha1), with
 the quartic q_{lambda2} of the paper's analysis.  `classify_quartic`
@@ -29,8 +27,10 @@ alpha1 = +-sqrt(2*lambda2*alpha2 - 4*lambda2^2*alpha2^2); for general lambda1
 the two quadratics P1(alpha2) = P2(alpha2) are intersected directly.
 
 Every candidate produced by any of the closed forms is accepted only if it
-satisfies the two-dimensional fixed-point equations to 1e-9 and reconstructs
-to a probability vector; the long printed radicals are never trusted blindly.
+satisfies the two-dimensional fixed-point equations to 1e-9; the long printed
+radicals are never trusted blindly.  An accepted candidate is then within
+about 1e-9 of a probability vector, because on Cayley(2) every image of the
+mode map reconstructs to one: the step squares the entries of M p.
 """
 from __future__ import annotations
 
@@ -43,10 +43,9 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .basis import unit_basis_vector
 from .errors import ClockTreeError, DegenerateQuartic, RadicandNegative, UnsupportedQ
 from .recursion import V5, mode_map, mode_map_q5, mode_terms_q5
-from .spectral import DIST_TOL, feasible_lambdas, potts_theta
+from .spectral import feasible_lambdas, potts_theta
 
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -141,7 +140,7 @@ def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, floa
 
 # each term of Delta is a product of six rounded coefficients, rounded about
 # six more times, so fsum of the terms is Delta to within about 12 eps of the
-# terms' magnitudes; the margin is larger, as `_MARGIN_ULPS` below
+# terms' magnitudes; the margin is about five times larger
 _DELTA_ULPS = 64.0
 
 
@@ -349,8 +348,8 @@ class SolutionSet:
     """Verified fixed points (alpha1, alpha2) of the mode recursion.
 
     The trivial solution (0, 0) comes first, the rest sorted by alpha1
-    ascending.  Candidates that fail the residual or probability check are
-    recorded in `rejected` instead of being silently dropped.
+    ascending.  Candidates that are not finite or fail the residual check
+    are recorded in `rejected` instead of being silently dropped.
     """
 
     q: int
@@ -372,7 +371,7 @@ class SolutionSet:
 
 
 # how a candidate fixed point fared, in the order the checks run
-_SKIPPED, _ACCEPTED, _NOT_FINITE, _RESIDUAL, _NOT_PROBABILITY = range(5)
+_SKIPPED, _ACCEPTED, _NOT_FINITE, _RESIDUAL = range(4)
 
 
 def _pymax(x, y):
@@ -397,14 +396,9 @@ def _verify_candidates(
     right, as a loop over one point's candidate list would: a valid
     candidate is rejected when it is not finite, skipped when it coincides
     with the trivial solution or with an earlier accepted candidate,
-    rejected when its residual is at least 1e-9 or when its modes do not
-    reconstruct to a probability vector, and accepted otherwise.  The
-    residual and the reconstruction repeat the arithmetic of `_residual` and
-    `SymmetricDist` operation by operation, so each number is the one a
-    single-point check computes: each state's entry 1/q + a1*u1[m] + a2*u2[m]
-    is formed as `SymmetricDist` forms it, and the smallest entry is taken
-    state by state (a NaN entry makes the minimum NaN, as `min` over the
-    vector does).
+    rejected when its residual is at least 1e-9, and accepted otherwise.
+    The residual repeats the arithmetic of `_residual` operation by
+    operation, so each number is the one a single-point check computes.
     """
     status = np.full(a1.shape, _SKIPPED, dtype=np.int8)
     if a1.size == 0:
@@ -412,15 +406,8 @@ def _verify_candidates(
     with np.errstate(all="ignore"):
         f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
         residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
-        # the smallest entry of the reconstructed vector, one state at a time
-        u1, u2 = unit_basis_vector(q, 1), unit_basis_vector(q, 2)
-        pmin = 1.0 / q + a1 * u1[0] + a2 * u2[0]
-        for m in range(1, q):
-            pmin = np.minimum(pmin, 1.0 / q + a1 * u1[m] + a2 * u2[m])
         # the status of a candidate that reaches the residual check
-        checked = np.where(
-            residual >= RESIDUAL_TOL, _RESIDUAL, np.where(pmin < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED)
-        )
+        checked = np.where(residual >= RESIDUAL_TOL, _RESIDUAL, _ACCEPTED)
         finite = np.isfinite(a1) & np.isfinite(a2)
         status[valid & ~finite] = _NOT_FINITE
         live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
@@ -458,8 +445,6 @@ def _assemble(
             rejected.append(f"{a}: not finite")
         elif st == _RESIDUAL:
             rejected.append(f"{a}: residual {res:.3e}")
-        elif st == _NOT_PROBABILITY:
-            rejected.append(f"{a}: does not reconstruct to a probability vector")
     accepted.sort(key=lambda s: s[0][0])
     trivial = (0.0, 0.0)
     return SolutionSet(
@@ -667,35 +652,26 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
 def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate q=5 fixed points (alpha1, alpha2, valid), each of shape (n, 6), from every root of S.
 
-    The roots are the eigenvalues of S's companion matrix (`_polynomial_roots`);
-    `_q5_fixed_points` turns them into candidates.
+    The roots are the eigenvalues of S's companion matrix (`_polynomial_roots`),
+    with NaN in the slots a row does not use.  alpha1 runs over them, each
+    polished by a Newton step (kept where |S| drops and the step is below
+    1e-6).  A root is real if returned real or if S at its real part is
+    within rounding, 32 eps sum |c_k x^k| (a double root comes out split by
+    about sqrt(eps)); a real root whose midpoint with the next smaller one is
+    within rounding is that root again, so a double root counts once.
+    alpha2 is the common root of E1 = l2^2 A a2^2 + l2 B a2 + C and
+    E2 = l2^2 a2^3 + E a2 + F: of -(B C + l2 F A^2) / (l2 (B^2 - A C + E A^2))
+    (their subresultant, finite at A = a1 - v = 0, the special solution at
+    lambda2 = 37/96) and -F/E (exact at lambda2 = 0), each polished by a
+    Newton step on E2, the one with the smaller fixed-point residual.  At
+    lambda1 = 0 a pair (a1, +-a2) is not recovered; it would need
+    lambda2 > 1/2, infeasible.
     """
-    coeffs = _q5_sextic(lambda1, lambda2)
-    return _q5_fixed_points(lambda1, lambda2, coeffs, _polynomial_roots(coeffs))
-
-
-def _q5_fixed_points(
-    lambda1: np.ndarray, lambda2: np.ndarray, coeffs: np.ndarray, roots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates (alpha1, alpha2, valid), each of shape (n, k), from k roots per row of S.
-
-    `roots` (n, k) are complex roots of S (`_q5_sextic`), with NaN in the
-    slots a row does not use.  alpha1 runs over them, each polished by a
-    Newton step (kept where |S| drops and the step is below 1e-6).  A root
-    is real if returned real or if S at its real part is within rounding,
-    32 eps sum |c_k x^k| (a double root comes out split by about sqrt(eps));
-    a real root whose midpoint with the next smaller one is within rounding
-    is that root again, so a double root counts once.  alpha2 is the common
-    root of E1 = l2^2 A a2^2 + l2 B a2 + C and E2 = l2^2 a2^3 + E a2 + F:
-    of -(B C + l2 F A^2) / (l2 (B^2 - A C + E A^2)) (their subresultant,
-    finite at A = a1 - v = 0, the special solution at lambda2 = 37/96) and
-    -F/E (exact at lambda2 = 0), each polished by a Newton step on E2, the
-    one with the smaller fixed-point residual.  At lambda1 = 0 a pair
-    (a1, +-a2) is not recovered; it would need lambda2 > 1/2, infeasible.
-    """
-    slope = coeffs[:, :-1] * np.arange(6, 0, -1)
-    x = roots.real
     with np.errstate(all="ignore"):
+        coeffs = _q5_sextic(lambda1, lambda2)
+        roots = _polynomial_roots(coeffs)
+        slope = coeffs[:, :-1] * np.arange(6, 0, -1)
+        x = roots.real
         p = _polyval(coeffs, x)
         step = p / _polyval(slope, x)
         x = np.where((np.abs(step) <= 1e-6) & (np.abs(_polyval(coeffs, x - step)) < np.abs(p)), x - step, x)
@@ -726,151 +702,9 @@ def _q5_fixed_points(
     return x, np.where(residual[0] <= residual[1], a2[0], a2[1]), valid
 
 
-# Every fixed point of `mode_map_q5` has |alpha1| <= 2v.  With x = l1 a1,
-# y = l2 a2, D = 1/5 + x^2 + y^2 and N1 = 2x/5 + 2v x y + v y^2 the first
-# mode of the map is N1/D, and, since 2/5 = 4 v^2,
-#     2v D - N1 = v ((x - y)^2 + (x - 2v)^2) >= 0,
-#     2v D + N1 = v ((x + y)^2 + (x + 2v)^2 + 2 y^2) >= 0.
-# A root of S outside |alpha1| <= _BOX has a fixed-point residual above
-# _BOX - 2v = 3.6e-4 > RESIDUAL_TOL, so it is never accepted.  _BOX is the
-# dyadic 81/128, so that the piece edges and their powers are exact floats.
-_BOX = 81.0 / 128.0
-_BOX_PIECES = 8  # equal pieces of the box (an even number, so 0 is an edge)
-# A Bernstein coefficient's sign counts when it clears this many eps of its
-# rounding scale |c| @ |table|: the table's and the matmul's rounding take
-# about 5 eps, and a piece whose values then clear 32 eps sum |c_k x^k| is
-# not a root to the realness test of `_q5_fixed_points` either.
-_MARGIN_ULPS = 64.0
-_BRACKET_ITERS = 100  # cap on the safeguarded Newton steps in one piece
-
-
-@functools.cache
-def _bernstein_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Piece edges (m + 1,), the (7, 7m) matrix that maps a sextic to its Bernstein forms, and its margin.
-
-    Piece j is [s h, (s + 1) h] with h = 2 _BOX / m and s = j - m/2.  On it
-    x^k = h^k (s + u)^k, whose Bernstein coefficients of degree 6 in u are
-    h^k sum_l C(k, l) s^(k-l) C(i, l) / C(6, l).  The sum times 60 is an
-    integer, exact as a float, so each entry is rounded twice.  For the
-    coefficients c of a sextic (highest power first), columns 7j..7j+6 of
-    c @ table are its Bernstein coefficients on piece j, the first and the
-    last (up to rounding) its values at the piece's edges.  The margin is
-    _MARGIN_ULPS eps |table|.
-    """
-    m = _BOX_PIECES
-    h = 2.0 * _BOX / m
-    binom = np.array([[math.comb(a, b) for b in range(7)] for a in range(7)])
-    k = np.arange(6, -1, -1)[:, None, None, None]  # the power of alpha1 in each row
-    s = np.arange(-m // 2, m // 2)[:, None, None]
-    i, l = np.arange(7)[:, None], np.arange(7)
-    terms = binom[k, l] * s ** np.maximum(k - l, 0) * (binom[i, l] * (60 // binom[6, l]))
-    table = (terms.sum(axis=-1) * (h ** k[..., 0] / 60.0)).reshape(7, 7 * m)
-    edges = h * np.arange(-m // 2, m // 2 + 1)
-    arrays = edges, table, _MARGIN_ULPS * np.finfo(float).eps * np.abs(table)
-    for a in arrays:
-        a.setflags(write=False)  # shared by every caller through the cache
-    return arrays
-
-
-def _q5_box_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified real roots (n, 6) of the sextics coeffs (n, 7) in the box, and the undecided rows.
-
-    Each row's Bernstein coefficients on the pieces of the box are one
-    matmul with `_bernstein_table`, and |c| @ |table| bounds their rounding.
-    When every coefficient clears _MARGIN_ULPS eps of that bound, its sign
-    is exact, and by Descartes' rule for the Bernstein basis a piece
-    without a sign change holds no root of S and a piece with one holds
-    exactly one simple root.  A row whose pieces all have at most one
-    change is decided: its roots, one per changing piece, come from
-    `_bracketed_roots`, ascending with imaginary part 0, and its other
-    slots are NaN.  Every other row is undecided and left NaN: a double
-    root or a cluster of roots, a root on an edge (at lambda1 = 1/2 S has
-    the factor alpha1^2), or a leading coefficient that `_polynomial_roots`
-    would drop.
-    """
-    edges, table, margin = _bernstein_table()
-    n = len(coeffs)
-    with np.errstate(all="ignore"):
-        bern = coeffs @ table
-        clear = (np.abs(bern) > np.abs(coeffs) @ margin).all(axis=1)
-        bern = bern.reshape(n, _BOX_PIECES, 7)
-        positive = bern > 0.0
-        changes = (positive[..., 1:] != positive[..., :-1]).sum(axis=2)
-        # nonzero coefficients ahead of the leading one `_polynomial_roots` keeps
-        big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
-        dropped = (np.logical_and.accumulate(~big, axis=1) & (coeffs != 0.0)).any(axis=1)
-    decided = clear & (changes <= 1).all(axis=1) & ~dropped
-    roots = np.full((n, 6), complex(np.nan, np.nan))
-    rows, pieces = np.nonzero(decided[:, None] & (changes == 1))
-    slots = np.cumsum(changes == 1, axis=1)[rows, pieces] - 1
-    # each root's first estimate is where the piece's control polygon crosses zero
-    signs, bern = positive[rows, pieces], bern[rows, pieces]
-    i = np.argmax(signs[:, 1:] != signs[:, :-1], axis=1)[:, None]
-    left, right = np.take_along_axis(bern, i, axis=1)[:, 0], np.take_along_axis(bern, i + 1, axis=1)[:, 0]
-    lo, hi = edges[pieces], edges[pieces + 1]
-    start = lo + (hi - lo) * ((i[:, 0] + left / (left - right)) / 6.0)
-    roots[rows, slots] = _bracketed_roots(coeffs[rows], lo, hi, signs[:, 0], start)
-    return roots, ~decided
-
-
-def _bracketed_roots(
-    coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """The root of each sextic coeffs[i] in (lo[i], hi[i]), by safeguarded Newton steps from start[i].
-
-    S(lo) is positive where `lo_positive` and negative elsewhere, S(hi) has
-    the other sign, and S has one root in between.  Each step keeps the
-    half of the bracket where S changes sign and moves to the Newton point
-    when it falls inside the bracket, to the midpoint otherwise.  A bracket
-    is done when |S| is within rounding, 32 eps sum |c_k x^k| as in
-    `_q5_fixed_points`, or when a step moves by at most an ulp.
-    """
-    slope = coeffs[:, :-1] * np.arange(6, 0, -1)
-    lo, hi, x = lo.copy(), hi.copy(), start.copy()
-    live = np.arange(len(x))
-    with np.errstate(all="ignore"):
-        for _ in range(_BRACKET_ITERS):
-            if live.size == 0:
-                break
-            c, d, xl = coeffs[live], slope[live], x[live]
-            f, df, size = c[:, 0], d[:, 0], np.abs(c[:, 0])
-            for k in range(1, 7):
-                f = f * xl + c[:, k]
-                size = size * np.abs(xl) + np.abs(c[:, k])
-            for k in range(1, 6):
-                df = df * xl + d[:, k]
-            left = (f > 0.0) == lo_positive[live]
-            lo[live] = np.where(left, xl, lo[live])
-            hi[live] = np.where(left, hi[live], xl)
-            newton = xl - f / df
-            step = np.where((newton > lo[live]) & (newton < hi[live]), newton, 0.5 * (lo[live] + hi[live]))
-            rounded = np.abs(f) <= 32.0 * np.finfo(float).eps * size
-            x[live] = np.where(rounded, xl, step)
-            live = live[~rounded & (np.abs(step - xl) > np.finfo(float).eps * np.abs(xl))]
-    return x
-
-
 def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations.
-
-    Only roots of S in the box |alpha1| <= _BOX can be accepted, and
-    `_q5_box_roots` certifies them for most rows.  A row with no root there
-    counts 0 and builds no candidates; a row whose roots there are certified
-    simple takes them from bracketed Newton steps; every other row takes all
-    six roots from the companion eigensolve of `q5_solutions`.  Both go
-    through `_q5_fixed_points` and `_verify_candidates`, so the counts are
-    those of the eigensolve on every row.
-    """
-    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
-    coeffs = _q5_sextic(l1, l2)
-    roots, undecided = _q5_box_roots(coeffs)
-    roots[undecided] = _polynomial_roots(coeffs[undecided])
-    live = undecided | ~np.isnan(roots[:, 0].real)
-    a1, a2, valid = _q5_fixed_points(l1[live], l2[live], coeffs[live], roots[live])
-    status, _ = _verify_candidates(5, l1[live, None], l2[live, None], a1, a2, valid)
-    counts = np.zeros(len(l1), dtype=int)
-    counts[live] = (status == _ACCEPTED).sum(axis=1)
-    return counts
+    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations."""
+    return _solution_counts(5, _q5_candidates, lambda1, lambda2)
 
 
 # The folds of S: with alpha1 = x/sqrt(10), S's discriminant in x is

@@ -10,10 +10,10 @@ q = 5 it lies on the folds of the eliminated sextic, the zero set of its
 discriminant, whose candidates in lambda2 are the real roots of the factor F
 and lambda2 = 1/2 (`fixedpoint.q5_fold_roots`).  Each candidate is checked
 by the count of the elimination solver (`fixedpoint.q5_solution_counts`,
-which certifies the sextic's roots in the box |alpha1| <= 2/sqrt(10) and
-eigensolves only the rows it leaves undecided) on both of its sides, all in
-one batched call; plain bisection on that count, one call per step, runs
-only where the check leaves a bracket wider than the tolerance.
+which takes the sextic's roots from one batched companion eigensolve) on
+both of its sides, all in one batched call; plain bisection on that count,
+one call per step, runs only where the check leaves a bracket wider than the
+tolerance.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign

@@ -337,11 +337,13 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
         spectra = np.stack([ones, l1, l2, l2, l1], axis=1)
     else:
         raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
-    raw, imag = _raw_rows(q, spectra)
-    ok = ~(np.abs(imag) > ROW_TOL).any(axis=1)
-    ok &= ~(raw.min(axis=1) < -ROW_TOL)
-    rows = _finish_rows(raw)
-    ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)
+    # a non-finite or huge lambda makes NaN entries, which fail the checks
+    with np.errstate(all="ignore"):
+        raw, imag = _raw_rows(q, spectra)
+        ok = ~(np.abs(imag) > ROW_TOL).any(axis=1)
+        ok &= ~(raw.min(axis=1) < -ROW_TOL)
+        rows = _finish_rows(raw)
+        ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)
     half = q // 2
     for j in range(half):
         ok &= ~(rows[:, j] + ROW_TOL < rows[:, j + 1])

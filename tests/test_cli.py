@@ -1,5 +1,6 @@
 """CLI: flags, CSV schemas, determinism, SVG well-formedness, exit codes."""
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -280,6 +281,32 @@ def test_sweep_non_finite_range_is_usage_error(capsys):
         for value in ("nan", "inf"):
             assert main(["sweep", "--q", "4", "--res", "3", flag, value]) == 2
             assert "finite" in capsys.readouterr().err
+
+
+NON_FINITE_RANGE_ARGV = [
+    ("classify", "--scan", "0:nan:0.1"),
+    ("classify", "--scan", "0:inf:1"),
+    ("classify", "--scan=-inf:0:1"),
+    ("classify", "--scan", "0:1:nan"),
+    ("potts", "--q", "5", "--jacobian", "0.45:nan:0.01"),
+    ("potts", "--q", "5", "--jacobian", "nan:0.5:0.01"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RANGE_ARGV, ids=[" ".join(a) for a in NON_FINITE_RANGE_ARGV])
+def test_non_finite_scan_range_is_usage_error(capsys, argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_solve_q5_huge_lambda2_writes_no_warnings(capsys):
+    # the sextic's coefficients overflow here; numpy must not print RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "solve", "--q", "5", "--lambda1", "0.3", "--lambda2", "1e200")
+    assert (code, out) == (0, "alpha1,alpha2,residual\n0,0,nan\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_q4_tiny_lambda2(capsys):

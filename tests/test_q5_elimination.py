@@ -24,7 +24,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import DEDUP_TOL, V5, _assemble, _q5_sextic, q5_fold_roots, q5_solution_counts
+from clocktree.fixedpoint import (
+    _ACCEPTED,
+    DEDUP_TOL,
+    RESIDUAL_TOL,
+    V5,
+    _assemble,
+    _q5_candidates,
+    _q5_sextic,
+    _verify_candidates,
+    q5_fold_roots,
+    q5_solution_counts,
+)
 from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -417,6 +428,95 @@ def test_lambda1_zero_drops_the_degree():
     for l2 in (-0.2, 0.0, 0.3):
         s = ct.q5_solutions(0.0, l2)
         assert s.solutions == ((0.0, 0.0),)
+
+
+# ---------------------------------------------------------------------------
+# the grid counts are the per-point view's, at the places where a slip shows
+# ---------------------------------------------------------------------------
+
+
+def _assert_counts_match_points(l1, l2):
+    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+    got = q5_solution_counts(l1, l2).tolist()
+    want = [ct.q5_solutions(a, b).n_nontrivial for a, b in zip(l1.tolist(), l2.tolist())]
+    assert got == want, [(a, b, g, w) for a, b, g, w in zip(l1, l2, got, want) if g != w][:5]
+
+
+COUNT_SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@COUNT_SETTINGS
+@given(st.lists(st.tuples(st.floats(-0.4, 0.8), st.floats(-0.8, 0.8)), min_size=1, max_size=20))
+def test_counts_at_feasible_points(points):
+    points = [p for p in points if _feasible_point(*p)]
+    if points:
+        _assert_counts_match_points(*zip(*points))
+
+
+@COUNT_SETTINGS
+@given(st.lists(st.floats(-1e-12, 1e-12), min_size=1, max_size=10))
+def test_counts_at_the_potts_fold(offsets):
+    # lambda1 = lambda2 = 4/9, where the two diagonal fixed points merge
+    lam = [4.0 / 9.0 + t for t in offsets]
+    _assert_counts_match_points(lam, lam)
+
+
+@COUNT_SETTINGS
+@given(l1=st.sampled_from([0.0, 0.5]), l2=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10))
+def test_counts_at_lambda1_zero_and_half(l1, l2):
+    _assert_counts_match_points([l1] * len(l2), l2)
+
+
+@COUNT_SETTINGS
+@given(st.lists(st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.0)), min_size=1, max_size=10))
+def test_counts_at_nonpositive_lambda2(points):
+    _assert_counts_match_points(*zip(*points))
+
+
+SUBNORMAL = st.floats(5e-324, 2.2250738585072014e-308).flatmap(lambda t: st.sampled_from([t, -t]))
+
+
+@COUNT_SETTINGS
+@given(st.lists(st.tuples(st.floats(-0.8, 0.8), SUBNORMAL), min_size=1, max_size=10))
+def test_counts_at_subnormal_lambda2(points):
+    _assert_counts_match_points(*zip(*points))
+
+
+# ---------------------------------------------------------------------------
+# every fixed point has |alpha1| <= 2v
+# ---------------------------------------------------------------------------
+
+POINT = st.floats(-1e3, 1e3, allow_nan=False)
+HUGE = st.floats(1e100, 1e150).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@SETTINGS
+@given(x=st.one_of(POINT, HUGE), y=st.one_of(POINT, HUGE))
+def test_first_mode_sum_of_squares(x, y):
+    # x = lambda1 alpha1, y = lambda2 alpha2, D = 1/5 + x^2 + y^2 and
+    # N1 = 2x/5 + 2v x y + v y^2: the first mode of the map is N1/D, and
+    # 2v D -+ N1 are sums of squares (2/5 = 4 v^2), so |N1/D| <= 2v
+    v = V5
+    d = 0.2 + x * x + y * y
+    n1 = 0.4 * x + 2.0 * v * x * y + v * y * y
+    size = 1.0 + x * x + y * y
+    assert abs((2.0 * v * d - n1) - v * ((x - y) ** 2 + (x - 2.0 * v) ** 2)) <= 1e-14 * size
+    assert abs((2.0 * v * d + n1) - v * ((x + y) ** 2 + (x + 2.0 * v) ** 2 + 2.0 * y * y)) <= 1e-14 * size
+    a1, _ = ct.mode_map_q5(1.0, 1.0, (x, y))
+    assert abs(a1) <= 2.0 * v * (1.0 + 1e-15)
+
+
+def test_accepted_candidates_obey_the_first_mode_bound():
+    l1s, l2s = np.linspace(0.40, 0.52, 200), np.linspace(0.30, 0.56, 200)
+    l1, l2 = np.repeat(l1s, 200), np.tile(l2s, 200)
+    keep = feasible_lambdas(5, l1, l2)
+    l1, l2 = l1[keep], l2[keep]
+    a1, a2, valid = _q5_candidates(l1, l2)
+    status, _ = _verify_candidates(5, l1[:, None], l2[:, None], a1, a2, valid)
+    accepted = np.abs(a1[status == _ACCEPTED])
+    assert accepted.size > 10000
+    # a fixed point is within RESIDUAL_TOL of its image
+    assert accepted.max() <= 2.0 * V5 + RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------

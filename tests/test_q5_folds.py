@@ -7,20 +7,39 @@ and a squared factor, across whose roots no count changes.
 `q5_transition_line` checks the candidates with one count call and bisects
 only what the check leaves open, so its line is the bisection's
 (`ref_transition_line`) to the bit wherever the count predicate is monotone
-away from the candidate.
+away from the candidate.  `ref_transition_line` is `q5_transition_line`
+without its fold check: plain bisection of the whole bracket, one batched
+count call per step.  The line is printed to 17 digits, so the two must agree
+exactly.
 """
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import fixedpoint, phase
 from clocktree.fixedpoint import _FOLD_F, q5_fold_roots, q5_solution_counts
-from test_q5_root_certificate import ref_transition_line
 
 L1, L2, X = sympy.symbols("l1 l2 x")
+
+
+def ref_transition_line(lambda1_grid, tol=1e-4, lambda2_bracket=(0.33, 0.65)):
+    grid = list(lambda1_grid)
+    l1s = np.array(grid, dtype=float)
+    lo, hi = (np.full(len(grid), float(end)) for end in lambda2_bracket)
+    found = q5_solution_counts(l1s, hi) > 0
+    active = found & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        exists = q5_solution_counts(l1s[active], mid[active]) > 0
+        hi[active] = np.where(exists, mid[active], hi[active])
+        lo[active] = np.where(exists, lo[active], mid[active])
+        active &= hi - lo > tol
+    return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
 
 
 def _table_poly(rows):
@@ -189,3 +208,21 @@ def test_transition_line_on_a_fine_grid():
             assert not np.isnan(np.array(got)).any()
             # the count flips on rounding noise within about 2e-11 of 1/2
             assert all(abs(l2c - 0.5) <= max(tol, 1e-10) for l1, l2c in got if 0.01 <= l1 <= 0.37)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    grid=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=12),
+    tol=st.sampled_from([0.1, 1e-3, 1e-4, 1e-7, 1e-12]),
+)
+def test_transition_line_equals_stepwise_bisection(grid, tol):
+    got, want = ct.q5_transition_line(grid, tol=tol), ref_transition_line(grid, tol=tol)
+    np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(l1=st.floats(0.30, 0.50))
+def test_counts_across_the_transition_line(l1):
+    (_, l2c), = ct.q5_transition_line([l1], tol=1e-13)
+    below, above = q5_solution_counts(np.array([l1, l1]), np.array([l2c - 1e-9, l2c + 1e-9])).tolist()
+    assert below == 0 and above >= 1

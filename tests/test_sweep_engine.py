@@ -6,12 +6,11 @@ that classified one grid point at a time, kept here as the reference (the
 only change is the lambda2 underflow fix in `ref_q4_solutions`, which tests
 the sign of 2*lambda2 - 1 before dividing by 4*lambda2^2).  The engine must
 reproduce them bit for bit, signed zeros included, because the CLI prints 17
-significant digits.  `ref_verify_candidates` is the grid verifier as it was
-before it took the minimum over the q states one column at a time.
+significant digits.  `ref_verify_candidates` is the grid verifier as a loop
+over points and slots, each candidate checked as `ref_assemble` checks it.
 """
 import math
 from collections.abc import Sequence
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,25 +18,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree import fixedpoint, phase
-from clocktree.basis import unit_basis_vector
+from clocktree import phase
 from clocktree.cli import main
 from clocktree.fixedpoint import (
     _ACCEPTED,
     _NOT_FINITE,
-    _NOT_PROBABILITY,
     _RESIDUAL,
     _SKIPPED,
     DEDUP_TOL,
     RESIDUAL_TOL,
     SolutionSet,
     _assemble,
-    _pymax,
     _verify_candidates,
 )
 from clocktree.phase import RPT_MARGIN, Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
-from clocktree.spectral import DIST_TOL, SymmetricDist, spec_from_lambdas, validate_non_increasing
+from clocktree.spectral import SymmetricDist, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -60,14 +56,6 @@ def ref_residual(q, lambda1, lambda2, alpha):
     return max(abs(alpha[0] - f[0]), abs(alpha[1] - f[1]))
 
 
-def ref_is_probability(q, alpha):
-    try:
-        SymmetricDist(q=q, modes=alpha)
-    except ValueError:
-        return False
-    return True
-
-
 def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
     accepted = [(0.0, 0.0)]
     rejected = []
@@ -84,9 +72,6 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
         if res >= RESIDUAL_TOL:
             rejected.append(f"{a}: residual {res:.3e}")
             continue
-        if not ref_is_probability(q, a):
-            rejected.append(f"{a}: does not reconstruct to a probability vector")
-            continue
         accepted.append(a)
     ordered = [accepted[0]] + sorted(accepted[1:], key=lambda s: s[0])
     return SolutionSet(
@@ -102,29 +87,29 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
 
 
 def ref_verify_candidates(q, lambda1, lambda2, a1, a2, valid):
-    """The grid verifier as it took the probability check: one (n, k, q)
-    broadcast of the reconstructed vectors and a min over its last axis."""
-    status = np.full(a1.shape, _SKIPPED, dtype=np.int8)
-    if a1.size == 0:
-        return status, np.zeros(a1.shape)
-    with np.errstate(all="ignore"):
-        f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
-        residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
-        p = 1.0 / q + a1[..., None] * unit_basis_vector(q, 1) + a2[..., None] * unit_basis_vector(q, 2)
-        checked = np.where(
-            residual >= fixedpoint.RESIDUAL_TOL,
-            _RESIDUAL,
-            np.where(p.min(axis=-1) < -DIST_TOL, _NOT_PROBABILITY, _ACCEPTED),
-        )
-        finite = np.isfinite(a1) & np.isfinite(a2)
-        status[valid & ~finite] = _NOT_FINITE
-        live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
-        for k in range(a1.shape[1]):
-            live_k = live[:, k]
-            for j in range(k):
-                near = _pymax(np.abs(a1[:, k] - a1[:, j]), np.abs(a2[:, k] - a2[:, j])) <= DEDUP_TOL
-                live_k &= ~(near & (status[:, j] == _ACCEPTED))
-            status[live_k, k] = checked[live_k, k]
+    n, k = a1.shape
+    l1, l2 = np.broadcast_to(lambda1, (n, 1)), np.broadcast_to(lambda2, (n, 1))
+    valid = np.broadcast_to(valid, (n, k))
+    status = np.full((n, k), _SKIPPED, dtype=np.int8)
+    residual = np.zeros((n, k))
+    for i in range(n):
+        accepted = []
+        for j in range(k):
+            a = (float(a1[i, j]), float(a2[i, j]))
+            residual[i, j] = ref_residual(q, float(l1[i, 0]), float(l2[i, 0]), a)
+            if not valid[i, j]:
+                continue
+            if not all(map(math.isfinite, a)):
+                status[i, j] = _NOT_FINITE
+            elif max(abs(a[0]), abs(a[1])) <= DEDUP_TOL:
+                continue
+            elif any(max(abs(a[0] - s[0]), abs(a[1] - s[1])) <= DEDUP_TOL for s in accepted):
+                continue
+            elif residual[i, j] >= RESIDUAL_TOL:
+                status[i, j] = _RESIDUAL
+            else:
+                status[i, j] = _ACCEPTED
+                accepted.append(a)
     return status, residual
 
 
@@ -321,7 +306,7 @@ def test_phase_point_has_no_instance_dict():
 
 
 # ---------------------------------------------------------------------------
-# the column-wise probability check, the columnar grid, failures row by row
+# the verifier, the columnar grid, failures row by row
 # ---------------------------------------------------------------------------
 
 _EXTREME = st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324])
@@ -346,16 +331,27 @@ def _candidate_grid(draw, q):
 
 @SETTINGS
 @given(q4=_candidate_grid(4), q5=_candidate_grid(5))
-def test_verify_candidates_matches_broadcast_reference(q4, q5):
-    # a verified fixed point practically never fails the probability check,
-    # so an infinite residual tolerance sends every finite candidate to it
-    for tol in (RESIDUAL_TOL, math.inf):
-        with mock.patch.object(fixedpoint, "RESIDUAL_TOL", tol):
-            for q, args in ((4, q4), (5, q5)):
-                status, residual = _verify_candidates(q, *args)
-                want_status, want_residual = ref_verify_candidates(q, *args)
-                assert status.dtype == want_status.dtype and status.tolist() == want_status.tolist()
-                assert residual.shape == want_residual.shape and residual.tobytes() == want_residual.tobytes()
+def test_verify_candidates_matches_per_point_reference(q4, q5):
+    for q, args in ((4, q4), (5, q5)):
+        with np.errstate(all="ignore"):
+            status, residual = _verify_candidates(q, *args)
+            want_status, want_residual = ref_verify_candidates(q, *args)
+        assert status.dtype == want_status.dtype and status.tolist() == want_status.tolist()
+        assert residual.shape == want_residual.shape and residual.tobytes() == want_residual.tobytes()
+
+
+@SETTINGS
+@given(
+    q=st.sampled_from([4, 5]),
+    lambdas=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    alpha=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_every_image_is_a_probability_vector(q, lambdas, alpha):
+    # on Cayley(2) the step is p -> normalize((M p)^2), whose entries are
+    # squares, so an image never fails the probability check that the
+    # verifier does not run: a fixed point is within RESIDUAL_TOL of one
+    image = mode_map(q, *lambdas, alpha)
+    SymmetricDist(q=q, modes=tuple(float(m) for m in image))
 
 
 Q5_WINDOW = ((0.40, 0.52), (0.30, 0.56))
