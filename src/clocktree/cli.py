@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import re
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
+
+import numpy as np
 
 from . import phase, recursion, spectral
 from .errors import ClockTreeError, ContinuationLost
@@ -170,24 +173,40 @@ def cmd_sweep(args) -> int:
         with open(args.svg, "w", newline="\n") as fh:
             fh.write(svg)
         return EXIT_OK
-    # each axis value is formatted once (a memo keyed by the float would merge
-    # -0.0 with 0.0, which print differently), and so is each distinct
-    # (feasible, regime, n_nontrivial), packed into one int per point
+    # The answers change along a lambda1 row only where the row crosses a
+    # feasibility or fold breakpoint, so a row is a few runs of equal
+    # (feasible, regime, n_nontrivial), packed into one int per point.  Each
+    # axis value is formatted once (a memo keyed by the float would merge
+    # -0.0 with 0.0, which print differently), each distinct answer's
+    # "lambda2,feasible,regime,n_nontrivial" cells once for the whole lambda2
+    # axis, and a row is its runs' slices of those cells joined by "lambda1,".
     n_regimes = len(grid.regimes)
-    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).tolist()
-    tails = {}
-    for key in set(keys):
-        m, rest = divmod(key, 2 * n_regimes)
-        c, f = divmod(rest, 2)
-        tails[key] = f"{'true' if f else 'false'},{grid.regimes[c].value},{m}"
-    # written one lambda1 row at a time, so the text of the whole grid is never held
+    m = len(grid.lambda2)
+    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).reshape(-1, m)
+    # a run starts at column 0 or where the answer differs from its left neighbour
+    starts = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
+    col = np.nonzero(starts)[1]
+    run_keys = keys[starts].tolist()
+    # a run ends where the next one starts, or at the end of its row
+    ends = np.append(col[1:], m)
+    ends[ends == 0] = m
     l2_text = [_fmt(l2) for l2 in grid.lambda2]
-    m = len(l2_text)
+    cells = {}
+    for key in set(run_keys):
+        n, rest = divmod(key, 2 * n_regimes)
+        c, f = divmod(rest, 2)
+        tail = f"{'true' if f else 'false'},{grid.regimes[c].value},{n}\n"
+        cells[key] = [f"{t2},{tail}" for t2 in l2_text]
+    runs = list(zip(run_keys, col.tolist(), ends.tolist()))
+    bounds = np.flatnonzero(col == 0).tolist() + [len(runs)]
+    # written one lambda1 row at a time, so the text of the whole grid is never held
     with _output(args.out) as fh:
         fh.write("lambda1,lambda2,feasible,regime,n_nontrivial\n")
-        for i, t1 in enumerate(map(_fmt, grid.lambda1)):
-            row = zip(l2_text, keys[i * m : (i + 1) * m])
-            fh.write("".join(f"{t1},{t2},{tails[key]}\n" for t2, key in row))
+        for t1, lo, hi in zip(map(_fmt, grid.lambda1), bounds, bounds[1:]):
+            prefix = t1 + ","
+            row_cells = itertools.chain.from_iterable(cells[k][a:b] for k, a, b in runs[lo:hi])
+            fh.write(prefix + prefix.join(row_cells))
     return EXIT_OK
 
 
@@ -385,7 +404,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    argparse writes what it parses only into the namespace it returns, so
+    one parser serves every `main` call of a process.
+    """
     parser = _Parser(
         prog="clocktree",
         description="Phase transitions of generalized q-state clock models on trees.",

@@ -126,16 +126,35 @@ def _delta_terms(a: float, b: float, c: float, d: float, e: float) -> list[float
 
 
 def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
-    """(Delta, P, D, Delta0), each accumulated with compensated summation."""
+    """(Delta, P, D, Delta0), each accumulated with compensated summation.
+
+    Raises DegenerateQuartic when every coefficient vanishes and
+    ClockTreeError when an invariant, a term of one or the sum of the
+    magnitudes of Delta's terms is not a finite float.
+    """
+    return _invariants(coeffs)[:4]
+
+
+def _invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float, float]:
+    """`quartic_invariants` and the sum of the magnitudes of Delta's terms."""
     a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e))
     if scale == 0.0:
         raise DegenerateQuartic("all quartic coefficients vanish")
-    delta = math.fsum(_delta_terms(a, b, c, d, e))
-    p = math.fsum([8 * a * c, -3 * b**2])
-    big_d = math.fsum([64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4])
-    delta0 = math.fsum([c**2, -3 * b * d, 12 * a * e])
-    return delta, p, big_d, delta0
+    try:
+        terms = _delta_terms(a, b, c, d, e)
+        values = (
+            math.fsum(terms),
+            math.fsum([8 * a * c, -3 * b**2]),
+            math.fsum([64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4]),
+            math.fsum([c**2, -3 * b * d, 12 * a * e]),
+            math.fsum(abs(t) for t in terms),
+        )
+    except (OverflowError, ValueError):  # a power or a sum overflowed, or fsum met inf - inf
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}")
+    return values
 
 
 # each term of Delta is a product of six rounded coefficients, rounded about
@@ -254,10 +273,9 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     independently by the companion-matrix eigenvalue method with Newton
     polishing.
     """
-    delta, p, big_d, delta0 = quartic_invariants(coeffs)
+    delta, p, big_d, delta0, magnitude = _invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
-    terms = _delta_terms(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-    z_delta = _DELTA_ULPS * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+    z_delta = _DELTA_ULPS * np.finfo(float).eps * magnitude
     z_p = 1e-12 * scale**2
     z_d = 1e-12 * scale**4
     z_d0 = 1e-12 * scale**2
@@ -321,14 +339,20 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     number changes neither the roots nor the signs of the invariants.
     Elsewhere q_{lambda2} itself is classified, because the divided quartic's
     roots differ from its roots in the last digits.  Raises DegenerateQuartic
-    at lambda2 = 0, where the quartic vanishes identically.
+    at lambda2 = 0, where the quartic vanishes identically, and
+    ClockTreeError from |lambda2| of about 1.495e12, where the invariants'
+    terms, of degree 24 in lambda2, or the coefficients overflow.
     """
     if lambda2 == 0.0:
         raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
-    coeffs = q5_quartic_coeffs(lambda2)
+    try:
+        coeffs = q5_quartic_coeffs(lambda2)
+    except OverflowError as exc:  # a power of lambda2 past the largest float
+        raise ClockTreeError(f"the quartic's coefficients overflow at lambda2 = {lambda2!r}") from exc
     # the invariants, of degree up to 6 in the coefficients, must stay far
-    # from underflow
-    if 1e-12 * max(abs(x) for x in coeffs.as_array()) ** 6 < sys.float_info.min:
+    # from underflow (a scale of 1 or more is, and its sixth power may overflow)
+    scale = max(abs(x) for x in coeffs.as_array())
+    if scale < 1.0 and 1e-12 * scale**6 < sys.float_info.min:
         coeffs = _q5_reduced_quartic(lambda2)
     return classify_quartic(coeffs)
 

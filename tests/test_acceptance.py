@@ -11,6 +11,7 @@ import pytest
 
 import clocktree as ct
 from clocktree.basis import a_norm, basis_norms, raw_coefficients
+from clocktree.cli import main
 
 from conftest import (
     circulant_matrix,
@@ -158,6 +159,19 @@ def test_q5_sweep_time_bound():
     elapsed = time.perf_counter() - start
     ok = len(pts) == 200 * 200 and elapsed < 0.1
     _report("q5-sweep-time", ok, f"res=200 t={elapsed:.2f}s")
+
+
+def test_q4_sweep_csv_time_bound(tmp_path):
+    # criterion 6's grid through the CLI, its CSV written to a file, pinned
+    # at 3.5x or more of its median (13-28 ms on a 2-core Xeon, 16 ms median
+    # over 12 fresh runs of the file; 25 ms median when the CSV was written
+    # one f-string per cell)
+    out = tmp_path / "q4.csv"
+    start = time.perf_counter()
+    code = main(["sweep", "--q", "4", "--res", "200", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    ok = code == 0 and out.read_bytes().count(b"\n") == 1 + 200 * 200 and elapsed < 0.06
+    _report("q4-sweep-csv-time", ok, f"res=200 t={elapsed * 1e3:.1f}ms")
 
 
 def test_criterion_7_potts_identities():

@@ -1,12 +1,17 @@
 """CLI: flags, CSV schemas, determinism, SVG well-formedness, exit codes."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clocktree.cli import main
+import clocktree
+from clocktree.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +172,39 @@ def test_classify_scan_brackets_critical_values(capsys):
     assert len(flips) == 2
     assert flips[0][0] <= 0.370748 <= flips[0][1] + 1e-12
     assert flips[1][0] <= 0.494119 <= flips[1][1] + 1e-12
+
+
+HUGE_LAMBDA2_ARGV = [
+    ("classify", "--lambda2=1.5e12"),
+    ("classify", "--lambda2=1e13"),
+    ("classify", "--lambda2=-1e13"),
+    ("classify", "--lambda2=1e20"),
+    ("classify", "--lambda2=1e50"),
+    ("classify", "--lambda2=-1e300"),
+    ("classify", "--scan", "1e49:1e51:1e50"),
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_LAMBDA2_ARGV, ids=[" ".join(a[1:]) for a in HUGE_LAMBDA2_ARGV])
+def test_classify_lambda2_past_the_invariants_overflow_is_usage_error(capsys, argv):
+    # the discriminant's terms have degree 24 in lambda2, and they or the sum
+    # of their magnitudes overflow from |lambda2| of about 1.495e12: one error
+    # line, no CSV, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "lambda2" in captured.err
+
+
+def test_classify_lambda2_below_the_invariants_overflow_is_answered(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "classify", "--lambda2=1.49e12")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.split("\n")[1].split(",")[10] == "TWO_DISTINCT"
 
 
 def test_sweep_csv_single_cell(capsys):
@@ -386,3 +424,23 @@ def test_negative_exponent_token_reaches_validation(capsys):
     argv = ["probe", "--q", "4", "--lambda1", "0.5", "--lambda2", "0.3", "--u", "-1e-3"]
     assert main(argv) == 2
     assert "--u must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_one_process_answers_as_separate_processes_do(capsys):
+    # the parser is built once per process: argparse writes what it parses
+    # only into the namespace it returns, so a usage error leaves nothing behind
+    assert build_parser() is build_parser()
+    env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
+    codes = []
+    for argv in (
+        ["probe", "--lambda1", "0.5", "--lambda2", "0.3"],  # no --q
+        ["probe", "--q", "4", "--lambda1", "0.55", "--lambda2", "0.35", "--levels", "40"],
+        ["sweep", "--q", "4", "--res", "12"],
+    ):
+        separate = subprocess.run(
+            [sys.executable, "-m", "clocktree", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        codes.append(main(argv))
+        captured = capsys.readouterr()
+        assert (codes[-1], captured.out, captured.err) == (separate.returncode, separate.stdout, separate.stderr)
+    assert codes == [2, 0, 0]

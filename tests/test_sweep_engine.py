@@ -8,7 +8,10 @@ the sign of 2*lambda2 - 1 before dividing by 4*lambda2^2).  The engine must
 reproduce them bit for bit, signed zeros included, because the CLI prints 17
 significant digits.  `ref_verify_candidates` is the grid verifier as a loop
 over points and slots, each candidate checked as `ref_assemble` checks it.
+`ref_sweep_csv` is the sweep CSV written one f-string per cell, against
+which the CLI's writer by runs of equal answers is checked on drawn grids.
 """
+import itertools
 import math
 from collections.abc import Sequence
 
@@ -415,3 +418,63 @@ def test_phase_grid_is_a_lazy_sequence(monkeypatch):
         with pytest.raises(IndexError):
             grid[i]
     assert grid != points  # a sequence of points, not a list
+
+
+# ---------------------------------------------------------------------------
+# the sweep CSV against a writer that formats every cell
+# ---------------------------------------------------------------------------
+
+
+def ref_sweep_csv(grid):
+    """The CSV `clocktree sweep` writes for `grid`, one f-string per cell."""
+    n_regimes = len(grid.regimes)
+    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).tolist()
+    tails = {}
+    for key in set(keys):
+        m, rest = divmod(key, 2 * n_regimes)
+        c, f = divmod(rest, 2)
+        tails[key] = f"{'true' if f else 'false'},{grid.regimes[c].value},{m}"
+    l2_text = [format(l2, ".17g") for l2 in grid.lambda2]
+    m = len(l2_text)
+    text = ["lambda1,lambda2,feasible,regime,n_nontrivial\n"]
+    for i, t1 in enumerate(format(l1, ".17g") for l1 in grid.lambda1):
+        row = zip(l2_text, keys[i * m : (i + 1) * m])
+        text.append("".join(f"{t1},{t2},{tails[key]}\n" for t2, key in row))
+    return "".join(text)
+
+
+_AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+# (feasible, regime code, n_nontrivial), CRITICAL (code 0) included
+_ANSWER = st.tuples(st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
+
+
+@st.composite
+def _answer_row(draw, m):
+    shape = draw(st.sampled_from(["one run", "every cell", "runs"]))
+    if shape == "one run":
+        return [draw(_ANSWER)] * m
+    if shape == "every cell":  # distinct answers in turn: each cell differs from its left neighbour
+        cycle = draw(st.lists(_ANSWER, min_size=2, max_size=5, unique=True))
+    else:
+        runs = draw(st.lists(st.tuples(_ANSWER, st.integers(1, 30)), min_size=1, max_size=5))
+        cycle = [answer for answer, length in runs for _ in range(length)]
+    return list(itertools.islice(itertools.cycle(cycle), m))
+
+
+@st.composite
+def _phase_grids(draw):
+    lambda1 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
+    lambda2 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
+    answers = [answer for _ in lambda1 for answer in draw(_answer_row(len(lambda2)))]
+    feasible, regime, n_nontrivial = (np.array(column) for column in zip(*answers))
+    size = len(answers)
+    return ct.PhaseGrid(4, lambda1, lambda2, feasible, regime, n_nontrivial, np.zeros(size, dtype=int), [None] * size)
+
+
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(grid=_phase_grids())
+def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grid):
+    monkeypatch.setattr(phase, "sweep", lambda **kwargs: grid)
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--q", "4", "--res", str(len(grid.lambda1)), "--out", str(out)]) == 0
+    assert out.read_bytes() == ref_sweep_csv(grid).encode()
