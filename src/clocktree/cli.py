@@ -179,7 +179,8 @@ def cmd_sweep(args) -> int:
     # axis value is formatted once (a memo keyed by the float would merge
     # -0.0 with 0.0, which print differently), each distinct answer's
     # "lambda2,feasible,regime,n_nontrivial" cells once for the whole lambda2
-    # axis, and a row is its runs' slices of those cells joined by "lambda1,".
+    # axis, and a row joins its runs' slices of those cells with "lambda1,":
+    # one join per run, then one for the row.
     n_regimes = len(grid.regimes)
     m = len(grid.lambda2)
     keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).reshape(-1, m)
@@ -205,8 +206,7 @@ def cmd_sweep(args) -> int:
         fh.write("lambda1,lambda2,feasible,regime,n_nontrivial\n")
         for t1, lo, hi in zip(map(_fmt, grid.lambda1), bounds, bounds[1:]):
             prefix = t1 + ","
-            row_cells = itertools.chain.from_iterable(cells[k][a:b] for k, a, b in runs[lo:hi])
-            fh.write(prefix + prefix.join(row_cells))
+            fh.write(prefix + prefix.join([prefix.join(cells[k][a:b]) for k, a, b in runs[lo:hi]]))
     return EXIT_OK
 
 
@@ -381,10 +381,24 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+# the most points a lo:hi:step range may have: 0:1:1e-6 and no finer
+_MAX_RANGE_POINTS = 1_000_001
+
+
 def _grid_from_range(spec: str) -> list[float]:
-    """lo, lo+step, ... capped at hi, with hi always included."""
+    """lo, lo+step, ... capped at hi, with hi always included.
+
+    The number of points is known before any is made; a range of more than
+    _MAX_RANGE_POINTS points, or of a number that overflows, is a usage error.
+    """
     lo, hi, step = _parse_range(spec)
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    steps = (hi - lo) / step + 1e-9
+    if not steps < _MAX_RANGE_POINTS:
+        raise ClockTreeError(f"range {spec!r} has {steps + 1:.6g} points, more than {_MAX_RANGE_POINTS}")
+    n = int(steps)
+    count = n + 1 + (lo + n * step < hi - 1e-12)
+    if count > _MAX_RANGE_POINTS:
+        raise ClockTreeError(f"range {spec!r} has {count} points, more than {_MAX_RANGE_POINTS}")
     grid = [lo + i * step for i in range(n + 1)]
     if grid[-1] < hi - 1e-12:
         grid.append(hi)
@@ -404,87 +418,115 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+def _model_flags(lambdas_required: bool = False) -> list[tuple[str, dict]]:
+    return [
+        ("--q", dict(type=int, required=True, help="number of states")),
+        ("--lambda1", dict(type=float, required=lambdas_required, help="second-largest eigenvalue")),
+        ("--lambda2", dict(type=float, required=lambdas_required, help="third-largest eigenvalue")),
+        ("--out", dict(type=str, default=None, help="output file (default stdout)")),
+    ]
 
-    argparse writes what it parses only into the namespace it returns, so
-    one parser serves every `main` call of a process.
+
+# each subcommand: its add_parser keywords, its function, and its add_argument calls
+_COMMANDS = {
+    "matrix": (
+        dict(help="eigenvalues, row, and feasibility of a transfer matrix"),
+        cmd_matrix,
+        _model_flags() + [
+            ("--potts", dict(action="store_true", help="build the Potts row instead")),
+            ("--theta", dict(type=float, default=None, help="Potts theta = e^beta")),
+            ("--beta", dict(type=float, default=None, help="Potts inverse temperature")),
+            ("--strict", dict(action="store_true", help="exit 1 when the matrix is not non-increasing")),
+        ],
+    ),
+    "probe": (
+        dict(help="iterate the boundary-condition recursion and classify"),
+        cmd_probe,
+        _model_flags(lambdas_required=True) + [
+            ("--u", dict(type=float, default=1.0, help="boundary coupling weakening in (0, 1]")),
+            ("--levels", dict(type=int, default=400, help="recursion depth")),
+            ("--tol", dict(type=float, default=1e-12, help="verdict tolerance (default 1e-12)")),
+            ("--children", dict(type=int, default=2, help="Cayley children per vertex")),
+        ],
+    ),
+    "solve": (
+        dict(help="all symmetric fixed points at one parameter point"),
+        cmd_solve,
+        _model_flags(lambdas_required=True),
+    ),
+    "classify": (
+        dict(help="quartic coefficients, invariants, and root structure"),
+        cmd_classify,
+        [
+            ("--lambda2", dict(type=float, default=None)),
+            ("--scan", dict(type=str, default=None, help="lo:hi:step scan over lambda2")),
+            ("--out", dict(type=str, default=None)),
+        ],
+    ),
+    "sweep": (
+        dict(
+            help="classify a (lambda1, lambda2) grid; CSV or SVG",
+            description="Classify a grid of eigenvalue pairs.  A point that fails "
+            "exceptionally is recorded as CRITICAL in its row; the sweep itself "
+            "exits 0.",
+        ),
+        cmd_sweep,
+        [
+            ("--q", dict(type=int, required=True)),
+            ("--res", dict(type=int, required=True, help="grid resolution per axis")),
+            ("--l1min", dict(type=float, default=0.0)),
+            ("--l1max", dict(type=float, default=0.6)),
+            ("--l2min", dict(type=float, default=0.0)),
+            ("--l2max", dict(type=float, default=0.6)),
+            ("--children", dict(type=int, default=2)),
+            ("--svg", dict(type=str, default=None, help="write an SVG phase diagram here")),
+            ("--out", dict(type=str, default=None)),
+        ],
+    ),
+    "potts": (
+        dict(help="Potts thresholds, Jacobian profile, boundary laws"),
+        cmd_potts,
+        [
+            ("--q", dict(type=int, required=True)),
+            ("--degree", dict(type=int, default=2, help="Cayley tree degree d")),
+            ("--jacobian", dict(type=str, default=None, help="lo:hi:step profile of det(J) at the lower branch")),
+            ("--bl", dict(type=float, default=None, help="boundary-law pair at lambda1 = lambda2 = LAM")),
+            ("--out", dict(type=str, default=None)),
+        ],
+    ),
+}
+
+
+@functools.cache
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process for each `command`.
+
+    With no command it holds every subcommand of `_COMMANDS`.  With a
+    command it holds only that one, and `main` uses it when argv[0] names
+    the command, so a call builds one subcommand, not six.  Its help and
+    usage errors are the full parser's, byte for byte: the command list in
+    the top-level usage line is given as the metavar.  argparse writes what
+    it parses only into the namespace it returns, so one parser serves
+    every `main` call of a process.
     """
     parser = _Parser(
         prog="clocktree",
         description="Phase transitions of generalized q-state clock models on trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_model_flags(p, lambdas_required=False):
-        p.add_argument("--q", type=int, required=True, help="number of states")
-        p.add_argument("--lambda1", type=float, required=lambdas_required,
-                       help="second-largest eigenvalue")
-        p.add_argument("--lambda2", type=float, required=lambdas_required,
-                       help="third-largest eigenvalue")
-        p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-
-    p = sub.add_parser("matrix", help="eigenvalues, row, and feasibility of a transfer matrix")
-    add_model_flags(p)
-    p.add_argument("--potts", action="store_true", help="build the Potts row instead")
-    p.add_argument("--theta", type=float, default=None, help="Potts theta = e^beta")
-    p.add_argument("--beta", type=float, default=None, help="Potts inverse temperature")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when the matrix is not non-increasing")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("probe", help="iterate the boundary-condition recursion and classify")
-    add_model_flags(p, lambdas_required=True)
-    p.add_argument("--u", type=float, default=1.0, help="boundary coupling weakening in (0, 1]")
-    p.add_argument("--levels", type=int, default=400, help="recursion depth")
-    p.add_argument("--tol", type=float, default=1e-12, help="verdict tolerance (default 1e-12)")
-    p.add_argument("--children", type=int, default=2, help="Cayley children per vertex")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("solve", help="all symmetric fixed points at one parameter point")
-    add_model_flags(p, lambdas_required=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("classify", help="quartic coefficients, invariants, and root structure")
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--scan", type=str, default=None, help="lo:hi:step scan over lambda2")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "sweep",
-        help="classify a (lambda1, lambda2) grid; CSV or SVG",
-        description="Classify a grid of eigenvalue pairs.  A point that fails "
-        "exceptionally is recorded as CRITICAL in its row; the sweep itself "
-        "exits 0.",
-    )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--res", type=int, required=True, help="grid resolution per axis")
-    p.add_argument("--l1min", type=float, default=0.0)
-    p.add_argument("--l1max", type=float, default=0.6)
-    p.add_argument("--l2min", type=float, default=0.0)
-    p.add_argument("--l2max", type=float, default=0.6)
-    p.add_argument("--children", type=int, default=2)
-    p.add_argument("--svg", type=str, default=None, help="write an SVG phase diagram here")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("potts", help="Potts thresholds, Jacobian profile, boundary laws")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degree", type=int, default=2, help="Cayley tree degree d")
-    p.add_argument("--jacobian", type=str, default=None,
-                   help="lo:hi:step profile of det(J) at the lower branch")
-    p.add_argument("--bl", type=float, default=None,
-                   help="boundary-law pair at lambda1 = lambda2 = LAM")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_potts)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        kwargs, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, **kwargs)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -505,6 +547,9 @@ def _validate_numeric(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ClockTreeError(f"--{name} must be finite, got {value!r}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and tol <= 0.0:
+        raise ClockTreeError(f"--tol must be positive, got {tol!r}")
     u = getattr(args, "u", None)
     if u is not None and not (0.0 < u <= 1.0):
         raise ClockTreeError(f"--u must lie in (0, 1], got {u!r}")

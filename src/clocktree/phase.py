@@ -19,10 +19,11 @@ A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
 (`spectral.feasibility_breakpoints`), and the count of fixed points only on a
 fold (`fixedpoint.q4_fold_roots`, and F's roots with their error bounds,
-`fixedpoint.q5_fold_bands`).  So a sweep evaluates only the grid points near
-such a breakpoint and the first point of each interval between two of them,
-with the same library calls as one point, and the rest of each interval takes
-that first point's answer.
+`fixedpoint.q5_fold_bands`).  So a sweep cuts each column into runs: each
+grid point near such a breakpoint is a run of its own, and so is the rest of
+each interval between two of them.  Only a run's first point is evaluated,
+with the same library calls as one point, and the rest of the run takes that
+first point's answer.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -62,7 +63,7 @@ RPT_MARGIN = 1e-9
 # lambda1 = 0.005)
 _FOLD_STEP = 1e-7
 # a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
-# breakpoint b of its column (`_interval_sources`): the counts flip on
+# breakpoint b of its column (`_run_starts`): the counts flip on
 # rounding noise near a fold, in a band up to about 1e-6 wide just above
 # lambda2 = 1/2 at lambda1 = 0.001 (q = 5)
 _GUARD = 1e-6
@@ -317,11 +318,13 @@ def sweep(
     non-increasing check, a phase transition from the verified fixed points
     (closed form for q = 4, all roots of the eliminated sextic for q = 5),
     robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
-    points are kept.  Only the points within 1e-6 * max(1, |b|) of a
-    breakpoint b of their lambda1 column, or within an F root's error bound,
-    and the first point of each interval between breakpoints are evaluated;
-    the other points of an interval take its first point's answer
-    (`_classify_grid`).  A feasible point whose solver raises is CRITICAL with
+    points are kept.  Each lambda1 column is cut into runs at its
+    breakpoints (`_run_starts`): every point within 1e-6 * max(1, |b|) of a
+    breakpoint b, or within an F root's error bound, is a run of its own,
+    and a run between breakpoints holds the rest of an interval.  Only the
+    first point of each run is evaluated, and the rest of the run takes its
+    answer (`_classify_grid`), so the work grows with the runs, not with the
+    grid points.  A feasible point whose solver raises is CRITICAL with
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
     as columns.  The mode maps are the binary tree's: another tree raises
@@ -346,83 +349,89 @@ def sweep(
 def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> PhaseGrid:
     """The grid l1s x l2s as a row-major `PhaseGrid`; the engine behind `sweep` and `classify_point`.
 
-    Only the points `_interval_sources` picks are evaluated: their
-    feasibility in one `feasible_lambdas` call, then the counts of the
-    feasible ones in one call through `_counts_by_row`.  Every other point
-    takes the (feasible, n_nontrivial) of the point it names, which lies
-    between the same two breakpoints of its column.  When that point's
-    solver raised, the points that named it are counted on their own, so a
-    failure stays with the row that raised.
+    The grid is cut into the runs of `_run_starts`, and only the head of
+    each run is evaluated: the heads' feasibility in one `feasible_lambdas`
+    call, then the counts of the feasible heads in one call through
+    `_counts_by_row`.  Regime and evidence are decided once per run, and
+    each column of the grid repeats its runs' answers over their lengths.
+    A run whose head raised is split into runs of one point, and the points
+    after its head are counted on their own in one more call, so a failure
+    stays with the point that raised.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
     if tree != Cayley(2):
         raise UnsupportedTree(f"the q = {q} mode maps are those of the binary tree Cayley(2), got {tree!r}")
-    lambda1 = np.repeat(l1s, len(l2s))
-    lambda2 = np.tile(l2s, len(l1s))
-    source = _interval_sources(q, l1s, l2s)
-    evaluated = source == np.arange(len(source))
-    feasible = np.zeros(len(lambda1), dtype=bool)
-    feasible[evaluated] = feasible_lambdas(q, lambda1[evaluated], lambda2[evaluated])
+    m = len(l2s)
+    starts = _run_starts(q, l1s, l2s)
+    head, length = starts[:-1], np.diff(starts)
+    feasible = feasible_lambdas(q, l1s[head // m], l2s[head % m])
     counts = q4_solution_counts if q == 4 else q5_solution_counts
-    n = np.zeros(len(lambda1), dtype=int)
-    failed = np.zeros(len(lambda1), dtype=bool)
-    error: list[Optional[str]] = [None] * len(lambda1)
+    n = np.zeros(len(head), dtype=int)
+    failed = np.zeros(len(head), dtype=bool)
+    error: list[Optional[str]] = [None] * (len(l1s) * m)
 
-    def count(rows: np.ndarray) -> None:
-        n[rows], failures = _counts_by_row(counts, lambda1[rows], lambda2[rows])
-        for k, message in zip(rows[list(failures)].tolist(), failures.values()):
-            failed[k] = True
-            error[k] = message
+    def count(runs: np.ndarray) -> None:
+        points = head[runs]
+        n[runs], failures = _counts_by_row(counts, l1s[points // m], l2s[points % m])
+        for r, message in zip(runs[list(failures)].tolist(), failures.values()):
+            failed[r] = True
+            error[head[r]] = message
 
     count(np.flatnonzero(feasible))
-    retry = np.flatnonzero(failed[source] & ~evaluated)
-    feasible[:], n[:] = feasible[source], n[source]
-    if len(retry):
-        count(retry)
-    robust = lambda1 * branching_number(tree) - 1.0 > RPT_MARGIN
-    # a point takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
+    pieces = np.where(failed, length, 1)
+    if (pieces > 1).any():
+        offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        head, feasible, n, failed = (np.repeat(column, pieces) for column in (head, feasible, n, failed))
+        head += offset
+        length = np.where(failed, 1, np.repeat(length, pieces))
+        followers = np.flatnonzero(offset)
+        failed[followers] = False
+        count(followers)
+    robust = l1s[head // m] * branching_number(tree) - 1.0 > RPT_MARGIN
+    # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
     # codes into PhaseGrid.evidences: a feasible point's fixed points come
     # from the closed form (q = 4) or the elimination (q = 5), an infeasible
     # point is decided by the closed-form check
     evidence = np.where(feasible, 0 if q == 4 else 1, 0)
-    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), feasible & ~failed, regime, n, evidence, error)
+    columns = (np.repeat(column, length) for column in (feasible & ~failed, regime, n, evidence))
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), *columns, error)
 
 
-def _interval_sources(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
-    """For each point of the row-major grid l1s x l2s, the point whose answer it takes: itself when evaluated.
+def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
+    """Where the runs of the row-major grid l1s x l2s start, in increasing order, then the grid's size.
 
-    In a column, (feasible, n_nontrivial) can change only at a breakpoint in
-    lambda2 (`_breakpoints`).  A point within _GUARD * max(1, |b|) of a
-    breakpoint b is evaluated; so is the first of the other points in each
-    open interval between breakpoints, whose answer the rest of the interval
-    takes.  Every point is evaluated in a column with |lambda1| or
-    |lambda1 - 1/2| at most 1e-12 (where `_q4_candidates` switches branch and
-    the q = 5 discriminant vanishes identically), and in every column when
-    the lambda2 axis has one value or is not strictly increasing.
+    A run is a stretch of a column whose points all take its first point's
+    answer.  In a column, (feasible, n_nontrivial) can change only at a
+    breakpoint in lambda2 (`_breakpoints`), so a run starts at each column
+    start, at every point within _GUARD * max(1, |b|) of a breakpoint b (its
+    band), at the first point after a band, and at the first point at or
+    above each breakpoint.  Every point is a run of its own in a column with
+    |lambda1| or |lambda1 - 1/2| at most 1e-12 (where `_q4_candidates`
+    switches branch and the q = 5 discriminant vanishes identically), and in
+    every column when the lambda2 axis has one value or is not strictly
+    increasing.
     """
     m = len(l2s)
     size = len(l1s) * m
-    own = np.arange(size)
     if m == 1 or not (l2s[1:] > l2s[:-1]).all():
-        return own
+        return np.arange(size + 1)
     cols, b, guard = _breakpoints(q, l1s)
-    # Marks on the row-major grid.  A position m in column c (above its last
-    # point) is the first point of column c + 1, so a band that reaches the
-    # top of its column closes there.
+    # Marks on the row-major grid and one past its end.  A position m in
+    # column c (above its last point) is the first point of column c + 1.
     first_point = cols * m
     start = first_point + np.searchsorted(l2s, b - guard)
     stop = first_point + np.searchsorted(l2s, b + guard, "right")
-    near = np.cumsum(np.bincount(start, minlength=size + 1) - np.bincount(stop, minlength=size + 1))[:size] > 0
-    near.reshape(-1, m)[(np.abs(l1s) <= 1e-12) | (np.abs(l1s - 0.5) <= 1e-12)] = True
-    cut = np.bincount(first_point + np.searchsorted(l2s, b), minlength=size + 1)[:size] > 0
-    cut[::m] = True
-    # An interval's points that are not near a breakpoint are consecutive,
-    # and a point near one lies between two intervals, so an interval's
-    # first point follows a cut or a point near a breakpoint.
-    head = ~near & (cut | np.concatenate([[True], near[:-1]]))
-    return np.where(near, own, np.maximum.accumulate(np.where(head, own, 0)))
+    width = stop - start
+    marks = np.zeros(size + 1, dtype=bool)
+    marks[::m] = True  # each column start, and the end of the grid
+    marks[first_point + np.searchsorted(l2s, b)] = True
+    # every point of each band [start, stop), and the first point after it
+    marks[np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())] = True
+    marks[stop] = True
+    marks[:size].reshape(-1, m)[(np.abs(l1s) <= 1e-12) | (np.abs(l1s - 0.5) <= 1e-12)] = True
+    return np.flatnonzero(marks)
 
 
 def _breakpoints(q: int, l1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -264,6 +264,8 @@ def rpt_probe(
         raise UnsupportedTree("probes require a Cayley family")
     if levels < 0:
         raise ClockTreeError(f"levels must be >= 0, got {levels}")
+    if not 0.0 < tol < math.inf:
+        raise ClockTreeError(f"tol must be a positive finite number, got {tol!r}")
     k = tree.children
     M = spec.matrix()
     mu = weakened_row(spec, u)

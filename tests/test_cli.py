@@ -1,6 +1,9 @@
 """CLI: flags, CSV schemas, determinism, SVG well-formedness, exit codes."""
+import contextlib
+import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import clocktree
+from clocktree import cli
 from clocktree.cli import build_parser, main
 
 
@@ -338,6 +342,58 @@ def test_non_finite_scan_range_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "-0.0", "--tol=-1e-12"])
+def test_probe_tol_must_be_positive(capsys, tol):
+    # at tol = -1 this probe printed "50,0" and then "verdict,BOUNDED_AWAY"
+    argv = ["probe", "--q", "4", "--lambda1", "0.1", "--lambda2", "0.05", "--levels", "50"]
+    argv += [tol] if tol.startswith("--") else ["--tol", tol]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --tol must be positive")
+
+
+@contextlib.contextmanager
+def _address_space_headroom(nbytes):
+    """Limit this process's address space to its current size plus nbytes, then restore the limit."""
+    with open("/proc/self/status") as fh:
+        size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+OVERSIZED_RANGE_ARGV = [
+    ("classify", "--scan", "0:1:1e-320"),
+    ("classify", "--scan", "0:1:1e-12"),
+    ("classify", "--scan", "0:1.0000011:1e-6"),
+    ("potts", "--q", "5", "--jacobian", "0.45:0.46:1e-320"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_RANGE_ARGV, ids=[" ".join(a) for a in OVERSIZED_RANGE_ARGV])
+def test_a_range_of_too_many_points_is_usage_error(monkeypatch, capsys, argv):
+    # the count is checked before any point is made: a 1e-12 step would ask for 10^12 floats
+    def no_points(*args):
+        raise AssertionError("no point of the range should be computed")
+
+    monkeypatch.setattr(cli, "_classify_row", no_points)
+    monkeypatch.setattr(cli.phase, "jacobian_profile", no_points)
+    with _address_space_headroom(256 << 20):  # a list of 10^12 floats fails fast instead
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "points" in captured.err and "1000001" in captured.err
+
+
+def test_a_range_of_a_million_and_one_points_is_built():
+    grid = cli._grid_from_range("0:1:1e-6")
+    assert len(grid) == 1_000_001 and grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_solve_q5_huge_lambda2_writes_no_warnings(capsys):
     # the sextic's coefficients overflow here; numpy must not print RuntimeWarnings
     with warnings.catch_warnings():
@@ -444,3 +500,76 @@ def test_one_process_answers_as_separate_processes_do(capsys):
         captured = capsys.readouterr()
         assert (codes[-1], captured.out, captured.err) == (separate.returncode, separate.stdout, separate.stderr)
     assert codes == [2, 0, 0]
+
+
+def _parsed(parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); code None when it parsed."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGV = [
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([name, "--bogus", "1"] for name in cli._COMMANDS),
+    ["matrix", "--lambda1", "0.3"],
+    ["probe", "--q", "4", "--lambda1", "0.5"],
+    ["solve", "--lambda1", "0.5", "--lambda2", "0.3"],
+    ["classify", "--lambda2"],
+    ["sweep", "--q", "4"],
+    ["potts", "--degree", "3"],
+    ["sweep", "--q", "4", "--res", "3", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=[" ".join(a) for a in PARSER_ARGV])
+def test_a_command_parser_answers_as_the_full_parser(capsys, argv):
+    # main parses with the named command's parser alone; its help, usage
+    # errors and exit codes are the full parser's, byte for byte
+    one, full = build_parser(argv[0]), build_parser()
+    code, out, err = _parsed(full, argv)
+    assert code == (0 if "--help" in argv else 2)
+    assert _parsed(one, argv) == (code, out, err)
+    assert (main(argv), *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "sweep"], ["swee", "--q", "4"]])
+def test_main_without_a_command_answers_from_the_full_parser(capsys, argv):
+    code, out, err = _parsed(build_parser(), argv)
+    assert "{matrix,probe,solve,classify,sweep,potts}" in out + err
+    assert (main(argv), *capsys.readouterr()) == (code, out, err)
+
+
+COLD_CALLS = """
+import os, sys
+from clocktree import cli, phase
+argvs = [
+    ["sweep", "--q", "4", "--res", "20", "--out", os.devnull],
+    ["sweep", "--q", "5", "--res", "20", "--out", os.devnull],
+    ["probe", "--q", "4", "--lambda1", "0.55", "--lambda2", "0.35", "--levels", "40", "--out", os.devnull],
+    ["solve", "--q", "5", "--lambda1", "0.45", "--lambda2", "0.4", "--out", os.devnull],
+]
+for argv in argvs:
+    cli.build_parser().parse_args(argv)
+before = set(sys.modules)
+codes = [cli.main(argv) for argv in argvs]
+phase.q5_transition_line([0.45, 0.5])
+print(codes, sorted(set(sys.modules) - before))
+"""
+
+
+def test_commands_import_nothing_after_the_cli_is_imported():
+    # The benchmark times one command per process, so a module a command
+    # imports on its first call (numpy.ma, for one, behind np.unique) is paid
+    # on every run.  argparse's own lazy imports are loaded by a parse first.
+    env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_CALLS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[0, 0, 0, 0] []\n"

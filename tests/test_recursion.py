@@ -265,6 +265,14 @@ def test_rpt_probe_records_cycle():
         ct.rpt_probe(spec, levels=-1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_rpt_probe_rejects_a_tol_that_is_not_a_positive_number(tol):
+    # with tol <= 0 no distance is below it, so a probe that reaches uniform
+    # exactly would be called bounded away
+    with pytest.raises(ct.ClockTreeError, match="tol"):
+        ct.rpt_probe(ct.spec_from_lambdas(4, 0.1, 0.05), levels=50, tol=tol)
+
+
 def test_fourier_positivity_and_domination_along_iterates():
     # positive spectrum: all RAW coefficients of every iterate stay positive,
     # and the weighted first mode dominates the higher ones

@@ -1,11 +1,11 @@
 """The sweep by column breakpoints against evaluation at every grid point.
 
-`phase._classify_grid` evaluates only the grid points near a breakpoint of
-their lambda1 column and the first point of each interval between
-breakpoints; the other points take their interval's (feasible,
-n_nontrivial).  The reference here evaluates every point with the same
-library calls: `feasible_lambdas` on the whole grid, then the counts on its
-feasible points.  The breakpoint polynomials of q = 4 are derived from the
+`phase._classify_grid` cuts each lambda1 column into runs at its
+breakpoints and evaluates only the first point of each run: every point near
+a breakpoint is a run of its own, and the other points take their run's
+(feasible, n_nontrivial).  The reference here evaluates every point with the
+same library calls: `feasible_lambdas` on the whole grid, then the counts on
+its feasible points.  The breakpoint polynomials of q = 4 are derived from the
 formulas of `_q4_candidates` with sympy, as `test_q5_folds.py` derives F.
 """
 import math
@@ -137,13 +137,13 @@ def test_a_sweep_evaluates_few_points(monkeypatch, q):
 
 @pytest.mark.parametrize("point, followers", [((6, 7), 0), ((9, 7), 1), ((10, 0), 8)])
 def test_a_raising_evaluated_point_fails_only_itself(monkeypatch, point, followers):
-    # on the res-12 q = 5 window: a point near a breakpoint, and two that
-    # open an interval of 1 and 8 more points
+    # on the res-12 q = 5 window: a run of one point (near a breakpoint), and
+    # two runs whose head has 1 and 8 followers; only the head fails
     window = ((0.40, 0.52), (0.30, 0.56))
     l1s, l2s = (np.linspace(*r, 12) for r in window)
-    source = phase._interval_sources(5, l1s, l2s)
+    starts = phase._run_starts(5, l1s, l2s).tolist()
     k = point[0] * 12 + point[1]
-    assert source[k] == k and (source == k).sum() == 1 + followers
+    assert k in starts and starts[starts.index(k) + 1] - k == 1 + followers
     clean = ct.sweep(5, *window, resolution=12)
     bad = (l1s[point[0]], l2s[point[1]])
 
