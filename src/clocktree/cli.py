@@ -172,34 +172,25 @@ def cmd_sweep(args) -> int:
         )
         with open(args.svg, "w", newline="\n") as fh:
             fh.write(svg)
-        return EXIT_OK
-    # The answers change along a lambda1 row only where the row crosses a
-    # feasibility or fold breakpoint, so a row is a few runs of equal
-    # (feasible, regime, n_nontrivial), packed into one int per point.  Each
-    # axis value is formatted once (a memo keyed by the float would merge
-    # -0.0 with 0.0, which print differently), each distinct answer's
-    # "lambda2,feasible,regime,n_nontrivial" cells once for the whole lambda2
-    # axis, and a row joins its runs' slices of those cells with "lambda1,":
-    # one join per run, then one for the row.
-    n_regimes = len(grid.regimes)
+        if not args.out:
+            return EXIT_OK
+    # The grid holds its answers as runs of equal (feasible, regime,
+    # n_nontrivial) that never cross a lambda1 row, so the writer reads the
+    # runs, not the points.  Each axis value is formatted once (a memo keyed
+    # by the float would merge -0.0 with 0.0, which print differently), each
+    # distinct answer's "lambda2,feasible,regime,n_nontrivial" cells once for
+    # the whole lambda2 axis, and a row joins its runs' slices of those cells
+    # with "lambda1,": one join per run, then one for the row.
     m = len(grid.lambda2)
-    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).reshape(-1, m)
-    # a run starts at column 0 or where the answer differs from its left neighbour
-    starts = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
-    col = np.nonzero(starts)[1]
-    run_keys = keys[starts].tolist()
-    # a run ends where the next one starts, or at the end of its row
-    ends = np.append(col[1:], m)
-    ends[ends == 0] = m
+    col = grid.starts[:-1] % m
+    end = col + np.diff(grid.starts)
+    answers = list(zip(grid.run_feasible.tolist(), grid.run_regime.tolist(), grid.run_n_nontrivial.tolist()))
     l2_text = [_fmt(l2) for l2 in grid.lambda2]
     cells = {}
-    for key in set(run_keys):
-        n, rest = divmod(key, 2 * n_regimes)
-        c, f = divmod(rest, 2)
+    for f, c, n in set(answers):
         tail = f"{'true' if f else 'false'},{grid.regimes[c].value},{n}\n"
-        cells[key] = [f"{t2},{tail}" for t2 in l2_text]
-    runs = list(zip(run_keys, col.tolist(), ends.tolist()))
+        cells[f, c, n] = [f"{t2},{tail}" for t2 in l2_text]
+    runs = list(zip(answers, col.tolist(), end.tolist()))
     bounds = np.flatnonzero(col == 0).tolist() + [len(runs)]
     # written one lambda1 row at a time, so the text of the whole grid is never held
     with _output(args.out) as fh:

@@ -687,9 +687,10 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     E2 = l2^2 a2^3 + E a2 + F: of -(B C + l2 F A^2) / (l2 (B^2 - A C + E A^2))
     (their subresultant, finite at A = a1 - v = 0, the special solution at
     lambda2 = 37/96) and -F/E (exact at lambda2 = 0), each polished by a
-    Newton step on E2, the one with the smaller fixed-point residual.  At
-    lambda1 = 0 a pair (a1, +-a2) is not recovered; it would need
-    lambda2 > 1/2, infeasible.
+    Newton step on E2, the one with the smaller fixed-point residual.  A
+    candidate whose residual still fails the check takes one Newton step on
+    (E1, E2) when that step is at most 1e-5.  At lambda1 = 0 a pair
+    (a1, +-a2) is not recovered; it would need lambda2 > 1/2, infeasible.
     """
     with np.errstate(all="ignore"):
         coeffs = _q5_sextic(lambda1, lambda2)
@@ -723,7 +724,25 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
         a2 = np.where(np.abs(e2(polished)) < np.abs(e2(a2)), polished, a2)
         f1, f2 = mode_map_q5(l1, l2, (x, a2))
         residual = np.maximum(np.abs(x - f1), np.abs(a2 - f2))
-    return x, np.where(residual[0] <= residual[1], a2[0], a2[1]), valid
+        a2 = np.where(residual[0] <= residual[1], a2[0], a2[1])
+        # where two fixed points share alpha1 (near G = 0, below) B^2 - A C + E A^2
+        # vanishes and both estimates of alpha2 can be off by a few 1e-6; a
+        # candidate that passes keeps its numbers
+        rows, slots = np.nonzero(valid & (residual.min(axis=0) >= RESIDUAL_TOL))
+        if len(rows):
+            at, p1, p2 = (rows, slots), lambda1[rows], lambda2[rows]
+            s, t = x[at], a2[at]
+            r1, r2 = (p2 * p2 * a[at] * t + p2 * b[at]) * t + c[at], (p2 * p2 * t * t + e[at]) * t + f[at]
+            # the Jacobian of (E1, E2) in (alpha1, alpha2)
+            j11 = (p2 * t - 2.0 * V5 * p1) * p2 * t + 3.0 * p1 * p1 * s * s - 0.4 * p1 + 0.2
+            j12, j21 = (2.0 * p2 * a[at] * t + b[at]) * p2, 2.0 * p1 * ((p1 * s - V5 * p2) * t - V5 * p1 * s)
+            j22 = 3.0 * p2 * p2 * t * t + e[at]
+            det = j11 * j22 - j12 * j21
+            d1, d2 = (r1 * j22 - r2 * j12) / det, (r2 * j11 - r1 * j21) / det
+            small = np.maximum(np.abs(d1), np.abs(d2)) <= 1e-5
+            x[rows[small], slots[small]] -= d1[small]
+            a2[rows[small], slots[small]] -= d2[small]
+    return x, a2, valid
 
 
 def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:

@@ -95,54 +95,72 @@ class PhasePoint:
 
 
 class PhaseGrid(Sequence[PhasePoint]):
-    """Classified points of a grid, row-major in (lambda1, lambda2), held as columns.
+    """Classified points of a grid, row-major in (lambda1, lambda2), held as runs of equal answers.
 
     `lambda1` and `lambda2` are the grid's two axes as lists of floats;
     point i lies at (lambda1[i // len(lambda2)], lambda2[i % len(lambda2)]).
-    The per-point columns are arrays: `feasible` (bool), `regime` (int codes
-    into `regimes`), `n_nontrivial` (int) and `evidence` (int codes into
-    `evidences`), plus `error`, a list of the failure message or None.  A
-    `PhasePoint` is built only when one is indexed or iterated; a slice is a
-    list of points.
+    Run r holds the points starts[r] <= i < starts[r + 1]; `starts` rises
+    strictly from 0 to the grid size through every row start, so no run
+    crosses a lambda1 row.  The per-run columns are arrays: `run_feasible`
+    (bool), `run_regime` (int codes into `regimes`), `run_n_nontrivial`
+    (int) and `run_evidence` (int codes into `evidences`), plus `run_error`,
+    a list of the failure message or None (a failed run is one point long).
+    The per-point columns `feasible`, `regime`, `n_nontrivial`, `evidence`
+    and `error` are built from the runs on each read, and a `PhasePoint`
+    only when one is indexed or iterated; a slice is a list of points.
     """
 
     regimes = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
     evidences = (Evidence.CLOSED_FORM, Evidence.ELIMINATION)
 
-    __slots__ = ("q", "lambda1", "lambda2", "feasible", "regime", "n_nontrivial", "evidence", "error")
+    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial",
+                 "run_evidence", "run_error")
 
     def __init__(
-        self,
-        q: int,
-        lambda1: list[float],
-        lambda2: list[float],
-        feasible: np.ndarray,
-        regime: np.ndarray,
-        n_nontrivial: np.ndarray,
-        evidence: np.ndarray,
-        error: list[Optional[str]],
+        self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, feasible: np.ndarray,
+        regime: np.ndarray, n_nontrivial: np.ndarray, evidence: np.ndarray, error: list[Optional[str]]
     ) -> None:
-        self.q, self.lambda1, self.lambda2 = q, lambda1, lambda2
-        self.feasible, self.regime, self.n_nontrivial = feasible, regime, n_nontrivial
-        self.evidence, self.error = evidence, error
+        starts = np.asarray(starts)
+        size, runs = len(lambda1) * len(lambda2), len(starts) - 1
+        if not (runs >= 0 and starts[0] == 0 and starts[-1] == size):
+            raise ClockTreeError(f"run starts must go from 0 to the grid size {size}")
+        if not (starts[1:] > starts[:-1]).all():
+            raise ClockTreeError("run starts must be strictly increasing")
+        if np.count_nonzero(starts % len(lambda2) == 0) != len(lambda1) + 1:
+            raise ClockTreeError("run starts must hold the start of every lambda1 row")
+        if any(len(column) != runs for column in (feasible, regime, n_nontrivial, evidence, error)):
+            raise ClockTreeError(f"every run column must hold one entry per run, {runs}")
+        self.q, self.lambda1, self.lambda2, self.starts = q, lambda1, lambda2, starts
+        self.run_feasible, self.run_regime, self.run_n_nontrivial = feasible, regime, n_nontrivial
+        self.run_evidence, self.run_error = evidence, error
+
+    feasible = property(lambda self: np.repeat(self.run_feasible, np.diff(self.starts)))
+    regime = property(lambda self: np.repeat(self.run_regime, np.diff(self.starts)))
+    n_nontrivial = property(lambda self: np.repeat(self.run_n_nontrivial, np.diff(self.starts)))
+    evidence = property(lambda self: np.repeat(self.run_evidence, np.diff(self.starts)))
+    error = property(lambda self: [e for e, n in zip(self.run_error, np.diff(self.starts).tolist()) for _ in range(n)])
 
     def __len__(self) -> int:
-        return len(self.error)
+        return int(self.starts[-1])
 
     def __getitem__(self, index: int | slice) -> PhasePoint | list[PhasePoint]:
         i = range(len(self))[index]
         if isinstance(i, range):
             return [self[k] for k in i]
         a, b = divmod(i, len(self.lambda2))
+        r = int(np.searchsorted(self.starts, i, "right")) - 1
         return PhasePoint(
-            self.q, self.lambda1[a], self.lambda2[b], bool(self.feasible[i]), self.regimes[self.regime[i]],
-            int(self.n_nontrivial[i]), self.evidences[self.evidence[i]], self.error[i],
+            self.q, self.lambda1[a], self.lambda2[b], bool(self.run_feasible[r]), self.regimes[self.run_regime[r]],
+            int(self.run_n_nontrivial[r]), self.evidences[self.run_evidence[r]], self.run_error[r],
         )
 
     def __iter__(self) -> Iterator[PhasePoint]:
-        columns = (self.feasible.tolist(), self.regime.tolist(), self.n_nontrivial.tolist(), self.evidence.tolist())
-        for (a, b), f, c, m, ev, err in zip(itertools.product(self.lambda1, self.lambda2), *columns, self.error):
-            yield PhasePoint(self.q, a, b, f, self.regimes[c], m, self.evidences[ev], err)
+        points = itertools.product(self.lambda1, self.lambda2)
+        runs = (self.run_feasible, self.run_regime, self.run_n_nontrivial, self.run_evidence, np.diff(self.starts))
+        for f, c, m, ev, length, err in zip(*(column.tolist() for column in runs), self.run_error):
+            regime, evidence = self.regimes[c], self.evidences[ev]
+            for a, b in itertools.islice(points, length):
+                yield PhasePoint(self.q, a, b, f, regime, m, evidence, err)
 
 
 def q4_critical_line(lambda2: float) -> float:
@@ -327,7 +345,7 @@ def sweep(
     grid points.  A feasible point whose solver raises is CRITICAL with
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
-    as columns.  The mode maps are the binary tree's: another tree raises
+    as those runs.  The mode maps are the binary tree's: another tree raises
     UnsupportedTree, and a non-finite range or a resolution that is not an
     integer >= 1 ClockTreeError.
     """
@@ -353,10 +371,10 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
     call, then the counts of the feasible heads in one call through
     `_counts_by_row`.  Regime and evidence are decided once per run, and
-    each column of the grid repeats its runs' answers over their lengths.
-    A run whose head raised is split into runs of one point, and the points
-    after its head are counted on their own in one more call, so a failure
-    stays with the point that raised.
+    the grid keeps the runs: nothing is held per point.  A run whose head
+    raised is split into runs of one point, and the points after its head
+    are counted on their own in one more call, so a failure stays with the
+    point that raised.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
@@ -369,14 +387,13 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     counts = q4_solution_counts if q == 4 else q5_solution_counts
     n = np.zeros(len(head), dtype=int)
     failed = np.zeros(len(head), dtype=bool)
-    error: list[Optional[str]] = [None] * (len(l1s) * m)
+    errors: dict[int, str] = {}  # by the point that raised
 
     def count(runs: np.ndarray) -> None:
         points = head[runs]
         n[runs], failures = _counts_by_row(counts, l1s[points // m], l2s[points % m])
-        for r, message in zip(runs[list(failures)].tolist(), failures.values()):
-            failed[r] = True
-            error[head[r]] = message
+        failed[runs[list(failures)]] = True
+        errors.update(zip(points[list(failures)].tolist(), failures.values()))
 
     count(np.flatnonzero(feasible))
     pieces = np.where(failed, length, 1)
@@ -384,7 +401,6 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
         offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
         head, feasible, n, failed = (np.repeat(column, pieces) for column in (head, feasible, n, failed))
         head += offset
-        length = np.where(failed, 1, np.repeat(length, pieces))
         followers = np.flatnonzero(offset)
         failed[followers] = False
         count(followers)
@@ -395,8 +411,8 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     # from the closed form (q = 4) or the elimination (q = 5), an infeasible
     # point is decided by the closed-form check
     evidence = np.where(feasible, 0 if q == 4 else 1, 0)
-    columns = (np.repeat(column, length) for column in (feasible & ~failed, regime, n, evidence))
-    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), *columns, error)
+    starts, error = np.append(head, starts[-1]), list(map(errors.get, head.tolist()))
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible & ~failed, regime, n, evidence, error)
 
 
 def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -242,6 +243,32 @@ def test_sweep_svg(tmp_path, capsys):
     assert root.tag.endswith("svg")
     assert "polyline" in text and "stroke-dasharray" in text
     assert "http" not in text.replace("http://www.w3.org/2000/svg", "")  # self-contained
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_sweep_svg_and_out_write_both_files(tmp_path, capsys, q):
+    args = ("sweep", "--q", str(q), "--res", "9")
+    csv_only, both, svg_only = (tmp_path / name for name in ("csv_only.csv", "both.csv", "svg_only.svg"))
+    assert run_cli(capsys, *args, "--out", str(csv_only)) == (0, "")
+    assert run_cli(capsys, *args, "--svg", str(svg_only)) == (0, "")
+    svg = tmp_path / "both.svg"
+    assert run_cli(capsys, *args, "--svg", str(svg), "--out", str(both)) == (0, "")
+    assert both.read_bytes() == csv_only.read_bytes()
+    assert svg.read_bytes() == svg_only.read_bytes()
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_sweep_csv_allocation_stays_with_the_runs(tmp_path, q):
+    # a res-1000 grid has 10^6 points; the sweep holds its runs (a few
+    # thousand) and one row of text, never a column or a string per point
+    build_parser("sweep")
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--q", str(q), "--res", "1000", "--out", str(tmp_path / "grid.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _svg_coordinates(path):

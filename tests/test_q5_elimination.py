@@ -423,6 +423,21 @@ def test_double_root_at_potts_fold_counted_once():
         assert ct.q5_solutions(lam, lam).n_nontrivial <= 1, lam
 
 
+def test_two_fixed_points_sharing_alpha1_are_both_found():
+    # a point of the res-51 sweep of [0, 0.565393234768397]^2 close to G = 0,
+    # where two fixed points share alpha1 to about 2e-7: both estimates of
+    # alpha2 are off by up to 2.5e-6, which the residual check rejects, so
+    # without the Newton step on (E1, E2) the count reads 4 between
+    # neighbours of 6 in its column
+    axis = np.linspace(0.0, 0.565393234768397, 51)
+    l1, l2 = float(axis[49]), float(axis[48])
+    s = ct.q5_solutions(l1, l2)
+    assert (s.n_nontrivial, s.rejected) == (6, ())
+    pair = [a for a in s.nontrivial if abs(a[0] + 0.054879) < 1e-6]
+    assert len(pair) == 2 and abs(pair[0][1] - pair[1][1]) > 0.2
+    assert q5_solution_counts(np.full(3, l1), axis[46:49]).tolist() == [6, 6, 6]
+
+
 def test_lambda1_zero_drops_the_degree():
     # the sextic's four leading coefficients vanish; no root is invented
     for l2 in (-0.2, 0.0, 0.3):

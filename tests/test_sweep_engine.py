@@ -444,37 +444,115 @@ def ref_sweep_csv(grid):
 
 
 _AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
-# (feasible, regime code, n_nontrivial), CRITICAL (code 0) included
-_ANSWER = st.tuples(st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
-
-
-@st.composite
-def _answer_row(draw, m):
-    shape = draw(st.sampled_from(["one run", "every cell", "runs"]))
-    if shape == "one run":
-        return [draw(_ANSWER)] * m
-    if shape == "every cell":  # distinct answers in turn: each cell differs from its left neighbour
-        cycle = draw(st.lists(_ANSWER, min_size=2, max_size=5, unique=True))
-    else:
-        runs = draw(st.lists(st.tuples(_ANSWER, st.integers(1, 30)), min_size=1, max_size=5))
-        cycle = [answer for answer, length in runs for _ in range(length)]
-    return list(itertools.islice(itertools.cycle(cycle), m))
+# (feasible, regime code, n_nontrivial, evidence code) of a run, CRITICAL (code 0) included
+_ANSWER = st.tuples(
+    st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6),
+    st.integers(0, len(ct.PhaseGrid.evidences) - 1),
+)
 
 
 @st.composite
 def _phase_grids(draw):
+    """A grid built from a drawn run partition, and the same answers with every point a run of its own.
+
+    The partition has every point its own run, one run per lambda1 row, or
+    random cuts besides the row starts.  The runs' answers cycle through a
+    few drawn ones, so that neighbouring runs often share an answer, as a
+    sweep's runs do, and a CRITICAL run one point long carries an error, as
+    a failed point does.
+    """
     lambda1 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
     lambda2 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
-    answers = [answer for _ in lambda1 for answer in draw(_answer_row(len(lambda2)))]
-    feasible, regime, n_nontrivial = (np.array(column) for column in zip(*answers))
-    size = len(answers)
-    return ct.PhaseGrid(4, lambda1, lambda2, feasible, regime, n_nontrivial, np.zeros(size, dtype=int), [None] * size)
+    size = len(lambda1) * len(lambda2)
+    rows = np.arange(0, size + 1, len(lambda2))
+    shape = draw(st.sampled_from(["every point", "one per row", "random cuts"]))
+    if shape == "every point":
+        starts = np.arange(size + 1)
+    elif shape == "one per row":
+        starts = rows
+    else:
+        starts = np.union1d(rows, np.array(draw(st.lists(st.integers(0, size), max_size=40)), dtype=int))
+    lengths = np.diff(starts)
+    answers = itertools.cycle(draw(st.lists(_ANSWER, min_size=1, max_size=5)))
+    columns = [np.array(column) for column in zip(*itertools.islice(answers, len(lengths)))]
+    error = ["solver gave up" if c == 0 and k == 1 else None for c, k in zip(columns[1].tolist(), lengths.tolist())]
+    grid = ct.PhaseGrid(4, lambda1, lambda2, starts, *columns, error)
+    per_point = (np.repeat(column, lengths) for column in columns)
+    every_point = ct.PhaseGrid(4, lambda1, lambda2, np.arange(size + 1), *per_point, grid.error)
+    return grid, every_point
+
+
+def ref_sweep_csv(grid):
+    """The CSV `clocktree sweep` writes for `grid`, one f-string per cell."""
+    l2_text = [format(l2, ".17g") for l2 in grid.lambda2]
+    m = len(l2_text)
+    answers = list(zip(grid.feasible.tolist(), grid.regime.tolist(), grid.n_nontrivial.tolist()))
+    text = ["lambda1,lambda2,feasible,regime,n_nontrivial\n"]
+    for i, t1 in enumerate(format(l1, ".17g") for l1 in grid.lambda1):
+        row = zip(l2_text, answers[i * m : (i + 1) * m])
+        cells = (f"{t1},{t2},{'true' if f else 'false'},{grid.regimes[c].value},{n}\n" for t2, (f, c, n) in row)
+        text.append("".join(cells))
+    return "".join(text)
+
+
+@SETTINGS
+@given(grids=_phase_grids())
+def test_phase_grid_runs_read_as_every_point_a_run(grids):
+    grid, every_point = grids
+    points = list(every_point)
+    assert len(grid) == len(every_point) == len(grid.lambda1) * len(grid.lambda2)
+    assert [point_key(p) for p in grid] == [point_key(p) for p in points]
+    assert [point_key(grid[i]) for i in range(-len(grid), len(grid))] == [point_key(p) for p in points + points]
+    for sl in (slice(None), slice(3, None, 7), slice(None, None, -5), slice(-4, 1000)):
+        assert [point_key(p) for p in grid[sl]] == [point_key(p) for p in points[sl]]
+    for name in ("feasible", "regime", "n_nontrivial", "evidence"):
+        got, want = getattr(grid, name), getattr(every_point, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert grid.error == every_point.error == [p.error for p in points]
 
 
 @settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(grid=_phase_grids())
-def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grid):
-    monkeypatch.setattr(phase, "sweep", lambda **kwargs: grid)
-    out = tmp_path / "grid.csv"
-    assert main(["sweep", "--q", "4", "--res", str(len(grid.lambda1)), "--out", str(out)]) == 0
-    assert out.read_bytes() == ref_sweep_csv(grid).encode()
+@given(grids=_phase_grids())
+def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grids):
+    grid, every_point = grids
+    for g in grids:
+        monkeypatch.setattr(phase, "sweep", lambda **kwargs: g)
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--q", "4", "--res", str(len(grid.lambda1)), "--out", str(out)]) == 0
+        assert out.read_bytes() == ref_sweep_csv(every_point).encode()
+
+
+def _rows_of_runs(**change):
+    """`PhaseGrid`'s arguments for a 2 x 3 grid of three runs, with some of them replaced."""
+    args = dict(
+        q=4, lambda1=[0.1, 0.2], lambda2=[0.0, 0.3, 0.6], starts=np.array([0, 3, 4, 6]),
+        feasible=np.ones(3, dtype=bool), regime=np.full(3, 4), n_nontrivial=np.zeros(3, dtype=int),
+        evidence=np.zeros(3, dtype=int), error=[None] * 3,
+    )
+    return {**args, **change}
+
+
+def test_phase_grid_takes_well_formed_runs():
+    grid = ct.PhaseGrid(**_rows_of_runs())
+    assert len(grid) == 6 and grid.regime.tolist() == [4] * 6 and grid.error == [None] * 6
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(starts=np.array([1, 3, 4, 6])), "from 0 to the grid size 6"),
+    (dict(starts=np.array([0, 3, 4, 5])), "from 0 to the grid size 6"),
+    (dict(starts=np.array([0, 3, 4, 7])), "from 0 to the grid size 6"),
+    (dict(starts=np.array([], dtype=int)), "from 0 to the grid size 6"),
+    (dict(starts=np.array([0, 4, 3, 6])), "strictly increasing"),
+    (dict(starts=np.array([0, 3, 3, 6])), "strictly increasing"),
+    (dict(starts=np.array([0, 2, 4, 6])), "every lambda1 row"),
+    (dict(starts=np.array([0, 6]), error=[None]), "every lambda1 row"),
+    (dict(feasible=np.ones(6, dtype=bool)), "one entry per run, 3"),
+    (dict(regime=np.full(2, 4)), "one entry per run, 3"),
+    (dict(n_nontrivial=np.zeros(4, dtype=int)), "one entry per run, 3"),
+    (dict(evidence=np.zeros(6, dtype=int)), "one entry per run, 3"),
+    (dict(error=[None] * 6), "one entry per run, 3"),
+], ids=["first-not-0", "ends-short", "ends-long", "empty", "decreasing", "repeated", "misses-row",
+        "crosses-row", "feasible", "regime", "n_nontrivial", "evidence", "error"])
+def test_phase_grid_rejects_malformed_runs(change, message):
+    with pytest.raises(ct.ClockTreeError, match=message):
+        ct.PhaseGrid(**_rows_of_runs(**change))
