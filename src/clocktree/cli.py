@@ -43,9 +43,13 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _output(out_path: Optional[str]) -> Iterator[TextIO]:
-    """The file at out_path, written with LF line endings, or standard output."""
+    """The file at out_path, written with LF line endings, or standard output; only a failed open is a usage error."""
     if out_path:
-        with open(out_path, "w", newline="\n") as fh:
+        try:
+            fh = open(out_path, "w", newline="\n")
+        except OSError as exc:
+            raise ClockTreeError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -170,7 +174,7 @@ def cmd_sweep(args) -> int:
             (args.l2min, args.l2max),
             q=args.q,
         )
-        with open(args.svg, "w", newline="\n") as fh:
+        with _output(args.svg) as fh:
             fh.write(svg)
         if not args.out:
             return EXIT_OK
@@ -202,7 +206,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_potts(args) -> int:
-    if args.jacobian:
+    if args.bl is not None and args.jacobian is not None:
+        raise ClockTreeError("--bl and --jacobian cannot be combined")
+    if (args.bl is not None or args.jacobian is not None) and (args.q, args.degree) != (5, 2):
+        raise ClockTreeError(f"--bl and --jacobian need --q 5 --degree 2, got --q {args.q} --degree {args.degree}")
+    if args.jacobian is not None:
         profile = phase.jacobian_profile(_grid_from_range(args.jacobian))
         lines = ["lambda,det"]
         for lam, det in profile:

@@ -792,43 +792,21 @@ def _fold_coeffs(lambda1: np.ndarray) -> np.ndarray:
     return (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
 
 
-def q5_fold_roots(lambda1: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, lambda2) of the fold candidates in (lo, hi) at each lambda1[row].
-
-    The candidates are the real roots of F in lambda2, one batched companion
-    eigensolve (`_polynomial_roots`) with each root polished by one Newton
-    step, and lambda2 = 1/2 for every row when it lies in (lo, hi).  A count
-    of fixed points can change at lambda1 only at these lambda2 (or where a
-    root of S leaves the verifier's bounds), so they are the candidates of
-    the transition line.  Near a multiple root of F a computed root can be
-    off by far more than the guard of a sweep; the sweep takes F's roots
-    with their error bounds from `q5_fold_bands`.
-    """
-    coeffs = _fold_coeffs(lambda1)
-    roots = _polynomial_roots(coeffs)
-    x = roots.real
-    with np.errstate(all="ignore"):
-        x = x - _polyval(coeffs, x) / _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), x)
-    rows, k = np.nonzero((roots.imag == 0.0) & (x > lo) & (x < hi))
-    x = x[rows, k]
-    if lo < 0.5 < hi:  # the root of 2 l2 - 1, at every lambda1
-        n = len(coeffs)
-        rows, x = np.concatenate([rows, np.arange(n)]), np.concatenate([x, np.full(n, 0.5)])
-    return rows, x
-
-
 def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, lambda2, radius): roots of F in lambda2 at each lambda1[row], with a bound on their error.
+    """(rows, lambda2, radius): where a q=5 count can change at each lambda1[row], with a bound on the error.
 
-    The roots z of F in lambda2 come from the eigensolve of `q5_fold_roots`,
-    unpolished.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)|
-    holds a root of F, which has degree 10 (|F'/F| = |sum 1/(z - r)| over
-    its roots r); e bounds the rounding of F's coefficients and of Horner's
-    rule at z.  Each z whose disc reaches the real axis, complex ones
-    included, gives its real part and the radius.  Away from a multiple root
-    the radius is below 1e-6 (about 5e-7 at lambda1 = 0.45); near F's triple
-    root at (1/2, 2/5), where a computed root can be off by 2e-4, it grows
-    with the error, to about 0.02 at lambda1 = 1/2 - 1e-11.
+    A count can change only at lambda2 = 1/2 (radius 0, every row) and the
+    real roots of F (or where a root of S leaves the verifier's bounds).
+    F's roots z in lambda2 come from one batched companion eigensolve,
+    unpolished, one of each conjugate pair.  Around each z the disc of
+    radius 10 (|F(z)| + e)/|F'(z)| holds a root of F, which has degree 10
+    (|F'/F| = |sum 1/(z - r)| over its roots r); e bounds the rounding of
+    F's coefficients and of Horner's rule at z.  Each z whose disc reaches
+    the real axis, complex ones included, gives its real part and the
+    radius.  Away from a multiple root the radius is below 1e-6 (about 5e-7
+    at lambda1 = 0.45); near F's triple root at (1/2, 2/5), where a computed
+    root can be off by 2e-4, it grows with the error, to about 0.02 at
+    lambda1 = 1/2 - 1e-11.
     """
     l1 = np.asarray(lambda1, dtype=float)
     with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
@@ -839,8 +817,10 @@ def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         radius = 10.0 * (np.abs(_polyval(coeffs, z)) + rounding) / np.abs(
             _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), z)
         )
-    rows, k = np.nonzero(np.abs(z.imag) <= radius)
-    return rows, z.real[rows, k], radius[rows, k]
+    rows, k = np.nonzero((z.imag >= 0.0) & (z.imag <= radius))
+    n = len(l1)  # then lambda2 = 1/2, the root of 2 l2 - 1, with radius 0 in every row
+    half = (np.arange(n), np.full(n, 0.5), np.zeros(n))
+    return tuple(np.concatenate(pair) for pair in zip((rows, z.real[rows, k], radius[rows, k]), half))
 
 
 def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:

@@ -7,23 +7,23 @@ transitions where a non-trivial symmetric fixed point of the mode recursion
 exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
 q = 5 it lies on the folds of the eliminated sextic, the zero set of its
-discriminant, whose candidates in lambda2 are the real roots of the factor F
-and lambda2 = 1/2 (`fixedpoint.q5_fold_roots`).  Each candidate is checked
-by the count of the elimination solver (`fixedpoint.q5_solution_counts`,
-which takes the sextic's roots from one batched companion eigensolve) on
-both of its sides, all in one batched call; plain bisection on that count,
-one call per step, runs only where the check leaves a bracket wider than the
-tolerance.
+discriminant, whose candidates in lambda2 are 1/2 and the real roots of its
+factor F, each with an error bound (`fixedpoint.q5_fold_bands`).  Each
+candidate is checked by the count of the elimination solver
+(`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
+batched companion eigensolve) on both of its sides, all in one batched call;
+plain bisection on that count, one call per step, runs only where the check
+leaves a bracket wider than the tolerance.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
 (`spectral.feasibility_breakpoints`), and the count of fixed points only on a
-fold (`fixedpoint.q4_fold_roots`, and F's roots with their error bounds,
-`fixedpoint.q5_fold_bands`).  So a sweep cuts each column into runs: each
-grid point near such a breakpoint is a run of its own, and so is the rest of
-each interval between two of them.  Only a run's first point is evaluated,
-with the same library calls as one point, and the rest of the run takes that
-first point's answer.
+fold (`fixedpoint.q4_fold_roots`; for q = 5 lambda2 = 0, where S
+degenerates, and the folds of `fixedpoint.q5_fold_bands`).  So a sweep cuts
+each column into runs: each grid point near such a breakpoint is a run of its
+own, and so is the rest of each interval between two of them.  Only a run's
+first point is evaluated, with the same library calls as one point, and the
+rest of the run takes that first point's answer.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -45,7 +45,6 @@ from .fixedpoint import (
     q4_fold_roots,
     q4_solution_counts,
     q5_fold_bands,
-    q5_fold_roots,
     q5_jacobian,
     q5_potts_diagonal_solutions,
     q5_solution_counts,
@@ -58,9 +57,9 @@ from .spectral import feasibility_breakpoints, feasible_lambdas
 RPT_MARGIN = 1e-9
 # a fold candidate r of `q5_transition_line` is checked on the smallest
 # bisection node that holds [r - _FOLD_STEP, r + _FOLD_STEP]; the step is
-# far above the error of the polished roots (at most about 6e-10) and the
-# width of the counts' rounding noise at a fold (about 2e-11, 5e-8 at
-# lambda1 = 0.005)
+# above the unpolished band centres' error on the line's branch (at most
+# 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near 0.49994) and the width of
+# the counts' rounding noise at a fold (about 2e-11, 5e-8 at lambda1 = 0.005)
 _FOLD_STEP = 1e-7
 # a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
 # breakpoint b of its column (`_run_starts`): the counts flip on
@@ -103,8 +102,10 @@ class PhaseGrid(Sequence[PhasePoint]):
     strictly from 0 to the grid size through every row start, so no run
     crosses a lambda1 row.  The per-run columns are arrays: `run_feasible`
     (bool), `run_regime` (int codes into `regimes`), `run_n_nontrivial`
-    (int) and `run_evidence` (int codes into `evidences`), plus `run_error`,
-    a list of the failure message or None (a failed run is one point long).
+    (int), plus `run_error`, a list of the failure message or None (a failed
+    run is one point long), and the derived `run_evidence` (int codes into
+    `evidences`): ELIMINATION where q = 5 and the run's head was feasible, as
+    a failed (CRITICAL) run's was.
     The per-point columns `feasible`, `regime`, `n_nontrivial`, `evidence`
     and `error` are built from the runs on each read, and a `PhasePoint`
     only when one is indexed or iterated; a slice is a list of points.
@@ -113,12 +114,11 @@ class PhaseGrid(Sequence[PhasePoint]):
     regimes = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
     evidences = (Evidence.CLOSED_FORM, Evidence.ELIMINATION)
 
-    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial",
-                 "run_evidence", "run_error")
+    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial", "run_error")
 
     def __init__(
         self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, feasible: np.ndarray,
-        regime: np.ndarray, n_nontrivial: np.ndarray, evidence: np.ndarray, error: list[Optional[str]]
+        regime: np.ndarray, n_nontrivial: np.ndarray, error: list[Optional[str]]
     ) -> None:
         starts = np.asarray(starts)
         size, runs = len(lambda1) * len(lambda2), len(starts) - 1
@@ -128,11 +128,16 @@ class PhaseGrid(Sequence[PhasePoint]):
             raise ClockTreeError("run starts must be strictly increasing")
         if np.count_nonzero(starts % len(lambda2) == 0) != len(lambda1) + 1:
             raise ClockTreeError("run starts must hold the start of every lambda1 row")
-        if any(len(column) != runs for column in (feasible, regime, n_nontrivial, evidence, error)):
+        if any(len(column) != runs for column in (feasible, regime, n_nontrivial, error)):
             raise ClockTreeError(f"every run column must hold one entry per run, {runs}")
         self.q, self.lambda1, self.lambda2, self.starts = q, lambda1, lambda2, starts
         self.run_feasible, self.run_regime, self.run_n_nontrivial = feasible, regime, n_nontrivial
-        self.run_evidence, self.run_error = evidence, error
+        self.run_error = error
+
+    def _run_evidence(self, runs: int | slice = slice(None)) -> np.ndarray:
+        return ((self.q == 5) & (self.run_feasible[runs] | (self.run_regime[runs] == 0))).astype(int)
+
+    run_evidence = property(_run_evidence)
 
     feasible = property(lambda self: np.repeat(self.run_feasible, np.diff(self.starts)))
     regime = property(lambda self: np.repeat(self.run_regime, np.diff(self.starts)))
@@ -151,7 +156,7 @@ class PhaseGrid(Sequence[PhasePoint]):
         r = int(np.searchsorted(self.starts, i, "right")) - 1
         return PhasePoint(
             self.q, self.lambda1[a], self.lambda2[b], bool(self.run_feasible[r]), self.regimes[self.run_regime[r]],
-            int(self.run_n_nontrivial[r]), self.evidences[self.run_evidence[r]], self.run_error[r],
+            int(self.run_n_nontrivial[r]), self.evidences[self._run_evidence(r)], self.run_error[r],
         )
 
     def __iter__(self) -> Iterator[PhasePoint]:
@@ -218,17 +223,16 @@ def q5_transition_line(
     The line is found by bisection of `lambda2_bracket` on the predicate
     `q5_solution_counts` > 0, the bracket's bottom taken to have none and
     its top checked to have some.  A count changes only on the folds of the
-    sextic, so the fold candidates r at each lambda1 (the real roots in
-    lambda2 of the discriminant's factor F, and lambda2 = 1/2;
-    `fixedpoint.q5_fold_roots`) tell the bisection where to go: for each r
-    the smallest node of the bisection tree that holds
-    [r - _FOLD_STEP, r + _FOLD_STEP] (no narrower than tol asks) is checked,
-    and a row whose node has no solution at its bottom and some at its top
-    starts from that node (its highest such node, if several pass).  The top
-    of every bracket and both ends of every node are one batched call.  A
-    row that no candidate passes keeps the whole bracket.  Where the
-    predicate is monotone away from r the bisection would have reached the
-    same node, so the line is the bisection's, bit for bit.
+    sextic, so the fold candidates r at each lambda1, the band centres of
+    `fixedpoint.q5_fold_bands` in (lo + _FOLD_STEP, hi - _FOLD_STEP), tell
+    the bisection where to go: for each r the smallest node of the bisection
+    tree that holds [r - _FOLD_STEP, r + _FOLD_STEP] (no narrower than tol
+    asks) is checked, and a row whose node has no solution at its bottom and
+    some at its top starts from that node (its highest such node, if several
+    pass).  The top of every bracket and both ends of every node are one
+    batched call.  A row that no candidate passes keeps the whole bracket.
+    Where the predicate is monotone away from r the bisection would have
+    reached the same node, so the line is the bisection's, bit for bit.
 
     Every row still wider than tol is then bisected, one batched call per
     step with one midpoint 0.5 * (lo + hi) per row.  A row stops when its
@@ -256,7 +260,9 @@ def q5_transition_line(
     l1s = np.array(grid, dtype=float)
     lo, hi = (np.full(len(grid), float(end)) for end in bracket)
     n = len(grid)
-    rows, roots = q5_fold_roots(l1s, bracket[0] + _FOLD_STEP, bracket[1] - _FOLD_STEP)
+    rows, roots, _ = q5_fold_bands(l1s)
+    inside = (roots > bracket[0] + _FOLD_STEP) & (roots < bracket[1] - _FOLD_STEP)
+    rows, roots = rows[inside], roots[inside]
     node_lo, node_hi = _tree_node(lo[rows], hi[rows], roots - _FOLD_STEP, roots + _FOLD_STEP, tol)
     # one call: the top of every bracket, then both ends of each candidate's node
     counts = q5_solution_counts(
@@ -338,16 +344,16 @@ def sweep(
     robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
     points are kept.  Each lambda1 column is cut into runs at its
     breakpoints (`_run_starts`): every point within 1e-6 * max(1, |b|) of a
-    breakpoint b, or within an F root's error bound, is a run of its own,
-    and a run between breakpoints holds the rest of an interval.  Only the
-    first point of each run is evaluated, and the rest of the run takes its
-    answer (`_classify_grid`), so the work grows with the runs, not with the
-    grid points.  A feasible point whose solver raises is CRITICAL with
+    breakpoint b, or within a fold's error bound (q = 5), is a run of its
+    own, and a run between breakpoints holds the rest of an interval.  Only
+    the first point of each run is evaluated, and the rest of the run takes
+    its answer (`_classify_grid`), so the work grows with the runs, not with
+    the grid points.  A feasible point whose solver raises is CRITICAL with
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
-    as those runs.  The mode maps are the binary tree's: another tree raises
-    UnsupportedTree, and a non-finite range or a resolution that is not an
-    integer >= 1 ClockTreeError.
+    as those runs, with the evidence derived.  The mode maps are the binary
+    tree's: another tree raises UnsupportedTree, and a non-finite range or a
+    resolution that is not an integer >= 1 ClockTreeError.
     """
     try:
         resolution = operator.index(resolution)
@@ -370,11 +376,11 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     The grid is cut into the runs of `_run_starts`, and only the head of
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
     call, then the counts of the feasible heads in one call through
-    `_counts_by_row`.  Regime and evidence are decided once per run, and
-    the grid keeps the runs: nothing is held per point.  A run whose head
-    raised is split into runs of one point, and the points after its head
-    are counted on their own in one more call, so a failure stays with the
-    point that raised.
+    `_counts_by_row`.  The regime is decided once per run, and the grid
+    keeps the runs (and derives their evidence): nothing is held per point.
+    A run whose head raised is split into runs of one point, and the points
+    after its head are counted on their own in one more call, so a failure
+    stays with the point that raised.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
@@ -407,12 +413,8 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     robust = l1s[head // m] * branching_number(tree) - 1.0 > RPT_MARGIN
     # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
-    # codes into PhaseGrid.evidences: a feasible point's fixed points come
-    # from the closed form (q = 4) or the elimination (q = 5), an infeasible
-    # point is decided by the closed-form check
-    evidence = np.where(feasible, 0 if q == 4 else 1, 0)
     starts, error = np.append(head, starts[-1]), list(map(errors.get, head.tolist()))
-    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible & ~failed, regime, n, evidence, error)
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible & ~failed, regime, n, error)
 
 
 def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
@@ -421,13 +423,13 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
     A run is a stretch of a column whose points all take its first point's
     answer.  In a column, (feasible, n_nontrivial) can change only at a
     breakpoint in lambda2 (`_breakpoints`), so a run starts at each column
-    start, at every point within _GUARD * max(1, |b|) of a breakpoint b (its
-    band), at the first point after a band, and at the first point at or
-    above each breakpoint.  Every point is a run of its own in a column with
-    |lambda1| or |lambda1 - 1/2| at most 1e-12 (where `_q4_candidates`
-    switches branch and the q = 5 discriminant vanishes identically), and in
-    every column when the lambda2 axis has one value or is not strictly
-    increasing.
+    start, at every point within b's guard of a breakpoint b (its band) and
+    at the first point after a band.  Every guard is > 0, so the first point
+    at or above b lies in b's band or is the point after it.  Every point is
+    a run of its own in a column with |lambda1| or |lambda1 - 1/2| at most
+    1e-12 (where `_q4_candidates` switches branch and the q = 5 discriminant
+    vanishes identically), and in every column when the lambda2 axis has one
+    value or is not strictly increasing.
     """
     m = len(l2s)
     size = len(l1s) * m
@@ -442,7 +444,6 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
     width = stop - start
     marks = np.zeros(size + 1, dtype=bool)
     marks[::m] = True  # each column start, and the end of the grid
-    marks[first_point + np.searchsorted(l2s, b)] = True
     # every point of each band [start, stop), and the first point after it
     marks[np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())] = True
     marks[stop] = True
@@ -456,13 +457,13 @@ def _breakpoints(q: int, l1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     These are the lambda2 where feasibility can change
     (`spectral.feasibility_breakpoints`) and where the count of fixed points
     can change: the fold roots of `fixedpoint.q4_fold_roots` for q = 4; for
-    q = 5 lambda2 = 1/2 and 0, where S degenerates, and the real roots of F
-    (`fixedpoint.q5_fold_bands`).  The guard is _GUARD * max(1, |b|), or an
-    F root's error bound where that is wider.  Entries that are not finite
-    are dropped: a root that is not real, and a root at infinity or an
-    overflowed one, which lies beyond every grid point.
+    q = 5 lambda2 = 0, where S degenerates, and the folds of
+    `fixedpoint.q5_fold_bands` (1/2 and the real roots of F).  The guard is
+    _GUARD * max(1, |b|), or a fold's error bound where that is wider.
+    Entries that are not finite are dropped: a root that is not real, and a
+    root at infinity or an overflowed one, which lies beyond every grid point.
     """
-    folds = q4_fold_roots(l1s) if q == 4 else np.tile([0.0, 0.5], (len(l1s), 1))
+    folds = q4_fold_roots(l1s) if q == 4 else np.zeros((len(l1s), 1))
     table = np.concatenate([feasibility_breakpoints(q, l1s), folds], axis=1)
     cols, k = np.nonzero(np.isfinite(table))
     b = table[cols, k]

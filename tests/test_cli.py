@@ -337,6 +337,51 @@ def test_potts_boundary_laws(capsys):
         assert fields[5] in ("1-theta", "theta-1")
 
 
+POTTS_Q5_BINARY_ONLY_ARGV = [
+    ("potts", "--q", "4", "--bl", "0.45"),
+    ("potts", "--q", "7", "--degree", "3", "--bl", "0.45"),
+    ("potts", "--q", "5", "--degree", "3", "--bl", "0.45"),
+    ("potts", "--q", "4", "--jacobian", "0.45:0.46:0.01"),
+    ("potts", "--q", "5", "--degree", "3", "--jacobian", "0.45:0.46:0.01"),
+    ("potts", "--q", "5", "--bl", "0.45", "--jacobian", "0.45:0.46:0.01"),
+]
+
+
+@pytest.mark.parametrize("argv", POTTS_Q5_BINARY_ONLY_ARGV, ids=[" ".join(a[1:]) for a in POTTS_Q5_BINARY_ONLY_ARGV])
+def test_potts_bl_and_jacobian_are_q5_on_the_binary_tree_only(capsys, argv):
+    # both are computed for q = 5 on the binary tree; they printed q = 5's
+    # numbers whatever --q and --degree said, and --bl was dropped beside --jacobian
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+UNWRITABLE_ARGV = [
+    ("sweep", "--q", "4", "--res", "2", "--out"),
+    ("sweep", "--q", "4", "--res", "2", "--svg"),
+    ("matrix", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--out"),
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_ARGV, ids=[" ".join(a[:1] + a[-1:]) for a in UNWRITABLE_ARGV])
+def test_an_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    # exit code 1 means verified-infeasible input; a path that cannot be
+    # opened exited 1 with a traceback
+    path = tmp_path / "missing" / "x.out"
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
+def test_a_failed_write_is_not_a_usage_error(capsys):
+    # only opening the output is a usage error; a write that fails later is not
+    with pytest.raises(OSError):
+        main(["matrix", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--out", "/dev/full"])
+
+
 def test_usage_errors(capsys):
     assert main(["matrix"]) == 2  # missing --q
     assert main(["probe", "--q", "4", "--lambda1", "0.5", "--lambda2", "0.3", "--u", "1.5"]) == 2

@@ -33,7 +33,7 @@ from clocktree.fixedpoint import (
     _q5_candidates,
     _q5_sextic,
     _verify_candidates,
-    q5_fold_roots,
+    q5_fold_bands,
     q5_solution_counts,
 )
 from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
@@ -567,8 +567,9 @@ def test_transition_line_is_batched_bisection(monkeypatch):
     monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
     line = ct.q5_transition_line([0.42, 0.46, 0.5], tol=1e-4)
     monkeypatch.undo()
-    rows, _ = q5_fold_roots(np.array([0.42, 0.46, 0.5]), 0.33, 0.65)
-    assert calls == [3 + 2 * len(rows)]
+    _, centre, _ = q5_fold_bands(np.array([0.42, 0.46, 0.5]))
+    candidates = (centre > 0.33 + ct.phase._FOLD_STEP) & (centre < 0.65 - ct.phase._FOLD_STEP)
+    assert calls == [3 + 2 * np.count_nonzero(candidates)]
     for l1, l2c in line:
         assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
         assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0

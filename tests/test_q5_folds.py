@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import fixedpoint, phase
-from clocktree.fixedpoint import _FOLD_F, q5_fold_roots, q5_solution_counts
+from clocktree.fixedpoint import _FOLD_F, q5_fold_bands, q5_solution_counts
 
 L1, L2, X = sympy.symbols("l1 l2 x")
 
@@ -40,6 +40,13 @@ def ref_transition_line(lambda1_grid, tol=1e-4, lambda2_bracket=(0.33, 0.65)):
         lo[active] = np.where(exists, lo[active], mid[active])
         active &= hi - lo > tol
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
+
+
+def _line_candidates(lambda1, lambda2_bracket=(0.33, 0.65)):
+    """The band centres of `q5_fold_bands` that `q5_transition_line` checks in lambda2_bracket."""
+    lo, hi = lambda2_bracket
+    _, centre, _ = q5_fold_bands(np.array(lambda1))
+    return centre[(centre > lo + phase._FOLD_STEP) & (centre < hi - phase._FOLD_STEP)]
 
 
 def _table_poly(rows):
@@ -139,11 +146,14 @@ def test_fold_at_half_is_the_quartic_discriminant():
     for root in (first, second):
         below, above = (ct.quartic_invariants(ct.q5_quartic_coeffs(root + t))[0] for t in (-1e-9, 1e-9))
         assert below * above < 0.0, root
-    # the line at 1/2 lands on the first root, and the polished candidate too
+    # the line at 1/2 lands on the first root, and the nearest fold band
+    # holds it: its centre, unpolished, is about 1.3e-8 off and its radius
+    # about 2.9e-6
     (_, line), = ct.q5_transition_line([0.5], tol=1e-12)
     assert abs(line - first) < 1e-9
-    rows, roots = q5_fold_roots(np.array([0.5]), 0.33, 0.65)
-    assert np.abs(roots - first).min() < 1e-9
+    _, centre, radius = q5_fold_bands(np.array([0.5]))
+    k = np.argmin(np.abs(centre - first))
+    assert abs(centre[k] - first) <= radius[k] < 1e-5
 
 
 def test_line_leaves_one_half_at_the_mirror_of_the_half_root():
@@ -160,8 +170,7 @@ def test_line_leaves_one_half_at_the_mirror_of_the_half_root():
 def test_second_fold_at_045_doubles_the_count():
     # F's second root in the bracket at lambda1 = 0.45, where a second pair
     # of fixed points appears
-    _, roots = q5_fold_roots(np.array([0.45]), 0.33, 0.65)
-    fold = max(r for r in roots.tolist() if r < 0.5)
+    fold = max(r for r in _line_candidates([0.45]).tolist() if r < 0.5)
     assert abs(fold - 0.4990843) < 1e-7
     below, above = q5_solution_counts(np.array([0.45, 0.45]), np.array([fold - 1e-7, fold + 1e-7])).tolist()
     assert (below, above) == (2, 4)
@@ -190,8 +199,8 @@ def test_candidate_one_half_narrows_the_row(monkeypatch):
     calls = _counting_calls(monkeypatch)
     ct.q5_transition_line([0.3])
     monkeypatch.undo()
-    rows, _ = q5_fold_roots(np.array([0.3]), 0.33, 0.65)
-    assert calls == [1 + 2 * len(rows)] + [1] * 8
+    assert _line_candidates([0.3]).tolist() == [0.5]
+    assert calls == [1 + 2] + [1] * 8
 
 
 def test_transition_line_on_a_fine_grid():

@@ -239,6 +239,8 @@ def test_q5_fold_bands_hold_the_real_roots_of_f():
             roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
             real = [float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-40]
         _, centre, radius = q5_fold_bands(np.array([l1]))
+        # lambda2 = 1/2, exact, is a fold at every lambda1
+        assert ((centre == 0.5) & (radius == 0.0)).sum() == 1
         for r in real:
             assert (np.abs(centre - r) <= radius).any(), (l1, r)
         # away from the triple root every band is narrower than the sweep's guard

@@ -36,7 +36,7 @@ from clocktree.fixedpoint import (
 )
 from clocktree.phase import RPT_MARGIN, Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
-from clocktree.spectral import SymmetricDist, spec_from_lambdas, validate_non_increasing
+from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -420,6 +420,36 @@ def test_phase_grid_is_a_lazy_sequence(monkeypatch):
     assert grid != points  # a sequence of points, not a list
 
 
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(
+    q=st.sampled_from([4, 5]), l1_range=st.tuples(LAMBDA1, LAMBDA1), l2_range=st.tuples(LAMBDA2, LAMBDA2),
+    res=st.integers(1, 12), run=st.integers(0, 10**6),
+)
+def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(monkeypatch, q, l1_range, l2_range, res, run):
+    # the grid derives its evidence from q and each run's answer; the head of
+    # one drawn run raises, so that a failed run (not feasible) is checked too
+    l1s, l2s = (np.linspace(*r, res) for r in (l1_range, l2_range))
+    starts = phase._run_starts(q, l1s, l2s)
+    k = int(starts[run % (len(starts) - 1)])
+    bad = (l1s[k // res], l2s[k % res])
+    real = getattr(phase, f"q{q}_solution_counts")
+
+    def counts(lambda1, lambda2):
+        if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
+            raise ct.ContinuationLost("solver gave up")
+        return real(lambda1, lambda2)
+
+    monkeypatch.setattr(phase, f"q{q}_solution_counts", counts)
+    grid = ct.sweep(q, l1_range, l2_range, resolution=res)
+    monkeypatch.undo()
+    head = grid.starts[:-1]
+    head_feasible = np.repeat(feasible_lambdas(q, l1s[head // res], l2s[head % res]), np.diff(grid.starts))
+    assert (grid.error[k] is not None) == bool(head_feasible[k])
+    want = [Evidence.ELIMINATION if q == 5 and f else Evidence.CLOSED_FORM for f in head_feasible.tolist()]
+    assert [grid.evidences[c] for c in grid.evidence.tolist()] == want
+    assert [p.evidence for p in grid] == [grid[i].evidence for i in range(len(grid))] == want
+
+
 # ---------------------------------------------------------------------------
 # the sweep CSV against a writer that formats every cell
 # ---------------------------------------------------------------------------
@@ -444,11 +474,8 @@ def ref_sweep_csv(grid):
 
 
 _AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
-# (feasible, regime code, n_nontrivial, evidence code) of a run, CRITICAL (code 0) included
-_ANSWER = st.tuples(
-    st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6),
-    st.integers(0, len(ct.PhaseGrid.evidences) - 1),
-)
+# (feasible, regime code, n_nontrivial) of a run, CRITICAL (code 0) included
+_ANSWER = st.tuples(st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
 
 
 @st.composite
@@ -459,8 +486,10 @@ def _phase_grids(draw):
     random cuts besides the row starts.  The runs' answers cycle through a
     few drawn ones, so that neighbouring runs often share an answer, as a
     sweep's runs do, and a CRITICAL run one point long carries an error, as
-    a failed point does.
+    a failed point does.  q is 4 or 5, so that the evidence the grid derives
+    takes both of its values.
     """
+    q = draw(st.sampled_from([4, 5]))
     lambda1 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
     lambda2 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
     size = len(lambda1) * len(lambda2)
@@ -476,9 +505,9 @@ def _phase_grids(draw):
     answers = itertools.cycle(draw(st.lists(_ANSWER, min_size=1, max_size=5)))
     columns = [np.array(column) for column in zip(*itertools.islice(answers, len(lengths)))]
     error = ["solver gave up" if c == 0 and k == 1 else None for c, k in zip(columns[1].tolist(), lengths.tolist())]
-    grid = ct.PhaseGrid(4, lambda1, lambda2, starts, *columns, error)
+    grid = ct.PhaseGrid(q, lambda1, lambda2, starts, *columns, error)
     per_point = (np.repeat(column, lengths) for column in columns)
-    every_point = ct.PhaseGrid(4, lambda1, lambda2, np.arange(size + 1), *per_point, grid.error)
+    every_point = ct.PhaseGrid(q, lambda1, lambda2, np.arange(size + 1), *per_point, grid.error)
     return grid, every_point
 
 
@@ -527,7 +556,7 @@ def _rows_of_runs(**change):
     args = dict(
         q=4, lambda1=[0.1, 0.2], lambda2=[0.0, 0.3, 0.6], starts=np.array([0, 3, 4, 6]),
         feasible=np.ones(3, dtype=bool), regime=np.full(3, 4), n_nontrivial=np.zeros(3, dtype=int),
-        evidence=np.zeros(3, dtype=int), error=[None] * 3,
+        error=[None] * 3,
     )
     return {**args, **change}
 
@@ -549,10 +578,9 @@ def test_phase_grid_takes_well_formed_runs():
     (dict(feasible=np.ones(6, dtype=bool)), "one entry per run, 3"),
     (dict(regime=np.full(2, 4)), "one entry per run, 3"),
     (dict(n_nontrivial=np.zeros(4, dtype=int)), "one entry per run, 3"),
-    (dict(evidence=np.zeros(6, dtype=int)), "one entry per run, 3"),
     (dict(error=[None] * 6), "one entry per run, 3"),
 ], ids=["first-not-0", "ends-short", "ends-long", "empty", "decreasing", "repeated", "misses-row",
-        "crosses-row", "feasible", "regime", "n_nontrivial", "evidence", "error"])
+        "crosses-row", "feasible", "regime", "n_nontrivial", "error"])
 def test_phase_grid_rejects_malformed_runs(change, message):
     with pytest.raises(ct.ClockTreeError, match=message):
         ct.PhaseGrid(**_rows_of_runs(**change))
