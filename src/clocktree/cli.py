@@ -102,10 +102,9 @@ def cmd_probe(args) -> int:
     # past the first repeated state the distances cycle, and so does their text
     dists = result.distances
     start, period = result.cycle or (len(dists), 0)
-    text = [_fmt(d) for d in dists[: start + period]]
-    text.extend(itertools.islice(itertools.cycle(text[start:]), len(dists) - start - period))
-    lines = ["level,distance"]
-    lines.extend(f"{level},{t}" for level, t in enumerate(text))
+    text = [format(d, ".17g") for d in dists[: start + period]]
+    text += itertools.islice(itertools.cycle(text[start:]), len(dists) - start - period)
+    lines = ["level,distance", *[f"{level},{t}" for level, t in enumerate(text)]]
     lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{_fmt(result.u)}")
     _emit(lines, args.out)
     return EXIT_OK
@@ -553,8 +552,8 @@ def _validate_numeric(args) -> None:
     if u is not None and not (0.0 < u <= 1.0):
         raise ClockTreeError(f"--u must lie in (0, 1], got {u!r}")
     levels = getattr(args, "levels", None)
-    if levels is not None and levels < 1:
-        raise ClockTreeError(f"--levels must be >= 1, got {levels}")
+    if levels is not None and not 1 <= levels < _MAX_RANGE_POINTS:
+        raise ClockTreeError(f"--levels must lie in [1, {_MAX_RANGE_POINTS - 1}], got {levels}")
     res = getattr(args, "res", None)
     if res is not None and res < 1:
         raise ClockTreeError(f"--res must be >= 1, got {res}")

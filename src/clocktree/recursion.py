@@ -209,6 +209,7 @@ class ProbeResult:
     start_level + period repeats the state at start_level bit for bit, so
     that distances[level] == distances[level - period] for every level from
     start_level + period on; None when no state repeats within the run.
+    `distances` holds Python floats, not numpy scalars.
     """
 
     distances: tuple[float, ...]
@@ -224,11 +225,11 @@ class ProbeResult:
         return self.distances[-1]
 
 
-def _verdict(distances: np.ndarray, tol: float) -> Verdict:
+def _verdict(distances: Sequence[float], tol: float) -> Verdict:
     if distances[-1] < tol:
         return Verdict.CONVERGES_TO_UNIFORM
     tail = distances[-max(1, len(distances) // 4):]
-    if tail.min() > 10.0 * tol and distances[-1] >= 0.9 * tail[0]:
+    if min(tail) > 10.0 * tol and distances[-1] >= 0.9 * tail[0]:
         return Verdict.BOUNDED_AWAY
     return Verdict.UNDECIDED
 
@@ -247,6 +248,10 @@ def rpt_probe(
     is proportional to (M^u(., 0))^k.  Above it the full-strength step
     p -> normalize((M p)^k) applies `levels` times; the sup distance to
     uniform is recorded after every step (entry 0 is the leaf layer).
+
+    Each level, the leaf layer included, is one gemv and three ufuncs (the
+    k-th power, the mass, checked against 1e-300, and the division by it),
+    each writing into a preallocated array.
 
     The step is a fixed map on the float64 vector p, so once p equals, bit
     for bit, its value at an earlier level s, the states and distances of
@@ -268,28 +273,29 @@ def rpt_probe(
         raise ClockTreeError(f"tol must be a positive finite number, got {tol!r}")
     k = tree.children
     M = spec.matrix()
-    mu = weakened_row(spec, u)
+    # what a level raises to the k-th power: column 0 of M^u (its first row,
+    # by symmetry) at the leaves, M p above them
+    v = np.array(weakened_row(spec, u).row)
+    # k and the mass as 0-d float64 arrays: the loops an int k and a float
+    # mass select, without a scalar converted at every level
+    exponent, total = np.array(float(k)), np.empty(())
     states = np.empty((levels + 1, spec.q))
-    # column 0 of M^u equals its first row by symmetry
-    p = np.power(np.asarray(mu.row), k, out=states[0])
-    p /= p.sum()
-    first_level = {p.tobytes(): 0}
+    first_level = {}
     cycle = None
-    computed = levels + 1
-    for level in range(1, levels + 1):
-        p = np.power(M @ p, k, out=states[level])
-        total = p.sum()
-        if total < 1e-300:
-            raise NormalizationUnderflow(f"unnormalized mass {total!r} below 1e-300")
-        p /= total
+    for level, p in enumerate(states):
+        np.power(v, exponent, out=p)
+        np.add.reduce(p, out=total)
+        if total[()] < 1e-300:
+            raise NormalizationUnderflow(f"unnormalized mass {total[()]!r} below 1e-300")
+        np.divide(p, total, out=p)
         start = first_level.setdefault(p.tobytes(), level)
         if start != level:
             cycle = (start, level - start)
-            computed = level + 1
             break
-    dist = np.abs(states[:computed] - 1.0 / spec.q).max(axis=1)
+        M.dot(p, out=v)
+    dist = np.abs(states[: level + 1] - 1.0 / spec.q).max(axis=1).tolist()
     if cycle is not None:
-        dist = np.concatenate([dist, np.resize(dist[cycle[0] + 1:], levels + 1 - computed)])
+        dist += (dist[start + 1:] * ((levels - level) // cycle[1] + 1))[: levels - level]
     return ProbeResult(
         distances=tuple(dist),
         verdict=_verdict(dist, tol),

@@ -207,15 +207,18 @@ def test_criterion_9_probe_threshold_consistency():
         ct.spec_from_lambdas(4, 0.45, 0.3), ct.Cayley(2), u=0.01, levels=400, tol=1e-12
     )
     elapsed = time.perf_counter() - start
+    # the two probes pinned at 3.5x or more of their median (2.2-4.6 ms on a
+    # 2-core Xeon, 3.2 ms median over 12 fresh runs; 4-12 ms, 6 ms median,
+    # when each level allocated its gemv result)
     ok = (
         above.verdict is ct.Verdict.BOUNDED_AWAY
         and below.verdict is ct.Verdict.CONVERGES_TO_UNIFORM
-        and elapsed < 1.0
+        and elapsed < 0.015
     )
     _report(
         "criterion-9 probe-threshold",
         ok,
-        f"0.55->{above.verdict.value} 0.45->{below.verdict.value} t={elapsed:.3f}s",
+        f"0.55->{above.verdict.value} 0.45->{below.verdict.value} t={elapsed * 1e3:.2f}ms",
     )
 
 

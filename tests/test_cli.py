@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -13,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clocktree
 from clocktree import cli
 from clocktree.cli import build_parser, main
+from conftest import random_feasible_lambdas
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +89,85 @@ def test_probe_full_coupling_q5(capsys):
     )
     assert code == 0
     assert "verdict,BOUNDED_AWAY" in out
+
+
+def test_probe_leaf_layer_underflow_is_usage_error(capsys):
+    # every entry of (M(., 0))^2000 underflows to zero; the leaf layer divided
+    # 0 by 0, and the probe printed six nan rows, UNDECIDED and exit 0
+    argv = ["probe", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--children", "2000"]
+    assert main(argv + ["--levels", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: unnormalized mass ")
+
+
+@pytest.mark.parametrize("levels", ["1000001", "100000000000"])
+def test_probe_levels_above_a_million_is_usage_error(monkeypatch, capsys, levels):
+    # 10^11 levels died in np.empty with a numpy traceback and exit 1, the
+    # code of "infeasible under --strict"; the cap is checked before any probe
+    def no_probe(*args, **kwargs):
+        raise AssertionError("no probe should run")
+
+    monkeypatch.setattr(cli.recursion, "rpt_probe", no_probe)
+    argv = ["probe", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--levels", levels]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --levels must lie in [1, 1000000], got {levels}\n"
+
+
+def test_probe_a_million_levels_reaches_the_probe(monkeypatch, capsys):
+    asked = []
+
+    def record(spec, tree, u, levels, tol):
+        asked.append(levels)
+        raise clocktree.ClockTreeError("recorded")
+
+    monkeypatch.setattr(cli.recursion, "rpt_probe", record)
+    argv = ["probe", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--levels", "1000000"]
+    assert main(argv) == 2 and asked == [1_000_000]
+    assert capsys.readouterr().err == "error: recorded\n"
+
+
+def _per_level_probe_csv(result):
+    """The probe CSV written one line per level, every distance formatted, no cycle replayed."""
+    lines = ["level,distance"]
+    for level, distance in enumerate(result.distances):
+        lines.append(f"{level},{cli._fmt(distance)}")
+    lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{cli._fmt(result.u)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# points whose probes fall into cycles of period 8, 3, 4 and 2 (the last with three children)
+CYCLE_POINTS = ((5, 0.4, 0.05), (4, 0.55, 0.35), (4, 0.55, 0.2), (5, 0.3, 0.2))
+
+
+@st.composite
+def _probe_args(draw):
+    seeded = st.tuples(st.sampled_from((4, 5)), st.integers(0, 2**32 - 1))
+    point = draw(st.one_of(st.sampled_from(CYCLE_POINTS), seeded))
+    if len(point) == 2:
+        q, seed = point
+        point = (q, *random_feasible_lambdas(np.random.default_rng(seed), q))
+    u = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return (*point, u, draw(st.integers(2, 4)), draw(st.integers(1, 400)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_probe_args())
+@example((5, 0.4, 0.05, 1.0, 2, 171))  # period 8 from level 158, ends five levels into the replay
+@example((5, 0.4, 0.05, 1.0, 2, 165))  # ends one level before the first repeat
+@example((4, 0.55, 0.35, 1.0, 2, 399))  # period 3 from level 148, ends mid-cycle
+@example((5, 0.3, 0.2, 1.0, 3, 400))  # period 2 from level 342
+def test_probe_csv_is_the_per_level_writers_byte_for_byte(args):
+    q, l1, l2, u, k, levels = args
+    spec = clocktree.spec_from_lambdas(q, l1, l2)
+    result = clocktree.rpt_probe(spec, clocktree.Cayley(k), u=u, levels=levels)
+    argv = ["probe", "--q", str(q), f"--lambda1={l1!r}", f"--lambda2={l2!r}", f"--u={u!r}"]
+    argv += ["--children", str(k), "--levels", str(levels)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "probe.csv")
+        assert main(argv + ["--out", out]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == _per_level_probe_csv(result)
 
 
 def test_solve_q4(capsys):

@@ -186,13 +186,25 @@ def test_probe_distance_sequence_shape():
     res = ct.rpt_probe(spec, ct.Cayley(2), u=0.5, levels=50)
     assert len(res.distances) == 51 and res.levels_used == 50
     assert res.u == 0.5
+    assert all(type(d) is float for d in res.distances)
+
+
+@pytest.mark.parametrize("levels", [0, 5])
+def test_rpt_probe_checks_the_leaf_layer_mass(levels):
+    # every entry of (M(., 0))^2000 underflows to zero; the leaf layer divided 0 by 0
+    spec = ct.spec_from_lambdas(4, 0.3, 0.1)
+    with pytest.raises(ct.NormalizationUnderflow, match="unnormalized mass .* below 1e-300"):
+        ct.rpt_probe(spec, ct.Cayley(2000), levels=levels)
 
 
 def _reference_probe(spec, k, u, levels, tol):
     """The probe loop that iterates every level: distances, verdict and each level's state bytes."""
     M = spec.matrix()
     p = np.power(np.asarray(ct.weakened_row(spec, u).row), k)
-    p /= p.sum()
+    total = p.sum()
+    if total < 1e-300:
+        raise ct.NormalizationUnderflow(f"unnormalized mass {total!r} below 1e-300")
+    p /= total
     states = [p.tobytes()]
     distances = [float(np.abs(p - 1.0 / spec.q).max())]
     for _ in range(levels):
