@@ -263,9 +263,9 @@ def render_phase_svg(
 ) -> str:
     """Phase diagram of a sweep's grid as one self-contained SVG 1.1 document.
 
-    lambda2 runs along x, lambda1 along y; one rectangle per grid cell,
-    coloured by the cell's regime, the critical line overlaid as a dashed
-    polyline.
+    lambda2 runs along x, lambda1 along y; one rectangle per run of the
+    grid, spanning its cells and coloured by its regime, the critical line
+    overlaid as a dashed polyline.
     """
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
@@ -288,14 +288,14 @@ def render_phase_svg(
         f'height="{_VIEW_H}" viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="#ffffff"/>',
     ]
-    # row i of the grid (lambda1) is drawn bottom up, column j (lambda2) left to right
-    x_text = [f"{_MARGIN_L + j * cell_w:.2f}" for j in range(cols)]
-    y_text = [f"{_MARGIN_T + (rows - 1 - i) * cell_h:.2f}" for i in range(rows)]
-    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
+    # one rect per run: row i (lambda1) is drawn bottom up, column j (lambda2) left to right
+    row, col = np.divmod(grid.starts[:-1], cols)
+    runs = zip(row.tolist(), col.tolist(), np.diff(grid.starts).tolist(), grid.run_regime.tolist())
     colors = [_REGIME_COLORS[r] for r in grid.regimes]
     parts.extend(
-        f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
-        for (y, x), c in zip(itertools.product(y_text, x_text), grid.regime.tolist())
+        f'<rect x="{_MARGIN_L + j * cell_w:.2f}" y="{_MARGIN_T + (rows - 1 - i) * cell_h:.2f}" '
+        f'width="{n * cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="{colors[c]}"/>'
+        for i, j, n, c in runs
     )
     line_pts = _critical_polyline(q, l1_lo, l1_hi, l2_lo, l2_hi)
     if line_pts:

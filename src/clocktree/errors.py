@@ -46,7 +46,7 @@ class NormalizationUnderflow(ClockTreeError):
 
 
 class DegenerateQuartic(ClockTreeError):
-    """All quartic coefficients vanish (lambda2 = 0), nothing to classify."""
+    """All quartic coefficients vanish (lambda2 = 0), or the leading one is too small to divide by."""
 
 
 class RadicandNegative(ClockTreeError):

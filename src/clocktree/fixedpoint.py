@@ -189,24 +189,18 @@ class QuarticAnalysis:
         return [r for r, _ in self.real_roots]
 
 
-def _polished_real_candidates(coeffs: QuarticCoeffs, count: Optional[int] = None) -> list[float]:
-    """Near-real companion-matrix eigenvalues, polished by real Newton steps.
+def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
+    """The `count` companion-matrix eigenvalues closest to the real axis, polished by real Newton steps.
 
-    Without `count`, eigenvalues pass a relative imaginary-part threshold.
-    With `count` (real-root total certified by the invariants), the `count`
-    eigenvalues closest to the real axis are taken: an exact m-fold root
-    splits by ~eps^(1/m), which can exceed any fixed threshold.
+    `count` is the real-root total the invariants certify.  No threshold on
+    the imaginary parts would do: an exact m-fold root splits by
+    ~eps^(1/m).
     """
     mon = coeffs.as_array() / coeffs.a
     comp = np.zeros((4, 4))
     comp[1:, :3] = np.eye(3)
     comp[:, 3] = -mon[:0:-1]
-    eig = np.linalg.eigvals(comp)
-    root_scale = max(1.0, float(np.abs(eig).max()))
-    if count is None:
-        chosen = [z for z in eig if abs(z.imag) <= 1e-6 * root_scale]
-    else:
-        chosen = sorted(eig, key=lambda z: abs(z.imag))[:count]
+    chosen = sorted(np.linalg.eigvals(comp), key=lambda z: abs(z.imag))[:count]
     polished = []
     for z in chosen:
         x = z.real
@@ -269,25 +263,28 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     root differences, so a threshold in powers of the coefficients' scale
     would call two real roots 2e-3 apart a double root.  The zero tests of
     P, D and Delta0 use relative thresholds 1e-12 * scale^h, where h is the
-    invariant's degree in the coefficients (2, 4, 2).  Roots are computed
-    independently by the companion-matrix eigenvalue method with Newton
-    polishing.
+    invariant's degree in the coefficients (2, 4, 2).  The roots are as many
+    companion-matrix eigenvalues as the structure has real roots, the
+    closest to the real axis, polished by Newton steps.  A leading
+    coefficient too small to divide the others by raises DegenerateQuartic.
     """
     delta, p, big_d, delta0, magnitude = _invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
+    if coeffs.a == 0.0 or not math.isfinite(float(scale) / float(coeffs.a)):
+        raise DegenerateQuartic(f"the quartic's leading coefficient {coeffs.a!r} is too small to divide by")
     z_delta = _DELTA_ULPS * np.finfo(float).eps * magnitude
     z_p = 1e-12 * scale**2
     z_d = 1e-12 * scale**4
     z_d0 = 1e-12 * scale**2
 
-    profile: Optional[list[int]] = None
+    profile: Optional[list[int]] = None  # the multiplicities, where Delta is zero
     if abs(delta) > z_delta:
         if delta < 0.0:
-            structure, n_simple = RootStructure.TWO_DISTINCT, None
+            structure, n_simple, count = RootStructure.TWO_DISTINCT, None, 2
         elif p < -z_p and big_d < -z_d:
-            structure, n_simple = RootStructure.FOUR_DISTINCT, None
+            structure, n_simple, count = RootStructure.FOUR_DISTINCT, None, 4
         else:
-            structure, n_simple = RootStructure.NO_REAL, None
+            structure, n_simple, count = RootStructure.NO_REAL, None, 0
     else:
         # Delta = 0: at least one multiple root; record the certified
         # multiplicity profile for the root-extraction step
@@ -304,10 +301,8 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
                 structure, n_simple, profile = RootStructure.NO_REAL, None, []
         else:
             structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 0, [2]
-    candidates = _polished_real_candidates(
-        coeffs, count=None if profile is None else sum(profile)
-    )
-    clusters = _cluster(candidates, DEDUP_TOL)
+        count = sum(profile)
+    clusters = _cluster(_polished_real_candidates(coeffs, count), DEDUP_TOL)
     if profile is None:
         roots = tuple((float(np.mean(cl)), len(cl)) for cl in clusters)
     else:

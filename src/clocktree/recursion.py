@@ -137,7 +137,7 @@ def recursion_step(spec: TransferSpec, children: Sequence[SymmetricDist]) -> Sym
         prod = prod * (M @ child.probabilities())
     total = prod.sum()
     if total < 1e-300:
-        raise NormalizationUnderflow(f"unnormalized mass {total!r} below 1e-300")
+        raise NormalizationUnderflow(f"unnormalized mass {float(total)!r} below 1e-300")
     return SymmetricDist.from_probabilities(prod / total)
 
 
@@ -286,7 +286,7 @@ def rpt_probe(
         np.power(v, exponent, out=p)
         np.add.reduce(p, out=total)
         if total[()] < 1e-300:
-            raise NormalizationUnderflow(f"unnormalized mass {total[()]!r} below 1e-300")
+            raise NormalizationUnderflow(f"unnormalized mass {float(total[()])!r} below 1e-300")
         np.divide(p, total, out=p)
         start = first_level.setdefault(p.tobytes(), level)
         if start != level:

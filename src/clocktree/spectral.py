@@ -146,13 +146,16 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     parts are analytically zero by the symmetry lambda_j = lambda_{q-j}; they
     are asserted below 1e-12 and discarded.
 
-    Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic when a
-    row entry falls below -1e-12.  Entries in [-1e-12, 0) are clamped to 0 so
-    boundary-of-feasibility spectra from sweep grids remain usable.
+    Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic for a
+    non-finite eigenvalue or when a row entry falls below -1e-12.  Entries in
+    [-1e-12, 0) are clamped to 0 so boundary-of-feasibility spectra from
+    sweep grids remain usable.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (q,):
         raise SpectrumAsymmetric(f"expected {q} eigenvalues, got shape {lam.shape}")
+    if not all(map(math.isfinite, lam.tolist())):
+        raise NotStochastic(f"eigenvalues must be finite, got {lam.tolist()!r}")
     j = _first_asymmetry(lam)
     if j is not None:
         raise SpectrumAsymmetric(
@@ -172,11 +175,14 @@ def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
     """Spectrum lambda_j = sum_k r_k e^{-2*pi*i*j*k/q} of a symmetric probability row.
 
     Like `row_from_eigenvalues`: one sequential product with a cached cosine
-    table, equal bit for bit to a direct complex summation loop.
+    table, equal bit for bit to a direct complex summation loop.  A
+    non-finite entry raises NotAProbability.
     """
     r = np.asarray(row, dtype=float)
     if r.shape != (q,):
         raise RowAsymmetric(f"expected a length-{q} row, got shape {r.shape}")
+    if not all(map(math.isfinite, r.tolist())):
+        raise NotAProbability(f"row entries must be finite, got {r.tolist()!r}")
     kk = _first_asymmetry(r)
     if kk is not None:
         raise RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
@@ -273,18 +279,18 @@ def make_potts(q: int, beta: float) -> TransferSpec:
     """
     if not math.isfinite(beta):
         raise NotAProbability(f"beta must be finite, got {beta!r}")
-    theta = math.exp(beta)
-    lam = potts_lambda(q, theta)
-    eig = np.full(q, lam)
-    eig[0] = 1.0
-    return TransferSpec.from_eigenvalues(q, eig)
+    try:
+        theta = math.exp(beta)
+    except OverflowError:
+        raise NotAProbability(f"e^beta overflows at beta = {beta!r}") from None
+    return TransferSpec.from_eigenvalues(q, [1.0] + [potts_lambda(q, theta)] * (q - 1))
 
 
 def make_potts_from_theta(q: int, theta: float) -> TransferSpec:
-    """Potts transfer matrix parametrized by theta = e^beta > 0."""
+    """Potts transfer matrix parametrized by theta = e^beta > 0, built from theta itself."""
     if not (theta > 0.0 and math.isfinite(theta)):
         raise NotAProbability(f"theta must be positive and finite, got {theta!r}")
-    return make_potts(q, math.log(theta))
+    return TransferSpec.from_eigenvalues(q, [1.0] + [potts_lambda(q, theta)] * (q - 1))
 
 
 def make_standard_clock(q: int, coupling: float) -> TransferSpec:
@@ -327,6 +333,7 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     same order: imaginary parts at most 1e-12, no raw row entry below -1e-12,
     symmetrize and clamp, row sum within 1e-12 of 1, then
     r_0 >= ... >= r_{q//2} >= 0 and lambda1 >= lambda2, each with 1e-12 slack.
+    A non-finite lambda is infeasible, as `row_from_eigenvalues` refuses it.
     """
     l1 = np.asarray(lambda1, dtype=float)
     l2 = np.asarray(lambda2, dtype=float)
@@ -337,10 +344,10 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
         spectra = np.stack([ones, l1, l2, l2, l1], axis=1)
     else:
         raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
-    # a non-finite or huge lambda makes NaN entries, which fail the checks
+    # a huge lambda makes infinite or NaN entries, which fail the checks
     with np.errstate(all="ignore"):
         raw, imag = _raw_rows(q, spectra)
-        ok = ~(np.abs(imag) > ROW_TOL).any(axis=1)
+        ok = np.isfinite(l1) & np.isfinite(l2) & ~(np.abs(imag) > ROW_TOL).any(axis=1)
         ok &= ~(raw.min(axis=1) < -ROW_TOL)
         rows = _finish_rows(raw)
         ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)

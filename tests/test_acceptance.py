@@ -38,8 +38,10 @@ def test_criterion_1_q4_threshold():
             lo = mid
     root = 0.5 * (lo + hi)
     elapsed = time.perf_counter() - start
-    ok = abs(root - 1.0 / 3.0) < 1e-9 and elapsed < 1.0
-    _report("criterion-1 q4-threshold", ok, f"lambda2c={root:.12f} t={elapsed:.3f}s")
+    # the 80 solves pinned at 3.5x or more of their median (16-27 ms on a
+    # 2-core Xeon, 19 ms median over 12 fresh runs; the bound was 1.0 s)
+    ok = abs(root - 1.0 / 3.0) < 1e-9 and elapsed < 0.1
+    _report("criterion-1 q4-threshold", ok, f"lambda2c={root:.12f} t={elapsed * 1e3:.1f}ms")
 
 
 def test_criterion_2_discriminant_roots():
@@ -61,11 +63,13 @@ def test_criterion_2_discriminant_roots():
     first = bisect(0.36, 0.38)
     second = bisect(0.48, 0.4999)
     elapsed = time.perf_counter() - start
-    ok = abs(first - 0.370748) < 5e-7 and abs(second - 0.494119) < 5e-7 and elapsed < 1.0
+    # the two bisections pinned at 3.5x or more of their median (1.2-2.3 ms
+    # on a 2-core Xeon, 1.3 ms median over 12 fresh runs; the bound was 1.0 s)
+    ok = abs(first - 0.370748) < 5e-7 and abs(second - 0.494119) < 5e-7 and elapsed < 0.01
     _report(
         "criterion-2 discriminant-roots",
         ok,
-        f"first={first:.7f} second={second:.7f} t={elapsed:.3f}s",
+        f"first={first:.7f} second={second:.7f} t={elapsed * 1e3:.2f}ms",
     )
 
 
@@ -85,8 +89,11 @@ def test_criterion_3_root_structure_counts():
         ok = ok and got == count and structure_counts[analysis.structure] == count
         details.append(f"{l2}->{got}")
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 1.0
-    _report("criterion-3 root-counts", ok, f"{' '.join(details)} t={elapsed:.3f}s")
+    # the three classifications pinned at 3.5x or more of their median
+    # (0.67-1.06 ms on a 2-core Xeon, 0.76 ms median over 12 fresh runs; the
+    # bound was 1.0 s)
+    ok = ok and elapsed < 0.005
+    _report("criterion-3 root-counts", ok, f"{' '.join(details)} t={elapsed * 1e3:.2f}ms")
 
 
 def test_criterion_4_potts_point_cardinality():

@@ -51,6 +51,32 @@ def test_matrix_potts_theta(capsys):
     assert all(abs(l - 0.5) < 1e-14 for l in lams[1:])
 
 
+def test_matrix_potts_theta_is_not_round_tripped_through_beta(capsys):
+    # (theta - 1)/(theta + q - 1) = 2/7; theta = exp(log(3)) printed 0.28571428571428575
+    code, out = run_cli(capsys, "matrix", "--q", "5", "--potts", "--theta", "3")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.split("\n")[2:6]] == [repr(2 / 7)] * 4
+
+
+def test_matrix_potts_beta_too_large_for_theta_is_usage_error(capsys):
+    # e^1000 overflowed in math.exp: an OverflowError traceback and exit 1,
+    # the code of "infeasible under --strict"
+    code = main(["matrix", "--q", "5", "--potts", "--beta", "1000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "beta" in captured.err and captured.err.count("\n") == 1
+
+
+def test_matrix_potts_beta_with_theta_underflowing_to_zero(capsys):
+    # theta = e^-1000 is 0.0, and lambda = -1/(q - 1)
+    code, out = run_cli(capsys, "matrix", "--q", "5", "--potts", "--beta", "-1000")
+    assert code == 0
+    assert out == (
+        "index,lambda,r\n0,1,0\n1,-0.25,0.24999999999999997\n2,-0.25,0.25\n3,-0.25,0.25\n"
+        "4,-0.25,0.24999999999999997\nfeasible,false,r0 < r1 (0.0 < 0.24999999999999997)\n"
+    )
+
+
 def test_matrix_infeasible_row_and_strict(capsys):
     code, out = run_cli(capsys, "matrix", "--q", "4", "--lambda1", "0.2", "--lambda2", "0.5")
     assert code == 0
@@ -93,11 +119,12 @@ def test_probe_full_coupling_q5(capsys):
 
 def test_probe_leaf_layer_underflow_is_usage_error(capsys):
     # every entry of (M(., 0))^2000 underflows to zero; the leaf layer divided
-    # 0 by 0, and the probe printed six nan rows, UNDECIDED and exit 0
+    # 0 by 0, and the probe printed six nan rows, UNDECIDED and exit 0; then
+    # the message printed the mass as numpy's scalar repr, np.float64(0.0)
     argv = ["probe", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--children", "2000"]
     assert main(argv + ["--levels", "5"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: unnormalized mass ")
+    assert captured.out == "" and captured.err == "error: unnormalized mass 0.0 below 1e-300\n"
 
 
 @pytest.mark.parametrize("levels", ["1000001", "100000000000"])
@@ -348,6 +375,20 @@ def test_sweep_csv_allocation_stays_with_the_runs(tmp_path, q):
     tracemalloc.start()
     try:
         assert main(["sweep", "--q", str(q), "--res", "1000", "--out", str(tmp_path / "grid.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_sweep_svg_allocation_stays_with_the_runs(tmp_path, q):
+    # the phase diagram of a res-1000 grid is one rect per run, under the
+    # CSV's bound (259.8 MiB when it held one rect string per grid point)
+    build_parser("sweep")
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--q", str(q), "--res", "1000", "--svg", str(tmp_path / "grid.svg")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

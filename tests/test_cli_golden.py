@@ -16,7 +16,12 @@ The q=5 `solve` rows and the res-61 q=5 sweep were recorded from the
 implementation that took every sextic root of every grid row from the
 companion eigensolve.  The `potts --jacobian` profile was recorded from the
 implementation that polished each lower Potts-diagonal root by damped Newton
-steps before taking the Jacobian.
+steps before taking the Jacobian.  The SVG digests were re-recorded when
+the phase diagram went from one rectangle per grid cell to one per run of
+the sweep's grid; the picture, the legend, the axes and the critical line
+stayed as they were.  The two double-root `classify` rows were recorded
+from the implementation that picked the near-real companion eigenvalues by
+a threshold wherever Delta was decided nonzero.
 """
 import hashlib
 
@@ -74,6 +79,12 @@ GOLDEN = [
      "691095fd5a40eaa2646969991029844be7a980c2f184ea0f6829d18b353efb35"),
     (("classify", "--scan=-1:0:0.001"),
      "36e6d3face97bd04dfbff7ff83f0eff8c0211a33ae51ab408d651ee22d4e0c6e"),
+    # the double roots of the lambda1 = 1/2 quartic: DOUBLE_ROOT_PLUS(0) where
+    # the first non-trivial pair appears, DOUBLE_ROOT_PLUS(2) at the second root of Delta
+    (("classify", "--lambda2", "0.37074804454085125"),
+     "b405a141d9710e8abd733cf7d60b8ff989e6d3c2dcd191ede6090e3411d89f03"),
+    (("classify", "--lambda2", "0.49411899837411594"),
+     "2f1580f959d42f2a033603802c4058a151086cd3cb21a417e1814b7cf77fa3a5"),
     # down to 1e-25, where the quartic's own invariants are still normal floats
     (("classify", "--scan", "1e-25:1e-22:1e-25"),
      "704f38ccba1fe47154b5a5fe257ac8f7f5453ecbc670e1dffbae415aa23ce862"),
@@ -113,7 +124,8 @@ IDS = ["sweep-q4", "sweep-q5-window", "probe-q5-u1", "probe-q5-u0.01",
        "sweep-q4-signed-zero", "sweep-q4-signed-zero-lambda1",
        "probe-q4-period3", "probe-q5-period8", "probe-q5-before-repeat", "probe-q5-mid-cycle",
        "probe-q4-u0.01-period4", "probe-q5-children3-period2",
-       "classify-scan", "classify-scan-negative", "classify-scan-tiny",
+       "classify-scan", "classify-scan-negative", "classify-double-root-0", "classify-double-root-2",
+       "classify-scan-tiny",
        "potts-bl-edge", "potts-bl-0.45", "potts-bl-0.47", "potts-bl-near-half", "potts-bl-none",
        "solve-q5-potts", "solve-q5-robust", "solve-q5-half", "solve-q5-special", "solve-q5-negative",
        "sweep-q5-default-res61", "potts-jacobian"]
@@ -134,13 +146,12 @@ def _svg_digest(tmp_path, argv):
 
 def test_sweep_svg_bytes(tmp_path):
     digest = _svg_digest(tmp_path, ("--q", "4", "--res", "24"))
-    assert digest == "58eb9361498ff2de14ddde5a63e87cb202612b5373ce1e393d34ff1771cd91cf"
+    assert digest == "f484a709aed856c0440375be5e94d98604495cfd9b5cb2d3e0aa3fdab22e2651"
 
 
-# recorded from the SVG writer that read one PhasePoint per cell
 @pytest.mark.parametrize("argv,digest", [
-    (("--q", "5", "--res", "12") + Q5_WINDOW, "20f8853b5bd542acce2bbc8484da01ab181fbf05301ed99f3f508f8bf6662bcc"),
-    (("--q", "4", "--res", "200"), "27c5ed51328c1b1db6c4e1e1611d6cec370ec10dfc588b97b92ccf0e2b73047e"),
+    (("--q", "5", "--res", "12") + Q5_WINDOW, "b739b2510f0e311cd88c35d9c77c3f367bcee1e922f30a314d352a50ddbe5329"),
+    (("--q", "4", "--res", "200"), "cfdf3d12430cff03b4c0504b0f55c5defc295d5f823142d8404e231cd7b8a4c5"),
 ], ids=["q5-window", "q4-res200"])
 def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
     assert _svg_digest(tmp_path, argv) == digest

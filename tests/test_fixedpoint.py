@@ -1,16 +1,20 @@
 """Quartic machinery, the elimination oracle, closed-form solvers and the Jacobian.
 
 The P4/P3 elimination, the 37/96 special case and damped Newton are the
-test-local references of `test_q5_elimination`.
+test-local references of `test_q5_elimination`.  `ref_threshold_candidates`
+is the quartic root step as it took its candidates where Delta is decided
+nonzero, by a threshold on the imaginary parts.
 """
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import DEDUP_TOL, _residual
+from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _cluster, _invariants, _residual
 from test_q5_elimination import (
     RefAtSpecialPoint,
     ref_alpha2_from_alpha1,
@@ -178,6 +182,79 @@ def test_classification_synthetic_multiple_roots():
     a = ct.classify_quartic(from_roots_coeffs([1, 0, -2, 0, 1]))
     assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS
     roots_close(a, [(-1.0, 2), (1.0, 2)])
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-320, -1e-320])
+def test_classify_refuses_a_leading_coefficient_too_small_to_divide_by(a):
+    with pytest.raises(ct.DegenerateQuartic, match="leading coefficient"):
+        ct.classify_quartic(ct.QuarticCoeffs(a, 1.0, -3.0, 2.0, 0.5, lambda2=0.0))
+
+
+def ref_threshold_candidates(coeffs):
+    """Every companion eigenvalue within 1e-6 * max(1, max |eigenvalue|) of the real axis, polished by Newton steps."""
+    mon = coeffs.as_array() / coeffs.a
+    comp = np.zeros((4, 4))
+    comp[1:, :3] = np.eye(3)
+    comp[:, 3] = -mon[:0:-1]
+    eig = np.linalg.eigvals(comp)
+    root_scale = max(1.0, float(np.abs(eig).max()))
+    polished = []
+    for z in eig:
+        if abs(z.imag) > 1e-6 * root_scale:
+            continue
+        x = z.real
+        for _ in range(50):
+            fx, dfx = coeffs(x), coeffs.derivative(x)
+            if dfx == 0.0 or abs(fx) < 1e-15 * max(abs(coeffs.a), abs(coeffs.e), 1.0):
+                break
+            step = fx / dfx
+            if abs(step) < 1e-17 * max(1.0, abs(x)):
+                break
+            x -= step
+        polished.append(x)
+    return sorted(polished)
+
+
+def _from_roots(scale, roots):
+    return ct.QuarticCoeffs(*(scale * np.poly(roots)).tolist(), lambda2=0.0)
+
+
+def _near_complex(r, b, s, d):
+    """A complex pair r +- b i, and real roots s and s + d."""
+    return ct.QuarticCoeffs(*np.polymul([1.0, -2.0 * r, r * r + b * b], np.poly([s, s + d])).tolist(), lambda2=0.0)
+
+
+_NONZERO = st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
+_QUARTICS = st.one_of(
+    st.builds(ct.q5_quartic_coeffs, st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)),
+    st.builds(lambda a, rest: ct.QuarticCoeffs(a, *rest, lambda2=0.0),
+              _NONZERO, st.tuples(*[st.floats(-10.0, 10.0)] * 4)),
+    # multiple roots
+    st.builds(_from_roots, st.floats(0.1, 10.0), st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]),
+                                                          min_size=4, max_size=4)),
+    st.builds(_near_complex, st.floats(-2.0, 2.0), st.floats(-9.0, -3.0).map(lambda e: 10.0**e),
+              st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_QUARTICS)
+# (x^2 + 1)((x - 1)^2 + 1e-12): NO_REAL, where the threshold took the pair
+# 1 +- 1e-6 i for a real double root
+@example(coeffs=ct.QuarticCoeffs(*np.polymul([1.0, 0.0, 1.0], [1.0, -2.0, 1.0 + 1e-12]).tolist(), lambda2=0.0))
+def test_roots_are_the_threshold_candidates_where_they_agree_with_the_structure(coeffs):
+    # where Delta is decided nonzero the structure fixes the real-root count:
+    # the root step takes that many eigenvalues, the closest to the real axis,
+    # which are the threshold's candidates wherever those are as many
+    delta, *_, magnitude = _invariants(coeffs)
+    if abs(delta) <= _DELTA_ULPS * np.finfo(float).eps * magnitude:
+        return
+    analysis = ct.classify_quartic(coeffs)
+    count = {ct.RootStructure.NO_REAL: 0, ct.RootStructure.TWO_DISTINCT: 2, ct.RootStructure.FOUR_DISTINCT: 4}
+    assert analysis.real_root_count() == count[analysis.structure]
+    candidates = ref_threshold_candidates(coeffs)
+    if len(candidates) == count[analysis.structure]:
+        assert analysis.real_roots == tuple((float(np.mean(cl)), len(cl)) for cl in _cluster(candidates, DEDUP_TOL))
 
 
 # ---------------------------------------------------------------------------

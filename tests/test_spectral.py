@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree.basis import a_norm, basis_norms, raw_coefficients
+from clocktree.spectral import feasible_lambdas
 
 from conftest import (
     circulant_matrix,
@@ -69,6 +72,34 @@ def test_spectrum_errors():
         ct.eigenvalues_from_row(4, [0.4, 0.3, 0.2, 0.1])
     with pytest.raises(ct.NotAProbability):
         ct.eigenvalues_from_row(4, [0.8, 0.2, 0.2, 0.2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_spectra_and_rows_are_refused(bad):
+    # a NaN eigenvalue made an all-NaN row that passed every check: the
+    # matrix was "feasible", and a probe on it UNDECIDED with NaN distances
+    for q, l1, l2 in ((4, bad, 0.1), (4, 0.3, bad), (5, bad, 0.1), (5, 0.3, bad)):
+        with pytest.raises(ct.NotStochastic, match="finite"):
+            ct.spec_from_lambdas(q, l1, l2)
+    with pytest.raises(ct.NotStochastic, match="finite"):
+        ct.row_from_eigenvalues(4, [1.0, bad, 0.1, bad])
+    with pytest.raises(ct.NotAProbability, match="finite"):
+        ct.eigenvalues_from_row(4, [bad, 0.25, 0.25, 0.25])
+    with pytest.raises(ct.NotAProbability, match="finite"):
+        ct.TransferSpec.from_row(5, [0.2, bad, 0.2, 0.2, bad])
+    for q in (4, 5):
+        assert feasible_lambdas(q, [bad, 0.3, bad], [0.1, bad, bad]).tolist() == [False] * 3
+    note = "parameters are outside the non-increasing feasibility region"
+    for solutions in (ct.q4_solutions, ct.q5_solutions):
+        assert note in solutions(bad, 0.3).notes and note in solutions(0.3, bad).notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(1e-3, 1e3))
+def test_potts_from_theta_takes_theta_as_given(theta):
+    # exp(log(theta)) is not theta for about half of all theta in (1, 50)
+    spec = ct.make_potts_from_theta(5, theta)
+    assert spec.eigenvalues == (1.0,) + (ct.potts_lambda(5, theta),) * 4
 
 
 def test_make_potts():

@@ -9,10 +9,13 @@ reproduce them bit for bit, signed zeros included, because the CLI prints 17
 significant digits.  `ref_verify_candidates` is the grid verifier as a loop
 over points and slots, each candidate checked as `ref_assemble` checks it.
 `ref_sweep_csv` is the sweep CSV written one f-string per cell, against
-which the CLI's writer by runs of equal answers is checked on drawn grids.
+which the CLI's writer by runs of equal answers is checked on drawn grids,
+and `ref_svg_cells` the phase SVG's rects drawn one per cell, against which
+the SVG drawn one rect per run is checked.
 """
 import itertools
 import math
+import xml.etree.ElementTree as ET
 from collections.abc import Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import phase
-from clocktree.cli import main
+from clocktree.cli import _REGIME_COLORS, main, render_phase_svg
 from clocktree.fixedpoint import (
     _ACCEPTED,
     _NOT_FINITE,
@@ -549,6 +552,95 @@ def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grids):
         out = tmp_path / "grid.csv"
         assert main(["sweep", "--q", "4", "--res", str(len(grid.lambda1)), "--out", str(out)]) == 0
         assert out.read_bytes() == ref_sweep_csv(every_point).encode()
+
+
+# ---------------------------------------------------------------------------
+# the phase SVG against the picture of its grid
+# ---------------------------------------------------------------------------
+
+
+def ref_svg_cells(grid):
+    """The grid's `<rect>` lines as the SVG writer drew them, one per cell."""
+    rows, cols = len(grid.lambda1), len(grid.lambda2)
+    cell_w, cell_h = 710 / cols, 530 / rows
+    x_text = [f"{70 + j * cell_w:.2f}" for j in range(cols)]
+    y_text = [f"{20 + (rows - 1 - i) * cell_h:.2f}" for i in range(rows)]
+    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
+    colors = [_REGIME_COLORS[r] for r in grid.regimes]
+    return [
+        f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
+        for (y, x), c in zip(itertools.product(y_text, x_text), grid.regime.tolist())
+    ]
+
+
+def painted_colors(svg, grid):
+    """The fill of the last-drawn `<rect>` covering each cell's centre, in the grid's row-major order.
+
+    Only the unstroked rects are read, the background and the grid's own:
+    the frame and the legend boxes are stroked.  The plot spans x in
+    [70, 780] and y in [20, 550], with the first lambda1 row at the bottom.
+    Each rect is 0.5 taller than its cells, so above 530 rows a row's rect
+    covers the centres of the row below it, drawn before it.
+    """
+    rows, cols = len(grid.lambda1), len(grid.lambda2)
+    cx = 70 + (np.arange(cols) + 0.5) * 710 / cols
+    cy = 20 + (np.arange(rows) + 0.5) * 530 / rows  # from the top row down
+    painted = np.full((rows, cols), None, dtype=object)
+    for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect"):
+        if el.get("stroke") is None:
+            x, y, w, h = (float(el.get(k)) for k in ("x", "y", "width", "height"))
+            # the centres in [y, y + h] and in [x, x + w]
+            i0, i1 = np.searchsorted(cy, y), np.searchsorted(cy, y + h, "right")
+            j0, j1 = np.searchsorted(cx, x), np.searchsorted(cx, x + w, "right")
+            painted[i0:i1, j0:j1] = el.get("fill")
+    return painted[::-1].ravel().tolist()
+
+
+def regime_colors(grid):
+    return [_REGIME_COLORS[grid.regimes[c]] for c in grid.regime.tolist()]
+
+
+# the grids of the SVG golden digests, then descending ranges: a descending
+# lambda2 axis makes every point a run of its own, a descending lambda1 axis not
+_SVG_GRIDS = [
+    (4, (0.0, 0.6), (0.0, 0.6), 24),
+    (5, (0.40, 0.52), (0.30, 0.56), 12),
+    (4, (0.0, 0.6), (0.0, 0.6), 200),
+    (4, (0.6, 0.0), (0.6, 0.0), 24),
+    (5, (0.52, 0.40), (0.30, 0.56), 12),
+]
+_SVG_IDS = ["q4-res24", "q5-window", "q4-res200", "q4-descending", "q5-descending-lambda1"]
+
+
+@pytest.mark.parametrize("q,l1_range,l2_range,res", _SVG_GRIDS, ids=_SVG_IDS)
+def test_phase_svg_paints_every_cell_in_its_regime_color(q, l1_range, l2_range, res):
+    grid = ct.sweep(q, l1_range, l2_range, resolution=res)
+    assert painted_colors(render_phase_svg(grid, l1_range, l2_range, q=q), grid) == regime_colors(grid)
+
+
+@pytest.mark.parametrize("q,l1_range,l2_range,res", _SVG_GRIDS, ids=_SVG_IDS)
+def test_phase_svg_draws_one_rect_per_run(q, l1_range, l2_range, res):
+    grid = ct.sweep(q, l1_range, l2_range, resolution=res)
+    lines = render_phase_svg(grid, l1_range, l2_range, q=q).split("\n")
+    runs = len(grid.starts) - 1
+    # besides the runs: the background, the frame and the 5 legend boxes
+    assert sum(line.startswith("<rect ") for line in lines) == runs + 7
+    # and the rest of the document is that of the same answers with every point a run
+    columns = (grid.feasible, grid.regime, grid.n_nontrivial, grid.error)
+    every_point = ct.PhaseGrid(q, grid.lambda1, grid.lambda2, np.arange(len(grid) + 1), *columns)
+    cells = render_phase_svg(every_point, l1_range, l2_range, q=q).split("\n")
+    assert lines[:3] + lines[3 + runs :] == cells[:3] + cells[3 + len(grid) :]
+
+
+@SETTINGS
+@given(grids=_phase_grids())
+def test_phase_svg_of_drawn_grids(grids):
+    grid, every_point = grids
+    # ranges away from the critical lines: the rects do not depend on them
+    ranges = ((0.0, 0.1), (0.0, 0.1))
+    assert painted_colors(render_phase_svg(grid, *ranges, q=grid.q), grid) == regime_colors(grid)
+    lines = render_phase_svg(every_point, *ranges, q=grid.q).split("\n")
+    assert lines[3 : 3 + len(grid)] == ref_svg_cells(every_point)
 
 
 def _rows_of_runs(**change):
