@@ -131,12 +131,15 @@ def _classify_row(lambda2: float) -> str:
         return f"{_fmt(lambda2)},0,0,0,0,0,0,0,0,0,DEGENERATE_ZERO,"
     # the columns are those of the quartic itself, even where its invariants
     # or coefficients underflowed and the structure came from the quartic
-    # divided by lambda2^2
+    # divided by lambda2^2: only there are its invariants computed again
     c = q5_quartic_coeffs(lambda2)
-    try:
-        invariants = quartic_invariants(c)
-    except DegenerateQuartic:  # every coefficient underflowed to zero
-        invariants = (0.0, 0.0, 0.0, 0.0)
+    if analysis.coeffs == c:
+        invariants = (analysis.delta, analysis.p, analysis.d, analysis.delta0)
+    else:
+        try:
+            invariants = quartic_invariants(c)
+        except DegenerateQuartic:  # every coefficient underflowed to zero
+            invariants = (0.0, 0.0, 0.0, 0.0)
     roots = ";".join(_fmt(r) for r, m in analysis.real_roots for _ in range(m))
     structure = analysis.structure.value
     if analysis.n_simple is not None:
@@ -288,9 +291,11 @@ def render_phase_svg(
         f'height="{_VIEW_H}" viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="#ffffff"/>',
     ]
-    # one rect per run: row i (lambda1) is drawn bottom up, column j (lambda2) left to right
+    # one rect per run, 0.5 taller and wider than its cells: rows (lambda1) top
+    # down and runs left to right, so the next row down or run paints over that
     row, col = np.divmod(grid.starts[:-1], cols)
-    runs = zip(row.tolist(), col.tolist(), np.diff(grid.starts).tolist(), grid.run_regime.tolist())
+    order = np.argsort(-row, kind="stable")
+    runs = zip(*(a[order].tolist() for a in (row, col, np.diff(grid.starts), grid.run_regime)))
     colors = [_REGIME_COLORS[r] for r in grid.regimes]
     parts.extend(
         f'<rect x="{_MARGIN_L + j * cell_w:.2f}" y="{_MARGIN_T + (rows - 1 - i) * cell_h:.2f}" '

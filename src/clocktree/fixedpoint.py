@@ -265,8 +265,10 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     P, D and Delta0 use relative thresholds 1e-12 * scale^h, where h is the
     invariant's degree in the coefficients (2, 4, 2).  The roots are as many
     companion-matrix eigenvalues as the structure has real roots, the
-    closest to the real axis, polished by Newton steps.  A leading
-    coefficient too small to divide the others by raises DegenerateQuartic.
+    closest to the real axis, polished by Newton steps: each one a simple
+    root where Delta is decided nonzero, and merged into the multiplicity
+    profile of the structure where Delta is zero.  A leading coefficient
+    too small to divide the others by raises DegenerateQuartic.
     """
     delta, p, big_d, delta0, magnitude = _invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
@@ -302,11 +304,11 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
         else:
             structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 0, [2]
         count = sum(profile)
-    clusters = _cluster(_polished_real_candidates(coeffs, count), DEDUP_TOL)
-    if profile is None:
-        roots = tuple((float(np.mean(cl)), len(cl)) for cl in clusters)
+    candidates = _polished_real_candidates(coeffs, count)
+    if profile is None:  # Delta is decided nonzero: every root is simple, however close two lie
+        roots = tuple((float(x), 1) for x in candidates)
     else:
-        roots = tuple(_reconcile_clusters(coeffs, clusters, profile))
+        roots = tuple(_reconcile_clusters(coeffs, _cluster(candidates, DEDUP_TOL), profile))
     return QuarticAnalysis(
         coeffs=coeffs,
         delta=delta,

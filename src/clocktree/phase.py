@@ -12,8 +12,8 @@ factor F, each with an error bound (`fixedpoint.q5_fold_bands`).  Each
 candidate is checked by the count of the elimination solver
 (`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
 batched companion eigensolve) on both of its sides, all in one batched call;
-plain bisection on that count, one call per step, runs only where the check
-leaves a bracket wider than the tolerance.
+the bisection on that count asks the solver, one call per step, only about
+the midpoints that the check leaves open.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
@@ -55,8 +55,8 @@ from .spectral import feasibility_breakpoints, feasible_lambdas
 # robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
 # and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
 RPT_MARGIN = 1e-9
-# a fold candidate r of `q5_transition_line` is checked on the smallest
-# bisection node that holds [r - _FOLD_STEP, r + _FOLD_STEP]; the step is
+# a fold candidate r of `q5_transition_line` is checked at r - _FOLD_STEP
+# and r + _FOLD_STEP, which decide every midpoint outside them; the step is
 # above the unpolished band centres' error on the line's branch (at most
 # 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near 0.49994) and the width of
 # the counts' rounding noise at a fold (about 2e-11, 5e-8 at lambda1 = 0.005)
@@ -225,28 +225,26 @@ def q5_transition_line(
     its top checked to have some.  A count changes only on the folds of the
     sextic, so the fold candidates r at each lambda1, the band centres of
     `fixedpoint.q5_fold_bands` in (lo + _FOLD_STEP, hi - _FOLD_STEP), tell
-    the bisection where to go: for each r the smallest node of the bisection
-    tree that holds [r - _FOLD_STEP, r + _FOLD_STEP] (no narrower than tol
-    asks) is checked, and a row whose node has no solution at its bottom and
-    some at its top starts from that node (its highest such node, if several
-    pass).  The top of every bracket and both ends of every node are one
-    batched call.  A row that no candidate passes keeps the whole bracket.
-    Where the predicate is monotone away from r the bisection would have
-    reached the same node, so the line is the bisection's, bit for bit.
-
-    Every row still wider than tol is then bisected, one batched call per
-    step with one midpoint 0.5 * (lo + hi) per row.  A row stops when its
-    bracket is at most tol wide, or when the midpoint rounds to lo or hi,
-    so that a tol below the float spacing (0 included) ends at adjacent
-    floats.  At the default tol a narrowed row is usually done after the
-    first call; a row whose candidate is a midpoint of the bracket, as 1/2
-    is of the default one, is left a node around it to bisect.  At
-    lambda1 = 1/2 the line is the quartic's discriminant root 0.370748, and
-    since F is symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for
-    lambda1 up to 0.370748.  A grid point whose bracket top has no solution
-    is reported as (lambda1, nan) rather than aborting the line.  A lambda1
-    outside (0, 1/2], a bracket that is not two finite numbers lo < hi, or a
-    NaN tol raises ContinuationLost.
+    the bisection where to go.  One batched call checks the top of every
+    bracket and each r at r - _FOLD_STEP and r + _FOLD_STEP, and a row keeps
+    its highest r with no solution at the first and some at the second.
+    Each step halves every row still wider than tol at 0.5 * (lo + hi): a
+    midpoint at or below r - _FOLD_STEP has no solution, one at or above
+    r + _FOLD_STEP has some, and only the other midpoints go to the solver,
+    one batched call per step that has any.  Where the predicate is
+    monotone away from r the solver would answer the same, so the line is
+    the bisection's, bit for bit.  A row stops when its bracket is at most
+    tol wide, or when the midpoint rounds to lo or hi, so that a tol below
+    the float spacing (0 included) ends at adjacent floats.  A row whose r
+    passes asks the solver only about midpoints within _FOLD_STEP of r: at
+    the default tol usually none, and one where r is a midpoint of the
+    bracket, as 1/2 is of the default one.  At lambda1 = 1/2 the line is the
+    quartic's discriminant root 0.370748, and since F is symmetric in
+    lambda1 and lambda2 it is lambda2 = 1/2 for lambda1 up to 0.370748.  A
+    grid point whose bracket top has no solution is reported as
+    (lambda1, nan) rather than aborting the line.  A lambda1 outside
+    (0, 1/2], a bracket that is not two finite numbers lo < hi, or a NaN tol
+    raises ContinuationLost.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
@@ -263,44 +261,27 @@ def q5_transition_line(
     rows, roots, _ = q5_fold_bands(l1s)
     inside = (roots > bracket[0] + _FOLD_STEP) & (roots < bracket[1] - _FOLD_STEP)
     rows, roots = rows[inside], roots[inside]
-    node_lo, node_hi = _tree_node(lo[rows], hi[rows], roots - _FOLD_STEP, roots + _FOLD_STEP, tol)
-    # one call: the top of every bracket, then both ends of each candidate's node
+    # one call: the top of every bracket, then each candidate a step below and a step above
     counts = q5_solution_counts(
-        np.concatenate([l1s, l1s[rows], l1s[rows]]), np.concatenate([hi, node_lo, node_hi])
+        np.concatenate([l1s, l1s[rows], l1s[rows]]), np.concatenate([hi, roots - _FOLD_STEP, roots + _FOLD_STEP])
     )
     found = counts[:n] > 0
     below, above = counts[n:].reshape(2, -1)
     passed = found[rows] & (below == 0) & (above > 0)
-    # a row takes the node of its highest passing candidate
-    best = np.full(n, -math.inf)
-    np.maximum.at(best, rows[passed], roots[passed])
-    take = passed & (roots == best[rows])
-    lo[rows[take]], hi[rows[take]] = node_lo[take], node_hi[take]
+    # a row's highest passing candidate, NaN (which decides no midpoint) where none passes
+    best = np.full(n, math.nan)
+    np.fmax.at(best, rows[passed], roots[passed])
     active = found & _splits(lo, hi, tol)
     while active.any():
         mid = 0.5 * (lo + hi)
-        exists = q5_solution_counts(l1s[active], mid[active]) > 0
-        hi[active] = np.where(exists, mid[active], hi[active])
-        lo[active] = np.where(exists, lo[active], mid[active])
+        exists = mid >= best + _FOLD_STEP
+        ask = active & ~exists & ~(mid <= best - _FOLD_STEP)
+        if ask.any():
+            exists[ask] = q5_solution_counts(l1s[ask], mid[ask]) > 0
+        hi = np.where(active & exists, mid, hi)
+        lo = np.where(active & ~exists, mid, lo)
         active &= _splits(lo, hi, tol)
     return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
-
-
-def _tree_node(
-    lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest node of the bisection tree of each (lo, hi) that holds [below, above].
-
-    The nodes are the brackets the bisection visits, each midpoint computed
-    as 0.5 * (lo + hi); the descent stops where `_splits` would stop the
-    bisection, so a node is never narrower than the bisection gets.
-    """
-    while True:
-        mid, split = 0.5 * (lo + hi), _splits(lo, hi, tol)
-        up, down = split & (mid <= below), split & (mid >= above)
-        if not (up | down).any():
-            return lo, hi
-        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
 
 
 def _splits(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:

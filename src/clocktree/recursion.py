@@ -35,7 +35,7 @@ from .errors import (
     NormalizationUnderflow,
     UnsupportedTree,
 )
-from .spectral import SymmetricDist, TransferSpec, weakened_row
+from .spectral import SymmetricDist, TransferSpec, _weakened_entries
 
 V5 = 1.0 / math.sqrt(10.0)  # basis product constant for q=5: phi_k*phi_l = v*(phi_{k+l}+phi_{k-l})
 
@@ -275,7 +275,7 @@ def rpt_probe(
     M = spec.matrix()
     # what a level raises to the k-th power: column 0 of M^u (its first row,
     # by symmetry) at the leaves, M p above them
-    v = np.array(weakened_row(spec, u).row)
+    v = _weakened_entries(spec.row, u)
     # k and the mass as 0-d float64 arrays: the loops an int k and a float
     # mass select, without a scalar converted at every level
     exponent, total = np.array(float(k)), np.empty(())

@@ -398,16 +398,22 @@ def weakened_row(spec: TransferSpec, u: float) -> TransferSpec:
 
     At u = 1 this is `spec` itself; as u -> 0 the row tends to uniform.
     """
+    row = _weakened_entries(spec.row, u)
+    return spec if u == 1.0 else TransferSpec.from_row(spec.q, row)
+
+
+def _weakened_entries(row: tuple[float, ...], u: float) -> np.ndarray:
+    """The row r^u / sum r^u of `weakened_row` as a new array, without its spectrum; the row itself at u = 1."""
     if not (0.0 < u <= 1.0):
         raise ClockTreeError(f"weakening u must lie in (0, 1], got {u!r}")
+    r = np.array(row)
     if u == 1.0:
-        return spec
-    r = np.asarray(spec.row)
+        return r
     if (r <= 0.0).any():
         raise ZeroRowEntry("row has a zero entry; the potential is infinite there")
-    ru = np.power(r, u)
-    ru /= ru.sum()
-    return TransferSpec.from_row(spec.q, ru)
+    r = np.power(r, u)
+    r /= r.sum()
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_q4_sweep_csv_time_bound(tmp_path):
     _report("q4-sweep-csv-time", ok, f"res=200 t={elapsed * 1e3:.1f}ms")
 
 
+def test_classify_scan_time_bound(tmp_path):
+    # the 2,001 rows of lambda2 in 0.3:0.5:1e-4 classified and written to a
+    # file, pinned at 3.5x or more of its median (165-294 ms on a 2-core
+    # Xeon, 231 ms median over 12 fresh runs of the test)
+    out = tmp_path / "scan.csv"
+    start = time.perf_counter()
+    code = main(["classify", "--scan", "0.3:0.5:1e-4", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    ok = code == 0 and out.read_bytes().count(b"\n") == 1 + 2001 and elapsed < 0.85
+    _report("classify-scan-time", ok, f"rows=2001 t={elapsed * 1e3:.1f}ms")
+
+
 def test_criterion_7_potts_identities():
     ok = True
     for q in range(2, 9):

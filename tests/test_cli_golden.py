@@ -18,10 +18,12 @@ companion eigensolve.  The `potts --jacobian` profile was recorded from the
 implementation that polished each lower Potts-diagonal root by damped Newton
 steps before taking the Jacobian.  The SVG digests were re-recorded when
 the phase diagram went from one rectangle per grid cell to one per run of
-the sweep's grid; the picture, the legend, the axes and the critical line
-stayed as they were.  The two double-root `classify` rows were recorded
-from the implementation that picked the near-real companion eigenvalues by
-a threshold wherever Delta was decided nonzero.
+the sweep's grid, the picture, the legend, the axes and the critical line
+staying as they were, and again when its rows were drawn top down instead
+of bottom up, the same lines in another order.  The two double-root
+`classify` rows were recorded from the implementation that picked the
+near-real companion eigenvalues by a threshold wherever Delta was decided
+nonzero.
 """
 import hashlib
 
@@ -146,12 +148,12 @@ def _svg_digest(tmp_path, argv):
 
 def test_sweep_svg_bytes(tmp_path):
     digest = _svg_digest(tmp_path, ("--q", "4", "--res", "24"))
-    assert digest == "f484a709aed856c0440375be5e94d98604495cfd9b5cb2d3e0aa3fdab22e2651"
+    assert digest == "fa915930712a8c8ea6039774e27871793667eb78d2fdfc296a7ffe62e43a4e96"
 
 
 @pytest.mark.parametrize("argv,digest", [
-    (("--q", "5", "--res", "12") + Q5_WINDOW, "b739b2510f0e311cd88c35d9c77c3f367bcee1e922f30a314d352a50ddbe5329"),
-    (("--q", "4", "--res", "200"), "cfdf3d12430cff03b4c0504b0f55c5defc295d5f823142d8404e231cd7b8a4c5"),
+    (("--q", "5", "--res", "12") + Q5_WINDOW, "89d5ea2359165f2fd50dec96715c470e872f7c6342cdcee8d8bc78f5dfea36af"),
+    (("--q", "4", "--res", "200"), "754700faf0372c281e1f011335b2b8067e723e6e9dc41731332fff4d8dab85b5"),
 ], ids=["q5-window", "q4-res200"])
 def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
     assert _svg_digest(tmp_path, argv) == digest

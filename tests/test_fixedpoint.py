@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _cluster, _invariants, _residual
+from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _invariants, _residual
 from test_q5_elimination import (
     RefAtSpecialPoint,
     ref_alpha2_from_alpha1,
@@ -242,10 +242,15 @@ _QUARTICS = st.one_of(
 # (x^2 + 1)((x - 1)^2 + 1e-12): NO_REAL, where the threshold took the pair
 # 1 +- 1e-6 i for a real double root
 @example(coeffs=ct.QuarticCoeffs(*np.polymul([1.0, 0.0, 1.0], [1.0, -2.0, 1.0 + 1e-12]).tolist(), lambda2=0.0))
+# FOUR_DISTINCT with two roots closer than DEDUP_TOL: 1e-9 and 6e-9, and
+# +-1.08e-19 of x^4 - x^2 + 1.175494351e-38, each pair once listed as a double root
+@example(coeffs=_from_roots(1.0, [1e-9, 6e-9, -1.0, 2.0]))
+@example(coeffs=ct.QuarticCoeffs(1.0, 0.0, -1.0, 0.0, 1.175494351e-38, lambda2=0.0))
 def test_roots_are_the_threshold_candidates_where_they_agree_with_the_structure(coeffs):
     # where Delta is decided nonzero the structure fixes the real-root count:
     # the root step takes that many eigenvalues, the closest to the real axis,
-    # which are the threshold's candidates wherever those are as many
+    # which are the threshold's candidates wherever those are as many, each
+    # listed once as a simple root, however close two of them lie
     delta, *_, magnitude = _invariants(coeffs)
     if abs(delta) <= _DELTA_ULPS * np.finfo(float).eps * magnitude:
         return
@@ -254,7 +259,8 @@ def test_roots_are_the_threshold_candidates_where_they_agree_with_the_structure(
     assert analysis.real_root_count() == count[analysis.structure]
     candidates = ref_threshold_candidates(coeffs)
     if len(candidates) == count[analysis.structure]:
-        assert analysis.real_roots == tuple((float(np.mean(cl)), len(cl)) for cl in _cluster(candidates, DEDUP_TOL))
+        assert analysis.real_roots == tuple((float(x), 1) for x in candidates)
+    assert all(type(x) is float and m == 1 for x, m in analysis.real_roots)
 
 
 # ---------------------------------------------------------------------------

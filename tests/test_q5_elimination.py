@@ -556,7 +556,9 @@ def test_transition_line_matches_continuation():
 
 def test_transition_line_is_batched_bisection(monkeypatch):
     # at the default tol the fold candidates' check is the only call: the
-    # top of each bracket and both ends of each candidate's bisection node
+    # top of each bracket and each candidate r at r - _FOLD_STEP and
+    # r + _FOLD_STEP; the second grid is the SVG overlay's, as
+    # `cli._critical_polyline` builds it
     calls = []
     original = ct.phase.q5_solution_counts
 
@@ -564,12 +566,14 @@ def test_transition_line_is_batched_bisection(monkeypatch):
         calls.append(len(l1))
         return original(l1, l2)
 
-    monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
-    line = ct.q5_transition_line([0.42, 0.46, 0.5], tol=1e-4)
-    monkeypatch.undo()
-    _, centre, _ = q5_fold_bands(np.array([0.42, 0.46, 0.5]))
-    candidates = (centre > 0.33 + ct.phase._FOLD_STEP) & (centre < 0.65 - ct.phase._FOLD_STEP)
-    assert calls == [3 + 2 * np.count_nonzero(candidates)]
-    for l1, l2c in line:
-        assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
-        assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0
+    for grid in ([0.42, 0.46, 0.5], [0.4 + 0.01 * i for i in range(11)]):
+        calls.clear()
+        monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
+        line = ct.q5_transition_line(grid, tol=1e-4)
+        monkeypatch.undo()
+        _, centre, _ = q5_fold_bands(np.array(grid))
+        candidates = (centre > 0.33 + ct.phase._FOLD_STEP) & (centre < 0.65 - ct.phase._FOLD_STEP)
+        assert calls == [len(grid) + 2 * np.count_nonzero(candidates)], grid
+        for l1, l2c in line:
+            assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
+            assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0

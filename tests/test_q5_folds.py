@@ -4,13 +4,13 @@ sympy derives the sextic's discriminant here from `_q5_sextic`'s own formula.
 Its factor F is the table `_FOLD_F`; its other factors that depend on
 lambda2 are 2 l2 - 1, whose only root 1/2 is a fold candidate as it stands,
 and a squared factor, across whose roots no count changes.
-`q5_transition_line` checks the candidates with one count call and bisects
-only what the check leaves open, so its line is the bisection's
-(`ref_transition_line`) to the bit wherever the count predicate is monotone
-away from the candidate.  `ref_transition_line` is `q5_transition_line`
-without its fold check: plain bisection of the whole bracket, one batched
-count call per step.  The line is printed to 17 digits, so the two must agree
-exactly.
+`q5_transition_line` checks the candidates with one count call and asks the
+solver only about the midpoints that the check leaves open, so its line is
+the bisection's (`ref_transition_line`) to the bit wherever the count
+predicate is monotone away from the candidate.  `ref_transition_line` is
+`q5_transition_line` without its fold check: plain bisection of the whole
+bracket, one batched count call per step.  The line is printed to 17
+digits, so the two must agree exactly.
 """
 import math
 
@@ -194,20 +194,22 @@ def test_transition_line_falls_back_to_bisection(monkeypatch):
 
 def test_candidate_one_half_narrows_the_row(monkeypatch):
     # below lambda1 = 0.370748 the line is 1/2, a midpoint of the default
-    # bracket, so its check leaves the node (0.49, 0.51): eight bisection
-    # calls to tol 1e-4, where the whole bracket would take twelve
+    # bracket: the bisection asks the solver only about that midpoint, which
+    # lies within _FOLD_STEP of the checked candidate, and every other
+    # midpoint takes the candidate's side (plain bisection asks twelve times)
     calls = _counting_calls(monkeypatch)
-    ct.q5_transition_line([0.3])
+    line = ct.q5_transition_line([0.3])
     monkeypatch.undo()
     assert _line_candidates([0.3]).tolist() == [0.5]
-    assert calls == [1 + 2] + [1] * 8
+    assert calls == [1 + 2, 1]
+    assert line == ref_transition_line([0.3])
 
 
 def test_transition_line_on_a_fine_grid():
     # n values of lambda1 in (0.005, 1/2] per bracket; the line is 1/2 up to
-    # 0.370748.  Below that the default bracket leaves its rows (0.49, 0.51)
-    # to bisect, since 1/2 is one of its midpoints; (-0.5, 0.99) holds the
-    # real roots of the squared factor G, which are no candidates.
+    # 0.370748, and below that the solver is asked about the default
+    # bracket's midpoint 1/2, which lies on the candidate; (-0.5, 0.99) holds
+    # the real roots of the squared factor G, which are no candidates.
     for bracket, n in (((0.33, 0.65), 400), ((0.2, 0.9), 60), ((-0.5, 0.99), 60)):
         grid = np.linspace(0.5, 0.005, n, endpoint=False)[::-1].tolist()
         for tol in (1e-4, 1e-12):

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
+from clocktree import spectral
 from clocktree.basis import a_norm, basis_norms, raw_coefficients
 from clocktree.recursion import _verdict
 
@@ -277,6 +278,19 @@ def test_rpt_probe_records_cycle():
     assert ct.rpt_probe(ct.spec_from_lambdas(4, 0.55, 0.35), levels=400).cycle == (148, 3)
     with pytest.raises(ct.ClockTreeError):
         ct.rpt_probe(spec, levels=-1)
+
+
+def test_weakened_probe_takes_its_row_without_the_spectrum(monkeypatch):
+    # a probe with u < 1 reads only the weakened row r^u / sum r^u, not the
+    # spectrum and checks of the TransferSpec that `weakened_row` builds
+    spec = ct.spec_from_lambdas(5, 0.49, 0.40)
+    want = ct.rpt_probe(spec, u=0.01, levels=50)
+
+    def refuse(q, row):
+        raise AssertionError("the probe asked for the weakened row's spectrum")
+
+    monkeypatch.setattr(spectral, "eigenvalues_from_row", refuse)
+    assert ct.rpt_probe(spec, u=0.01, levels=50).distances == want.distances
 
 
 @pytest.mark.parametrize("tol", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")])

@@ -560,16 +560,18 @@ def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grids):
 
 
 def ref_svg_cells(grid):
-    """The grid's `<rect>` lines as the SVG writer drew them, one per cell."""
+    """The grid's `<rect>` lines as the SVG writer draws them one per cell: the top row first, each left to right."""
     rows, cols = len(grid.lambda1), len(grid.lambda2)
     cell_w, cell_h = 710 / cols, 530 / rows
     x_text = [f"{70 + j * cell_w:.2f}" for j in range(cols)]
     y_text = [f"{20 + (rows - 1 - i) * cell_h:.2f}" for i in range(rows)]
     size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
     colors = [_REGIME_COLORS[r] for r in grid.regimes]
+    regime = grid.regime.reshape(rows, cols).tolist()
     return [
-        f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
-        for (y, x), c in zip(itertools.product(y_text, x_text), grid.regime.tolist())
+        f'<rect x="{x_text[j]}" y="{y_text[i]}" {size} fill="{colors[regime[i][j]]}"/>'
+        for i in reversed(range(rows))
+        for j in range(cols)
     ]
 
 
@@ -579,8 +581,9 @@ def painted_colors(svg, grid):
     Only the unstroked rects are read, the background and the grid's own:
     the frame and the legend boxes are stroked.  The plot spans x in
     [70, 780] and y in [20, 550], with the first lambda1 row at the bottom.
-    Each rect is 0.5 taller than its cells, so above 530 rows a row's rect
-    covers the centres of the row below it, drawn before it.
+    Each rect is 0.5 taller and wider than its cells, so below a cell size
+    of 1 it covers the centres of the next row down or the next cell right,
+    which must be drawn after it.
     """
     rows, cols = len(grid.lambda1), len(grid.lambda2)
     cx = 70 + (np.arange(cols) + 0.5) * 710 / cols
@@ -612,7 +615,13 @@ _SVG_GRIDS = [
 _SVG_IDS = ["q4-res24", "q5-window", "q4-res200", "q4-descending", "q5-descending-lambda1"]
 
 
-@pytest.mark.parametrize("q,l1_range,l2_range,res", _SVG_GRIDS, ids=_SVG_IDS)
+# and grids of more than 530 rows, whose cells are less than a pixel high, so
+# that each row's rect reaches past the centres of the next row down
+@pytest.mark.parametrize(
+    "q,l1_range,l2_range,res",
+    _SVG_GRIDS + [(4, (0.0, 0.6), (0.0, 0.6), 540), (5, (0.0, 0.6), (0.0, 0.6), 1000)],
+    ids=_SVG_IDS + ["q4-res540", "q5-res1000"],
+)
 def test_phase_svg_paints_every_cell_in_its_regime_color(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
     assert painted_colors(render_phase_svg(grid, l1_range, l2_range, q=q), grid) == regime_colors(grid)
