@@ -13,7 +13,6 @@ from .basis import BasisConvention, a_norm, basis_norms, raw_coefficients
 from .errors import (
     AsymmetricVector,
     ClockTreeError,
-    ContinuationLost,
     DegenerateQuartic,
     DimensionMismatch,
     EmptyChildren,

@@ -3,8 +3,7 @@
 Subcommands wrap the library one-to-one and emit deterministic CSV (fixed
 ordering, floats with 17 significant digits so re-parsing is lossless, LF
 line endings) or a self-contained SVG for phase diagrams.  Exit codes:
-0 success, 1 verified-infeasible input under --strict, 2 usage error,
-3 solver non-convergence.
+0 success, 1 verified-infeasible input under --strict, 2 usage error.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import phase, recursion, spectral
-from .errors import ClockTreeError, ContinuationLost
+from .errors import ClockTreeError
 from .fixedpoint import (
     DegenerateQuartic,
     potts_boundary_laws,
@@ -34,7 +33,6 @@ from .fixedpoint import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
-EXIT_SOLVER = 3
 
 
 def _fmt(x: float) -> str:
@@ -537,9 +535,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _validate_numeric(args)
         return args.func(args)
-    except ContinuationLost as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ClockTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

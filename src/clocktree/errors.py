@@ -59,7 +59,3 @@ class UnsupportedQ(ClockTreeError):
 
 class UnsupportedTree(ClockTreeError):
     """Tree the operation does not model: probes need a Cayley family, the mode maps the binary tree."""
-
-
-class ContinuationLost(ClockTreeError):
-    """The solution branch a computation follows does not exist at the requested parameters."""

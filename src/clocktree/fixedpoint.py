@@ -784,9 +784,15 @@ def _fold_table() -> np.ndarray:
     return table
 
 
-def _fold_coeffs(lambda1: np.ndarray) -> np.ndarray:
-    """F as a polynomial in l2 at each lambda1, shape (n, 11), highest power first."""
-    return (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F as a polynomial in l2 at each lambda1, shape (n, 11), highest power first, and its roots (n, 10).
+
+    The roots come from one batched companion eigensolve, unpolished; a real
+    one has an imaginary part of exactly 0.
+    """
+    with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
+        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+        return coeffs, _polynomial_roots(coeffs)
 
 
 def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -794,21 +800,19 @@ def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     A count can change only at lambda2 = 1/2 (radius 0, every row) and the
     real roots of F (or where a root of S leaves the verifier's bounds).
-    F's roots z in lambda2 come from one batched companion eigensolve,
-    unpolished, one of each conjugate pair.  Around each z the disc of
-    radius 10 (|F(z)| + e)/|F'(z)| holds a root of F, which has degree 10
-    (|F'/F| = |sum 1/(z - r)| over its roots r); e bounds the rounding of
-    F's coefficients and of Horner's rule at z.  Each z whose disc reaches
-    the real axis, complex ones included, gives its real part and the
-    radius.  Away from a multiple root the radius is below 1e-6 (about 5e-7
-    at lambda1 = 0.45); near F's triple root at (1/2, 2/5), where a computed
-    root can be off by 2e-4, it grows with the error, to about 0.02 at
-    lambda1 = 1/2 - 1e-11.
+    F's roots z in lambda2 come from `_fold_roots`, one of each conjugate
+    pair.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)| holds a
+    root of F, which has degree 10 (|F'/F| = |sum 1/(z - r)| over its roots
+    r); e bounds the rounding of F's coefficients and of Horner's rule at
+    z.  Each z whose disc reaches the real axis, complex ones included,
+    gives its real part and the radius.  Away from a multiple root the
+    radius is below 1e-6 (about 5e-7 at lambda1 = 0.45); near F's triple
+    root at (1/2, 2/5), where a computed root can be off by 2e-4, it grows
+    with the error, to about 0.02 at lambda1 = 1/2 - 1e-11.
     """
     l1 = np.asarray(lambda1, dtype=float)
-    with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
-        coeffs = _fold_coeffs(l1)
-        z = _polynomial_roots(coeffs)
+    coeffs, z = _fold_roots(l1)
+    with np.errstate(all="ignore"):
         magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_fold_table())
         rounding = 32.0 * np.finfo(float).eps * _polyval(magnitudes, np.abs(z))
         radius = 10.0 * (np.abs(_polyval(coeffs, z)) + rounding) / np.abs(

@@ -8,12 +8,12 @@ exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
 is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
 q = 5 it lies on the folds of the eliminated sextic, the zero set of its
 discriminant, whose candidates in lambda2 are 1/2 and the real roots of its
-factor F, each with an error bound (`fixedpoint.q5_fold_bands`).  Each
-candidate is checked by the count of the elimination solver
+factor F (`fixedpoint._fold_roots`).  The candidates of a lambda1 are
+checked in ascending order by the count of the elimination solver
 (`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
-batched companion eigensolve) on both of its sides, all in one batched call;
-the bisection on that count asks the solver, one call per step, only about
-the midpoints that the check leaves open.
+batched companion eigensolve), once in each interval between two of them,
+all in one batched call; the bisection on that count asks the solver, one
+call per step, only about the midpoints that the check leaves open.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
@@ -40,8 +40,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClockTreeError, ContinuationLost, UnsupportedQ, UnsupportedTree
+from .errors import ClockTreeError, UnsupportedQ, UnsupportedTree
 from .fixedpoint import (
+    _fold_roots,
     q4_fold_roots,
     q4_solution_counts,
     q5_fold_bands,
@@ -55,11 +56,12 @@ from .spectral import feasibility_breakpoints, feasible_lambdas
 # robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
 # and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
 RPT_MARGIN = 1e-9
-# a fold candidate r of `q5_transition_line` is checked at r - _FOLD_STEP
-# and r + _FOLD_STEP, which decide every midpoint outside them; the step is
-# above the unpolished band centres' error on the line's branch (at most
-# 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near 0.49994) and the width of
-# the counts' rounding noise at a fold (about 2e-11, 5e-8 at lambda1 = 0.005)
+# the count of `q5_transition_line` on either side of a fold candidate r is
+# checked at r - _FOLD_STEP and r + _FOLD_STEP, which decide every midpoint
+# outside them; the step is above the unpolished roots' error on the line's
+# branch (at most 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near 0.49994)
+# and the width of the counts' rounding noise at a fold (about 2e-11, 5e-8
+# at lambda1 = 0.005)
 _FOLD_STEP = 1e-7
 # a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
 # breakpoint b of its column (`_run_starts`): the counts flip on
@@ -223,71 +225,87 @@ def q5_transition_line(
     The line is found by bisection of `lambda2_bracket` on the predicate
     `q5_solution_counts` > 0, the bracket's bottom taken to have none and
     its top checked to have some.  A count changes only on the folds of the
-    sextic, so the fold candidates r at each lambda1, the band centres of
-    `fixedpoint.q5_fold_bands` in (lo + _FOLD_STEP, hi - _FOLD_STEP), tell
-    the bisection where to go.  One batched call checks the top of every
-    bracket and each r at r - _FOLD_STEP and r + _FOLD_STEP, and a row keeps
-    its highest r with no solution at the first and some at the second.
-    Each step halves every row still wider than tol at 0.5 * (lo + hi): a
-    midpoint at or below r - _FOLD_STEP has no solution, one at or above
-    r + _FOLD_STEP has some, and only the other midpoints go to the solver,
-    one batched call per step that has any.  Where the predicate is
-    monotone away from r the solver would answer the same, so the line is
-    the bisection's, bit for bit.  A row stops when its bracket is at most
-    tol wide, or when the midpoint rounds to lo or hi, so that a tol below
-    the float spacing (0 included) ends at adjacent floats.  A row whose r
-    passes asks the solver only about midpoints within _FOLD_STEP of r: at
-    the default tol usually none, and one where r is a midpoint of the
-    bracket, as 1/2 is of the default one.  At lambda1 = 1/2 the line is the
-    quartic's discriminant root 0.370748, and since F is symmetric in
-    lambda1 and lambda2 it is lambda2 = 1/2 for lambda1 up to 0.370748.  A
-    grid point whose bracket top has no solution is reported as
-    (lambda1, nan) rather than aborting the line.  A lambda1 outside
-    (0, 1/2], a bracket that is not two finite numbers lo < hi, or a NaN tol
-    raises ContinuationLost.
+    sextic, so the fold candidates at each lambda1, 1/2 and the real roots
+    of F (`fixedpoint._fold_roots`) in (lo + _FOLD_STEP, hi - _FOLD_STEP),
+    tell the bisection where to go.  No fold lies between two neighbouring
+    candidates r1 < r2 of a row once _FOLD_STEP away from both, so the count
+    a step above r1 stands for the count a step below r2: one batched call
+    checks the top of every bracket, a step below each row's lowest
+    candidate and a step above every candidate, and a row keeps its highest
+    candidate r with no solution a step below and some a step above.  Each
+    step halves every row still wider than tol at 0.5 * (lo + hi), on Python
+    floats, which round as numpy does: a midpoint at or below r - _FOLD_STEP
+    has no solution, one at or above r + _FOLD_STEP has some, and only the
+    other midpoints go to the solver, one batched call per step that has
+    any.  Where the predicate is monotone away from r the solver would
+    answer the same, so the line is the bisection's, bit for bit.  A row
+    stops when its bracket is at most tol wide, or when the midpoint rounds
+    to lo or hi, so that a tol below the float spacing (0 included) ends at
+    adjacent floats.  A row whose r passes asks the solver only about
+    midpoints within _FOLD_STEP of r: at the default tol usually none, and
+    one where r is a midpoint of the bracket, as 1/2 is of the default one.
+    At lambda1 = 1/2 the line is the quartic's discriminant root 0.370748,
+    and since F is symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for
+    lambda1 up to 0.370748.  A grid point whose bracket top has no solution
+    is reported as (lambda1, nan) rather than aborting the line.  A lambda1
+    outside (0, 1/2], a bracket that is not two finite numbers lo < hi, or a
+    NaN tol raises ClockTreeError.
     """
     grid = list(lambda1_grid)
     for l1 in grid:
         if not (0.0 < l1 <= 0.5 + RPT_MARGIN):
-            raise ContinuationLost(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
+            raise ClockTreeError(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
     bracket = tuple(lambda2_bracket)
     if not (len(bracket) == 2 and all(map(math.isfinite, bracket)) and bracket[0] < bracket[1]):
-        raise ContinuationLost(f"transition line expects a finite lambda2_bracket lo < hi, got {bracket!r}")
+        raise ClockTreeError(f"transition line expects a finite lambda2_bracket lo < hi, got {bracket!r}")
     if math.isnan(tol):
-        raise ContinuationLost(f"transition line expects a tol that is a number, got {tol!r}")
+        raise ClockTreeError(f"transition line expects a tol that is a number, got {tol!r}")
+    tol, bottom, top, n = float(tol), float(bracket[0]), float(bracket[1]), len(grid)
     l1s = np.array(grid, dtype=float)
-    lo, hi = (np.full(len(grid), float(end)) for end in bracket)
-    n = len(grid)
-    rows, roots, _ = q5_fold_bands(l1s)
-    inside = (roots > bracket[0] + _FOLD_STEP) & (roots < bracket[1] - _FOLD_STEP)
-    rows, roots = rows[inside], roots[inside]
-    # one call: the top of every bracket, then each candidate a step below and a step above
-    counts = q5_solution_counts(
-        np.concatenate([l1s, l1s[rows], l1s[rows]]), np.concatenate([hi, roots - _FOLD_STEP, roots + _FOLD_STEP])
-    )
-    found = counts[:n] > 0
-    below, above = counts[n:].reshape(2, -1)
-    passed = found[rows] & (below == 0) & (above > 0)
+    _, z = _fold_roots(l1s)
+    # each row's candidates, ascending; F's roots that are not real read NaN and drop out
+    candidates = [
+        sorted(r for r in {0.5, *row} if bottom + _FOLD_STEP < r < top - _FOLD_STEP)
+        for row in np.where(z.imag == 0.0, z.real, math.nan).tolist()
+    ]
+    rows = [k for k in range(n) if candidates[k]]
+    # one call: the top of every bracket, a step below each row's lowest candidate, a step above every candidate
+    at = [(k, top) for k in range(n)] + [(k, candidates[k][0] - _FOLD_STEP) for k in rows]
+    at += [(k, r + _FOLD_STEP) for k in rows for r in candidates[k]]
+    counts = q5_solution_counts(l1s[[k for k, _ in at]], np.array([l2 for _, l2 in at])).tolist()
+    found, above = [c > 0 for c in counts[:n]], iter(counts[n + len(rows) :])
     # a row's highest passing candidate, NaN (which decides no midpoint) where none passes
-    best = np.full(n, math.nan)
-    np.fmax.at(best, rows[passed], roots[passed])
-    active = found & _splits(lo, hi, tol)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        exists = mid >= best + _FOLD_STEP
-        ask = active & ~exists & ~(mid <= best - _FOLD_STEP)
-        if ask.any():
-            exists[ask] = q5_solution_counts(l1s[ask], mid[ask]) > 0
-        hi = np.where(active & exists, mid, hi)
-        lo = np.where(active & ~exists, mid, lo)
-        active &= _splits(lo, hi, tol)
-    return list(zip(grid, np.where(found, 0.5 * (lo + hi), math.nan).tolist()))
-
-
-def _splits(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each bracket (lo, hi) is wider than tol and its midpoint lies strictly inside it."""
-    mid = 0.5 * (lo + hi)
-    return (hi - lo > tol) & (lo < mid) & (mid < hi)
+    best = [math.nan] * n
+    for k, below in zip(rows, counts[n : n + len(rows)]):
+        for r in candidates[k]:
+            count = next(above)
+            if below == 0 and count > 0:
+                best[k] = r
+            below = count
+    lo, hi = [bottom] * n, [top] * n
+    active = [k for k in range(n) if found[k]]
+    while active:
+        split, ask = [], {}
+        for k in active:
+            mid = 0.5 * (lo[k] + hi[k])
+            if not (hi[k] - lo[k] > tol and lo[k] < mid < hi[k]):
+                continue
+            split.append(k)
+            if mid >= best[k] + _FOLD_STEP:
+                hi[k] = mid
+            elif mid <= best[k] - _FOLD_STEP:
+                lo[k] = mid
+            else:
+                ask[k] = mid
+        if ask:  # the midpoints the candidate does not decide, one batched call
+            counts = q5_solution_counts(l1s[list(ask)], np.array(list(ask.values()))).tolist()
+            for (k, mid), count in zip(ask.items(), counts):
+                if count > 0:
+                    hi[k] = mid
+                else:
+                    lo[k] = mid
+        active = split
+    return [(l1, 0.5 * (lo[k] + hi[k]) if found[k] else math.nan) for k, l1 in enumerate(grid)]
 
 
 def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
@@ -301,10 +319,10 @@ def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
     out = []
     for lam in lambda_grid:
         if not (4.0 / 9.0 - 1e-12 <= lam < 0.5):
-            raise ContinuationLost(f"lower branch exists for lambda in [4/9, 1/2), got {lam!r}")
+            raise ClockTreeError(f"lower branch exists for lambda in [4/9, 1/2), got {lam!r}")
         diag = q5_potts_diagonal_solutions(lam)
         if diag is None:
-            raise ContinuationLost(f"no diagonal solution at lambda = {lam!r}")
+            raise ClockTreeError(f"no diagonal solution at lambda = {lam!r}")
         _, det = q5_jacobian(lam, lam, diag[0])
         out.append((lam, det))
     return out
@@ -460,14 +478,16 @@ def _counts_by_row(
 ) -> tuple[np.ndarray, dict[int, str]]:
     """counts(lambda1, lambda2) and {row: message} of the rows that raised.
 
-    A batch that raises is split in halves, recursively, until each raising
-    row stands alone, so one failure does not fail its neighbours; a batch
-    that does not raise costs one call.  A row's count does not depend on
-    the rest of its batch.
+    A solver fails a row by raising ClockTreeError or LinAlgError (eigvals
+    on coefficients that are not finite); anything else is a programming
+    error and propagates.  A batch that raises is split in halves,
+    recursively, until each raising row stands alone, so one failure does
+    not fail its neighbours; a batch that does not raise costs one call.  A
+    row's count does not depend on the rest of its batch.
     """
     try:
         return counts(lambda1, lambda2), {}
-    except Exception as exc:  # a solver failure stays visible in the rows it decides
+    except (ClockTreeError, np.linalg.LinAlgError) as exc:  # a solver failure stays visible in the rows it decides
         if len(lambda1) <= 1:
             return np.zeros(len(lambda1), dtype=int), dict.fromkeys(range(len(lambda1)), str(exc))
     half = len(lambda1) // 2

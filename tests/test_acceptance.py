@@ -168,6 +168,19 @@ def test_q5_sweep_time_bound():
     _report("q5-sweep-time", ok, f"res=200 t={elapsed:.2f}s")
 
 
+def test_q5_line_time_bound():
+    # the transition line on the SVG overlay's grid, as `cli._critical_polyline`
+    # runs it, pinned at 3.5x or more of its median (2.7-4.2 ms on a 2-core
+    # Xeon, 3.6 ms median over 12 fresh runs of the test; 3.3-5.8 ms, 5.0 ms
+    # median, when each fold candidate was checked on both of its sides)
+    grid = [0.4 + 0.01 * i for i in range(11)]
+    start = time.perf_counter()
+    line = ct.q5_transition_line(grid)
+    elapsed = time.perf_counter() - start
+    ok = [l1 for l1, _ in line] == grid and not any(math.isnan(l2c) for _, l2c in line) and elapsed < 0.015
+    _report("q5-line-time", ok, f"points=11 t={elapsed * 1e3:.2f}ms")
+
+
 def test_q4_sweep_csv_time_bound(tmp_path):
     # criterion 6's grid through the CLI, its CSV written to a file, pinned
     # at 3.5x or more of its median (13-28 ms on a 2-core Xeon, 16 ms median

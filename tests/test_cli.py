@@ -449,6 +449,15 @@ def test_potts_jacobian_profile(capsys):
     assert all(dets[i] > dets[i + 1] for i in range(len(dets) - 1))
 
 
+def test_potts_jacobian_outside_the_lower_branch_is_usage_error(capsys):
+    # a lambda the lower branch does not reach is a bad argument; it exited 3,
+    # the code once meant for a solver that did not converge
+    code = main(["potts", "--q", "5", "--degree", "2", "--jacobian", "0.1:0.2:0.05"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: lower branch exists for lambda in [4/9, 1/2), got 0.1\n"
+
+
 def test_potts_boundary_laws(capsys):
     code, out = run_cli(capsys, "potts", "--q", "5", "--degree", "2", "--bl", "0.45")
     assert code == 0

@@ -96,7 +96,7 @@ def test_transition_line_monotone():
 def test_transition_line_rejects_bad_input(kwargs):
     # without the checks these returned a value with no error: the reversed
     # bracket 0.575, the empty one 0.45 and tol = nan 0.49
-    with pytest.raises(ct.ContinuationLost):
+    with pytest.raises(ct.ClockTreeError):
         ct.q5_transition_line([0.45], **kwargs)
 
 

@@ -8,7 +8,7 @@ import types
 import clocktree as ct
 
 PUBLIC_NAMES = [
-    "AsymmetricVector", "BasisConvention", "BranchingEstimate", "Cayley", "ClockTreeError", "ContinuationLost",
+    "AsymmetricVector", "BasisConvention", "BranchingEstimate", "Cayley", "ClockTreeError",
     "DegenerateQuartic", "DimensionMismatch", "EmptyChildren", "Evidence", "FeasibilityReport",
     "NormalizationUnderflow", "NotAProbability", "NotStochastic", "PhaseGrid", "PhasePoint",
     "PottsBoundaryLaws", "ProbeResult", "QuarticAnalysis", "QuarticCoeffs", "RadicandNegative", "Regime",

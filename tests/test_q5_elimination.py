@@ -30,10 +30,10 @@ from clocktree.fixedpoint import (
     RESIDUAL_TOL,
     V5,
     _assemble,
+    _fold_roots,
     _q5_candidates,
     _q5_sextic,
     _verify_candidates,
-    q5_fold_bands,
     q5_solution_counts,
 )
 from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
@@ -556,8 +556,9 @@ def test_transition_line_matches_continuation():
 
 def test_transition_line_is_batched_bisection(monkeypatch):
     # at the default tol the fold candidates' check is the only call: the
-    # top of each bracket and each candidate r at r - _FOLD_STEP and
-    # r + _FOLD_STEP; the second grid is the SVG overlay's, as
+    # top of each bracket, a step below each row's lowest candidate and a
+    # step above every candidate (1/2 and F's exactly real roots a step
+    # inside the bracket); the second grid is the SVG overlay's, as
     # `cli._critical_polyline` builds it
     calls = []
     original = ct.phase.q5_solution_counts
@@ -571,9 +572,10 @@ def test_transition_line_is_batched_bisection(monkeypatch):
         monkeypatch.setattr(ct.phase, "q5_solution_counts", counted)
         line = ct.q5_transition_line(grid, tol=1e-4)
         monkeypatch.undo()
-        _, centre, _ = q5_fold_bands(np.array(grid))
-        candidates = (centre > 0.33 + ct.phase._FOLD_STEP) & (centre < 0.65 - ct.phase._FOLD_STEP)
-        assert calls == [len(grid) + 2 * np.count_nonzero(candidates)], grid
+        _, z = _fold_roots(np.array(grid))
+        step = ct.phase._FOLD_STEP
+        candidates = [{0.5, *r[(r > 0.33 + step) & (r < 0.65 - step)]} for r in np.where(z.imag == 0.0, z.real, np.nan)]
+        assert calls == [len(grid) + sum(map(bool, candidates)) + sum(map(len, candidates))], grid
         for l1, l2c in line:
             assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
             assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0

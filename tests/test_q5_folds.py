@@ -43,10 +43,14 @@ def ref_transition_line(lambda1_grid, tol=1e-4, lambda2_bracket=(0.33, 0.65)):
 
 
 def _line_candidates(lambda1, lambda2_bracket=(0.33, 0.65)):
-    """The band centres of `q5_fold_bands` that `q5_transition_line` checks in lambda2_bracket."""
+    """The candidates `q5_transition_line` checks in lambda2_bracket at one lambda1, ascending.
+
+    These are 1/2 and the roots of F that the eigensolve returns exactly real.
+    """
     lo, hi = lambda2_bracket
-    _, centre, _ = q5_fold_bands(np.array(lambda1))
-    return centre[(centre > lo + phase._FOLD_STEP) & (centre < hi - phase._FOLD_STEP)]
+    _, z = fixedpoint._fold_roots(np.array([lambda1]))
+    candidates = np.append(z.real[z.imag == 0.0], 0.5)
+    return np.unique(candidates[(candidates > lo + phase._FOLD_STEP) & (candidates < hi - phase._FOLD_STEP)])
 
 
 def _table_poly(rows):
@@ -170,7 +174,7 @@ def test_line_leaves_one_half_at_the_mirror_of_the_half_root():
 def test_second_fold_at_045_doubles_the_count():
     # F's second root in the bracket at lambda1 = 0.45, where a second pair
     # of fixed points appears
-    fold = max(r for r in _line_candidates([0.45]).tolist() if r < 0.5)
+    fold = max(r for r in _line_candidates(0.45).tolist() if r < 0.5)
     assert abs(fold - 0.4990843) < 1e-7
     below, above = q5_solution_counts(np.array([0.45, 0.45]), np.array([fold - 1e-7, fold + 1e-7])).tolist()
     assert (below, above) == (2, 4)
@@ -200,7 +204,7 @@ def test_candidate_one_half_narrows_the_row(monkeypatch):
     calls = _counting_calls(monkeypatch)
     line = ct.q5_transition_line([0.3])
     monkeypatch.undo()
-    assert _line_candidates([0.3]).tolist() == [0.5]
+    assert _line_candidates(0.3).tolist() == [0.5]
     assert calls == [1 + 2, 1]
     assert line == ref_transition_line([0.3])
 
@@ -221,13 +225,21 @@ def test_transition_line_on_a_fine_grid():
             assert all(abs(l2c - 0.5) <= max(tol, 1e-10) for l1, l2c in got if 0.01 <= l1 <= 0.37)
 
 
+# brackets that hold one fold candidate, several, or only some rows' line
+BRACKETS = [(0.33, 0.65), (0.30, 0.60), (0.35, 0.55), (0.36, 0.52), (0.40, 0.65), (0.2, 0.9)]
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     grid=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=12),
     tol=st.sampled_from([0.1, 1e-3, 1e-4, 1e-7, 1e-12]),
+    bracket=st.sampled_from(BRACKETS),
 )
-def test_transition_line_equals_stepwise_bisection(grid, tol):
-    got, want = ct.q5_transition_line(grid, tol=tol), ref_transition_line(grid, tol=tol)
+def test_transition_line_equals_stepwise_bisection(grid, tol, bracket):
+    # a row's candidates share their check points: the count a step above one
+    # stands for the count a step below the next one up
+    got = ct.q5_transition_line(grid, tol=tol, lambda2_bracket=bracket)
+    want = ref_transition_line(grid, tol=tol, lambda2_bracket=bracket)
     np.testing.assert_array_equal(np.array(got), np.array(want))
 
 

@@ -149,7 +149,7 @@ def test_a_raising_evaluated_point_fails_only_itself(monkeypatch, point, followe
 
     def counts(lambda1, lambda2):
         if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
-            raise ct.ContinuationLost("solver gave up")
+            raise ct.ClockTreeError("solver gave up")
         return q5_solution_counts(lambda1, lambda2)
 
     monkeypatch.setattr(phase, "q5_solution_counts", counts)

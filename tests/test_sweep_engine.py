@@ -293,7 +293,7 @@ def test_q4_sweep_starts_no_pool(monkeypatch):
 
 def test_q5_solver_failure_keeps_marker(monkeypatch):
     def boom(lambda1, lambda2):
-        raise ct.ContinuationLost("solver gave up")
+        raise ct.ClockTreeError("solver gave up")
 
     monkeypatch.setattr(phase, "q5_solution_counts", boom)
     points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
@@ -302,6 +302,29 @@ def test_q5_solver_failure_keeps_marker(monkeypatch):
         5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="solver gave up"
     )
     assert ct.classify_point(5, 0.48, 0.4) == points[2]
+
+
+def test_q5_programming_error_is_raised(monkeypatch):
+    # only what a solver can legitimately raise fails a row; a TypeError was
+    # recorded as a CRITICAL row whose error read "programming error"
+    def broken(lambda1, lambda2):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(phase, "q5_solution_counts", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        ct.sweep(5, (0.4, 0.5), (0.3, 0.5), 3)
+
+
+def test_q5_linalg_error_keeps_marker(monkeypatch):
+    # eigvals raises LinAlgError on coefficients that are not finite
+    def singular(lambda1, lambda2):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+    monkeypatch.setattr(phase, "q5_solution_counts", singular)
+    points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
+    assert points[2] == PhasePoint(
+        5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="Array must not contain infs or NaNs"
+    )
 
 
 def test_phase_point_has_no_instance_dict():
@@ -373,7 +396,7 @@ def _raise_at(monkeypatch, bad, calls=None):
         if calls is not None:
             calls.append(len(lambda1))
         if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
-            raise ct.ContinuationLost("solver gave up")
+            raise ct.ClockTreeError("solver gave up")
         return real(lambda1, lambda2)
 
     monkeypatch.setattr(phase, "q5_solution_counts", counts)
@@ -439,7 +462,7 @@ def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(monkeypatch, q
 
     def counts(lambda1, lambda2):
         if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
-            raise ct.ContinuationLost("solver gave up")
+            raise ct.ClockTreeError("solver gave up")
         return real(lambda1, lambda2)
 
     monkeypatch.setattr(phase, f"q{q}_solution_counts", counts)
