@@ -38,13 +38,18 @@ def n_modes(q: int) -> int:
     return q // 2
 
 
-@functools.lru_cache(maxsize=256)
-def raw_basis_vector(q: int, j: int) -> np.ndarray:
-    """phi_j as a length-q vector: phi_j(k) = cos(2*pi*j*k/q)."""
+@functools.lru_cache(maxsize=64)
+def _cosine_table(q: int) -> np.ndarray:
+    """The read-only (q x q) table cos(2*pi*j*k/q), row j = phi_j; `spectral` reads it too."""
     k = np.arange(q)
-    v = np.cos(2.0 * math.pi * j * k / q)
-    v.setflags(write=False)
-    return v
+    table = np.cos(2.0 * math.pi * k[:, None] * k / q)
+    table.setflags(write=False)
+    return table
+
+
+def raw_basis_vector(q: int, j: int) -> np.ndarray:
+    """phi_j as a read-only length-q vector, j = 0..q-1: phi_j(k) = cos(2*pi*j*k/q)."""
+    return _cosine_table(q)[j]
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,16 +112,12 @@ def pointwise_from_raw(q: int, coeffs: np.ndarray) -> np.ndarray:
 class BasisConvention(enum.Enum):
     """Coefficient convention for symmetric vectors.
 
-    RAW: coefficients w.r.t. phi_j; scale factors are the z_j.
-    NORMALIZED: coefficients w.r.t. the unit vectors; scale factors sqrt(z_j).
+    RAW: coefficients w.r.t. phi_j.
+    NORMALIZED: coefficients w.r.t. the unit vectors phi_j / sqrt(z_j).
     """
 
     RAW = "raw"
     NORMALIZED = "normalized"
-
-    def scale_factors(self, q: int) -> np.ndarray:
-        z = basis_norms(q)
-        return z if self is BasisConvention.RAW else np.sqrt(z)
 
 
 def convert_coefficients(

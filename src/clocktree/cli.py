@@ -384,6 +384,9 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
 
 # the most points a lo:hi:step range may have: 0:1:1e-6 and no finer
 _MAX_RANGE_POINTS = 1_000_001
+# the largest sweep --res: a sweep marks its res^2 + 1 run starts in a
+# boolean array (`phase._run_starts`), 10^8 bytes at this cap
+_MAX_RES = 10_000
 
 
 def _grid_from_range(spec: str) -> list[float]:
@@ -555,8 +558,8 @@ def _validate_numeric(args) -> None:
     if levels is not None and not 1 <= levels < _MAX_RANGE_POINTS:
         raise ClockTreeError(f"--levels must lie in [1, {_MAX_RANGE_POINTS - 1}], got {levels}")
     res = getattr(args, "res", None)
-    if res is not None and res < 1:
-        raise ClockTreeError(f"--res must be >= 1, got {res}")
+    if res is not None and not 1 <= res <= _MAX_RES:
+        raise ClockTreeError(f"--res must lie in [1, {_MAX_RES}], got {res}")
 
 
 if __name__ == "__main__":

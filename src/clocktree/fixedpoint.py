@@ -492,9 +492,10 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     P1 = lambda1/2 + lambda1*lambda2*alpha2 - 1/4 - lambda2^2*alpha2^2 and
     P2 = -lambda2*alpha2 + lambda1*alpha2 + 2*lambda1*lambda2*alpha2^2 are
     intersected as a quadratic in alpha2, and each root with P1 >= 0 gives
-    (+-sqrt(P1)/lambda1, alpha2) in slots 2-3 and 4-5.  Each value takes
-    the operations of evaluating these formulas at one point, in the same
-    order, so a grid and a batch of one agree bit for bit.
+    (+-sqrt(P1)/lambda1, alpha2) in slots 2-3 and 4-5; a root whose
+    numerator would cancel is taken from the roots' product qc/qa.  Each
+    value takes the operations of evaluating these formulas at one point,
+    in the same order, so a grid and a batch of one agree bit for bit.
     """
     n = len(lambda1)
     a1 = np.zeros((n, 6))
@@ -519,9 +520,13 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
         linear = qa == 0.0
         disc = qb * qb - 4.0 * qa * qc
         sq = np.sqrt(disc)
+        # the root whose numerator -qb -+ sq cancels (qb < 0 in slot 2, qb > 0
+        # in slot 4; tiny qa, near lambda2 = 0) is taken as 2 qc / (-qb +- sq)
+        low = np.where(qb < 0.0, 2.0 * qc / (-qb + sq), (-qb - sq) / (2.0 * qa))
+        high = np.where(qb > 0.0, 2.0 * qc / (-qb - sq), (-qb + sq) / (2.0 * qa))
         roots = (
-            (np.where(linear, -qc / qb, (-qb - sq) / (2.0 * qa)), general & np.where(linear, qb != 0.0, ~(disc < 0.0))),
-            ((-qb + sq) / (2.0 * qa), general & ~linear & ~(disc < 0.0)),
+            (np.where(linear, -qc / qb, low), general & np.where(linear, qb != 0.0, ~(disc < 0.0))),
+            (high, general & ~linear & ~(disc < 0.0)),
         )
         for slot, (root, has_root) in zip((2, 4), roots):
             p1 = 0.5 * l1 + l1 * l2 * root - 0.25 - l2 * l2 * root * root

@@ -11,9 +11,11 @@ discriminant, whose candidates in lambda2 are 1/2 and the real roots of its
 factor F (`fixedpoint._fold_roots`).  The candidates of a lambda1 are
 checked in ascending order by the count of the elimination solver
 (`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
-batched companion eigensolve), once in each interval between two of them,
-all in one batched call; the bisection on that count asks the solver, one
-call per step, only about the midpoints that the check leaves open.
+batched companion eigensolve), once in each interval between two of them
+and once below the lowest, all in one batched call; the interval above the
+highest is checked by the bracket's top.  The bisection on that count asks
+the solver, one call per step, only about the midpoints that the check
+leaves open.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
@@ -53,8 +55,10 @@ from .fixedpoint import (
 from .recursion import Cayley, TreeFamily, branching_number
 from .spectral import feasibility_breakpoints, feasible_lambdas
 
-# robust means lambda1 * br(T) - 1 > RPT_MARGIN: the threshold of R. Pemantle
-# and J. E. Steif (Ann. Probab. 27 (1999) 876-912), strict at lambda1 = 1/2
+# robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
+# J. E. Steif (Ann. Probab. 27 (1999) 876-912), decided exactly: only
+# Cayley(2) is classified, where br is 2.0 and 2 * lambda1 is exact.  The
+# margin serves only the transition line's input check lambda1 <= 1/2
 RPT_MARGIN = 1e-9
 # the count of `q5_transition_line` on either side of a fold candidate r is
 # checked at r - _FOLD_STEP and r + _FOLD_STEP, which decide every midpoint
@@ -229,16 +233,19 @@ def q5_transition_line(
     of F (`fixedpoint._fold_roots`) in (lo + _FOLD_STEP, hi - _FOLD_STEP),
     tell the bisection where to go.  No fold lies between two neighbouring
     candidates r1 < r2 of a row once _FOLD_STEP away from both, so the count
-    a step above r1 stands for the count a step below r2: one batched call
+    a step above r1 stands for the count a step below r2, and the count at
+    the bracket's top for the count a step above the highest candidate,
+    unless a fold lies within _FOLD_STEP of the top.  So one batched call
     checks the top of every bracket, a step below each row's lowest
-    candidate and a step above every candidate, and a row keeps its highest
-    candidate r with no solution a step below and some a step above.  Each
-    step halves every row still wider than tol at 0.5 * (lo + hi), on Python
-    floats, which round as numpy does: a midpoint at or below r - _FOLD_STEP
-    has no solution, one at or above r + _FOLD_STEP has some, and only the
-    other midpoints go to the solver, one batched call per step that has
-    any.  Where the predicate is monotone away from r the solver would
-    answer the same, so the line is the bisection's, bit for bit.  A row
+    candidate and a step above every other candidate, and a row keeps its
+    highest candidate r with no solution a step below and some a step
+    above.  Each step halves every row still wider than tol at
+    0.5 * (lo + hi), on Python floats, which round as numpy does: a
+    midpoint at or below r - _FOLD_STEP has no solution, one at or above
+    r + _FOLD_STEP has some, and only the other midpoints go to the
+    solver, one batched call per step that has any.  Where the predicate
+    is monotone away from r the solver would answer the same, so the line
+    is the bisection's, bit for bit.  A row
     stops when its bracket is at most tol wide, or when the midpoint rounds
     to lo or hi, so that a tol below the float spacing (0 included) ends at
     adjacent floats.  A row whose r passes asks the solver only about
@@ -263,22 +270,23 @@ def q5_transition_line(
     tol, bottom, top, n = float(tol), float(bracket[0]), float(bracket[1]), len(grid)
     l1s = np.array(grid, dtype=float)
     _, z = _fold_roots(l1s)
-    # each row's candidates, ascending; F's roots that are not real read NaN and drop out
-    candidates = [
-        sorted(r for r in {0.5, *row} if bottom + _FOLD_STEP < r < top - _FOLD_STEP)
-        for row in np.where(z.imag == 0.0, z.real, math.nan).tolist()
-    ]
+    # each row's folds; F's roots that are not real read NaN and drop out
+    folds = [{0.5, *row} for row in np.where(z.imag == 0.0, z.real, math.nan).tolist()]
+    candidates = [sorted(r for r in row if bottom + _FOLD_STEP < r < top - _FOLD_STEP) for row in folds]
     rows = [k for k in range(n) if candidates[k]]
-    # one call: the top of every bracket, a step below each row's lowest candidate, a step above every candidate
+    # one call: the top of every bracket, a step below each row's lowest
+    # candidate and a step above every other candidate; the top stands for a
+    # step above the highest, except in a row with a fold within a step of it
+    own_top = [any(abs(r - top) <= _FOLD_STEP for r in folds[k]) for k in rows]
     at = [(k, top) for k in range(n)] + [(k, candidates[k][0] - _FOLD_STEP) for k in rows]
-    at += [(k, r + _FOLD_STEP) for k in rows for r in candidates[k]]
+    at += [(k, r + _FOLD_STEP) for k, own in zip(rows, own_top) for r in candidates[k][: None if own else -1]]
     counts = q5_solution_counts(l1s[[k for k, _ in at]], np.array([l2 for _, l2 in at])).tolist()
     found, above = [c > 0 for c in counts[:n]], iter(counts[n + len(rows) :])
     # a row's highest passing candidate, NaN (which decides no midpoint) where none passes
     best = [math.nan] * n
-    for k, below in zip(rows, counts[n : n + len(rows)]):
-        for r in candidates[k]:
-            count = next(above)
+    for k, own, below in zip(rows, own_top, counts[n : n + len(rows)]):
+        for i, r in enumerate(candidates[k], 1):
+            count = counts[k] if i == len(candidates[k]) and not own else next(above)
             if below == 0 and count > 0:
                 best[k] = r
             below = count
@@ -409,7 +417,7 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
         followers = np.flatnonzero(offset)
         failed[followers] = False
         count(followers)
-    robust = l1s[head // m] * branching_number(tree) - 1.0 > RPT_MARGIN
+    robust = l1s[head // m] * branching_number(tree) > 1.0
     # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
     starts, error = np.append(head, starts[-1]), list(map(errors.get, head.tolist()))

@@ -26,6 +26,7 @@ import numpy as np
 
 from .basis import (
     BasisConvention,
+    _cosine_table,
     convert_coefficients,
     n_modes,
     raw_coefficients,
@@ -44,31 +45,22 @@ from .errors import (
 ROW_TOL = 1e-12
 
 
-# The transforms below multiply by these tables instead of summing complex
-# exponentials in a loop.  Each entry is computed with the scalar expression a
-# direct complex summation evaluates (the tests keep that loop as the
-# reference), so the products reproduce it bit for bit; a vectorised np.cos
-# table, or mixing numpy and Python integers for k, moves the last ulp for
-# some q (6, 9, 12, 33, ...), and the CLI prints 17 digits.
+# The transforms multiply by cached per-q tables instead of summing complex
+# exponentials in a loop (the tests keep that loop as the reference).  Each
+# table is one array expression whose entries equal the loop's scalar ones
+# bit for bit, signed zeros included, for every q in 3..64, so the products
+# reproduce the loop.  The spectrum reads the cosine table of `basis`; the
+# row keeps the complex exponential, since a cos/sin table moves the last
+# ulp of the row for q = 6, 9-15, 17-31, 33, ..., and the CLI prints 17
+# digits.
 
 
 @functools.lru_cache(maxsize=64)
 def _row_table(q: int) -> np.ndarray:
-    """Stacked (2q x q) table: Re, then Im, of np.exp(2j*pi*l*k/q) with numpy-int k."""
-    table = np.empty((2 * q, q))
-    for l in range(q):
-        for kk in np.arange(q):
-            z = np.exp(2j * math.pi * l * kk / q)
-            table[l, kk] = z.real
-            table[q + l, kk] = z.imag
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=64)
-def _spectrum_table(q: int) -> np.ndarray:
-    """(q x q) table of np.exp(-2j*pi*j*k/q).real with Python-int k."""
-    table = np.array([[np.exp(-2j * math.pi * j * kk / q).real for kk in range(q)] for j in range(q)])
+    """Stacked (2q x q) table: Re, then Im, of exp(2j*pi*l*k/q)."""
+    k = np.arange(q)
+    z = np.exp(2j * math.pi * k[:, None] * k / q)
+    table = np.concatenate([z.real, z.imag])
     table.setflags(write=False)
     return table
 
@@ -174,8 +166,8 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
 def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
     """Spectrum lambda_j = sum_k r_k e^{-2*pi*i*j*k/q} of a symmetric probability row.
 
-    Like `row_from_eigenvalues`: one sequential product with a cached cosine
-    table, equal bit for bit to a direct complex summation loop.  A
+    Like `row_from_eigenvalues`: one sequential product with the cosine
+    table of `basis`, equal bit for bit to a direct complex summation loop.  A
     non-finite entry raises NotAProbability.
     """
     r = np.asarray(row, dtype=float)
@@ -190,7 +182,7 @@ def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
         raise NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
     if abs(r.sum() - 1.0) > ROW_TOL:
         raise NotAProbability(f"row sums to {r.sum()!r}, not 1")
-    lam = _sequential_rows(_spectrum_table(q), r[None, :])[0]
+    lam = _sequential_rows(_cosine_table(q), r[None, :])[0]
     lam[0] = 1.0
     # symmetrize away the last few ulps so the spectrum invariant is exact
     _symmetrize(lam)

@@ -154,6 +154,31 @@ def test_probe_a_million_levels_reaches_the_probe(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: recorded\n"
 
 
+@pytest.mark.parametrize("res", ["10001", "200000", "0", "-3"])
+def test_sweep_res_outside_its_cap_is_usage_error(monkeypatch, capsys, res):
+    # a sweep marks res^2 + 1 run starts, so --res 200000 would first ask for
+    # 4e10 bytes; the cap is checked before the sweep runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("no sweep should run")
+
+    monkeypatch.setattr(cli.phase, "sweep", no_sweep)
+    assert main(["sweep", "--q", "4", "--res", res]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --res must lie in [1, 10000], got {res}\n"
+
+
+def test_sweep_res_at_its_cap_reaches_the_sweep(monkeypatch, capsys):
+    asked = []
+
+    def record(q, lambda1_range, lambda2_range, resolution, tree):
+        asked.append(resolution)
+        raise clocktree.ClockTreeError("recorded")
+
+    monkeypatch.setattr(cli.phase, "sweep", record)
+    assert main(["sweep", "--q", "4", "--res", "10000"]) == 2 and asked == [10_000]
+    assert capsys.readouterr().err == "error: recorded\n"
+
+
 def _per_level_probe_csv(result):
     """The probe CSV written one line per level, every distance formatted, no cycle replayed."""
     lines = ["level,distance"]
@@ -523,6 +548,23 @@ def test_usage_errors(capsys):
     assert main(["solve", "--q", "6", "--lambda1", "0.5", "--lambda2", "0.3"]) == 2
 
 
+UNREACHED_USAGE_ERRORS = [
+    (("matrix", "--q", "4", "--potts"), "--potts requires --theta or --beta"),
+    (("matrix", "--q", "4"), "need --lambda1 and --lambda2 (or --potts with --theta/--beta)"),
+    (("matrix", "--q", "4", "--lambda1", "0.3"), "need --lambda1 and --lambda2 (or --potts with --theta/--beta)"),
+    (("classify", "--scan", "0.5:0.3:0.1"), "invalid range '0.5:0.3:0.1'"),
+    (("solve", "--q", "4", "--lambda1", "nan", "--lambda2", "0.1"), "--lambda1 must be finite, got nan"),
+    (("matrix", "--q", "5", "--lambda1=-inf", "--lambda2", "0.1"), "--lambda1 must be finite, got -inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREACHED_USAGE_ERRORS, ids=[" ".join(a) for a, _ in UNREACHED_USAGE_ERRORS])
+def test_usage_error_messages(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_sweep_non_finite_range_is_usage_error(capsys):
     for flag in ("--l1min", "--l1max", "--l2min", "--l2max"):
         for value in ("nan", "inf"):
@@ -612,6 +654,15 @@ def test_solve_q4_tiny_lambda2(capsys):
     code, out = run_cli(capsys, "solve", "--q", "4", "--lambda1", "0.1", "--lambda2", "1e-200")
     assert code == 0
     assert out == "alpha1,alpha2,residual\n0,0,0\n"
+
+
+def test_solve_q4_tiny_lambda2_prints_the_nontrivial_pair(capsys):
+    # it printed only the trivial point, with exit 0
+    code, out = run_cli(capsys, "solve", "--q", "4", "--lambda1", "0.52", "--lambda2", "1e-20")
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 3 and rows[0] == [0.0, 0.0, 0.0]
+    for a1, a2, res in rows[1:]:
+        assert abs(abs(a1) - 0.19230769230769) < 1e-12 and abs(a2 - 0.01923076923077) < 1e-12 and res < 1e-15
 
 
 def test_output_file_lf_endings(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _invariants, _residual
+from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _invariants, _residual, q4_solution_counts
 from test_q5_elimination import (
     RefAtSpecialPoint,
     ref_alpha2_from_alpha1,
@@ -428,6 +428,23 @@ def test_q4_tiny_positive_lambda2():
         assert list(ct.sweep(4, (0.1, 0.1), (l2, l2), resolution=1)) == [p]
 
 
+@pytest.mark.parametrize(
+    "lambda1, lambda2", [(0.52, 1e-20), (0.52, 1e-10), (0.52, 1e-9), (0.9, 1e-8), (0.9, 1e-12), (0.52, -1e-10)]
+)
+def test_q4_tiny_lambda2_keeps_the_nontrivial_pair(lambda1, lambda2):
+    # the alpha2 quadratic has qa = -lambda2 (lambda2 + 2 lambda1), so its
+    # root near -qc/qb cancels in (-qb - sq)/(2 qa); the pair it gave was
+    # rejected on residual (1.1e-7 at (0.52, 1e-10)), though it is accepted
+    # at lambda2 = 0
+    s = ct.q4_solutions(lambda1, lambda2)
+    a2 = (0.5 * lambda1 - 0.25) / lambda1  # the root at lambda2 = 0
+    assert s.n_nontrivial == 2 and s.rejected == ()
+    for (a1, b), res in zip(s.nontrivial, s.residuals[1:]):
+        assert abs(b - a2) < 1e-6 and abs(abs(a1) - math.sqrt(lambda1 / 2 - 0.25) / lambda1) < 1e-6
+        assert res < 1e-15
+    assert q4_solution_counts(np.array([lambda1]), np.array([lambda2])).tolist() == [2]
+
+
 def test_q4_pure_alpha2_solutions():
     # alpha1 = 0 branch appears for lambda2 > 1/2 (outside the non-increasing
     # region, still a solution of the equations)
@@ -537,6 +554,26 @@ def test_boundary_laws_double_at_interval_edge():
     assert bl is not None
     assert abs(bl.theta - 5.0) < 1e-12
     assert abs(bl.a_plus - bl.a_minus) < 1e-5
+    assert max(bl.residual_plus, bl.residual_minus) < 1e-9
+
+
+def test_potts_diagonal_solutions_exist_from_four_ninths():
+    # below 4/9 there is none; at the float 4/9 the discriminant reads
+    # -3.5e-17, within its clamp, so the lower and upper roots coincide
+    for lam in (0.3, 0.44):
+        assert ct.q5_potts_diagonal_solutions(lam) is None
+    lower, upper = ct.q5_potts_diagonal_solutions(4.0 / 9.0)
+    assert lower == upper and lower[0] == lower[1] > 0.0
+    lower, upper = ct.q5_potts_diagonal_solutions(0.45)
+    assert lower[0] < upper[0]
+
+
+def test_boundary_laws_radicand_clamp_just_below_four_ninths():
+    # two floats below 4/9 the radicand reads -1.4e-14, within its clamp:
+    # the pair is the double root, verified
+    lam = math.nextafter(math.nextafter(4.0 / 9.0, 0.0), 0.0)
+    bl = ct.potts_boundary_laws(5, lam)
+    assert bl is not None and bl.a_plus == bl.a_minus
     assert max(bl.residual_plus, bl.residual_minus) < 1e-9
 
 

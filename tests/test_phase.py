@@ -29,6 +29,18 @@ def test_classify_point_examples():
         ct.classify_point(6, 0.5, 0.3)
 
 
+def test_robust_threshold_is_exact_on_the_binary_tree():
+    # br(Cayley(2)) = 2 and 2 * lambda1 is exact, so the strict threshold
+    # lambda1 * br > 1 holds for every float above 1/2 and not at 1/2
+    above = (math.nextafter(0.5, 1.0), 0.5 + 1e-10, 0.5 + 5e-10)
+    for q in (4, 5):
+        assert ct.classify_point(q, 0.5, 0.45).regime is ct.Regime.PT_NOT_RPT
+        for l1 in above:
+            assert ct.classify_point(q, l1, 0.45).regime is ct.Regime.PT_AND_RPT, (q, l1)
+        grid = ct.sweep(q, (0.5, 0.5 + 1e-10), (0.44, 0.46), resolution=2)
+        assert [p.regime for p in grid] == [ct.Regime.PT_NOT_RPT] * 2 + [ct.Regime.PT_AND_RPT] * 2, q
+
+
 def test_classify_point_probe_confirms_rpt():
     res = ct.rpt_probe(ct.spec_from_lambdas(4, 0.55, 0.3), ct.Cayley(2), u=0.01, levels=400)
     assert res.verdict is ct.Verdict.BOUNDED_AWAY

@@ -558,8 +558,9 @@ def test_transition_line_is_batched_bisection(monkeypatch):
     # at the default tol the fold candidates' check is the only call: the
     # top of each bracket, a step below each row's lowest candidate and a
     # step above every candidate (1/2 and F's exactly real roots a step
-    # inside the bracket); the second grid is the SVG overlay's, as
-    # `cli._critical_polyline` builds it
+    # inside the bracket) but the highest, for which the top stands unless
+    # a fold lies within a step of the top; the second grid is the SVG
+    # overlay's, as `cli._critical_polyline` builds it
     calls = []
     original = ct.phase.q5_solution_counts
 
@@ -574,8 +575,10 @@ def test_transition_line_is_batched_bisection(monkeypatch):
         monkeypatch.undo()
         _, z = _fold_roots(np.array(grid))
         step = ct.phase._FOLD_STEP
-        candidates = [{0.5, *r[(r > 0.33 + step) & (r < 0.65 - step)]} for r in np.where(z.imag == 0.0, z.real, np.nan)]
-        assert calls == [len(grid) + sum(map(bool, candidates)) + sum(map(len, candidates))], grid
+        folds = [{0.5, *r[~np.isnan(r)]} for r in np.where(z.imag == 0.0, z.real, np.nan)]
+        candidates = [{r for r in row if 0.33 + step < r < 0.65 - step} for row in folds]
+        own_top = sum(any(abs(r - 0.65) <= step for r in row) for row, c in zip(folds, candidates) if c)
+        assert calls == [len(grid) + sum(map(len, candidates)) + own_top], grid
         for l1, l2c in line:
             assert ct.q5_solutions(l1, l2c + 1e-4).n_nontrivial >= 1
             assert ct.q5_solutions(l1, l2c - 1e-4).n_nontrivial == 0

@@ -200,12 +200,14 @@ def test_candidate_one_half_narrows_the_row(monkeypatch):
     # below lambda1 = 0.370748 the line is 1/2, a midpoint of the default
     # bracket: the bisection asks the solver only about that midpoint, which
     # lies within _FOLD_STEP of the checked candidate, and every other
-    # midpoint takes the candidate's side (plain bisection asks twelve times)
+    # midpoint takes the candidate's side (plain bisection asks twelve
+    # times); the first call checks the top and a step below 1/2, and the
+    # top stands for a step above it
     calls = _counting_calls(monkeypatch)
     line = ct.q5_transition_line([0.3])
     monkeypatch.undo()
     assert _line_candidates(0.3).tolist() == [0.5]
-    assert calls == [1 + 2, 1]
+    assert calls == [2, 1]
     assert line == ref_transition_line([0.3])
 
 

@@ -151,6 +151,7 @@ def test_rpt_probe_subcritical():
     spec = ct.spec_from_lambdas(4, 0.45, 0.3)
     res = ct.rpt_probe(spec, ct.Cayley(2), u=0.01, levels=400)
     assert res.verdict is ct.Verdict.CONVERGES_TO_UNIFORM
+    assert res.final_distance == res.distances[-1] < 1e-12
 
 
 def test_pt_probe_retains_order_in_pt_window():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.basis import a_norm, basis_norms, raw_coefficients
-from clocktree.spectral import feasible_lambdas
+from clocktree.basis import _cosine_table, a_norm, basis_norms, raw_basis_vector, raw_coefficients
+from clocktree.spectral import _row_table, feasible_lambdas
 
 from conftest import (
     circulant_matrix,
@@ -165,6 +165,16 @@ def test_apply_transfer():
     assert abs(out.modes[0] - 0.1) < 1e-15 and abs(out.modes[1] - 0.03) < 1e-15
     with pytest.raises(ct.DimensionMismatch):
         ct.apply_transfer(spec, ct.SymmetricDist.uniform(4))
+
+
+def test_symmetric_dist_raw_coefficients_are_the_basis_coefficients(rng):
+    # a_0 = 1/q for every probability vector, and a_j = <p, phi_j>/z_j
+    for q in (3, 4, 5, 8):
+        for _ in range(20):
+            p = random_symmetric_probability(rng, q)
+            raw = ct.SymmetricDist.from_probabilities(p).raw_coefficients()
+            assert raw.shape == (q // 2 + 1,) and abs(raw[0] - 1.0 / q) < 1e-15
+            assert np.abs(raw - raw_coefficients(q, p)).max() < 1e-15
 
 
 def test_apply_transfer_matches_matrix_product(rng):
@@ -364,6 +374,17 @@ def test_transforms_bit_identical_to_loops(rng):
         for zero in (0.0, -0.0):
             lam = np.full(q, zero)
             assert _same_bits(ct.row_from_eigenvalues(q, lam), _loop_row_from_eigenvalues(q, lam))
+
+
+def test_transform_tables_hold_the_loops_scalar_entries():
+    # each table entry is the loops' scalar exponential, bit for bit with
+    # signed zeros, for every q a TransferSpec accepts
+    for q in range(3, 65):
+        spectrum = [[np.exp(-2j * math.pi * j * kk / q).real for kk in range(q)] for j in range(q)]
+        assert _same_bits(_cosine_table(q), spectrum)
+        row = [[np.exp(2j * math.pi * l * kk / q) for kk in np.arange(q)] for l in range(q)]
+        assert _same_bits(_row_table(q), [[z.real for z in r] for r in row] + [[z.imag for z in r] for r in row])
+        assert all(_same_bits(raw_basis_vector(q, j), spectrum[j]) for j in range(q))
 
 
 def test_potts_and_clock_bit_identical_to_loops():

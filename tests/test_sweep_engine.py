@@ -37,7 +37,7 @@ from clocktree.fixedpoint import (
     _assemble,
     _verify_candidates,
 )
-from clocktree.phase import RPT_MARGIN, Evidence, PhasePoint, Regime
+from clocktree.phase import Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
 from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
 
@@ -126,7 +126,10 @@ def ref_quadratic_roots(a, b, c):
     if disc < 0.0:
         return []
     s = math.sqrt(disc)
-    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
+    # a root whose numerator -b -+ s cancels is taken as 2c / (-b +- s)
+    low = 2.0 * c / (-b + s) if b < 0.0 else (-b - s) / (2.0 * a)
+    high = 2.0 * c / (-b - s) if b > 0.0 else (-b + s) / (2.0 * a)
+    return [low, high]
 
 
 def ref_q4_solutions(lambda1, lambda2):
@@ -163,7 +166,7 @@ def ref_classify_q4(lambda1, lambda2):
     if not ref_feasible(4, lambda1, lambda2):
         return PhasePoint(4, lambda1, lambda2, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
     n = ref_q4_solutions(lambda1, lambda2).n_nontrivial
-    if lambda1 * 2.0 - 1.0 > RPT_MARGIN:
+    if lambda1 * 2.0 > 1.0:
         regime = Regime.PT_AND_RPT
     elif n >= 1:
         regime = Regime.PT_NOT_RPT
