@@ -4,6 +4,11 @@ Subcommands wrap the library one-to-one and emit deterministic CSV (fixed
 ordering, floats with 17 significant digits so re-parsing is lossless, LF
 line endings) or a self-contained SVG for phase diagrams.  Exit codes:
 0 success, 1 verified-infeasible input under --strict, 2 usage error.
+
+`_COMMANDS` declares every subcommand and flag once.  A well-formed command
+line (a command, then exact flags each with its value) is read straight
+from that table; argparse, built from the same table, answers everything
+else: help, usage errors and the spellings it accepts beyond exact flags.
 """
 from __future__ import annotations
 
@@ -59,12 +64,20 @@ def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
 
 
 def _spec_from_args(args) -> spectral.TransferSpec:
+    # a flag the chosen model does not read is refused, not dropped
+    theta, beta = getattr(args, "theta", None), getattr(args, "beta", None)
     if getattr(args, "potts", False):
-        if getattr(args, "theta", None) is not None:
-            return spectral.make_potts_from_theta(args.q, args.theta)
-        if getattr(args, "beta", None) is not None:
-            return spectral.make_potts(args.q, args.beta)
+        if args.lambda1 is not None or args.lambda2 is not None:
+            raise ClockTreeError("--potts cannot be combined with --lambda1 or --lambda2")
+        if theta is not None and beta is not None:
+            raise ClockTreeError("--theta and --beta cannot be combined")
+        if theta is not None:
+            return spectral.make_potts_from_theta(args.q, theta)
+        if beta is not None:
+            return spectral.make_potts(args.q, beta)
         raise ClockTreeError("--potts requires --theta or --beta")
+    if theta is not None or beta is not None:
+        raise ClockTreeError("--theta and --beta need --potts")
     if args.lambda1 is None or args.lambda2 is None:
         raise ClockTreeError("need --lambda1 and --lambda2 (or --potts with --theta/--beta)")
     return spectral.spec_from_lambdas(args.q, args.lambda1, args.lambda2)
@@ -409,6 +422,10 @@ def _grid_from_range(spec: str) -> list[float]:
     return grid
 
 
+# a token that is a value, not an option, although it starts with "-"
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads "-1e-3" as a negative number, not an option.
 
@@ -419,7 +436,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _model_flags(lambdas_required: bool = False) -> list[tuple[str, dict]]:
@@ -502,25 +519,20 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser, built once per process for each `command`.
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of every subcommand in `_COMMANDS`, built once per process.
 
-    With no command it holds every subcommand of `_COMMANDS`.  With a
-    command it holds only that one, and `main` uses it when argv[0] names
-    the command, so a call builds one subcommand, not six.  Its help and
-    usage errors are the full parser's, byte for byte: the command list in
-    the top-level usage line is given as the metavar.  argparse writes what
-    it parses only into the namespace it returns, so one parser serves
-    every `main` call of a process.
+    `main` needs it only for what `_read_argv` declines: help, usage
+    errors, and the spellings argparse accepts beyond exact flags.
+    argparse writes what it parses only into the namespace it returns, so
+    one parser serves every `main` call of a process.
     """
     parser = _Parser(
         prog="clocktree",
         description="Phase transitions of generalized q-state clock models on trees.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        kwargs, func, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (kwargs, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, **kwargs)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -528,13 +540,63 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace `build_parser().parse_args(argv)` returns, read from `_COMMANDS`, or None.
+
+    Only this form is read: argv[0] is a command, and each later token is
+    exactly one of its flags, a store_true flag alone and any other followed
+    by its value, a token that does not start with "-" or is a negative
+    number, converted by the flag's type.  A repeated flag keeps its last
+    value, every required flag is given, and the rest take their defaults.
+    Anything else (help, "--flag=value", "--", an abbreviation, a missing
+    or refused value) is None, for argparse to answer.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    options = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opts = options.get(flag)
+        if opts is None:
+            return None
+        if opts.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        try:
+            given[flag] = opts.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, opts in arguments:
+        if flag in given:
+            value = given[flag]
+        elif opts.get("required"):
+            return None
+        else:
+            value = opts.get("default", False if opts.get("action") == "store_true" else None)
+        setattr(args, flag[2:], value)
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    A well-formed command line is read straight from `_COMMANDS`
+    (`_read_argv`); any other goes to argparse (`build_parser`), whose help,
+    usage errors and exit codes are then the answer.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         _validate_numeric(args)
         return args.func(args)

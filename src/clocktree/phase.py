@@ -359,8 +359,9 @@ def sweep(
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
     as those runs, with the evidence derived.  The mode maps are the binary
-    tree's: another tree raises UnsupportedTree, and a non-finite range or a
-    resolution that is not an integer >= 1 ClockTreeError.
+    tree's: another tree raises UnsupportedTree, and a non-finite range, a
+    range whose span hi - lo overflows, or a resolution that is not an
+    integer >= 1 ClockTreeError.
     """
     try:
         resolution = operator.index(resolution)
@@ -372,6 +373,9 @@ def sweep(
         raise ClockTreeError(
             f"sweep ranges must be finite, got lambda1 in {lambda1_range!r} and lambda2 in {lambda2_range!r}"
         )
+    for name, (lo, hi) in (("lambda1", lambda1_range), ("lambda2", lambda2_range)):
+        if not math.isfinite(hi - lo):
+            raise ClockTreeError(f"the {name} range {(lo, hi)!r} spans more than the largest float")
     l1s = np.linspace(lambda1_range[0], lambda1_range[1], resolution)
     l2s = np.linspace(lambda2_range[0], lambda2_range[1], resolution)
     return _classify_grid(q, l1s, l2s, tree)

@@ -139,9 +139,9 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     are asserted below 1e-12 and discarded.
 
     Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic for a
-    non-finite eigenvalue or when a row entry falls below -1e-12.  Entries in
-    [-1e-12, 0) are clamped to 0 so boundary-of-feasibility spectra from
-    sweep grids remain usable.
+    non-finite eigenvalue, a row whose sums overflow, or when a row entry
+    falls below -1e-12.  Entries in [-1e-12, 0) are clamped to 0 so
+    boundary-of-feasibility spectra from sweep grids remain usable.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (q,):
@@ -153,7 +153,10 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
         raise SpectrumAsymmetric(
             f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
         )
-    raw, imag = _raw_rows(q, lam[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, imag = _raw_rows(q, lam[None, :])
+    if not (np.isfinite(raw).all() and np.isfinite(imag).all()):
+        raise NotStochastic(f"the row of {lam.tolist()!r} overflows the largest float")
     l = _first_above_tol(imag[0].tolist())
     if l is not None:
         raise SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[0, l]:.3e}")

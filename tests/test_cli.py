@@ -396,7 +396,6 @@ def test_sweep_svg_and_out_write_both_files(tmp_path, capsys, q):
 def test_sweep_csv_allocation_stays_with_the_runs(tmp_path, q):
     # a res-1000 grid has 10^6 points; the sweep holds its runs (a few
     # thousand) and one row of text, never a column or a string per point
-    build_parser("sweep")
     tracemalloc.start()
     try:
         assert main(["sweep", "--q", str(q), "--res", "1000", "--out", str(tmp_path / "grid.csv")]) == 0
@@ -410,7 +409,6 @@ def test_sweep_csv_allocation_stays_with_the_runs(tmp_path, q):
 def test_sweep_svg_allocation_stays_with_the_runs(tmp_path, q):
     # the phase diagram of a res-1000 grid is one rect per run, under the
     # CSV's bound (259.8 MiB when it held one rect string per grid point)
-    build_parser("sweep")
     tracemalloc.start()
     try:
         assert main(["sweep", "--q", str(q), "--res", "1000", "--svg", str(tmp_path / "grid.svg")]) == 0
@@ -546,6 +544,52 @@ def test_usage_errors(capsys):
     assert main(["classify", "--scan", "bogus"]) == 2
     assert main(["classify"]) == 2
     assert main(["solve", "--q", "6", "--lambda1", "0.5", "--lambda2", "0.3"]) == 2
+
+
+DROPPED_FLAG_ARGV = [
+    ("matrix", "--q", "5", "--potts", "--theta", "3", "--beta", "100"),
+    ("matrix", "--q", "5", "--potts", "--theta", "3", "--lambda1", "0.9", "--lambda2", "0.9"),
+    ("matrix", "--q", "5", "--potts", "--beta", "0.7", "--lambda1", "0.3"),
+    ("matrix", "--q", "5", "--lambda1", "0.3", "--lambda2", "0.2", "--beta", "5"),
+    ("matrix", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.2", "--theta", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_FLAG_ARGV, ids=[" ".join(a[3:]) for a in DROPPED_FLAG_ARGV])
+def test_matrix_flags_it_would_ignore_are_usage_errors(capsys, argv):
+    # each printed one row and exit 0, silently ignoring --beta or the lambdas
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+OVERFLOWING_ROW_ARGV = [
+    ("matrix", "--q", "5", "--lambda1", "1e308", "--lambda2", "1e308"),
+    ("probe", "--q", "4", "--lambda1", "1e308", "--lambda2", "1e308"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_ROW_ARGV, ids=[a[0] for a in OVERFLOWING_ROW_ARGV])
+def test_a_row_that_overflows_is_usage_error_without_warnings(capsys, argv):
+    # numpy printed "overflow encountered in add", then the error named an
+    # imaginary part of 2e292
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "overflow" in captured.err and captured.err.count("\n") == 1
+
+
+def test_sweep_axis_whose_span_overflows_is_usage_error(capsys):
+    # the lambda2 column printed nan and inf, exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--q", "4", "--res", "3", "--l2min", "-1e308", "--l2max", "1e308"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "lambda2" in captured.err and captured.err.count("\n") == 1
 
 
 UNREACHED_USAGE_ERRORS = [
@@ -785,13 +829,72 @@ PARSER_ARGV = [
 
 @pytest.mark.parametrize("argv", PARSER_ARGV, ids=[" ".join(a) for a in PARSER_ARGV])
 def test_a_command_parser_answers_as_the_full_parser(capsys, argv):
-    # main parses with the named command's parser alone; its help, usage
-    # errors and exit codes are the full parser's, byte for byte
-    one, full = build_parser(argv[0]), build_parser()
-    code, out, err = _parsed(full, argv)
+    # the reader declines help and usage errors, so main answers them with
+    # the full parser's help, usage errors and exit codes, byte for byte
+    code, out, err = _parsed(build_parser(), argv)
     assert code == (0 if "--help" in argv else 2)
-    assert _parsed(one, argv) == (code, out, err)
+    assert cli._read_argv(argv) is None
     assert (main(argv), *capsys.readouterr()) == (code, out, err)
+
+
+def test_every_command_option_is_one_the_reader_understands():
+    # cli._read_argv reads these keys as argparse does; a choices= or nargs=
+    # added to a command must fail here, not make the two paths diverge
+    for name, (_, _, arguments) in cli._COMMANDS.items():
+        for flag, options in arguments:
+            assert flag.startswith("--") and flag[2:].isidentifier(), (name, flag)
+            assert set(options) <= {"type", "default", "required", "action", "help"}, (name, flag)
+            assert options.get("action", "store_true") == "store_true", (name, flag)
+            # argparse converts a string default by the flag's type; the reader does not
+            assert not isinstance(options.get("default"), str), (name, flag)
+
+
+# values on which a hand-written reader and argparse could disagree
+DIVERGING_VALUES = ["-1e-3", "-.5", "-0", "-inf", "nan", "", " 4", "4.0", "1_0", "-x", "0.5 ", "-1.e-3",
+                    "-1\n", "-", "--", "4", "5", "2", "0.3", "-0.2", "1e400", "0.45:0.46:0.01", "x.csv"]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = [flag for flag, _ in cli._COMMANDS[command][2]]
+    odd = ["--", "-h", "--help", "--bogus", *(f[:-1] for f in flags), *(f + "=4" for f in flags)]
+    # two values in three are integers, which every flag's type takes, so
+    # that a good share of the command lines is read
+    integer = st.sampled_from(["4", "5", "-0", "1_0", " 4", "-2"])
+    value = st.one_of(st.sampled_from(DIVERGING_VALUES), integer, integer)
+    pair = st.tuples(st.sampled_from(flags), value).map(list)
+    single = st.one_of(st.sampled_from(flags), st.sampled_from(odd), value).map(lambda t: [t])
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        for flag, options in cli._COMMANDS[command][2]:
+            if options.get("required"):
+                argv += [flag, draw(st.sampled_from(["4", "5", "3"]))]
+    for tokens in draw(st.lists(st.one_of(pair, pair, pair, pair, single), max_size=5)):
+        argv += tokens
+    return argv
+
+
+def _attributes(namespace):
+    """Each attribute's type and repr, so that -0.0 differs from 0.0 and nan equals nan."""
+    return {name: (type(value), repr(value)) for name, value in vars(namespace).items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["probe", "--q", "4", "--lambda1", "-1e-3", "--lambda2", "-.5", "--u", "-0", "--levels", "1_0"])
+@example(["matrix", "--q", " 4", "--potts", "--theta", "nan", "--strict", "--potts", "--out", ""])
+@example(["sweep", "--q", "4", "--res", "3", "--q", "5", "--l2min", "-1\n", "--l1max", "0.5 "])
+def test_the_reader_answers_as_argparse_wherever_it_reads(argv):
+    ours = cli._read_argv(argv)
+    if ours is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            theirs = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the reader read")
+    assert _attributes(ours) == _attributes(theirs)
 
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "sweep"], ["swee", "--q", "4"]])
@@ -810,22 +913,21 @@ argvs = [
     ["probe", "--q", "4", "--lambda1", "0.55", "--lambda2", "0.35", "--levels", "40", "--out", os.devnull],
     ["solve", "--q", "5", "--lambda1", "0.45", "--lambda2", "0.4", "--out", os.devnull],
 ]
-for argv in argvs:
-    cli.build_parser().parse_args(argv)
 before = set(sys.modules)
 codes = [cli.main(argv) for argv in argvs]
 phase.q5_transition_line([0.45, 0.5])
-print(codes, sorted(set(sys.modules) - before))
+print(codes, sorted(set(sys.modules) - before), cli.build_parser.cache_info().currsize)
 """
 
 
 def test_commands_import_nothing_after_the_cli_is_imported():
     # The benchmark times one command per process, so a module a command
     # imports on its first call (numpy.ma, for one, behind np.unique) is paid
-    # on every run.  argparse's own lazy imports are loaded by a parse first.
+    # on every run.  A well-formed command builds no parser either, and so
+    # loads none of argparse's own lazy imports.
     env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", COLD_CALLS], env=env, capture_output=True, text=True, timeout=120
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "[0, 0, 0, 0] []\n"
+    assert result.stdout == "[0, 0, 0, 0] [] 0\n"

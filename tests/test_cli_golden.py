@@ -29,6 +29,7 @@ import hashlib
 
 import pytest
 
+from clocktree import cli
 from clocktree.cli import main
 
 Q5_WINDOW = ("--l1min", "0.40", "--l1max", "0.52", "--l2min", "0.30", "--l2max", "0.56")
@@ -157,3 +158,13 @@ def test_sweep_svg_bytes(tmp_path):
 ], ids=["q5-window", "q4-res200"])
 def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
     assert _svg_digest(tmp_path, argv) == digest
+
+
+def test_every_golden_command_line_is_read_without_argparse():
+    # argparse is built only for help, usage errors and the spellings the
+    # reader leaves to it; every command line above is read straight from
+    # cli._COMMANDS but one: its value starts with "-" and is no number, so
+    # only the "--scan=value" spelling, which is argparse's, can pass it
+    svg = [("--q", "4", "--res", "24"), ("--q", "5", "--res", "12") + Q5_WINDOW, ("--q", "4", "--res", "200")]
+    argvs = [argv for argv, _ in GOLDEN] + [("sweep", *argv, "--svg", "phase.svg") for argv in svg]
+    assert [argv for argv in argvs if cli._read_argv(list(argv)) is None] == [("classify", "--scan=-1:0:0.001")]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,17 @@ def test_sweep_rejects_non_finite_range():
         for l1_range, l2_range in (((bad, 0.6), (0.0, 0.6)), ((0.0, bad), (0.0, 0.6)),
                                    ((0.0, 0.6), (bad, 0.6)), ((0.0, 0.6), (0.0, bad))):
             with pytest.raises(ct.ClockTreeError):
+                ct.sweep(4, l1_range, l2_range, resolution=3)
+
+
+def test_sweep_rejects_a_range_whose_span_overflows():
+    # np.linspace(-1e308, 1e308, 3) overflowed in hi - lo and wrote nan and
+    # inf as lambda2 values, with a RuntimeWarning and no error
+    for l1_range, l2_range, name in (((0.0, 0.6), (-1e308, 1e308), "lambda2"),
+                                     ((1.7e308, -1.7e308), (0.0, 0.6), "lambda1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ct.ClockTreeError, match=name):
                 ct.sweep(4, l1_range, l2_range, resolution=3)
 
 

@@ -1,5 +1,6 @@
 """Transfer matrices: spectra, rows, specializations, feasibility, weakening."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ def test_non_finite_spectra_and_rows_are_refused(bad):
     note = "parameters are outside the non-increasing feasibility region"
     for solutions in (ct.q4_solutions, ct.q5_solutions):
         assert note in solutions(bad, 0.3).notes and note in solutions(0.3, bad).notes
+
+
+@pytest.mark.parametrize("q, lam", [(5, (1.0, 1e308, 1e308, 1e308, 1e308)),
+                                    (4, (1.0, 1e308, -1e308, 1e308)),
+                                    (5, (1.0, -1.7e308, 1e308, 1e308, -1.7e308))])
+def test_a_row_whose_sums_overflow_is_not_stochastic(q, lam):
+    # the sums overflowed with a RuntimeWarning from numpy, and the error
+    # named an imaginary part of 2e292 instead of the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ct.NotStochastic, match="overflow"):
+            ct.row_from_eigenvalues(q, lam)
 
 
 @settings(max_examples=200, deadline=None)
