@@ -178,15 +178,9 @@ def cmd_sweep(args) -> int:
         lambda1_range=(args.l1min, args.l1max),
         lambda2_range=(args.l2min, args.l2max),
         resolution=args.res,
-        tree=recursion.Cayley(args.children),
     )
     if args.svg:
-        svg = render_phase_svg(
-            grid,
-            (args.l1min, args.l1max),
-            (args.l2min, args.l2max),
-            q=args.q,
-        )
+        svg = render_phase_svg(grid, (args.l1min, args.l1max), (args.l2min, args.l2max))
         with _output(args.svg) as fh:
             fh.write(svg)
         if not args.out:
@@ -273,13 +267,12 @@ def render_phase_svg(
     grid: phase.PhaseGrid,
     lambda1_range: tuple[float, float],
     lambda2_range: tuple[float, float],
-    q: int,
 ) -> str:
     """Phase diagram of a sweep's grid as one self-contained SVG 1.1 document.
 
     lambda2 runs along x, lambda1 along y; one rectangle per run of the
     grid, spanning its cells and coloured by its regime, the critical line
-    overlaid as a dashed polyline.
+    of the grid's q overlaid as a dashed polyline.
     """
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
@@ -313,7 +306,7 @@ def render_phase_svg(
         f'width="{n * cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" fill="{colors[c]}"/>'
         for i, j, n, c in runs
     )
-    line_pts = _critical_polyline(q, l1_lo, l1_hi, l2_lo, l2_hi)
+    line_pts = _critical_polyline(grid.q, l1_lo, l1_hi, l2_lo, l2_hi)
     if line_pts:
         path = " ".join(f"{sx(l2):.2f},{sy(l1):.2f}" for l1, l2 in line_pts)
         parts.append(
@@ -499,7 +492,6 @@ _COMMANDS = {
             ("--l1max", dict(type=float, default=0.6)),
             ("--l2min", dict(type=float, default=0.0)),
             ("--l2max", dict(type=float, default=0.6)),
-            ("--children", dict(type=int, default=2)),
             ("--svg", dict(type=str, default=None, help="write an SVG phase diagram here")),
             ("--out", dict(type=str, default=None)),
         ],

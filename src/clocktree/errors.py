@@ -58,4 +58,4 @@ class UnsupportedQ(ClockTreeError):
 
 
 class UnsupportedTree(ClockTreeError):
-    """Tree the operation does not model: probes need a Cayley family, the mode maps the binary tree."""
+    """Tree the operation does not model, or a malformed tree: probes need a Cayley family."""

@@ -957,12 +957,15 @@ def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[Po
     Real solutions exist for lam in [4/9, 1/2) where the radicand
     theta^2 - 2*theta + 5 - 4*q is non-negative (theta = e^beta).  Both
     branches must satisfy the fixed-point equations to 1e-9, or
-    ClockTreeError is raised.  Returns None (or raises RadicandNegative with
-    strict=True) outside the existence interval.
+    ClockTreeError is raised, as it is where theta is not a finite float or
+    a boundary law not a finite nonzero one.  Returns None (or raises
+    RadicandNegative with strict=True) outside the existence interval.
     """
     if q != 5:
         raise UnsupportedQ(f"boundary-law formulas are specific to q = 5, got q={q}")
-    theta = potts_theta(q, lam)
+    theta = potts_theta(q, lam) if lam != 1.0 else math.inf
+    if not math.isfinite(theta):
+        raise ClockTreeError(f"theta = (1 + 4 lambda)/(1 - lambda) is not a finite float at lambda = {lam!r}")
     rad = theta * theta - 2.0 * theta + 5.0 - 4.0 * q
     if rad < 0.0:
         if rad > -1e-9 * max(theta * theta, 1.0):
@@ -973,9 +976,14 @@ def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[Po
             return None
     s = math.sqrt(rad)
     denom = 2.0 * (q - 1.0)
-    # |theta - 1| > s, since (theta - 1)^2 - s^2 = 4*q - 4 > 0: neither denominator vanishes
-    a_plus = denom / (theta - 1.0 + s)
-    a_minus = denom / (theta - 1.0 - s)
+    # |theta - 1| > s, since (theta - 1)^2 - s^2 = 4*q - 4 > 0, but for a
+    # large theta rounding can cancel a denominator to 0; a finite theta keeps
+    # s finite, so a nonzero denominator gives a finite nonzero law
+    d_plus, d_minus = theta - 1.0 + s, theta - 1.0 - s
+    if not (d_plus and d_minus):
+        raise ClockTreeError(f"boundary laws at lambda = {lam!r} divide by theta - 1 -+ s, which rounds to 0")
+    a_plus = denom / d_plus
+    a_minus = denom / d_minus
     mp, mm = _bl_modes(a_plus), _bl_modes(a_minus)
     rp = _residual(5, lam, lam, mp)
     rm = _residual(5, lam, lam, mm)

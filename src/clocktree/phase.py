@@ -1,15 +1,17 @@
 """Phase diagrams in the (lambda1, lambda2) eigenvalue plane.
 
-Three regimes partition the feasible region on the binary tree: no phase
-transition, robust phase transition (lambda1 * br(T) > 1, where any boundary
-coupling however weak orders the root), and the window of non-robust phase
-transitions where a non-trivial symmetric fixed point of the mode recursion
-exists although lambda1 * br(T) <= 1.  For q = 4 the boundary of that window
-is the closed curve lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for
-q = 5 it lies on the folds of the eliminated sextic, the zero set of its
-discriminant, whose candidates in lambda2 are 1/2 and the real roots of its
-factor F (`fixedpoint._fold_roots`).  The candidates of a lambda1 are
-checked in ascending order by the count of the elimination solver
+Three regimes partition the feasible region on the binary tree Cayley(2),
+the only tree classified here, since the q = 4 and q = 5 mode maps are its
+maps: no phase transition, robust phase transition (lambda1 * br(T) > 1,
+where any boundary coupling however weak orders the root; br(T) = 2, so
+lambda1 > 1/2), and the window of non-robust phase transitions where a
+non-trivial symmetric fixed point of the mode recursion exists although
+lambda1 <= 1/2.  For q = 4 the boundary of that window is the closed curve
+lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for q = 5 it lies on
+the folds of the eliminated sextic, the zero set of its discriminant, whose
+candidates in lambda2 are 1/2 and the real roots of its factor F
+(`fixedpoint._fold_roots`).  The candidates of a lambda1 are checked in
+ascending order by the count of the elimination solver
 (`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
 batched companion eigensolve), once in each interval between two of them
 and once below the lowest, all in one batched call; the interval above the
@@ -42,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClockTreeError, UnsupportedQ, UnsupportedTree
+from .errors import ClockTreeError, UnsupportedQ
 from .fixedpoint import (
     _fold_roots,
     q4_fold_roots,
@@ -52,14 +54,8 @@ from .fixedpoint import (
     q5_potts_diagonal_solutions,
     q5_solution_counts,
 )
-from .recursion import Cayley, TreeFamily, branching_number
 from .spectral import feasibility_breakpoints, feasible_lambdas
 
-# robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
-# J. E. Steif (Ann. Probab. 27 (1999) 876-912), decided exactly: only
-# Cayley(2) is classified, where br is 2.0 and 2 * lambda1 is exact.  The
-# margin serves only the transition line's input check lambda1 <= 1/2
-RPT_MARGIN = 1e-9
 # the count of `q5_transition_line` on either side of a fold candidate r is
 # checked at r - _FOLD_STEP and r + _FOLD_STEP, which decide every midpoint
 # outside them; the step is above the unpolished roots' error on the line's
@@ -183,13 +179,8 @@ def q4_critical_line(lambda2: float) -> float:
     return 4.0 * lambda2 * (1.0 - lambda2) / (1.0 + lambda2) ** 2
 
 
-def classify_point(
-    q: int,
-    lambda1: float,
-    lambda2: float,
-    tree: TreeFamily = Cayley(2),
-) -> PhasePoint:
-    """Regime of one parameter point on the given tree.
+def classify_point(q: int, lambda1: float, lambda2: float) -> PhasePoint:
+    """Regime of one parameter point on the binary tree.
 
     The point is a 1 x 1 grid of the sweep's classification, so a point and
     the grid around it cannot disagree; see `sweep` for how the regime is
@@ -200,7 +191,7 @@ def classify_point(
     """
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
         raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {lambda1!r} and {lambda2!r}")
-    return _classify_grid(q, np.array([lambda1], dtype=float), np.array([lambda2], dtype=float), tree)[0]
+    return _classify_grid(q, np.array([lambda1], dtype=float), np.array([lambda2], dtype=float))[0]
 
 
 def potts_thresholds(q: int, d: int) -> tuple[float, float, float]:
@@ -260,7 +251,7 @@ def q5_transition_line(
     """
     grid = list(lambda1_grid)
     for l1 in grid:
-        if not (0.0 < l1 <= 0.5 + RPT_MARGIN):
+        if not (0.0 < l1 <= 0.5):
             raise ClockTreeError(f"transition line expects lambda1 in (0, 1/2], got {l1!r}")
     bracket = tuple(lambda2_bracket)
     if not (len(bracket) == 2 and all(map(math.isfinite, bracket)) and bracket[0] < bracket[1]):
@@ -341,14 +332,13 @@ def sweep(
     lambda1_range: tuple[float, float] = (0.0, 0.6),
     lambda2_range: tuple[float, float] = (0.0, 0.6),
     resolution: int = 100,
-    tree: TreeFamily = Cayley(2),
 ) -> PhaseGrid:
     """Classify a resolution x resolution grid, row-major in (lambda1, lambda2).
 
     The grid is classified as array operations: feasibility from the
     non-increasing check, a phase transition from the verified fixed points
     (closed form for q = 4, all roots of the eliminated sextic for q = 5),
-    robustness from the strict threshold lambda1 * br(T) > 1.  Infeasible
+    robustness from the strict threshold lambda1 > 1/2.  Infeasible
     points are kept.  Each lambda1 column is cut into runs at its
     breakpoints (`_run_starts`): every point within 1e-6 * max(1, |b|) of a
     breakpoint b, or within a fold's error bound (q = 5), is a run of its
@@ -358,10 +348,10 @@ def sweep(
     the grid points.  A feasible point whose solver raises is CRITICAL with
     feasible = False and the error message; every other point keeps its
     answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
-    as those runs, with the evidence derived.  The mode maps are the binary
-    tree's: another tree raises UnsupportedTree, and a non-finite range, a
-    range whose span hi - lo overflows, or a resolution that is not an
-    integer >= 1 ClockTreeError.
+    as those runs, with the evidence derived.  The mode maps are those of
+    the binary tree.  A non-finite range, a range whose span hi - lo
+    overflows, or a resolution that is not an integer >= 1 raises
+    ClockTreeError.
     """
     try:
         resolution = operator.index(resolution)
@@ -378,10 +368,10 @@ def sweep(
             raise ClockTreeError(f"the {name} range {(lo, hi)!r} spans more than the largest float")
     l1s = np.linspace(lambda1_range[0], lambda1_range[1], resolution)
     l2s = np.linspace(lambda2_range[0], lambda2_range[1], resolution)
-    return _classify_grid(q, l1s, l2s, tree)
+    return _classify_grid(q, l1s, l2s)
 
 
-def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -> PhaseGrid:
+def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
     """The grid l1s x l2s as a row-major `PhaseGrid`; the engine behind `sweep` and `classify_point`.
 
     The grid is cut into the runs of `_run_starts`, and only the head of
@@ -395,8 +385,6 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
-    if tree != Cayley(2):
-        raise UnsupportedTree(f"the q = {q} mode maps are those of the binary tree Cayley(2), got {tree!r}")
     m = len(l2s)
     starts = _run_starts(q, l1s, l2s)
     head, length = starts[:-1], np.diff(starts)
@@ -421,7 +409,10 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray, tree: TreeFamily) -
         followers = np.flatnonzero(offset)
         failed[followers] = False
         count(followers)
-    robust = l1s[head // m] * branching_number(tree) > 1.0
+    # robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
+    # J. E. Steif (Ann. Probab. 27 (1999) 876-912); br(Cayley(2)) = 2, and
+    # lambda1 > 0.5 agrees with 2.0 * lambda1 > 1.0 on every float, without overflow
+    robust = l1s[head // m] > 0.5
     # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
     regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
     starts, error = np.append(head, starts[-1]), list(map(errors.get, head.tolist()))

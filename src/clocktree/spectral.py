@@ -136,7 +136,9 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     e^{2*pi*i*l*k/q}, summed left to right (`_sequential_rows`), so the row
     equals a direct complex summation bit for bit.  The imaginary
     parts are analytically zero by the symmetry lambda_j = lambda_{q-j}; they
-    are asserted below 1e-12 and discarded.
+    are asserted below 1e-12 and discarded, after the row entries are
+    checked: the rounding of the imaginary parts grows with |lambda|, so a
+    huge spectrum is named for its negative row entry, not for them.
 
     Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic for a
     non-finite eigenvalue, a row whose sums overflow, or when a row entry
@@ -157,12 +159,12 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
         raw, imag = _raw_rows(q, lam[None, :])
     if not (np.isfinite(raw).all() and np.isfinite(imag).all()):
         raise NotStochastic(f"the row of {lam.tolist()!r} overflows the largest float")
-    l = _first_above_tol(imag[0].tolist())
-    if l is not None:
-        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[0, l]:.3e}")
     lowest = raw.min()
     if lowest < -ROW_TOL:
         raise NotStochastic(f"row entry {raw.argmin()} = {lowest:.6e} below -1e-12")
+    l = _first_above_tol(imag[0].tolist())
+    if l is not None:
+        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[0, l]:.3e}")
     return _finish_rows(raw)[0]
 
 
@@ -325,7 +327,7 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     The batched form of `validate_non_increasing(spec_from_lambdas(q, l1, l2))`
     in which a spectrum without a valid row is infeasible.  It runs the same
     transform and every check of that path, with the same operations in the
-    same order: imaginary parts at most 1e-12, no raw row entry below -1e-12,
+    same order: no raw row entry below -1e-12, imaginary parts at most 1e-12,
     symmetrize and clamp, row sum within 1e-12 of 1, then
     r_0 >= ... >= r_{q//2} >= 0 and lambda1 >= lambda2, each with 1e-12 slack.
     A non-finite lambda is infeasible, as `row_from_eigenvalues` refuses it.
@@ -342,8 +344,8 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     # a huge lambda makes infinite or NaN entries, which fail the checks
     with np.errstate(all="ignore"):
         raw, imag = _raw_rows(q, spectra)
-        ok = np.isfinite(l1) & np.isfinite(l2) & ~(np.abs(imag) > ROW_TOL).any(axis=1)
-        ok &= ~(raw.min(axis=1) < -ROW_TOL)
+        ok = np.isfinite(l1) & np.isfinite(l2) & ~(raw.min(axis=1) < -ROW_TOL)
+        ok &= ~(np.abs(imag) > ROW_TOL).any(axis=1)
         rows = _finish_rows(raw)
         ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)
     half = q // 2

@@ -170,7 +170,7 @@ def test_sweep_res_outside_its_cap_is_usage_error(monkeypatch, capsys, res):
 def test_sweep_res_at_its_cap_reaches_the_sweep(monkeypatch, capsys):
     asked = []
 
-    def record(q, lambda1_range, lambda2_range, resolution, tree):
+    def record(q, lambda1_range, lambda2_range, resolution):
         asked.append(resolution)
         raise clocktree.ClockTreeError("recorded")
 
@@ -493,6 +493,24 @@ def test_potts_boundary_laws(capsys):
         assert fields[5] in ("1-theta", "theta-1")
 
 
+@pytest.mark.parametrize("lam", ["1", "0.9999999999", "1e308", "-1e308"])
+def test_potts_bl_without_a_finite_boundary_law_is_usage_error(capsys, lam):
+    # each was a ZeroDivisionError traceback and exit 1
+    code = main(["potts", "--q", "5", "--bl", lam])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_probe_of_a_huge_spectrum_names_the_negative_row_entry(capsys):
+    # the row's rounding put 2.5e184 in an imaginary part, and the error
+    # blamed the symmetric spectrum for it
+    code = main(["probe", "--q", "5", "--lambda1", "1e200", "--lambda2", "1e200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: row entry 1 = -2.000000e+199 below -1e-12\n"
+
+
 POTTS_Q5_BINARY_ONLY_ARGV = [
     ("potts", "--q", "4", "--bl", "0.45"),
     ("potts", "--q", "7", "--degree", "3", "--bl", "0.45"),
@@ -729,9 +747,12 @@ def test_float_format_roundtrip(capsys):
     assert printed == exact  # 17 significant digits reparse losslessly
 
 
-def test_sweep_unsupported_tree_is_usage_error(capsys):
-    assert main(["sweep", "--q", "4", "--res", "2", "--children", "3"]) == 2
-    assert main(["sweep", "--q", "5", "--res", "2", "--children", "3"]) == 2
+def test_sweep_children_is_usage_error(capsys):
+    # the sweep classifies the binary tree only: --children, which took only 2, is gone
+    for q in ("4", "5"):
+        for children in ("2", "3"):
+            assert main(["sweep", "--q", q, "--res", "2", "--children", children]) == 2
+            assert "unrecognized arguments: --children" in capsys.readouterr().err
 
 
 def test_sweep_q5_negative_lambda2_has_no_failed_rows(capsys):

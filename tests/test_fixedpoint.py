@@ -549,6 +549,21 @@ def test_boundary_laws_existence_interval():
         ct.potts_boundary_laws(4, 0.45)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.9999999999, 1e308, -1e308])
+def test_boundary_laws_that_are_not_finite_nonzero_floats_raise(lam):
+    # theta divided by 1 - lam = 0, a- by theta - 1 - s = 0 (rounded), and the
+    # modes by a- = -0.0 (theta = -inf): each a ZeroDivisionError
+    with pytest.raises(ct.ClockTreeError, match="lambda = "):
+        ct.potts_boundary_laws(5, lam)
+
+
+def test_boundary_laws_outside_the_interval_that_have_a_pair_keep_it():
+    # lambda outside (-1/4, 1) whose theta and laws are finite floats
+    for lam in (-10.0, 1.0000001):
+        bl = ct.potts_boundary_laws(5, lam)
+        assert bl is not None and max(bl.residual_plus, bl.residual_minus) < 1e-9
+
+
 def test_boundary_laws_double_at_interval_edge():
     bl = ct.potts_boundary_laws(5, 4.0 / 9.0)
     assert bl is not None

@@ -26,6 +26,7 @@ def test_classify_point_examples():
     p = ct.classify_point(4, 0.55, 0.3)
     assert p.regime is ct.Regime.PT_AND_RPT and p.n_nontrivial >= 1
     assert ct.classify_point(4, 0.2, 0.5).regime is ct.Regime.INFEASIBLE
+    assert ct.classify_point(4, 0.40, 0.40).regime is ct.Regime.NO_PT
     with pytest.raises(ct.UnsupportedQ):
         ct.classify_point(6, 0.5, 0.3)
 
@@ -40,6 +41,13 @@ def test_robust_threshold_is_exact_on_the_binary_tree():
             assert ct.classify_point(q, l1, 0.45).regime is ct.Regime.PT_AND_RPT, (q, l1)
         grid = ct.sweep(q, (0.5, 0.5 + 1e-10), (0.44, 0.46), resolution=2)
         assert [p.regime for p in grid] == [ct.Regime.PT_NOT_RPT] * 2 + [ct.Regime.PT_AND_RPT] * 2, q
+
+
+def test_robust_threshold_does_not_overflow():
+    # lambda1 * 2.0 overflowed for |lambda1| above about 9e307, with numpy's
+    # RuntimeWarning (an error here); the labels are those it gave
+    grid = ct.sweep(5, (-1e308, 1e307), (0.0, 0.6), resolution=3)
+    assert [p.regime for p in grid] == [ct.Regime.INFEASIBLE] * 9
 
 
 def test_classify_point_probe_confirms_rpt():
@@ -111,6 +119,15 @@ def test_transition_line_rejects_bad_input(kwargs):
     # bracket 0.575, the empty one 0.45 and tol = nan 0.49
     with pytest.raises(ct.ClockTreeError):
         ct.q5_transition_line([0.45], **kwargs)
+
+
+def test_transition_line_takes_lambda1_up_to_one_half_exactly():
+    # it took lambda1 up to 1/2 + 1e-9 and answered the bracket's bottom,
+    # 0.33003906250000004, for points that classify_point calls PT_AND_RPT
+    for l1 in (0.5 + 1e-10, math.nextafter(0.5, 1.0)):
+        with pytest.raises(ct.ClockTreeError, match="lambda1"):
+            ct.q5_transition_line([l1])
+    assert ct.q5_transition_line([0.5])[0][1] == pytest.approx(0.370748, abs=1e-4)
 
 
 def test_transition_line_stops_below_the_float_spacing():
@@ -253,14 +270,3 @@ def test_solver_probe_agreement_q4():
                 assert probe.verdict is ct.Verdict.BOUNDED_AWAY, (l1, l2)
             elif l1 * 2 < 1:
                 assert probe.verdict is ct.Verdict.CONVERGES_TO_UNIFORM, (l1, l2)
-
-
-def test_classification_rejects_trees_it_does_not_model():
-    # the q=4 and q=5 mode maps are the binary-tree maps
-    for q in (4, 5):
-        for tree in (ct.Cayley(3), ct.SphericallySymmetric((2, 3))):
-            with pytest.raises(ct.UnsupportedTree):
-                ct.classify_point(q, 0.40, 0.40, tree)
-            with pytest.raises(ct.UnsupportedTree):
-                ct.sweep(q, (0.3, 0.5), (0.3, 0.5), resolution=2, tree=tree)
-    assert ct.classify_point(4, 0.40, 0.40, ct.Cayley(2)).regime is ct.Regime.NO_PT

@@ -1,8 +1,9 @@
-"""The public names of the `clocktree` package, pinned.
+"""The public names of the `clocktree` package and its functions' parameters, pinned.
 
-A name joins or leaves the package only on purpose: the change that does
-it updates this list and names it in CHANGES.md.
+A name or a parameter joins or leaves the package only on purpose: the
+change that does it updates these lists and names it in CHANGES.md.
 """
+import inspect
 import types
 
 import clocktree as ct
@@ -30,3 +31,56 @@ def test_public_names():
         name for name, value in vars(ct).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+# each public function's parameter names, in order, read with inspect.signature
+PUBLIC_PARAMETERS = {
+    "a_norm": ("q", "f", "convention"),
+    "apply_transfer": ("spec", "dist"),
+    "branching_estimate": ("tree",),
+    "branching_number": ("tree",),
+    "classify_point": ("q", "lambda1", "lambda2"),
+    "classify_quartic": ("coeffs",),
+    "displacement": ("lambda1", "lambda2", "alpha"),
+    "eigenvalues_from_row": ("q", "row"),
+    "jacobian_profile": ("lambda_grid",),
+    "linearization_residual": ("spec", "children"),
+    "make_potts": ("q", "beta"),
+    "make_potts_from_theta": ("q", "theta"),
+    "make_standard_clock": ("q", "coupling"),
+    "mode_map": ("q", "lambda1", "lambda2", "alpha"),
+    "mode_map_q4": ("lambda1", "lambda2", "alpha"),
+    "mode_map_q5": ("lambda1", "lambda2", "alpha"),
+    "potts_boundary_laws": ("q", "lam", "strict"),
+    "potts_lambda": ("q", "theta"),
+    "potts_theta": ("q", "lam"),
+    "potts_thresholds": ("q", "d"),
+    "pt_probe": ("spec", "tree", "levels", "tol"),
+    "q4_critical_line": ("lambda2",),
+    "q4_solutions": ("lambda1", "lambda2"),
+    "q5_jacobian": ("lambda1", "lambda2", "alpha"),
+    "q5_potts_diagonal_solutions": ("lam",),
+    "q5_quartic_analysis": ("lambda2",),
+    "q5_quartic_coeffs": ("lambda2",),
+    "q5_solutions": ("lambda1", "lambda2"),
+    "q5_solutions_at_critical": ("lambda2",),
+    "q5_transition_line": ("lambda1_grid", "tol", "lambda2_bracket"),
+    "quartic_invariants": ("coeffs",),
+    "raw_coefficients": ("q", "f"),
+    "recursion_step": ("spec", "children"),
+    "row_from_eigenvalues": ("q", "eigenvalues"),
+    "rpt_probe": ("spec", "tree", "u", "levels", "tol"),
+    "spec_from_lambdas": ("q", "lambda1", "lambda2"),
+    "sweep": ("q", "lambda1_range", "lambda2_range", "resolution"),
+    "validate_non_increasing": ("spec",),
+    "weakened_row": ("spec", "u"),
+}
+
+
+def test_public_parameters():
+    parameters = {
+        name: tuple(inspect.signature(value).parameters)
+        for name, value in vars(ct).items()
+        if not name.startswith("_") and inspect.isfunction(value)
+    }
+    assert parameters == PUBLIC_PARAMETERS

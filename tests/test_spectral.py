@@ -306,16 +306,17 @@ def _loop_row_from_eigenvalues(q, eigenvalues):
             raise ct.SpectrumAsymmetric(
                 f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
             )
-    row = np.empty(q)
+    row, imag = np.empty(q), np.empty(q)
     for l in range(q):
         total = complex(0.0)
         for kk in np.arange(q):
             total += lam[kk] * np.exp(2j * math.pi * l * kk / q)
-        if abs(total.imag) > 1e-12:
-            raise ct.SpectrumAsymmetric(f"row entry {l} has imaginary part {total.imag:.3e}")
-        row[l] = total.real / q
+        row[l], imag[l] = total.real / q, total.imag
     if row.min() < -1e-12:
         raise ct.NotStochastic(f"row entry {row.argmin()} = {row.min():.6e} below -1e-12")
+    for l in range(q):
+        if abs(imag[l]) > 1e-12:
+            raise ct.SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[l]:.3e}")
     for l in range(1, q // 2 + 1):
         m = 0.5 * (row[l] + row[q - l]) if l != q - l else row[l]
         row[l] = m
@@ -429,6 +430,10 @@ def test_transform_errors_name_first_offending_index():
     lam = np.array([1.0, 0.9, -0.9, -0.9, -0.9, -0.9, 0.9])  # several negative row entries
     want = _outcome(_loop_row_from_eigenvalues, q, lam)
     assert want[0] is ct.NotStochastic
+    _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
+    lam[1:4] += 0.9e-12  # and imaginary parts above 1e-12: the negative entry is named first
+    want = _outcome(_loop_row_from_eigenvalues, q, lam)
+    assert want[0] is ct.NotStochastic and "row entry " in want[1]
     _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
     row = np.array([0.4, 0.1, 0.05, 0.15, 0.1, 0.1, 0.1])  # r_2 and r_3 both asymmetric
     want = _outcome(_loop_eigenvalues_from_row, q, row)

@@ -650,20 +650,20 @@ _SVG_IDS = ["q4-res24", "q5-window", "q4-res200", "q4-descending", "q5-descendin
 )
 def test_phase_svg_paints_every_cell_in_its_regime_color(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
-    assert painted_colors(render_phase_svg(grid, l1_range, l2_range, q=q), grid) == regime_colors(grid)
+    assert painted_colors(render_phase_svg(grid, l1_range, l2_range), grid) == regime_colors(grid)
 
 
 @pytest.mark.parametrize("q,l1_range,l2_range,res", _SVG_GRIDS, ids=_SVG_IDS)
 def test_phase_svg_draws_one_rect_per_run(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
-    lines = render_phase_svg(grid, l1_range, l2_range, q=q).split("\n")
+    lines = render_phase_svg(grid, l1_range, l2_range).split("\n")
     runs = len(grid.starts) - 1
     # besides the runs: the background, the frame and the 5 legend boxes
     assert sum(line.startswith("<rect ") for line in lines) == runs + 7
     # and the rest of the document is that of the same answers with every point a run
     columns = (grid.feasible, grid.regime, grid.n_nontrivial, grid.error)
     every_point = ct.PhaseGrid(q, grid.lambda1, grid.lambda2, np.arange(len(grid) + 1), *columns)
-    cells = render_phase_svg(every_point, l1_range, l2_range, q=q).split("\n")
+    cells = render_phase_svg(every_point, l1_range, l2_range).split("\n")
     assert lines[:3] + lines[3 + runs :] == cells[:3] + cells[3 + len(grid) :]
 
 
@@ -673,8 +673,8 @@ def test_phase_svg_of_drawn_grids(grids):
     grid, every_point = grids
     # ranges away from the critical lines: the rects do not depend on them
     ranges = ((0.0, 0.1), (0.0, 0.1))
-    assert painted_colors(render_phase_svg(grid, *ranges, q=grid.q), grid) == regime_colors(grid)
-    lines = render_phase_svg(every_point, *ranges, q=grid.q).split("\n")
+    assert painted_colors(render_phase_svg(grid, *ranges), grid) == regime_colors(grid)
+    lines = render_phase_svg(every_point, *ranges).split("\n")
     assert lines[3 : 3 + len(grid)] == ref_svg_cells(every_point)
 
 
