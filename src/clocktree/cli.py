@@ -110,14 +110,20 @@ def cmd_probe(args) -> int:
         levels=args.levels,
         tol=args.tol,
     )
-    # past the first repeated state the distances cycle, and so does their text
+    # the distinct distances are formatted by one operation; past the first
+    # repeated state the distances cycle, and so does their text
     dists = result.distances
     start, period = result.cycle or (len(dists), 0)
-    text = [format(d, ".17g") for d in dists[: start + period]]
-    text += itertools.islice(itertools.cycle(text[start:]), len(dists) - start - period)
-    lines = ["level,distance", *[f"{level},{t}" for level, t in enumerate(text)]]
-    lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{_fmt(result.u)}")
-    _emit(lines, args.out)
+    distinct = start + period
+    text = ("%.17g\n" * distinct % dists[:distinct]).splitlines(True)
+    text += itertools.islice(itertools.cycle(text[start:]), len(dists) - distinct)
+    # each line's level and text, formatted by one more operation
+    fields = [None] * (2 * len(text))
+    fields[::2] = range(len(text))
+    fields[1::2] = text
+    verdict = f"verdict,{result.verdict.value},levels,{result.levels_used},u,{_fmt(result.u)}\n"
+    with _output(args.out) as fh:
+        fh.write("level,distance\n" + "%d,%s" * len(text) % tuple(fields) + verdict)
     return EXIT_OK
 
 

@@ -417,7 +417,8 @@ def _verify_candidates(
     right, as a loop over one point's candidate list would: a valid
     candidate is rejected when it is not finite, skipped when it coincides
     with the trivial solution or with an earlier accepted candidate,
-    rejected when its residual is at least 1e-9, and accepted otherwise.
+    accepted when its residual is below 1e-9, and rejected otherwise (a nan
+    residual included).
     The residual repeats the arithmetic of `_residual` operation by
     operation, so each number is the one a single-point check computes.
     """
@@ -428,7 +429,7 @@ def _verify_candidates(
         f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
         residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
         # the status of a candidate that reaches the residual check
-        checked = np.where(residual >= RESIDUAL_TOL, _RESIDUAL, _ACCEPTED)
+        checked = np.where(residual < RESIDUAL_TOL, _ACCEPTED, _RESIDUAL)
         finite = np.isfinite(a1) & np.isfinite(a2)
         status[valid & ~finite] = _NOT_FINITE
         live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
@@ -954,18 +955,19 @@ def _bl_modes(a: float) -> tuple[float, float]:
 def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[PottsBoundaryLaws]:
     """The two boundary-law solutions (a+, a-) on the Potts line, verified.
 
-    Real solutions exist for lam in [4/9, 1/2) where the radicand
-    theta^2 - 2*theta + 5 - 4*q is non-negative (theta = e^beta).  Both
-    branches must satisfy the fixed-point equations to 1e-9, or
-    ClockTreeError is raised, as it is where theta is not a finite float or
-    a boundary law not a finite nonzero one.  Returns None (or raises
-    RadicandNegative with strict=True) outside the existence interval.
+    theta = e^beta = `potts_theta(5, lam)`, which raises NotAProbability
+    unless lam lies in (-1/4, 1).  Real solutions exist where the radicand
+    theta^2 - 2*theta + 5 - 4*q is non-negative, for lam in [4/9, 1), and
+    a verified pair is returned on all of it.  At lam = 1/2 the minus
+    branch is the free solution (a- = 4, modes 0); above 1/2 its modes are
+    negative (-0.0972 at lam = 0.6).  Both branches must satisfy the
+    fixed-point equations to 1e-9, or ClockTreeError is raised, as it is
+    where a boundary law is not a finite nonzero float.  Returns None (or
+    raises RadicandNegative with strict=True) for lam in (-1/4, 4/9).
     """
     if q != 5:
         raise UnsupportedQ(f"boundary-law formulas are specific to q = 5, got q={q}")
-    theta = potts_theta(q, lam) if lam != 1.0 else math.inf
-    if not math.isfinite(theta):
-        raise ClockTreeError(f"theta = (1 + 4 lambda)/(1 - lambda) is not a finite float at lambda = {lam!r}")
+    theta = potts_theta(q, lam)
     rad = theta * theta - 2.0 * theta + 5.0 - 4.0 * q
     if rad < 0.0:
         if rad > -1e-9 * max(theta * theta, 1.0):

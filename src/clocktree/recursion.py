@@ -39,6 +39,11 @@ from .spectral import SymmetricDist, TransferSpec, _weakened_entries
 
 V5 = 1.0 / math.sqrt(10.0)  # basis product constant for q=5: phi_k*phi_l = v*(phi_{k+l}+phi_{k-l})
 
+# np.add.reduce adds fewer than 8 float64 terms one by one, left to right
+# from 0.0 (8 or more it sums pairwise), so a loop adding Python floats in
+# that order gives its float, for a third of the cost at a probe's few terms
+_SUM_IN_ORDER_TERMS = 8
+
 
 # ---------------------------------------------------------------------------
 # tree families and branching numbers
@@ -249,9 +254,11 @@ def rpt_probe(
     p -> normalize((M p)^k) applies `levels` times; the sup distance to
     uniform is recorded after every step (entry 0 is the leaf layer).
 
-    Each level, the leaf layer included, is one gemv and three ufuncs (the
-    k-th power, the mass, checked against 1e-300, and the division by it),
-    each writing into a preallocated array.
+    Each level, the leaf layer included, is one gemv and two ufuncs (the
+    k-th power and the division by the mass), each writing into a
+    preallocated array.  The mass, checked against 1e-300, is added up
+    term by term on Python floats for q < 8 (the same float as
+    np.add.reduce's) and is np.add.reduce for larger q, which sums pairwise.
 
     The step is a fixed map on the float64 vector p, so once p equals, bit
     for bit, its value at an earlier level s, the states and distances of
@@ -279,22 +286,33 @@ def rpt_probe(
     # k and the mass as 0-d float64 arrays: the loops an int k and a float
     # mass select, without a scalar converted at every level
     exponent, total = np.array(float(k)), np.empty(())
-    states = np.empty((levels + 1, spec.q))
+    in_order = spec.q < _SUM_IN_ORDER_TERMS
+    p = np.empty(spec.q)
+    # each state's bytes, in level order, and the level of each
     first_level = {}
     cycle = None
-    for level, p in enumerate(states):
+    for level in range(levels + 1):
         np.power(v, exponent, out=p)
-        np.add.reduce(p, out=total)
-        if total[()] < 1e-300:
-            raise NormalizationUnderflow(f"unnormalized mass {float(total[()])!r} below 1e-300")
+        if in_order:
+            mass = 0.0
+            for term in p.tolist():
+                mass += term
+        else:
+            mass = float(np.add.reduce(p))
+        if mass < 1e-300:
+            raise NormalizationUnderflow(f"unnormalized mass {mass!r} below 1e-300")
+        total[()] = mass
         np.divide(p, total, out=p)
         start = first_level.setdefault(p.tobytes(), level)
         if start != level:
             cycle = (start, level - start)
             break
         M.dot(p, out=v)
-    dist = np.abs(states[: level + 1] - 1.0 / spec.q).max(axis=1).tolist()
+    states = np.frombuffer(b"".join(first_level), dtype=np.float64).reshape(-1, spec.q)
+    dist = np.abs(states - 1.0 / spec.q).max(axis=1).tolist()
     if cycle is not None:
+        # the state at `level` is the one at `start`
+        dist.append(dist[start])
         dist += (dist[start + 1:] * ((levels - level) // cycle[1] + 1))[: levels - level]
     return ProbeResult(
         distances=tuple(dist),

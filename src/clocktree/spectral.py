@@ -265,8 +265,15 @@ def potts_lambda(q: int, theta: float) -> float:
 
 
 def potts_theta(q: int, lam: float) -> float:
-    """Inverse of potts_lambda: e^beta = (1 + lam*(q-1))/(1 - lam)."""
-    return (1.0 + lam * (q - 1.0)) / (1.0 - lam)
+    """Inverse of potts_lambda: e^beta = (1 + lam*(q-1))/(1 - lam).
+
+    Raises NotAProbability unless e^beta is a positive finite float, that
+    is unless lam lies in (-1/(q-1), 1).
+    """
+    theta = (1.0 + lam * (q - 1.0)) / (1.0 - lam) if lam < 1.0 else math.inf
+    if not 0.0 < theta < math.inf:
+        raise NotAProbability(f"no Potts theta = e^beta > 0 has lambda = {lam!r}, outside (-1/{q - 1}, 1)")
+    return theta
 
 
 def make_potts(q: int, beta: float) -> TransferSpec:

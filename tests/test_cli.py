@@ -183,8 +183,8 @@ def _per_level_probe_csv(result):
     """The probe CSV written one line per level, every distance formatted, no cycle replayed."""
     lines = ["level,distance"]
     for level, distance in enumerate(result.distances):
-        lines.append(f"{level},{cli._fmt(distance)}")
-    lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{cli._fmt(result.u)}")
+        lines.append(f"{level},{distance:.17g}")
+    lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{result.u:.17g}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -200,12 +200,13 @@ def _probe_args(draw):
         q, seed = point
         point = (q, *random_feasible_lambdas(np.random.default_rng(seed), q))
     u = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
-    return (*point, u, draw(st.integers(2, 4)), draw(st.integers(1, 400)))
+    return (*point, u, draw(st.integers(2, 4)), draw(st.integers(1, 600)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_probe_args())
 @example((5, 0.4, 0.05, 1.0, 2, 171))  # period 8 from level 158, ends five levels into the replay
+@example((5, 0.4, 0.05, 1.0, 2, 166))  # the first repeat is the last level
 @example((5, 0.4, 0.05, 1.0, 2, 165))  # ends one level before the first repeat
 @example((4, 0.55, 0.35, 1.0, 2, 399))  # period 3 from level 148, ends mid-cycle
 @example((5, 0.3, 0.2, 1.0, 3, 400))  # period 2 from level 342
@@ -493,9 +494,11 @@ def test_potts_boundary_laws(capsys):
         assert fields[5] in ("1-theta", "theta-1")
 
 
-@pytest.mark.parametrize("lam", ["1", "0.9999999999", "1e308", "-1e308"])
+@pytest.mark.parametrize("lam", ["1", "0.9999999999", "1e308", "-1e308", "-0.25", "-4", "-10", "1.0000001", "1.5"])
 def test_potts_bl_without_a_finite_boundary_law_is_usage_error(capsys, lam):
-    # each was a ZeroDivisionError traceback and exit 1
+    # the first four were a ZeroDivisionError traceback and exit 1; outside
+    # (-1/4, 1), where theta = e^beta is not positive, -0.25 printed the none
+    # row and the others a verified pair
     code = main(["potts", "--q", "5", "--bl", lam])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -712,6 +715,21 @@ def test_solve_q5_huge_lambda2_writes_no_warnings(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "lambda1, lambda2, nontrivial",
+    [
+        ("6.125251463049679e+93", "4.05805268538676e-275", "9.0348935663119866e-48,0.5,0"),
+        ("5.1879410162177566e+151", "-1.9313440645065008e-249", "9.8171965770051801e-77,0.5,3.0681834158110791e-92"),
+    ],
+    ids=["positive-lambda2", "negative-lambda2"],
+)
+def test_solve_lists_no_fixed_point_whose_residual_is_nan(capsys, lambda1, lambda2, nontrivial):
+    # the mode map overflowed to inf/inf at a third candidate, whose nan
+    # residual passed the check and was printed as a fixed point
+    code, out = run_cli(capsys, "solve", "--q", "4", "--lambda1", lambda1, "--lambda2", lambda2)
+    assert (code, out) == (0, f"alpha1,alpha2,residual\n0,0,0\n{nontrivial}\n")
+
+
 def test_solve_q4_tiny_lambda2(capsys):
     code, out = run_cli(capsys, "solve", "--q", "4", "--lambda1", "0.1", "--lambda2", "1e-200")
     assert code == 0
@@ -779,7 +797,7 @@ NEGATIVE_EXPONENT_ARGV = [
     ("sweep", "--q", "4", "--res", "2", "--l2min", "-1e-3", "--l1min", "-2.5E-1"),
     ("matrix", "--q", "5", "--lambda1", "0.3", "--lambda2", "-1.e-3"),
     ("solve", "--q", "5", "--lambda1", "0.5", "--lambda2", "-1E-1"),
-    ("potts", "--q", "5", "--bl", "-4e-1"),
+    ("potts", "--q", "5", "--bl", "-2e-1"),
 ]
 
 

@@ -14,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.fixedpoint import _DELTA_ULPS, DEDUP_TOL, _invariants, _residual, q4_solution_counts
+from clocktree.fixedpoint import (
+    _DELTA_ULPS,
+    _RESIDUAL,
+    DEDUP_TOL,
+    _assemble,
+    _invariants,
+    _residual,
+    _verify_candidates,
+    q4_solution_counts,
+)
 from test_q5_elimination import (
     RefAtSpecialPoint,
     ref_alpha2_from_alpha1,
@@ -393,6 +402,17 @@ def test_q5_tiny_lambda2_trivial_only():
         assert s.rejected == ()
 
 
+@pytest.mark.parametrize("q", [4, 5])
+def test_a_candidate_whose_residual_is_nan_is_rejected(q):
+    # the mode map of (1e200, 1e200) overflows to inf/inf = nan, a residual
+    # that fails `residual >= 1e-9`, and the candidate was accepted
+    a1, a2 = np.array([[1e200]]), np.array([[1e200]])
+    status, residual = _verify_candidates(q, 0.3, 0.2, a1, a2, True)
+    assert math.isnan(residual[0, 0]) and status[0, 0] == _RESIDUAL
+    sols = _assemble(q, 0.3, 0.2, [(1e200, 1e200)])
+    assert sols.solutions == ((0.0, 0.0),) and sols.rejected == ("(1e+200, 1e+200): residual nan",)
+
+
 def test_q4_solutions_below_window():
     assert ct.q4_solutions(0.5, 0.30).n_nontrivial == 0
 
@@ -557,11 +577,24 @@ def test_boundary_laws_that_are_not_finite_nonzero_floats_raise(lam):
         ct.potts_boundary_laws(5, lam)
 
 
-def test_boundary_laws_outside_the_interval_that_have_a_pair_keep_it():
-    # lambda outside (-1/4, 1) whose theta and laws are finite floats
-    for lam in (-10.0, 1.0000001):
-        bl = ct.potts_boundary_laws(5, lam)
-        assert bl is not None and max(bl.residual_plus, bl.residual_minus) < 1e-9
+def test_boundary_laws_outside_the_potts_domain_raise():
+    # theta = (1 + 4 lambda)/(1 - lambda) <= 0 is no Potts model; -10 and
+    # 1.0000001 returned a verified pair and -0.25 (theta = 0) None
+    for lam in (-10.0, -4.0, -0.25, 1.0000001, 1.5):
+        with pytest.raises(ct.NotAProbability, match="lambda = "):
+            ct.potts_boundary_laws(5, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.6, 0.9])
+def test_boundary_laws_exist_up_to_one(lam):
+    # the pair is verified on all of [4/9, 1); at 1/2 the minus branch is the
+    # free solution (a- = 4, modes 0), above 1/2 its modes are negative
+    bl = ct.potts_boundary_laws(5, lam)
+    assert bl is not None and max(bl.residual_plus, bl.residual_minus) < 1e-9
+    if lam == 0.5:
+        assert bl.a_minus == 4.0 and bl.modes_minus == (0.0, 0.0)
+    else:
+        assert bl.modes_minus[0] < 0.0 < bl.modes_plus[0]
 
 
 def test_boundary_laws_double_at_interval_edge():

@@ -1,13 +1,16 @@
 """Tree recursion, closed mode maps, probes, linearization."""
+import functools
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import spectral
 from clocktree.basis import a_norm, basis_norms, raw_coefficients
-from clocktree.recursion import _verdict
+from clocktree.recursion import _SUM_IN_ORDER_TERMS, _verdict
 
 from conftest import random_feasible_lambdas, random_symmetric_probability, recursion_oracle
 
@@ -239,6 +242,25 @@ def _probe_inputs(draw):
         draw(st.integers(0, 2000)),
         draw(st.sampled_from((1e-12, 1e-6, 2e-2))),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=_SUM_IN_ORDER_TERMS - 1))
+@example([-0.0, -0.0])  # 0.0 from the start 0.0; a start of -0.0 would give -0.0
+def test_numpy_sums_fewer_than_eight_floats_in_order(terms):
+    # rpt_probe adds a level's mass for q < 8 term by term on Python floats
+    # from 0.0, the float np.add.reduce gives only while numpy adds that few
+    # terms one by one; a numpy that sums otherwise fails here before it
+    # moves a probe's output
+    v = np.array(terms)
+    with np.errstate(over="ignore"):
+        want = np.add.reduce(v).tobytes()
+    assert np.float64(functools.reduce(operator.add, v.tolist(), 0.0)).tobytes() == want
+    # from 8 terms on numpy sums pairwise, (1 + 0) + (1e16 - 1e16) here, so
+    # larger q keep np.add.reduce
+    eight = [1.0, 0.0, 1e16, -1e16, 0.0, 0.0, 0.0, 0.0]
+    assert len(eight) == _SUM_IN_ORDER_TERMS
+    assert np.add.reduce(eight) == 1.0 and functools.reduce(operator.add, eight, 0.0) == 0.0
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

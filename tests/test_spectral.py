@@ -124,9 +124,23 @@ def test_make_potts():
     # theta from lambda: e^beta = (1 + lambda*(q-1))/(1 - lambda)
     assert abs(ct.potts_theta(5, 0.45) - (1 + 0.45 * 4) / 0.55) < 1e-14
     assert abs(ct.potts_theta(5, 0.45) - 5.090909090909091) < 1e-12
+    # a positive finite float up to both ends of lambda's open interval (-1/(q-1), 1)
+    assert 0.0 < ct.potts_theta(5, math.nextafter(-0.25, 0.0)) < 1e-15
+    assert 1e16 < ct.potts_theta(5, math.nextafter(1.0, 0.0)) < math.inf
+    assert ct.potts_theta(3, math.nextafter(-0.5, 0.0)) > 0.0
     # potts rows are (a, b, ..., b) with a >= b for positive coupling
     row = np.asarray(ct.make_potts_from_theta(5, 3.0).row)
     assert np.abs(row[1:] - row[1]).max() < 1e-15 and row[0] > row[1]
+
+
+@pytest.mark.parametrize(
+    "q, lam", [(5, 1.0), (5, 1.5), (5, 1e308), (5, -0.25), (5, -4.0), (5, -1e308), (5, math.nan), (3, -0.5)]
+)
+def test_potts_theta_outside_its_domain_raises(q, lam):
+    # theta = e^beta is a positive finite float only for lam in (-1/(q-1), 1):
+    # lam = 1 divided by zero, 1e308 gave -inf and -0.25 gave theta = 0
+    with pytest.raises(ct.NotAProbability, match="lambda = "):
+        ct.potts_theta(q, lam)
 
 
 def test_make_standard_clock():

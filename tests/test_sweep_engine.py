@@ -75,7 +75,7 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
         if any(max(abs(a[0] - s[0]), abs(a[1] - s[1])) <= DEDUP_TOL for s in accepted):
             continue
         res = ref_residual(q, lambda1, lambda2, a)
-        if res >= RESIDUAL_TOL:
+        if not res < RESIDUAL_TOL:  # a nan residual included
             rejected.append(f"{a}: residual {res:.3e}")
             continue
         accepted.append(a)
@@ -111,7 +111,7 @@ def ref_verify_candidates(q, lambda1, lambda2, a1, a2, valid):
                 continue
             elif any(max(abs(a[0] - s[0]), abs(a[1] - s[1])) <= DEDUP_TOL for s in accepted):
                 continue
-            elif residual[i, j] >= RESIDUAL_TOL:
+            elif not residual[i, j] < RESIDUAL_TOL:
                 status[i, j] = _RESIDUAL
             else:
                 status[i, j] = _ACCEPTED
