@@ -19,7 +19,6 @@ from .errors import (
     NormalizationUnderflow,
     NotAProbability,
     NotStochastic,
-    RadicandNegative,
     RowAsymmetric,
     SpectrumAsymmetric,
     UnsupportedQ,
@@ -57,14 +56,9 @@ from .phase import (
     sweep,
 )
 from .recursion import (
-    BranchingEstimate,
     Cayley,
     ProbeResult,
-    SphericallySymmetric,
-    TreeFamily,
     Verdict,
-    branching_estimate,
-    branching_number,
     linearization_residual,
     mode_map,
     mode_map_q4,

@@ -231,7 +231,7 @@ def cmd_potts(args) -> int:
         _emit(lines, args.out)
         return EXIT_OK
     if args.bl is not None:
-        bl = potts_boundary_laws(5, args.bl)
+        bl = potts_boundary_laws(args.bl)
         lines = ["branch,a,alpha1,alpha2,residual,sign_convention,mode_conversion"]
         if bl is None:
             lines.append(f"none,,,,,outside existence interval lambda={_fmt(args.bl)},")

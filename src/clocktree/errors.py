@@ -49,13 +49,9 @@ class DegenerateQuartic(ClockTreeError):
     """All quartic coefficients vanish (lambda2 = 0), or the leading one is too small to divide by."""
 
 
-class RadicandNegative(ClockTreeError):
-    """Boundary-law radicand negative: outside the existence interval."""
-
-
 class UnsupportedQ(ClockTreeError):
     """Operation only implemented for the analyzed state counts."""
 
 
 class UnsupportedTree(ClockTreeError):
-    """Tree the operation does not model, or a malformed tree: probes need a Cayley family."""
+    """Cayley family with fewer than two children."""

@@ -43,7 +43,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClockTreeError, DegenerateQuartic, RadicandNegative, UnsupportedQ
+from .errors import ClockTreeError, DegenerateQuartic
 from .recursion import V5, mode_map, mode_map_q5, mode_terms_q5
 from .spectral import feasible_lambdas, potts_theta
 
@@ -51,7 +51,6 @@ RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-8
 
 SQRT10 = math.sqrt(10.0)
-C5 = math.sqrt(2.5)  # normalizer of the q=5 unit cosine basis
 
 
 # ---------------------------------------------------------------------------
@@ -896,28 +895,41 @@ def q5_jacobian(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> t
 # ---------------------------------------------------------------------------
 
 
+def _potts_root(lam: float) -> Optional[float]:
+    """sqrt((9*lam - 4)*(lam + 4)), or None where 9*lam < 4 or lam is not finite.
+
+    The diagonal discriminant lam^2 (9 lam - 4)(lam + 4)/10 and the boundary-law
+    radicand (theta - 5)(theta + 3) = (9 lam - 4)(lam + 4)/(1 - lam)^2 both
+    factor through it.  9*lam - 4 is (9n - 4d)/d from lam = n/d, its sign
+    exact: 9.0*lam - 4.0 rounds to 0.0 at the float 4/9, 2^-52/9 below 4/9,
+    and at the next float up.
+    """
+    if not math.isfinite(lam):
+        return None
+    n, d = lam.as_integer_ratio()
+    if 9 * n < 4 * d:
+        return None
+    return math.sqrt((9 * n - 4 * d) / d * (lam + 4.0))
+
+
 def q5_potts_diagonal_solutions(lam: float) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
     """Lower and upper diagonal fixed points alpha1 = alpha2 = alpha.
 
     On the Potts line the mode recursion preserves the diagonal and the
     non-trivial diagonal fixed points solve
     2*lam^2*alpha^2 - 3*v*lam^2*alpha + (1 - 2*lam)/5 = 0; real solutions
-    exist exactly for lam >= 4/9.  Returns ((lower, lower), (upper, upper)) or
-    None below the existence interval.
+    exist exactly for lam >= 4/9.  With r = `_potts_root(lam)` the upper root
+    is (3*lam + r)/(4*sqrt(10)*lam) and the lower one, by Vieta's product,
+    4*(1 - 2*lam)/(sqrt(10)*lam*(3*lam + r)), neither of which cancels.
+    Returns ((lower, lower), (upper, upper)) or None below the existence
+    interval.
     """
-    v = V5
-    qa = 2.0 * lam * lam
-    qb = -3.0 * v * lam * lam
-    qc = (1.0 - 2.0 * lam) / 5.0
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        if disc > -1e-12 * max(qb * qb, 1e-30):
-            disc = 0.0
-        else:
-            return None
-    s = math.sqrt(disc)
-    lower = (-qb - s) / (2.0 * qa)
-    upper = (-qb + s) / (2.0 * qa)
+    r = _potts_root(lam)
+    if r is None:
+        return None
+    s = 3.0 * lam + r
+    lower = 4.0 * (1.0 - 2.0 * lam) / (SQRT10 * lam * s)
+    upper = s / (4.0 * SQRT10 * lam)
     return ((lower, lower), (upper, upper))
 
 
@@ -925,10 +937,10 @@ def q5_potts_diagonal_solutions(lam: float) -> Optional[tuple[tuple[float, float
 class PottsBoundaryLaws:
     """Residual-verified boundary-law pair on the q=5 Potts line.
 
-    The pair is (a+, a-) = 2*(q-1) / ((theta - 1) +- sqrt(rad)), the flip of
-    the printed leading term (1 - theta), which gives negative boundary-law
-    components.  `a` reads as the reciprocal square root of the boundary-law
-    ratio z = (q-1)^2/a^2, and the normalized marginal (z,1,1,1,1)/(z+4)
+    The pair is (a+, a-) = 8 / ((theta - 1) +- s), s^2 = (theta - 5)(theta + 3),
+    the flip of the printed leading term (1 - theta), which gives negative
+    boundary-law components.  `a` reads as the reciprocal square root of the
+    boundary-law ratio z = 16/a^2, and the normalized marginal (z,1,1,1,1)/(z+4)
     gives the modes; the printed conversion 2*(1-a)/5 fails the fixed-point
     residual check.  The two class attributes name these conventions.
     """
@@ -946,47 +958,25 @@ class PottsBoundaryLaws:
     residual_minus: float
 
 
-def _bl_modes(a: float) -> tuple[float, float]:
-    z = 16.0 / (a * a)
-    m = (z - 1.0) / (C5 * (z + 4.0))
-    return (m, m)
-
-
-def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[PottsBoundaryLaws]:
-    """The two boundary-law solutions (a+, a-) on the Potts line, verified.
+def potts_boundary_laws(lam: float) -> Optional[PottsBoundaryLaws]:
+    """The two boundary-law solutions (a+, a-) on the q=5 Potts line, verified.
 
     theta = e^beta = `potts_theta(5, lam)`, which raises NotAProbability
-    unless lam lies in (-1/4, 1).  Real solutions exist where the radicand
-    theta^2 - 2*theta + 5 - 4*q is non-negative, for lam in [4/9, 1), and
-    a verified pair is returned on all of it.  At lam = 1/2 the minus
-    branch is the free solution (a- = 4, modes 0); above 1/2 its modes are
-    negative (-0.0972 at lam = 0.6).  Both branches must satisfy the
-    fixed-point equations to 1e-9, or ClockTreeError is raised, as it is
-    where a boundary law is not a finite nonzero float.  Returns None (or
-    raises RadicandNegative with strict=True) for lam in (-1/4, 4/9).
+    unless lam lies in (-1/4, 1).  Real solutions exist for lam in [4/9, 1),
+    and a verified pair is returned on all of it: with r = `_potts_root(lam)`,
+    a+ = 8*(1 - lam)/(5*lam + r) and a- = (5*lam + r)/(2*(1 - lam)) = 4/a+,
+    which do not cancel, and the modes are the diagonal pair of
+    `q5_potts_diagonal_solutions`.  At lam = 1/2 the minus branch is the free
+    solution (a- = 4, modes 0); above 1/2 its modes are negative (-0.0972 at
+    lam = 0.6).  Both branches must satisfy the fixed-point equations to
+    1e-9, or ClockTreeError is raised.  Returns None for lam in (-1/4, 4/9).
     """
-    if q != 5:
-        raise UnsupportedQ(f"boundary-law formulas are specific to q = 5, got q={q}")
-    theta = potts_theta(q, lam)
-    rad = theta * theta - 2.0 * theta + 5.0 - 4.0 * q
-    if rad < 0.0:
-        if rad > -1e-9 * max(theta * theta, 1.0):
-            rad = 0.0
-        elif strict:
-            raise RadicandNegative(f"radicand {rad!r} negative at lambda = {lam!r}")
-        else:
-            return None
-    s = math.sqrt(rad)
-    denom = 2.0 * (q - 1.0)
-    # |theta - 1| > s, since (theta - 1)^2 - s^2 = 4*q - 4 > 0, but for a
-    # large theta rounding can cancel a denominator to 0; a finite theta keeps
-    # s finite, so a nonzero denominator gives a finite nonzero law
-    d_plus, d_minus = theta - 1.0 + s, theta - 1.0 - s
-    if not (d_plus and d_minus):
-        raise ClockTreeError(f"boundary laws at lambda = {lam!r} divide by theta - 1 -+ s, which rounds to 0")
-    a_plus = denom / d_plus
-    a_minus = denom / d_minus
-    mp, mm = _bl_modes(a_plus), _bl_modes(a_minus)
+    theta = potts_theta(5, lam)
+    diag = q5_potts_diagonal_solutions(lam)
+    if diag is None:
+        return None
+    mm, mp = diag
+    s = 5.0 * lam + _potts_root(lam)
     rp = _residual(5, lam, lam, mp)
     rm = _residual(5, lam, lam, mm)
     if not (rp < RESIDUAL_TOL and rm < RESIDUAL_TOL):
@@ -997,8 +987,8 @@ def potts_boundary_laws(q: int, lam: float, strict: bool = False) -> Optional[Po
     return PottsBoundaryLaws(
         lam=lam,
         theta=theta,
-        a_plus=a_plus,
-        a_minus=a_minus,
+        a_plus=8.0 * (1.0 - lam) / s,
+        a_minus=s / (2.0 * (1.0 - lam)),
         modes_plus=mp,
         modes_minus=mm,
         residual_plus=rp,

@@ -313,15 +313,14 @@ def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
     The Jacobian (`q5_jacobian`) is taken at the closed-form lower diagonal
     root of `q5_potts_diagonal_solutions`.  The lower branch merges with the
     free solution as lambda -> 1/2, where the Jacobian loses invertibility;
-    the profile therefore tends to 0.
+    the profile therefore tends to 0.  A lambda outside [4/9, 1/2), the float
+    4/9 included (it lies below 4/9), raises ClockTreeError.
     """
     out = []
     for lam in lambda_grid:
-        if not (4.0 / 9.0 - 1e-12 <= lam < 0.5):
-            raise ClockTreeError(f"lower branch exists for lambda in [4/9, 1/2), got {lam!r}")
-        diag = q5_potts_diagonal_solutions(lam)
+        diag = q5_potts_diagonal_solutions(lam) if lam < 0.5 else None
         if diag is None:
-            raise ClockTreeError(f"no diagonal solution at lambda = {lam!r}")
+            raise ClockTreeError(f"lower branch exists for lambda in [4/9, 1/2), got {lam!r}")
         _, det = q5_jacobian(lam, lam, diag[0])
         out.append((lam, det))
     return out
@@ -410,7 +409,8 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
         failed[followers] = False
         count(followers)
     # robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
-    # J. E. Steif (Ann. Probab. 27 (1999) 876-912); br(Cayley(2)) = 2, and
+    # J. E. Steif (Ann. Probab. 27 (1999) 876-912), with br(T) the branching
+    # number of R. Lyons (Ann. Probab. 18 (1990) 931-958); br(Cayley(2)) = 2, and
     # lambda1 > 0.5 agrees with 2.0 * lambda1 > 1.0 on every float, without overflow
     robust = l1s[head // m] > 0.5
     # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)

@@ -1,4 +1,4 @@
-"""Tree families, the Gibbs-marginal recursion, and PT/RPT probes.
+"""Cayley trees, the Gibbs-marginal recursion, and PT/RPT probes.
 
 The marginal of the finite-volume Gibbs measure at a vertex v with children
 w_1..w_k satisfies
@@ -15,15 +15,14 @@ A probe starts from the all-0 boundary condition coupled through the
 (possibly weakened) potential u*Phi and tracks the sup distance of the root
 marginal to the uniform distribution level by level.  Whether that distance
 stays bounded away from zero for every u in (0, 1] is governed by the sharp
-threshold lambda_1 * br(T) = 1, where br(T) is the branching number of the
-tree.
+threshold lambda_1 * k = 1 on Cayley(k), whose branching number is k.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ _SUM_IN_ORDER_TERMS = 8
 
 
 # ---------------------------------------------------------------------------
-# tree families and branching numbers
+# the Cayley tree
 # ---------------------------------------------------------------------------
 
 
@@ -59,67 +58,6 @@ class Cayley:
     def __post_init__(self) -> None:
         if self.children < 2:
             raise UnsupportedTree(f"Cayley family needs >= 2 children, got {self.children}")
-
-
-@dataclass(frozen=True)
-class SphericallySymmetric:
-    """Tree whose vertices at generation n all have children_per_generation[n] children.
-
-    With periodic=True the sequence repeats; otherwise it is used as given and
-    must cover at least 20 generations for the growth estimate.
-    """
-
-    children_per_generation: tuple[int, ...]
-    periodic: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.children_per_generation:
-            raise UnsupportedTree("need at least one generation size")
-        if any(c < 1 for c in self.children_per_generation):
-            raise UnsupportedTree("generation sizes must be positive")
-        if not self.periodic and len(self.children_per_generation) < 20:
-            raise UnsupportedTree(
-                "non-periodic growth estimate needs at least 20 generations, "
-                f"got {len(self.children_per_generation)}"
-            )
-
-
-TreeFamily = Union[Cayley, SphericallySymmetric]
-
-MIN_GENERATIONS = 20
-
-
-@dataclass(frozen=True)
-class BranchingEstimate:
-    value: float
-    exact: bool
-    generations_used: int
-
-
-def branching_estimate(tree: TreeFamily) -> BranchingEstimate:
-    """Branching number, exact for Cayley(k) (= k), growth-rate estimate otherwise.
-
-    For a spherically symmetric tree the estimate is |level N|^(1/N); for a
-    periodic rule N is a multiple of the period, which makes the estimate
-    exact in the limit sense (the liminf equals the periodic geometric mean).
-    """
-    if isinstance(tree, Cayley):
-        return BranchingEstimate(float(tree.children), True, 0)
-    sizes = tree.children_per_generation
-    if tree.periodic:
-        period = len(sizes)
-        n = period * max(1, -(-MIN_GENERATIONS // period))  # >= 20, multiple of the period
-        log_level = sum(math.log(sizes[g % period]) for g in range(n))
-    else:
-        n = len(sizes)
-        log_level = sum(math.log(c) for c in sizes)
-    return BranchingEstimate(math.exp(log_level / n), False, n)
-
-
-def branching_number(tree: TreeFamily) -> float:
-    """br(T) of R. Lyons (Ann. Probab. 18 (1990) 931-958): 1/br(T) is the critical
-    probability of percolation on T; the robust threshold is lambda1 * br(T) = 1."""
-    return branching_estimate(tree).value
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +179,7 @@ def _verdict(distances: Sequence[float], tol: float) -> Verdict:
 
 def rpt_probe(
     spec: TransferSpec,
-    tree: TreeFamily = Cayley(2),
+    tree: Cayley = Cayley(2),
     u: float = 1.0,
     levels: int = 400,
     tol: float = 1e-12,
@@ -268,12 +206,9 @@ def rpt_probe(
     cycle.  The mass check cannot fire after the repeat, because the
     unnormalized masses repeat with the states.
 
-    Only Cayley families are supported: on irregular trees the number of
-    weakened edges per leaf varies and there is no canonical single-vector
-    reduction.
+    The tree is a Cayley family: on irregular trees the number of weakened
+    edges per leaf varies and there is no single-vector reduction.
     """
-    if not isinstance(tree, Cayley):
-        raise UnsupportedTree("probes require a Cayley family")
     if levels < 0:
         raise ClockTreeError(f"levels must be >= 0, got {levels}")
     if not 0.0 < tol < math.inf:
@@ -327,7 +262,7 @@ def rpt_probe(
 
 def pt_probe(
     spec: TransferSpec,
-    tree: TreeFamily = Cayley(2),
+    tree: Cayley = Cayley(2),
     levels: int = 400,
     tol: float = 1e-12,
 ) -> ProbeResult:

@@ -494,9 +494,9 @@ def test_potts_boundary_laws(capsys):
         assert fields[5] in ("1-theta", "theta-1")
 
 
-@pytest.mark.parametrize("lam", ["1", "0.9999999999", "1e308", "-1e308", "-0.25", "-4", "-10", "1.0000001", "1.5"])
+@pytest.mark.parametrize("lam", ["1", "1e308", "-1e308", "-0.25", "-4", "-10", "1.0000001", "1.5"])
 def test_potts_bl_without_a_finite_boundary_law_is_usage_error(capsys, lam):
-    # the first four were a ZeroDivisionError traceback and exit 1; outside
+    # the first three were a ZeroDivisionError traceback and exit 1; outside
     # (-1/4, 1), where theta = e^beta is not positive, -0.25 printed the none
     # row and the others a verified pair
     code = main(["potts", "--q", "5", "--bl", lam])

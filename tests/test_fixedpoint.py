@@ -562,19 +562,15 @@ def test_jacobian_degenerates_at_threshold():
 
 
 def test_boundary_laws_existence_interval():
-    assert ct.potts_boundary_laws(5, 0.40) is None
-    with pytest.raises(ct.RadicandNegative):
-        ct.potts_boundary_laws(5, 0.40, strict=True)
-    with pytest.raises(ct.UnsupportedQ):
-        ct.potts_boundary_laws(4, 0.45)
+    assert ct.potts_boundary_laws(0.40) is None
 
 
-@pytest.mark.parametrize("lam", [1.0, 0.9999999999, 1e308, -1e308])
+@pytest.mark.parametrize("lam", [1.0, 1e308, -1e308])
 def test_boundary_laws_that_are_not_finite_nonzero_floats_raise(lam):
-    # theta divided by 1 - lam = 0, a- by theta - 1 - s = 0 (rounded), and the
-    # modes by a- = -0.0 (theta = -inf): each a ZeroDivisionError
+    # theta = (1 + 4 lambda)/(1 - lambda) is not a positive finite float;
+    # each was a ZeroDivisionError
     with pytest.raises(ct.ClockTreeError, match="lambda = "):
-        ct.potts_boundary_laws(5, lam)
+        ct.potts_boundary_laws(lam)
 
 
 def test_boundary_laws_outside_the_potts_domain_raise():
@@ -582,14 +578,15 @@ def test_boundary_laws_outside_the_potts_domain_raise():
     # 1.0000001 returned a verified pair and -0.25 (theta = 0) None
     for lam in (-10.0, -4.0, -0.25, 1.0000001, 1.5):
         with pytest.raises(ct.NotAProbability, match="lambda = "):
-            ct.potts_boundary_laws(5, lam)
+            ct.potts_boundary_laws(lam)
 
 
-@pytest.mark.parametrize("lam", [0.5, 0.6, 0.9])
+@pytest.mark.parametrize("lam", [0.5, 0.6, 0.9, 0.9999999999, 1.0 - 2.0**-52])
 def test_boundary_laws_exist_up_to_one(lam):
     # the pair is verified on all of [4/9, 1); at 1/2 the minus branch is the
-    # free solution (a- = 4, modes 0), above 1/2 its modes are negative
-    bl = ct.potts_boundary_laws(5, lam)
+    # free solution (a- = 4, modes 0), above 1/2 its modes are negative.  At
+    # the last two theta - 1 - s rounded to 0 in the form 8/(theta - 1 - s)
+    bl = ct.potts_boundary_laws(lam)
     assert bl is not None and max(bl.residual_plus, bl.residual_minus) < 1e-9
     if lam == 0.5:
         assert bl.a_minus == 4.0 and bl.modes_minus == (0.0, 0.0)
@@ -598,49 +595,78 @@ def test_boundary_laws_exist_up_to_one(lam):
 
 
 def test_boundary_laws_double_at_interval_edge():
-    bl = ct.potts_boundary_laws(5, 4.0 / 9.0)
+    # the float 4/9 lies 2^-52/9 below 4/9, where there is no pair; the next
+    # float up has one, the two laws within 1e-7 of each other
+    assert ct.potts_boundary_laws(4.0 / 9.0) is None
+    bl = ct.potts_boundary_laws(math.nextafter(4.0 / 9.0, 1.0))
     assert bl is not None
     assert abs(bl.theta - 5.0) < 1e-12
-    assert abs(bl.a_plus - bl.a_minus) < 1e-5
+    assert abs(bl.a_plus - bl.a_minus) < 1e-7
     assert max(bl.residual_plus, bl.residual_minus) < 1e-9
 
 
 def test_potts_diagonal_solutions_exist_from_four_ninths():
-    # below 4/9 there is none; at the float 4/9 the discriminant reads
-    # -3.5e-17, within its clamp, so the lower and upper roots coincide
-    for lam in (0.3, 0.44):
+    # below 4/9 there is none, the float 4/9 included, which lies 2^-52/9
+    # below it, nor at a lambda that is not finite (each gave a pair of nans);
+    # from the next float up the lower root lies below the upper
+    for lam in (0.3, 0.44, 4.0 / 9.0, math.nan, math.inf, -math.inf):
         assert ct.q5_potts_diagonal_solutions(lam) is None
-    lower, upper = ct.q5_potts_diagonal_solutions(4.0 / 9.0)
-    assert lower == upper and lower[0] == lower[1] > 0.0
-    lower, upper = ct.q5_potts_diagonal_solutions(0.45)
-    assert lower[0] < upper[0]
+    for lam in (math.nextafter(4.0 / 9.0, 1.0), 0.45):
+        lower, upper = ct.q5_potts_diagonal_solutions(lam)
+        assert 0.0 < lower[0] == lower[1] < upper[0] == upper[1]
 
 
 def test_boundary_laws_radicand_clamp_just_below_four_ninths():
-    # two floats below 4/9 the radicand reads -1.4e-14, within its clamp:
-    # the pair is the double root, verified
+    # two floats below 4/9 the radicand is negative; a clamp on it once
+    # returned the double root there
     lam = math.nextafter(math.nextafter(4.0 / 9.0, 0.0), 0.0)
-    bl = ct.potts_boundary_laws(5, lam)
-    assert bl is not None and bl.a_plus == bl.a_minus
-    assert max(bl.residual_plus, bl.residual_minus) < 1e-9
+    assert ct.potts_boundary_laws(lam) is None
+    assert ct.q5_potts_diagonal_solutions(lam) is None
 
 
 def test_boundary_laws_verified_pair():
-    bl = ct.potts_boundary_laws(5, 0.45)
+    bl = ct.potts_boundary_laws(0.45)
     assert bl is not None
     assert bl.residual_plus < 1e-9 and bl.residual_minus < 1e-9
     # the printed sign convention yields negative boundary-law components and
     # fails the residual check; the flip must have been recorded
-    assert bl.sign_convention == "theta-1"
+    assert bl.sign_convention == "theta-1" and bl.mode_conversion == "bl-ratio"
     assert bl.a_plus > 0 and bl.a_minus > 0
-    # the verified values agree with the diagonal closed form
-    diag = ct.q5_potts_diagonal_solutions(0.45)
-    assert abs(bl.modes_plus[0] - diag[1][0]) < 1e-9
-    assert abs(bl.modes_minus[0] - diag[0][0]) < 1e-9
+    # on (4/9, 0.999] the laws multiply to 4, the modes are the diagonal
+    # pair, and the bl-ratio conversion of each law gives its modes
+    for lam in np.linspace(4.0 / 9.0, 0.999, 2002)[1:].tolist():
+        bl = ct.potts_boundary_laws(lam)
+        assert abs(bl.a_plus * bl.a_minus - 4.0) <= math.ulp(4.0), lam
+        lower, upper = ct.q5_potts_diagonal_solutions(lam)
+        assert (bl.modes_minus, bl.modes_plus) == (lower, upper), lam
+        for a, modes in ((bl.a_plus, upper), (bl.a_minus, lower)):
+            z = 16.0 / (a * a)
+            assert abs((z - 1.0) / (math.sqrt(2.5) * (z + 4.0)) - modes[0]) < 1e-15, lam
+
+
+# a- = 8/(theta - 1 - s) cancels as lambda -> 1, and the lower diagonal root
+# (3 lambda - r)/(4 sqrt(10) lambda) as lambda -> 1/2; both references are
+# mpmath's at 50 digits, at the float lambda
+@pytest.mark.parametrize("lam, a_minus", [
+    (0.999, 4994.999199199066373495941),
+    (0.9999, 49994.99991999750577809254),
+    (1.0 - 2.0**-52, 22517998136852474.99999999999999982236),
+])
+def test_boundary_law_minus_near_one_to_the_last_digits(lam, a_minus):
+    assert abs(ct.potts_boundary_laws(lam).a_minus - a_minus) <= 4e-16 * a_minus
+
+
+@pytest.mark.parametrize("lam, lower", [
+    (0.4999999, 1.686549359753517723162211e-07),
+    (0.5 - 2.0**-40, 1.533906547988158454130016e-12),
+])
+def test_potts_lower_root_near_half_to_the_last_digits(lam, lower):
+    (got, _), _ = ct.q5_potts_diagonal_solutions(lam)
+    assert abs(got - lower) <= 4e-16 * lower
 
 
 def test_boundary_law_lower_branch_merges_with_free():
-    bl = ct.potts_boundary_laws(5, 0.4999999)
+    bl = ct.potts_boundary_laws(0.4999999)
     assert bl is not None
     assert abs(bl.modes_minus[0]) < 1e-3
     assert abs(bl.modes_plus[0] - 0.47434) < 1e-3

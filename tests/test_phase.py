@@ -160,6 +160,12 @@ def test_jacobian_profile():
     # endpoint robustness: just inside the interval the solver must not fail
     edge = ct.jacobian_profile([4.0 / 9.0 + 1e-4])
     assert math.isfinite(edge[0][1])
+    # the float 4/9 lies below 4/9, where the lower branch does not exist yet
+    with pytest.raises(ct.ClockTreeError, match=r"lower branch exists for lambda in \[4/9, 1/2\), got 0.4444444444444444"):
+        ct.jacobian_profile([4.0 / 9.0])
+    with pytest.raises(ct.ClockTreeError, match="lower branch exists"):
+        ct.jacobian_profile([-math.inf])
+    assert math.isfinite(ct.jacobian_profile([math.nextafter(4.0 / 9.0, 1.0)])[0][1])
 
 
 def test_sweep_degenerate_grid():

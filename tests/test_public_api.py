@@ -3,19 +3,22 @@
 A name or a parameter joins or leaves the package only on purpose: the
 change that does it updates these lists and names it in CHANGES.md.
 """
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import clocktree as ct
+from clocktree import errors
 
 PUBLIC_NAMES = [
-    "AsymmetricVector", "BasisConvention", "BranchingEstimate", "Cayley", "ClockTreeError",
+    "AsymmetricVector", "BasisConvention", "Cayley", "ClockTreeError",
     "DegenerateQuartic", "DimensionMismatch", "EmptyChildren", "Evidence", "FeasibilityReport",
     "NormalizationUnderflow", "NotAProbability", "NotStochastic", "PhaseGrid", "PhasePoint",
-    "PottsBoundaryLaws", "ProbeResult", "QuarticAnalysis", "QuarticCoeffs", "RadicandNegative", "Regime",
-    "RootStructure", "RowAsymmetric", "SolutionSet", "SpectrumAsymmetric", "SphericallySymmetric",
-    "SymmetricDist", "TransferSpec", "TreeFamily", "UnsupportedQ", "UnsupportedTree", "Verdict", "ZeroRowEntry",
-    "a_norm", "apply_transfer", "basis_norms", "branching_estimate", "branching_number", "classify_point",
+    "PottsBoundaryLaws", "ProbeResult", "QuarticAnalysis", "QuarticCoeffs", "Regime",
+    "RootStructure", "RowAsymmetric", "SolutionSet", "SpectrumAsymmetric",
+    "SymmetricDist", "TransferSpec", "UnsupportedQ", "UnsupportedTree", "Verdict", "ZeroRowEntry",
+    "a_norm", "apply_transfer", "basis_norms", "classify_point",
     "classify_quartic", "displacement", "eigenvalues_from_row", "jacobian_profile", "linearization_residual",
     "make_potts", "make_potts_from_theta", "make_standard_clock", "mode_map", "mode_map_q4", "mode_map_q5",
     "potts_boundary_laws", "potts_lambda", "potts_theta", "potts_thresholds", "pt_probe", "q4_critical_line",
@@ -37,8 +40,6 @@ def test_public_names():
 PUBLIC_PARAMETERS = {
     "a_norm": ("q", "f", "convention"),
     "apply_transfer": ("spec", "dist"),
-    "branching_estimate": ("tree",),
-    "branching_number": ("tree",),
     "classify_point": ("q", "lambda1", "lambda2"),
     "classify_quartic": ("coeffs",),
     "displacement": ("lambda1", "lambda2", "alpha"),
@@ -51,7 +52,7 @@ PUBLIC_PARAMETERS = {
     "mode_map": ("q", "lambda1", "lambda2", "alpha"),
     "mode_map_q4": ("lambda1", "lambda2", "alpha"),
     "mode_map_q5": ("lambda1", "lambda2", "alpha"),
-    "potts_boundary_laws": ("q", "lam", "strict"),
+    "potts_boundary_laws": ("lam",),
     "potts_lambda": ("q", "theta"),
     "potts_theta": ("q", "lam"),
     "potts_thresholds": ("q", "d"),
@@ -84,3 +85,25 @@ def test_public_parameters():
         if not name.startswith("_") and inspect.isfunction(value)
     }
     assert parameters == PUBLIC_PARAMETERS
+
+
+def _raised_names(tree):
+    """The names raised by the `raise` statements of a module: `raise X(...)`, `raise errors.X`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_error_class_is_raised():
+    # an exception class nothing raises is an orphan that callers may still
+    # try to catch; each one in clocktree.errors is raised somewhere in src/
+    package = Path(ct.__file__).parent
+    raised = set()
+    for path in package.glob("*.py"):
+        raised.update(_raised_names(ast.parse(path.read_text(), str(path))))
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, Exception)}
+    assert classes and sorted(classes - raised) == []

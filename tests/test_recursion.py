@@ -20,26 +20,8 @@ from conftest import random_feasible_lambdas, random_symmetric_probability, recu
 # ---------------------------------------------------------------------------
 
 
-def test_branching_cayley():
-    assert ct.branching_number(ct.Cayley(2)) == 2.0
-    assert ct.branching_number(ct.Cayley(3)) == 3.0
-    est = ct.branching_estimate(ct.Cayley(2))
-    assert est.exact
-
-
-def test_branching_alternating():
-    # one child then four children, repeating: |level 2n| = 4^n, growth 2
-    tree = ct.SphericallySymmetric((1, 4))
-    est = ct.branching_estimate(tree)
-    assert abs(est.value - 2.0) < 1e-12
-    assert not est.exact and est.generations_used >= 20
-
-
-def test_branching_explicit_sequence():
-    tree = ct.SphericallySymmetric((2,) * 25, periodic=False)
-    assert abs(ct.branching_number(tree) - 2.0) < 1e-12
-    with pytest.raises(ct.UnsupportedTree):
-        ct.SphericallySymmetric((2, 3), periodic=False)
+def test_cayley_needs_two_children():
+    assert ct.Cayley(2).children == 2
     with pytest.raises(ct.UnsupportedTree):
         ct.Cayley(1)
 
@@ -179,12 +161,6 @@ def test_pt_probe_near_critical_is_undecided():
     # neutral point; the probe must say so instead of inventing a verdict
     res = ct.pt_probe(ct.spec_from_lambdas(4, 0.5, 0.3), ct.Cayley(2), levels=400, tol=1e-12)
     assert res.verdict is ct.Verdict.UNDECIDED
-
-
-def test_probe_requires_cayley():
-    spec = ct.spec_from_lambdas(4, 0.5, 0.3)
-    with pytest.raises(ct.UnsupportedTree):
-        ct.rpt_probe(spec, ct.SphericallySymmetric((1, 4)), u=0.5)
 
 
 def test_probe_distance_sequence_shape():
