@@ -3,7 +3,8 @@
 Subcommands wrap the library one-to-one and emit deterministic CSV (fixed
 ordering, floats with 17 significant digits so re-parsing is lossless, LF
 line endings) or a self-contained SVG for phase diagrams.  Exit codes:
-0 success, 1 verified-infeasible input under --strict, 2 usage error.
+0 success, 1 verified-infeasible input under --strict, 2 usage error,
+141 (128 + SIGPIPE) when the reader closed the output early.
 
 `_COMMANDS` declares every subcommand and flag once.  A well-formed command
 line (a command, then exact flags each with its value) is read straight
@@ -17,6 +18,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -38,6 +40,7 @@ from .fixedpoint import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x: float) -> str:
@@ -146,8 +149,8 @@ def _classify_row(lambda2: float) -> str:
         analysis = q5_quartic_analysis(lambda2)
     except DegenerateQuartic:
         return f"{_fmt(lambda2)},0,0,0,0,0,0,0,0,0,DEGENERATE_ZERO,"
-    # the columns are those of the quartic itself, even where its invariants
-    # or coefficients underflowed and the structure came from the quartic
+    # the columns are those of the quartic itself, even where its
+    # coefficients underflowed and the structure came from the quartic
     # divided by lambda2^2: only there are its invariants computed again
     c = q5_quartic_coeffs(lambda2)
     if analysis.coeffs == c:
@@ -597,10 +600,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         _validate_numeric(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ClockTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away (`clocktree sweep | head`); the interpreter's
+        # final flush of stdout would raise again, so it flushes into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def _validate_numeric(args) -> None:

@@ -325,12 +325,11 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     """Root structure and real roots of q_{lambda2} at a nonzero lambda2.
 
     The coefficients all carry lambda2^2, so they lose digits to underflow
-    below |lambda2| of about 1e-155 and vanish below about 1e-162.  For
-    |lambda2| below about 1e-26 the quartic divided by lambda2^2 is
-    classified instead: dividing by a positive number changes neither the
-    roots nor the signs of the invariants.  Elsewhere q_{lambda2} itself is
-    classified, because the divided quartic's roots can differ from its
-    roots in the last digits.  Raises DegenerateQuartic at lambda2 = 0,
+    below |lambda2| of about 5e-155 and vanish below about 1e-162.  There
+    the quartic divided by lambda2^2 is classified instead: dividing by a
+    positive number changes neither the roots nor the signs of the
+    invariants.  Elsewhere q_{lambda2} itself, whose coefficients `classify`
+    prints, is classified.  Raises DegenerateQuartic at lambda2 = 0,
     where the quartic vanishes identically, and ClockTreeError from
     |lambda2| of about 1.5875e12, where the invariants' terms, of degree 24
     in lambda2, or the coefficients overflow.
@@ -341,11 +340,10 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
         coeffs = q5_quartic_coeffs(lambda2)
     except OverflowError as exc:  # a power of lambda2 past the largest float
         raise ClockTreeError(f"the quartic's coefficients overflow at lambda2 = {lambda2!r}") from exc
-    # the switch sits where the float invariants, of degree 6 in the
-    # coefficients, near underflow; the exact signs need it only where the
-    # coefficients themselves underflow, below |lambda2| of about 1e-155
-    scale = max(abs(x) for x in coeffs.as_array())
-    if scale < 1.0 and 1e-12 * scale**6 < sys.float_info.min:
+    # a coefficient below the smallest normal float has underflowed, unless
+    # the quartic is large: e cancels to 0.0 at lambda2 = 0.5
+    magnitudes = np.abs(coeffs.as_array())
+    if magnitudes.max() < 1.0 and magnitudes.min() < sys.float_info.min:
         coeffs = _q5_reduced_quartic(lambda2)
     return classify_quartic(coeffs)
 
@@ -918,15 +916,20 @@ def q5_potts_diagonal_solutions(lam: float) -> Optional[tuple[tuple[float, float
     exist exactly for lam >= 4/9.  With r = `_potts_root(lam)` the upper root
     is (3*lam + r)/(4*sqrt(10)*lam) and the lower one, by Vieta's product,
     4*(1 - 2*lam)/(sqrt(10)*lam*(3*lam + r)), neither of which cancels.
-    Returns ((lower, lower), (upper, upper)) or None below the existence
-    interval.
+    From lam = 1 up both are divided through by lam, as their products
+    overflow from about 3e153.  Returns ((lower, lower), (upper, upper)) or
+    None below the existence interval.
     """
-    r = _potts_root(lam)
-    if r is None:
+    if 1.0 <= lam < math.inf:
+        s = 3.0 + math.sqrt((9.0 - 4.0 / lam) * (1.0 + 4.0 / lam))
+        lower = 4.0 * (1.0 / lam - 2.0) / (SQRT10 * s) / lam
+        upper = s / (4.0 * SQRT10)
+    elif (r := _potts_root(lam)) is None:
         return None
-    s = 3.0 * lam + r
-    lower = 4.0 * (1.0 - 2.0 * lam) / (SQRT10 * lam * s)
-    upper = s / (4.0 * SQRT10 * lam)
+    else:
+        s = 3.0 * lam + r
+        lower = 4.0 * (1.0 - 2.0 * lam) / (SQRT10 * lam * s)
+        upper = s / (4.0 * SQRT10 * lam)
     return ((lower, lower), (upper, upper))
 
 

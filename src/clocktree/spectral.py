@@ -3,14 +3,16 @@
 A generalized clock model on q states is defined by a stochastic circulant
 matrix M whose first row r is reflection symmetric and non-increasing in the
 circle distance.  M is diagonal in the Fourier basis, so it is equivalently
-described by its real eigenvalue spectrum
+described by its real eigenvalue spectrum.  Row and spectrum are both
+reflection symmetric (r_k = r_{q-k}, lambda_j = lambda_{q-j}), so the sines
+of the discrete Fourier transform cancel and both directions are cosine sums:
 
-    lambda_j = sum_k r_k exp(-2*pi*i*j*k/q),   lambda_0 = 1,
-    r_l      = (1/q) sum_k lambda_k exp(2*pi*i*l*k/q),
+    lambda_j = sum_k r_k cos(2*pi*j*k/q),          lambda_0 = 1,
+    r_l      = (1/q) sum_k lambda_k cos(2*pi*l*k/q).
 
-with lambda_j = lambda_{q-j}.  The Potts model (row proportional to
-(e^beta, 1, ..., 1)) and the standard clock model (row proportional to
-exp(J*cos(2*pi*j/q))) are the limiting members of the family.
+The Potts model (row proportional to (e^beta, 1, ..., 1)) and the standard
+clock model (row proportional to exp(J*cos(2*pi*j/q))) are the limiting
+members of the family.
 
 Single-site marginals live in the reflection-symmetric probability simplex
 and are stored by their NORMALIZED Fourier modes alpha_1..alpha_{floor(q/2)}
@@ -45,24 +47,11 @@ from .errors import (
 ROW_TOL = 1e-12
 
 
-# The transforms multiply by cached per-q tables instead of summing complex
-# exponentials in a loop (the tests keep that loop as the reference).  Each
-# table is one array expression whose entries equal the loop's scalar ones
-# bit for bit, signed zeros included, for every q in 3..64, so the products
-# reproduce the loop.  The spectrum reads the cosine table of `basis`; the
-# row keeps the complex exponential, since a cos/sin table moves the last
-# ulp of the row for q = 6, 9-15, 17-31, 33, ..., and the CLI prints 17
-# digits.
-
-
-@functools.lru_cache(maxsize=64)
-def _row_table(q: int) -> np.ndarray:
-    """Stacked (2q x q) table: Re, then Im, of exp(2j*pi*l*k/q)."""
-    k = np.arange(q)
-    z = np.exp(2j * math.pi * k[:, None] * k / q)
-    table = np.concatenate([z.real, z.imag])
-    table.setflags(write=False)
-    return table
+# Both transforms multiply by the cached cosine table of `basis` instead of
+# summing complex exponentials in a loop (the tests keep those loops as the
+# reference).  Its entries equal the real parts of the loops' scalar
+# exponentials bit for bit, signed zeros included, for every q in 3..64, so
+# the products reproduce the loops' real parts.
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,8 +70,8 @@ def _sequential_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     The sums start from +0.0 and add the columns left to right, the order of
     a scalar loop: `x @ table.T` and `np.sum` group the terms differently
     (pairwise for q >= 8) and change the last ulp, and the CLI prints 17
-    digits.  Accumulating column by column keeps the temporaries at (n, 2q)
-    instead of broadcasting an (n, 2q, q) product.
+    digits.  Accumulating column by column keeps the temporaries at (n, q)
+    instead of broadcasting an (n, q, q) product.
     """
     out = np.zeros((x.shape[0], table.shape[0]))
     for k in range(table.shape[1]):
@@ -90,21 +79,15 @@ def _sequential_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_above_tol(values) -> int | None:
-    """Index of the first |value| > ROW_TOL, or None (NaN never counts).
+def _first_asymmetry(v: np.ndarray) -> int | None:
+    """Smallest k >= 1 with |v[k] - v[q-k]| > ROW_TOL, or None (NaN never counts).
 
     A plain loop: for q <= 64 it beats a chain of small numpy calls.
     """
-    for k, v in enumerate(values):
-        if abs(v) > ROW_TOL:
+    for k, d in enumerate((v[1:] - v[:0:-1]).tolist(), start=1):
+        if abs(d) > ROW_TOL:
             return k
     return None
-
-
-def _first_asymmetry(v: np.ndarray) -> int | None:
-    """Smallest k >= 1 with |v[k] - v[q-k]| > ROW_TOL, or None."""
-    k = _first_above_tol((v[1:] - v[:0:-1]).tolist())
-    return None if k is None else k + 1
 
 
 def _symmetrize(v: np.ndarray) -> None:
@@ -112,10 +95,9 @@ def _symmetrize(v: np.ndarray) -> None:
     v[..., 1:] = 0.5 * (v[..., 1:] + v[..., :0:-1])
 
 
-def _raw_rows(q: int, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r_l before symmetrization, imaginary parts) of each spectrum in an (n, q) batch."""
-    sums = _sequential_rows(_row_table(q), spectra)
-    return sums[:, :q] / q, sums[:, q:]
+def _raw_rows(q: int, spectra: np.ndarray) -> np.ndarray:
+    """r_l before symmetrization of each spectrum in an (n, q) batch."""
+    return _sequential_rows(_cosine_table(q), spectra) / q
 
 
 def _finish_rows(rows: np.ndarray) -> np.ndarray:
@@ -129,16 +111,13 @@ def _finish_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
-    """First row of the circulant, r_l = (1/q) sum_k lambda_k e^{2*pi*i*l*k/q}.
+    """First row of the circulant, r_l = (1/q) sum_k lambda_k cos(2*pi*l*k/q).
 
     A batch of one of the grid transform (`_raw_rows`, `_finish_rows`): one
-    product with a cached per-q table holding the real and imaginary parts of
-    e^{2*pi*i*l*k/q}, summed left to right (`_sequential_rows`), so the row
-    equals a direct complex summation bit for bit.  The imaginary
-    parts are analytically zero by the symmetry lambda_j = lambda_{q-j}; they
-    are asserted below 1e-12 and discarded, after the row entries are
-    checked: the rounding of the imaginary parts grows with |lambda|, so a
-    huge spectrum is named for its negative row entry, not for them.
+    product with the cosine table of `basis`, summed left to right
+    (`_sequential_rows`), so the row equals the real part of a direct
+    complex summation bit for bit.  The spectrum is checked for symmetry
+    first, pair by pair; the imaginary parts it cancels are never formed.
 
     Raises SpectrumAsymmetric for asymmetric spectra, NotStochastic for a
     non-finite eigenvalue, a row whose sums overflow, or when a row entry
@@ -156,24 +135,21 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
             f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        raw, imag = _raw_rows(q, lam[None, :])
-    if not (np.isfinite(raw).all() and np.isfinite(imag).all()):
+        raw = _raw_rows(q, lam[None, :])
+    if not np.isfinite(raw).all():
         raise NotStochastic(f"the row of {lam.tolist()!r} overflows the largest float")
     lowest = raw.min()
     if lowest < -ROW_TOL:
         raise NotStochastic(f"row entry {raw.argmin()} = {lowest:.6e} below -1e-12")
-    l = _first_above_tol(imag[0].tolist())
-    if l is not None:
-        raise SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[0, l]:.3e}")
     return _finish_rows(raw)[0]
 
 
 def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
-    """Spectrum lambda_j = sum_k r_k e^{-2*pi*i*j*k/q} of a symmetric probability row.
+    """Spectrum lambda_j = sum_k r_k cos(2*pi*j*k/q) of a symmetric probability row.
 
     Like `row_from_eigenvalues`: one sequential product with the cosine
-    table of `basis`, equal bit for bit to a direct complex summation loop.  A
-    non-finite entry raises NotAProbability.
+    table of `basis`, equal bit for bit to the real part of a direct complex
+    summation loop.  A non-finite entry raises NotAProbability.
     """
     r = np.asarray(row, dtype=float)
     if r.shape != (q,):
@@ -333,9 +309,9 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
 
     The batched form of `validate_non_increasing(spec_from_lambdas(q, l1, l2))`
     in which a spectrum without a valid row is infeasible.  It runs the same
-    transform and every check of that path, with the same operations in the
-    same order: no raw row entry below -1e-12, imaginary parts at most 1e-12,
-    symmetrize and clamp, row sum within 1e-12 of 1, then
+    cosine transform and every check of that path, with the same operations
+    in the same order: no raw row entry below -1e-12, symmetrize and clamp,
+    row sum within 1e-12 of 1, then
     r_0 >= ... >= r_{q//2} >= 0 and lambda1 >= lambda2, each with 1e-12 slack.
     A non-finite lambda is infeasible, as `row_from_eigenvalues` refuses it.
     """
@@ -350,9 +326,8 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
         raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
     # a huge lambda makes infinite or NaN entries, which fail the checks
     with np.errstate(all="ignore"):
-        raw, imag = _raw_rows(q, spectra)
+        raw = _raw_rows(q, spectra)
         ok = np.isfinite(l1) & np.isfinite(l2) & ~(raw.min(axis=1) < -ROW_TOL)
-        ok &= ~(np.abs(imag) > ROW_TOL).any(axis=1)
         rows = _finish_rows(raw)
         ok &= ~(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL)
     half = q // 2
@@ -382,9 +357,9 @@ def feasibility_breakpoints(q: int, lambda1) -> np.ndarray:
     2 lambda1 - 1, -lambda1 and lambda1).  Each root is taken from the
     closed-form coefficients, never from two evaluations of the row, which
     would cancel at large |lambda1|.  The 1e-12 slacks move a root by less
-    than 1e-11.  The imaginary parts and the row sum need no breakpoint:
-    they fail only where |lambda| is about 4e3 or more, outside the bounded
-    feasible polygon, where one of the compared quantities already fails.
+    than 1e-11.  The row sum needs no breakpoint: it fails only where
+    |lambda| is about 2e3 or more, outside the bounded feasible polygon,
+    where one of the compared quantities already fails.
     A root that overflows is +-inf.
     """
     if q not in _ROW_FORMS:

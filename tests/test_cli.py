@@ -287,6 +287,19 @@ def test_classify_tiny_lambda2_is_not_degenerate(capsys):
                            "8.0000000000000009e-60"]
 
 
+def test_classify_row_lists_a_multiple_root_once_per_multiplicity(capsys, monkeypatch):
+    # no lambda2 is known whose rounded quartic has a multiple real root, so
+    # the row is fed (x-1)^2 (x+1)(x-2) = x^4 - 3x^3 + x^2 + 3x - 2
+    from clocktree.fixedpoint import QuarticCoeffs, classify_quartic
+
+    analysis = classify_quartic(QuarticCoeffs(1.0, -3.0, 1.0, 3.0, -2.0, lambda2=0.3))
+    monkeypatch.setattr(cli, "q5_quartic_analysis", lambda lambda2: analysis)
+    code, out = run_cli(capsys, "classify", "--lambda2", "0.3")
+    assert code == 0
+    fields = out.strip().split("\n")[1].split(",")
+    assert fields[10:] == ["DOUBLE_ROOT_PLUS(2)", "-1;1;1;2"]
+
+
 def test_classify_just_above_the_discriminant_roots(capsys):
     # 0.370749 lies about 1e-6 above the first root of Delta, 0.494119 about
     # 1.6e-9 above the second: two and four simple real roots
@@ -984,3 +997,18 @@ def test_the_cli_imports_neither_fractions_nor_decimal():
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # `clocktree sweep --q 4 --res 200 | head -2` printed a BrokenPipeError
+    # traceback and exited 1, the code of an infeasible matrix under --strict
+    env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "clocktree", "sweep", "--q", "4", "--res", "200"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"lambda1,lambda2,feasible,regime,n_nontrivial\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert (proc.returncode, stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141

@@ -7,8 +7,10 @@ by a threshold on the imaginary parts.
 """
 import itertools
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -21,6 +23,7 @@ from clocktree.fixedpoint import (
     DEDUP_TOL,
     _assemble,
     _invariant_terms,
+    _q5_reduced_quartic,
     _residual,
     _verify_candidates,
     q4_solution_counts,
@@ -438,6 +441,18 @@ def test_q5_critical_counts_just_above_the_discriminant_roots():
     assert want == [2, 4]
 
 
+def test_the_printed_quartic_is_classified_until_a_coefficient_underflows():
+    # the switch to the quartic divided by lambda2^2 sat at |lambda2| of
+    # about 1.95e-26, where float invariants once underflowed: below it,
+    # `classify` printed one quartic's coefficients and another's structure.
+    # e = 8 lambda2^2 + ... leaves the normal floats between 6e-155 and
+    # 5e-155; at 0.5 and 0.8 a coefficient cancels to 0.0 instead
+    for l2 in (1e-25, 1e-30, -1e-100, 6e-155, 0.5, 0.8):
+        assert ct.q5_quartic_analysis(l2).coeffs == ct.q5_quartic_coeffs(l2)
+    for l2 in (5e-155, -1e-160, 5e-324):
+        assert ct.q5_quartic_analysis(l2).coeffs == _q5_reduced_quartic(l2)
+
+
 def test_q5_tiny_lambda2_trivial_only():
     # the quartic's coefficients underflow to 0 below lambda2 ~ 1e-162 and its
     # invariants below ~1e-26; neither makes the quartic degenerate
@@ -708,6 +723,22 @@ def test_boundary_law_minus_near_one_to_the_last_digits(lam, a_minus):
 def test_potts_lower_root_near_half_to_the_last_digits(lam, lower):
     (got, _), _ = ct.q5_potts_diagonal_solutions(lam)
     assert abs(got - lower) <= 4e-16 * lower
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 1e10, 3e153, 3.2e153, 4.5e153, 1e300, sys.float_info.max])
+def test_potts_diagonal_roots_at_large_lambda_to_the_last_digits(lam):
+    # sqrt(10)*lam*(3*lam + r) overflowed from about 3.1e153, which made the
+    # lower root -0.0, and r^2 from about 4.5e153, which made the upper one
+    # inf; at the largest float 9*lam - 4 overflowed its division.  The true
+    # roots tend to -0.4216/lam and 3/(2 sqrt(10)).  mpmath at 50 digits, at
+    # the float lam; the lower root at the largest float is subnormal.
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        s = 3 * x + mpmath.sqrt((9 * x - 4) * (x + 4))
+        want = (4 * (1 - 2 * x) / (mpmath.sqrt(10) * x * s), s / (4 * mpmath.sqrt(10) * x))
+    (lower, _), (upper, _) = ct.q5_potts_diagonal_solutions(lam)
+    for got, root in zip((lower, upper), want):
+        assert abs(got - root) <= 4e-16 * abs(root) + math.ulp(0.0)
 
 
 def test_boundary_law_lower_branch_merges_with_free():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree.basis import _cosine_table, a_norm, basis_norms, raw_basis_vector, raw_coefficients
-from clocktree.spectral import _row_table, feasible_lambdas
+from clocktree.spectral import feasible_lambdas
 
 from conftest import (
     circulant_matrix,
@@ -313,24 +313,21 @@ def test_lambda0_exact():
 
 
 def _loop_row_from_eigenvalues(q, eigenvalues):
-    """Reference: complex DFT loop over numpy-int k, as the tables must reproduce."""
+    """Reference: the real part of a complex DFT loop over Python-int k."""
     lam = np.asarray(eigenvalues, dtype=float)
     for j in range(1, q):
         if abs(lam[j] - lam[q - j]) > 1e-12:
             raise ct.SpectrumAsymmetric(
                 f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
             )
-    row, imag = np.empty(q), np.empty(q)
+    row = np.empty(q)
     for l in range(q):
         total = complex(0.0)
-        for kk in np.arange(q):
+        for kk in range(q):
             total += lam[kk] * np.exp(2j * math.pi * l * kk / q)
-        row[l], imag[l] = total.real / q, total.imag
+        row[l] = total.real / q
     if row.min() < -1e-12:
         raise ct.NotStochastic(f"row entry {row.argmin()} = {row.min():.6e} below -1e-12")
-    for l in range(q):
-        if abs(imag[l]) > 1e-12:
-            raise ct.SpectrumAsymmetric(f"row entry {l} has imaginary part {imag[l]:.3e}")
     for l in range(1, q // 2 + 1):
         m = 0.5 * (row[l] + row[q - l]) if l != q - l else row[l]
         row[l] = m
@@ -405,13 +402,14 @@ def test_transforms_bit_identical_to_loops(rng):
 
 
 def test_transform_tables_hold_the_loops_scalar_entries():
-    # each table entry is the loops' scalar exponential, bit for bit with
-    # signed zeros, for every q a TransferSpec accepts
+    # each entry of the one cosine table is the real part of both loops'
+    # scalar exponentials, bit for bit with signed zeros, for every q a
+    # TransferSpec accepts
     for q in range(3, 65):
         spectrum = [[np.exp(-2j * math.pi * j * kk / q).real for kk in range(q)] for j in range(q)]
         assert _same_bits(_cosine_table(q), spectrum)
-        row = [[np.exp(2j * math.pi * l * kk / q) for kk in np.arange(q)] for l in range(q)]
-        assert _same_bits(_row_table(q), [[z.real for z in r] for r in row] + [[z.imag for z in r] for r in row])
+        row = [[np.exp(2j * math.pi * l * kk / q).real for kk in range(q)] for l in range(q)]
+        assert _same_bits(_cosine_table(q), row)
         assert all(_same_bits(raw_basis_vector(q, j), spectrum[j]) for j in range(q))
 
 
@@ -430,6 +428,13 @@ def test_potts_and_clock_bit_identical_to_loops():
             assert _same_bits(spec.eigenvalues, _loop_eigenvalues_from_row(q, row))
 
 
+def test_an_exactly_symmetric_spectrum_is_not_refused_as_asymmetric():
+    # both were refused for an imaginary part of 1.455e-11: 1e5 times the
+    # rounding of the sines, which cancel only analytically
+    assert ct.row_from_eigenvalues(4, [1e6, 1e5, 1e5, 1e5]).tolist() == [325000.0, 225000.0, 225000.0, 225000.0]
+    assert ct.row_from_eigenvalues(5, [1e6] + [1e5] * 4).tolist() == [280000.0] + [180000.0] * 4
+
+
 def test_transform_errors_name_first_offending_index():
     q = 7
     lam = np.array([1.0, 0.3, 0.2, 0.1, 0.15, 0.25, 0.3])  # lambda_2 and lambda_3 both asymmetric
@@ -437,17 +442,13 @@ def test_transform_errors_name_first_offending_index():
     assert want[0] is ct.SpectrumAsymmetric and "lambda_2 =" in want[1]
     _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
     lam = np.array([1.0, 0.3, 0.2, 0.1, 0.1, 0.2, 0.3])
-    lam[1:4] += 0.9e-12  # within the symmetry slack, yet imaginary parts above 1e-12
+    lam[1:4] += 0.9e-12  # within the symmetry slack: the row of its cosine sums
     want = _outcome(_loop_row_from_eigenvalues, q, lam)
-    assert want[0] is ct.SpectrumAsymmetric and "imaginary part" in want[1]
+    assert not isinstance(want, tuple)
     _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
     lam = np.array([1.0, 0.9, -0.9, -0.9, -0.9, -0.9, 0.9])  # several negative row entries
     want = _outcome(_loop_row_from_eigenvalues, q, lam)
     assert want[0] is ct.NotStochastic
-    _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
-    lam[1:4] += 0.9e-12  # and imaginary parts above 1e-12: the negative entry is named first
-    want = _outcome(_loop_row_from_eigenvalues, q, lam)
-    assert want[0] is ct.NotStochastic and "row entry " in want[1]
     _assert_same(_outcome(ct.row_from_eigenvalues, q, lam), want)
     row = np.array([0.4, 0.1, 0.05, 0.15, 0.1, 0.1, 0.1])  # r_2 and r_3 both asymmetric
     want = _outcome(_loop_eigenvalues_from_row, q, row)
@@ -457,6 +458,58 @@ def test_transform_errors_name_first_offending_index():
     want = _outcome(_loop_eigenvalues_from_row, q, row)
     assert want[0] is ct.NotAProbability and "row entry 2 " in want[1]
     _assert_same(_outcome(ct.eigenvalues_from_row, q, row), want)
+
+
+# ---------------------------------------------------------------------------
+# the row's imaginary parts never decide an outcome
+# ---------------------------------------------------------------------------
+
+
+def _imaginary_parts_refused(q, spectra):
+    """Whether some sum_k lambda_k sin(2*pi*l*k/q) of each spectrum in an (n, q) batch exceeds 1e-12.
+
+    The imaginary half of the complex row table, summed left to right, and
+    the refusal it once fed; a NaN part never counted.
+    """
+    k = np.arange(q)
+    table = np.exp(2j * math.pi * k[:, None] * k / q).imag
+    parts = np.zeros((len(spectra), q))
+    with np.errstate(all="ignore"):
+        for kk in range(q):
+            parts += spectra[:, kk, None] * table[:, kk]
+        return (np.abs(parts) > 1e-12).any(axis=1)
+
+
+def test_the_imaginary_parts_never_decide_feasibility(rng):
+    # the refusal fires only where some |lambda| > 10 (from about 850 up),
+    # and no point there is feasible: feasibility is the same without it
+    for q in (4, 5):
+        for _ in range(5):
+            scale = 10.0 ** rng.uniform(0.0, 300.0, 200_000)
+            l1, l2 = scale * rng.uniform(-1.0, 1.0, (2, len(scale)))
+            middle = [l1, l2, l1] if q == 4 else [l1, l2, l2, l1]
+            refused = _imaginary_parts_refused(q, np.stack([np.ones_like(l1), *middle], axis=1))
+            large = np.maximum(np.abs(l1), np.abs(l2)) > 10.0
+            assert refused.any() and not (refused & ~large).any()
+            assert not (feasible_lambdas(q, l1, l2) & large).any()
+
+
+def test_the_imaginary_parts_never_refuse_an_exactly_symmetric_spectrum(rng):
+    # lambda_0 = 1: the spectra of random symmetric rows, and random spectra
+    # up to |lambda| = 1e200.  The refusal came after the overflow and the
+    # negative-entry checks, so it decided only where a row comes back.
+    for q in range(3, 65):
+        rows = [ct.eigenvalues_from_row(q, random_symmetric_row(rng, q)) for _ in range(100)]
+        half = rng.uniform(-1.0, 1.0, (100, q // 2 + 1)) * 10.0 ** rng.uniform(-1.0, 200.0, (100, 1))
+        drawn = np.concatenate([half, half[:, (q - 1) // 2:0:-1]], axis=1)
+        spectra = np.concatenate([rows, drawn])
+        spectra[:, 0] = 1.0
+        for lam, refused in zip(spectra, _imaginary_parts_refused(q, spectra)):
+            outcome = _outcome(ct.row_from_eigenvalues, q, lam)
+            if isinstance(outcome, tuple):
+                assert outcome[0] is not ct.SpectrumAsymmetric
+            else:
+                assert not refused
 
 
 # ---------------------------------------------------------------------------

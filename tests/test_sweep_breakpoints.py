@@ -221,7 +221,7 @@ def test_feasibility_breakpoints_are_the_roots_of_the_compared_quantities():
     for l1 in (-0.25, 0.1, 0.45, 0.7):
         b = feasibility_breakpoints(5, np.array([l1]))[0]
         spectra = np.stack([np.ones(6), np.full(6, l1), b, b, np.full(6, l1)], axis=1)
-        raw, _ = _raw_rows(5, spectra)
+        raw = _raw_rows(5, spectra)
         quantities = [raw[0, 0], raw[1, 1], raw[2, 2], raw[3, 0] - raw[3, 1], raw[4, 1] - raw[4, 2], l1 - b[5]]
         assert max(map(abs, quantities)) < 1e-15
 
