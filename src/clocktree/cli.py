@@ -3,8 +3,9 @@
 Subcommands wrap the library one-to-one and emit deterministic CSV (fixed
 ordering, floats with 17 significant digits so re-parsing is lossless, LF
 line endings) or a self-contained SVG for phase diagrams.  Exit codes:
-0 success, 1 verified-infeasible input under --strict, 2 usage error,
-141 (128 + SIGPIPE) when the reader closed the output early.
+0 success, 1 verified-infeasible input under --strict, 2 usage error or an
+--out/--svg file that cannot be opened, written or closed, 141 (128 +
+SIGPIPE) when the reader of standard output closed it early.
 
 `_COMMANDS` declares every subcommand and flag once.  A well-formed command
 line (a command, then exact flags each with its value) is read straight
@@ -47,18 +48,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# the buffer of an output file: a 2.3 MB sweep CSV reaches the file in about
+# 40 writes, not one per row, and a probe's CSV in one, when it is closed
+_OUT_BUFFER_BYTES = 1 << 16
+
+
 @contextlib.contextmanager
 def _output(out_path: Optional[str]) -> Iterator[TextIO]:
-    """The file at out_path, written with LF line endings, or standard output; only a failed open is a usage error."""
-    if out_path:
-        try:
-            fh = open(out_path, "w", newline="\n")
-        except OSError as exc:
-            raise ClockTreeError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-        with fh:
-            yield fh
-    else:
+    """The file at out_path, written with LF line endings through a 64 KiB buffer, or standard output.
+
+    A file that cannot be opened, written or closed (the buffer reaches the
+    file on close) is a usage error naming the path and the reason; standard
+    output is left to `main`, which answers a reader that went away.
+    """
+    if not out_path:
         yield sys.stdout
+        return
+    try:
+        with open(out_path, "w", newline="\n", buffering=_OUT_BUFFER_BYTES) as fh:
+            yield fh
+    except OSError as exc:
+        raise ClockTreeError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
@@ -197,27 +207,34 @@ def cmd_sweep(args) -> int:
     # The grid holds its answers as runs of equal (feasible, regime,
     # n_nontrivial) that never cross a lambda1 row, so the writer reads the
     # runs, not the points.  Each axis value is formatted once (a memo keyed
-    # by the float would merge -0.0 with 0.0, which print differently), each
-    # distinct answer's "lambda2,feasible,regime,n_nontrivial" cells once for
-    # the whole lambda2 axis, and a row joins its runs' slices of those cells
-    # with "lambda1,": one join per run, then one for the row.
+    # by the float would merge -0.0 with 0.0, which print differently), and
+    # each distinct answer's "lambda2,feasible,regime,n_nontrivial" cells
+    # once for the whole lambda2 axis, when the answer first appears.  A row
+    # gathers its runs' slices of those cells and joins them with "lambda1,"
+    # in one join, written one lambda1 row at a time, so the text of the
+    # whole grid is never held.  The runs are read lazily from the columns,
+    # with no object kept per run, so a sweep keeps too few objects alive at
+    # once to start the garbage collector.
     m = len(grid.lambda2)
     col = grid.starts[:-1] % m
-    end = col + np.diff(grid.starts)
-    answers = list(zip(grid.run_feasible.tolist(), grid.run_regime.tolist(), grid.run_n_nontrivial.tolist()))
+    runs = zip(
+        grid.run_feasible.tolist(), grid.run_regime.tolist(), grid.run_n_nontrivial.tolist(),
+        col.tolist(), (col + np.diff(grid.starts)).tolist(),
+    )
+    row_runs = np.diff(np.flatnonzero(col == 0), append=len(col)).tolist()
     l2_text = [_fmt(l2) for l2 in grid.lambda2]
     cells = {}
-    for f, c, n in set(answers):
-        tail = f"{'true' if f else 'false'},{grid.regimes[c].value},{n}\n"
-        cells[f, c, n] = [f"{t2},{tail}" for t2 in l2_text]
-    runs = list(zip(answers, col.tolist(), end.tolist()))
-    bounds = np.flatnonzero(col == 0).tolist() + [len(runs)]
-    # written one lambda1 row at a time, so the text of the whole grid is never held
     with _output(args.out) as fh:
         fh.write("lambda1,lambda2,feasible,regime,n_nontrivial\n")
-        for t1, lo, hi in zip(map(_fmt, grid.lambda1), bounds, bounds[1:]):
-            prefix = t1 + ","
-            fh.write(prefix + prefix.join([prefix.join(cells[k][a:b]) for k, a, b in runs[lo:hi]]))
+        for t1, n_runs in zip(map(_fmt, grid.lambda1), row_runs):
+            row = [""]
+            for f, c, n, a, b in itertools.islice(runs, n_runs):
+                answer = cells.get((f, c, n))
+                if answer is None:
+                    tail = f"{'true' if f else 'false'},{grid.regimes[c].value},{n}\n"
+                    answer = cells[f, c, n] = [f"{t2},{tail}" for t2 in l2_text]
+                row += answer[a:b]
+            fh.write((t1 + ",").join(row))
     return EXIT_OK
 
 

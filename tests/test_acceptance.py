@@ -183,14 +183,14 @@ def test_q5_line_time_bound():
 
 def test_q4_sweep_csv_time_bound(tmp_path):
     # criterion 6's grid through the CLI, its CSV written to a file, pinned
-    # at 3.5x or more of its median (13-28 ms on a 2-core Xeon, 16 ms median
-    # over 12 fresh runs of the file; 25 ms median when the CSV was written
-    # one f-string per cell)
+    # at 3.5x or more of its median (4.9-13.9 ms on a 2-core Xeon, 5.8 ms
+    # median over 12 fresh runs of the file; 25 ms median when the CSV was
+    # written one f-string per cell)
     out = tmp_path / "q4.csv"
     start = time.perf_counter()
     code = main(["sweep", "--q", "4", "--res", "200", "--out", str(out)])
     elapsed = time.perf_counter() - start
-    ok = code == 0 and out.read_bytes().count(b"\n") == 1 + 200 * 200 and elapsed < 0.06
+    ok = code == 0 and out.read_bytes().count(b"\n") == 1 + 200 * 200 and elapsed < 0.021
     _report("q4-sweep-csv-time", ok, f"res=200 t={elapsed * 1e3:.1f}ms")
 
 

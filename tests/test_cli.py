@@ -1,5 +1,6 @@
 """CLI: flags, CSV schemas, determinism, SVG well-formedness, exit codes."""
 import contextlib
+import errno
 import io
 import math
 import os
@@ -418,6 +419,30 @@ def test_sweep_csv_allocation_stays_with_the_runs(tmp_path, q):
     assert peak < 8 * 2**20
 
 
+# a fresh interpreter's sweep, with every collection of the garbage collector counted
+_COUNT_COLLECTIONS = """
+import gc, os, sys
+from clocktree.cli import main
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info["generation"]))
+code = main(["sweep", "--q", sys.argv[1], "--res", sys.argv[2], "--out", os.devnull])
+print(code, len(passes))
+"""
+
+
+@pytest.mark.parametrize("q, res", [(4, 200), (4, 1000), (5, 200), (5, 1000)])
+def test_a_sweep_starts_no_garbage_collection(q, res):
+    # the CSV writer keeps no object per run: with two lists of one tuple per
+    # run it started a generation-1 collection in every sweep (about 1-2 ms
+    # at res 200), and 2 of them plus 19 generation-0 ones at q = 4, res 1000
+    env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_COLLECTIONS, str(q), str(res)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "0 0\n"
+
+
 @pytest.mark.parametrize("q", [4, 5])
 def test_sweep_svg_allocation_stays_with_the_runs(tmp_path, q):
     # the phase diagram of a res-1000 grid is one rect per run, under the
@@ -565,10 +590,23 @@ def test_an_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
-def test_a_failed_write_is_not_a_usage_error(capsys):
-    # only opening the output is a usage error; a write that fails later is not
-    with pytest.raises(OSError):
-        main(["matrix", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--out", "/dev/full"])
+def test_a_failed_write_or_close_is_usage_error(capsys):
+    # a write that failed after the open printed a traceback and exited 1,
+    # the code of an infeasible matrix under --strict.  The res-200 CSV fails
+    # in a write; the smaller outputs fit the file's buffer and fail when it
+    # is flushed on close
+    full = "/dev/full"
+    for argv in (
+        ["sweep", "--q", "4", "--res", "200", "--out", full],
+        ["sweep", "--q", "4", "--res", "20", "--out", full],
+        ["sweep", "--q", "4", "--res", "20", "--svg", full],
+        ["probe", "--q", "4", "--lambda1", "0.6", "--lambda2", "0.2", "--out", full],
+        ["matrix", "--q", "4", "--lambda1", "0.3", "--lambda2", "0.1", "--out", full],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == f"error: cannot write {full}: {os.strerror(errno.ENOSPC)}\n", argv
 
 
 def test_usage_errors(capsys):

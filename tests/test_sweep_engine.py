@@ -581,6 +581,16 @@ def test_sweep_csv_matches_per_cell_reference(monkeypatch, tmp_path, grids):
         assert out.read_bytes() == ref_sweep_csv(every_point).encode()
 
 
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(grids=_phase_grids())
+def test_sweep_csv_to_stdout_matches_per_cell_reference(monkeypatch, capsys, grids):
+    grid, every_point = grids
+    for g in grids:
+        monkeypatch.setattr(phase, "sweep", lambda **kwargs: g)
+        assert main(["sweep", "--q", "4", "--res", str(len(grid.lambda1))]) == 0
+        assert capsys.readouterr() == (ref_sweep_csv(every_point), "")
+
+
 # ---------------------------------------------------------------------------
 # the phase SVG against the picture of its grid
 # ---------------------------------------------------------------------------
