@@ -3,9 +3,10 @@
 Subcommands wrap the library one-to-one and emit deterministic CSV (fixed
 ordering, floats with 17 significant digits so re-parsing is lossless, LF
 line endings) or a self-contained SVG for phase diagrams.  Exit codes:
-0 success, 1 verified-infeasible input under --strict, 2 usage error or an
---out/--svg file that cannot be opened, written or closed, 141 (128 +
-SIGPIPE) when the reader of standard output closed it early.
+0 success, 1 verified-infeasible input under --strict, 2 usage error, an
+--out/--svg file that cannot be opened, written or closed, or a standard
+output that cannot be written, 141 (128 + SIGPIPE) when the reader of
+standard output closed it early.
 
 `_COMMANDS` declares every subcommand and flag once.  A well-formed command
 line (a command, then exact flags each with its value) is read straight
@@ -59,7 +60,8 @@ def _output(out_path: Optional[str]) -> Iterator[TextIO]:
 
     A file that cannot be opened, written or closed (the buffer reaches the
     file on close) is a usage error naming the path and the reason; standard
-    output is left to `main`, which answers a reader that went away.
+    output is left to `main`, which answers a reader that went away and a
+    write that failed otherwise.
     """
     if not out_path:
         yield sys.stdout
@@ -628,6 +630,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # final flush of stdout would raise again, so it flushes into devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # `_output` reports the files it opens, so this is standard output
+        # (`clocktree sweep > /dev/full`); its final flush goes to devnull too
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 def _validate_numeric(args) -> None:

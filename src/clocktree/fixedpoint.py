@@ -412,7 +412,10 @@ def _verify_candidates(
     candidate is rejected when it is not finite, skipped when it coincides
     with the trivial solution or with an earlier accepted candidate,
     accepted when its residual is below 1e-9, and rejected otherwise (a nan
-    residual included).
+    residual included).  Slots d apart are compared in one pass for each d;
+    only the slot pairs that hold two live candidates within DEDUP_TOL in
+    some row are then walked in slot order, each against the earlier slot's
+    final status.
     The residual repeats the arithmetic of `_residual` operation by
     operation, so each number is the one a single-point check computes.
     """
@@ -422,17 +425,19 @@ def _verify_candidates(
     with np.errstate(all="ignore"):
         f1, f2 = mode_map(q, lambda1, lambda2, (a1, a2))
         residual = _pymax(np.abs(a1 - f1), np.abs(a2 - f2))
-        # the status of a candidate that reaches the residual check
-        checked = np.where(residual < RESIDUAL_TOL, _ACCEPTED, _RESIDUAL)
+        passed = residual < RESIDUAL_TOL
         finite = np.isfinite(a1) & np.isfinite(a2)
         status[valid & ~finite] = _NOT_FINITE
         live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
-        for k in range(a1.shape[1]):
-            live_k = live[:, k]
-            for j in range(k):
-                near = _pymax(np.abs(a1[:, k] - a1[:, j]), np.abs(a2[:, k] - a2[:, j])) <= DEDUP_TOL
-                live_k &= ~(near & (status[:, j] == _ACCEPTED))
-            status[live_k, k] = checked[live_k, k]
+        # (k, n) copies: each slot is a contiguous row, which numpy walks fastest
+        c1, c2, kept, pairs = a1.T.copy(), a2.T.copy(), live.T.copy(), []
+        for d in range(1, len(c1)):
+            near = _pymax(np.abs(c1[d:] - c1[:-d]), np.abs(c2[d:] - c2[:-d])) <= DEDUP_TOL
+            near &= kept[d:] & kept[:-d]
+            pairs += [(j + d, j, near[j]) for j in np.flatnonzero(near.any(axis=1)).tolist()]
+        for k, j, near_kj in sorted(pairs, key=lambda pair: pair[0]):
+            kept[k] &= ~(near_kj & kept[j] & passed[:, j])
+        np.copyto(status, np.where(passed, _ACCEPTED, _RESIDUAL), where=kept.T)
     return status, residual
 
 
@@ -644,10 +649,15 @@ def _q5_sextic(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
 
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values at x (n, k) of the polynomials coeffs (n, d + 1), by Horner's rule."""
+    """Values at x (n, k) of the polynomials coeffs (..., n, d + 1), by Horner's rule.
+
+    Leading axes of coeffs stack sets of polynomials, all evaluated in one
+    pass; a polynomial padded with leading zeros has the same values, bit
+    for bit, as Horner's rule starts from 0 either way.
+    """
     p = np.zeros_like(x)
-    for k in range(coeffs.shape[1]):
-        p = p * x + coeffs[:, k, None]
+    for k in range(coeffs.shape[-1]):
+        p = p * x + coeffs[..., k, None]
     return p
 
 
@@ -655,11 +665,19 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """Complex roots (n, d) of the polynomials coeffs (n, d + 1), highest power first.
 
     Leading coefficients below 1e-13 of a row's largest are dropped (missing
-    roots are NaN); each degree's rows are one stack of companion matrices.
+    roots are NaN).  Where every row keeps its leading coefficient, as on
+    the solver's own paths away from lambda1 = 0, the rows are one stack of
+    companion matrices; otherwise each degree's rows are one stack.
     """
     n, m = coeffs.shape
+    magnitudes = np.abs(coeffs)
+    big = magnitudes > 1e-13 * magnitudes.max(axis=1, keepdims=True)
+    if big[:, 0].all():
+        companion = np.zeros((n, m - 1, m - 1))
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, 0, None]
+        companion.reshape(n, (m - 1) ** 2)[:, m - 1 :: m] = 1.0  # the subdiagonal
+        return np.linalg.eigvals(companion).astype(complex, copy=False)
     roots = np.full((n, m - 1), complex(np.nan, np.nan))
-    big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
     lead = np.where(big.any(axis=1), big.argmax(axis=1), m - 1)
     for first in sorted(set(lead.tolist()) - {m - 1}):  # np.unique would import numpy.ma
         deg, rows = m - 1 - first, lead == first
@@ -668,6 +686,10 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
         companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
         roots[rows, :deg] = np.linalg.eigvals(companion)
     return roots
+
+
+# the rounding allowance of a polynomial's value, per unit of sum |c_k x^k|
+_ROUNDING = 32.0 * sys.float_info.epsilon
 
 
 def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -691,21 +713,26 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     """
     with np.errstate(all="ignore"):
         coeffs = _q5_sextic(lambda1, lambda2)
+        magnitudes = np.abs(coeffs)
         roots = _polynomial_roots(coeffs)
-        slope = coeffs[:, :-1] * np.arange(6, 0, -1)
         x = roots.real
         p = _polyval(coeffs, x)
-        step = p / _polyval(slope, x)
-        x = np.where((np.abs(step) <= 1e-6) & (np.abs(_polyval(coeffs, x - step)) < np.abs(p)), x - step, x)
-
-        def indistinct(at):
-            return np.abs(_polyval(coeffs, at)) <= 32.0 * np.finfo(float).eps * _polyval(np.abs(coeffs), np.abs(at))
-
-        valid = (roots.imag == 0.0) | indistinct(x)
+        step = p / _polyval(coeffs[:, :-1] * np.arange(6, 0, -1), x)
+        moved = x - step
+        p_moved = _polyval(coeffs, moved)
+        take = (np.abs(step) <= 1e-6) & (np.abs(p_moved) < np.abs(p))
+        x = np.where(take, moved, x)
+        # S at the polished root is S at one of the two points already evaluated
+        valid = (roots.imag == 0.0) | (
+            np.abs(np.where(take, p_moved, p)) <= _ROUNDING * _polyval(magnitudes, np.abs(x))
+        )
+        n = len(x)
         order = np.argsort(np.where(valid, x, np.inf), axis=1)
-        x, valid = np.take_along_axis(x, order, axis=1), np.take_along_axis(valid, order, axis=1)
+        row_index = np.arange(n)[:, None]
+        x, valid = x[row_index, order], valid[row_index, order]
         # the real roots come first; each is checked against its predecessor
-        valid[:, 1:] &= ~indistinct(0.5 * (x[:, :-1] + x[:, 1:]))
+        mid = 0.5 * (x[:, :-1] + x[:, 1:])
+        valid[:, 1:] &= ~(np.abs(_polyval(coeffs, mid)) <= _ROUNDING * _polyval(magnitudes, np.abs(mid)))
 
         l1, l2 = lambda1[:, None], lambda2[:, None]
         a, b, c = x - V5, -2.0 * V5 * l1 * x, x * (l1 * l1 * x * x - 0.4 * l1 + 0.2)
@@ -715,17 +742,20 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
             return (l2 * l2 * a2 * a2 + e) * a2 + f
 
         # the two estimates, the subresultant's root and -F/E, side by side
-        a2 = np.stack([-(b * c + l2 * f * a * a) / (l2 * (b * b - a * c + e * a * a)), -f / e])
-        a2 = np.where(x == 0.0, 0.0, a2)
-        polished = a2 - e2(a2) / (3.0 * l2 * l2 * a2 * a2 + e)
-        a2 = np.where(np.abs(e2(polished)) < np.abs(e2(a2)), polished, a2)
+        a2 = np.empty((2, n, x.shape[1]))
+        np.divide(-(b * c + l2 * f * a * a), l2 * (b * b - a * c + e * a * a), out=a2[0])
+        np.divide(-f, e, out=a2[1])
+        np.copyto(a2, 0.0, where=x == 0.0)
+        e2_a2 = e2(a2)
+        polished = a2 - e2_a2 / (3.0 * l2 * l2 * a2 * a2 + e)
+        a2 = np.where(np.abs(e2(polished)) < np.abs(e2_a2), polished, a2)
         f1, f2 = mode_map_q5(l1, l2, (x, a2))
         residual = np.maximum(np.abs(x - f1), np.abs(a2 - f2))
         a2 = np.where(residual[0] <= residual[1], a2[0], a2[1])
         # where two fixed points share alpha1 (near G = 0, below) B^2 - A C + E A^2
         # vanishes and both estimates of alpha2 can be off by a few 1e-6; a
         # candidate that passes keeps its numbers
-        rows, slots = np.nonzero(valid & (residual.min(axis=0) >= RESIDUAL_TOL))
+        rows, slots = np.nonzero(valid & (np.minimum(residual[0], residual[1]) >= RESIDUAL_TOL))
         if len(rows):
             at, p1, p2 = (rows, slots), lambda1[rows], lambda2[rows]
             s, t = x[at], a2[at]
@@ -784,6 +814,17 @@ def _fold_table() -> np.ndarray:
     return table
 
 
+@functools.cache
+def _fold_magnitudes() -> np.ndarray:
+    """|`_fold_table()`|: `|l1| powers @ magnitudes` gives sum |c_k| at each lambda1, c_k the coefficients of F."""
+    magnitudes = np.abs(_fold_table())
+    magnitudes.setflags(write=False)
+    return magnitudes
+
+
+_FOLD_POWERS = np.arange(11)
+
+
 def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F as a polynomial in l2 at each lambda1, shape (n, 11), highest power first, and its roots (n, 10).
 
@@ -791,7 +832,7 @@ def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one has an imaginary part of exactly 0.
     """
     with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
-        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** _FOLD_POWERS) @ _fold_table()
         return coeffs, _polynomial_roots(coeffs)
 
 
@@ -812,14 +853,17 @@ def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     l1 = np.asarray(lambda1, dtype=float)
     coeffs, z = _fold_roots(l1)
+    n = len(l1)
     with np.errstate(all="ignore"):
-        magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_fold_table())
-        rounding = 32.0 * np.finfo(float).eps * _polyval(magnitudes, np.abs(z))
-        radius = 10.0 * (np.abs(_polyval(coeffs, z)) + rounding) / np.abs(
-            _polyval(coeffs[:, :-1] * np.arange(10, 0, -1), z)
-        )
+        # F and F', padded with a leading zero, in one Horner pass
+        stacked = np.zeros((2, n, 11))
+        stacked[0] = coeffs
+        np.multiply(coeffs[:, :-1], _FOLD_POWERS[:0:-1], out=stacked[1, :, 1:])
+        value, slope = np.abs(_polyval(stacked, z))
+        magnitudes = (np.abs(l1)[:, None] ** _FOLD_POWERS) @ _fold_magnitudes()
+        radius = 10.0 * (value + _ROUNDING * _polyval(magnitudes, np.abs(z))) / slope
     rows, k = np.nonzero((z.imag >= 0.0) & (z.imag <= radius))
-    n = len(l1)  # then lambda2 = 1/2, the root of 2 l2 - 1, with radius 0 in every row
+    # then lambda2 = 1/2, the root of 2 l2 - 1, with radius 0 in every row
     half = (np.arange(n), np.full(n, 0.5), np.zeros(n))
     return tuple(np.concatenate(pair) for pair in zip((rows, z.real[rows, k], radius[rows, k]), half))
 

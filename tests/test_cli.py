@@ -609,6 +609,35 @@ def test_a_failed_write_or_close_is_usage_error(capsys):
         assert captured.err == f"error: cannot write {full}: {os.strerror(errno.ENOSPC)}\n", argv
 
 
+FULL_STDOUT_ARGV = [
+    ("sweep", "--q", "4", "--res", "200"),
+    ("sweep", "--q", "4", "--res", "20"),
+    ("probe", "--q", "4", "--lambda1", "0.6", "--lambda2", "0.2", "--levels", "5"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=[" ".join(a[:5]) for a in FULL_STDOUT_ARGV])
+def test_a_failed_write_to_stdout_is_usage_error(argv, unbuffered):
+    # `clocktree sweep --q 4 --res 20 > /dev/full` printed an OSError
+    # traceback and exited 1, the code of an infeasible matrix under --strict.
+    # Unbuffered, every output fails in a write; buffered, the probe's few
+    # lines fail in the flush after the command, and the interpreter's own
+    # flush at exit must not raise again
+    env = {**os.environ, "PYTHONPATH": str(Path(clocktree.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "clocktree", *argv], env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    want = f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (cli.EXIT_USAGE, want)
+
+
 def test_usage_errors(capsys):
     assert main(["matrix"]) == 2  # missing --q
     assert main(["probe", "--q", "4", "--lambda1", "0.5", "--lambda2", "0.3", "--u", "1.5"]) == 2

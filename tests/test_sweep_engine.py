@@ -36,6 +36,7 @@ from clocktree.fixedpoint import (
     SolutionSet,
     _assemble,
     _verify_candidates,
+    q5_jacobian,
 )
 from clocktree.phase import Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
@@ -373,6 +374,25 @@ def test_verify_candidates_matches_per_point_reference(q4, q5):
         assert residual.shape == want_residual.shape and residual.tobytes() == want_residual.tobytes()
 
 
+def test_verify_candidates_walks_a_chain_of_near_candidates_in_slot_order():
+    # Along the null direction of the Jacobian at a fixed point next to the
+    # fold at lambda2 = 0.370748 the residual stays near 1e-12, so candidates
+    # 0.9e-8 apart all pass.  One within DEDUP_TOL of a skipped candidate
+    # but not of the accepted one before it is accepted, wherever the
+    # skipped one sits among the slots
+    l2 = 0.37075
+    star, other = ct.q5_solutions(0.5, l2).nontrivial
+    v = np.linalg.svd(q5_jacobian(0.5, l2, star)[0])[2][-1]
+    chain = [np.array(star) + t * v / np.abs(v).max() for t in (0.0, 0.9e-8, 1.8e-8)]
+    cands = np.array([chain + [np.array(other)], [chain[0], np.array(other), chain[1], chain[2]]])
+    args = (5, 0.5, l2, cands[..., 0], cands[..., 1], True)
+    status, residual = _verify_candidates(*args)
+    want_status, want_residual = ref_verify_candidates(*args)
+    a, s = _ACCEPTED, _SKIPPED
+    assert status.tolist() == want_status.tolist() == [[a, s, a, a], [a, a, s, a]]
+    assert residual.tobytes() == want_residual.tobytes()
+
+
 @SETTINGS
 @given(
     q=st.sampled_from([4, 5]),
@@ -483,24 +503,6 @@ def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(monkeypatch, q
 # ---------------------------------------------------------------------------
 # the sweep CSV against a writer that formats every cell
 # ---------------------------------------------------------------------------
-
-
-def ref_sweep_csv(grid):
-    """The CSV `clocktree sweep` writes for `grid`, one f-string per cell."""
-    n_regimes = len(grid.regimes)
-    keys = ((grid.n_nontrivial * n_regimes + grid.regime) * 2 + grid.feasible).tolist()
-    tails = {}
-    for key in set(keys):
-        m, rest = divmod(key, 2 * n_regimes)
-        c, f = divmod(rest, 2)
-        tails[key] = f"{'true' if f else 'false'},{grid.regimes[c].value},{m}"
-    l2_text = [format(l2, ".17g") for l2 in grid.lambda2]
-    m = len(l2_text)
-    text = ["lambda1,lambda2,feasible,regime,n_nontrivial\n"]
-    for i, t1 in enumerate(format(l1, ".17g") for l1 in grid.lambda1):
-        row = zip(l2_text, keys[i * m : (i + 1) * m])
-        text.append("".join(f"{t1},{t2},{tails[key]}\n" for t2, key in row))
-    return "".join(text)
 
 
 _AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
