@@ -1,4 +1,10 @@
-"""Cosine bases on the discrete circle and the A-norm.
+"""Mode space: cosine bases on the discrete circle, the A-norm, and symmetric distributions.
+
+The mode-space API that the probes and solvers are checked against: the
+bases and their coefficient conventions, the A-norm, `SymmetricDist`,
+`apply_transfer`, and the general recursion step `recursion_step` with its
+`linearization_residual`.  No command runs it, and no other module of the
+package imports it.
 
 Reflection-symmetric vectors on {0,...,q-1} (f(k) = f(q-k)) form a space of
 dimension floor(q/2)+1 spanned by the cosine vectors
@@ -19,16 +25,23 @@ the transfer matrix diagonal in mode space.
 
 The A-norm of a symmetric vector is the l1 norm of its RAW coefficients,
 ||f||_A = sum_j |a_j(f)|, including j = 0.
+
+Single-site marginals live in the reflection-symmetric probability simplex
+and are stored by their NORMALIZED Fourier modes alpha_1..alpha_{floor(q/2)}
+(the mass mode alpha_0 = 1/q is implicit).
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import AsymmetricVector
+from .errors import AsymmetricVector, DimensionMismatch, EmptyChildren, NormalizationUnderflow, NotAProbability
+from .spectral import TransferSpec, _cosine_table
 
 SYMMETRY_TOL = 1e-12
 
@@ -36,15 +49,6 @@ SYMMETRY_TOL = 1e-12
 def n_modes(q: int) -> int:
     """Number of non-constant cosine modes, floor(q/2)."""
     return q // 2
-
-
-@functools.lru_cache(maxsize=64)
-def _cosine_table(q: int) -> np.ndarray:
-    """The read-only (q x q) table cos(2*pi*j*k/q), row j = phi_j; `spectral` reads it too."""
-    k = np.arange(q)
-    table = np.cos(2.0 * math.pi * k[:, None] * k / q)
-    table.setflags(write=False)
-    return table
 
 
 def raw_basis_vector(q: int, j: int) -> np.ndarray:
@@ -152,3 +156,121 @@ def a_norm(q: int, f: np.ndarray, convention: BasisConvention = BasisConvention.
             f"expected length {q} (pointwise) or {n_modes(q) + 1} (coefficients), got {f.shape}"
         )
     return float(np.abs(coeffs).sum())
+
+
+# ---------------------------------------------------------------------------
+# symmetric single-site distributions
+# ---------------------------------------------------------------------------
+
+DIST_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SymmetricDist:
+    """Reflection-symmetric probability vector stored by NORMALIZED modes.
+
+    p(j) = 1/q + sum_k alpha_k * phi_k(j) / sqrt(z_k), k = 1..floor(q/2).
+    """
+
+    q: int
+    modes: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.modes) != n_modes(self.q):
+            raise DimensionMismatch(
+                f"q={self.q} needs {n_modes(self.q)} modes, got {len(self.modes)}"
+            )
+        p = self.probabilities()
+        if p.min() < -DIST_TOL:
+            raise NotAProbability(
+                f"modes reconstruct to a negative probability {p.min():.6e}"
+            )
+
+    def probabilities(self) -> np.ndarray:
+        p = np.full(self.q, 1.0 / self.q)
+        for k, a in enumerate(self.modes, start=1):
+            p += a * unit_basis_vector(self.q, k)
+        return p
+
+    def raw_coefficients(self) -> np.ndarray:
+        """RAW coefficients (a_0, ..., a_{floor(q/2)}) of the probability vector."""
+        full = np.concatenate(([1.0 / math.sqrt(self.q)], self.modes))
+        return convert_coefficients(self.q, full, BasisConvention.NORMALIZED, BasisConvention.RAW)
+
+    @classmethod
+    def from_probabilities(cls, p) -> "SymmetricDist":
+        p = np.asarray(p, dtype=float)
+        q = len(p)
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise NotAProbability(f"probabilities sum to {p.sum()!r}")
+        raw = raw_coefficients(q, p)
+        modes = convert_coefficients(q, raw, BasisConvention.RAW, BasisConvention.NORMALIZED)
+        return cls(q=q, modes=tuple(modes[1:]))
+
+    @classmethod
+    def uniform(cls, q: int) -> "SymmetricDist":
+        return cls(q=q, modes=(0.0,) * n_modes(q))
+
+    @classmethod
+    def point_mass(cls, q: int) -> "SymmetricDist":
+        """The Dirac distribution at state 0 (the plus boundary condition)."""
+        p = np.zeros(q)
+        p[0] = 1.0
+        return cls.from_probabilities(p)
+
+    def sup_distance_to_uniform(self) -> float:
+        return float(np.abs(self.probabilities() - 1.0 / self.q).max())
+
+
+def apply_transfer(spec: TransferSpec, dist: SymmetricDist) -> SymmetricDist:
+    """M acting on a symmetric distribution: each mode scales by its eigenvalue."""
+    if spec.q != dist.q:
+        raise DimensionMismatch(f"transfer has q={spec.q}, distribution q={dist.q}")
+    new = tuple(spec.eigenvalues[k] * a for k, a in enumerate(dist.modes, start=1))
+    return SymmetricDist(q=dist.q, modes=new)
+
+
+# ---------------------------------------------------------------------------
+# the general recursion step, in the probability representation
+# ---------------------------------------------------------------------------
+
+
+def recursion_step(spec: TransferSpec, children: Sequence[SymmetricDist]) -> SymmetricDist:
+    """p(i) proportional to prod_l (M p_l)(i), normalized.
+
+    Computed in the probability-vector representation and returned as modes.
+    """
+    if not children:
+        raise EmptyChildren("recursion step needs at least one child distribution")
+    M = spec.matrix()
+    prod = np.ones(spec.q)
+    for child in children:
+        if child.q != spec.q:
+            raise DimensionMismatch(f"child has q={child.q}, transfer q={spec.q}")
+        prod = prod * (M @ child.probabilities())
+    total = prod.sum()
+    if total < 1e-300:
+        raise NormalizationUnderflow(f"unnormalized mass {float(total)!r} below 1e-300")
+    return SymmetricDist.from_probabilities(prod / total)
+
+
+def linearization_residual(spec: TransferSpec, children: Sequence[SymmetricDist]) -> float:
+    """A-norm gap between one recursion step and its linearization.
+
+    With h_i = M p_i the step produces normalize(prod_i h_i); its linearization
+    around uniform is 1 + sum_i (h_i - 1).  The returned residual
+    ||normalize(prod h_i) - 1 - sum (h_i - 1)||_A decays super-linearly in
+    max_i ||h_i - 1||_A (empirically quadratically).
+    """
+    if not children:
+        raise EmptyChildren("need at least one child distribution")
+    M = spec.matrix()
+    q = spec.q
+    uniform = np.full(q, 1.0 / q)
+    hs = [M @ c.probabilities() for c in children]
+    prod = np.ones(q)
+    for h in hs:
+        prod = prod * h
+    prod /= prod.sum()
+    vec = prod - uniform - sum(h - uniform for h in hs)
+    return a_norm(q, vec)

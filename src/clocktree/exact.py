@@ -1,0 +1,71 @@
+"""Exact arithmetic on polynomials with integer coefficients.
+
+A polynomial is a list of Python ints, highest power first, without leading
+zeros; [] is the zero polynomial.  The helpers take primitive parts, pseudo
+remainders, greatest common divisors and squarefree factors, and give the
+real roots of a squarefree factor of degree 1 or 2 in closed form.
+`quartic.classify_quartic` reads them where the quartic's discriminant is
+exactly 0.  Only `math` is imported: no numpy, no `fractions`.
+"""
+from __future__ import annotations
+
+import math
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, with a positive leading coefficient."""
+    g = math.gcd(*p) if p[0] > 0 else -math.gcd(*p)
+    return [x // g for x in p]
+
+
+def _pseudo_divide(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of lc(q)^k p divided by q, with k = deg p - deg q + 1."""
+    quotient = []
+    for _ in range(len(p) - len(q) + 1):
+        quotient = [q[0] * x for x in quotient] + [p[0]]
+        p = [q[0] * x - p[0] * y for x, y in zip(p[1:], q[1:] + [0] * len(p))]
+    while p and p[0] == 0:
+        p = p[1:]
+    return quotient, p
+
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """The primitive greatest common divisor of p and q, by a primitive pseudo-remainder sequence."""
+    while q:
+        r = _pseudo_divide(p, q)[1]
+        p, q = q, _primitive(r) if r else r
+    return _primitive(p)
+
+
+def _squarefree_factors(p: list[int]) -> list[list[int]]:
+    """Primitive squarefree f_1, f_2, ... with p = const * f_1 f_2^2 f_3^3 ... (Musser's algorithm).
+
+    c = gcd(p, p') = f_2 f_3^2 ..., and w = p / c = f_1 f_2 f_3 ... loses one
+    f_m per gcd with c; unlike Yun's algorithm it needs each quotient only up
+    to a constant factor, so primitive parts will do.
+    """
+    c = _gcd(p, [(len(p) - 1 - i) * x for i, x in enumerate(p[:-1])])
+    w = _primitive(_pseudo_divide(p, c)[0])
+    factors = []
+    while len(c) > 1:
+        y = _gcd(w, c)
+        factors.append(_primitive(_pseudo_divide(w, y)[0]))
+        w, c = y, _primitive(_pseudo_divide(c, y)[0])
+    return factors + [w]
+
+
+def _real_roots(p: list[int]) -> list[float]:
+    """The real roots of a squarefree p of degree 1 or 2, ascending, each within an ulp or so.
+
+    A quadratic's are q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac)) with no
+    cancellation, and sqrt in integers to 64 more bits makes a rational root exact.
+    """
+    if len(p) == 2:
+        return [-p[1] / p[0]]
+    a, b, c = p
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = math.isqrt(disc << 128)
+    q = -(b << 64) - s if b >= 0 else -(b << 64) + s
+    return sorted([q / (a << 65), (c << 65) / q])

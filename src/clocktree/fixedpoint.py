@@ -9,17 +9,12 @@ eigensolve (`_q5_candidates`).  `q5_solutions_at_critical` is the
 single-point solver at lambda1 = 1/2.
 
 At lambda1 = 1/2, S = 25/(4*lambda2^2) * alpha1^2 * q_{lambda2}(alpha1), with
-the quartic q_{lambda2} of the paper's analysis.  `classify_quartic`
-classifies the real roots of float coefficients by the exact signs of the
-discriminant Delta and of P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 +
-16ab^2c - 16a^2bd - 3b^4; `classify` prints them with Delta0 = c^2 - 3bd +
-12ae.  Delta changes sign at lambda2 ~ 0.370748 (first non-trivial
-solutions) and lambda2 ~ 0.494119 (second pair).  The paper eliminates
-alpha2 through the rational function alpha2 = P4(alpha1)/P3(alpha1) to
-alpha1^3 * (alpha1 - v)^2 * q_{lambda2}(alpha1) = 0, v = 1/sqrt(10), whose
-root alpha1 = v is a solution only at lambda2 = 37/96 ~ 0.385417, the
-special solution (v, v/(4*lambda2)); S has no such factor, and the special
-solution is one of its ordinary roots.
+the quartic q_{lambda2} of the paper's analysis, which `quartic` classifies.
+The paper eliminates alpha2 through the rational function alpha2 =
+P4(alpha1)/P3(alpha1) to alpha1^3 * (alpha1 - v)^2 * q_{lambda2}(alpha1) = 0,
+v = 1/sqrt(10), whose root alpha1 = v is a solution only at lambda2 = 37/96
+~ 0.385417, the special solution (v, v/(4*lambda2)); S has no such factor,
+and the special solution is one of its ordinary roots.
 
 For q = 4 the system is solvable in closed form: at lambda1 = 1/2 the
 non-trivial branch is alpha2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) with
@@ -31,6 +26,10 @@ satisfies the two-dimensional fixed-point equations to 1e-9; the long printed
 radicals are never trusted blindly.  An accepted candidate is then within
 about 1e-9 of a probability vector, because on Cayley(2) every image of the
 mode map reconstructs to one: the step squares the entries of M p.
+
+This module holds only the solvers that the sweeps, the transition line and
+`clocktree solve` run.  The quartic's classification (`quartic`) and the
+displacement map and Potts-line helpers (`potts`) read it; it reads neither.
 """
 from __future__ import annotations
 
@@ -38,314 +37,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import ClassVar, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ClockTreeError, DegenerateQuartic
-from .recursion import V5, mode_map, mode_map_q5, mode_terms_q5
-from .spectral import feasible_lambdas, potts_theta
+from .errors import ClockTreeError
+from .recursion import V5, mode_map, mode_map_q5
+from .spectral import feasible_lambdas
 
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-8
 
 SQRT10 = math.sqrt(10.0)
-
-
-# ---------------------------------------------------------------------------
-# the q=5 quartic and its classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Coefficients of q_{lambda2}(x) = a x^4 + b x^3 + c x^2 + d x + e."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    lambda2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d, self.e])
-
-    def __call__(self, x: float) -> float:
-        return (((self.a * x + self.b) * x + self.c) * x + self.d) * x + self.e
-
-    def derivative(self, x: float) -> float:
-        return ((4.0 * self.a * x + 3.0 * self.b) * x + 2.0 * self.c) * x + self.d
-
-
-# (c0, c1, c2) per coefficient, highest power of x first: each coefficient of
-# q_{lambda2} is (c0 + c1*lambda2 + c2*lambda2^2) * lambda2^2
-_Q5_QUARTIC = (
-    (62.5, 200.0, 250.0),
-    (-20.0 * SQRT10, -75.0 * SQRT10, 125.0 * SQRT10),
-    (140.0, -345.0, 75.0),
-    (-16.0 * SQRT10, 64.0 * SQRT10, -125.0 * math.sqrt(2.5)),
-    (8.0, -36.0, 40.0),
-)
-
-
-def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
-    """Quartic factor of the eliminated fixed-point polynomial at lambda1 = 1/2.
-
-    Every coefficient carries a factor lambda2^2, so the quartic vanishes
-    identically at lambda2 = 0 and its coefficients underflow to 0 for
-    |lambda2| below about 1e-162; `q5_quartic_analysis` classifies it at any
-    nonzero lambda2.
-    """
-    t = lambda2
-    return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
-
-
-def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
-    """The terms of Delta (each a product of six coefficients), P, D and Delta0, of float or int coefficients."""
-    return (
-        [
-            256 * a**3 * e**3,
-            -192 * a**2 * b * d * e**2,
-            -128 * a**2 * c**2 * e**2,
-            144 * a**2 * c * d**2 * e,
-            -27 * a**2 * d**4,
-            144 * a * b**2 * c * e**2,
-            -6 * a * b**2 * d**2 * e,
-            -80 * a * b * c**2 * d * e,
-            18 * a * b * c * d**3,
-            16 * a * c**4 * e,
-            -4 * a * c**3 * d**2,
-            -27 * b**4 * e**2,
-            18 * b**3 * c * d * e,
-            -4 * b**3 * d**3,
-            -4 * b**2 * c**3 * e,
-            b**2 * c**2 * d**2,
-        ],
-        [8 * a * c, -3 * b**2],
-        [64 * a**3 * e, -16 * a**2 * c**2, 16 * a * b**2 * c, -16 * a**2 * b * d, -3 * b**4],
-        [c**2, -3 * b * d, 12 * a * e],
-    )
-
-
-def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
-    """(Delta, P, D, Delta0), each accumulated with compensated summation.
-
-    Raises DegenerateQuartic when every coefficient vanishes and
-    ClockTreeError when an invariant or a term of one is not a finite float.
-    """
-    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    if max(abs(a), abs(b), abs(c), abs(d), abs(e)) == 0.0:
-        raise DegenerateQuartic("all quartic coefficients vanish")
-    try:
-        values = tuple(math.fsum(terms) for terms in _invariant_terms(a, b, c, d, e))
-    except (OverflowError, ValueError):  # a power overflowed, or fsum met inf - inf
-        values = (math.inf,)
-    if not all(map(math.isfinite, values)):
-        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}")
-    return values
-
-
-class RootStructure(Enum):
-    NO_REAL = "NO_REAL"
-    TWO_DISTINCT = "TWO_DISTINCT"
-    FOUR_DISTINCT = "FOUR_DISTINCT"
-    DOUBLE_ROOT_PLUS = "DOUBLE_ROOT_PLUS"
-    DEGENERATE_ZERO = "DEGENERATE_ZERO"
-
-
-@dataclass(frozen=True)
-class QuarticAnalysis:
-    coeffs: QuarticCoeffs
-    delta: float
-    p: float
-    d: float
-    delta0: float
-    structure: RootStructure
-    n_simple: Optional[int]  # simple real roots accompanying a multiple one
-    real_roots: tuple[tuple[float, int], ...]  # (root, multiplicity), ascending
-
-    def real_root_count(self) -> int:
-        return sum(m for _, m in self.real_roots)
-
-    def distinct_real_roots(self) -> list[float]:
-        return [r for r, _ in self.real_roots]
-
-
-def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
-    """The `count` companion-matrix eigenvalues closest to the real axis, polished by real Newton steps.
-
-    `count` is the number of real roots, all of them simple, that the exact
-    sign of Delta certifies.  No threshold on the imaginary parts would do:
-    two real roots close together can come out as a conjugate pair z, which
-    Newton's method then starts from z.real + z.imag, two points.
-    """
-    mon = coeffs.as_array() / coeffs.a
-    comp = np.zeros((4, 4))
-    comp[1:, :3] = np.eye(3)
-    comp[:, 3] = -mon[:0:-1]
-    chosen = sorted(np.linalg.eigvals(comp), key=lambda z: abs(z.imag))[:count]
-    polished = []
-    for z in chosen:
-        x = z.real + z.imag
-        for _ in range(50):
-            fx = coeffs(x)
-            dfx = coeffs.derivative(x)
-            if dfx == 0.0 or abs(fx) < 1e-15 * max(abs(coeffs.a), abs(coeffs.e), 1.0):
-                break
-            step = fx / dfx
-            if abs(step) < 1e-17 * max(1.0, abs(x)):
-                break
-            x -= step
-        polished.append(x)
-    return sorted(polished)
-
-
-# polynomials with integer coefficients, highest power first, without leading
-# zeros; [] is the zero polynomial
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by the gcd of its coefficients, with a positive leading coefficient."""
-    g = math.gcd(*p) if p[0] > 0 else -math.gcd(*p)
-    return [x // g for x in p]
-
-
-def _pseudo_divide(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of lc(q)^k p divided by q, with k = deg p - deg q + 1."""
-    quotient = []
-    for _ in range(len(p) - len(q) + 1):
-        quotient = [q[0] * x for x in quotient] + [p[0]]
-        p = [q[0] * x - p[0] * y for x, y in zip(p[1:], q[1:] + [0] * len(p))]
-    while p and p[0] == 0:
-        p = p[1:]
-    return quotient, p
-
-
-def _gcd(p: list[int], q: list[int]) -> list[int]:
-    """The primitive greatest common divisor of p and q, by a primitive pseudo-remainder sequence."""
-    while q:
-        r = _pseudo_divide(p, q)[1]
-        p, q = q, _primitive(r) if r else r
-    return _primitive(p)
-
-
-def _squarefree_factors(p: list[int]) -> list[list[int]]:
-    """Primitive squarefree f_1, f_2, ... with p = const * f_1 f_2^2 f_3^3 ... (Musser's algorithm).
-
-    c = gcd(p, p') = f_2 f_3^2 ..., and w = p / c = f_1 f_2 f_3 ... loses one
-    f_m per gcd with c; unlike Yun's algorithm it needs each quotient only up
-    to a constant factor, so primitive parts will do.
-    """
-    c = _gcd(p, [(len(p) - 1 - i) * x for i, x in enumerate(p[:-1])])
-    w = _primitive(_pseudo_divide(p, c)[0])
-    factors = []
-    while len(c) > 1:
-        y = _gcd(w, c)
-        factors.append(_primitive(_pseudo_divide(w, y)[0]))
-        w, c = y, _primitive(_pseudo_divide(c, y)[0])
-    return factors + [w]
-
-
-def _real_roots(p: list[int]) -> list[float]:
-    """The real roots of a squarefree p of degree 1 or 2, ascending, each within an ulp or so.
-
-    A quadratic's are q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac)) with no
-    cancellation, and sqrt in integers to 64 more bits makes a rational root exact.
-    """
-    if len(p) == 2:
-        return [-p[1] / p[0]]
-    a, b, c = p
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = math.isqrt(disc << 128)
-    q = -(b << 64) - s if b >= 0 else -(b << 64) + s
-    return sorted([q / (a << 65), (c << 65) / q])
-
-
-def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
-    """Real-root structure of the quartic with exactly these float coefficients.
-
-    A float is a dyadic rational, so the coefficients times their common
-    power-of-two denominator are integers, whose `_invariant_terms` give the
-    exact signs of Delta, P and D (the float invariants are only printed).
-    Delta < 0: TWO_DISTINCT; Delta > 0: FOUR_DISTINCT where P < 0 and D < 0,
-    else NO_REAL; each real root is simple, a polished companion eigenvalue.
-    Delta = 0: the squarefree factors, none then above degree 2, give each
-    root in closed form with its multiplicity; DOUBLE_ROOT_PLUS(number of
-    simple real roots) where a real root is multiple, else NO_REAL.  A
-    leading coefficient too small to divide the others by raises
-    DegenerateQuartic.
-    """
-    delta, p, big_d, delta0 = quartic_invariants(coeffs)
-    scale = max(abs(x) for x in coeffs.as_array())
-    if coeffs.a == 0.0 or not math.isfinite(float(scale) / float(coeffs.a)):
-        raise DegenerateQuartic(f"the quartic's leading coefficient {coeffs.a!r} is too small to divide by")
-    ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
-    denominator = max(den for _, den in ratios)
-    ints = [num * (denominator // den) for num, den in ratios]
-    exact_delta, exact_p, exact_d = (sum(terms) for terms in _invariant_terms(*ints)[:3])
-    n_simple = None
-    if exact_delta != 0:
-        if exact_delta < 0:
-            structure, count = RootStructure.TWO_DISTINCT, 2
-        elif exact_p < 0 and exact_d < 0:
-            structure, count = RootStructure.FOUR_DISTINCT, 4
-        else:
-            structure, count = RootStructure.NO_REAL, 0
-        roots = tuple((float(x), 1) for x in _polished_real_candidates(coeffs, count))
-    else:
-        factors = _squarefree_factors(ints)
-        roots = tuple(sorted((x, m) for m, f in enumerate(factors, 1) if len(f) > 1 for x in _real_roots(f)))
-        if any(m > 1 for _, m in roots):
-            structure, n_simple = RootStructure.DOUBLE_ROOT_PLUS, sum(m == 1 for _, m in roots)
-        else:
-            structure = RootStructure.NO_REAL
-    return QuarticAnalysis(
-        coeffs=coeffs,
-        delta=delta,
-        p=p,
-        d=big_d,
-        delta0=delta0,
-        structure=structure,
-        n_simple=n_simple,
-        real_roots=roots,
-    )
-
-
-def _q5_reduced_quartic(lambda2: float) -> QuarticCoeffs:
-    """q_{lambda2} / lambda2^2, which tends to a fixed quartic as lambda2 -> 0."""
-    t = lambda2
-    return QuarticCoeffs(*(c0 + c1 * t + c2 * t**2 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
-
-
-def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
-    """Root structure and real roots of q_{lambda2} at a nonzero lambda2.
-
-    The coefficients all carry lambda2^2, so they lose digits to underflow
-    below |lambda2| of about 5e-155 and vanish below about 1e-162.  There
-    the quartic divided by lambda2^2 is classified instead: dividing by a
-    positive number changes neither the roots nor the signs of the
-    invariants.  Elsewhere q_{lambda2} itself, whose coefficients `classify`
-    prints, is classified.  Raises DegenerateQuartic at lambda2 = 0,
-    where the quartic vanishes identically, and ClockTreeError from
-    |lambda2| of about 1.5875e12, where the invariants' terms, of degree 24
-    in lambda2, or the coefficients overflow.
-    """
-    if lambda2 == 0.0:
-        raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
-    try:
-        coeffs = q5_quartic_coeffs(lambda2)
-    except OverflowError as exc:  # a power of lambda2 past the largest float
-        raise ClockTreeError(f"the quartic's coefficients overflow at lambda2 = {lambda2!r}") from exc
-    # a coefficient below the smallest normal float has underflowed, unless
-    # the quartic is large: e cancels to 0.0 at lambda2 = 0.5
-    magnitudes = np.abs(coeffs.as_array())
-    if magnitudes.max() < 1.0 and magnitudes.min() < sys.float_info.min:
-        coeffs = _q5_reduced_quartic(lambda2)
-    return classify_quartic(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +299,11 @@ def _solution_view(q: int, candidates, lambda1: float, lambda2: float) -> Soluti
 
 
 def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    """The grid form of `q4_solutions(...).n_nontrivial`, as array operations."""
+    """The grid form of `q4_solutions(...).n_nontrivial`, as array operations.
+
+    Its domain is finite rows with |lambda| <= 1, where every feasible point
+    lies.  Outside it a count means nothing: it is 1 at lambda1 = 1e100.
+    """
     return _solution_counts(4, _q4_candidates, lambda1, lambda2)
 
 
@@ -773,7 +480,12 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
 
 
 def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations."""
+    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations.
+
+    Its domain is finite rows with |lambda| <= 1, where every feasible point
+    lies.  Outside it a count means nothing: it is 0 at lambda1 = NaN, inf
+    and 1e100.
+    """
     return _solution_counts(5, _q5_candidates, lambda1, lambda2)
 
 
@@ -891,150 +603,3 @@ def q5_solutions_at_critical(lambda2: float) -> SolutionSet:
         notes = solutions.notes + ("degenerate quartic at lambda2 = 0: trivial solution only",)
         return replace(solutions, notes=notes)
     return solutions
-
-
-# ---------------------------------------------------------------------------
-# the q=5 displacement map and its Jacobian
-# ---------------------------------------------------------------------------
-
-
-def displacement(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> np.ndarray:
-    """Identity minus the q=5 mode update; fixed points are its roots."""
-    f = mode_map_q5(lambda1, lambda2, alpha)
-    return np.array([alpha[0] - f[0], alpha[1] - f[1]])
-
-
-def q5_jacobian(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> tuple[np.ndarray, float]:
-    """Analytic Jacobian of the displacement map and its determinant.
-
-    Quotient-rule partials of the two mode updates; validated elsewhere
-    against central finite differences.
-    """
-    den, n1, n2 = mode_terms_q5(lambda1, lambda2, alpha)
-    a1, a2 = alpha
-    l1, l2, v = lambda1, lambda2, V5
-    dden_a1 = 2.0 * l1 * l1 * a1
-    dden_a2 = 2.0 * l2 * l2 * a2
-    dn1_a1 = 0.4 * l1 + 2.0 * l1 * l2 * v * a2
-    dn1_a2 = 2.0 * l1 * l2 * v * a1 + 2.0 * v * l2 * l2 * a2
-    dn2_a1 = 2.0 * l1 * l2 * v * a2 + 2.0 * v * l1 * l1 * a1
-    dn2_a2 = 0.4 * l2 + 2.0 * l1 * l2 * v * a1
-    jf = np.array(
-        [
-            [dn1_a1 * den - n1 * dden_a1, dn1_a2 * den - n1 * dden_a2],
-            [dn2_a1 * den - n2 * dden_a1, dn2_a2 * den - n2 * dden_a2],
-        ]
-    ) / (den * den)
-    jt = np.eye(2) - jf
-    return jt, float(np.linalg.det(jt))
-
-
-# ---------------------------------------------------------------------------
-# Potts-line helpers (lambda1 = lambda2 = lambda, q = 5)
-# ---------------------------------------------------------------------------
-
-
-def _potts_root(lam: float) -> Optional[float]:
-    """sqrt((9*lam - 4)*(lam + 4)), or None where 9*lam < 4 or lam is not finite.
-
-    The diagonal discriminant lam^2 (9 lam - 4)(lam + 4)/10 and the boundary-law
-    radicand (theta - 5)(theta + 3) = (9 lam - 4)(lam + 4)/(1 - lam)^2 both
-    factor through it.  9*lam - 4 is (9n - 4d)/d from lam = n/d, its sign
-    exact: 9.0*lam - 4.0 rounds to 0.0 at the float 4/9, 2^-52/9 below 4/9,
-    and at the next float up.
-    """
-    if not math.isfinite(lam):
-        return None
-    n, d = lam.as_integer_ratio()
-    if 9 * n < 4 * d:
-        return None
-    return math.sqrt((9 * n - 4 * d) / d * (lam + 4.0))
-
-
-def q5_potts_diagonal_solutions(lam: float) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
-    """Lower and upper diagonal fixed points alpha1 = alpha2 = alpha.
-
-    On the Potts line the mode recursion preserves the diagonal and the
-    non-trivial diagonal fixed points solve
-    2*lam^2*alpha^2 - 3*v*lam^2*alpha + (1 - 2*lam)/5 = 0; real solutions
-    exist exactly for lam >= 4/9.  With r = `_potts_root(lam)` the upper root
-    is (3*lam + r)/(4*sqrt(10)*lam) and the lower one, by Vieta's product,
-    4*(1 - 2*lam)/(sqrt(10)*lam*(3*lam + r)), neither of which cancels.
-    From lam = 1 up both are divided through by lam, as their products
-    overflow from about 3e153.  Returns ((lower, lower), (upper, upper)) or
-    None below the existence interval.
-    """
-    if 1.0 <= lam < math.inf:
-        s = 3.0 + math.sqrt((9.0 - 4.0 / lam) * (1.0 + 4.0 / lam))
-        lower = 4.0 * (1.0 / lam - 2.0) / (SQRT10 * s) / lam
-        upper = s / (4.0 * SQRT10)
-    elif (r := _potts_root(lam)) is None:
-        return None
-    else:
-        s = 3.0 * lam + r
-        lower = 4.0 * (1.0 - 2.0 * lam) / (SQRT10 * lam * s)
-        upper = s / (4.0 * SQRT10 * lam)
-    return ((lower, lower), (upper, upper))
-
-
-@dataclass(frozen=True)
-class PottsBoundaryLaws:
-    """Residual-verified boundary-law pair on the q=5 Potts line.
-
-    The pair is (a+, a-) = 8 / ((theta - 1) +- s), s^2 = (theta - 5)(theta + 3),
-    the flip of the printed leading term (1 - theta), which gives negative
-    boundary-law components.  `a` reads as the reciprocal square root of the
-    boundary-law ratio z = 16/a^2, and the normalized marginal (z,1,1,1,1)/(z+4)
-    gives the modes; the printed conversion 2*(1-a)/5 fails the fixed-point
-    residual check.  The two class attributes name these conventions.
-    """
-
-    sign_convention: ClassVar[str] = "theta-1"
-    mode_conversion: ClassVar[str] = "bl-ratio"
-
-    lam: float
-    theta: float
-    a_plus: float
-    a_minus: float
-    modes_plus: tuple[float, float]
-    modes_minus: tuple[float, float]
-    residual_plus: float
-    residual_minus: float
-
-
-def potts_boundary_laws(lam: float) -> Optional[PottsBoundaryLaws]:
-    """The two boundary-law solutions (a+, a-) on the q=5 Potts line, verified.
-
-    theta = e^beta = `potts_theta(5, lam)`, which raises NotAProbability
-    unless lam lies in (-1/4, 1).  Real solutions exist for lam in [4/9, 1),
-    and a verified pair is returned on all of it: with r = `_potts_root(lam)`,
-    a+ = 8*(1 - lam)/(5*lam + r) and a- = (5*lam + r)/(2*(1 - lam)) = 4/a+,
-    which do not cancel, and the modes are the diagonal pair of
-    `q5_potts_diagonal_solutions`.  At lam = 1/2 the minus branch is the free
-    solution (a- = 4, modes 0); above 1/2 its modes are negative (-0.0972 at
-    lam = 0.6).  Both branches must satisfy the fixed-point equations to
-    1e-9, or ClockTreeError is raised.  Returns None for lam in (-1/4, 4/9).
-    """
-    theta = potts_theta(5, lam)
-    diag = q5_potts_diagonal_solutions(lam)
-    if diag is None:
-        return None
-    mm, mp = diag
-    s = 5.0 * lam + _potts_root(lam)
-    rp = _residual(5, lam, lam, mp)
-    rm = _residual(5, lam, lam, mm)
-    if not (rp < RESIDUAL_TOL and rm < RESIDUAL_TOL):
-        raise ClockTreeError(
-            f"boundary laws at lambda = {lam!r} fail the fixed-point residual check "
-            f"(residuals {rp!r}, {rm!r})"
-        )
-    return PottsBoundaryLaws(
-        lam=lam,
-        theta=theta,
-        a_plus=8.0 * (1.0 - lam) / s,
-        a_minus=s / (2.0 * (1.0 - lam)),
-        modes_plus=mp,
-        modes_minus=mm,
-        residual_plus=rp,
-        residual_minus=rm,
-    )

@@ -45,15 +45,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ClockTreeError, UnsupportedQ
-from .fixedpoint import (
-    _fold_roots,
-    q4_fold_roots,
-    q4_solution_counts,
-    q5_fold_bands,
-    q5_jacobian,
-    q5_potts_diagonal_solutions,
-    q5_solution_counts,
-)
+from .fixedpoint import _fold_roots, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
 from .spectral import feasibility_breakpoints, feasible_lambdas
 
 # the count of `q5_transition_line` on either side of a fold candidate r is
@@ -307,25 +299,6 @@ def q5_transition_line(
     return [(l1, 0.5 * (lo[k] + hi[k]) if found[k] else math.nan) for k, l1 in enumerate(grid)]
 
 
-def jacobian_profile(lambda_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """det of the displacement Jacobian at the lower-branch Potts solution.
-
-    The Jacobian (`q5_jacobian`) is taken at the closed-form lower diagonal
-    root of `q5_potts_diagonal_solutions`.  The lower branch merges with the
-    free solution as lambda -> 1/2, where the Jacobian loses invertibility;
-    the profile therefore tends to 0.  A lambda outside [4/9, 1/2), the float
-    4/9 included (it lies below 4/9), raises ClockTreeError.
-    """
-    out = []
-    for lam in lambda_grid:
-        diag = q5_potts_diagonal_solutions(lam) if lam < 0.5 else None
-        if diag is None:
-            raise ClockTreeError(f"lower branch exists for lambda in [4/9, 1/2), got {lam!r}")
-        _, det = q5_jacobian(lam, lam, diag[0])
-        out.append((lam, det))
-    return out
-
-
 def sweep(
     q: int,
     lambda1_range: tuple[float, float] = (0.0, 0.6),
@@ -481,12 +454,14 @@ def _counts_by_row(
 ) -> tuple[np.ndarray, dict[int, str]]:
     """counts(lambda1, lambda2) and {row: message} of the rows that raised.
 
-    A solver fails a row by raising ClockTreeError or LinAlgError (eigvals
-    on coefficients that are not finite); anything else is a programming
-    error and propagates.  A batch that raises is split in halves,
-    recursively, until each raising row stands alone, so one failure does
-    not fail its neighbours; a batch that does not raise costs one call.  A
-    row's count does not depend on the rest of its batch.
+    A solver fails a row by raising ClockTreeError or LinAlgError; anything
+    else is a programming error and propagates.  No input is known to reach
+    either: a row whose coefficients are not finite gets NaN roots from
+    `fixedpoint._polynomial_roots`, not a LinAlgError from eigvals.  A batch
+    that raises is split in halves, recursively, until each raising row
+    stands alone, so one failure does not fail its neighbours; a batch that
+    does not raise costs one call.  A row's count does not depend on the
+    rest of its batch.
     """
     try:
         return counts(lambda1, lambda2), {}

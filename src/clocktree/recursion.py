@@ -9,7 +9,9 @@ so on a Cayley tree with a constant boundary condition all same-level
 marginals coincide and the whole recursion collapses to iterating a single
 symmetric vector (homogeneous reduction).  For q = 4 and q = 5 with two
 children the recursion closes on the two Fourier modes (alpha_1, alpha_2);
-the closed maps are `mode_map_q4` and `mode_map_q5`.
+the closed maps are `mode_map_q4` and `mode_map_q5`.  The general step on
+symmetric distributions, which they are checked against, is
+`basis.recursion_step`.
 
 A probe starts from the all-0 boundary condition coupled through the
 (possibly weakened) potential u*Phi and tracks the sup distance of the root
@@ -26,15 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import a_norm
-from .errors import (
-    ClockTreeError,
-    DimensionMismatch,
-    EmptyChildren,
-    NormalizationUnderflow,
-    UnsupportedTree,
-)
-from .spectral import SymmetricDist, TransferSpec, _weakened_entries
+from .errors import ClockTreeError, DimensionMismatch, NormalizationUnderflow, UnsupportedTree
+from .spectral import TransferSpec, _weakened_entries
 
 V5 = 1.0 / math.sqrt(10.0)  # basis product constant for q=5: phi_k*phi_l = v*(phi_{k+l}+phi_{k-l})
 
@@ -61,27 +56,8 @@ class Cayley:
 
 
 # ---------------------------------------------------------------------------
-# one recursion step
+# the closed mode maps
 # ---------------------------------------------------------------------------
-
-
-def recursion_step(spec: TransferSpec, children: Sequence[SymmetricDist]) -> SymmetricDist:
-    """p(i) proportional to prod_l (M p_l)(i), normalized.
-
-    Computed in the probability-vector representation and returned as modes.
-    """
-    if not children:
-        raise EmptyChildren("recursion step needs at least one child distribution")
-    M = spec.matrix()
-    prod = np.ones(spec.q)
-    for child in children:
-        if child.q != spec.q:
-            raise DimensionMismatch(f"child has q={child.q}, transfer q={spec.q}")
-        prod = prod * (M @ child.probabilities())
-    total = prod.sum()
-    if total < 1e-300:
-        raise NormalizationUnderflow(f"unnormalized mass {float(total)!r} below 1e-300")
-    return SymmetricDist.from_probabilities(prod / total)
 
 
 def mode_map_q4(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> tuple[float, float]:
@@ -110,7 +86,7 @@ def mode_map_q5(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> t
 
 
 def mode_terms_q5(lambda1: float, lambda2: float, alpha: tuple[float, float]) -> tuple[float, float, float]:
-    """(D, N1, N2) of `mode_map_q5`, whose modes are N1/D and N2/D; `q5_jacobian` differentiates them."""
+    """(D, N1, N2) of `mode_map_q5`, whose modes are N1/D and N2/D; `potts.q5_jacobian` differentiates them."""
     a1, a2 = alpha
     den = 0.2 + a1 * a1 * lambda1 * lambda1 + a2 * a2 * lambda2 * lambda2
     cross = 2.0 * lambda1 * lambda2 * V5 * a1 * a2
@@ -268,25 +244,3 @@ def pt_probe(
 ) -> ProbeResult:
     """Full-coupling probe (u = 1): plus boundary condition, no weakening."""
     return rpt_probe(spec, tree=tree, u=1.0, levels=levels, tol=tol)
-
-
-def linearization_residual(spec: TransferSpec, children: Sequence[SymmetricDist]) -> float:
-    """A-norm gap between one recursion step and its linearization.
-
-    With h_i = M p_i the step produces normalize(prod_i h_i); its linearization
-    around uniform is 1 + sum_i (h_i - 1).  The returned residual
-    ||normalize(prod h_i) - 1 - sum (h_i - 1)||_A decays super-linearly in
-    max_i ||h_i - 1||_A (empirically quadratically).
-    """
-    if not children:
-        raise EmptyChildren("need at least one child distribution")
-    M = spec.matrix()
-    q = spec.q
-    uniform = np.full(q, 1.0 / q)
-    hs = [M @ c.probabilities() for c in children]
-    prod = np.ones(q)
-    for h in hs:
-        prod = prod * h
-    prod /= prod.sum()
-    vec = prod - uniform - sum(h - uniform for h in hs)
-    return a_norm(q, vec)

@@ -12,11 +12,9 @@ of the discrete Fourier transform cancel and both directions are cosine sums:
 
 The Potts model (row proportional to (e^beta, 1, ..., 1)) and the standard
 clock model (row proportional to exp(J*cos(2*pi*j/q))) are the limiting
-members of the family.
-
-Single-site marginals live in the reflection-symmetric probability simplex
-and are stored by their NORMALIZED Fourier modes alpha_1..alpha_{floor(q/2)}
-(the mass mode alpha_0 = 1/q is implicit).
+members of the family.  Symmetric single-site distributions and the
+mode-space operations on them are in `basis`, which this module does not
+import.
 """
 from __future__ import annotations
 
@@ -26,14 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    BasisConvention,
-    _cosine_table,
-    convert_coefficients,
-    n_modes,
-    raw_coefficients,
-    unit_basis_vector,
-)
 from .errors import (
     ClockTreeError,
     DimensionMismatch,
@@ -47,11 +37,20 @@ from .errors import (
 ROW_TOL = 1e-12
 
 
-# Both transforms multiply by the cached cosine table of `basis` instead of
-# summing complex exponentials in a loop (the tests keep those loops as the
-# reference).  Its entries equal the real parts of the loops' scalar
-# exponentials bit for bit, signed zeros included, for every q in 3..64, so
-# the products reproduce the loops' real parts.
+# Both transforms multiply by the cached cosine table (`_cosine_table`)
+# instead of summing complex exponentials in a loop (the tests keep those
+# loops as the reference).  Its entries equal the real parts of the loops'
+# scalar exponentials bit for bit, signed zeros included, for every q in
+# 3..64, so the products reproduce the loops' real parts.
+
+
+@functools.lru_cache(maxsize=64)
+def _cosine_table(q: int) -> np.ndarray:
+    """The read-only (q x q) table cos(2*pi*j*k/q), row j = phi_j; `basis` reads it too."""
+    k = np.arange(q)
+    table = np.cos(2.0 * math.pi * k[:, None] * k / q)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,7 +113,7 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     """First row of the circulant, r_l = (1/q) sum_k lambda_k cos(2*pi*l*k/q).
 
     A batch of one of the grid transform (`_raw_rows`, `_finish_rows`): one
-    product with the cosine table of `basis`, summed left to right
+    product with this module's cosine table, summed left to right
     (`_sequential_rows`), so the row equals the real part of a direct
     complex summation bit for bit.  The spectrum is checked for symmetry
     first, pair by pair; the imaginary parts it cancels are never formed.
@@ -134,21 +133,27 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
         raise SpectrumAsymmetric(
             f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = _raw_rows(q, lam[None, :])
-    if not np.isfinite(raw).all():
-        raise NotStochastic(f"the row of {lam.tolist()!r} overflows the largest float")
+    raw = _raw_row(q, lam)
     lowest = raw.min()
     if lowest < -ROW_TOL:
         raise NotStochastic(f"row entry {raw.argmin()} = {lowest:.6e} below -1e-12")
     return _finish_rows(raw)[0]
 
 
+def _raw_row(q: int, lam: np.ndarray) -> np.ndarray:
+    """The raw row, shape (1, q), of one finite spectrum; NotStochastic where a sum overflows the largest float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _raw_rows(q, lam[None, :])
+    if not np.isfinite(raw).all():
+        raise NotStochastic(f"the row of {lam.tolist()!r} overflows the largest float")
+    return raw
+
+
 def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
     """Spectrum lambda_j = sum_k r_k cos(2*pi*j*k/q) of a symmetric probability row.
 
     Like `row_from_eigenvalues`: one sequential product with the cosine
-    table of `basis`, equal bit for bit to the real part of a direct complex
+    table, equal bit for bit to the real part of a direct complex
     summation loop.  A non-finite entry raises NotAProbability.
     """
     r = np.asarray(row, dtype=float)
@@ -224,15 +229,26 @@ class TransferSpec:
         return self.eigenvalues[2]
 
 
+def _spectrum(q: int, lambda1: float, lambda2: float) -> tuple[float, ...]:
+    """The spectrum (1, lambda1, lambda2, ..., lambda1) of q in {4, 5}."""
+    if q == 4:
+        return (1.0, lambda1, lambda2, lambda1)
+    if q == 5:
+        return (1.0, lambda1, lambda2, lambda2, lambda1)
+    raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
+
+
 def spec_from_lambdas(q: int, lambda1: float, lambda2: float) -> TransferSpec:
     """Transfer matrix for q in {4, 5} from its two free eigenvalues."""
-    if q == 4:
-        lam = (1.0, lambda1, lambda2, lambda1)
-    elif q == 5:
-        lam = (1.0, lambda1, lambda2, lambda2, lambda1)
-    else:
-        raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
-    return TransferSpec.from_eigenvalues(q, lam)
+    return TransferSpec.from_eigenvalues(q, _spectrum(q, lambda1, lambda2))
+
+
+def check_row_finite(q: int, lambda1: float, lambda2: float) -> None:
+    """Raise NotStochastic where the row of finite (lambda1, lambda2) overflows, as `spec_from_lambdas` does.
+
+    Nothing else is checked: a row with a negative entry passes.
+    """
+    _raw_row(q, np.array(_spectrum(q, lambda1, lambda2)))
 
 
 def potts_lambda(q: int, theta: float) -> float:
@@ -393,75 +409,3 @@ def _weakened_entries(row: tuple[float, ...], u: float) -> np.ndarray:
     r = np.power(r, u)
     r /= r.sum()
     return r
-
-
-# ---------------------------------------------------------------------------
-# symmetric single-site distributions
-# ---------------------------------------------------------------------------
-
-DIST_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymmetricDist:
-    """Reflection-symmetric probability vector stored by NORMALIZED modes.
-
-    p(j) = 1/q + sum_k alpha_k * phi_k(j) / sqrt(z_k), k = 1..floor(q/2).
-    """
-
-    q: int
-    modes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.modes) != n_modes(self.q):
-            raise DimensionMismatch(
-                f"q={self.q} needs {n_modes(self.q)} modes, got {len(self.modes)}"
-            )
-        p = self.probabilities()
-        if p.min() < -DIST_TOL:
-            raise NotAProbability(
-                f"modes reconstruct to a negative probability {p.min():.6e}"
-            )
-
-    def probabilities(self) -> np.ndarray:
-        p = np.full(self.q, 1.0 / self.q)
-        for k, a in enumerate(self.modes, start=1):
-            p += a * unit_basis_vector(self.q, k)
-        return p
-
-    def raw_coefficients(self) -> np.ndarray:
-        """RAW coefficients (a_0, ..., a_{floor(q/2)}) of the probability vector."""
-        full = np.concatenate(([1.0 / math.sqrt(self.q)], self.modes))
-        return convert_coefficients(self.q, full, BasisConvention.NORMALIZED, BasisConvention.RAW)
-
-    @classmethod
-    def from_probabilities(cls, p) -> "SymmetricDist":
-        p = np.asarray(p, dtype=float)
-        q = len(p)
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise NotAProbability(f"probabilities sum to {p.sum()!r}")
-        raw = raw_coefficients(q, p)
-        modes = convert_coefficients(q, raw, BasisConvention.RAW, BasisConvention.NORMALIZED)
-        return cls(q=q, modes=tuple(modes[1:]))
-
-    @classmethod
-    def uniform(cls, q: int) -> "SymmetricDist":
-        return cls(q=q, modes=(0.0,) * n_modes(q))
-
-    @classmethod
-    def point_mass(cls, q: int) -> "SymmetricDist":
-        """The Dirac distribution at state 0 (the plus boundary condition)."""
-        p = np.zeros(q)
-        p[0] = 1.0
-        return cls.from_probabilities(p)
-
-    def sup_distance_to_uniform(self) -> float:
-        return float(np.abs(self.probabilities() - 1.0 / self.q).max())
-
-
-def apply_transfer(spec: TransferSpec, dist: SymmetricDist) -> SymmetricDist:
-    """M acting on a symmetric distribution: each mode scales by its eigenvalue."""
-    if spec.q != dist.q:
-        raise DimensionMismatch(f"transfer has q={spec.q}, distribution q={dist.q}")
-    new = tuple(spec.eigenvalues[k] * a for k, a in enumerate(dist.modes, start=1))
-    return SymmetricDist(q=dist.q, modes=new)

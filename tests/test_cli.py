@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clocktree
-from clocktree import cli
+from clocktree import cli, potts
 from clocktree.cli import build_parser, main
 from conftest import random_feasible_lambdas
 
@@ -291,10 +291,11 @@ def test_classify_tiny_lambda2_is_not_degenerate(capsys):
 def test_classify_row_lists_a_multiple_root_once_per_multiplicity(capsys, monkeypatch):
     # no lambda2 is known whose rounded quartic has a multiple real root, so
     # the row is fed (x-1)^2 (x+1)(x-2) = x^4 - 3x^3 + x^2 + 3x - 2
-    from clocktree.fixedpoint import QuarticCoeffs, classify_quartic
+    from clocktree import quartic
+    from clocktree.quartic import QuarticCoeffs, classify_quartic
 
     analysis = classify_quartic(QuarticCoeffs(1.0, -3.0, 1.0, 3.0, -2.0, lambda2=0.3))
-    monkeypatch.setattr(cli, "q5_quartic_analysis", lambda lambda2: analysis)
+    monkeypatch.setattr(quartic, "q5_quartic_analysis", lambda lambda2: analysis)
     code, out = run_cli(capsys, "classify", "--lambda2", "0.3")
     assert code == 0
     fields = out.strip().split("\n")[1].split(",")
@@ -771,7 +772,7 @@ def test_a_range_of_too_many_points_is_usage_error(monkeypatch, capsys, argv):
         raise AssertionError("no point of the range should be computed")
 
     monkeypatch.setattr(cli, "_classify_row", no_points)
-    monkeypatch.setattr(cli.phase, "jacobian_profile", no_points)
+    monkeypatch.setattr(potts, "jacobian_profile", no_points)
     with _address_space_headroom(256 << 20):  # a list of 10^12 floats fails fast instead
         code = main(list(argv))
     captured = capsys.readouterr()
@@ -823,6 +824,20 @@ def test_solve_q4_tiny_lambda2_prints_the_nontrivial_pair(capsys):
     assert code == 0 and len(rows) == 3 and rows[0] == [0.0, 0.0, 0.0]
     for a1, a2, res in rows[1:]:
         assert abs(abs(a1) - 0.19230769230769) < 1e-12 and abs(a2 - 0.01923076923077) < 1e-12 and res < 1e-15
+
+
+@pytest.mark.parametrize("q", ["4", "5"])
+def test_solve_refuses_a_row_that_overflows_as_matrix_does(capsys, q):
+    # it printed the trivial point 0,0,0 and exited 0
+    flags = ["--q", q, "--lambda1", "1e308", "--lambda2", "0.4"]
+    assert main(["matrix", *flags]) == 2
+    refusal = capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", refusal)
+    assert refusal.startswith("error: the row of ") and refusal.endswith(" overflows the largest float\n")
 
 
 def test_output_file_lf_endings(tmp_path, capsys):

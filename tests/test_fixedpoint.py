@@ -22,12 +22,11 @@ from clocktree.fixedpoint import (
     _RESIDUAL,
     DEDUP_TOL,
     _assemble,
-    _invariant_terms,
-    _q5_reduced_quartic,
     _residual,
     _verify_candidates,
     q4_solution_counts,
 )
+from clocktree.quartic import _invariant_terms, _q5_reduced_quartic
 from test_q5_elimination import (
     RefAtSpecialPoint,
     ref_alpha2_from_alpha1,

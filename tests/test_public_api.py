@@ -5,6 +5,10 @@ change that does it updates these lists and names it in CHANGES.md.
 """
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -29,11 +33,59 @@ PUBLIC_NAMES = [
 ]
 
 
+def _public_items():
+    """(name, value) of the package's public names, read through getattr, so the ones loaded on first use count."""
+    return [(name, getattr(ct, name)) for name in dir(ct) if not name.startswith("_")]
+
+
 def test_public_names():
-    names = sorted(
-        name for name, value in vars(ct).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
+    names = sorted(name for name, value in _public_items() if not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# a fresh interpreter: the modules `import clocktree.cli` loads, and the
+# public names the package reads from other modules on first use
+_STARTUP = """
+import json, sys
+import clocktree.cli
+import clocktree as ct
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "clocktree")
+deferred = sorted(set(dir(ct)) - set(vars(ct)))
+reads, first_read = [], ct.__getattr__
+def counted(name):
+    reads.append(name)
+    return first_read(name)
+ct.__getattr__ = counted
+first = {name: getattr(ct, name) for name in deferred}
+second = {name: getattr(ct, name) for name in deferred}
+print(json.dumps({
+    "loaded": loaded,
+    "deferred": deferred,
+    "homes": sorted({value.__module__ for value in first.values()}),
+    "same": [name for name, value in first.items()
+             if value is getattr(sys.modules[value.__module__], name) and second[name] is value],
+    "reads": reads,
+    "dir": dir(ct),
+}))
+"""
+
+
+def test_the_cli_loads_only_the_modules_its_commands_run():
+    # every command pays for what `import clocktree.cli` compiles and runs
+    env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seen = json.loads(proc.stdout)
+    assert seen["loaded"] == [
+        "clocktree", "clocktree.cli", "clocktree.errors", "clocktree.fixedpoint", "clocktree.phase",
+        "clocktree.recursion", "clocktree.spectral",
+    ]
+    # each public name that is not loaded yet comes from its own module, and is read there once
+    assert seen["homes"] == ["clocktree.basis", "clocktree.potts", "clocktree.quartic"]
+    assert set(seen["deferred"]) <= set(PUBLIC_NAMES)
+    assert seen["same"] == seen["deferred"]
+    assert seen["reads"] == seen["deferred"]
+    assert set(PUBLIC_NAMES) <= set(seen["dir"])
 
 
 # each public function's parameter names, in order, read with inspect.signature
@@ -81,8 +133,8 @@ PUBLIC_PARAMETERS = {
 def test_public_parameters():
     parameters = {
         name: tuple(inspect.signature(value).parameters)
-        for name, value in vars(ct).items()
-        if not name.startswith("_") and inspect.isfunction(value)
+        for name, value in _public_items()
+        if inspect.isfunction(value)
     }
     assert parameters == PUBLIC_PARAMETERS
 

@@ -36,7 +36,8 @@ from clocktree.fixedpoint import (
     _verify_candidates,
     q5_solution_counts,
 )
-from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
+from clocktree.basis import SymmetricDist
+from clocktree.spectral import feasible_lambdas, spec_from_lambdas, validate_non_increasing
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

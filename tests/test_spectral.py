@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree.basis import _cosine_table, a_norm, basis_norms, raw_basis_vector, raw_coefficients
-from clocktree.spectral import feasible_lambdas
+from clocktree.basis import a_norm, basis_norms, raw_basis_vector, raw_coefficients
+from clocktree.spectral import _cosine_table, feasible_lambdas
 
 from conftest import (
     circulant_matrix,

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import phase
-from clocktree.cli import _REGIME_COLORS, main, render_phase_svg
+from clocktree.basis import SymmetricDist
+from clocktree.cli import main
 from clocktree.fixedpoint import (
     _ACCEPTED,
     _NOT_FINITE,
@@ -36,11 +37,12 @@ from clocktree.fixedpoint import (
     SolutionSet,
     _assemble,
     _verify_candidates,
-    q5_jacobian,
 )
 from clocktree.phase import Evidence, PhasePoint, Regime
 from clocktree.recursion import mode_map
-from clocktree.spectral import SymmetricDist, feasible_lambdas, spec_from_lambdas, validate_non_increasing
+from clocktree.potts import q5_jacobian
+from clocktree.spectral import feasible_lambdas, spec_from_lambdas, validate_non_increasing
+from clocktree.svg import _REGIME_COLORS, render_phase_svg
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
