@@ -389,9 +389,7 @@ _COMMANDS = {
     "sweep": (
         dict(
             help="classify a (lambda1, lambda2) grid; CSV or SVG",
-            description="Classify a grid of eigenvalue pairs.  A point that fails "
-            "exceptionally is recorded as CRITICAL in its row; the sweep itself "
-            "exits 0.",
+            description="Classify a grid of eigenvalue pairs.",
         ),
         cmd_sweep,
         [

@@ -40,7 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class Regime(enum.Enum):
     NO_PT = "NO_PT"
     PT_AND_RPT = "PT_AND_RPT"
     PT_NOT_RPT = "PT_NOT_RPT"
-    CRITICAL = "CRITICAL"
 
 
 class Evidence(enum.Enum):
@@ -84,7 +83,6 @@ class PhasePoint:
     regime: Regime
     n_nontrivial: int
     evidence: Evidence
-    error: Optional[str] = None  # set when a sweep point failed exceptionally
 
 
 class PhaseGrid(Sequence[PhasePoint]):
@@ -95,24 +93,22 @@ class PhaseGrid(Sequence[PhasePoint]):
     Run r holds the points starts[r] <= i < starts[r + 1]; `starts` rises
     strictly from 0 to the grid size through every row start, so no run
     crosses a lambda1 row.  The per-run columns are arrays: `run_feasible`
-    (bool), `run_regime` (int codes into `regimes`), `run_n_nontrivial`
-    (int), plus `run_error`, a list of the failure message or None (a failed
-    run is one point long), and the derived `run_evidence` (int codes into
-    `evidences`): ELIMINATION where q = 5 and the run's head was feasible, as
-    a failed (CRITICAL) run's was.
-    The per-point columns `feasible`, `regime`, `n_nontrivial`, `evidence`
-    and `error` are built from the runs on each read, and a `PhasePoint`
-    only when one is indexed or iterated; a slice is a list of points.
+    (bool), `run_regime` (int codes into `regimes`) and `run_n_nontrivial`
+    (int), plus the derived `run_evidence` (int codes into `evidences`):
+    ELIMINATION where q = 5 and the run's head was feasible.
+    The per-point columns `feasible`, `regime`, `n_nontrivial` and `evidence`
+    are built from the runs on each read, and a `PhasePoint` only when one
+    is indexed or iterated; a slice is a list of points.
     """
 
-    regimes = (Regime.CRITICAL, Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
+    regimes = (Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
     evidences = (Evidence.CLOSED_FORM, Evidence.ELIMINATION)
 
-    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial", "run_error")
+    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial")
 
     def __init__(
         self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, feasible: np.ndarray,
-        regime: np.ndarray, n_nontrivial: np.ndarray, error: list[Optional[str]]
+        regime: np.ndarray, n_nontrivial: np.ndarray
     ) -> None:
         starts = np.asarray(starts)
         size, runs = len(lambda1) * len(lambda2), len(starts) - 1
@@ -122,14 +118,13 @@ class PhaseGrid(Sequence[PhasePoint]):
             raise ClockTreeError("run starts must be strictly increasing")
         if np.count_nonzero(starts % len(lambda2) == 0) != len(lambda1) + 1:
             raise ClockTreeError("run starts must hold the start of every lambda1 row")
-        if any(len(column) != runs for column in (feasible, regime, n_nontrivial, error)):
+        if any(len(column) != runs for column in (feasible, regime, n_nontrivial)):
             raise ClockTreeError(f"every run column must hold one entry per run, {runs}")
         self.q, self.lambda1, self.lambda2, self.starts = q, lambda1, lambda2, starts
         self.run_feasible, self.run_regime, self.run_n_nontrivial = feasible, regime, n_nontrivial
-        self.run_error = error
 
     def _run_evidence(self, runs: int | slice = slice(None)) -> np.ndarray:
-        return ((self.q == 5) & (self.run_feasible[runs] | (self.run_regime[runs] == 0))).astype(int)
+        return ((self.q == 5) & self.run_feasible[runs]).astype(int)
 
     run_evidence = property(_run_evidence)
 
@@ -137,7 +132,6 @@ class PhaseGrid(Sequence[PhasePoint]):
     regime = property(lambda self: np.repeat(self.run_regime, np.diff(self.starts)))
     n_nontrivial = property(lambda self: np.repeat(self.run_n_nontrivial, np.diff(self.starts)))
     evidence = property(lambda self: np.repeat(self.run_evidence, np.diff(self.starts)))
-    error = property(lambda self: [e for e, n in zip(self.run_error, np.diff(self.starts).tolist()) for _ in range(n)])
 
     def __len__(self) -> int:
         return int(self.starts[-1])
@@ -150,16 +144,16 @@ class PhaseGrid(Sequence[PhasePoint]):
         r = int(np.searchsorted(self.starts, i, "right")) - 1
         return PhasePoint(
             self.q, self.lambda1[a], self.lambda2[b], bool(self.run_feasible[r]), self.regimes[self.run_regime[r]],
-            int(self.run_n_nontrivial[r]), self.evidences[self._run_evidence(r)], self.run_error[r],
+            int(self.run_n_nontrivial[r]), self.evidences[self._run_evidence(r)],
         )
 
     def __iter__(self) -> Iterator[PhasePoint]:
         points = itertools.product(self.lambda1, self.lambda2)
         runs = (self.run_feasible, self.run_regime, self.run_n_nontrivial, self.run_evidence, np.diff(self.starts))
-        for f, c, m, ev, length, err in zip(*(column.tolist() for column in runs), self.run_error):
+        for f, c, m, ev, length in zip(*(column.tolist() for column in runs)):
             regime, evidence = self.regimes[c], self.evidences[ev]
             for a, b in itertools.islice(points, length):
-                yield PhasePoint(self.q, a, b, f, regime, m, evidence, err)
+                yield PhasePoint(self.q, a, b, f, regime, m, evidence)
 
 
 def q4_critical_line(lambda2: float) -> float:
@@ -176,10 +170,9 @@ def classify_point(q: int, lambda1: float, lambda2: float) -> PhasePoint:
 
     The point is a 1 x 1 grid of the sweep's classification, so a point and
     the grid around it cannot disagree; see `sweep` for how the regime is
-    decided.  Non-finite parameters raise ClockTreeError, and a point whose
-    solver raises comes back as the sweep marks it: CRITICAL with
-    feasible = False and the error message.  The point is the only entry of
-    the grid's `PhaseGrid`.
+    decided.  Non-finite parameters raise ClockTreeError, and an exception
+    of the solver propagates unchanged.  The point is the only entry of the
+    grid's `PhaseGrid`.
     """
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
         raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {lambda1!r} and {lambda2!r}")
@@ -317,13 +310,12 @@ def sweep(
     own, and a run between breakpoints holds the rest of an interval.  Only
     the first point of each run is evaluated, and the rest of the run takes
     its answer (`_classify_grid`), so the work grows with the runs, not with
-    the grid points.  A feasible point whose solver raises is CRITICAL with
-    feasible = False and the error message; every other point keeps its
-    answer.  The result is a `PhaseGrid`, a sequence of `PhasePoint`s held
-    as those runs, with the evidence derived.  The mode maps are those of
-    the binary tree.  A non-finite range, a range whose span hi - lo
-    overflows, or a resolution that is not an integer >= 1 raises
-    ClockTreeError.
+    the grid points.  An exception of the solver propagates unchanged: no
+    regime stands for a failure.  The result is a `PhaseGrid`, a sequence
+    of `PhasePoint`s held as those runs, with the evidence derived.  The
+    mode maps are those of the binary tree.  A non-finite range, a range
+    whose span hi - lo overflows, or a resolution that is not an integer
+    >= 1 raises ClockTreeError.
     """
     try:
         resolution = operator.index(resolution)
@@ -348,48 +340,28 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
 
     The grid is cut into the runs of `_run_starts`, and only the head of
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
-    call, then the counts of the feasible heads in one call through
-    `_counts_by_row`.  The regime is decided once per run, and the grid
-    keeps the runs (and derives their evidence): nothing is held per point.
-    A run whose head raised is split into runs of one point, and the points
-    after its head are counted on their own in one more call, so a failure
-    stays with the point that raised.
+    call, then the counts of the feasible heads in one solver call.  The
+    regime is decided once per run, and the grid keeps the runs (and derives
+    their evidence): nothing is held per point.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
     m = len(l2s)
     starts = _run_starts(q, l1s, l2s)
-    head, length = starts[:-1], np.diff(starts)
+    head = starts[:-1]
     feasible = feasible_lambdas(q, l1s[head // m], l2s[head % m])
     counts = q4_solution_counts if q == 4 else q5_solution_counts
     n = np.zeros(len(head), dtype=int)
-    failed = np.zeros(len(head), dtype=bool)
-    errors: dict[int, str] = {}  # by the point that raised
-
-    def count(runs: np.ndarray) -> None:
-        points = head[runs]
-        n[runs], failures = _counts_by_row(counts, l1s[points // m], l2s[points % m])
-        failed[runs[list(failures)]] = True
-        errors.update(zip(points[list(failures)].tolist(), failures.values()))
-
-    count(np.flatnonzero(feasible))
-    pieces = np.where(failed, length, 1)
-    if (pieces > 1).any():
-        offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        head, feasible, n, failed = (np.repeat(column, pieces) for column in (head, feasible, n, failed))
-        head += offset
-        followers = np.flatnonzero(offset)
-        failed[followers] = False
-        count(followers)
+    points = head[feasible]
+    n[feasible] = counts(l1s[points // m], l2s[points % m])
     # robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
     # J. E. Steif (Ann. Probab. 27 (1999) 876-912), with br(T) the branching
     # number of R. Lyons (Ann. Probab. 18 (1990) 931-958); br(Cayley(2)) = 2, and
     # lambda1 > 0.5 agrees with 2.0 * lambda1 > 1.0 on every float, without overflow
     robust = l1s[head // m] > 0.5
     # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
-    regime = np.select([failed, ~feasible, robust, n >= 1], [0, 1, 2, 3], 4)
-    starts, error = np.append(head, starts[-1]), list(map(errors.get, head.tolist()))
-    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible & ~failed, regime, n, error)
+    regime = np.select([~feasible, robust, n >= 1], [0, 1, 2], 3)
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible, regime, n)
 
 
 def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
@@ -447,28 +419,3 @@ def _breakpoints(q: int, l1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         fold_cols, folds, fold_radius = q5_fold_bands(l1s)
         cols, b, radius = (np.concatenate(pair) for pair in ((cols, fold_cols), (b, folds), (radius, fold_radius)))
     return cols, b, np.maximum(_GUARD * np.maximum(1.0, np.abs(b)), radius)
-
-
-def _counts_by_row(
-    counts: Callable[[np.ndarray, np.ndarray], np.ndarray], lambda1: np.ndarray, lambda2: np.ndarray
-) -> tuple[np.ndarray, dict[int, str]]:
-    """counts(lambda1, lambda2) and {row: message} of the rows that raised.
-
-    A solver fails a row by raising ClockTreeError or LinAlgError; anything
-    else is a programming error and propagates.  No input is known to reach
-    either: a row whose coefficients are not finite gets NaN roots from
-    `fixedpoint._polynomial_roots`, not a LinAlgError from eigvals.  A batch
-    that raises is split in halves, recursively, until each raising row
-    stands alone, so one failure does not fail its neighbours; a batch that
-    does not raise costs one call.  A row's count does not depend on the
-    rest of its batch.
-    """
-    try:
-        return counts(lambda1, lambda2), {}
-    except (ClockTreeError, np.linalg.LinAlgError) as exc:  # a solver failure stays visible in the rows it decides
-        if len(lambda1) <= 1:
-            return np.zeros(len(lambda1), dtype=int), dict.fromkeys(range(len(lambda1)), str(exc))
-    half = len(lambda1) // 2
-    n_lo, failed_lo = _counts_by_row(counts, lambda1[:half], lambda2[:half])
-    n_hi, failed_hi = _counts_by_row(counts, lambda1[half:], lambda2[half:])
-    return np.concatenate([n_lo, n_hi]), {**failed_lo, **{half + k: m for k, m in failed_hi.items()}}

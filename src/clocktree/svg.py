@@ -13,12 +13,12 @@ import numpy as np
 from . import phase
 
 
+# in the order of the legend
 _REGIME_COLORS = {
-    phase.Regime.INFEASIBLE: "#d9d9d9",
     phase.Regime.NO_PT: "#f7f7f7",
     phase.Regime.PT_NOT_RPT: "#fdae61",
     phase.Regime.PT_AND_RPT: "#d7191c",
-    phase.Regime.CRITICAL: "#2b83ba",
+    phase.Regime.INFEASIBLE: "#d9d9d9",
 }
 
 _VIEW_W, _VIEW_H = 800, 600
@@ -99,11 +99,10 @@ def render_phase_svg(
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">lambda1</text>'
     )
     legend_y = _MARGIN_T + 10
-    for regime in (phase.Regime.NO_PT, phase.Regime.PT_NOT_RPT, phase.Regime.PT_AND_RPT,
-                   phase.Regime.INFEASIBLE, phase.Regime.CRITICAL):
+    for regime, color in _REGIME_COLORS.items():
         parts.append(
             f'<rect x="{_VIEW_W - 180}" y="{legend_y}" width="14" height="14" '
-            f'fill="{_REGIME_COLORS[regime]}" stroke="#000000" stroke-width="0.5"/>'
+            f'fill="{color}" stroke="#000000" stroke-width="0.5"/>'
         )
         parts.append(
             f'<text x="{_VIEW_W - 160}" y="{legend_y + 12}" font-size="12">{regime.value}</text>'

@@ -161,12 +161,12 @@ def _svg_digest(tmp_path, argv):
 
 def test_sweep_svg_bytes(tmp_path):
     digest = _svg_digest(tmp_path, ("--q", "4", "--res", "24"))
-    assert digest == "fa915930712a8c8ea6039774e27871793667eb78d2fdfc296a7ffe62e43a4e96"
+    assert digest == "899cff2d172c5fdad2bb895922b8a56f3a9eea9e9115cacd76fb05546ef70f5c"
 
 
 @pytest.mark.parametrize("argv,digest", [
-    (("--q", "5", "--res", "12") + Q5_WINDOW, "89d5ea2359165f2fd50dec96715c470e872f7c6342cdcee8d8bc78f5dfea36af"),
-    (("--q", "4", "--res", "200"), "754700faf0372c281e1f011335b2b8067e723e6e9dc41731332fff4d8dab85b5"),
+    (("--q", "5", "--res", "12") + Q5_WINDOW, "5192b50e4d23fcabc50da01ae2df5f44e7b64bcf9d6ab57f407ce472891c5c04"),
+    (("--q", "4", "--res", "200"), "62fee2d0573f5b290aa587170b605a4b7f769556473c27b712f9460aec6c098c"),
 ], ids=["q5-window", "q4-res200"])
 def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
     assert _svg_digest(tmp_path, argv) == digest

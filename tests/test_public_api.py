@@ -1,9 +1,10 @@
-"""The public names of the `clocktree` package and its functions' parameters, pinned.
+"""The public names of the `clocktree` package, its functions' parameters and its phase types, pinned.
 
 A name or a parameter joins or leaves the package only on purpose: the
 change that does it updates these lists and names it in CHANGES.md.
 """
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -137,6 +138,25 @@ def test_public_parameters():
         if inspect.isfunction(value)
     }
     assert parameters == PUBLIC_PARAMETERS
+
+
+# the members of the phase classification's enums, the fields of a classified
+# point, and the constructor parameters and regime codes of a classified grid, in order
+PUBLIC_MEMBERS = {
+    "Regime": ("INFEASIBLE", "NO_PT", "PT_AND_RPT", "PT_NOT_RPT"),
+    "Evidence": ("CLOSED_FORM", "ELIMINATION"),
+}
+PHASE_POINT_FIELDS = ("q", "lambda1", "lambda2", "feasible", "regime", "n_nontrivial", "evidence")
+PHASE_GRID_PARAMETERS = ("self", "q", "lambda1", "lambda2", "starts", "feasible", "regime", "n_nontrivial")
+PHASE_GRID_REGIMES = ("INFEASIBLE", "PT_AND_RPT", "PT_NOT_RPT", "NO_PT")
+
+
+def test_public_phase_types():
+    assert {name: tuple(getattr(ct, name).__members__) for name in PUBLIC_MEMBERS} == PUBLIC_MEMBERS
+    assert all(member.value == member.name for name in PUBLIC_MEMBERS for member in getattr(ct, name))
+    assert tuple(field.name for field in dataclasses.fields(ct.PhasePoint)) == PHASE_POINT_FIELDS
+    assert tuple(inspect.signature(ct.PhaseGrid.__init__).parameters) == PHASE_GRID_PARAMETERS
+    assert tuple(regime.name for regime in ct.PhaseGrid.regimes) == PHASE_GRID_REGIMES
 
 
 def _raised_names(tree):

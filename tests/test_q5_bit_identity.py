@@ -218,7 +218,8 @@ def test_roots_of_non_finite_coefficients_are_the_reference(coeffs):
 
 
 def test_eigvals_refuses_a_non_finite_companion():
-    # phase._counts_by_row splits a batch on this LinAlgError
+    # _polynomial_roots must keep non-finite rows away from eigvals, which
+    # raises this LinAlgError on them
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigvals(np.array([[[np.inf, 1.0], [1.0, 0.0]]]))
 

@@ -190,7 +190,7 @@ def _bits(x):
 
 
 def point_key(p):
-    return (p.q, _bits(p.lambda1), _bits(p.lambda2), p.feasible, p.regime, p.n_nontrivial, p.evidence, p.error)
+    return (p.q, _bits(p.lambda1), _bits(p.lambda2), p.feasible, p.regime, p.n_nontrivial, p.evidence)
 
 
 def solution_key(s):
@@ -298,40 +298,23 @@ def test_q4_sweep_starts_no_pool(monkeypatch):
     assert points == [ct.classify_point(4, p.lambda1, p.lambda2) for p in points]
 
 
-def test_q5_solver_failure_keeps_marker(monkeypatch):
-    def boom(lambda1, lambda2):
-        raise ct.ClockTreeError("solver gave up")
+@pytest.mark.parametrize("exc", [
+    ct.ClockTreeError("solver gave up"),
+    np.linalg.LinAlgError("Array must not contain infs or NaNs"),
+    TypeError("programming error"),
+], ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("q", [4, 5])
+def test_a_solver_exception_propagates(monkeypatch, q, exc):
+    # no answer stands for a failure: the solver's exception leaves the sweep
+    # and the point as it was raised, whatever its type
+    def raising(lambda1, lambda2):
+        raise exc
 
-    monkeypatch.setattr(phase, "q5_solution_counts", boom)
-    points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
-    assert points[0] == PhasePoint(5, 0.2, 0.4, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
-    assert points[2] == PhasePoint(
-        5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="solver gave up"
-    )
-    assert ct.classify_point(5, 0.48, 0.4) == points[2]
-
-
-def test_q5_programming_error_is_raised(monkeypatch):
-    # only what a solver can legitimately raise fails a row; a TypeError was
-    # recorded as a CRITICAL row whose error read "programming error"
-    def broken(lambda1, lambda2):
-        raise TypeError("programming error")
-
-    monkeypatch.setattr(phase, "q5_solution_counts", broken)
-    with pytest.raises(TypeError, match="programming error"):
-        ct.sweep(5, (0.4, 0.5), (0.3, 0.5), 3)
-
-
-def test_q5_linalg_error_keeps_marker(monkeypatch):
-    # eigvals raises LinAlgError on coefficients that are not finite
-    def singular(lambda1, lambda2):
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-
-    monkeypatch.setattr(phase, "q5_solution_counts", singular)
-    points = ct.sweep(5, (0.2, 0.48), (0.4, 0.4), resolution=2)
-    assert points[2] == PhasePoint(
-        5, 0.48, 0.4, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="Array must not contain infs or NaNs"
-    )
+    monkeypatch.setattr(phase, f"q{q}_solution_counts", raising)
+    for call in (lambda: ct.sweep(q, (0.2, 0.48), (0.4, 0.4), resolution=2), lambda: ct.classify_point(q, 0.48, 0.4)):
+        with pytest.raises(type(exc)) as info:
+            call()
+        assert info.value is exc
 
 
 def test_phase_point_has_no_instance_dict():
@@ -342,7 +325,7 @@ def test_phase_point_has_no_instance_dict():
 
 
 # ---------------------------------------------------------------------------
-# the verifier, the columnar grid, failures row by row
+# the verifier, the columnar grid
 # ---------------------------------------------------------------------------
 
 _EXTREME = st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324])
@@ -411,57 +394,35 @@ def test_every_image_is_a_probability_vector(q, lambdas, alpha):
 
 Q5_WINDOW = ((0.40, 0.52), (0.30, 0.56))
 # a feasible point of the res-12 window with four non-trivial fixed points
-Q5_BAD = (np.linspace(0.40, 0.52, 12)[9], np.linspace(0.30, 0.56, 12)[7])
+Q5_FOUR = (np.linspace(0.40, 0.52, 12)[9], np.linspace(0.30, 0.56, 12)[7])
 
 
-def _raise_at(monkeypatch, bad, calls=None):
-    """Make phase's q5_solution_counts raise for any batch that holds the pair `bad`."""
-    real = phase.q5_solution_counts
+def test_a_solver_error_in_the_cli_sweep_is_reported_and_writes_no_csv(monkeypatch, capsys, tmp_path):
+    # the window's 20 evaluated feasible points go to the solver in one call;
+    # when it raises, that call is not retried and no row is written
+    calls = []
 
-    def counts(lambda1, lambda2):
-        if calls is not None:
-            calls.append(len(lambda1))
-        if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
-            raise ct.ClockTreeError("solver gave up")
-        return real(lambda1, lambda2)
+    def raising(lambda1, lambda2):
+        calls.append(len(lambda1))
+        raise ct.ClockTreeError("solver gave up")
 
-    monkeypatch.setattr(phase, "q5_solution_counts", counts)
-
-
-def test_one_raising_row_fails_only_itself(monkeypatch, capsys):
+    monkeypatch.setattr(phase, "q5_solution_counts", raising)
+    out = tmp_path / "grid.csv"
     argv = ["sweep", "--q", "5", "--res", "12", "--l1min", "0.40", "--l1max", "0.52",
-            "--l2min", "0.30", "--l2max", "0.56"]
-    calls = []
-    _raise_at(monkeypatch, (math.nan, math.nan), calls)
-    assert main(argv) == 0
-    clean = capsys.readouterr().out.split("\n")
-    assert calls == [20]  # the evaluated feasible points, in one call: nothing extra runs
-    # Q5_BAD is evaluated, as the first point of an interval that also holds
-    # the next point of its row: the batch is halved until Q5_BAD stands
-    # alone, then that next point is counted on its own
-    calls = []
-    _raise_at(monkeypatch, Q5_BAD, calls)
-    assert main(argv) == 0
-    assert calls == [20, 10, 10, 5, 5, 2, 1, 1, 3, 1]
-    rows = capsys.readouterr().out.split("\n")
-    changed = [i for i, (a, b) in enumerate(zip(rows, clean)) if a != b]
-    assert len(rows) == len(clean) and changed == [1 + 9 * 12 + 7]
-    assert clean[changed[0]].endswith(",true,PT_NOT_RPT,4")
-    assert rows[changed[0] + 1] == clean[changed[0] + 1] and rows[changed[0] + 1].endswith(",true,PT_NOT_RPT,4")
-    assert rows[changed[0]] == ",".join(clean[changed[0]].split(",")[:2]) + ",false,CRITICAL,0"
+            "--l2min", "0.30", "--l2max", "0.56", "--out", str(out)]
+    assert main(argv) == 2
+    assert calls == [20]
+    assert capsys.readouterr() == ("", "error: solver gave up\n")
+    assert not out.exists()
 
 
-def test_phase_grid_is_a_lazy_sequence(monkeypatch):
-    _raise_at(monkeypatch, Q5_BAD)
+def test_phase_grid_is_a_lazy_sequence():
     grid = ct.sweep(5, *Q5_WINDOW, resolution=12)
     assert isinstance(grid, ct.PhaseGrid) and isinstance(grid, Sequence)
     assert len(grid) == 144
     points = list(grid)
     assert points == [ct.classify_point(5, p.lambda1, p.lambda2) for p in points]
-    assert [i for i, p in enumerate(points) if p.error is not None] == [9 * 12 + 7]
-    assert points[9 * 12 + 7] == PhasePoint(
-        5, *Q5_BAD, False, Regime.CRITICAL, 0, Evidence.ELIMINATION, error="solver gave up"
-    )
+    assert points[9 * 12 + 7] == PhasePoint(5, *Q5_FOUR, True, Regime.PT_NOT_RPT, 4, Evidence.ELIMINATION)
     assert [grid[i] for i in range(-144, 144)] == points + points
     assert grid[np.int64(5)] == points[5]
     for sl in (slice(10, 14), slice(None, None, -7), slice(5, 2), slice(-3, None), slice(0, 1000)):
@@ -472,31 +433,17 @@ def test_phase_grid_is_a_lazy_sequence(monkeypatch):
     assert grid != points  # a sequence of points, not a list
 
 
-@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@SETTINGS
 @given(
     q=st.sampled_from([4, 5]), l1_range=st.tuples(LAMBDA1, LAMBDA1), l2_range=st.tuples(LAMBDA2, LAMBDA2),
-    res=st.integers(1, 12), run=st.integers(0, 10**6),
+    res=st.integers(1, 12),
 )
-def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(monkeypatch, q, l1_range, l2_range, res, run):
-    # the grid derives its evidence from q and each run's answer; the head of
-    # one drawn run raises, so that a failed run (not feasible) is checked too
+def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(q, l1_range, l2_range, res):
+    # the grid derives its evidence from q and each run's answer
     l1s, l2s = (np.linspace(*r, res) for r in (l1_range, l2_range))
-    starts = phase._run_starts(q, l1s, l2s)
-    k = int(starts[run % (len(starts) - 1)])
-    bad = (l1s[k // res], l2s[k % res])
-    real = getattr(phase, f"q{q}_solution_counts")
-
-    def counts(lambda1, lambda2):
-        if np.any((lambda1 == bad[0]) & (lambda2 == bad[1])):
-            raise ct.ClockTreeError("solver gave up")
-        return real(lambda1, lambda2)
-
-    monkeypatch.setattr(phase, f"q{q}_solution_counts", counts)
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
-    monkeypatch.undo()
     head = grid.starts[:-1]
     head_feasible = np.repeat(feasible_lambdas(q, l1s[head // res], l2s[head % res]), np.diff(grid.starts))
-    assert (grid.error[k] is not None) == bool(head_feasible[k])
     want = [Evidence.ELIMINATION if q == 5 and f else Evidence.CLOSED_FORM for f in head_feasible.tolist()]
     assert [grid.evidences[c] for c in grid.evidence.tolist()] == want
     assert [p.evidence for p in grid] == [grid[i].evidence for i in range(len(grid))] == want
@@ -508,7 +455,7 @@ def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(monkeypatch, q
 
 
 _AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
-# (feasible, regime code, n_nontrivial) of a run, CRITICAL (code 0) included
+# (feasible, regime code, n_nontrivial) of a run
 _ANSWER = st.tuples(st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
 
 
@@ -519,8 +466,7 @@ def _phase_grids(draw):
     The partition has every point its own run, one run per lambda1 row, or
     random cuts besides the row starts.  The runs' answers cycle through a
     few drawn ones, so that neighbouring runs often share an answer, as a
-    sweep's runs do, and a CRITICAL run one point long carries an error, as
-    a failed point does.  q is 4 or 5, so that the evidence the grid derives
+    sweep's runs do.  q is 4 or 5, so that the evidence the grid derives
     takes both of its values.
     """
     q = draw(st.sampled_from([4, 5]))
@@ -538,10 +484,9 @@ def _phase_grids(draw):
     lengths = np.diff(starts)
     answers = itertools.cycle(draw(st.lists(_ANSWER, min_size=1, max_size=5)))
     columns = [np.array(column) for column in zip(*itertools.islice(answers, len(lengths)))]
-    error = ["solver gave up" if c == 0 and k == 1 else None for c, k in zip(columns[1].tolist(), lengths.tolist())]
-    grid = ct.PhaseGrid(q, lambda1, lambda2, starts, *columns, error)
+    grid = ct.PhaseGrid(q, lambda1, lambda2, starts, *columns)
     per_point = (np.repeat(column, lengths) for column in columns)
-    every_point = ct.PhaseGrid(q, lambda1, lambda2, np.arange(size + 1), *per_point, grid.error)
+    every_point = ct.PhaseGrid(q, lambda1, lambda2, np.arange(size + 1), *per_point)
     return grid, every_point
 
 
@@ -571,7 +516,6 @@ def test_phase_grid_runs_read_as_every_point_a_run(grids):
     for name in ("feasible", "regime", "n_nontrivial", "evidence"):
         got, want = getattr(grid, name), getattr(every_point, name)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    assert grid.error == every_point.error == [p.error for p in points]
 
 
 @settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -673,10 +617,10 @@ def test_phase_svg_draws_one_rect_per_run(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
     lines = render_phase_svg(grid, l1_range, l2_range).split("\n")
     runs = len(grid.starts) - 1
-    # besides the runs: the background, the frame and the 5 legend boxes
-    assert sum(line.startswith("<rect ") for line in lines) == runs + 7
+    # besides the runs: the background, the frame and the 4 legend boxes
+    assert sum(line.startswith("<rect ") for line in lines) == runs + 6
     # and the rest of the document is that of the same answers with every point a run
-    columns = (grid.feasible, grid.regime, grid.n_nontrivial, grid.error)
+    columns = (grid.feasible, grid.regime, grid.n_nontrivial)
     every_point = ct.PhaseGrid(q, grid.lambda1, grid.lambda2, np.arange(len(grid) + 1), *columns)
     cells = render_phase_svg(every_point, l1_range, l2_range).split("\n")
     assert lines[:3] + lines[3 + runs :] == cells[:3] + cells[3 + len(grid) :]
@@ -697,15 +641,14 @@ def _rows_of_runs(**change):
     """`PhaseGrid`'s arguments for a 2 x 3 grid of three runs, with some of them replaced."""
     args = dict(
         q=4, lambda1=[0.1, 0.2], lambda2=[0.0, 0.3, 0.6], starts=np.array([0, 3, 4, 6]),
-        feasible=np.ones(3, dtype=bool), regime=np.full(3, 4), n_nontrivial=np.zeros(3, dtype=int),
-        error=[None] * 3,
+        feasible=np.ones(3, dtype=bool), regime=np.full(3, 3), n_nontrivial=np.zeros(3, dtype=int),
     )
     return {**args, **change}
 
 
 def test_phase_grid_takes_well_formed_runs():
     grid = ct.PhaseGrid(**_rows_of_runs())
-    assert len(grid) == 6 and grid.regime.tolist() == [4] * 6 and grid.error == [None] * 6
+    assert len(grid) == 6 and grid.regime.tolist() == [3] * 6
 
 
 @pytest.mark.parametrize("change,message", [
@@ -716,13 +659,12 @@ def test_phase_grid_takes_well_formed_runs():
     (dict(starts=np.array([0, 4, 3, 6])), "strictly increasing"),
     (dict(starts=np.array([0, 3, 3, 6])), "strictly increasing"),
     (dict(starts=np.array([0, 2, 4, 6])), "every lambda1 row"),
-    (dict(starts=np.array([0, 6]), error=[None]), "every lambda1 row"),
+    (dict(starts=np.array([0, 6])), "every lambda1 row"),
     (dict(feasible=np.ones(6, dtype=bool)), "one entry per run, 3"),
-    (dict(regime=np.full(2, 4)), "one entry per run, 3"),
+    (dict(regime=np.full(2, 3)), "one entry per run, 3"),
     (dict(n_nontrivial=np.zeros(4, dtype=int)), "one entry per run, 3"),
-    (dict(error=[None] * 6), "one entry per run, 3"),
 ], ids=["first-not-0", "ends-short", "ends-long", "empty", "decreasing", "repeated", "misses-row",
-        "crosses-row", "feasible", "regime", "n_nontrivial", "error"])
+        "crosses-row", "feasible", "regime", "n_nontrivial"])
 def test_phase_grid_rejects_malformed_runs(change, message):
     with pytest.raises(ct.ClockTreeError, match=message):
         ct.PhaseGrid(**_rows_of_runs(**change))
