@@ -77,8 +77,8 @@ __version__ = "0.1.0"
 # public name -> the module that defines it, loaded on first use
 _LAZY = {
     **dict.fromkeys(
-        ("BasisConvention", "SymmetricDist", "a_norm", "apply_transfer", "basis_norms", "linearization_residual",
-         "raw_coefficients", "recursion_step"),
+        ("SymmetricDist", "a_norm", "apply_transfer", "basis_norms", "linearization_residual", "raw_coefficients",
+         "recursion_step"),
         "basis",
     ),
     **dict.fromkeys(

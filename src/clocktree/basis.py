@@ -1,38 +1,33 @@
 """Mode space: cosine bases on the discrete circle, the A-norm, and symmetric distributions.
 
 The mode-space API that the probes and solvers are checked against: the
-bases and their coefficient conventions, the A-norm, `SymmetricDist`,
-`apply_transfer`, and the general recursion step `recursion_step` with its
-`linearization_residual`.  No command runs it, and no other module of the
-package imports it.
+bases, the A-norm, `SymmetricDist`, `apply_transfer`, and the general
+recursion step `recursion_step` with its `linearization_residual`.  No
+command runs it, and no other module of the package imports it.
 
 Reflection-symmetric vectors on {0,...,q-1} (f(k) = f(q-k)) form a space of
 dimension floor(q/2)+1 spanned by the cosine vectors
 
     phi_j(k) = cos(2*pi*j*k/q),        j = 0..floor(q/2).
 
-Two coefficient conventions coexist:
-
-  RAW         coefficients a_j with f = sum_j a_j * phi_j,
-              recovered as a_j = <f, phi_j> / z_j where z_j = sum_k phi_j(k)^2.
-  NORMALIZED  coefficients alpha_j w.r.t. the L2-unit vectors phi_j / sqrt(z_j);
-              alpha_j = a_j * sqrt(z_j).
-
 The basis satisfies the pointwise product rule
 phi_i*phi_j = (phi_{i+j} + phi_{i-j})/2 and the convolution rule
-phi_i (*) phi_j = z_j delta_ij phi_j, which make both the tree recursion and
-the transfer matrix diagonal in mode space.
+phi_i (*) phi_j = z_j delta_ij phi_j, where z_j = sum_k phi_j(k)^2, which
+make both the tree recursion and the transfer matrix diagonal in mode space.
 
-The A-norm of a symmetric vector is the l1 norm of its RAW coefficients,
-||f||_A = sum_j |a_j(f)|, including j = 0.
+A symmetric vector has two representations here:
 
-Single-site marginals live in the reflection-symmetric probability simplex
-and are stored by their NORMALIZED Fourier modes alpha_1..alpha_{floor(q/2)}
-(the mass mode alpha_0 = 1/q is implicit).
+  RAW         coefficients a_j with f = sum_j a_j * phi_j, recovered as
+              a_j = <f, phi_j> / z_j (`raw_coefficients`).  The A-norm of f
+              is their l1 norm, ||f||_A = sum_j |a_j(f)|, j = 0 included.
+  NORMALIZED  modes alpha_j w.r.t. the L2-unit vectors phi_j / sqrt(z_j),
+              alpha_j = a_j * sqrt(z_j).  A single-site marginal in the
+              reflection-symmetric probability simplex is a `SymmetricDist`,
+              stored by alpha_1..alpha_{floor(q/2)} (the mass mode
+              alpha_0 = 1/sqrt(q) is implicit).
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -104,58 +99,9 @@ def raw_coefficients(q: int, f: np.ndarray) -> np.ndarray:
     return np.array([float(np.dot(f, raw_basis_vector(q, j))) / z[j] for j in range(n_modes(q) + 1)])
 
 
-def pointwise_from_raw(q: int, coeffs: np.ndarray) -> np.ndarray:
-    """Reconstruct the symmetric vector sum_j a_j phi_j."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(q)
-    for j, a in enumerate(coeffs):
-        out += a * raw_basis_vector(q, j)
-    return out
-
-
-class BasisConvention(enum.Enum):
-    """Coefficient convention for symmetric vectors.
-
-    RAW: coefficients w.r.t. phi_j.
-    NORMALIZED: coefficients w.r.t. the unit vectors phi_j / sqrt(z_j).
-    """
-
-    RAW = "raw"
-    NORMALIZED = "normalized"
-
-
-def convert_coefficients(
-    q: int, coeffs: np.ndarray, source: BasisConvention, target: BasisConvention
-) -> np.ndarray:
-    """Rescale a coefficient vector (indices 0..floor(q/2)) between conventions.
-
-    Exact linear rescaling per mode: alpha_j = a_j * sqrt(z_j).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if source is target:
-        return coeffs.copy()
-    s = np.sqrt(basis_norms(q))
-    return coeffs * s if target is BasisConvention.NORMALIZED else coeffs / s
-
-
-def a_norm(q: int, f: np.ndarray, convention: BasisConvention = BasisConvention.RAW) -> float:
-    """Sum of absolute RAW coefficients, ||f||_A, j = 0 included.
-
-    `f` may be a length-q pointwise symmetric vector (convention ignored: the
-    norm is defined through RAW coefficients), or a length floor(q/2)+1
-    coefficient vector in the given convention, which is converted first.
-    The two lengths never coincide, so the dispatch is unambiguous.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape == (q,):
-        coeffs = raw_coefficients(q, f)
-    elif f.shape == (n_modes(q) + 1,):
-        coeffs = convert_coefficients(q, f, convention, BasisConvention.RAW)
-    else:
-        raise AsymmetricVector(
-            f"expected length {q} (pointwise) or {n_modes(q) + 1} (coefficients), got {f.shape}"
-        )
-    return float(np.abs(coeffs).sum())
+def a_norm(q: int, f: np.ndarray) -> float:
+    """||f||_A of the length-q symmetric vector f: the sum of its absolute RAW coefficients, j = 0 included."""
+    return float(np.abs(raw_coefficients(q, f)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +141,7 @@ class SymmetricDist:
     def raw_coefficients(self) -> np.ndarray:
         """RAW coefficients (a_0, ..., a_{floor(q/2)}) of the probability vector."""
         full = np.concatenate(([1.0 / math.sqrt(self.q)], self.modes))
-        return convert_coefficients(self.q, full, BasisConvention.NORMALIZED, BasisConvention.RAW)
+        return full / np.sqrt(basis_norms(self.q))
 
     @classmethod
     def from_probabilities(cls, p) -> "SymmetricDist":
@@ -203,8 +149,7 @@ class SymmetricDist:
         q = len(p)
         if abs(p.sum() - 1.0) > 1e-9:
             raise NotAProbability(f"probabilities sum to {p.sum()!r}")
-        raw = raw_coefficients(q, p)
-        modes = convert_coefficients(q, raw, BasisConvention.RAW, BasisConvention.NORMALIZED)
+        modes = raw_coefficients(q, p) * np.sqrt(basis_norms(q))
         return cls(q=q, modes=tuple(modes[1:]))
 
     @classmethod

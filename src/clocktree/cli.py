@@ -132,7 +132,7 @@ def cmd_probe(args) -> int:
     fields = [None] * (2 * len(text))
     fields[::2] = range(len(text))
     fields[1::2] = text
-    verdict = f"verdict,{result.verdict.value},levels,{result.levels_used},u,{_fmt(result.u)}\n"
+    verdict = f"verdict,{result.verdict.value},levels,{len(dists) - 1},u,{_fmt(result.u)}\n"
     with _output(args.out) as fh:
         fh.write("level,distance\n" + "%d,%s" * len(text) % tuple(fields) + verdict)
     return EXIT_OK

@@ -66,7 +66,8 @@ class SolutionSet:
     """Verified fixed points (alpha1, alpha2) of the mode recursion.
 
     The trivial solution (0, 0) comes first, the rest sorted by alpha1
-    ascending.  Candidates that are not finite or fail the residual check
+    ascending; each of the rest lies farther than DEDUP_TOL from (0, 0), so
+    `nontrivial` is every solution but the first.  Candidates that are not finite or fail the residual check
     are recorded in `rejected` instead of being silently dropped.
     """
 
@@ -75,13 +76,12 @@ class SolutionSet:
     lambda2: float
     solutions: tuple[tuple[float, float], ...]
     residuals: tuple[float, ...]
-    includes_trivial: bool
     rejected: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
     @property
     def nontrivial(self) -> list[tuple[float, float]]:
-        return [s for s in self.solutions if max(abs(s[0]), abs(s[1])) > DEDUP_TOL]
+        return list(self.solutions[1:])
 
     @property
     def n_nontrivial(self) -> int:
@@ -177,7 +177,6 @@ def _assemble(
         lambda2=lambda2,
         solutions=((0.0, 0.0),) + tuple(a for a, _ in accepted),
         residuals=(0.0,) + tuple(res for _, res in accepted),
-        includes_trivial=True,
         rejected=tuple(rejected),
         notes=tuple(notes),
     )

@@ -90,6 +90,7 @@ class PhaseGrid(Sequence[PhasePoint]):
 
     `lambda1` and `lambda2` are the grid's two axes as lists of floats;
     point i lies at (lambda1[i // len(lambda2)], lambda2[i % len(lambda2)]).
+    The lambda2 axis is not empty; the lambda1 axis may be.
     Run r holds the points starts[r] <= i < starts[r + 1]; `starts` rises
     strictly from 0 to the grid size through every row start, so no run
     crosses a lambda1 row.  The per-run columns are arrays: `run_feasible`
@@ -110,6 +111,8 @@ class PhaseGrid(Sequence[PhasePoint]):
         self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, feasible: np.ndarray,
         regime: np.ndarray, n_nontrivial: np.ndarray
     ) -> None:
+        if len(lambda2) == 0:
+            raise ClockTreeError("the lambda2 axis is empty, so a lambda1 row has no points")
         starts = np.asarray(starts)
         size, runs = len(lambda1) * len(lambda2), len(starts) - 1
         if not (runs >= 0 and starts[0] == 0 and starts[-1] == size):
@@ -340,9 +343,10 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
 
     The grid is cut into the runs of `_run_starts`, and only the head of
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
-    call, then the counts of the feasible heads in one solver call.  The
-    regime is decided once per run, and the grid keeps the runs (and derives
-    their evidence): nothing is held per point.
+    call, then the counts of the feasible heads in one solver call, made
+    only when some head is feasible.  The regime is decided once per run,
+    and the grid keeps the runs (and derives their evidence): nothing is
+    held per point.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
@@ -353,7 +357,8 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
     counts = q4_solution_counts if q == 4 else q5_solution_counts
     n = np.zeros(len(head), dtype=int)
     points = head[feasible]
-    n[feasible] = counts(l1s[points // m], l2s[points % m])
+    if len(points):
+        n[feasible] = counts(l1s[points // m], l2s[points % m])
     # robust means lambda1 * br(T) > 1, the strict threshold of R. Pemantle and
     # J. E. Steif (Ann. Probab. 27 (1999) 876-912), with br(T) the branching
     # number of R. Lyons (Ann. Probab. 18 (1990) 931-958); br(Cayley(2)) = 2, and

@@ -128,12 +128,12 @@ class ProbeResult:
     start_level + period repeats the state at start_level bit for bit, so
     that distances[level] == distances[level - period] for every level from
     start_level + period on; None when no state repeats within the run.
-    `distances` holds Python floats, not numpy scalars.
+    `distances` holds Python floats, not numpy scalars, one per level from
+    the leaf layer's at entry 0: a probe of L levels has L + 1.
     """
 
     distances: tuple[float, ...]
     verdict: Verdict
-    levels_used: int
     u: float
     tol: float
     boundary_init: str
@@ -228,7 +228,6 @@ def rpt_probe(
     return ProbeResult(
         distances=tuple(dist),
         verdict=_verdict(dist, tol),
-        levels_used=levels,
         u=u,
         tol=tol,
         boundary_init=f"(M^u(.,0))^{k}",

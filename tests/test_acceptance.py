@@ -104,7 +104,7 @@ def test_criterion_4_potts_point_cardinality():
     ok = (
         len(s.solutions) == 4
         and s.n_nontrivial == 3
-        and s.includes_trivial
+        and s.solutions[0] == (0.0, 0.0)
         and all(r < 1e-9 for r in s.residuals)
     )
     _report("criterion-4 potts-point-cardinality", ok, f"solutions={s.solutions}")

@@ -4,17 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clocktree.basis import (
-    BasisConvention,
-    a_norm,
-    basis_norms,
-    convert_coefficients,
-    n_modes,
-    pointwise_from_raw,
-    raw_basis_vector,
-    raw_coefficients,
-    unit_basis_vector,
-)
+from clocktree.basis import a_norm, basis_norms, n_modes, raw_basis_vector, raw_coefficients, unit_basis_vector
 from clocktree.errors import AsymmetricVector
 
 from conftest import random_symmetric_probability
@@ -64,21 +54,13 @@ def test_q5_normalization_constants():
 
 
 def test_coefficient_roundtrip(rng):
+    # f = sum_j a_j * phi_j
     for q in (3, 4, 5, 7, 8):
         for _ in range(50):
             p = random_symmetric_probability(rng, q)
             coeffs = raw_coefficients(q, p)
-            assert np.abs(pointwise_from_raw(q, coeffs) - p).max() < 1e-13
-
-
-def test_convention_conversion_roundtrip(rng):
-    for q in (4, 5, 6):
-        coeffs = rng.normal(size=n_modes(q) + 1)
-        normalized = convert_coefficients(q, coeffs, BasisConvention.RAW, BasisConvention.NORMALIZED)
-        back = convert_coefficients(q, normalized, BasisConvention.NORMALIZED, BasisConvention.RAW)
-        assert np.abs(back - coeffs).max() < 1e-15
-        # the rescaling is alpha_j = a_j * sqrt(z_j)
-        assert np.abs(normalized - coeffs * np.sqrt(basis_norms(q))).max() < 1e-15
+            rebuilt = sum(a * raw_basis_vector(q, j) for j, a in enumerate(coeffs))
+            assert np.abs(rebuilt - p).max() < 1e-13
 
 
 def test_unit_vectors_are_unit():
@@ -99,14 +81,6 @@ def test_a_norm_point_mass_minus_uniform(q):
     f = e1 - np.full(q, 1.0 / q)
     expected = sum(1.0 / z for z in basis_norms(q)[1:])
     assert abs(a_norm(q, f) - expected) < 1e-13
-
-
-def test_a_norm_coefficient_input():
-    # length floor(q/2)+1 input is read as coefficients in the given convention
-    coeffs = np.array([0.2, 0.1, -0.05])
-    assert abs(a_norm(5, coeffs, BasisConvention.RAW) - 0.35) < 1e-15
-    normalized = convert_coefficients(5, coeffs, BasisConvention.RAW, BasisConvention.NORMALIZED)
-    assert abs(a_norm(5, normalized, BasisConvention.NORMALIZED) - 0.35) < 1e-14
 
 
 def test_a_norm_submultiplicative(rng):

@@ -185,7 +185,7 @@ def _per_level_probe_csv(result):
     lines = ["level,distance"]
     for level, distance in enumerate(result.distances):
         lines.append(f"{level},{distance:.17g}")
-    lines.append(f"verdict,{result.verdict.value},levels,{result.levels_used},u,{result.u:.17g}")
+    lines.append(f"verdict,{result.verdict.value},levels,{len(result.distances) - 1},u,{result.u:.17g}")
     return ("\n".join(lines) + "\n").encode()
 
 

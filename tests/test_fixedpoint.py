@@ -386,7 +386,6 @@ def test_factorization_identity():
 def test_q5_solutions_below_threshold_trivial_only():
     s = ct.q5_solutions_at_critical(0.30)
     assert s.solutions == ((0.0, 0.0),)
-    assert s.includes_trivial
 
 
 def test_q5_solutions_two_distinct_regime():

@@ -1,4 +1,4 @@
-"""The public names of the `clocktree` package, its functions' parameters and its phase types, pinned.
+"""The public names of the `clocktree` package, its functions' parameters, its result types and its import graph, pinned.
 
 A name or a parameter joins or leaves the package only on purpose: the
 change that does it updates these lists and names it in CHANGES.md.
@@ -17,7 +17,7 @@ import clocktree as ct
 from clocktree import errors
 
 PUBLIC_NAMES = [
-    "AsymmetricVector", "BasisConvention", "Cayley", "ClockTreeError",
+    "AsymmetricVector", "Cayley", "ClockTreeError",
     "DegenerateQuartic", "DimensionMismatch", "EmptyChildren", "Evidence", "FeasibilityReport",
     "NormalizationUnderflow", "NotAProbability", "NotStochastic", "PhaseGrid", "PhasePoint",
     "PottsBoundaryLaws", "ProbeResult", "QuarticAnalysis", "QuarticCoeffs", "Regime",
@@ -91,7 +91,7 @@ def test_the_cli_loads_only_the_modules_its_commands_run():
 
 # each public function's parameter names, in order, read with inspect.signature
 PUBLIC_PARAMETERS = {
-    "a_norm": ("q", "f", "convention"),
+    "a_norm": ("q", "f"),
     "apply_transfer": ("spec", "dist"),
     "classify_point": ("q", "lambda1", "lambda2"),
     "classify_quartic": ("coeffs",),
@@ -147,6 +147,20 @@ PUBLIC_MEMBERS = {
     "Evidence": ("CLOSED_FORM", "ELIMINATION"),
 }
 PHASE_POINT_FIELDS = ("q", "lambda1", "lambda2", "feasible", "regime", "n_nontrivial", "evidence")
+# the fields of every other public dataclass, in order
+RESULT_FIELDS = {
+    "Cayley": ("children",),
+    "FeasibilityReport": ("feasible", "violation"),
+    "PottsBoundaryLaws": (
+        "lam", "theta", "a_plus", "a_minus", "modes_plus", "modes_minus", "residual_plus", "residual_minus",
+    ),
+    "ProbeResult": ("distances", "verdict", "u", "tol", "boundary_init", "cycle"),
+    "QuarticAnalysis": ("coeffs", "delta", "p", "d", "delta0", "structure", "n_simple", "real_roots"),
+    "QuarticCoeffs": ("a", "b", "c", "d", "e", "lambda2"),
+    "SolutionSet": ("q", "lambda1", "lambda2", "solutions", "residuals", "rejected", "notes"),
+    "SymmetricDist": ("q", "modes"),
+    "TransferSpec": ("q", "eigenvalues", "row"),
+}
 PHASE_GRID_PARAMETERS = ("self", "q", "lambda1", "lambda2", "starts", "feasible", "regime", "n_nontrivial")
 PHASE_GRID_REGIMES = ("INFEASIBLE", "PT_AND_RPT", "PT_NOT_RPT", "NO_PT")
 
@@ -157,6 +171,80 @@ def test_public_phase_types():
     assert tuple(field.name for field in dataclasses.fields(ct.PhasePoint)) == PHASE_POINT_FIELDS
     assert tuple(inspect.signature(ct.PhaseGrid.__init__).parameters) == PHASE_GRID_PARAMETERS
     assert tuple(regime.name for regime in ct.PhaseGrid.regimes) == PHASE_GRID_REGIMES
+
+
+def test_public_result_fields():
+    fields = {
+        name: tuple(field.name for field in dataclasses.fields(value))
+        for name, value in _public_items()
+        if dataclasses.is_dataclass(value) and name != "PhasePoint"
+    }
+    assert fields == RESULT_FIELDS
+
+
+# each module's imports from the package: (at import, on first use inside a
+# function).  `clocktree/__init__.py` also loads `basis`, `quartic` and
+# `potts` on first use through importlib, which the start-up test pins.
+IMPORT_GRAPH = {
+    "__init__": ({"errors", "fixedpoint", "phase", "recursion", "spectral"}, set()),
+    "__main__": ({"cli"}, set()),
+    "basis": ({"errors", "spectral"}, set()),
+    "cli": ({"errors", "fixedpoint", "phase", "recursion", "spectral"}, {"potts", "quartic", "svg"}),
+    "errors": (set(), set()),
+    "exact": (set(), set()),
+    "fixedpoint": ({"errors", "recursion", "spectral"}, set()),
+    "phase": ({"errors", "fixedpoint", "spectral"}, set()),
+    "potts": ({"errors", "fixedpoint", "recursion", "spectral"}, set()),
+    "quartic": ({"errors", "exact", "fixedpoint"}, set()),
+    "recursion": ({"errors", "spectral"}, set()),
+    "spectral": ({"errors"}, set()),
+    "svg": ({"phase"}, set()),
+}
+
+
+def _package_imports(node):
+    """The package modules an import statement names: `from .x import y`, `from . import x`, `import clocktree.x`."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("clocktree.")}
+    if node.level:
+        module = node.module
+    elif node.module == "clocktree" or node.module.startswith("clocktree."):
+        module = node.module.partition(".")[2]
+    else:
+        return set()
+    return {module.split(".")[0]} if module else {alias.name for alias in node.names}
+
+
+def _import_graph():
+    graph = {}
+    for path in sorted(Path(ct.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        statements = (ast.Import, ast.ImportFrom)
+        nested = {
+            id(node)
+            for function in ast.walk(tree) if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function) if isinstance(node, statements)
+        }
+        at_import, first_use = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, statements):
+                (first_use if id(node) in nested else at_import).update(_package_imports(node))
+        graph[path.stem] = (at_import, first_use)
+    return graph
+
+
+def test_import_graph():
+    graph = _import_graph()
+    assert graph == IMPORT_GRAPH
+    reads = {module: at_import | first_use for module, (at_import, first_use) in graph.items()}
+    # the mode-space API is checked against the solvers, so nothing in the package runs it
+    assert [module for module, names in reads.items() if "basis" in names] == []
+    # the transfer matrices rest on the errors alone
+    assert reads["spectral"] == {"errors"}
+    # the fixed-point solvers do not read the quartic classification or the Potts line
+    assert not reads["fixedpoint"] & {"quartic", "potts"}
+    # the phase classification counts fixed points; it runs no probe
+    assert "recursion" not in reads["phase"]
 
 
 def _raised_names(tree):

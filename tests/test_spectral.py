@@ -195,13 +195,16 @@ def test_apply_transfer():
 
 
 def test_symmetric_dist_raw_coefficients_are_the_basis_coefficients(rng):
-    # a_0 = 1/q for every probability vector, and a_j = <p, phi_j>/z_j
+    # a_0 = 1/q for every probability vector, a_j = <p, phi_j>/z_j, and the
+    # modes are the normalized coefficients alpha_j = a_j * sqrt(z_j)
     for q in (3, 4, 5, 8):
         for _ in range(20):
             p = random_symmetric_probability(rng, q)
-            raw = ct.SymmetricDist.from_probabilities(p).raw_coefficients()
+            dist = ct.SymmetricDist.from_probabilities(p)
+            raw = dist.raw_coefficients()
             assert raw.shape == (q // 2 + 1,) and abs(raw[0] - 1.0 / q) < 1e-15
             assert np.abs(raw - raw_coefficients(q, p)).max() < 1e-15
+            assert np.abs(np.array(dist.modes) - raw[1:] * np.sqrt(basis_norms(q)[1:])).max() < 1e-15
 
 
 def test_apply_transfer_matches_matrix_product(rng):

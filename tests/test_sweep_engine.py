@@ -90,7 +90,6 @@ def ref_assemble(q, lambda1, lambda2, candidates, notes=()):
         solutions=tuple(ordered),
         # the mode map fixes (0, 0) exactly, whatever it evaluates to there
         residuals=(0.0,) + tuple(ref_residual(q, lambda1, lambda2, s) for s in ordered[1:]),
-        includes_trivial=True,
         rejected=tuple(rejected),
         notes=tuple(notes),
     )
@@ -198,7 +197,6 @@ def solution_key(s):
         s.q,
         tuple((_bits(a), _bits(b)) for a, b in s.solutions),
         tuple(_bits(r) for r in s.residuals),
-        s.includes_trivial,
         s.rejected,
         s.notes,
     )
@@ -315,6 +313,27 @@ def test_a_solver_exception_propagates(monkeypatch, q, exc):
         with pytest.raises(type(exc)) as info:
             call()
         assert info.value is exc
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_no_solver_call_without_a_feasible_run_head(monkeypatch, q):
+    # the solver counts fixed points of feasible points only: where no run
+    # head is feasible it is not called, and the answers are those it would give
+    calls = []
+    solver = getattr(phase, f"q{q}_solution_counts")
+
+    def counting(lambda1, lambda2):
+        calls.append(len(lambda1))
+        return solver(lambda1, lambda2)
+
+    infeasible = (ct.classify_point(q, 0.2, 0.4), list(ct.sweep(q, (0.0, 0.1), (0.5, 0.6), resolution=5)))
+    monkeypatch.setattr(phase, f"q{q}_solution_counts", counting)
+    point, grid = ct.classify_point(q, 0.2, 0.4), list(ct.sweep(q, (0.0, 0.1), (0.5, 0.6), resolution=5))
+    assert calls == []
+    assert (point, grid) == infeasible
+    assert not point.feasible and not any(p.feasible for p in grid)
+    # a feasible point still reaches the solver, once and with its one row
+    assert ct.classify_point(q, 0.48, 0.4).feasible and calls == [1]
 
 
 def test_phase_point_has_no_instance_dict():
@@ -668,3 +687,20 @@ def test_phase_grid_takes_well_formed_runs():
 def test_phase_grid_rejects_malformed_runs(change, message):
     with pytest.raises(ct.ClockTreeError, match=message):
         ct.PhaseGrid(**_rows_of_runs(**change))
+
+
+_NO_RUNS = dict(starts=np.array([0]), feasible=np.ones(0, dtype=bool), regime=np.zeros(0, dtype=int),
+                n_nontrivial=np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("lambda1", [[0.1], [0.1, 0.2], []], ids=["one-row", "two-rows", "no-rows"])
+def test_phase_grid_rejects_an_empty_lambda2_axis(lambda1):
+    # a row with no points has no start; the grid names the empty axis (and
+    # computes no start modulo 0)
+    with pytest.raises(ct.ClockTreeError, match="the lambda2 axis is empty"):
+        ct.PhaseGrid(q=4, lambda1=lambda1, lambda2=[], **_NO_RUNS)
+
+
+def test_phase_grid_takes_a_grid_of_no_rows():
+    grid = ct.PhaseGrid(q=4, lambda1=[], lambda2=[0.0, 0.3], **_NO_RUNS)
+    assert len(grid) == 0 and list(grid) == [] and grid[:] == [] and grid.regime.tolist() == []
