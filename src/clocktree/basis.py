@@ -148,7 +148,7 @@ class SymmetricDist:
         p = np.asarray(p, dtype=float)
         q = len(p)
         if abs(p.sum() - 1.0) > 1e-9:
-            raise NotAProbability(f"probabilities sum to {p.sum()!r}")
+            raise NotAProbability(f"probabilities sum to {float(p.sum())!r}")
         modes = raw_coefficients(q, p) * np.sqrt(basis_norms(q))
         return cls(q=q, modes=tuple(modes[1:]))
 

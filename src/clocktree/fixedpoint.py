@@ -33,7 +33,6 @@ displacement map and Potts-line helpers (`potts`) read it; it reads neither.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -512,26 +511,15 @@ _FOLD_F = (
 )
 
 
-@functools.cache
-def _fold_table() -> np.ndarray:
-    """The (11, 11) table of F: power of l1, coefficient in l2 (highest first).
-
-    `l1 powers @ table` gives F as a polynomial in l2 at a batch of lambda1.
-    """
-    table = np.zeros((11, 11))
-    for i, row in enumerate(_FOLD_F):
-        table[i, : len(row)] = row
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
-
-
-@functools.cache
-def _fold_magnitudes() -> np.ndarray:
-    """|`_fold_table()`|: `|l1| powers @ magnitudes` gives sum |c_k| at each lambda1, c_k the coefficients of F."""
-    magnitudes = np.abs(_fold_table())
-    magnitudes.setflags(write=False)
-    return magnitudes
-
+# F's (11, 11) table: row i, the power of l1, holds the coefficients in l2
+# (highest first), so `l1 powers @ _FOLD_TABLE` gives F as a polynomial in l2
+# at a batch of lambda1, and `|l1| powers @ _FOLD_MAGNITUDES` gives sum |c_k|
+# at each lambda1, c_k the coefficients of F; both are read-only, shared by
+# every caller
+_FOLD_TABLE = np.array([row + (0,) * (11 - len(row)) for row in _FOLD_F], dtype=float)
+_FOLD_MAGNITUDES = np.abs(_FOLD_TABLE)
+_FOLD_TABLE.setflags(write=False)
+_FOLD_MAGNITUDES.setflags(write=False)
 
 _FOLD_POWERS = np.arange(11)
 
@@ -543,7 +531,7 @@ def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one has an imaginary part of exactly 0.
     """
     with np.errstate(all="ignore"):  # F overflows at |lambda1| above about 1e30: no roots there
-        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** _FOLD_POWERS) @ _fold_table()
+        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** _FOLD_POWERS) @ _FOLD_TABLE
         return coeffs, _polynomial_roots(coeffs)
 
 
@@ -571,7 +559,7 @@ def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         stacked[0] = coeffs
         np.multiply(coeffs[:, :-1], _FOLD_POWERS[:0:-1], out=stacked[1, :, 1:])
         value, slope = np.abs(_polyval(stacked, z))
-        magnitudes = (np.abs(l1)[:, None] ** _FOLD_POWERS) @ _fold_magnitudes()
+        magnitudes = (np.abs(l1)[:, None] ** _FOLD_POWERS) @ _FOLD_MAGNITUDES
         radius = 10.0 * (value + _ROUNDING * _polyval(magnitudes, np.abs(z))) / slope
     rows, k = np.nonzero((z.imag >= 0.0) & (z.imag <= radius))
     # then lambda2 = 1/2, the root of 2 l2 - 1, with radius 0 in every row

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ClockTreeError, UnsupportedQ
 from .fixedpoint import _fold_roots, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
-from .spectral import feasibility_breakpoints, feasible_lambdas
+from .spectral import feasibility_breakpoints, feasible_lambdas, potts_lambda
 
 # the count of `q5_transition_line` on either side of a fold candidate r is
 # checked at r - _FOLD_STEP and r + _FOLD_STEP, which decide every midpoint
@@ -97,9 +97,8 @@ class PhaseGrid(Sequence[PhasePoint]):
     (bool), `run_regime` (int codes into `regimes`) and `run_n_nontrivial`
     (int), plus the derived `run_evidence` (int codes into `evidences`):
     ELIMINATION where q = 5 and the run's head was feasible.
-    The per-point columns `feasible`, `regime`, `n_nontrivial` and `evidence`
-    are built from the runs on each read, and a `PhasePoint` only when one
-    is indexed or iterated; a slice is a list of points.
+    A `PhasePoint` is built only when one is indexed or iterated; a slice
+    is a list of points.
     """
 
     regimes = (Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
@@ -130,11 +129,6 @@ class PhaseGrid(Sequence[PhasePoint]):
         return ((self.q == 5) & self.run_feasible[runs]).astype(int)
 
     run_evidence = property(_run_evidence)
-
-    feasible = property(lambda self: np.repeat(self.run_feasible, np.diff(self.starts)))
-    regime = property(lambda self: np.repeat(self.run_regime, np.diff(self.starts)))
-    n_nontrivial = property(lambda self: np.repeat(self.run_n_nontrivial, np.diff(self.starts)))
-    evidence = property(lambda self: np.repeat(self.run_evidence, np.diff(self.starts)))
 
     def __len__(self) -> int:
         return int(self.starts[-1])
@@ -194,8 +188,7 @@ def potts_thresholds(q: int, d: int) -> tuple[float, float, float]:
     if d < 2 or q < 2:
         raise UnsupportedQ(f"need d >= 2 and q >= 2, got d={d}, q={q}")
     theta_cr = (d + q - 1.0) / (d - 1.0)
-    lambda1 = (theta_cr - 1.0) / (theta_cr + q - 1.0)
-    return theta_cr, theta_cr, lambda1
+    return theta_cr, theta_cr, potts_lambda(q, theta_cr)
 
 
 def q5_transition_line(

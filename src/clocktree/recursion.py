@@ -33,11 +33,6 @@ from .spectral import TransferSpec, _weakened_entries
 
 V5 = 1.0 / math.sqrt(10.0)  # basis product constant for q=5: phi_k*phi_l = v*(phi_{k+l}+phi_{k-l})
 
-# np.add.reduce adds fewer than 8 float64 terms one by one, left to right
-# from 0.0 (8 or more it sums pairwise), so a loop adding Python floats in
-# that order gives its float, for a third of the cost at a probe's few terms
-_SUM_IN_ORDER_TERMS = 8
-
 
 # ---------------------------------------------------------------------------
 # the Cayley tree
@@ -171,8 +166,8 @@ def rpt_probe(
     Each level, the leaf layer included, is one gemv and two ufuncs (the
     k-th power and the division by the mass), each writing into a
     preallocated array.  The mass, checked against 1e-300, is added up
-    term by term on Python floats for q < 8 (the same float as
-    np.add.reduce's) and is np.add.reduce for larger q, which sums pairwise.
+    term by term on Python floats, left to right from 0.0: for q < 8 the
+    same float as np.add.reduce's, which sums 8 or more terms pairwise.
 
     The step is a fixed map on the float64 vector p, so once p equals, bit
     for bit, its value at an earlier level s, the states and distances of
@@ -197,19 +192,15 @@ def rpt_probe(
     # k and the mass as 0-d float64 arrays: the loops an int k and a float
     # mass select, without a scalar converted at every level
     exponent, total = np.array(float(k)), np.empty(())
-    in_order = spec.q < _SUM_IN_ORDER_TERMS
     p = np.empty(spec.q)
     # each state's bytes, in level order, and the level of each
     first_level = {}
     cycle = None
     for level in range(levels + 1):
         np.power(v, exponent, out=p)
-        if in_order:
-            mass = 0.0
-            for term in p.tolist():
-                mass += term
-        else:
-            mass = float(np.add.reduce(p))
+        mass = 0.0
+        for term in p.tolist():
+            mass += term
         if mass < 1e-300:
             raise NormalizationUnderflow(f"unnormalized mass {mass!r} below 1e-300")
         total[()] = mass

@@ -131,7 +131,7 @@ def row_from_eigenvalues(q: int, eigenvalues: np.ndarray) -> np.ndarray:
     j = _first_asymmetry(lam)
     if j is not None:
         raise SpectrumAsymmetric(
-            f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
+            f"lambda_{j} = {float(lam[j])!r} differs from lambda_{q - j} = {float(lam[q - j])!r}"
         )
     raw = _raw_row(q, lam)
     lowest = raw.min()
@@ -163,11 +163,11 @@ def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
         raise NotAProbability(f"row entries must be finite, got {r.tolist()!r}")
     kk = _first_asymmetry(r)
     if kk is not None:
-        raise RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
+        raise RowAsymmetric(f"r_{kk} = {float(r[kk])!r} differs from r_{q - kk} = {float(r[q - kk])!r}")
     if r.min() < -ROW_TOL:
         raise NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
     if abs(r.sum() - 1.0) > ROW_TOL:
-        raise NotAProbability(f"row sums to {r.sum()!r}, not 1")
+        raise NotAProbability(f"row sums to {float(r.sum())!r}, not 1")
     lam = _sequential_rows(_cosine_table(q), r[None, :])[0]
     lam[0] = 1.0
     # symmetrize away the last few ulps so the spectrum invariant is exact
@@ -202,7 +202,7 @@ class TransferSpec:
         lam = np.asarray(eigenvalues, dtype=float)
         row = row_from_eigenvalues(q, lam)
         if abs(row.sum() - 1.0) > ROW_TOL:
-            raise NotStochastic(f"row sums to {row.sum()!r}, not 1")
+            raise NotStochastic(f"row sums to {float(row.sum())!r}, not 1")
         return cls(q=q, eigenvalues=tuple(lam.tolist()), row=tuple(row.tolist()))
 
     @classmethod
@@ -230,7 +230,7 @@ class TransferSpec:
 
 
 def _spectrum(q: int, lambda1: float, lambda2: float) -> tuple[float, ...]:
-    """The spectrum (1, lambda1, lambda2, ..., lambda1) of q in {4, 5}."""
+    """The spectrum (1, lambda1, lambda2, ..., lambda1) of q in {4, 5}; `feasible_lambdas` passes arrays."""
     if q == 4:
         return (1.0, lambda1, lambda2, lambda1)
     if q == 5:
@@ -333,13 +333,7 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     """
     l1 = np.asarray(lambda1, dtype=float)
     l2 = np.asarray(lambda2, dtype=float)
-    ones = np.ones_like(l1)
-    if q == 4:
-        spectra = np.stack([ones, l1, l2, l1], axis=1)
-    elif q == 5:
-        spectra = np.stack([ones, l1, l2, l2, l1], axis=1)
-    else:
-        raise DimensionMismatch(f"two-eigenvalue constructor only supports q in {{4, 5}}, got q={q}")
+    spectra = np.stack(np.broadcast_arrays(*_spectrum(q, l1, l2)), axis=1)
     # a huge lambda makes infinite or NaN entries, which fail the checks
     with np.errstate(all="ignore"):
         raw = _raw_rows(q, spectra)

@@ -82,3 +82,8 @@ def random_symmetric_probability(rng, q):
         p[j] = vals[j]
         p[q - j] = vals[j]
     return p / p.sum()
+
+
+def point_column(grid, runs):
+    """A `PhaseGrid` run column (`run_feasible`, `run_regime`, ...) repeated over each run's points."""
+    return np.repeat(runs, np.diff(grid.starts))

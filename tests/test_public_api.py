@@ -4,10 +4,13 @@ A name or a parameter joins or leaves the package only on purpose: the
 change that does it updates these lists and names it in CHANGES.md.
 """
 import ast
+import collections.abc
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -163,6 +166,12 @@ RESULT_FIELDS = {
 }
 PHASE_GRID_PARAMETERS = ("self", "q", "lambda1", "lambda2", "starts", "feasible", "regime", "n_nontrivial")
 PHASE_GRID_REGIMES = ("INFEASIBLE", "PT_AND_RPT", "PT_NOT_RPT", "NO_PT")
+# what a classified grid holds besides a Sequence's methods: its axes, its
+# runs and their columns, and the code tables; no per-point column
+PHASE_GRID_ATTRIBUTES = (
+    "evidences", "lambda1", "lambda2", "q", "regimes", "run_evidence", "run_feasible", "run_n_nontrivial",
+    "run_regime", "starts",
+)
 
 
 def test_public_phase_types():
@@ -171,6 +180,11 @@ def test_public_phase_types():
     assert tuple(field.name for field in dataclasses.fields(ct.PhasePoint)) == PHASE_POINT_FIELDS
     assert tuple(inspect.signature(ct.PhaseGrid.__init__).parameters) == PHASE_GRID_PARAMETERS
     assert tuple(regime.name for regime in ct.PhaseGrid.regimes) == PHASE_GRID_REGIMES
+
+
+def test_phase_grid_attributes():
+    names = set(dir(ct.PhaseGrid)) - set(dir(collections.abc.Sequence))
+    assert tuple(sorted(name for name in names if not name.startswith("_"))) == PHASE_GRID_ATTRIBUTES
 
 
 def test_public_result_fields():
@@ -267,3 +281,41 @@ def test_every_error_class_is_raised():
         raised.update(_raised_names(ast.parse(path.read_text(), str(path))))
     classes = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, Exception)}
     assert classes and sorted(classes - raised) == []
+
+
+# a backticked dotted name in the package's text, `module.name` or
+# `module.name.attr`, optionally called: `fixedpoint._fold_roots`,
+# `spectral.feasibility_breakpoints(q, l1)`
+_DOTTED_REFERENCE = re.compile(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`")
+
+
+def _resolves(reference):
+    """Whether a dotted name rooted at `clocktree` resolves by imports and getattr."""
+    parts = reference.split(".")
+    obj, path = importlib.import_module(parts[0]), parts[0]
+    for part in parts[1:]:
+        path = f"{path}.{part}"
+        try:
+            # a submodule that is not loaded yet is no attribute of its package
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_docstring_references_resolve():
+    # a rename or a deletion must not leave a docstring or comment pointing at nothing
+    package = Path(ct.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    unresolved = []
+    for path in sorted(package.glob("*.py")):
+        for match in _DOTTED_REFERENCE.finditer(path.read_text()):
+            reference = match.group(1)
+            root = reference.split(".")[0]
+            if root in modules:
+                reference = f"clocktree.{reference}"
+            elif root != "clocktree":
+                continue
+            if not _resolves(reference):
+                unresolved.append((path.name, match.group(0)))
+    assert unresolved == []

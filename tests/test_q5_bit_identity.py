@@ -21,8 +21,8 @@ from clocktree import phase
 from clocktree.fixedpoint import (
     RESIDUAL_TOL,
     V5,
+    _FOLD_TABLE,
     _fold_roots,
-    _fold_table,
     _polynomial_roots,
     _q5_candidates,
     _q5_sextic,
@@ -105,7 +105,7 @@ def ref_q5_candidates(lambda1, lambda2):
 
 def ref_fold_roots(lambda1):
     with np.errstate(all="ignore"):
-        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _fold_table()
+        coeffs = (np.asarray(lambda1, dtype=float)[:, None] ** np.arange(11)) @ _FOLD_TABLE
         return coeffs, ref_polynomial_roots(coeffs)
 
 
@@ -113,7 +113,7 @@ def ref_q5_fold_bands(lambda1):
     l1 = np.asarray(lambda1, dtype=float)
     coeffs, z = ref_fold_roots(l1)
     with np.errstate(all="ignore"):
-        magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_fold_table())
+        magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_FOLD_TABLE)
         rounding = 32.0 * np.finfo(float).eps * ref_polyval(magnitudes, np.abs(z))
         radius = 10.0 * (np.abs(ref_polyval(coeffs, z)) + rounding) / np.abs(
             ref_polyval(coeffs[:, :-1] * np.arange(10, 0, -1), z)

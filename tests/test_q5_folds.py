@@ -124,7 +124,7 @@ def test_counts_do_not_change_across_the_squared_factor(discriminant_factors):
 
 
 def test_fold_table_matches_the_tuples():
-    table = fixedpoint._fold_table()
+    table = fixedpoint._FOLD_TABLE
     assert not table.flags.writeable
     fold_f = _table_poly(_FOLD_F)
     rng = np.random.default_rng(3)

@@ -321,7 +321,7 @@ def _loop_row_from_eigenvalues(q, eigenvalues):
     for j in range(1, q):
         if abs(lam[j] - lam[q - j]) > 1e-12:
             raise ct.SpectrumAsymmetric(
-                f"lambda_{j} = {lam[j]!r} differs from lambda_{q - j} = {lam[q - j]!r}"
+                f"lambda_{j} = {float(lam[j])!r} differs from lambda_{q - j} = {float(lam[q - j])!r}"
             )
     row = np.empty(q)
     for l in range(q):
@@ -343,11 +343,11 @@ def _loop_eigenvalues_from_row(q, row):
     r = np.asarray(row, dtype=float)
     for kk in range(1, q):
         if abs(r[kk] - r[q - kk]) > 1e-12:
-            raise ct.RowAsymmetric(f"r_{kk} = {r[kk]!r} differs from r_{q - kk} = {r[q - kk]!r}")
+            raise ct.RowAsymmetric(f"r_{kk} = {float(r[kk])!r} differs from r_{q - kk} = {float(r[q - kk])!r}")
     if r.min() < -1e-12:
         raise ct.NotAProbability(f"row entry {r.argmin()} = {r.min():.6e} below -1e-12")
     if abs(r.sum() - 1.0) > 1e-12:
-        raise ct.NotAProbability(f"row sums to {r.sum()!r}, not 1")
+        raise ct.NotAProbability(f"row sums to {float(r.sum())!r}, not 1")
     lam = np.empty(q)
     for j in range(q):
         total = complex(0.0)

@@ -24,6 +24,8 @@ from clocktree import phase
 from clocktree.fixedpoint import _FOLD_F, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
 from clocktree.spectral import _raw_rows, feasibility_breakpoints, feasible_lambdas
 
+from conftest import point_column
+
 COUNTS = {4: q4_solution_counts, 5: q5_solution_counts}
 
 
@@ -42,7 +44,8 @@ def per_point(q, l1_range, l2_range, res):
 def assert_sweep_is_per_point(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
     feasible, n = per_point(q, l1_range, l2_range, res)
-    wrong = np.flatnonzero((grid.feasible != feasible) | (grid.n_nontrivial != n))
+    got_feasible, got_n = (point_column(grid, runs) for runs in (grid.run_feasible, grid.run_n_nontrivial))
+    wrong = np.flatnonzero((got_feasible != feasible) | (got_n != n))
     assert wrong.tolist() == [], (q, l1_range, l2_range, res)
 
 

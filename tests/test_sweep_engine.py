@@ -44,6 +44,8 @@ from clocktree.potts import q5_jacobian
 from clocktree.spectral import feasible_lambdas, spec_from_lambdas, validate_non_increasing
 from clocktree.svg import _REGIME_COLORS, render_phase_svg
 
+from conftest import point_column
+
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -464,7 +466,7 @@ def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(q, l1_range, l
     head = grid.starts[:-1]
     head_feasible = np.repeat(feasible_lambdas(q, l1s[head // res], l2s[head % res]), np.diff(grid.starts))
     want = [Evidence.ELIMINATION if q == 5 and f else Evidence.CLOSED_FORM for f in head_feasible.tolist()]
-    assert [grid.evidences[c] for c in grid.evidence.tolist()] == want
+    assert [grid.evidences[c] for c in point_column(grid, grid.run_evidence).tolist()] == want
     assert [p.evidence for p in grid] == [grid[i].evidence for i in range(len(grid))] == want
 
 
@@ -513,7 +515,8 @@ def ref_sweep_csv(grid):
     """The CSV `clocktree sweep` writes for `grid`, one f-string per cell."""
     l2_text = [format(l2, ".17g") for l2 in grid.lambda2]
     m = len(l2_text)
-    answers = list(zip(grid.feasible.tolist(), grid.regime.tolist(), grid.n_nontrivial.tolist()))
+    columns = (grid.run_feasible, grid.run_regime, grid.run_n_nontrivial)
+    answers = list(zip(*(point_column(grid, runs).tolist() for runs in columns)))
     text = ["lambda1,lambda2,feasible,regime,n_nontrivial\n"]
     for i, t1 in enumerate(format(l1, ".17g") for l1 in grid.lambda1):
         row = zip(l2_text, answers[i * m : (i + 1) * m])
@@ -532,9 +535,6 @@ def test_phase_grid_runs_read_as_every_point_a_run(grids):
     assert [point_key(grid[i]) for i in range(-len(grid), len(grid))] == [point_key(p) for p in points + points]
     for sl in (slice(None), slice(3, None, 7), slice(None, None, -5), slice(-4, 1000)):
         assert [point_key(p) for p in grid[sl]] == [point_key(p) for p in points[sl]]
-    for name in ("feasible", "regime", "n_nontrivial", "evidence"):
-        got, want = getattr(grid, name), getattr(every_point, name)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -571,7 +571,7 @@ def ref_svg_cells(grid):
     y_text = [f"{20 + (rows - 1 - i) * cell_h:.2f}" for i in range(rows)]
     size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
     colors = [_REGIME_COLORS[r] for r in grid.regimes]
-    regime = grid.regime.reshape(rows, cols).tolist()
+    regime = point_column(grid, grid.run_regime).reshape(rows, cols).tolist()
     return [
         f'<rect x="{x_text[j]}" y="{y_text[i]}" {size} fill="{colors[regime[i][j]]}"/>'
         for i in reversed(range(rows))
@@ -604,7 +604,7 @@ def painted_colors(svg, grid):
 
 
 def regime_colors(grid):
-    return [_REGIME_COLORS[grid.regimes[c]] for c in grid.regime.tolist()]
+    return [_REGIME_COLORS[grid.regimes[c]] for c in point_column(grid, grid.run_regime).tolist()]
 
 
 # the grids of the SVG golden digests, then descending ranges: a descending
@@ -639,7 +639,7 @@ def test_phase_svg_draws_one_rect_per_run(q, l1_range, l2_range, res):
     # besides the runs: the background, the frame and the 4 legend boxes
     assert sum(line.startswith("<rect ") for line in lines) == runs + 6
     # and the rest of the document is that of the same answers with every point a run
-    columns = (grid.feasible, grid.regime, grid.n_nontrivial)
+    columns = (point_column(grid, runs) for runs in (grid.run_feasible, grid.run_regime, grid.run_n_nontrivial))
     every_point = ct.PhaseGrid(q, grid.lambda1, grid.lambda2, np.arange(len(grid) + 1), *columns)
     cells = render_phase_svg(every_point, l1_range, l2_range).split("\n")
     assert lines[:3] + lines[3 + runs :] == cells[:3] + cells[3 + len(grid) :]
@@ -667,7 +667,7 @@ def _rows_of_runs(**change):
 
 def test_phase_grid_takes_well_formed_runs():
     grid = ct.PhaseGrid(**_rows_of_runs())
-    assert len(grid) == 6 and grid.regime.tolist() == [3] * 6
+    assert len(grid) == 6 and point_column(grid, grid.run_regime).tolist() == [3] * 6
 
 
 @pytest.mark.parametrize("change,message", [
@@ -703,4 +703,5 @@ def test_phase_grid_rejects_an_empty_lambda2_axis(lambda1):
 
 def test_phase_grid_takes_a_grid_of_no_rows():
     grid = ct.PhaseGrid(q=4, lambda1=[], lambda2=[0.0, 0.3], **_NO_RUNS)
-    assert len(grid) == 0 and list(grid) == [] and grid[:] == [] and grid.regime.tolist() == []
+    assert len(grid) == 0 and list(grid) == [] and grid[:] == []
+    assert point_column(grid, grid.run_regime).tolist() == []
