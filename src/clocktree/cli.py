@@ -75,9 +75,9 @@ def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
 
 
 def _spec_from_args(args) -> spectral.TransferSpec:
-    # a flag the chosen model does not read is refused, not dropped
-    theta, beta = getattr(args, "theta", None), getattr(args, "beta", None)
-    if getattr(args, "potts", False):
+    # `matrix`'s model; a flag the chosen model does not read is refused, not dropped
+    theta, beta = args.theta, args.beta
+    if args.potts:
         if args.lambda1 is not None or args.lambda2 is not None:
             raise ClockTreeError("--potts cannot be combined with --lambda1 or --lambda2")
         if theta is not None and beta is not None:
@@ -113,7 +113,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    spec = _spec_from_args(args)
+    spec = spectral.spec_from_lambdas(args.q, args.lambda1, args.lambda2)
     result = recursion.rpt_probe(
         spec,
         tree=recursion.Cayley(args.children),

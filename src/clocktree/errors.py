@@ -14,7 +14,12 @@ class SpectrumAsymmetric(ClockTreeError):
 
 
 class NotStochastic(ClockTreeError):
-    """Recovered transfer-matrix row has an entry below -1e-12."""
+    """A spectrum has no stochastic transfer-matrix row.
+
+    `row_from_eigenvalues` raises it for a non-finite eigenvalue, a row that
+    overflows the largest float and a row entry below -1e-12;
+    `TransferSpec.from_eigenvalues` also for a row sum other than 1.
+    """
 
 
 class RowAsymmetric(ClockTreeError):
@@ -22,11 +27,23 @@ class RowAsymmetric(ClockTreeError):
 
 
 class NotAProbability(ClockTreeError):
-    """Row vector is not a probability vector (negative entry or wrong mass)."""
+    """Row vector is not a probability vector (negative entry or wrong mass).
+
+    Also raised for a non-finite row entry, a distribution whose modes give
+    a negative probability, and a parameter with no transfer matrix: a Potts
+    beta, theta or lambda (`make_potts`, `make_potts_from_theta`,
+    `potts_theta`) or a clock coupling (`make_standard_clock`).
+    """
 
 
 class DimensionMismatch(ClockTreeError):
-    """Operands built for different numbers of states q."""
+    """Operands built for different numbers of states q.
+
+    Also raised for a mode vector of the wrong length, for q outside {4, 5}
+    by the two-eigenvalue constructors (`spec_from_lambdas`,
+    `feasible_lambdas`, `feasibility_breakpoints`) and `mode_map`, and for
+    q outside [3, 64] by `TransferSpec`.
+    """
 
 
 class ZeroRowEntry(ClockTreeError):
@@ -50,7 +67,10 @@ class DegenerateQuartic(ClockTreeError):
 
 
 class UnsupportedQ(ClockTreeError):
-    """Operation only implemented for the analyzed state counts."""
+    """Operation only implemented for the analyzed state counts.
+
+    `potts_thresholds` also raises it for a tree degree d < 2.
+    """
 
 
 class UnsupportedTree(ClockTreeError):

@@ -280,8 +280,17 @@ def q4_fold_roots(lambda1: np.ndarray) -> np.ndarray:
         )
 
 
+def _check_finite(l1: np.ndarray, l2: np.ndarray) -> None:
+    """Raise ClockTreeError naming the first row (lambda1, lambda2) that is not finite."""
+    finite = np.isfinite(l1) & np.isfinite(l2)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {l1[i].item()!r} and {l2[i].item()!r}")
+
+
 def _solution_counts(q: int, candidates, lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    _check_finite(l1, l2)
     a1, a2, valid = candidates(l1, l2)
     status, _ = _verify_candidates(q, l1[:, None], l2[:, None], a1, a2, valid)
     return (status == _ACCEPTED).sum(axis=1)
@@ -289,6 +298,7 @@ def _solution_counts(q: int, candidates, lambda1: np.ndarray, lambda2: np.ndarra
 
 def _solution_view(q: int, candidates, lambda1: float, lambda2: float) -> SolutionSet:
     l1, l2 = np.array([lambda1], dtype=float), np.array([lambda2], dtype=float)
+    _check_finite(l1, l2)
     feasible = feasible_lambdas(q, l1, l2)[0]
     notes = [] if feasible else ["parameters are outside the non-increasing feasibility region"]
     a1, a2, valid = candidates(l1, l2)
@@ -300,7 +310,8 @@ def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     """The grid form of `q4_solutions(...).n_nontrivial`, as array operations.
 
     Its domain is finite rows with |lambda| <= 1, where every feasible point
-    lies.  Outside it a count means nothing: it is 1 at lambda1 = 1e100.
+    lies.  A row that is not finite raises ClockTreeError; past |lambda| = 1
+    a count means nothing: it is 1 at lambda1 = 1e100.
     """
     return _solution_counts(4, _q4_candidates, lambda1, lambda2)
 
@@ -311,7 +322,8 @@ def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
     A batch of one of the grid solver (`_q4_candidates`, whose docstring has
     the formulas); this view only lists the accepted candidates, the rejected
     ones with their reasons, and a note when (lambda1, lambda2) is outside
-    the non-increasing region, which is not an error.
+    the non-increasing region, which is not an error.  A lambda that is not
+    finite raises ClockTreeError.
     """
     return _solution_view(4, _q4_candidates, lambda1, lambda2)
 
@@ -481,8 +493,8 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     """The grid form of `q5_solutions(...).n_nontrivial`, as array operations.
 
     Its domain is finite rows with |lambda| <= 1, where every feasible point
-    lies.  Outside it a count means nothing: it is 0 at lambda1 = NaN, inf
-    and 1e100.
+    lies.  A row that is not finite raises ClockTreeError; past |lambda| = 1
+    a count means nothing: it is 0 at lambda1 = 1e100.
     """
     return _solution_counts(5, _q5_candidates, lambda1, lambda2)
 

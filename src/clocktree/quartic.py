@@ -72,7 +72,7 @@ def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
 
 
 def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
-    """The terms of Delta (each a product of six coefficients), P, D and Delta0, of float or int coefficients."""
+    """The terms of Delta (each a product of six coefficients), P, D and Delta0, of exact coefficients."""
     return (
         [
             256 * a**3 * e**3,
@@ -98,22 +98,33 @@ def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
     )
 
 
-def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
-    """(Delta, P, D, Delta0), each accumulated with compensated summation.
+def _exact_invariants(coeffs: QuarticCoeffs) -> tuple[list[int], tuple[int, ...], tuple[float, ...]]:
+    """The scaled coefficients, the exact invariants and (Delta, P, D, Delta0) as floats.
 
-    Raises DegenerateQuartic when every coefficient vanishes and
-    ClockTreeError when an invariant or a term of one is not a finite float.
+    A float is a dyadic rational, so the coefficients times their common
+    power-of-two denominator d are integers, whose invariants are Delta d^6,
+    P d^2, D d^4 and Delta0 d^2.  Each is divided by its power of d once, an
+    int / int division that rounds correctly, a value below the subnormals
+    to a zero of its sign.  Raises DegenerateQuartic when every coefficient
+    vanishes and ClockTreeError where a coefficient is not finite or an
+    invariant is too large for a float.
     """
-    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    if max(abs(a), abs(b), abs(c), abs(d), abs(e)) == 0.0:
-        raise DegenerateQuartic("all quartic coefficients vanish")
     try:
-        values = tuple(math.fsum(terms) for terms in _invariant_terms(a, b, c, d, e))
-    except (OverflowError, ValueError):  # a power overflowed, or fsum met inf - inf
-        values = (math.inf,)
-    if not all(map(math.isfinite, values)):
-        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}")
-    return values
+        ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
+        denominator = max(den for _, den in ratios)
+        ints = [num * (denominator // den) for num, den in ratios]
+        sums = tuple(sum(terms) for terms in _invariant_terms(*ints))
+        values = tuple(s / denominator**k for s, k in zip(sums, (6, 2, 4, 2)))
+    except (OverflowError, ValueError):  # an infinite or NaN coefficient, or an invariant past the largest float
+        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}") from None
+    if not any(ints):
+        raise DegenerateQuartic("all quartic coefficients vanish")
+    return ints, sums, values
+
+
+def quartic_invariants(coeffs: QuarticCoeffs) -> tuple[float, float, float, float]:
+    """(Delta, P, D, Delta0), each its exact value rounded once to a float (`_exact_invariants`)."""
+    return _exact_invariants(coeffs)[2]
 
 
 class RootStructure(Enum):
@@ -174,9 +185,8 @@ def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
 def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     """Real-root structure of the quartic with exactly these float coefficients.
 
-    A float is a dyadic rational, so the coefficients times their common
-    power-of-two denominator are integers, whose `_invariant_terms` give the
-    exact signs of Delta, P and D (the float invariants are only printed).
+    One `_exact_invariants` evaluation gives the exact signs of Delta, P
+    and D, and the invariants it returns are those values rounded once.
     Delta < 0: TWO_DISTINCT; Delta > 0: FOUR_DISTINCT where P < 0 and D < 0,
     else NO_REAL; each real root is simple, a polished companion eigenvalue.
     Delta = 0: the squarefree factors, none then above degree 2, give each
@@ -185,14 +195,10 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
     leading coefficient too small to divide the others by raises
     DegenerateQuartic.
     """
-    delta, p, big_d, delta0 = quartic_invariants(coeffs)
+    ints, (exact_delta, exact_p, exact_d, _), values = _exact_invariants(coeffs)
     scale = max(abs(x) for x in coeffs.as_array())
     if coeffs.a == 0.0 or not math.isfinite(float(scale) / float(coeffs.a)):
         raise DegenerateQuartic(f"the quartic's leading coefficient {coeffs.a!r} is too small to divide by")
-    ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
-    denominator = max(den for _, den in ratios)
-    ints = [num * (denominator // den) for num, den in ratios]
-    exact_delta, exact_p, exact_d = (sum(terms) for terms in _invariant_terms(*ints)[:3])
     n_simple = None
     if exact_delta != 0:
         if exact_delta < 0:
@@ -209,16 +215,7 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
             structure, n_simple = RootStructure.DOUBLE_ROOT_PLUS, sum(m == 1 for _, m in roots)
         else:
             structure = RootStructure.NO_REAL
-    return QuarticAnalysis(
-        coeffs=coeffs,
-        delta=delta,
-        p=p,
-        d=big_d,
-        delta0=delta0,
-        structure=structure,
-        n_simple=n_simple,
-        real_roots=roots,
-    )
+    return QuarticAnalysis(coeffs, *values, structure, n_simple, roots)
 
 
 def _q5_reduced_quartic(lambda2: float) -> QuarticCoeffs:
@@ -237,8 +234,8 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     invariants.  Elsewhere q_{lambda2} itself, whose coefficients `classify`
     prints, is classified.  Raises DegenerateQuartic at lambda2 = 0,
     where the quartic vanishes identically, and ClockTreeError from
-    |lambda2| of about 1.5875e12, where the invariants' terms, of degree 24
-    in lambda2, or the coefficients overflow.
+    lambda2 of about 5.6325e12 up and -5.6329e12 down, where Delta, of
+    degree 24 in lambda2, overflows.
     """
     if lambda2 == 0.0:
         raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")

@@ -330,9 +330,19 @@ def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     row sum within 1e-12 of 1, then
     r_0 >= ... >= r_{q//2} >= 0 and lambda1 >= lambda2, each with 1e-12 slack.
     A non-finite lambda is infeasible, as `row_from_eigenvalues` refuses it.
+    lambda1 and lambda2 must broadcast to one dimension, or ClockTreeError
+    names their shapes.
     """
     l1 = np.asarray(lambda1, dtype=float)
     l2 = np.asarray(lambda2, dtype=float)
+    try:
+        ndim = np.broadcast(l1, l2).ndim
+    except ValueError:  # shapes that do not broadcast at all
+        ndim = None
+    if ndim != 1:
+        raise ClockTreeError(
+            f"lambda1 and lambda2 must broadcast to one dimension, got shapes {l1.shape} and {l2.shape}"
+        )
     spectra = np.stack(np.broadcast_arrays(*_spectrum(q, l1, l2)), axis=1)
     # a huge lambda makes infinite or NaN entries, which fail the checks
     with np.errstate(all="ignore"):

@@ -331,7 +331,7 @@ def test_classify_scan_brackets_critical_values(capsys):
 
 
 HUGE_LAMBDA2_ARGV = [
-    ("classify", "--lambda2=1.6e12"),
+    ("classify", "--lambda2=5.7e12"),
     ("classify", "--lambda2=1e13"),
     ("classify", "--lambda2=-1e13"),
     ("classify", "--lambda2=1e20"),
@@ -343,8 +343,8 @@ HUGE_LAMBDA2_ARGV = [
 
 @pytest.mark.parametrize("argv", HUGE_LAMBDA2_ARGV, ids=[" ".join(a[1:]) for a in HUGE_LAMBDA2_ARGV])
 def test_classify_lambda2_past_the_invariants_overflow_is_usage_error(capsys, argv):
-    # the discriminant's terms have degree 24 in lambda2 and overflow from
-    # |lambda2| of about 1.5875e12: one error line, no CSV, no RuntimeWarning
+    # the discriminant has degree 24 in lambda2 and overflows from lambda2 of
+    # about 5.6325e12 and -5.6329e12: one error line, no CSV, no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(list(argv))

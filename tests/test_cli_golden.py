@@ -34,7 +34,15 @@ moved within `q5_jacobian`'s own rounding.  The three `matrix --potts` rows
 at q = 6, 9 and 12 were re-recorded when the row transform came to read the
 cosine table of the spectrum transform instead of a complex exponential
 table: only the last digits of the r column moved, every entry staying
-within 4e-17 of the exact row of the float spectrum.
+within 4e-17 of the exact row of the float spectrum.  The five `classify`
+digests were re-recorded when each printed invariant (Delta, P, D, Delta0)
+came to be its exact value, the integer sum that decides the structure,
+rounded once to a float, instead of a compensated sum of float terms each
+rounded several times: only those four columns moved (on 1,940 of the
+2,001 rows of 0:1:0.0005, 992 of 1,001 of -1:0:0.001, 992 of 1,000 of
+1e-25:1e-22:1e-25 and both single floats), the coefficients, structure
+and roots staying byte for byte, and the printed Delta's sign can no
+longer contradict the structure.
 """
 import hashlib
 
@@ -90,19 +98,19 @@ GOLDEN = [
       "--children", "3"),
      "2bce644db20e198bf33fd259b59c02c4b7322468fbd61a001edb4af5b600408a"),
     (("classify", "--scan", "0:1:0.0005"),
-     "691095fd5a40eaa2646969991029844be7a980c2f184ea0f6829d18b353efb35"),
+     "bbb2deb30c0328ae2ca6cc3155b446c3b472789b082823d6313adb6e3b86e23e"),
     (("classify", "--scan=-1:0:0.001"),
-     "36e6d3face97bd04dfbff7ff83f0eff8c0211a33ae51ab408d651ee22d4e0c6e"),
+     "2caf234f515fcf30cc6dc4ef734c27e37db7291f2c993c7012b8981df447dd65"),
     # the floats once printed as double roots of the lambda1 = 1/2 quartic,
     # near the two roots of Delta: the rounded quartic is squarefree at both,
     # NO_REAL at the first and TWO_DISTINCT at the second
     (("classify", "--lambda2", "0.37074804454085125"),
-     "0f4f7dc3f4bd9c64420fdccd923bde1fa2a36779d700eb7aeeea96c8214d1d9c"),
+     "3e89660a8203cf4483be1249127fbe6d1d3a8fb07a431eb1fd48c69108e24476"),
     (("classify", "--lambda2", "0.49411899837411594"),
-     "e0911210b72950f2a2f320d4960eb86aafc2cc7d1770c69716ba708763c6490a"),
+     "a358dd4f5db3c1f708fee32c3cb70e30c45c8b63fcc13ca6190f431a11058e4d"),
     # down to 1e-25, where the quartic's own invariants are still normal floats
     (("classify", "--scan", "1e-25:1e-22:1e-25"),
-     "704f38ccba1fe47154b5a5fe257ac8f7f5453ecbc670e1dffbae415aa23ce862"),
+     "5f971e1a05739aaebf2835cbc52d4aea30637575c8790f9e8d130c7c3cea8f8a"),
     (POTTS_BL + ("0.4444444444444444",),
      "4e4c554d61c4978d5aaa6c9c122a311759674ba77f073b371a1af47ea40a3389"),
     (POTTS_BL + ("0.45",),

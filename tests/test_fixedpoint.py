@@ -7,6 +7,7 @@ by a threshold on the imaginary parts.
 """
 import itertools
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from clocktree.fixedpoint import (
     _verify_candidates,
     q4_solution_counts,
 )
+from clocktree import quartic
 from clocktree.quartic import _invariant_terms, _q5_reduced_quartic
 from test_q5_elimination import (
     RefAtSpecialPoint,
@@ -103,6 +105,107 @@ def test_invariants_error_on_degenerate():
         ct.quartic_invariants(ct.q5_quartic_coeffs(0.0))
     with pytest.raises(ct.DegenerateQuartic):
         ct.classify_quartic(ct.q5_quartic_coeffs(0.0))
+
+
+def _floats_around(x, n):
+    """The n consecutive floats from n/2 below x (x among them), ascending."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return [struct.unpack("<d", struct.pack("<q", b))[0] for b in range(bits - n // 2, bits + n // 2)]
+
+
+def _exact_delta_sign(coeffs):
+    """The sign of Delta of the float coefficients, from their integer multiples."""
+    ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
+    den = max(d for _, d in ratios)
+    delta = sum(_invariant_terms(*(n * (den // d) for n, d in ratios))[0])
+    return (delta > 0) - (delta < 0)
+
+
+@pytest.mark.parametrize("root", [0.3707480445408525, 0.4941189983741158])
+def test_printed_delta_has_the_structures_sign_on_every_float_near_a_root_of_delta(root):
+    # a compensated sum of the rounded float terms has the opposite sign to
+    # the exact Delta on 187 of the 40,000 floats around the first root
+    for l2 in _floats_around(root, 40_000):
+        analysis = ct.q5_quartic_analysis(l2)
+        sign = _exact_delta_sign(analysis.coeffs)
+        assert (analysis.structure is ct.RootStructure.TWO_DISTINCT) == (sign < 0), l2
+        assert (analysis.delta > 0) - (analysis.delta < 0) == sign, l2
+
+
+def _exact_invariants(coeffs):
+    return [sum(terms) for terms in _invariant_terms(*map(Fraction, coeffs.as_array().tolist()))]
+
+
+# the least magnitude that rounds past the largest float: halfway to 2^1024 rounds up, to even
+_OVERFLOW = Fraction(2**1024 - 2**970)
+_SIGNED = st.sampled_from([1.0, -1.0])
+_COEFF = st.one_of(
+    st.just(0.0),
+    st.builds(lambda s, x: s * x, _SIGNED, st.floats(1e-300, 1e100)),
+    st.builds(lambda s, k: s * k * 5e-324, _SIGNED, st.integers(1, 2**52 - 1)),  # subnormal
+)
+
+
+def _double_root(r, s, p, k):
+    """(x - r)^2 (x^2 + s x + p) times 2^k, integers r, s, p: Delta is exactly 0."""
+    ints = np.polymul(np.polymul([1, -r], [1, -r]), [1, s, p]).tolist()
+    return ct.QuarticCoeffs(*(math.ldexp(c, k) for c in ints), lambda2=0.0)
+
+
+_DOUBLE_ROOTS = st.builds(
+    _double_root, st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-1074, 300)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs=st.builds(lambda c: ct.QuarticCoeffs(*c, lambda2=0.0), st.tuples(*[_COEFF] * 5)) | _DOUBLE_ROOTS)
+@example(coeffs=_double_root(3, 1, 5, -1074))
+@example(coeffs=_double_root(2, -3, 7, 0))
+@example(coeffs=ct.QuarticCoeffs(1e100, 0.0, 1e100, 0.0, 0.0, lambda2=0.0))  # Delta = 0, D overflows
+@example(coeffs=ct.QuarticCoeffs(5e-324, 0.0, -5e-324, 0.0, 5e-324, lambda2=0.0))
+def test_invariants_are_the_exact_values_rounded_once(coeffs):
+    exact = _exact_invariants(coeffs)
+    if not any(coeffs.as_array().tolist()):
+        with pytest.raises(ct.DegenerateQuartic):
+            ct.quartic_invariants(coeffs)
+    elif any(abs(x) >= _OVERFLOW for x in exact):
+        with pytest.raises(ct.ClockTreeError, match="overflow"):
+            ct.quartic_invariants(coeffs)
+    else:
+        got = ct.quartic_invariants(coeffs)
+        assert list(got) == [float(x) for x in exact]
+        # a value below the subnormals is a zero of its sign
+        assert [math.copysign(1.0, g) for g, x in zip(got, exact) if x] == [math.copysign(1.0, x) for x in exact if x]
+
+
+def test_classify_quartic_evaluates_the_invariants_once(monkeypatch):
+    calls = {"terms": 0, "fsum": 0}
+
+    def count(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(quartic, "_invariant_terms", count("terms", quartic._invariant_terms))
+    monkeypatch.setattr(math, "fsum", count("fsum", math.fsum))
+    for l2 in (0.3707480445408525, 0.45, -0.2):
+        ct.classify_quartic(ct.q5_quartic_coeffs(l2))
+    assert calls == {"terms": 3, "fsum": 0}
+
+
+def test_the_quartic_overflows_where_delta_does():
+    # Delta has degree 24 in lambda2 and overflows from about 5.6325e12 and
+    # -5.6329e12; a float term of it overflows from about 1.5875e12
+    for l2 in (1.6e12, 5.63e12, -5.63e12):
+        assert math.isfinite(ct.q5_quartic_analysis(l2).delta)
+    # at 1e77 the leading coefficient is inf, at -1e300 a power of lambda2 overflows
+    for l2 in (5.64e12, -5.64e12, 1e77, -1e300):
+        with pytest.raises(ct.ClockTreeError, match="overflow"):
+            ct.q5_quartic_analysis(l2)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ct.ClockTreeError, match="invariants overflow"):
+            ct.quartic_invariants(ct.QuarticCoeffs(1.0, 0.0, bad, 0.0, 1.0, lambda2=0.0))
 
 
 # ---------------------------------------------------------------------------

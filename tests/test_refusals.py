@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clocktree as ct
-from clocktree import cli, potts, spectral
+from clocktree import cli, fixedpoint, potts, spectral
 
 _SPEC = ct.spec_from_lambdas(4, 0.3, 0.1)
 _TWO_EIGENVALUES = "two-eigenvalue constructor only supports q in {4, 5}, got q=6"
@@ -79,6 +79,39 @@ REFUSALS = {
     ),
     "spec_from_lambdas": (lambda: ct.spec_from_lambdas(6, 0.3, 0.1), ct.DimensionMismatch, _TWO_EIGENVALUES),
     "feasible_lambdas": (lambda: spectral.feasible_lambdas(6, [0.3], [0.1]), ct.DimensionMismatch, _TWO_EIGENVALUES),
+    # lambdas that do not broadcast to one dimension: two scalars, a matrix, two lengths
+    "feasible_lambdas_scalars": (
+        lambda: spectral.feasible_lambdas(4, 0.3, 0.1),
+        ct.ClockTreeError,
+        "lambda1 and lambda2 must broadcast to one dimension, got shapes () and ()",
+    ),
+    "feasible_lambdas_matrix": (
+        lambda: spectral.feasible_lambdas(5, np.zeros((2, 3)), [0.1, 0.2, 0.3]),
+        ct.ClockTreeError,
+        "lambda1 and lambda2 must broadcast to one dimension, got shapes (2, 3) and (3,)",
+    ),
+    "feasible_lambdas_lengths": (
+        lambda: spectral.feasible_lambdas(4, [0.3, 0.2], [0.1, 0.1, 0.1]),
+        ct.ClockTreeError,
+        "lambda1 and lambda2 must broadcast to one dimension, got shapes (2,) and (3,)",
+    ),
+    "q4_solutions": (
+        lambda: ct.q4_solutions(math.nan, 0.3), ct.ClockTreeError, "lambda1 and lambda2 must be finite, got nan and 0.3"
+    ),
+    "q5_solutions": (
+        lambda: ct.q5_solutions(math.nan, 0.3), ct.ClockTreeError, "lambda1 and lambda2 must be finite, got nan and 0.3"
+    ),
+    # the first non-finite row is named
+    "q4_solution_counts": (
+        lambda: fixedpoint.q4_solution_counts(np.array([0.3, math.inf, math.nan]), np.array([0.1, 0.1, 0.1])),
+        ct.ClockTreeError,
+        "lambda1 and lambda2 must be finite, got inf and 0.1",
+    ),
+    "q5_solution_counts": (
+        lambda: fixedpoint.q5_solution_counts(np.array([0.3, 0.3, math.nan]), np.array([0.1, -math.inf, 0.1])),
+        ct.ClockTreeError,
+        "lambda1 and lambda2 must be finite, got 0.3 and -inf",
+    ),
     "make_potts": (lambda: ct.make_potts(5, math.inf), ct.NotAProbability, "beta must be finite, got inf"),
     "make_potts_from_theta": (
         lambda: ct.make_potts_from_theta(5, 0.0), ct.NotAProbability, "theta must be positive and finite, got 0.0"
@@ -103,6 +136,24 @@ def test_refusal(name):
     assert type(info.value) is error
     assert str(info.value).startswith(start), str(info.value)
     assert "np." not in str(info.value)
+
+
+@pytest.mark.parametrize("counts", [fixedpoint.q4_solution_counts, fixedpoint.q5_solution_counts])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_solution_counts_refuse_every_non_finite_row(counts, bad, column):
+    pair = [np.array([0.45, 0.45]), np.array([0.4, 0.4])]
+    pair[column][1] = bad
+    with pytest.raises(ct.ClockTreeError) as info:
+        counts(*pair)
+    got = (bad, 0.4) if column == 0 else (0.45, bad)
+    assert str(info.value) == f"lambda1 and lambda2 must be finite, got {got[0]!r} and {got[1]!r}"
+
+
+def test_feasible_lambdas_broadcasts_a_scalar_against_a_vector():
+    l2 = np.array([0.1, 0.5, -0.2])
+    assert spectral.feasible_lambdas(4, 0.3, l2).tolist() == spectral.feasible_lambdas(4, [0.3] * 3, l2).tolist()
+    assert spectral.feasible_lambdas(5, l2, 0.05).tolist() == spectral.feasible_lambdas(5, l2, [0.05] * 3).tolist()
 
 
 def test_potts_boundary_laws_refuses_laws_that_fail_the_residual_check(monkeypatch):

@@ -241,6 +241,10 @@ def test_classify_point_matches_reference(lambda1, lambda2):
 @SETTINGS
 @given(lambda1=st.one_of(LAMBDA1, st.floats()), lambda2=st.one_of(LAMBDA2, st.floats()))
 def test_q4_solutions_matches_reference(lambda1, lambda2):
+    if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
+        with pytest.raises(ct.ClockTreeError, match="must be finite"):
+            ct.q4_solutions(lambda1, lambda2)
+        return
     with np.errstate(all="ignore"):
         want = ref_q4_solutions(lambda1, lambda2)
     assert solution_key(ct.q4_solutions(lambda1, lambda2)) == solution_key(want)
