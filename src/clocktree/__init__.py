@@ -54,7 +54,6 @@ from .recursion import (
     mode_map,
     mode_map_q4,
     mode_map_q5,
-    pt_probe,
     rpt_probe,
 )
 from .spectral import (

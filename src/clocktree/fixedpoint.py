@@ -114,10 +114,9 @@ def _verify_candidates(
     candidate is rejected when it is not finite, skipped when it coincides
     with the trivial solution or with an earlier accepted candidate,
     accepted when its residual is below 1e-9, and rejected otherwise (a nan
-    residual included).  Slots d apart are compared in one pass for each d;
-    only the slot pairs that hold two live candidates within DEDUP_TOL in
-    some row are then walked in slot order, each against the earlier slot's
-    final status.
+    residual included).  One walk over the slots, in order, checks each
+    slot in every row at once against the earlier slots still kept and
+    accepted, whose statuses are final by then.
     The residual repeats the arithmetic of `_residual` operation by
     operation, so each number is the one a single-point check computes.
     """
@@ -132,13 +131,10 @@ def _verify_candidates(
         status[valid & ~finite] = _NOT_FINITE
         live = valid & finite & (_pymax(np.abs(a1), np.abs(a2)) > DEDUP_TOL)
         # (k, n) copies: each slot is a contiguous row, which numpy walks fastest
-        c1, c2, kept, pairs = a1.T.copy(), a2.T.copy(), live.T.copy(), []
-        for d in range(1, len(c1)):
-            near = _pymax(np.abs(c1[d:] - c1[:-d]), np.abs(c2[d:] - c2[:-d])) <= DEDUP_TOL
-            near &= kept[d:] & kept[:-d]
-            pairs += [(j + d, j, near[j]) for j in np.flatnonzero(near.any(axis=1)).tolist()]
-        for k, j, near_kj in sorted(pairs, key=lambda pair: pair[0]):
-            kept[k] &= ~(near_kj & kept[j] & passed[:, j])
+        c1, c2, kept, accepted = a1.T.copy(), a2.T.copy(), live.T.copy(), passed.T.copy()
+        for k in range(1, len(kept)):
+            near = _pymax(np.abs(c1[:k] - c1[k]), np.abs(c2[:k] - c2[k])) <= DEDUP_TOL
+            kept[k] &= ~(near & kept[:k] & accepted[:k]).any(axis=0)
         np.copyto(status, np.where(passed, _ACCEPTED, _RESIDUAL), where=kept.T)
     return status, residual
 
@@ -181,15 +177,25 @@ def _assemble(
     )
 
 
+def _degenerate_lambda1(lambda1: np.ndarray) -> np.ndarray:
+    """Where lambda1 lies within 1e-12 of 0 or of 1/2, and a count can change at any lambda2.
+
+    There `_q4_candidates` leaves its general branch and the discriminant of
+    q = 5's sextic vanishes identically (`q5_fold_bands`), so no fold table
+    tells where a count changes.
+    """
+    return (np.abs(lambda1) <= 1e-12) | (np.abs(lambda1 - 0.5) < 1e-12)
+
+
 def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form q=4 candidates (alpha1, alpha2, valid), each of shape (n, 6).
 
     Slots 0-1 hold the alpha1 = 0 pair (0, +-r) with
     r^2 = (2*lambda2 - 1)/(4*lambda2^2), present for lambda2 >= 1/2.  Slots
-    2-3 hold (+-a1, a2) at lambda1 = 1/2, where
+    2-3 hold (+-a1, a2) at lambda1 within 1e-12 of 1/2, where
     a2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) and
     a1 = sqrt(2*lambda2*a2 - 4*lambda2^2*a2^2) when that radicand is
-    non-negative.  Elsewhere (|lambda1| > 1e-12) the quadratics
+    non-negative.  Where `_degenerate_lambda1` does not hold the quadratics
     P1 = lambda1/2 + lambda1*lambda2*alpha2 - 1/4 - lambda2^2*alpha2^2 and
     P2 = -lambda2*alpha2 + lambda1*alpha2 + 2*lambda1*lambda2*alpha2^2 are
     intersected as a quadratic in alpha2, and each root with P1 >= 0 gives
@@ -213,8 +219,9 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
         a2[:, 0], a2[:, 1] = r, -r
         valid[:, 0] = valid[:, 1] = rad >= 0.0
 
-        half = np.abs(l1 - 0.5) < 1e-12
-        general = ~half & (np.abs(l1) > 1e-12)
+        degenerate = _degenerate_lambda1(l1)
+        half = degenerate & (l1 > 0.25)  # the rest lie within 1e-12 of 0
+        general = ~degenerate
         qa = -(l2 * l2 + 2.0 * l1 * l2)
         qb = l1 * l2 + l2 - l1
         qc = 0.5 * l1 - 0.25
@@ -252,8 +259,8 @@ def _q4_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
 def q4_fold_roots(lambda1: np.ndarray) -> np.ndarray:
     """(n, 7) lambda2 values at which `q4_solution_counts(lambda1[i], .)` can change; NaN where a root is not real.
 
-    For |lambda1| > 1e-12 and |lambda1 - 1/2| > 1e-12, where `_q4_candidates`
-    takes the general branch, a candidate appears, vanishes or merges only at
+    Where `_degenerate_lambda1` does not hold and `_q4_candidates` takes the
+    general branch, a candidate appears, vanishes or merges only at
       - the roots of (l1 + 4) l2^2 + (2 l1 - 4) l2 + l1, the alpha2
         quadratic's discriminant divided by l1 (the fold of
         `phase.q4_critical_line`);

@@ -45,7 +45,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ClockTreeError, UnsupportedQ
-from .fixedpoint import _fold_roots, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
+from .fixedpoint import (
+    _degenerate_lambda1,
+    _fold_roots,
+    q4_fold_roots,
+    q4_solution_counts,
+    q5_fold_bands,
+    q5_solution_counts,
+)
 from .spectral import feasibility_breakpoints, feasible_lambdas, potts_lambda
 
 # the count of `q5_transition_line` on either side of a fold candidate r is
@@ -371,10 +378,9 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
     start, at every point within b's guard of a breakpoint b (its band) and
     at the first point after a band.  Every guard is > 0, so the first point
     at or above b lies in b's band or is the point after it.  Every point is
-    a run of its own in a column with |lambda1| or |lambda1 - 1/2| at most
-    1e-12 (where `_q4_candidates` switches branch and the q = 5 discriminant
-    vanishes identically), and in every column when the lambda2 axis has one
-    value or is not strictly increasing.
+    a run of its own in a column where `fixedpoint._degenerate_lambda1`
+    holds, and in every column when the lambda2 axis has one value or is
+    not strictly increasing.
     """
     m = len(l2s)
     size = len(l1s) * m
@@ -392,7 +398,7 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
     # every point of each band [start, stop), and the first point after it
     marks[np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())] = True
     marks[stop] = True
-    marks[:size].reshape(-1, m)[(np.abs(l1s) <= 1e-12) | (np.abs(l1s - 0.5) <= 1e-12)] = True
+    marks[:size].reshape(-1, m)[_degenerate_lambda1(l1s)] = True
     return np.flatnonzero(marks)
 
 

@@ -36,7 +36,6 @@ class QuarticCoeffs:
     c: float
     d: float
     e: float
-    lambda2: float
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d, self.e])
@@ -68,7 +67,7 @@ def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
     nonzero lambda2.
     """
     t = lambda2
-    return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
+    return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC))
 
 
 def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
@@ -106,17 +105,20 @@ def _exact_invariants(coeffs: QuarticCoeffs) -> tuple[list[int], tuple[int, ...]
     P d^2, D d^4 and Delta0 d^2.  Each is divided by its power of d once, an
     int / int division that rounds correctly, a value below the subnormals
     to a zero of its sign.  Raises DegenerateQuartic when every coefficient
-    vanishes and ClockTreeError where a coefficient is not finite or an
-    invariant is too large for a float.
+    vanishes and ClockTreeError, naming the coefficients, where one is not
+    finite or an invariant is too large for a float.
     """
+    floats = tuple(coeffs.as_array().tolist())
+    if not all(map(math.isfinite, floats)):
+        raise ClockTreeError(f"the quartic's coefficients must be finite, got {floats}")
+    ratios = [x.as_integer_ratio() for x in floats]
+    denominator = max(den for _, den in ratios)
+    ints = [num * (denominator // den) for num, den in ratios]
+    sums = tuple(sum(terms) for terms in _invariant_terms(*ints))
     try:
-        ratios = [x.as_integer_ratio() for x in coeffs.as_array().tolist()]
-        denominator = max(den for _, den in ratios)
-        ints = [num * (denominator // den) for num, den in ratios]
-        sums = tuple(sum(terms) for terms in _invariant_terms(*ints))
         values = tuple(s / denominator**k for s, k in zip(sums, (6, 2, 4, 2)))
-    except (OverflowError, ValueError):  # an infinite or NaN coefficient, or an invariant past the largest float
-        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {coeffs.lambda2!r}") from None
+    except OverflowError:  # an invariant past the largest float
+        raise ClockTreeError(f"the quartic's invariants overflow at coefficients {floats}") from None
     if not any(ints):
         raise DegenerateQuartic("all quartic coefficients vanish")
     return ints, sums, values
@@ -145,12 +147,6 @@ class QuarticAnalysis:
     structure: RootStructure
     n_simple: Optional[int]  # simple real roots accompanying a multiple one
     real_roots: tuple[tuple[float, int], ...]  # (root, multiplicity), ascending
-
-    def real_root_count(self) -> int:
-        return sum(m for _, m in self.real_roots)
-
-    def distinct_real_roots(self) -> list[float]:
-        return [r for r, _ in self.real_roots]
 
 
 def _polished_real_candidates(coeffs: QuarticCoeffs, count: int) -> list[float]:
@@ -221,7 +217,7 @@ def classify_quartic(coeffs: QuarticCoeffs) -> QuarticAnalysis:
 def _q5_reduced_quartic(lambda2: float) -> QuarticCoeffs:
     """q_{lambda2} / lambda2^2, which tends to a fixed quartic as lambda2 -> 0."""
     t = lambda2
-    return QuarticCoeffs(*(c0 + c1 * t + c2 * t**2 for c0, c1, c2 in _Q5_QUARTIC), lambda2=t)
+    return QuarticCoeffs(*(c0 + c1 * t + c2 * t**2 for c0, c1, c2 in _Q5_QUARTIC))
 
 
 def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
@@ -248,4 +244,9 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     magnitudes = np.abs(coeffs.as_array())
     if magnitudes.max() < 1.0 and magnitudes.min() < sys.float_info.min:
         coeffs = _q5_reduced_quartic(lambda2)
-    return classify_quartic(coeffs)
+    try:
+        return classify_quartic(coeffs)
+    except DegenerateQuartic:
+        raise
+    except ClockTreeError as exc:  # an invariant, or from about 1e77 the leading coefficient, past the largest float
+        raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {lambda2!r}") from exc

@@ -131,12 +131,7 @@ class ProbeResult:
     verdict: Verdict
     u: float
     tol: float
-    boundary_init: str
     cycle: Optional[tuple[int, int]] = None
-
-    @property
-    def final_distance(self) -> float:
-        return self.distances[-1]
 
 
 def _verdict(distances: Sequence[float], tol: float) -> Verdict:
@@ -221,16 +216,5 @@ def rpt_probe(
         verdict=_verdict(dist, tol),
         u=u,
         tol=tol,
-        boundary_init=f"(M^u(.,0))^{k}",
         cycle=cycle,
     )
-
-
-def pt_probe(
-    spec: TransferSpec,
-    tree: Cayley = Cayley(2),
-    levels: int = 400,
-    tol: float = 1e-12,
-) -> ProbeResult:
-    """Full-coupling probe (u = 1): plus boundary condition, no weakening."""
-    return rpt_probe(spec, tree=tree, u=1.0, levels=levels, tol=tol)

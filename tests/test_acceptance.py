@@ -80,7 +80,7 @@ def test_criterion_3_root_structure_counts():
     ok = True
     for l2, count in expected.items():
         analysis = ct.classify_quartic(ct.q5_quartic_coeffs(l2))
-        got = analysis.real_root_count()
+        got = sum(m for _, m in analysis.real_roots)
         structure_counts = {
             ct.RootStructure.NO_REAL: 0,
             ct.RootStructure.TWO_DISTINCT: 2,

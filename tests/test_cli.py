@@ -294,7 +294,7 @@ def test_classify_row_lists_a_multiple_root_once_per_multiplicity(capsys, monkey
     from clocktree import quartic
     from clocktree.quartic import QuarticCoeffs, classify_quartic
 
-    analysis = classify_quartic(QuarticCoeffs(1.0, -3.0, 1.0, 3.0, -2.0, lambda2=0.3))
+    analysis = classify_quartic(QuarticCoeffs(1.0, -3.0, 1.0, 3.0, -2.0))
     monkeypatch.setattr(quartic, "q5_quartic_analysis", lambda lambda2: analysis)
     code, out = run_cli(capsys, "classify", "--lambda2", "0.3")
     assert code == 0

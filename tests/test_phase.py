@@ -271,7 +271,7 @@ def test_solver_probe_agreement_q4():
             spec = ct.spec_from_lambdas(4, l1, l2)
             if min(spec.row) <= 0:
                 continue
-            probe = ct.pt_probe(spec, ct.Cayley(2), levels=2500, tol=1e-12)
+            probe = ct.rpt_probe(spec, ct.Cayley(2), u=1.0, levels=2500, tol=1e-12)
             if p.n_nontrivial >= 1:
                 assert probe.verdict is ct.Verdict.BOUNDED_AWAY, (l1, l2)
             elif l1 * 2 < 1:

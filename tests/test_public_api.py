@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "a_norm", "apply_transfer", "basis_norms", "classify_point",
     "classify_quartic", "displacement", "eigenvalues_from_row", "jacobian_profile", "linearization_residual",
     "make_potts", "make_potts_from_theta", "make_standard_clock", "mode_map", "mode_map_q4", "mode_map_q5",
-    "potts_boundary_laws", "potts_lambda", "potts_theta", "potts_thresholds", "pt_probe", "q4_critical_line",
+    "potts_boundary_laws", "potts_lambda", "potts_theta", "potts_thresholds", "q4_critical_line",
     "q4_solutions", "q5_jacobian", "q5_potts_diagonal_solutions", "q5_quartic_analysis", "q5_quartic_coeffs",
     "q5_solutions", "q5_solutions_at_critical", "q5_transition_line", "quartic_invariants", "raw_coefficients",
     "recursion_step", "row_from_eigenvalues", "rpt_probe", "spec_from_lambdas", "sweep",
@@ -112,7 +112,6 @@ PUBLIC_PARAMETERS = {
     "potts_lambda": ("q", "theta"),
     "potts_theta": ("q", "lam"),
     "potts_thresholds": ("q", "d"),
-    "pt_probe": ("spec", "tree", "levels", "tol"),
     "q4_critical_line": ("lambda2",),
     "q4_solutions": ("lambda1", "lambda2"),
     "q5_jacobian": ("lambda1", "lambda2", "alpha"),
@@ -157,9 +156,9 @@ RESULT_FIELDS = {
     "PottsBoundaryLaws": (
         "lam", "theta", "a_plus", "a_minus", "modes_plus", "modes_minus", "residual_plus", "residual_minus",
     ),
-    "ProbeResult": ("distances", "verdict", "u", "tol", "boundary_init", "cycle"),
+    "ProbeResult": ("distances", "verdict", "u", "tol", "cycle"),
     "QuarticAnalysis": ("coeffs", "delta", "p", "d", "delta0", "structure", "n_simple", "real_roots"),
-    "QuarticCoeffs": ("a", "b", "c", "d", "e", "lambda2"),
+    "QuarticCoeffs": ("a", "b", "c", "d", "e"),
     "SolutionSet": ("q", "lambda1", "lambda2", "solutions", "residuals", "rejected", "notes"),
     "SymmetricDist": ("q", "modes"),
     "TransferSpec": ("q", "eigenvalues", "row"),
@@ -194,6 +193,33 @@ def test_public_result_fields():
         if dataclasses.is_dataclass(value) and name != "PhasePoint"
     }
     assert fields == RESULT_FIELDS
+
+
+# the public methods and properties of every public dataclass besides its
+# fields, sorted: a derived read joins or leaves a result type only on purpose
+RESULT_MEMBERS = {
+    "Cayley": (),
+    "FeasibilityReport": (),
+    "PhasePoint": (),
+    "PottsBoundaryLaws": ("mode_conversion", "sign_convention"),
+    "ProbeResult": (),
+    "QuarticAnalysis": (),
+    "QuarticCoeffs": ("as_array", "derivative"),
+    "SolutionSet": ("n_nontrivial", "nontrivial"),
+    "SymmetricDist": (
+        "from_probabilities", "point_mass", "probabilities", "raw_coefficients", "sup_distance_to_uniform", "uniform",
+    ),
+    "TransferSpec": ("from_eigenvalues", "from_row", "lambda1", "lambda2", "matrix"),
+}
+
+
+def test_public_result_members():
+    members = {}
+    for name, value in _public_items():
+        if dataclasses.is_dataclass(value):
+            fields = {field.name for field in dataclasses.fields(value)}
+            members[name] = tuple(sorted(m for m in dir(value) if not m.startswith("_") and m not in fields))
+    assert members == RESULT_MEMBERS
 
 
 # each module's imports from the package: (at import, on first use inside a
