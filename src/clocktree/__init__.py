@@ -37,7 +37,6 @@ from .errors import (
 )
 from .fixedpoint import SolutionSet, q4_solutions, q5_solutions, q5_solutions_at_critical
 from .phase import (
-    Evidence,
     PhaseGrid,
     PhasePoint,
     Regime,
@@ -57,7 +56,6 @@ from .recursion import (
     rpt_probe,
 )
 from .spectral import (
-    FeasibilityReport,
     TransferSpec,
     eigenvalues_from_row,
     make_potts,

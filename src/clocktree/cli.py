@@ -101,13 +101,13 @@ def _spec_from_args(args) -> spectral.TransferSpec:
 
 def cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
-    report = spectral.validate_non_increasing(spec)
+    violation = spectral.validate_non_increasing(spec)
     lines = ["index,lambda,r"]
     for j in range(spec.q):
         lines.append(f"{j},{_fmt(spec.eigenvalues[j])},{_fmt(spec.row[j])}")
-    lines.append(f"feasible,{str(report.feasible).lower()},{report.violation or ''}")
+    lines.append(f"feasible,{'true' if violation is None else 'false'},{violation or ''}")
     _emit(lines, args.out)
-    if args.strict and not report.feasible:
+    if args.strict and violation is not None:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -209,10 +209,10 @@ def cmd_sweep(args) -> int:
             fh.write(svg)
         if not args.out:
             return EXIT_OK
-    # The grid holds its answers as runs of equal (feasible, regime,
-    # n_nontrivial) that never cross a lambda1 row, so the writer reads the
-    # runs, not the points.  Each axis value is formatted once (a memo keyed
-    # by the float would merge -0.0 with 0.0, which print differently), and
+    # The grid holds its answers as runs of equal (regime, n_nontrivial)
+    # that never cross a lambda1 row, so the writer reads the runs, not the
+    # points.  Each axis value is formatted once (a memo keyed by the float
+    # would merge -0.0 with 0.0, which print differently), and
     # each distinct answer's "lambda2,feasible,regime,n_nontrivial" cells
     # once for the whole lambda2 axis, when the answer first appears.  A row
     # gathers its runs' slices of those cells and joins them with "lambda1,"
@@ -223,8 +223,7 @@ def cmd_sweep(args) -> int:
     m = len(grid.lambda2)
     col = grid.starts[:-1] % m
     runs = zip(
-        grid.run_feasible.tolist(), grid.run_regime.tolist(), grid.run_n_nontrivial.tolist(),
-        col.tolist(), (col + np.diff(grid.starts)).tolist(),
+        grid.run_regime.tolist(), grid.run_n_nontrivial.tolist(), col.tolist(), (col + np.diff(grid.starts)).tolist()
     )
     row_runs = np.diff(np.flatnonzero(col == 0), append=len(col)).tolist()
     l2_text = [_fmt(l2) for l2 in grid.lambda2]
@@ -233,11 +232,11 @@ def cmd_sweep(args) -> int:
         fh.write("lambda1,lambda2,feasible,regime,n_nontrivial\n")
         for t1, n_runs in zip(map(_fmt, grid.lambda1), row_runs):
             row = [""]
-            for f, c, n, a, b in itertools.islice(runs, n_runs):
-                answer = cells.get((f, c, n))
-                if answer is None:
-                    tail = f"{'true' if f else 'false'},{grid.regimes[c].value},{n}\n"
-                    answer = cells[f, c, n] = [f"{t2},{tail}" for t2 in l2_text]
+            for c, n, a, b in itertools.islice(runs, n_runs):
+                answer = cells.get((c, n))
+                if answer is None:  # regime code 0, INFEASIBLE, is the one infeasible answer
+                    tail = f"{'true' if c else 'false'},{grid.regimes[c].value},{n}\n"
+                    answer = cells[c, n] = [f"{t2},{tail}" for t2 in l2_text]
                 row += answer[a:b]
             fh.write((t1 + ",").join(row))
     return EXIT_OK

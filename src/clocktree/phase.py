@@ -76,20 +76,13 @@ class Regime(enum.Enum):
     PT_NOT_RPT = "PT_NOT_RPT"
 
 
-class Evidence(enum.Enum):
-    CLOSED_FORM = "CLOSED_FORM"  # the feasibility check, or q = 4's closed-form fixed points
-    ELIMINATION = "ELIMINATION"  # q = 5's fixed points, all roots of the eliminated sextic
-
-
 @dataclass(frozen=True, slots=True)
 class PhasePoint:
     q: int
     lambda1: float
     lambda2: float
-    feasible: bool
     regime: Regime
     n_nontrivial: int
-    evidence: Evidence
 
 
 class PhaseGrid(Sequence[PhasePoint]):
@@ -100,22 +93,20 @@ class PhaseGrid(Sequence[PhasePoint]):
     The lambda2 axis is not empty; the lambda1 axis may be.
     Run r holds the points starts[r] <= i < starts[r + 1]; `starts` rises
     strictly from 0 to the grid size through every row start, so no run
-    crosses a lambda1 row.  The per-run columns are arrays: `run_feasible`
-    (bool), `run_regime` (int codes into `regimes`) and `run_n_nontrivial`
-    (int), plus the derived `run_evidence` (int codes into `evidences`):
-    ELIMINATION where q = 5 and the run's head was feasible.
+    crosses a lambda1 row.  The per-run columns are arrays: `run_regime`
+    (int codes into `regimes`; a run is feasible exactly where its code is
+    not 0, INFEASIBLE) and `run_n_nontrivial` (int).
     A `PhasePoint` is built only when one is indexed or iterated; a slice
     is a list of points.
     """
 
     regimes = (Regime.INFEASIBLE, Regime.PT_AND_RPT, Regime.PT_NOT_RPT, Regime.NO_PT)
-    evidences = (Evidence.CLOSED_FORM, Evidence.ELIMINATION)
 
-    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_feasible", "run_regime", "run_n_nontrivial")
+    __slots__ = ("q", "lambda1", "lambda2", "starts", "run_regime", "run_n_nontrivial")
 
     def __init__(
-        self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, feasible: np.ndarray,
-        regime: np.ndarray, n_nontrivial: np.ndarray
+        self, q: int, lambda1: list[float], lambda2: list[float], starts: np.ndarray, regime: np.ndarray,
+        n_nontrivial: np.ndarray
     ) -> None:
         if len(lambda2) == 0:
             raise ClockTreeError("the lambda2 axis is empty, so a lambda1 row has no points")
@@ -127,15 +118,10 @@ class PhaseGrid(Sequence[PhasePoint]):
             raise ClockTreeError("run starts must be strictly increasing")
         if np.count_nonzero(starts % len(lambda2) == 0) != len(lambda1) + 1:
             raise ClockTreeError("run starts must hold the start of every lambda1 row")
-        if any(len(column) != runs for column in (feasible, regime, n_nontrivial)):
+        if any(len(column) != runs for column in (regime, n_nontrivial)):
             raise ClockTreeError(f"every run column must hold one entry per run, {runs}")
         self.q, self.lambda1, self.lambda2, self.starts = q, lambda1, lambda2, starts
-        self.run_feasible, self.run_regime, self.run_n_nontrivial = feasible, regime, n_nontrivial
-
-    def _run_evidence(self, runs: int | slice = slice(None)) -> np.ndarray:
-        return ((self.q == 5) & self.run_feasible[runs]).astype(int)
-
-    run_evidence = property(_run_evidence)
+        self.run_regime, self.run_n_nontrivial = regime, n_nontrivial
 
     def __len__(self) -> int:
         return int(self.starts[-1])
@@ -147,17 +133,16 @@ class PhaseGrid(Sequence[PhasePoint]):
         a, b = divmod(i, len(self.lambda2))
         r = int(np.searchsorted(self.starts, i, "right")) - 1
         return PhasePoint(
-            self.q, self.lambda1[a], self.lambda2[b], bool(self.run_feasible[r]), self.regimes[self.run_regime[r]],
-            int(self.run_n_nontrivial[r]), self.evidences[self._run_evidence(r)],
+            self.q, self.lambda1[a], self.lambda2[b], self.regimes[self.run_regime[r]], int(self.run_n_nontrivial[r])
         )
 
     def __iter__(self) -> Iterator[PhasePoint]:
         points = itertools.product(self.lambda1, self.lambda2)
-        runs = (self.run_feasible, self.run_regime, self.run_n_nontrivial, self.run_evidence, np.diff(self.starts))
-        for f, c, m, ev, length in zip(*(column.tolist() for column in runs)):
-            regime, evidence = self.regimes[c], self.evidences[ev]
+        runs = (self.run_regime, self.run_n_nontrivial, np.diff(self.starts))
+        for c, m, length in zip(*(column.tolist() for column in runs)):
+            regime = self.regimes[c]
             for a, b in itertools.islice(points, length):
-                yield PhasePoint(self.q, a, b, f, regime, m, evidence)
+                yield PhasePoint(self.q, a, b, regime, m)
 
 
 def q4_critical_line(lambda2: float) -> float:
@@ -315,10 +300,9 @@ def sweep(
     its answer (`_classify_grid`), so the work grows with the runs, not with
     the grid points.  An exception of the solver propagates unchanged: no
     regime stands for a failure.  The result is a `PhaseGrid`, a sequence
-    of `PhasePoint`s held as those runs, with the evidence derived.  The
-    mode maps are those of the binary tree.  A non-finite range, a range
-    whose span hi - lo overflows, or a resolution that is not an integer
-    >= 1 raises ClockTreeError.
+    of `PhasePoint`s held as those runs.  The mode maps are those of the
+    binary tree.  A non-finite range, a range whose span hi - lo overflows,
+    or a resolution that is not an integer >= 1 raises ClockTreeError.
     """
     try:
         resolution = operator.index(resolution)
@@ -345,8 +329,7 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
     call, then the counts of the feasible heads in one solver call, made
     only when some head is feasible.  The regime is decided once per run,
-    and the grid keeps the runs (and derives their evidence): nothing is
-    held per point.
+    and the grid keeps the runs: nothing is held per point.
     """
     if q not in (4, 5):
         raise UnsupportedQ(f"phase classification supports q in {{4, 5}}, got q={q}")
@@ -364,9 +347,10 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
     # number of R. Lyons (Ann. Probab. 18 (1990) 931-958); br(Cayley(2)) = 2, and
     # lambda1 > 0.5 agrees with 2.0 * lambda1 > 1.0 on every float, without overflow
     robust = l1s[head // m] > 0.5
-    # a run takes the first of these regimes whose condition holds (the order of PhaseGrid.regimes)
+    # a run takes the first of these regimes whose condition holds (the order of
+    # PhaseGrid.regimes), so code 0, INFEASIBLE, marks exactly the infeasible runs
     regime = np.select([~feasible, robust, n >= 1], [0, 1, 2], 3)
-    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, feasible, regime, n)
+    return PhaseGrid(q, l1s.tolist(), l2s.tolist(), starts, regime, n)
 
 
 def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:

@@ -64,10 +64,20 @@ def q5_quartic_coeffs(lambda2: float) -> QuarticCoeffs:
     Every coefficient carries a factor lambda2^2, so the quartic vanishes
     identically at lambda2 = 0 and its coefficients underflow to 0 for
     |lambda2| below about 1e-162; `q5_quartic_analysis` classifies it at any
-    nonzero lambda2.
+    nonzero lambda2.  A lambda2 that is not finite, and one from about
+    |lambda2| = 2.6e76 up, where a coefficient overflows the largest float,
+    raise ClockTreeError.
     """
-    t = lambda2
-    return QuarticCoeffs(*(c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC))
+    if not math.isfinite(lambda2):
+        raise ClockTreeError(f"lambda2 must be finite, got {lambda2!r}")
+    t, overflow = lambda2, f"the quartic's coefficients overflow at lambda2 = {lambda2!r}"
+    try:
+        coeffs = [c0 * t**2 + c1 * t**3 + c2 * t**4 for c0, c1, c2 in _Q5_QUARTIC]
+    except OverflowError:  # from about 1.158e77 a power of lambda2 itself overflows
+        raise ClockTreeError(overflow) from None
+    if not all(map(math.isfinite, coeffs)):
+        raise ClockTreeError(overflow)
+    return QuarticCoeffs(*coeffs)
 
 
 def _invariant_terms(a, b, c, d, e) -> tuple[list, list, list, list]:
@@ -229,16 +239,13 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
     positive number changes neither the roots nor the signs of the
     invariants.  Elsewhere q_{lambda2} itself, whose coefficients `classify`
     prints, is classified.  Raises DegenerateQuartic at lambda2 = 0,
-    where the quartic vanishes identically, and ClockTreeError from
-    lambda2 of about 5.6325e12 up and -5.6329e12 down, where Delta, of
-    degree 24 in lambda2, overflows.
+    where the quartic vanishes identically, and ClockTreeError where
+    `q5_quartic_coeffs` refuses lambda2 and from lambda2 of about 5.6325e12
+    up and -5.6329e12 down, where Delta, of degree 24 in lambda2, overflows.
     """
     if lambda2 == 0.0:
         raise DegenerateQuartic("the quartic vanishes identically at lambda2 = 0")
-    try:
-        coeffs = q5_quartic_coeffs(lambda2)
-    except OverflowError as exc:  # a power of lambda2 past the largest float
-        raise ClockTreeError(f"the quartic's coefficients overflow at lambda2 = {lambda2!r}") from exc
+    coeffs = q5_quartic_coeffs(lambda2)
     # a coefficient below the smallest normal float has underflowed, unless
     # the quartic is large: e cancels to 0.0 at lambda2 = 0.5
     magnitudes = np.abs(coeffs.as_array())
@@ -248,5 +255,5 @@ def q5_quartic_analysis(lambda2: float) -> QuarticAnalysis:
         return classify_quartic(coeffs)
     except DegenerateQuartic:
         raise
-    except ClockTreeError as exc:  # an invariant, or from about 1e77 the leading coefficient, past the largest float
+    except ClockTreeError as exc:  # an invariant past the largest float
         raise ClockTreeError(f"the quartic's invariants overflow at lambda2 = {lambda2!r}") from exc

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,6 +47,10 @@ class Cayley:
     children: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.children)
+        except TypeError:
+            raise UnsupportedTree(f"Cayley children must be an integer, got {self.children!r}") from None
         if self.children < 2:
             raise UnsupportedTree(f"Cayley family needs >= 2 children, got {self.children}")
 

@@ -176,14 +176,6 @@ def eigenvalues_from_row(q: int, row: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the non-increasing check for a transfer matrix."""
-
-    feasible: bool
-    violation: str | None = None
-
-
-@dataclass(frozen=True)
 class TransferSpec:
     """A q-state circulant transfer matrix, stored as spectrum plus derived row."""
 
@@ -290,40 +282,48 @@ def make_potts_from_theta(q: int, theta: float) -> TransferSpec:
 
 
 def make_standard_clock(q: int, coupling: float) -> TransferSpec:
-    """Standard clock model: row proportional to exp(J*cos(2*pi*j/q))."""
+    """Standard clock model: row proportional to exp(J*cos(2*pi*j/q)).
+
+    The cosine is taken of the circle distance min(j, q - j), so that r_j
+    and r_{q-j} are equal bit for bit, and the largest exponent is
+    subtracted before `exp`, so that no finite J overflows: the row tends to
+    the point mass at 0 as J grows and to the states farthest from 0 as -J
+    grows.
+    """
     if not math.isfinite(coupling):
         raise NotAProbability(f"coupling must be finite, got {coupling!r}")
     j = np.arange(q)
-    row = np.exp(coupling * np.cos(2.0 * math.pi * j / q))
+    exponent = coupling * np.cos(2.0 * math.pi * np.minimum(j, q - j) / q)
+    with np.errstate(over="ignore"):  # a difference past -1.8e308 is -inf, whose exp is 0
+        row = np.exp(exponent - exponent.max())
     row /= row.sum()
     return TransferSpec.from_row(q, row)
 
 
-def validate_non_increasing(spec: TransferSpec) -> FeasibilityReport:
-    """Check r_0 >= r_1 >= ... >= r_{floor(q/2)} >= 0 (with 1e-12 slack).
+def validate_non_increasing(spec: TransferSpec) -> str | None:
+    """The first violated condition of r_0 >= r_1 >= ... >= r_{floor(q/2)} >= 0 (with 1e-12 slack), or None.
 
     For q in {4, 5} the equivalent eigenvalue ordering lambda1 >= lambda2 is
-    checked as well.  Reports rather than raises: sweep grids legitimately
-    cross the feasibility boundary.
+    checked as well.  The matrix is feasible exactly where this returns
+    None.  Reports rather than raises: sweep grids legitimately cross the
+    feasibility boundary.
     """
     r = spec.row
     half = spec.q // 2
     for j in range(half):
         if r[j] + ROW_TOL < r[j + 1]:
-            return FeasibilityReport(False, f"r{j} < r{j + 1} ({r[j]!r} < {r[j + 1]!r})")
+            return f"r{j} < r{j + 1} ({r[j]!r} < {r[j + 1]!r})"
     if r[half] < -ROW_TOL:
-        return FeasibilityReport(False, f"r{half} = {r[half]!r} negative")
+        return f"r{half} = {r[half]!r} negative"
     if spec.q in (4, 5) and spec.lambda1 + ROW_TOL < spec.lambda2:
-        return FeasibilityReport(
-            False, f"lambda1 < lambda2 ({spec.lambda1!r} < {spec.lambda2!r})"
-        )
-    return FeasibilityReport(True, None)
+        return f"lambda1 < lambda2 ({spec.lambda1!r} < {spec.lambda2!r})"
+    return None
 
 
 def feasible_lambdas(q: int, lambda1, lambda2) -> np.ndarray:
     """Feasibility of every point (lambda1[i], lambda2[i]), q in {4, 5}, as a bool array.
 
-    The batched form of `validate_non_increasing(spec_from_lambdas(q, l1, l2))`
+    The batched form of `validate_non_increasing(spec_from_lambdas(q, l1, l2)) is None`
     in which a spectrum without a valid row is infeasible.  It runs the same
     cosine transform and every check of that path, with the same operations
     in the same order: no raw row entry below -1e-12, symmetrize and clamp,

@@ -85,5 +85,5 @@ def random_symmetric_probability(rng, q):
 
 
 def point_column(grid, runs):
-    """A `PhaseGrid` run column (`run_feasible`, `run_regime`, ...) repeated over each run's points."""
+    """A `PhaseGrid` run column (`run_regime`, `run_n_nontrivial` or an array derived from them) repeated over each run's points."""
     return np.repeat(runs, np.diff(grid.starts))

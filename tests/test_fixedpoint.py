@@ -609,7 +609,7 @@ def test_q4_tiny_positive_lambda2():
     assert s.solutions == ((0.0, 0.0),) and s.notes == ()
     for l2 in (1e-200, 5e-324):
         p = ct.classify_point(4, 0.1, l2)
-        assert (p.feasible, p.regime, p.n_nontrivial) == (True, ct.Regime.NO_PT, 0)
+        assert (p.regime, p.n_nontrivial) == (ct.Regime.NO_PT, 0)
         assert list(ct.sweep(4, (0.1, 0.1), (l2, l2), resolution=1)) == [p]
 
 

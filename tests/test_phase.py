@@ -246,7 +246,7 @@ def test_q5_sweep_boundary_matches_transition_line():
     pts = ct.sweep(5, (l1_lo, l1_hi), (l2_lo, l2_hi), resolution=res)
     line = dict(ct.q5_transition_line(sorted({round(p.lambda1, 12) for p in pts}), tol=1e-4))
     for p in pts:
-        if not p.feasible:
+        if p.regime is ct.Regime.INFEASIBLE:
             continue
         l2c = line[round(p.lambda1, 12)]
         if math.isnan(l2c):
@@ -264,7 +264,7 @@ def test_solver_probe_agreement_q4():
     for l1 in (0.38, 0.42, 0.46, 0.48, 0.49):
         for l2 in (0.2, 0.3, 0.36, 0.42, 0.44, 0.46):
             p = ct.classify_point(4, l1, l2)
-            if not p.feasible:
+            if p.regime is ct.Regime.INFEASIBLE:
                 continue
             if abs(l1 * 2 - 1) < 2e-2:
                 continue

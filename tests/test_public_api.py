@@ -21,8 +21,8 @@ from clocktree import errors
 
 PUBLIC_NAMES = [
     "AsymmetricVector", "Cayley", "ClockTreeError",
-    "DegenerateQuartic", "DimensionMismatch", "EmptyChildren", "Evidence", "FeasibilityReport",
-    "NormalizationUnderflow", "NotAProbability", "NotStochastic", "PhaseGrid", "PhasePoint",
+    "DegenerateQuartic", "DimensionMismatch", "EmptyChildren", "NormalizationUnderflow", "NotAProbability",
+    "NotStochastic", "PhaseGrid", "PhasePoint",
     "PottsBoundaryLaws", "ProbeResult", "QuarticAnalysis", "QuarticCoeffs", "Regime",
     "RootStructure", "RowAsymmetric", "SolutionSet", "SpectrumAsymmetric",
     "SymmetricDist", "TransferSpec", "UnsupportedQ", "UnsupportedTree", "Verdict", "ZeroRowEntry",
@@ -146,13 +146,11 @@ def test_public_parameters():
 # point, and the constructor parameters and regime codes of a classified grid, in order
 PUBLIC_MEMBERS = {
     "Regime": ("INFEASIBLE", "NO_PT", "PT_AND_RPT", "PT_NOT_RPT"),
-    "Evidence": ("CLOSED_FORM", "ELIMINATION"),
 }
-PHASE_POINT_FIELDS = ("q", "lambda1", "lambda2", "feasible", "regime", "n_nontrivial", "evidence")
+PHASE_POINT_FIELDS = ("q", "lambda1", "lambda2", "regime", "n_nontrivial")
 # the fields of every other public dataclass, in order
 RESULT_FIELDS = {
     "Cayley": ("children",),
-    "FeasibilityReport": ("feasible", "violation"),
     "PottsBoundaryLaws": (
         "lam", "theta", "a_plus", "a_minus", "modes_plus", "modes_minus", "residual_plus", "residual_minus",
     ),
@@ -163,14 +161,11 @@ RESULT_FIELDS = {
     "SymmetricDist": ("q", "modes"),
     "TransferSpec": ("q", "eigenvalues", "row"),
 }
-PHASE_GRID_PARAMETERS = ("self", "q", "lambda1", "lambda2", "starts", "feasible", "regime", "n_nontrivial")
+PHASE_GRID_PARAMETERS = ("self", "q", "lambda1", "lambda2", "starts", "regime", "n_nontrivial")
 PHASE_GRID_REGIMES = ("INFEASIBLE", "PT_AND_RPT", "PT_NOT_RPT", "NO_PT")
 # what a classified grid holds besides a Sequence's methods: its axes, its
 # runs and their columns, and the code tables; no per-point column
-PHASE_GRID_ATTRIBUTES = (
-    "evidences", "lambda1", "lambda2", "q", "regimes", "run_evidence", "run_feasible", "run_n_nontrivial",
-    "run_regime", "starts",
-)
+PHASE_GRID_ATTRIBUTES = ("lambda1", "lambda2", "q", "regimes", "run_n_nontrivial", "run_regime", "starts")
 
 
 def test_public_phase_types():
@@ -199,7 +194,6 @@ def test_public_result_fields():
 # fields, sorted: a derived read joins or leaves a result type only on purpose
 RESULT_MEMBERS = {
     "Cayley": (),
-    "FeasibilityReport": (),
     "PhasePoint": (),
     "PottsBoundaryLaws": ("mode_conversion", "sign_convention"),
     "ProbeResult": (),

@@ -184,7 +184,7 @@ def ref_probe_seeded_candidate(lambda1, lambda2):
         spec = spec_from_lambdas(5, lambda1, lambda2)
     except ValueError:
         return None
-    if min(spec.row) <= 0.0 or not validate_non_increasing(spec).feasible:
+    if min(spec.row) <= 0.0 or validate_non_increasing(spec) is not None:
         return None
     M = spec.matrix()
     p = np.asarray(spec.row) ** 2
@@ -265,7 +265,7 @@ def test_negative_lambda2_points_are_not_failures():
     feasible = feasible_lambdas(5, l1, l2)
     assert feasible.sum() == 8
     for p, f in zip(points, feasible.tolist()):
-        assert p.feasible == f
+        assert (p.regime is not ct.Regime.INFEASIBLE) == f
 
 
 def test_negative_lambda2_at_half():

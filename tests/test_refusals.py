@@ -43,6 +43,18 @@ REFUSALS = {
         "lambda1 and lambda2 must be finite, got nan and 0.1",
     ),
     "potts_thresholds": (lambda: ct.potts_thresholds(3, 1), ct.UnsupportedQ, "need d >= 2 and q >= 2, got d=1, q=3"),
+    # the probe would raise each level to the power 2.5
+    "Cayley_children": (lambda: ct.Cayley(2.5), ct.UnsupportedTree, "Cayley children must be an integer, got 2.5"),
+    # a coefficient would be NaN, or +-inf from about |lambda2| = 2.6e76
+    "q5_quartic_coeffs_not_finite": (
+        lambda: ct.q5_quartic_coeffs(math.nan), ct.ClockTreeError, "lambda2 must be finite, got nan"
+    ),
+    "q5_quartic_analysis_not_finite": (
+        lambda: ct.q5_quartic_analysis(-math.inf), ct.ClockTreeError, "lambda2 must be finite, got -inf"
+    ),
+    "q5_quartic_coeffs_overflow": (
+        lambda: ct.q5_quartic_coeffs(1e77), ct.ClockTreeError, "the quartic's coefficients overflow at lambda2 = 1e+77"
+    ),
     "mode_map": (
         lambda: ct.mode_map(6, 0.3, 0.1, (0.1, 0.1)),
         ct.DimensionMismatch,
@@ -138,6 +150,17 @@ def test_refusal(name):
     assert "np." not in str(info.value)
 
 
+@pytest.mark.parametrize("lambda2", [2.6e76, -2.6e76, 1e77, 1.2e77, 1e80, -1e300])
+@pytest.mark.parametrize("read", [ct.q5_quartic_coeffs, ct.q5_quartic_analysis], ids=["coeffs", "analysis"])
+def test_the_quartic_refuses_its_coefficient_overflow_in_one_place(read, lambda2):
+    # both overflows get one message: a coefficient is +-inf from about
+    # |lambda2| = 2.6e76, and lambda2**4 raises OverflowError from about 1.158e77
+    with pytest.raises(ct.ClockTreeError) as info:
+        read(lambda2)
+    assert type(info.value) is ct.ClockTreeError
+    assert str(info.value) == f"the quartic's coefficients overflow at lambda2 = {lambda2!r}"
+
+
 @pytest.mark.parametrize("counts", [fixedpoint.q4_solution_counts, fixedpoint.q5_solution_counts])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("column", [0, 1])
@@ -167,4 +190,4 @@ def test_potts_boundary_laws_refuses_laws_that_fail_the_residual_check(monkeypat
 def test_validate_non_increasing_reports_a_negative_middle_entry():
     # both constructors refuse a row entry below -1e-12, so only a spec built by hand reaches this report
     spec = ct.TransferSpec(4, (1.0, 0.5, 0.5, 0.5), (0.9, 0.2, -0.3, 0.2))
-    assert ct.validate_non_increasing(spec) == ct.FeasibilityReport(False, "r2 = -0.3 negative")
+    assert ct.validate_non_increasing(spec) == "r2 = -0.3 negative"

@@ -156,6 +156,21 @@ def test_make_standard_clock():
     assert np.abs(np.asarray(ct.make_standard_clock(4, 1.3).row) - expected).max() < 1e-14
 
 
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("coupling", [800.0, -800.0, 1e4, -1e4])
+def test_standard_clock_at_strong_coupling(q, coupling):
+    # exp(J cos) overflows from J of about 710, and the cosines of j and
+    # q - j differ in their last bits, which J = -800 magnifies to 1e-13
+    row = np.asarray(ct.make_standard_clock(q, coupling).row)
+    assert np.isfinite(row).all()
+    assert row[1:].tobytes() == row[:0:-1].tobytes()
+    assert abs(math.fsum(row) - 1.0) <= 1e-15
+    # the point mass at 0 for J > 0; the states farthest from 0 for J < 0
+    limit, states = np.zeros(q), [0] if coupling > 0 else sorted({q // 2, q - q // 2})
+    limit[states] = 1.0 / len(states)
+    assert np.abs(row - limit).max() < 1e-200
+
+
 def test_standard_clock_never_in_pt_window():
     # along the q=4 clock locus lambda2 = lambda1^2; with lambda1 <= 1/2 that
     # keeps lambda2 < 1/3, so no non-robust transition anywhere on the locus
@@ -174,14 +189,11 @@ def test_standard_clock_never_in_pt_window():
 
 
 def test_validate_non_increasing():
-    ok = ct.validate_non_increasing(ct.spec_from_lambdas(4, 0.5, 0.4))
-    assert ok.feasible and ok.violation is None
+    assert ct.validate_non_increasing(ct.spec_from_lambdas(4, 0.5, 0.4)) is None
     assert np.abs(np.asarray(ct.spec_from_lambdas(4, 0.5, 0.4).row) - [0.6, 0.15, 0.1, 0.15]).max() < 1e-14
-    bad = ct.validate_non_increasing(ct.spec_from_lambdas(4, 0.2, 0.5))
-    assert not bad.feasible and "r1" in bad.violation
+    assert "r1" in ct.validate_non_increasing(ct.spec_from_lambdas(4, 0.2, 0.5))
     for lam in (0.0, 0.3, 0.7, 0.99):
-        potts = ct.validate_non_increasing(ct.spec_from_lambdas(5, lam, lam))
-        assert potts.feasible
+        assert ct.validate_non_increasing(ct.spec_from_lambdas(5, lam, lam)) is None
 
 
 def test_apply_transfer():
@@ -426,7 +438,8 @@ def test_potts_and_clock_bit_identical_to_loops():
             assert _same_bits(spec.row, _loop_row_from_eigenvalues(q, lam))
             assert _same_bits(spec.matrix(), _loop_matrix(spec.row))
         for coupling in (0.0, 0.4, 1.3, 5.0):
-            row = np.exp(coupling * np.cos(2.0 * math.pi * np.arange(q) / q))
+            exponent = coupling * np.cos(2.0 * math.pi * np.minimum(np.arange(q), q - np.arange(q)) / q)
+            row = np.exp(exponent - exponent.max())
             row /= row.sum()
             spec = ct.make_standard_clock(q, coupling)
             assert _same_bits(spec.eigenvalues, _loop_eigenvalues_from_row(q, row))
@@ -540,7 +553,7 @@ def test_classify_point_builds_no_spec_q4(monkeypatch):
     # q=4 feasibility and fixed points are grid arrays; no TransferSpec is built
     calls = _count_transforms(monkeypatch)
     point = ct.classify_point(4, 0.5, 0.4)
-    assert point.feasible and point.regime is ct.Regime.PT_NOT_RPT and point.n_nontrivial > 0
+    assert point.regime is ct.Regime.PT_NOT_RPT and point.n_nontrivial > 0
     assert calls == []
 
 
@@ -552,7 +565,7 @@ def test_classify_point_builds_no_spec_q5(monkeypatch):
     l1 = (1.0 + 2.0 * l2 * math.cos(2 * math.pi / 5)) / (-2.0 * math.cos(4 * math.pi / 5))
     calls = _count_transforms(monkeypatch)
     point = ct.classify_point(5, l1, l2)
-    assert point.evidence is ct.Evidence.ELIMINATION and point.regime is ct.Regime.PT_AND_RPT
+    assert point.regime is ct.Regime.PT_AND_RPT
     assert point.n_nontrivial == 2
     assert calls == []
 

@@ -44,7 +44,7 @@ def per_point(q, l1_range, l2_range, res):
 def assert_sweep_is_per_point(q, l1_range, l2_range, res):
     grid = ct.sweep(q, l1_range, l2_range, resolution=res)
     feasible, n = per_point(q, l1_range, l2_range, res)
-    got_feasible, got_n = (point_column(grid, runs) for runs in (grid.run_feasible, grid.run_n_nontrivial))
+    got_feasible, got_n = (point_column(grid, runs) for runs in (grid.run_regime != 0, grid.run_n_nontrivial))
     wrong = np.flatnonzero((got_feasible != feasible) | (got_n != n))
     assert wrong.tolist() == [], (q, l1_range, l2_range, res)
 
@@ -145,7 +145,7 @@ def test_classify_point_computes_no_breakpoints(monkeypatch):
     for q, l1, l2 in ((5, 0.48, 0.42), (4, 0.5, 0.4), (4, 0.2, 0.5)):
         p = ct.classify_point(q, l1, l2)
         feasible, n = per_point(q, (l1, l1), (l2, l2), 1)
-        assert (p.feasible, p.n_nontrivial) == (feasible[0], n[0])
+        assert (p.regime is not ct.Regime.INFEASIBLE, p.n_nontrivial) == (feasible[0], n[0])
     # a lambda2 axis that is not strictly increasing is evaluated point by point too
     assert_sweep_is_per_point(4, (0.4, 0.6), (0.3, 0.3), 3)
 

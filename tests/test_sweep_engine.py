@@ -38,10 +38,10 @@ from clocktree.fixedpoint import (
     _assemble,
     _verify_candidates,
 )
-from clocktree.phase import Evidence, PhasePoint, Regime
+from clocktree.phase import PhasePoint, Regime
 from clocktree.recursion import mode_map
 from clocktree.potts import q5_jacobian
-from clocktree.spectral import feasible_lambdas, spec_from_lambdas, validate_non_increasing
+from clocktree.spectral import spec_from_lambdas, validate_non_increasing
 from clocktree.svg import _REGIME_COLORS, render_phase_svg
 
 from conftest import point_column
@@ -59,7 +59,7 @@ def ref_feasible(q, lambda1, lambda2):
         spec = spec_from_lambdas(q, lambda1, lambda2)
     except ValueError:
         return False
-    return validate_non_increasing(spec).feasible
+    return validate_non_increasing(spec) is None
 
 
 def ref_residual(q, lambda1, lambda2, alpha):
@@ -169,7 +169,7 @@ def ref_q4_solutions(lambda1, lambda2):
 
 def ref_classify_q4(lambda1, lambda2):
     if not ref_feasible(4, lambda1, lambda2):
-        return PhasePoint(4, lambda1, lambda2, False, Regime.INFEASIBLE, 0, Evidence.CLOSED_FORM)
+        return PhasePoint(4, lambda1, lambda2, Regime.INFEASIBLE, 0)
     n = ref_q4_solutions(lambda1, lambda2).n_nontrivial
     if lambda1 * 2.0 > 1.0:
         regime = Regime.PT_AND_RPT
@@ -177,7 +177,7 @@ def ref_classify_q4(lambda1, lambda2):
         regime = Regime.PT_NOT_RPT
     else:
         regime = Regime.NO_PT
-    return PhasePoint(4, lambda1, lambda2, True, regime, n, Evidence.CLOSED_FORM)
+    return PhasePoint(4, lambda1, lambda2, regime, n)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _bits(x):
 
 
 def point_key(p):
-    return (p.q, _bits(p.lambda1), _bits(p.lambda2), p.feasible, p.regime, p.n_nontrivial, p.evidence)
+    return (p.q, _bits(p.lambda1), _bits(p.lambda2), p.regime, p.n_nontrivial)
 
 
 def solution_key(s):
@@ -337,9 +337,9 @@ def test_no_solver_call_without_a_feasible_run_head(monkeypatch, q):
     point, grid = ct.classify_point(q, 0.2, 0.4), list(ct.sweep(q, (0.0, 0.1), (0.5, 0.6), resolution=5))
     assert calls == []
     assert (point, grid) == infeasible
-    assert not point.feasible and not any(p.feasible for p in grid)
+    assert {p.regime for p in (point, *grid)} == {Regime.INFEASIBLE}
     # a feasible point still reaches the solver, once and with its one row
-    assert ct.classify_point(q, 0.48, 0.4).feasible and calls == [1]
+    assert ct.classify_point(q, 0.48, 0.4).regime is not Regime.INFEASIBLE and calls == [1]
 
 
 def test_phase_point_has_no_instance_dict():
@@ -447,7 +447,7 @@ def test_phase_grid_is_a_lazy_sequence():
     assert len(grid) == 144
     points = list(grid)
     assert points == [ct.classify_point(5, p.lambda1, p.lambda2) for p in points]
-    assert points[9 * 12 + 7] == PhasePoint(5, *Q5_FOUR, True, Regime.PT_NOT_RPT, 4, Evidence.ELIMINATION)
+    assert points[9 * 12 + 7] == PhasePoint(5, *Q5_FOUR, Regime.PT_NOT_RPT, 4)
     assert [grid[i] for i in range(-144, 144)] == points + points
     assert grid[np.int64(5)] == points[5]
     for sl in (slice(10, 14), slice(None, None, -7), slice(5, 2), slice(-3, None), slice(0, 1000)):
@@ -458,30 +458,14 @@ def test_phase_grid_is_a_lazy_sequence():
     assert grid != points  # a sequence of points, not a list
 
 
-@SETTINGS
-@given(
-    q=st.sampled_from([4, 5]), l1_range=st.tuples(LAMBDA1, LAMBDA1), l2_range=st.tuples(LAMBDA2, LAMBDA2),
-    res=st.integers(1, 12),
-)
-def test_evidence_is_elimination_where_a_q5_run_head_was_feasible(q, l1_range, l2_range, res):
-    # the grid derives its evidence from q and each run's answer
-    l1s, l2s = (np.linspace(*r, res) for r in (l1_range, l2_range))
-    grid = ct.sweep(q, l1_range, l2_range, resolution=res)
-    head = grid.starts[:-1]
-    head_feasible = np.repeat(feasible_lambdas(q, l1s[head // res], l2s[head % res]), np.diff(grid.starts))
-    want = [Evidence.ELIMINATION if q == 5 and f else Evidence.CLOSED_FORM for f in head_feasible.tolist()]
-    assert [grid.evidences[c] for c in point_column(grid, grid.run_evidence).tolist()] == want
-    assert [p.evidence for p in grid] == [grid[i].evidence for i in range(len(grid))] == want
-
-
 # ---------------------------------------------------------------------------
 # the sweep CSV against a writer that formats every cell
 # ---------------------------------------------------------------------------
 
 
 _AXIS_VALUE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
-# (feasible, regime code, n_nontrivial) of a run
-_ANSWER = st.tuples(st.booleans(), st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
+# (regime code, n_nontrivial) of a run
+_ANSWER = st.tuples(st.integers(0, len(ct.PhaseGrid.regimes) - 1), st.integers(0, 6))
 
 
 @st.composite
@@ -491,8 +475,7 @@ def _phase_grids(draw):
     The partition has every point its own run, one run per lambda1 row, or
     random cuts besides the row starts.  The runs' answers cycle through a
     few drawn ones, so that neighbouring runs often share an answer, as a
-    sweep's runs do.  q is 4 or 5, so that the evidence the grid derives
-    takes both of its values.
+    sweep's runs do.  q is 4 or 5, as in a sweep.
     """
     q = draw(st.sampled_from([4, 5]))
     lambda1 = draw(st.lists(_AXIS_VALUE, min_size=1, max_size=30))
@@ -519,12 +502,15 @@ def ref_sweep_csv(grid):
     """The CSV `clocktree sweep` writes for `grid`, one f-string per cell."""
     l2_text = [format(l2, ".17g") for l2 in grid.lambda2]
     m = len(l2_text)
-    columns = (grid.run_feasible, grid.run_regime, grid.run_n_nontrivial)
+    columns = (grid.run_regime, grid.run_n_nontrivial)
     answers = list(zip(*(point_column(grid, runs).tolist() for runs in columns)))
     text = ["lambda1,lambda2,feasible,regime,n_nontrivial\n"]
     for i, t1 in enumerate(format(l1, ".17g") for l1 in grid.lambda1):
         row = zip(l2_text, answers[i * m : (i + 1) * m])
-        cells = (f"{t1},{t2},{'true' if f else 'false'},{grid.regimes[c].value},{n}\n" for t2, (f, c, n) in row)
+        cells = (
+            f"{t1},{t2},{'false' if grid.regimes[c] is Regime.INFEASIBLE else 'true'},{grid.regimes[c].value},{n}\n"
+            for t2, (c, n) in row
+        )
         text.append("".join(cells))
     return "".join(text)
 
@@ -643,7 +629,7 @@ def test_phase_svg_draws_one_rect_per_run(q, l1_range, l2_range, res):
     # besides the runs: the background, the frame and the 4 legend boxes
     assert sum(line.startswith("<rect ") for line in lines) == runs + 6
     # and the rest of the document is that of the same answers with every point a run
-    columns = (point_column(grid, runs) for runs in (grid.run_feasible, grid.run_regime, grid.run_n_nontrivial))
+    columns = (point_column(grid, runs) for runs in (grid.run_regime, grid.run_n_nontrivial))
     every_point = ct.PhaseGrid(q, grid.lambda1, grid.lambda2, np.arange(len(grid) + 1), *columns)
     cells = render_phase_svg(every_point, l1_range, l2_range).split("\n")
     assert lines[:3] + lines[3 + runs :] == cells[:3] + cells[3 + len(grid) :]
@@ -664,7 +650,7 @@ def _rows_of_runs(**change):
     """`PhaseGrid`'s arguments for a 2 x 3 grid of three runs, with some of them replaced."""
     args = dict(
         q=4, lambda1=[0.1, 0.2], lambda2=[0.0, 0.3, 0.6], starts=np.array([0, 3, 4, 6]),
-        feasible=np.ones(3, dtype=bool), regime=np.full(3, 3), n_nontrivial=np.zeros(3, dtype=int),
+        regime=np.full(3, 3), n_nontrivial=np.zeros(3, dtype=int),
     )
     return {**args, **change}
 
@@ -683,18 +669,16 @@ def test_phase_grid_takes_well_formed_runs():
     (dict(starts=np.array([0, 3, 3, 6])), "strictly increasing"),
     (dict(starts=np.array([0, 2, 4, 6])), "every lambda1 row"),
     (dict(starts=np.array([0, 6])), "every lambda1 row"),
-    (dict(feasible=np.ones(6, dtype=bool)), "one entry per run, 3"),
     (dict(regime=np.full(2, 3)), "one entry per run, 3"),
     (dict(n_nontrivial=np.zeros(4, dtype=int)), "one entry per run, 3"),
 ], ids=["first-not-0", "ends-short", "ends-long", "empty", "decreasing", "repeated", "misses-row",
-        "crosses-row", "feasible", "regime", "n_nontrivial"])
+        "crosses-row", "regime", "n_nontrivial"])
 def test_phase_grid_rejects_malformed_runs(change, message):
     with pytest.raises(ct.ClockTreeError, match=message):
         ct.PhaseGrid(**_rows_of_runs(**change))
 
 
-_NO_RUNS = dict(starts=np.array([0]), feasible=np.ones(0, dtype=bool), regime=np.zeros(0, dtype=int),
-                n_nontrivial=np.zeros(0, dtype=int))
+_NO_RUNS = dict(starts=np.array([0]), regime=np.zeros(0, dtype=int), n_nontrivial=np.zeros(0, dtype=int))
 
 
 @pytest.mark.parametrize("lambda1", [[0.1], [0.1, 0.2], []], ids=["one-row", "two-rows", "no-rows"])
