@@ -3,13 +3,16 @@
 A polynomial is a list of Python ints, highest power first, without leading
 zeros; [] is the zero polynomial.  The helpers take primitive parts, pseudo
 remainders, greatest common divisors and squarefree factors, and give the
-real roots of a squarefree factor of degree 1 or 2 in closed form.
-`quartic.classify_quartic` reads them where the quartic's discriminant is
-exactly 0.  Only `math` is imported: no numpy, no `fractions`.
+real roots of a squarefree factor of degree 1 or 2 in closed form, and
+count distinct real roots by a Sturm sequence.  `quartic.classify_quartic`
+reads them where the quartic's discriminant is exactly 0, and
+`fixedpoint.q5_solution_counts` counts the rows its float Sturm chain cannot
+certify.  Only `math` is imported: no numpy, no `fractions`.
 """
 from __future__ import annotations
 
 import math
+import operator
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -69,3 +72,30 @@ def _real_roots(p: list[int]) -> list[float]:
     s = math.isqrt(disc << 128)
     q = -(b << 64) - s if b >= 0 else -(b << 64) + s
     return sorted([q / (a << 65), (c << 65) / q])
+
+
+def sturm_count(p: list[int]) -> int:
+    """The number of distinct real roots of p, which is not the zero polynomial.
+
+    Sturm's sequence p, p', then each term the negated remainder of the two
+    before it, counts them as V(-inf) - V(+inf), the sign changes of its
+    leading coefficients at both ends; it ends at gcd(p, p'), so a multiple
+    root counts once.  Each term is taken as a pseudo remainder whose sign
+    is fixed to that of the negated remainder and divided by the positive
+    gcd of its coefficients, which keeps the integers small and changes no
+    sign.
+    """
+    g = math.gcd(*p)
+    p = [x // g for x in p]
+    terms = [p, [(len(p) - 1 - i) * x for i, x in enumerate(p[:-1])]][: len(p)]  # a constant has no p'
+    while len(terms[-1]) > 1:
+        a, b = terms[-2:]
+        r = _pseudo_divide(a, b)[1]
+        if not r:
+            break
+        # the pseudo remainder is lc(b)^k times the remainder, k = deg a - deg b + 1
+        g = math.gcd(*r) if b[0] < 0 and (len(a) - len(b)) % 2 == 0 else -math.gcd(*r)
+        terms.append([x // g for x in r])
+    at_plus = [t[0] > 0 for t in terms]
+    at_minus = [s != (len(t) % 2 == 0) for s, t in zip(at_plus, terms)]
+    return sum(map(operator.ne, at_minus, at_minus[1:])) - sum(map(operator.ne, at_plus, at_plus[1:]))

@@ -3,10 +3,14 @@
 For q = 5, at any (lambda1, lambda2), the resultant in alpha2 of the two
 cleared fixed-point equations is alpha1 * lambda2^4 * S(alpha1) / 50000 with
 a sextic S, so all fixed points come from the real roots of S, each paired
-with the common root alpha2 of the two equations.  A grid and a single point
-alike take the roots as eigenvalues of S's companion matrices, one batched
-eigensolve (`_q5_candidates`).  `q5_solutions_at_critical` is the
-single-point solver at lambda1 = 1/2.
+with the common root alpha2 of the two equations.  A count of them needs no
+root: `q5_solution_counts`, which the sweeps and the transition line call,
+counts the distinct real nonzero roots of S exactly, by a float Sturm chain
+with a rounding bound and, for the rows that bound leaves open, in integers
+(`exact.sturm_count`).  The fixed points themselves (`q5_solutions`, one
+point) take the roots as eigenvalues of S's companion matrix
+(`_q5_candidates`); `q5_solutions_at_critical` is that solver at
+lambda1 = 1/2.
 
 At lambda1 = 1/2, S = 25/(4*lambda2^2) * alpha1^2 * q_{lambda2}(alpha1), with
 the quartic q_{lambda2} of the paper's analysis, which `quartic` classifies.
@@ -21,9 +25,10 @@ non-trivial branch is alpha2 = (3*lambda2 - 1)/(2*(lambda2 + lambda2^2)) with
 alpha1 = +-sqrt(2*lambda2*alpha2 - 4*lambda2^2*alpha2^2); for general lambda1
 the two quadratics P1(alpha2) = P2(alpha2) are intersected directly.
 
-Every candidate produced by any of the closed forms is accepted only if it
-satisfies the two-dimensional fixed-point equations to 1e-9; the long printed
-radicals are never trusted blindly.  An accepted candidate is then within
+Every candidate of a solution set or of a q = 4 count, whichever closed
+form produced it, is accepted only if it satisfies the two-dimensional
+fixed-point equations to 1e-9; the long printed radicals are never trusted
+blindly.  An accepted candidate is then within
 about 1e-9 of a probability vector, because on Cayley(2) every image of the
 mode map reconstructs to one: the step squares the entries of M p.
 
@@ -40,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import exact
 from .errors import ClockTreeError
 from .recursion import V5, mode_map, mode_map_q5
 from .spectral import feasible_lambdas
@@ -295,14 +301,6 @@ def _check_finite(l1: np.ndarray, l2: np.ndarray) -> None:
         raise ClockTreeError(f"lambda1 and lambda2 must be finite, got {l1[i].item()!r} and {l2[i].item()!r}")
 
 
-def _solution_counts(q: int, candidates, lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
-    _check_finite(l1, l2)
-    a1, a2, valid = candidates(l1, l2)
-    status, _ = _verify_candidates(q, l1[:, None], l2[:, None], a1, a2, valid)
-    return (status == _ACCEPTED).sum(axis=1)
-
-
 def _solution_view(q: int, candidates, lambda1: float, lambda2: float) -> SolutionSet:
     l1, l2 = np.array([lambda1], dtype=float), np.array([lambda2], dtype=float)
     _check_finite(l1, l2)
@@ -320,7 +318,11 @@ def q4_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     lies.  A row that is not finite raises ClockTreeError; past |lambda| = 1
     a count means nothing: it is 1 at lambda1 = 1e100.
     """
-    return _solution_counts(4, _q4_candidates, lambda1, lambda2)
+    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    _check_finite(l1, l2)
+    a1, a2, valid = _q4_candidates(l1, l2)
+    status, _ = _verify_candidates(4, l1[:, None], l2[:, None], a1, a2, valid)
+    return (status == _ACCEPTED).sum(axis=1)
 
 
 def q4_solutions(lambda1: float, lambda2: float) -> SolutionSet:
@@ -496,14 +498,246 @@ def _q5_candidates(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray
     return x, a2, valid
 
 
-def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
-    """The grid form of `q5_solutions(...).n_nontrivial`, as array operations.
+# S in x = sqrt(10)*alpha1, over 5: S(x/sqrt(10))/5 = sum_k s_k x^(6-k), each s_k
+# an integer polynomial in (lambda1, lambda2) of degree at most 6 in lambda1
+# and 2 in lambda2.  Row k holds s_k: entry i is the triple of coefficients
+# of l1^i l2^j, j = 0, 1, 2.  The lowest two factor as
+# s_5 = -16 (2 l1 - 1)(2 l2 - 1)(l1 l2 + 2 l1 - 2 l2) and s_6 = -8 (2 l1 - 1)(2 l2 - 1)^2.
+_SEXTIC_X = (
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 5), (0, 8, 0), (5, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 16), (0, -8, -7), (-8, -14, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 24), (0, -8, -40), (38, -48, -1), (-20, -10, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 32), (0, 0, -112), (-32, 28, 32), (32, 72, 3), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 32), (0, -48, -128), (60, 64, 152), (-112, 28, -8), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 32, -64), (-32, -16, 160), (64, -96, -64), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((8, -32, 32), (-16, 64, -64), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+)
 
-    Its domain is finite rows with |lambda| <= 1, where every feasible point
-    lies.  A row that is not finite raises ClockTreeError; past |lambda| = 1
-    a count means nothing: it is 0 at lambda1 = 1e100.
+# s_0 ... s_4 for floats, as `table @ lambda1 powers`: row 3 k + j of
+# _SEXTIC_TABLE[0] holds the coefficients of l1^i l2^j in s_k, i = 0 ... 6,
+# and _SEXTIC_TABLE[1] their magnitudes
+_SEXTIC_TABLE = np.array(_SEXTIC_X[:5], dtype=float).transpose(0, 2, 1).reshape(15, 7)
+_SEXTIC_TABLE = np.stack([_SEXTIC_TABLE, np.abs(_SEXTIC_TABLE)])
+_SEXTIC_TABLE.setflags(write=False)
+_POWERS = np.arange(7.0)[:, None]
+# the signs of s_5 and s_6 on their (value, magnitude) pairs
+_FACTOR_SIGNS = np.array([[-1.0], [1.0]])
+
+_U = sys.float_info.epsilon / 2  # the unit roundoff
+# above every absolute error that underflow adds to one step of the chain
+_UNDERFLOW = 2.0**-1000
+# each coefficient's error bound, per unit of its magnitude (`_sextic_x`)
+_ERROR_WEIGHTS = np.array([24.0] * 5 + [16.0, 8.0])[:, None] * _U
+# the weights of a factor's leading coefficient, (bound, |value|), on a term's (bound, |value|)
+_WEIGHTS = np.array([[1.0, 1.0], [1.0, 2.0 * _U]])
+# the value weights of a pair of terms (x, y) in lc(y) x - lc(x) y
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _sextic_x(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (7, n) of S(x/sqrt(10))/5, highest power first, and bounds (7, n) on their errors.
+
+    Each coefficient is computed twice by the same operations, on its
+    factors and on their magnitudes.  s_0 ... s_4 come from `_SEXTIC_X`:
+    each power of lambda1 within an ulp (2 u, u the unit roundoff), its
+    product with an integer coefficient (u), a sum of seven for each power
+    of lambda2 (6 u), then Horner's rule in lambda2 (4 u), so each is
+    within 13 u of the sum of its terms' magnitudes, which comes out at
+    most 13 u low: within 24 u of the computed sum, plus _UNDERFLOW where a
+    term underflows.  s_5 and s_6 are their
+    factored forms, in which each 2 lambda - 1 rounds at most once, so that
+    they keep their relative accuracy where they vanish, at lambda1 or
+    lambda2 = 1/2: s_5 is within 16 u of its magnitude
+    16 |(2 l1 - 1)(2 l2 - 1)| (|l1 l2| + 2 |l1 - l2|) and s_6 within 8 u of
+    its magnitude |s_6|.
     """
-    return _solution_counts(5, _q5_candidates, lambda1, lambda2)
+    pair1, pair2 = np.stack([l1, np.abs(l1)]), np.stack([l2, np.abs(l2)])[:, None]
+    by_l2 = (_SEXTIC_TABLE @ pair1[:, None] ** _POWERS).reshape(2, 5, 3, -1)
+    low = (by_l2[:, :, 2] * pair2 + by_l2[:, :, 1]) * pair2 + by_l2[:, :, 0]
+    e1, e2 = 2.0 * l1 - 1.0, 2.0 * l2 - 1.0
+    e12 = np.stack([e1 * e2, np.abs(e1 * e2)]) * _FACTOR_SIGNS
+    s5 = 16.0 * e12 * np.stack([l1 * l2 + 2.0 * (l1 - l2), np.abs(l1 * l2) + 2.0 * np.abs(l1 - l2)])
+    s6 = 8.0 * e12 * np.stack([e2, np.abs(e2)])
+    coeffs, magnitudes = np.concatenate([low, s5[:, None], s6[:, None]], axis=1)
+    return coeffs, _ERROR_WEIGHTS * magnitudes + _UNDERFLOW
+
+
+def _normalise(term: np.ndarray) -> None:
+    """Scale term (3, rows, n), (value, bound, |value|), in place by the power of 2 that brings each column's largest |value| into [1/2, 1).
+
+    The scaling is exact but where it rounds a subnormal, by at most 2^-1075;
+    the chain never scales a term down by more than 2^-8 (each is below 2^8
+    before its scaling: the scaled input's terms are at most 1 and its
+    derivative's at most 6), so _UNDERFLOW, added before, covers both that
+    and the underflow of the two eliminations that made the term, however
+    much the scaling enlarges it.
+    """
+    term[1] += _UNDERFLOW
+    np.ldexp(term, -np.frexp(term[2].max(axis=0))[1], out=term)
+
+
+def _eliminate(pair: np.ndarray, out: np.ndarray) -> None:
+    """out = (z, bound, |z|) for z = lc(y) x[1:] - lc(x) y[1:], the terms pair = (x, y) each (value, bound, |value|).
+
+    With |c~ - c| <= e_c for each coefficient, the rounded z~ lies within
+
+        sum over (c, v) in ((lc(y), x), (lc(x), y)) of (|c~| + e_c) e_v + (2 u |c~| + e_c) |v~|
+
+    of the exact z: the two products and their difference each round once,
+    by at most u of their magnitudes, and |z~| is at most the sum of the
+    products' magnitudes.  The bound itself rounds down by at most 8 u of
+    itself, and by at most 2^-1070 where a product underflows, which the
+    _UNDERFLOW of `_normalise` covers.
+    """
+    rows = out.shape[1]
+    lead = pair[::-1, :, 0]  # the coefficient of each term: the other one's leading coefficient
+    np.einsum("sn,skn->kn", lead[:, 0] * _SIGNS, pair[:, 0, 1 : rows + 1], out=out[0])
+    np.einsum("scn,sckn->kn", _WEIGHTS @ lead[:, 1:], pair[:, 1:, 1 : rows + 1], out=out[1])
+    np.abs(out[0], out=out[2])
+
+
+def _sturm_chain(coeffs: np.ndarray, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number of distinct real roots of each polynomial, (n,), and whether each is certain, (n,).
+
+    The columns of coeffs (m, n), highest power first, are polynomials of
+    degree m - 1 that lie within errors of exact ones.  Sturm's sequence
+    P_0 = P, P_1 = P', P_(k+1) = -rem(P_(k-1), P_k) runs on all columns at
+    once.  Each term is found without a division, as the pseudo remainder
+    lc(P_k)^2 P_(k-1) - (lc(P_k) lc(P_(k-1)) x + t) P_k, a positive multiple
+    of -rem, in two eliminations of a leading coefficient (`_eliminate`),
+    and then scaled by a power of 2 (`_normalise`).  Every coefficient
+    carries a bound on its distance from the same term computed exactly.  A
+    column's count is certain where every term's leading coefficient
+    satisfies
+
+        |lc~| > (1 + 2^-30) bound,
+
+    the margin covering the rounding of the bounds themselves.  Then no
+    exact leading coefficient is 0 and each has the sign of lc~, so the
+    exact sequence has the degrees m - 1, m - 2, ..., 0, and the count
+    V(-inf) - V(+inf) read from those signs is exact.  A column with a
+    multiple root, an exactly vanishing leading coefficient or an entry
+    that is not finite is never certain.
+    """
+    m, n = coeffs.shape
+    # slots 0 and 2 hold the last two terms, P_k in slot 2 (k % 2), slot 1 the
+    # t of lc(P_(k-1)) P_(k-2) - lc(P_(k-2)) x P_(k-1); each is (value, bound,
+    # |value|), 0 past its degree
+    slots, lead = np.zeros((3, 3, m + 1, n)), np.empty((m, 2, n))
+    first, second = slots[0], slots[2]
+    first[0, :m], first[1, :m] = coeffs, errors
+    np.abs(coeffs, out=first[2, :m])
+    # the input may be scaled down by more than 2^-8, so its underflow allowance follows the scaling too
+    _normalise(first)
+    first[1] += _UNDERFLOW
+    derivative = np.arange(m - 1.0, 0.0, -1.0)[:, None]
+    np.multiply(first[0, : m - 1], derivative, out=second[0, : m - 1])
+    np.abs(second[0], out=second[2])
+    second[1, : m - 1] = first[1, : m - 1] * derivative + _U * second[2, : m - 1]
+    lead[0], lead[1] = first[:2, 0], second[:2, 0]
+    for k in range(2, m):
+        older, newer = (slice(0, 3, 2), slice(2, 0, -1)) if k % 2 == 0 else (slice(2, None, -2), slice(0, 2))
+        _eliminate(slots[older], slots[1, :, :m])  # t, from (P_(k-2), P_(k-1))
+        term = slots[2 * (k % 2)]
+        _eliminate(slots[newer], term[:, : m - 1])  # P_k over P_(k-2), from (P_(k-1), t)
+        term[:, m - 1 :] = 0.0
+        _normalise(term)
+        lead[k] = term[:2, 0]
+    value, bound = lead.transpose(1, 0, 2)
+    certain = (np.abs(value) > (1.0 + 2.0**-30) * bound).all(axis=0)
+    positive = value > 0.0
+    at_minus = positive ^ (np.arange(m - 1, -1, -1) % 2 == 1)[:, None]
+    return (at_minus[1:] != at_minus[:-1]).sum(axis=0) - (positive[1:] != positive[:-1]).sum(axis=0), certain
+
+
+def _sextic_x_ints(lambda1: float, lambda2: float) -> list[int]:
+    """S(x/sqrt(10))/5 at the floats (lambda1, lambda2), times a power of 2, in integers and without its roots at 0.
+
+    With lambda1 = a/m and lambda2 = b/m, a and b integers and m a power of
+    2 (`float.as_integer_ratio`), m^6 s_k is the integer
+    sum of c a^i b^j m^(6 - i - j) over the entries of `_SEXTIC_X`.  Its
+    trailing zero coefficients, the roots x = 0, are dropped.  Some
+    coefficient is not 0: s_0 = l1^4 (5 l1^2 + 8 l1 l2 + 5 l2^2) and
+    s_6 = -8 (2 l1 - 1)(2 l2 - 1)^2 vanish together only at lambda1 = 0.
+    At lambda1 = 1/2, where s_4 = (5 l2 - 2)(2 l2 - 1)/2, the float 0.4,
+    at which 5 lambda2 rounds to 2, stands for 2/5, which is no float: s_4
+    is taken as 0 there, and S as x^3 times a cubic.
+    """
+    (a, m1), (b, m2) = lambda1.as_integer_ratio(), lambda2.as_integer_ratio()
+    m = max(m1, m2)
+    a, b = a * (m // m1), b * (m // m2)
+    coeffs = [
+        sum(c * a**i * b**j * m ** (6 - i - j) for i, row in enumerate(s_k) for j, c in enumerate(row) if c)
+        for s_k in _SEXTIC_X
+    ]
+    if lambda1 == 0.5 and 5.0 * lambda2 == 2.0:
+        coeffs[4] = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """The number of non-trivial q=5 fixed points at each row (lambda1, lambda2): S's distinct real roots alpha1 != 0.
+
+    Each row is counted exactly at its floats, by Sturm's theorem, with no
+    root found.  The count is that of S(x/sqrt(10))/5 (`_SEXTIC_X`), the
+    same, as x = sqrt(10) alpha1 keeps every sign.  Its roots at x = 0 are
+    the trivial fixed point, and they are exact: a double one where lambda1
+    or lambda2 is 1/2, a triple one at (1/2, 1/2).  The other root of s_4
+    at lambda1 = 1/2, 2/5, is no float; there the float 0.4 stands for it,
+    and S is x^3 times a cubic (`_sextic_x_ints`), so that the fixed point
+    at alpha1 of about -7e-17, which lambda2 = 0.4 - 2/5 = 2.2e-17 leaves
+    and which `q5_solutions` takes for the trivial one (DEDUP_TOL), does
+    not count.  Where lambda1 or lambda2 is 1/2 the quartic
+    s_0 x^4 + ... + s_4 that is left is counted as
+    (s_0 x^4 + ... + s_4)(x^2 + 16), which has the same real roots, so that
+    one float Sturm chain of degree 6 counts every row (`_sturm_chain`).  A
+    row whose count the chain cannot certify, and the rows (1/2, 1/2) and
+    (1/2, 0.4), are counted in integers, by `exact.sturm_count` on
+    `_sextic_x_ints`.
+
+    Where Lambda = max(|lambda1|, |lambda2|) < 1/3 the count is 0, whatever
+    the chain reads: a fixed point has |alpha1|, |alpha2| <= 2v,
+    v = 1/sqrt(10), since 2v D -+ N1 and 2v D -+ N2 of `mode_map_q5` are
+    sums of squares, so x = lambda1 alpha1 and y = lambda2 alpha2 are at
+    most 2v Lambda, and x D = lambda1 N1 with D >= 1/5 gives
+    |x|/5 <= Lambda (2|x|/5 + 2v|x||y| + v y^2), the same for y; a non-zero
+    m = max(|x|, |y|) then needs 1/5 <= Lambda (2/5 + 6 v^2 Lambda), that
+    is (3 Lambda - 1)(Lambda + 1) >= 0.  S's real roots there are multiple,
+    with no real alpha2.  At lambda1 = 0, S(x/sqrt(10)) falls to the square
+    40 (2 lambda2 x - (2 lambda2 - 1))^2, whose double root stands for no
+    fixed point at lambda2 < 1/2 and for the pair (a1, +-a2) above; the
+    count there is 0, the pair (infeasible) not counted.  Two fixed points
+    that share alpha1 give one root of S, so exactly on G = 0 (the squared
+    factor of S's discriminant, beside `_FOLD_F`) they count once.  The count
+    is `q5_solutions(...).n_nontrivial` but where rounding decides the
+    solver: at the float 4/9, whose two diagonal fixed points have not yet
+    merged (0 here, 1 there); within a few ulps of a fold; and where a fixed
+    point other than the one at (1/2, 0.4) lies within DEDUP_TOL of (0, 0),
+    a few ulps from lambda2 = 1/2 or from (1/2, 2/5).  A row that is not finite raises ClockTreeError; every finite
+    row has its count, but only the rows with |lambda| <= 1 are of the
+    model.
+    """
+    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    _check_finite(l1, l2)
+    half = (l1 == 0.5) | (l2 == 0.5)
+    with np.errstate(all="ignore"):
+        coeffs, errors = _sextic_x(l1, l2)
+        if half.any():
+            # (s_0 x^4 + ... + s_4) (x^2 + 16); each sum rounds once, by at most u of itself
+            low, low_errors = coeffs[:5, half], errors[:5, half]
+            padded, padded_errors = np.zeros((2, 7, len(low[0])))
+            padded[:5], padded_errors[:5] = low, low_errors
+            padded[2:] += 16.0 * low
+            padded_errors[2:] += 16.0 * low_errors + _U * np.abs(padded[2:])
+            coeffs[:, half], errors[:, half] = padded, padded_errors
+        counts, certain = _sturm_chain(coeffs, errors)
+    known = (l1 == 0.0) | (np.maximum(np.abs(l1), np.abs(l2)) < 1.0 / 3.0)
+    counts[known] = 0
+    for i in np.flatnonzero(~(certain | known) | (l1 == 0.5) & ((l2 == 0.5) | (5.0 * l2 == 2.0))).tolist():
+        counts[i] = exact.sturm_count(_sextic_x_ints(l1[i].item(), l2[i].item()))
+    return counts
 
 
 # The folds of S: with alpha1 = x/sqrt(10), S's discriminant in x is
@@ -558,7 +792,7 @@ def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(rows, lambda2, radius): where a q=5 count can change at each lambda1[row], with a bound on the error.
 
     A count can change only at lambda2 = 1/2 (radius 0, every row) and the
-    real roots of F (or where a root of S leaves the verifier's bounds).
+    real roots of F, where S has a multiple real root.
     F's roots z in lambda2 come from `_fold_roots`, one of each conjugate
     pair.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)| holds a
     root of F, which has degree 10 (|F'/F| = |sum 1/(z - r)| over its roots

@@ -11,12 +11,12 @@ lambda1 = 4*lambda2*(1 - lambda2)/(1 + lambda2)^2; for q = 5 it lies on
 the folds of the eliminated sextic, the zero set of its discriminant, whose
 candidates in lambda2 are 1/2 and the real roots of its factor F
 (`fixedpoint._fold_roots`).  The candidates of a lambda1 are checked in
-ascending order by the count of the elimination solver
-(`fixedpoint.q5_solution_counts`, which takes the sextic's roots from one
-batched companion eigensolve), once in each interval between two of them
-and once below the lowest, all in one batched call; the interval above the
-highest is checked by the bracket's top.  The bisection on that count asks
-the solver, one call per step, only about the midpoints that the check
+ascending order by the count of fixed points
+(`fixedpoint.q5_solution_counts`, the exact number of the sextic's distinct
+real nonzero roots, from a Sturm chain), once in each interval between two
+of them and once below the lowest, all in one batched call; the interval
+above the highest is checked by the bracket's top.  The bisection on that
+count asks it, one call per step, only about the midpoints that the check
 leaves open.
 
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
@@ -57,15 +57,16 @@ from .spectral import feasibility_breakpoints, feasible_lambdas, potts_lambda
 
 # the count of `q5_transition_line` on either side of a fold candidate r is
 # checked at r - _FOLD_STEP and r + _FOLD_STEP, which decide every midpoint
-# outside them; the step is above the unpolished roots' error on the line's
-# branch (at most 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near 0.49994)
-# and the width of the counts' rounding noise at a fold (about 2e-11, 5e-8
-# at lambda1 = 0.005)
+# outside them; the step is above the error of F's unpolished roots on the
+# line's branch (at most 1.7e-8 on 4,000 lambda1 in [0.3708, 1/2], near
+# 0.49994).  The q = 5 counts are exact, so they change only at the exact
+# folds, and the step needs no room for their rounding.
 _FOLD_STEP = 1e-7
 # a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
-# breakpoint b of its column (`_run_starts`): the counts flip on
-# rounding noise near a fold, in a band up to about 1e-6 wide just above
-# lambda2 = 1/2 at lambda1 = 0.001 (q = 5)
+# breakpoint b of its column (`_run_starts`).  For q = 5 a fold's own error
+# bound widens its band where that is wider, and the counts are exact; the
+# guard is the room left for the breakpoints that are computed roots with
+# no bound: q = 4's fold roots and the feasibility breakpoints
 _GUARD = 1e-6
 
 
@@ -207,14 +208,15 @@ def q5_transition_line(
     0.5 * (lo + hi), on Python floats, which round as numpy does: a
     midpoint at or below r - _FOLD_STEP has no solution, one at or above
     r + _FOLD_STEP has some, and only the other midpoints go to the
-    solver, one batched call per step that has any.  Where the predicate
-    is monotone away from r the solver would answer the same, so the line
+    counts, one batched call per step that has any.  Where the predicate
+    is monotone away from r the counts would answer the same, so the line
     is the bisection's, bit for bit.  A row
     stops when its bracket is at most tol wide, or when the midpoint rounds
     to lo or hi, so that a tol below the float spacing (0 included) ends at
-    adjacent floats.  A row whose r passes asks the solver only about
-    midpoints within _FOLD_STEP of r: at the default tol usually none, and
-    one where r is a midpoint of the bracket, as 1/2 is of the default one.
+    adjacent floats, between which the exact count changes.  A row whose r
+    passes asks the counts only about midpoints within _FOLD_STEP of r: at
+    the default tol usually none, and one where r is a midpoint of the
+    bracket, as 1/2 is of the default one.
     At lambda1 = 1/2 the line is the quartic's discriminant root 0.370748,
     and since F is symmetric in lambda1 and lambda2 it is lambda2 = 1/2 for
     lambda1 up to 0.370748.  A grid point whose bracket top has no solution
@@ -289,8 +291,9 @@ def sweep(
     """Classify a resolution x resolution grid, row-major in (lambda1, lambda2).
 
     The grid is classified as array operations: feasibility from the
-    non-increasing check, a phase transition from the verified fixed points
-    (closed form for q = 4, all roots of the eliminated sextic for q = 5),
+    non-increasing check, a phase transition from the count of fixed points
+    (verified closed forms for q = 4; for q = 5 the exact number of distinct
+    real nonzero roots of the eliminated sextic, `fixedpoint.q5_solution_counts`),
     robustness from the strict threshold lambda1 > 1/2.  Infeasible
     points are kept.  Each lambda1 column is cut into runs at its
     breakpoints (`_run_starts`): every point within 1e-6 * max(1, |b|) of a
@@ -327,8 +330,8 @@ def _classify_grid(q: int, l1s: np.ndarray, l2s: np.ndarray) -> PhaseGrid:
 
     The grid is cut into the runs of `_run_starts`, and only the head of
     each run is evaluated: the heads' feasibility in one `feasible_lambdas`
-    call, then the counts of the feasible heads in one solver call, made
-    only when some head is feasible.  The regime is decided once per run,
+    call, then the counts of the feasible heads in one call, made only
+    when some head is feasible.  The regime is decided once per run,
     and the grid keeps the runs: nothing is held per point.
     """
     if q not in (4, 5):

@@ -1,6 +1,9 @@
 """Shared oracles and generators, independent of the library internals."""
+import functools
+
 import numpy as np
 import pytest
+import sympy
 
 
 @pytest.fixture
@@ -87,3 +90,29 @@ def random_symmetric_probability(rng, q):
 def point_column(grid, runs):
     """A `PhaseGrid` run column (`run_regime`, `run_n_nontrivial` or an array derived from them) repeated over each run's points."""
     return np.repeat(runs, np.diff(grid.starts))
+
+
+@functools.cache
+def q5_cofactor():
+    """The q=5 sextic in x = sqrt(10) alpha1 from first principles: coefficients in (l1, l2), highest power first.
+
+    The fixed-point equations of the q=5 mode map, times its denominator,
+    with alpha1 = x/sqrt(10) and alpha2 = y/sqrt(10), are (times 10 sqrt(10))
+        l2^2 (x - 1) y^2 - 2 l1 l2 x y + x (l1^2 x^2 - 4 l1 + 2) and
+        l2^2 y^3 + (l1^2 x^2 - 2 l1 l2 x - 4 l2 + 2) y - l1^2 x^2;
+    their resultant in y is l2^4 x times this sextic.
+    """
+    l1, l2, x, y = sympy.symbols("l1 l2 x y")
+    e1 = l2**2 * (x - 1) * y**2 - 2 * l1 * l2 * x * y + x * (l1**2 * x**2 - 4 * l1 + 2)
+    e2 = l2**2 * y**3 + (l1**2 * x**2 - 2 * l1 * l2 * x - 4 * l2 + 2) * y - l1**2 * x**2
+    cofactor = sympy.cancel(sympy.resultant(e1, e2, y) / (l2**4 * x))
+    return [sympy.Poly(c, l1, l2) for c in sympy.Poly(cofactor, x).all_coeffs()]
+
+
+def q5_root_count(lambda1, lambda2):
+    """sympy's count of the distinct real roots x != 0 of `q5_cofactor` at the exact values of two floats."""
+    point = [sympy.Rational(*float(t).as_integer_ratio()) for t in (lambda1, lambda2)]
+    p = sympy.Poly([c.eval(tuple(point)) for c in q5_cofactor()], sympy.Symbol("x"))
+    while not p.is_zero and p.eval(0) == 0:
+        p = sympy.Poly(p.as_expr() / sympy.Symbol("x"), sympy.Symbol("x"))
+    return p.count_roots()

@@ -2,7 +2,8 @@
 
 Polynomials are drawn as products of small integer factors, with repeated
 factors and powers of x (zero constant terms), so that gcds, pseudo
-remainders and squarefree parts are not trivial.
+remainders and squarefree parts are not trivial.  Sturm counts are also
+drawn on sparse rows and on the integers of dyadic floats near 2^+-1000.
 """
 import math
 
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clocktree.exact import _gcd, _pseudo_divide, _real_roots, _squarefree_factors
+from clocktree.exact import _gcd, _pseudo_divide, _real_roots, _squarefree_factors, sturm_count
 
 X = sympy.Symbol("x")
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -85,3 +86,26 @@ def test_real_roots_are_within_an_ulp_of_sympys(p):
     assert len(ours) == len(exact)
     for x, r in zip(ours, exact):
         assert abs(x - r) <= math.ulp(r)
+
+
+# sparse rows: zero coefficients make Sturm's remainders drop more than one degree
+_SPARSE = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=2, max_size=9).filter(lambda c: c[0] != 0)
+
+
+@st.composite
+def dyadic_rows(draw):
+    """The integers of a row of dyadic floats near 2^+-1000, scaled to a common power of 2."""
+    values = [draw(st.integers(-(2**53), 2**53)) * 2.0 ** draw(st.integers(-1050, 950)) for _ in range(draw(st.integers(2, 7)))]
+    values[0] = values[0] or 1.0
+    ratios = [v.as_integer_ratio() for v in values]
+    m = max(d for _, d in ratios)
+    return [a * (m // d) for a, d in ratios]
+
+
+@SETTINGS
+@given(st.one_of(polynomials(), _SPARSE, dyadic_rows()))
+@example([1, 0, 0, 0, 1])  # x^4 + 1: no real root, and x^4 + 1 by 4 x^3 leaves a constant
+@example([1, 0, -2, 0, 1])  # (x^2 - 1)^2: two double roots
+@example([5])
+def test_sturm_count_is_sympys_count_of_distinct_real_roots(p):
+    assert sturm_count(p) == _poly(p).count_roots()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import clocktree as ct
+from clocktree.fixedpoint import q5_solution_counts
 
 
 def test_critical_line_values():
@@ -144,10 +145,10 @@ def test_transition_line_stops_below_the_float_spacing():
         pytest.fail("q5_transition_line with tol below the float spacing did not return within 60 s")
     for line in ast.literal_eval(run.stdout):
         for l1, l2c in line:
-            # the count flips between the neighbours of the reported float
+            # the line's own predicate flips between the neighbours of the reported float
             below, above = math.nextafter(l2c, 0.0), math.nextafter(l2c, 1.0)
-            assert ct.q5_solutions(l1, below).n_nontrivial == 0, (l1, l2c)
-            assert ct.q5_solutions(l1, above).n_nontrivial >= 1, (l1, l2c)
+            counts = q5_solution_counts(np.array([l1, l1]), np.array([below, above])).tolist()
+            assert counts[0] == 0 and counts[1] >= 1, (l1, l2c, counts)
 
 
 def test_jacobian_profile():

@@ -1,4 +1,4 @@
-"""The q=5 solve path against a straightforward copy of it, bit for bit, and its eigensolve count.
+"""The q=5 solve path against a straightforward copy of it, bit for bit, and the count path's work.
 
 `ref_polynomial_roots`, `ref_q5_candidates` and `ref_q5_fold_bands` are
 the sextic's root finder, candidate builder and fold bands written plainly:
@@ -6,10 +6,11 @@ one companion stack per degree behind boolean row masks, one Horner pass per
 evaluation, the two alpha2 estimates stacked.  The library computes the
 same numbers with fewer array operations, so every output must match to the
 byte (`tobytes`, so that NaN payloads and signed zeros count), and an input
-that raises must raise the same exception.  The work count pins the two
-batched eigensolves that carry the mathematics of a transition line and of a
-q=5 sweep, so that fewer array operations are not bought with more
-eigensolves.
+that raises must raise the same exception.  The work count pins the one
+batched eigensolve, of F's companions, that a transition line and a q=5
+sweep make (their counts come from a Sturm chain, without roots), and how
+few of their rows the chain leaves to integers, so that neither grows
+unnoticed.
 """
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clocktree as ct
-from clocktree import phase
+from clocktree import exact, phase
 from clocktree.fixedpoint import (
     RESIDUAL_TOL,
     V5,
@@ -239,7 +240,8 @@ def test_fold_bands_are_the_reference_bit_for_bit(lambda1):
 
 
 # ---------------------------------------------------------------------------
-# the work count: two batched eigensolves for a line and for a sweep
+# the work count: one batched eigensolve for a line and for a sweep, and the
+# rows whose count goes to integers
 # ---------------------------------------------------------------------------
 
 
@@ -256,16 +258,40 @@ def _eigvals_shapes(monkeypatch, run):
     return shapes
 
 
-def test_a_transition_line_makes_two_eigensolves(monkeypatch):
-    # F's companions at the 11 lambda1, then S's at the candidates' checks;
-    # the bisection asks the solver nothing
-    grid = [0.40 + 0.01 * (i + 0.25) for i in range(10)] + [0.5]
-    shapes = _eigvals_shapes(monkeypatch, lambda: phase.q5_transition_line(grid))
-    assert shapes == [(11, 10, 10), (50, 6, 6)]
+def _integer_rows(monkeypatch, run):
+    """How many rows `q5_solution_counts` counts in integers while run() runs."""
+    rows, sturm_count = [], exact.sturm_count
+
+    def counted(p):
+        rows.append(p)
+        return sturm_count(p)
+
+    monkeypatch.setattr(exact, "sturm_count", counted)
+    run()
+    monkeypatch.undo()
+    return len(rows)
 
 
-def test_a_q5_sweep_makes_two_eigensolves(monkeypatch):
-    # F's companions at the 40 lambda1 (the fold bands), then S's at the
-    # points near a breakpoint
+LINE_GRID = [0.40 + 0.01 * (i + 0.25) for i in range(10)] + [0.5]
+
+
+def test_a_transition_line_makes_one_eigensolve(monkeypatch):
+    # F's companions at the 11 lambda1; the counts of the candidates' checks
+    # come from a Sturm chain, and the bisection asks the counts nothing
+    shapes = _eigvals_shapes(monkeypatch, lambda: phase.q5_transition_line(LINE_GRID))
+    assert shapes == [(11, 10, 10)]
+
+
+def test_a_q5_sweep_makes_one_eigensolve(monkeypatch):
+    # F's companions at the 40 lambda1 (the fold bands); the counts of the
+    # points near a breakpoint come from a Sturm chain
     shapes = _eigvals_shapes(monkeypatch, lambda: ct.sweep(5, (0.40, 0.52), (0.30, 0.56), resolution=40))
-    assert shapes == [(40, 10, 10), (81, 6, 6)]
+    assert shapes == [(40, 10, 10)]
+
+
+def test_few_rows_of_a_line_or_a_sweep_are_counted_in_integers(monkeypatch):
+    # the float chain certifies every count of the window's sweep; of the
+    # line's 50 it leaves one, a step above the fold candidate 1/2, where two
+    # roots of S lie about 1e-7 apart
+    assert _integer_rows(monkeypatch, lambda: ct.sweep(5, (0.40, 0.52), (0.30, 0.56), resolution=40)) == 0
+    assert _integer_rows(monkeypatch, lambda: phase.q5_transition_line(LINE_GRID)) <= 2
