@@ -659,10 +659,6 @@ def _sextic_x_ints(lambda1: float, lambda2: float) -> list[int]:
     trailing zero coefficients, the roots x = 0, are dropped.  Some
     coefficient is not 0: s_0 = l1^4 (5 l1^2 + 8 l1 l2 + 5 l2^2) and
     s_6 = -8 (2 l1 - 1)(2 l2 - 1)^2 vanish together only at lambda1 = 0.
-    At lambda1 = 1/2, where s_4 = (5 l2 - 2)(2 l2 - 1)/2, and at
-    lambda2 = 1/2, where s_4 = -2 (2 l1 - 1)(5 l1 - 2)^2, the float 0.4
-    in the other lambda, at which 5 lambda rounds to 2, stands for 2/5,
-    which is no float: s_4 is taken as 0 there, and S as x^3 times a cubic.
     """
     (a, m1), (b, m2) = lambda1.as_integer_ratio(), lambda2.as_integer_ratio()
     m = max(m1, m2)
@@ -671,8 +667,6 @@ def _sextic_x_ints(lambda1: float, lambda2: float) -> list[int]:
         sum(c * a**i * b**j * m ** (6 - i - j) for i, row in enumerate(s_k) for j, c in enumerate(row) if c)
         for s_k in _SEXTIC_X
     ]
-    if 0.5 in (lambda1, lambda2) and 2.0 in (5.0 * lambda1, 5.0 * lambda2):
-        coeffs[4] = 0
     while coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -685,19 +679,12 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     root found.  The count is that of S(x/sqrt(10))/5 (`_SEXTIC_X`), the
     same, as x = sqrt(10) alpha1 keeps every sign.  Its roots at x = 0 are
     the trivial fixed point, and they are exact: a double one where lambda1
-    or lambda2 is 1/2, a triple one at (1/2, 1/2).  The other root of s_4
-    where one lambda is 1/2, 2/5 in the other, is no float; there the
-    float 0.4 stands for it, and S is x^3 times a cubic (`_sextic_x_ints`),
-    so that the fixed point near (0, 0) that 0.4 - 2/5 = 2.2e-17 leaves
-    (at alpha1 of about -7e-17 at (1/2, 0.4), about 1e-32 at (0.4, 1/2))
-    and that `q5_solutions` takes for the trivial one (DEDUP_TOL) does
-    not count.  Where lambda1 or lambda2 is 1/2 the quartic
-    s_0 x^4 + ... + s_4 that is left is counted as
+    or lambda2 is 1/2, a triple one at (1/2, 1/2).  Where lambda1 or lambda2
+    is 1/2 the quartic s_0 x^4 + ... + s_4 that is left is counted as
     (s_0 x^4 + ... + s_4)(x^2 + 16), which has the same real roots, so that
     one float Sturm chain of degree 6 counts every row (`_sturm_chain`).  A
-    row whose count the chain cannot certify, and the rows (1/2, 1/2),
-    (1/2, 0.4) and (0.4, 1/2), are counted in integers, by `exact.sturm_count` on
-    `_sextic_x_ints`.
+    row whose count the chain cannot certify, and the row (1/2, 1/2), are
+    counted in integers, by `exact.sturm_count` on `_sextic_x_ints`.
 
     Where Lambda = max(|lambda1|, |lambda2|) < 1/3 the count is 0, whatever
     the chain reads: a fixed point has |alpha1|, |alpha2| <= 2v,
@@ -716,10 +703,14 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     is `q5_solutions(...).n_nontrivial` but where rounding decides the
     solver: at the float 4/9, whose two diagonal fixed points have not yet
     merged (0 here, 1 there); within a few ulps of a fold; and where a fixed
-    point other than those at (1/2, 0.4) and (0.4, 1/2) lies within DEDUP_TOL of (0, 0),
-    a few ulps from lambda2 = 1/2 or from (1/2, 2/5).  A row that is not finite raises ClockTreeError; every finite
-    row has its count, but only the rows with |lambda| <= 1 are of the
-    model.
+    point lies within DEDUP_TOL of (0, 0), which the solver takes for the
+    trivial one: a few ulps from lambda2 = 1/2, and where one lambda is 1/2
+    and the other within about 5e-9 of 2/5, a root of s_4 there.  So at
+    (1/2, 0.4) and (0.4, 1/2), where the float 0.4 lies 2.2e-17 above 2/5,
+    the count is 2, with a fixed point at alpha1 of about -7e-17 and 1e-32,
+    and the solver's 1.  A row that is not finite raises ClockTreeError;
+    every finite row has its count, but only the rows with |lambda| <= 1
+    are of the model.
     """
     l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
     _check_finite(l1, l2)
@@ -737,8 +728,7 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
         counts, certain = _sturm_chain(coeffs, errors)
     known = (l1 == 0.0) | (np.maximum(np.abs(l1), np.abs(l2)) < 1.0 / 3.0)
     counts[known] = 0
-    exact_rows = half & ((l1 == l2) | (5.0 * l1 == 2.0) | (5.0 * l2 == 2.0))
-    for i in np.flatnonzero(~(certain | known) | exact_rows).tolist():
+    for i in np.flatnonzero(~(certain | known) | (l1 == 0.5) & (l2 == 0.5)).tolist():
         counts[i] = exact.sturm_count(_sextic_x_ints(l1[i].item(), l2[i].item()))
     return counts
 

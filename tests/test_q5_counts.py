@@ -8,8 +8,7 @@ and its counts against sympy's count on that resultant at the exact values
 of the floats (`conftest.q5_root_count`): at drawn feasible points, at every
 float within 20 ulps of a fold for lambda1 in [0.3, 1/2], and at the heads
 of the benchmark's q=5 window; and that both lambdas below 1/3 in size
-leave no fixed point.  At (1/2, 0.4) and (0.4, 1/2) the counts take 0.4
-for 2/5 and read one root fewer than sympy's count at the float.  lambda1 = 0, where the count is 0 by definition and
+leave no fixed point.  lambda1 = 0, where the count is 0 by definition and
 S is a square, is left to the tests of `q5_solutions`.
 """
 import math
@@ -71,9 +70,8 @@ def test_the_float_coefficients_are_within_their_bounds():
 
 
 def _assert_exact(l1, l2):
-    # but at (1/2, 0.4) and (0.4, 1/2), where 0.4 stands for 2/5 (the tests below)
     got = q5_solution_counts(np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)).tolist()
-    want = [q5_root_count(a, b) - ({a, b} == {0.5, 0.4}) for a, b in zip(l1, l2)]
+    want = [q5_root_count(a, b) for a, b in zip(l1, l2)]
     assert got == want, [(a, b, g, w) for a, b, g, w in zip(l1, l2, got, want) if g != w][:5]
 
 
@@ -138,29 +136,19 @@ def test_counts_step_at_the_fold_of_lambda1_one_half():
     assert q5_solution_counts(np.full(8, 0.5), np.array(l2)).tolist() == [0] * 4 + [2] * 4
 
 
-def test_the_float_two_fifths_stands_for_two_fifths_at_lambda1_one_half():
-    # at (1/2, 0.4) the exact S = x^2 (s_0 x^4 + ... + s_4) has s_4 of about
-    # -5.6e-17, as 0.4 lies 2.2e-17 above 2/5: a fixed point at alpha1 of
-    # about -7e-17, within DEDUP_TOL of (0, 0), which the solver takes for
-    # the trivial one.  The counts take 0.4 for 2/5, where S is x^3 times a
-    # cubic, and count it as the solver does; its neighbours count exactly
+def test_the_float_two_fifths_is_not_two_fifths_where_the_other_lambda_is_one_half():
+    # there s_4 is (5 l2 - 2)(2 l2 - 1)/2 at lambda1 = 1/2 and
+    # -2 (2 l1 - 1)(5 l1 - 2)^2 at lambda2 = 1/2, and the float 0.4 lies
+    # 2.2e-17 above 2/5: S has a root near 0, a fixed point at alpha1 of
+    # about -7e-17 and 1e-32, which the counts count and the solver, by
+    # DEDUP_TOL, takes for the trivial one
     below, above = math.nextafter(0.4, 0.0), math.nextafter(0.4, 1.0)
-    l2 = [0.39, below, 0.4, above, 0.41]
-    assert q5_solution_counts(np.full(5, 0.5), np.array(l2)).tolist() == [2, 2, 1, 2, 2]
-    assert [q5_root_count(0.5, t) for t in l2] == [2, 2, 2, 2, 2]
-    assert ct.q5_solutions(0.5, 0.4).n_nontrivial == 1
-
-
-def test_the_float_two_fifths_stands_for_two_fifths_at_lambda2_one_half():
-    # at lambda2 = 1/2, s_4 = -2 (2 l1 - 1)(5 l1 - 2)^2: at (0.4, 1/2) the
-    # exact S has a root at x of about 3e-32, a fixed point next to (0, 0)
-    # that the solver takes for the trivial one.  The counts take 0.4 for
-    # 2/5, as at (1/2, 0.4); its neighbours count exactly
-    below, above = math.nextafter(0.4, 0.0), math.nextafter(0.4, 1.0)
-    l1 = [0.39, below, 0.4, above, 0.41]
-    assert q5_solution_counts(np.array(l1), np.full(5, 0.5)).tolist() == [2, 2, 1, 2, 2]
-    assert [q5_root_count(t, 0.5) for t in l1] == [2, 2, 2, 2, 2]
-    assert ct.q5_solutions(0.4, 0.5).n_nontrivial == 1
+    near = [0.39, below, 0.4, above, 0.41]
+    half = [0.5] * len(near)
+    for l1, l2 in ((half, near), (near, half)):
+        assert q5_solution_counts(np.array(l1), np.array(l2)).tolist() == [2] * 5
+        _assert_exact(l1, l2)
+    assert ct.q5_solutions(0.5, 0.4).n_nontrivial == ct.q5_solutions(0.4, 0.5).n_nontrivial == 1
 
 
 def test_no_fixed_point_while_both_lambdas_are_below_one_third():
@@ -176,3 +164,8 @@ def test_no_fixed_point_while_both_lambdas_are_below_one_third():
 @pytest.mark.xfail(strict=True, reason="the solver's roots split the double root of the float 4/9 (ROADMAP item 22)")
 def test_the_solver_finds_no_fixed_point_at_the_float_four_ninths():
     assert ct.q5_solutions(4.0 / 9.0, 4.0 / 9.0).n_nontrivial == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the solver takes a fixed point within DEDUP_TOL of (0, 0) for the trivial one (ROADMAP item 22)")
+def test_the_solver_finds_the_fixed_point_beside_the_trivial_one_at_the_float_two_fifths():
+    assert ct.q5_solutions(0.5, 0.4).n_nontrivial == 2
