@@ -6,8 +6,9 @@ a sextic S, so all fixed points come from the real roots of S, each paired
 with the common root alpha2 of the two equations.  A count of them needs no
 root: `q5_solution_counts`, which the sweeps and the transition line call,
 counts the distinct real nonzero roots of S exactly, by a float Sturm chain
-with a rounding bound and, for the rows that bound leaves open, in integers
-(`exact.sturm_count`).  The fixed points themselves (`q5_solutions`, one
+with a rounding bound; where the bound leaves only the chain's last sign
+open, the sign of S's discriminant settles it, and the rows still open are
+counted in integers (`exact.sturm_count`).  The fixed points themselves (`q5_solutions`, one
 point) take the roots as eigenvalues of S's companion matrix
 (`_q5_candidates`); `q5_solutions_at_critical` is that solver at
 lambda1 = 1/2.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -596,7 +597,9 @@ def _eliminate(pair: np.ndarray, out: np.ndarray) -> None:
     np.abs(out[0], out=out[2])
 
 
-def _sturm_chain(coeffs: np.ndarray, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sturm_chain(
+    coeffs: np.ndarray, errors: np.ndarray, discriminant_signs: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """The number of distinct real roots of each polynomial, (n,), and whether each is certain, (n,).
 
     The columns of coeffs (m, n), highest power first, are polynomials of
@@ -615,9 +618,19 @@ def _sturm_chain(coeffs: np.ndarray, errors: np.ndarray) -> tuple[np.ndarray, np
     the margin covering the rounding of the bounds themselves.  Then no
     exact leading coefficient is 0 and each has the sign of lc~, so the
     exact sequence has the degrees m - 1, m - 2, ..., 0, and the count
-    V(-inf) - V(+inf) read from those signs is exact.  A column with a
-    multiple root, an exactly vanishing leading coefficient or an entry
-    that is not finite is never certain.
+    V(-inf) - V(+inf) read from those signs is exact.
+
+    Where every term but the last, a constant, is certain, the sequence has
+    the degrees m - 1, ..., 1, and its last term is 0 exactly where the
+    polynomial has a multiple root, where its discriminant is 0.
+    discriminant_signs(columns) gives the sign of the exact polynomial's
+    discriminant at those columns, 0 where it is not known.  A non-zero sign
+    settles the column: its m - 1 roots are distinct, and r real ones give
+    the sign (-1)^((m - 1 - r)/2).  The last term adds 1 to the count where
+    its sign is that of the term before and -1 where it is not, so its two
+    signs give counts 2 apart, of which exactly one agrees.  A column with a
+    multiple root, an exactly vanishing leading coefficient or an entry that
+    is not finite is never certain.
     """
     m, n = coeffs.shape
     # slots 0 and 2 hold the last two terms, P_k in slot 2 (k % 2), slot 1 the
@@ -644,10 +657,19 @@ def _sturm_chain(coeffs: np.ndarray, errors: np.ndarray) -> tuple[np.ndarray, np
         _normalise(term)
         lead[k] = term[:2, 0]
     value, bound = lead.transpose(1, 0, 2)
-    certain = (np.abs(value) > (1.0 + 2.0**-30) * bound).all(axis=0)
+    sure = np.abs(value) > (1.0 + 2.0**-30) * bound
     positive = value > 0.0
     at_minus = positive ^ (np.arange(m - 1, -1, -1) % 2 == 1)[:, None]
-    return (at_minus[1:] != at_minus[:-1]).sum(axis=0) - (positive[1:] != positive[:-1]).sum(axis=0), certain
+    counts = (at_minus[1:] != at_minus[:-1]).sum(axis=0) - (positive[1:] != positive[:-1]).sum(axis=0)
+    certain = sure.all(axis=0)
+    last = np.flatnonzero(~sure[-1] & sure[:-1].all(axis=0))
+    if len(last):
+        signs = discriminant_signs(last)
+        step = np.where(positive[-1, last] == positive[-2, last], 2, -2)
+        disagrees = ((m - 1 - counts[last]) // 2 % 2 == 1) == (signs > 0.0)
+        counts[last] -= np.where((signs != 0.0) & disagrees, step, 0)
+        certain[last] = signs != 0.0
+    return counts, certain
 
 
 def _sextic_x_ints(lambda1: float, lambda2: float) -> list[int]:
@@ -682,8 +704,12 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     or lambda2 is 1/2, a triple one at (1/2, 1/2).  Where lambda1 or lambda2
     is 1/2 the quartic s_0 x^4 + ... + s_4 that is left is counted as
     (s_0 x^4 + ... + s_4)(x^2 + 16), which has the same real roots, so that
-    one float Sturm chain of degree 6 counts every row (`_sturm_chain`).  A
-    row whose count the chain cannot certify, and the row (1/2, 1/2), are
+    one float Sturm chain of degree 6 counts every row (`_sturm_chain`).
+    Where its bound leaves only the last term's sign open, as at rows about
+    1e-7 from a fold (near lambda2 = 1/2 that term scales as
+    (2 lambda2 - 1)^2), the sign of S's discriminant settles it
+    (`_discriminant_signs`).  A row
+    whose count the chain still cannot certify, and the row (1/2, 1/2), are
     counted in integers, by `exact.sturm_count` on `_sextic_x_ints`.
 
     Where Lambda = max(|lambda1|, |lambda2|) < 1/3 the count is 0, whatever
@@ -725,7 +751,7 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
             padded[2:] += 16.0 * low
             padded_errors[2:] += 16.0 * low_errors + _U * np.abs(padded[2:])
             coeffs[:, half], errors[:, half] = padded, padded_errors
-        counts, certain = _sturm_chain(coeffs, errors)
+        counts, certain = _sturm_chain(coeffs, errors, lambda i: _discriminant_signs(l1[i], l2[i]))
     known = (l1 == 0.0) | (np.maximum(np.abs(l1), np.abs(l2)) < 1.0 / 3.0)
     counts[known] = 0
     for i in np.flatnonzero(~(certain | known) | (l1 == 0.5) & (l2 == 0.5)).tolist():
@@ -733,15 +759,17 @@ def q5_solution_counts(lambda1: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
     return counts
 
 
-# The folds of S: with alpha1 = x/sqrt(10), S's discriminant in x is
-#     c l1^14 (2 l1 - 1) (2 l2 - 1)^3 G(l1, l2)^2 F(l1, l2)
-# with a constant c and integer polynomials G (total degree 9) and F (total
-# degree 18, symmetric in l1 and l2).  A count of fixed points can change
-# where S has a multiple real root, on this zero set.  Only F needs a table:
-# the discriminant does not change sign across G = 0, where it touches zero
-# as a square, and the only root of 2 l2 - 1 is the constant 1/2.  Row i
-# holds the coefficients of l1^i in l2, highest power of l2 first, without
-# trailing zeros.
+# The folds of S: with alpha1 = x/sqrt(10), the discriminant of
+# S(x/sqrt(10))/5 in x is
+#     8000 l1^14 (2 l1 - 1) (2 l2 - 1)^3 G(l1, l2)^2 F(l1, l2)
+# with integer polynomials G (total degree 9) and F (total degree 18,
+# symmetric in l1 and l2).  A count of fixed points can change where S has a
+# multiple real root, on this zero set.  Only F gives fold candidates: the
+# discriminant does not change sign across G = 0, where it touches zero as a
+# square, and the only root of 2 l2 - 1 is the constant 1/2; G's table
+# serves the discriminant's sign (`_discriminant_signs`).  Row i holds the
+# coefficients of l1^i in l2, highest power of l2 first, without trailing
+# zeros.
 _FOLD_F = (
     (-524288,),
     (524288, 4718592),
@@ -768,6 +796,55 @@ _FOLD_TABLE.setflags(write=False)
 _FOLD_MAGNITUDES.setflags(write=False)
 
 _FOLD_POWERS = np.arange(11)
+
+# G, the squared factor of S's discriminant, in the layout of _FOLD_F
+_FOLD_G = (
+    (128,),
+    (-384, 72),
+    (160, -752, -384),
+    (320, 2284, 1216, 256),
+    (-160, -2288, -192, -512),
+    (-64, 566, -2368, -512),
+    (32, -508, 1984, 256),
+    (0, 25, -400, 1600),
+)
+# F's and G's rows as floats, each padded to its degree in l2 as in _FOLD_TABLE
+_FOLD_FACTOR_ROWS = (
+    tuple(map(tuple, _FOLD_TABLE.tolist())),
+    tuple(tuple(float(c) for c in row + (0,) * (4 - len(row))) for row in _FOLD_G),
+)
+
+
+def _horner2(rows: tuple, a: float, b: float) -> tuple[float, float]:
+    """A fold table's polynomial at (lambda1, lambda2) = (a, b), and the sum of its terms' magnitudes."""
+    value = terms = 0.0
+    for row in reversed(rows):
+        row_value = row_terms = 0.0
+        for c in row:
+            row_value = row_value * b + c
+            row_terms = row_terms * abs(b) + abs(c)
+        value, terms = value * a + row_value, terms * abs(a) + row_terms
+    return value, terms
+
+
+def _discriminant_signs(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """The sign of S's discriminant in x at each row (lambda1, lambda2), 0 where it is 0 or rounding leaves it open.
+
+    The discriminant (above `_FOLD_F`) is
+    8000 l1^14 (2 l1 - 1)(2 l2 - 1)^3 G^2 F, so where l1 and G are not 0 its
+    sign is that of (2 l1 - 1)(2 l2 - 1) F.  F and G are evaluated by
+    Horner's rule in lambda2 for each power of lambda1, then in lambda1
+    (`_horner2`), so each value lies within 40 u of the sum of its terms'
+    magnitudes, computed alike (degree 10 in each), and a sign is given only
+    where both exceed _ROUNDING = 64 u times that sum, plus _UNDERFLOW.  The
+    counts ask about a few rows a call, so the rows are taken one by one.
+    """
+    signs = np.zeros(len(l1))
+    for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
+        (f, f_terms), (g, g_terms) = (_horner2(rows, a, b) for rows in _FOLD_FACTOR_ROWS)
+        if a != 0.0 and abs(f) > _ROUNDING * f_terms + _UNDERFLOW and abs(g) > _ROUNDING * g_terms + _UNDERFLOW:
+            signs[i] = math.prod((x > 0.0) - (x < 0.0) for x in (2.0 * a - 1.0, 2.0 * b - 1.0, f))
+    return signs
 
 
 def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

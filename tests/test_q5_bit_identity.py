@@ -289,9 +289,10 @@ def test_a_q5_sweep_makes_one_eigensolve(monkeypatch):
     assert shapes == [(40, 10, 10)]
 
 
-def test_few_rows_of_a_line_or_a_sweep_are_counted_in_integers(monkeypatch):
+def test_no_row_of_a_line_or_a_sweep_is_counted_in_integers(monkeypatch):
     # the float chain certifies every count of the window's sweep; of the
-    # line's 50 it leaves one, a step above the fold candidate 1/2, where two
-    # roots of S lie about 1e-7 apart
+    # line's 50 it leaves the last sign of one open, a step above the fold
+    # candidate 1/2, where two roots of S lie about 1e-7 apart, and the sign
+    # of S's discriminant settles it
     assert _integer_rows(monkeypatch, lambda: ct.sweep(5, (0.40, 0.52), (0.30, 0.56), resolution=40)) == 0
-    assert _integer_rows(monkeypatch, lambda: phase.q5_transition_line(LINE_GRID)) <= 2
+    assert _integer_rows(monkeypatch, lambda: phase.q5_transition_line(LINE_GRID)) == 0

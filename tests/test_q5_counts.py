@@ -8,8 +8,10 @@ and its counts against sympy's count on that resultant at the exact values
 of the floats (`conftest.q5_root_count`): at drawn feasible points, at every
 float within 20 ulps of a fold for lambda1 in [0.3, 1/2], and at the heads
 of the benchmark's q=5 window; and that both lambdas below 1/3 in size
-leave no fixed point.  lambda1 = 0, where the count is 0 by definition and
-S is a square, is left to the tests of `q5_solutions`.
+leave no fixed point.  The sign of S's discriminant, which settles the
+chain's last term where only that is open, is checked against sympy's.
+lambda1 = 0, where the count is 0 by definition and S is a square, is left
+to the tests of `q5_solutions`.
 """
 import math
 from functools import reduce
@@ -19,8 +21,8 @@ import pytest
 import sympy
 
 import clocktree as ct
-from clocktree import fixedpoint, phase
-from clocktree.fixedpoint import _FOLD_F, _SEXTIC_X, q5_solution_counts
+from clocktree import exact, fixedpoint, phase
+from clocktree.fixedpoint import _FOLD_F, _FOLD_G, _SEXTIC_X, q5_solution_counts
 
 from conftest import q5_cofactor, q5_root_count, random_feasible_lambdas
 
@@ -69,6 +71,65 @@ def test_the_float_coefficients_are_within_their_bounds():
                    for v, e, b in zip(coeffs[:, n].tolist(), exact, errors[:, n].tolist())), point
 
 
+def _table_poly(rows):
+    """The polynomial in (l1, l2) of a fold table: row i holds l1^i's coefficients in l2, highest first."""
+    degree = len(rows[-1]) - 1
+    return sympy.Poly(sum(c * L1**i * L2 ** (degree - j) for i, row in enumerate(rows) for j, c in enumerate(row)), L1, L2)
+
+
+def _exact_discriminant(lambda1, lambda2):
+    """sympy's discriminant in x of S(x/sqrt(10))/5 at the exact values of two floats."""
+    point = tuple(sympy.Rational(*float(t).as_integer_ratio()) for t in (lambda1, lambda2))
+    return sympy.discriminant(sympy.Poly([c.eval(point) for c in _sextic_table()], X))
+
+
+def test_the_discriminant_is_its_factors():
+    # the constant and the tables' signs that `_discriminant_signs` reads
+    f, g = _table_poly(_FOLD_F), _table_poly(_FOLD_G)
+    rng = np.random.default_rng(4)
+    for a, b in rng.uniform(-1.0, 1.0, (6, 2)).tolist():
+        point = tuple(sympy.Rational(*t.as_integer_ratio()) for t in (a, b))
+        l1, l2 = point
+        factors = 8000 * l1**14 * (2 * l1 - 1) * (2 * l2 - 1) ** 3 * g.eval(point) ** 2 * f.eval(point)
+        assert _exact_discriminant(a, b) == factors
+
+
+# rows of the benchmark's transition lines whose Sturm chain leaves only its
+# last term open: a step above the candidate 1/2, two checks 1e-7 beside a
+# fold near (0.4807, 0.4040), and the top of the bracket
+LAST_TERM_OPEN = [
+    (0.4934409896914396, 0.5000001),
+    (0.48069774085355815, 0.4040559922703291),
+    (0.48069774085355815, 0.40405619227032913),
+    (0.41209730795744837, 0.65),
+]
+
+
+def test_the_discriminant_signs_are_sympys():
+    rng = np.random.default_rng(6)
+    l1, l2 = rng.uniform(-1.0, 1.0, (2, 30))
+    l1[:3], l2[:3] = [0.0, 0.5, 0.3], [0.4, 0.45, 0.5]
+    l1 = np.concatenate([l1, [a for a, _ in LAST_TERM_OPEN]])
+    l2 = np.concatenate([l2, [b for _, b in LAST_TERM_OPEN]])
+    signs = fixedpoint._discriminant_signs(l1, l2).tolist()
+    exact_signs = [int(sympy.sign(_exact_discriminant(a, b))) for a, b in zip(l1.tolist(), l2.tolist())]
+    assert signs[:3] == exact_signs[:3] == [0, 0, 0]
+    assert signs[3:] == exact_signs[3:]
+
+
+def test_the_discriminant_settles_the_last_term_of_the_chain(monkeypatch):
+    l1, l2 = (np.array(t) for t in zip(*LAST_TERM_OPEN))
+    coeffs, errors = fixedpoint._sextic_x(l1, l2)
+    _, certain = fixedpoint._sturm_chain(coeffs, errors, lambda i: np.zeros(len(i)))
+    assert not certain.any()
+
+    def no_integers(p):
+        raise AssertionError("counted in integers")
+
+    monkeypatch.setattr(exact, "sturm_count", no_integers)
+    _assert_exact(l1.tolist(), l2.tolist())
+
+
 def _assert_exact(l1, l2):
     got = q5_solution_counts(np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)).tolist()
     want = [q5_root_count(a, b) for a, b in zip(l1, l2)]
@@ -95,9 +156,7 @@ def test_counts_are_exact_within_20_ulps_of_the_folds():
     # lambda2 = 1/2 and the real roots of F in (0.3, 0.7), where the counts
     # change; at lambda1 = 1/2 F has a triple root at 2/5, and the float 0.4
     # lies just above it
-    fold_f = sympy.Poly(
-        sum(c * L1**i * L2 ** (len(row) - 1 - j) for i, row in enumerate(_FOLD_F) for j, c in enumerate(row)), L1, L2
-    )
+    fold_f = _table_poly(_FOLD_F)
     for l1 in (0.3, 0.37, 0.42, 0.48, 0.5):
         roots = sympy.Poly(fold_f.as_expr().subs(L1, sympy.Rational(*l1.as_integer_ratio())), L2).real_roots()
         folds = sorted({0.5} | {float(r) for r in roots if 0.3 < r < 0.7})

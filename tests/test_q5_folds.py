@@ -112,6 +112,11 @@ def test_fold_tables_are_the_discriminant_factors(discriminant_factors):
     assert len(discriminant_factors) == 5
 
 
+def test_the_squared_factor_table_is_g(discriminant_factors):
+    # the counts read G's sign only to see that it is not 0
+    assert _multiplicity(discriminant_factors, _table_poly(fixedpoint._FOLD_G)) == 2
+
+
 def test_counts_do_not_change_across_the_squared_factor(discriminant_factors):
     # G enters squared, so the discriminant keeps its sign across G = 0 and
     # its roots need no candidate: the counts agree just below and above each
