@@ -188,8 +188,9 @@ def _degenerate_lambda1(lambda1: np.ndarray) -> np.ndarray:
     """Where lambda1 lies within 1e-12 of 0 or of 1/2, and a count can change at any lambda2.
 
     There `_q4_candidates` leaves its general branch and the discriminant of
-    q = 5's sextic vanishes identically (`q5_fold_bands`), so no fold table
-    tells where a count changes.
+    q = 5's sextic vanishes identically (its factor l1^14 (2 l1 - 1), above
+    `_FOLD_F`), so neither a fold table nor F's cell test
+    (`q5_fold_cells`) tells where a count changes.
     """
     return (np.abs(lambda1) <= 1e-12) | (np.abs(lambda1 - 0.5) < 1e-12)
 
@@ -858,36 +859,106 @@ def _fold_roots(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return coeffs, _polynomial_roots(coeffs)
 
 
-def q5_fold_bands(lambda1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, lambda2, radius): where a q=5 count can change at each lambda1[row], with a bound on the error.
+# F's Bernstein coefficients on a block of grid cells (`q5_fold_cells`).  On
+# a block, lambda2 = e + s t with t in [0, 1], where e is the end of larger
+# magnitude and s the signed width, so r = s/e lies in [-2, 2].  With c_k the
+# coefficient of l2^(10 - k), F's Taylor coefficients in t are
+# d_j = r^j sum_k C(10 - k, j) c_k e^(10 - k), and its Bernstein coefficients
+# b_i = sum_j C(i, j)/C(10, j) d_j.  _TAYLOR takes the terms c_k e^(10 - k),
+# and then the magnitudes' terms m_k |e|^(10 - k), to the sums of d_j;
+# _BERNSTEIN takes the d_j to the b_i, and the magnitudes' |d_j| to their sum,
+# the value at |e| + |s| of the polynomial P = sum_k m_k l2^(10 - k).
+_BINOMIALS = np.array([[math.comb(i, j) for j in range(11)] for i in range(11)], dtype=float)
+_TAYLOR = np.kron(np.eye(2), _BINOMIALS[::-1].T)
+_BERNSTEIN = np.zeros((12, 22))
+_BERNSTEIN[:11, :11] = _BINOMIALS / _BINOMIALS[10]
+_BERNSTEIN[11, 11:] = 1.0
+_TAYLOR.setflags(write=False)
+_BERNSTEIN.setflags(write=False)
+# the rounding allowance of a Bernstein coefficient, per unit of P(|e| + |s|)
+_FOLD_ROUNDING = 64.0 * sys.float_info.epsilon
 
-    A count can change only at lambda2 = 1/2 (radius 0, every row) and the
-    real roots of F, where S has a multiple real root.
-    F's roots z in lambda2 come from `_fold_roots`, one of each conjugate
-    pair.  Around each z the disc of radius 10 (|F(z)| + e)/|F'(z)| holds a
-    root of F, which has degree 10 (|F'/F| = |sum 1/(z - r)| over its roots
-    r); e bounds the rounding of F's coefficients and of Horner's rule at
-    z.  Each z whose disc reaches the real axis, complex ones included,
-    gives its real part and the radius.  Away from a multiple root the
-    radius is below 1e-6 (about 5e-7 at lambda1 = 0.45); near F's triple
-    root at (1/2, 2/5), where a computed root can be off by 2e-4, it grows
-    with the error, to about 0.02 at lambda1 = 1/2 - 1e-11.
+
+def _power_rows(x: np.ndarray) -> np.ndarray:
+    """x^0, ..., x^10 as the rows of an (11, n) array, by repeated products."""
+    rows = np.empty((11, len(x)))
+    rows[0] = 1.0
+    np.cumprod(np.broadcast_to(x, (10, len(x))), axis=0, out=rows[1:])
+    return rows
+
+
+def q5_fold_cells(lambda1: np.ndarray, lambda2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, cells): each grid cell [lambda2[k], lambda2[k + 1]] that may hold a real root of F at lambda1[column].
+
+    lambda2 is a strictly increasing axis of at least two points.  A cell
+    that holds a real root of F, at an end or inside, is always returned.
+    The cells of a column are tested in blocks, the nodes of a halving
+    tree: node i, of depth L, spans the grid points floor(k c / 2^L) to
+    floor((k + 1) c / 2^L), with k = i + 1 - 2^L and c cells, and its
+    halves are nodes 2 i + 1 and 2 i + 2.  A block holds no root when F's
+    11 Bernstein coefficients on it (`_TAYLOR`, `_BERNSTEIN`) all share
+    one sign beyond their rounding bound.  The four blocks of depth 2 are
+    tested first (fewer where there are fewer cells), and only a block that
+    fails is split, down to single cells, so the work grows with the
+    columns, the folds and log(c), not with the grid.  A block's factors
+    depend only on the axis, which the columns share, so they are computed
+    once per node; its width is rounded up, so that its interval holds its
+    cells.
+
+    The bound: each coefficient comes out of at most 66 roundings on any
+    path and in any order of summation (2 in pow for the powers of
+    lambda1, 11 in F's coefficients, 9 in the powers of e, 11 in the
+    Taylor sums, 19 in r^j, 2 in the products and 12 in the Bernstein
+    sums), so it lies within 67 u of the same steps taken on magnitudes,
+    which end at P(|e| + |s|).  The test allows 128 u of that, plus
+    _UNDERFLOW for what gradual underflow can lose.  No step overflows
+    where P(4 max |lambda2|) < 2^1000, as every step stays below 2^11 P;
+    a column where it is not (F's coefficients overflow at |lambda1| above
+    about 1e30) has every cell returned.
     """
-    l1 = np.asarray(lambda1, dtype=float)
-    coeffs, z = _fold_roots(l1)
-    n = len(l1)
+    l1, l2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    cells = len(l2) - 1
     with np.errstate(all="ignore"):
-        # F and F', padded with a leading zero, in one Horner pass
-        stacked = np.zeros((2, n, 11))
-        stacked[0] = coeffs
-        np.multiply(coeffs[:, :-1], _FOLD_POWERS[:0:-1], out=stacked[1, :, 1:])
-        value, slope = np.abs(_polyval(stacked, z))
-        magnitudes = (np.abs(l1)[:, None] ** _FOLD_POWERS) @ _FOLD_MAGNITUDES
-        radius = 10.0 * (value + _ROUNDING * _polyval(magnitudes, np.abs(z))) / slope
-    rows, k = np.nonzero((z.imag >= 0.0) & (z.imag <= radius))
-    # then lambda2 = 1/2, the root of 2 l2 - 1, with radius 0 in every row
-    half = (np.arange(n), np.full(n, 0.5), np.zeros(n))
-    return tuple(np.concatenate(pair) for pair in zip((rows, z.real[rows, k], radius[rows, k]), half))
+        powers = l1[:, None] ** _FOLD_POWERS
+        coeffs = np.concatenate([powers @ _FOLD_TABLE, np.abs(powers) @ _FOLD_MAGNITUDES], axis=1).T
+        # P is at its largest where |e| + |s| is, below 4 max |lambda2|
+        searched = coeffs[11:].T @ (4.0 * np.abs(l2).max()) ** _FOLD_POWERS[::-1] < 2.0**1000
+        # every node of the tree, and the powers of e and r that its test multiplies by
+        node = np.arange(2 ** ((cells - 1).bit_length() + 1) - 1)
+        depth = np.frexp(node + 1.0)[1] - 1
+        k = node + 1 - 2**depth
+        lo, hi = k * cells >> depth, (k + 1) * cells >> depth
+        a, b = l2[lo], l2[hi]
+        width = np.nextafter(b - a, np.inf)
+        top = np.abs(b) > np.abs(a)
+        e = np.where(top, b, a)
+        e_powers, r_powers = _power_rows(e)[::-1], _power_rows(np.where(top, -width, width) / e)
+        factors = np.concatenate([e_powers, np.abs(e_powers), r_powers, np.abs(r_powers)])
+        is_cell = hi - lo == 1
+        first = min(2, cells.bit_length() - 1)  # a depth whose every node holds a cell
+        level, columns = np.arange(2**first - 1, 2 ** (first + 1) - 1), np.flatnonzero(searched)
+        pairs = np.stack([np.repeat(columns, len(level)), np.tile(level, len(columns))])
+        failed = [pairs[:, :0]]  # no (column, node) yet
+        while pairs.shape[1]:
+            # in place where it can be, so that a level holds few arrays of its size
+            terms = coeffs[:, pairs[0]]
+            terms *= factors[:22, pairs[1]]
+            terms = _TAYLOR @ terms
+            terms *= factors[22:, pairs[1]]
+            bern = _BERNSTEIN @ terms
+            # a block fails unless every coefficient has the first one's sign and exceeds the bound
+            pairs = pairs[:, (bern[:11] * np.sign(bern[0])).min(axis=0) <= _FOLD_ROUNDING * bern[11] + _UNDERFLOW]
+            cell = is_cell[pairs[1]]
+            failed.append(pairs[:, cell])
+            halves = pairs[:, ~cell]
+            halves[1] = 2 * halves[1] + 1
+            pairs = np.concatenate([halves, halves + [[0], [1]]], axis=1)
+    column, node = np.concatenate(failed, axis=1)
+    skipped = np.flatnonzero(~searched)
+    return (
+        np.concatenate([column, np.repeat(skipped, cells)]),
+        np.concatenate([lo[node], np.tile(np.arange(cells), len(skipped))]),
+    )
 
 
 def q5_solutions(lambda1: float, lambda2: float) -> SolutionSet:

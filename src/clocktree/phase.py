@@ -22,12 +22,15 @@ leaves open.
 A sweep's answer is piecewise constant along each lambda1 column: feasibility
 changes only where a compared row quantity, affine in lambda2, changes sign
 (`spectral.feasibility_breakpoints`), and the count of fixed points only on a
-fold (`fixedpoint.q4_fold_roots`; for q = 5 lambda2 = 0, where S
-degenerates, and the folds of `fixedpoint.q5_fold_bands`).  So a sweep cuts
-each column into runs: each grid point near such a breakpoint is a run of its
-own, and so is the rest of each interval between two of them.  Only a run's
-first point is evaluated, with the same library calls as one point, and the
-rest of the run takes that first point's answer.
+fold (`fixedpoint.q4_fold_roots`; for q = 5 lambda2 = 1/2 and the real roots
+of F).  So a sweep cuts each column into runs: each grid point near a
+feasibility breakpoint, a q = 4 fold or lambda2 = 1/2 is a run of its own,
+and so is the rest of each interval between two of them.  A q = 5 count is
+exact, so it needs to know only which grid cells may hold a root of F
+(`fixedpoint.q5_fold_cells`, a certified sign test), and a run starts at
+the upper point of each.  Only a run's first point is evaluated, with the
+same library calls as one point, and the rest of the run takes that first
+point's answer.
 
 "Phase transition" operationally means a residual-verified non-trivial
 solution of the symmetric mode fixed-point equations; non-symmetric boundary
@@ -50,7 +53,7 @@ from .fixedpoint import (
     _fold_roots,
     q4_fold_roots,
     q4_solution_counts,
-    q5_fold_bands,
+    q5_fold_cells,
     q5_solution_counts,
 )
 from .spectral import feasibility_breakpoints, feasible_lambdas, potts_lambda
@@ -63,10 +66,11 @@ from .spectral import feasibility_breakpoints, feasible_lambdas, potts_lambda
 # folds, and the step needs no room for their rounding.
 _FOLD_STEP = 1e-7
 # a sweep evaluates every grid point within _GUARD * max(1, |b|) of a
-# breakpoint b of its column (`_run_starts`).  For q = 5 a fold's own error
-# bound widens its band where that is wider, and the counts are exact; the
-# guard is the room left for the breakpoints that are computed roots with
-# no bound: q = 4's fold roots and the feasibility breakpoints
+# breakpoint b of its column (`_run_starts`): the room left for the
+# breakpoints that are computed roots with no bound, q = 4's fold roots and
+# the feasibility breakpoints, and for q = 5's fold at lambda2 = 1/2.  F's
+# folds need none: the cells that may hold one are certified
+# (`fixedpoint.q5_fold_cells`), and the q = 5 counts are exact
 _GUARD = 1e-6
 
 
@@ -297,11 +301,12 @@ def sweep(
     robustness from the strict threshold lambda1 > 1/2.  Infeasible
     points are kept.  Each lambda1 column is cut into runs at its
     breakpoints (`_run_starts`): every point within 1e-6 * max(1, |b|) of a
-    breakpoint b, or within a fold's error bound (q = 5), is a run of its
-    own, and a run between breakpoints holds the rest of an interval.  Only
-    the first point of each run is evaluated, and the rest of the run takes
-    its answer (`_classify_grid`), so the work grows with the runs, not with
-    the grid points.  An exception of the solver propagates unchanged: no
+    breakpoint b is a run of its own, a run starts at the upper point of
+    each grid cell that may hold a fold of F (q = 5), and a run between
+    breakpoints holds the rest of an interval.  Only the first point of
+    each run is evaluated, and the rest of the run takes its answer
+    (`_classify_grid`), so the work grows with the runs, not with the grid
+    points.  An exception of the solver propagates unchanged: no
     regime stands for a failure.  The result is a `PhaseGrid`, a sequence
     of `PhasePoint`s held as those runs.  The mode maps are those of the
     binary tree.  A non-finite range, a range whose span hi - lo overflows,
@@ -361,13 +366,17 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
 
     A run is a stretch of a column whose points all take its first point's
     answer.  In a column, (feasible, n_nontrivial) can change only at a
-    breakpoint in lambda2 (`_breakpoints`), so a run starts at each column
-    start, at every point within b's guard of a breakpoint b (its band) and
-    at the first point after a band.  Every guard is > 0, so the first point
-    at or above b lies in b's band or is the point after it.  Every point is
-    a run of its own in a column where `fixedpoint._degenerate_lambda1`
-    holds, and in every column when the lambda2 axis has one value or is
-    not strictly increasing.
+    breakpoint in lambda2 (`_breakpoints`) and, for q = 5, at a real root of
+    F, so a run starts at each column start, at every point within b's
+    guard of a breakpoint b (its band), at the first point after a band,
+    and at the upper point of each cell [l2s[k], l2s[k + 1]] that
+    `fixedpoint.q5_fold_cells` does not show free of F's roots.  Every
+    guard is > 0, so the first point at or above b lies in b's band or is
+    the point after it; a cell holds a root with its ends, so a root on a
+    grid point makes that point a run of its own.  Every point is a run of
+    its own in a column where `fixedpoint._degenerate_lambda1` holds, and
+    in every column when the lambda2 axis has one value or is not strictly
+    increasing.
     """
     m = len(l2s)
     size = len(l1s) * m
@@ -385,6 +394,9 @@ def _run_starts(q: int, l1s: np.ndarray, l2s: np.ndarray) -> np.ndarray:
     # every point of each band [start, stop), and the first point after it
     marks[np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())] = True
     marks[stop] = True
+    if q == 5:  # the upper point of each cell that may hold a fold
+        fold_cols, fold_cells = q5_fold_cells(l1s, l2s)
+        marks[fold_cols * m + fold_cells + 1] = True
     marks[:size].reshape(-1, m)[_degenerate_lambda1(l1s)] = True
     return np.flatnonzero(marks)
 
@@ -394,19 +406,15 @@ def _breakpoints(q: int, l1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     These are the lambda2 where feasibility can change
     (`spectral.feasibility_breakpoints`) and where the count of fixed points
-    can change: the fold roots of `fixedpoint.q4_fold_roots` for q = 4; for
-    q = 5 lambda2 = 0, where S degenerates, and the folds of
-    `fixedpoint.q5_fold_bands` (1/2 and the real roots of F).  The guard is
-    _GUARD * max(1, |b|), or a fold's error bound where that is wider.
-    Entries that are not finite are dropped: a root that is not real, and a
-    root at infinity or an overflowed one, which lies beyond every grid point.
+    can change: the fold roots of `fixedpoint.q4_fold_roots` for q = 4;
+    for q = 5 lambda2 = 1/2, the root of the discriminant's factor
+    2 l2 - 1, as F's roots are left to `fixedpoint.q5_fold_cells`.  The
+    guard is _GUARD * max(1, |b|).  Entries that are not finite are
+    dropped: a root that is not real, and a root at infinity or an
+    overflowed one, which lies beyond every grid point.
     """
-    folds = q4_fold_roots(l1s) if q == 4 else np.zeros((len(l1s), 1))
+    folds = q4_fold_roots(l1s) if q == 4 else np.full((len(l1s), 1), 0.5)
     table = np.concatenate([feasibility_breakpoints(q, l1s), folds], axis=1)
     cols, k = np.nonzero(np.isfinite(table))
     b = table[cols, k]
-    radius = np.zeros(len(b))
-    if q == 5:
-        fold_cols, folds, fold_radius = q5_fold_bands(l1s)
-        cols, b, radius = (np.concatenate(pair) for pair in ((cols, fold_cols), (b, folds), (radius, fold_radius)))
-    return cols, b, np.maximum(_GUARD * np.maximum(1.0, np.abs(b)), radius)
+    return cols, b, _GUARD * np.maximum(1.0, np.abs(b))

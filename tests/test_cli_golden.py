@@ -47,14 +47,24 @@ when the sweep's counts came from an exact Sturm count of the sextic
 instead of its companion eigensolve: one cell moved, (0.5, 0.4), from
 n_nontrivial 1 to 2, as the float 0.4 lies 2.2e-17 above 2/5 and leaves a
 fixed point at alpha1 of about -7e-17, which the solver takes for the
-trivial one.
+trivial one.  The q=5 window's SVG was re-recorded when the sweep came to
+cut its runs at the grid cells that may hold a fold instead of in bands
+around F's computed roots: the SVG draws one rect per run, so its bytes
+follow the run cuts, while every grid cell keeps its colour
+(`test_the_svg_paints_each_cell_in_its_regime`).
 """
 import hashlib
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import clocktree as ct
 from clocktree import cli
 from clocktree.cli import main
+from clocktree.svg import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _REGIME_COLORS, _VIEW_H, _VIEW_W, render_phase_svg
+
+from conftest import point_column
 
 Q5_WINDOW = ("--l1min", "0.40", "--l1max", "0.52", "--l2min", "0.30", "--l2max", "0.56")
 Q5_PROBE = ("probe", "--q", "5", "--lambda1", "0.5", "--lambda2", "0.45", "--levels", "400")
@@ -178,11 +188,40 @@ def test_sweep_svg_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("argv,digest", [
-    (("--q", "5", "--res", "12") + Q5_WINDOW, "5192b50e4d23fcabc50da01ae2df5f44e7b64bcf9d6ab57f407ce472891c5c04"),
+    (("--q", "5", "--res", "12") + Q5_WINDOW, "c96c06ce92e98cacf445d70c32390d08f55251cafcab08a43e08690e8c7ae285"),
     (("--q", "4", "--res", "200"), "62fee2d0573f5b290aa587170b605a4b7f769556473c27b712f9460aec6c098c"),
 ], ids=["q5-window", "q4-res200"])
 def test_sweep_svg_bytes_more_grids(tmp_path, argv, digest):
     assert _svg_digest(tmp_path, argv) == digest
+
+
+def _cell_colours(svg, rows, cols):
+    """The fill of each grid cell, row-major in (lambda1, lambda2), decoded from the plot's rects."""
+    cell_w = (_VIEW_W - _MARGIN_L - _MARGIN_R) / cols
+    cell_h = (_VIEW_H - _MARGIN_T - _MARGIN_B) / rows
+    colours = np.full((rows, cols), "", dtype=object)
+    for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect"):
+        if el.get("fill") not in _REGIME_COLORS.values() or el.get("stroke") is not None:
+            continue  # the background, the frame and the legend
+        x, y, width = (float(el.get(key)) for key in ("x", "y", "width"))
+        i = rows - 1 - round((y - _MARGIN_T) / cell_h)
+        j, n = round((x - _MARGIN_L) / cell_w), round((width - 0.5) / cell_w)
+        colours[i, j : j + n] = el.get("fill")
+    return colours
+
+
+@pytest.mark.parametrize("q, l1_range, l2_range, res", [
+    (4, (0.0, 0.6), (0.0, 0.6), 24),
+    (5, (0.40, 0.52), (0.30, 0.56), 12),
+    (5, (0.40, 0.52), (0.30, 0.56), 40),
+])
+def test_the_svg_paints_each_cell_in_its_regime(q, l1_range, l2_range, res):
+    # every cell is painted once, in the colour of its grid point's regime,
+    # however the grid's runs cut its rows
+    grid = ct.sweep(q, l1_range, l2_range, resolution=res)
+    colours = _cell_colours(render_phase_svg(grid, l1_range, l2_range), res, res)
+    want = [_REGIME_COLORS[grid.regimes[c]] for c in point_column(grid, grid.run_regime).tolist()]
+    assert colours.ravel().tolist() == want
 
 
 def test_every_golden_command_line_is_read_without_argparse():

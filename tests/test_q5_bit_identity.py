@@ -1,15 +1,16 @@
 """The q=5 solve path against a straightforward copy of it, bit for bit, and the count path's work.
 
-`ref_polynomial_roots`, `ref_q5_candidates` and `ref_q5_fold_bands` are
-the sextic's root finder, candidate builder and fold bands written plainly:
+`ref_polynomial_roots`, `ref_q5_candidates` and `ref_fold_roots` are the
+sextic's root finder, candidate builder and F's roots written plainly:
 one companion stack per degree behind boolean row masks, one Horner pass per
 evaluation, the two alpha2 estimates stacked.  The library computes the
 same numbers with fewer array operations, so every output must match to the
 byte (`tobytes`, so that NaN payloads and signed zeros count), and an input
 that raises must raise the same exception.  The work count pins the one
-batched eigensolve, of F's companions, that a transition line and a q=5
-sweep make (their counts come from a Sturm chain, without roots), and how
-few of their rows the chain leaves to integers, so that neither grows
+batched eigensolve, of F's companions, that a transition line makes, and
+that a q=5 sweep makes none (its folds are placed in grid cells by a sign
+test, and the counts of both come from a Sturm chain, without roots), and
+how few of their rows the chain leaves to integers, so that neither grows
 unnoticed.
 """
 import numpy as np
@@ -27,7 +28,6 @@ from clocktree.fixedpoint import (
     _polynomial_roots,
     _q5_candidates,
     _q5_sextic,
-    q5_fold_bands,
 )
 from clocktree.recursion import mode_map_q5
 
@@ -110,21 +110,6 @@ def ref_fold_roots(lambda1):
         return coeffs, ref_polynomial_roots(coeffs)
 
 
-def ref_q5_fold_bands(lambda1):
-    l1 = np.asarray(lambda1, dtype=float)
-    coeffs, z = ref_fold_roots(l1)
-    with np.errstate(all="ignore"):
-        magnitudes = (np.abs(l1)[:, None] ** np.arange(11)) @ np.abs(_FOLD_TABLE)
-        rounding = 32.0 * np.finfo(float).eps * ref_polyval(magnitudes, np.abs(z))
-        radius = 10.0 * (np.abs(ref_polyval(coeffs, z)) + rounding) / np.abs(
-            ref_polyval(coeffs[:, :-1] * np.arange(10, 0, -1), z)
-        )
-    rows, k = np.nonzero((z.imag >= 0.0) & (z.imag <= radius))
-    n = len(l1)
-    half = (np.arange(n), np.full(n, 0.5), np.zeros(n))
-    return tuple(np.concatenate(pair) for pair in zip((rows, z.real[rows, k], radius[rows, k]), half))
-
-
 def _outcome(f, *args):
     """Each output array as (dtype, shape, bytes), or the type of the exception f raised."""
     try:
@@ -177,7 +162,6 @@ def test_candidates_are_the_reference_bit_for_bit(points):
 def test_empty_and_single_batches_are_the_reference(n, l1):
     lambda1, lambda2 = np.full(n, l1), np.full(n, 0.45)
     _assert_same(_q5_candidates, ref_q5_candidates, lambda1, lambda2)
-    _assert_same(q5_fold_bands, ref_q5_fold_bands, lambda1)
     _assert_same(_fold_roots, ref_fold_roots, lambda1)
     for m in (3, 7, 11):
         _assert_same(_polynomial_roots, ref_polynomial_roots, np.ones((n, m)))
@@ -233,15 +217,13 @@ FOLD_LAMBDA1 = st.one_of(
 
 @SETTINGS
 @given(lambda1=st.lists(FOLD_LAMBDA1, max_size=12))
-def test_fold_bands_are_the_reference_bit_for_bit(lambda1):
-    l1 = np.array(lambda1, dtype=float)
-    _assert_same(q5_fold_bands, ref_q5_fold_bands, l1)
-    _assert_same(_fold_roots, ref_fold_roots, l1)
+def test_fold_roots_are_the_reference_bit_for_bit(lambda1):
+    _assert_same(_fold_roots, ref_fold_roots, np.array(lambda1, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# the work count: one batched eigensolve for a line and for a sweep, and the
-# rows whose count goes to integers
+# the work count: one batched eigensolve for a line and none for a sweep, and
+# the rows whose count goes to integers
 # ---------------------------------------------------------------------------
 
 
@@ -282,11 +264,11 @@ def test_a_transition_line_makes_one_eigensolve(monkeypatch):
     assert shapes == [(11, 10, 10)]
 
 
-def test_a_q5_sweep_makes_one_eigensolve(monkeypatch):
-    # F's companions at the 40 lambda1 (the fold bands); the counts of the
-    # points near a breakpoint come from a Sturm chain
+def test_a_q5_sweep_makes_no_eigensolve(monkeypatch):
+    # F's folds are placed in grid cells by a sign test on its Bernstein
+    # coefficients, and the counts of the run heads come from a Sturm chain
     shapes = _eigvals_shapes(monkeypatch, lambda: ct.sweep(5, (0.40, 0.52), (0.30, 0.56), resolution=40))
-    assert shapes == [(40, 10, 10)]
+    assert shapes == []
 
 
 def test_no_row_of_a_line_or_a_sweep_is_counted_in_integers(monkeypatch):

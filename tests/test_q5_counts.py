@@ -6,9 +6,9 @@ integers.  Here its integer table is checked against `_q5_sextic` and
 against the resultant of the fixed-point equations (`conftest.q5_cofactor`),
 and its counts against sympy's count on that resultant at the exact values
 of the floats (`conftest.q5_root_count`): at drawn feasible points, at every
-float within 20 ulps of a fold for lambda1 in [0.3, 1/2], and at the heads
-of the benchmark's q=5 window; and that both lambdas below 1/3 in size
-leave no fixed point.  The sign of S's discriminant, which settles the
+float within 20 ulps of a fold for lambda1 in [0.3, 1/2], within 20 ulps
+of lambda2 = 0, and at the heads of the benchmark's q=5 window; and that
+both lambdas below 1/3 in size leave no fixed point.  The sign of S's discriminant, which settles the
 chain's last term where only that is open, is checked against sympy's.
 lambda1 = 0, where the count is 0 by definition and S is a square, is left
 to the tests of `q5_solutions`.
@@ -19,6 +19,8 @@ from functools import reduce
 import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import exact, fixedpoint, phase
@@ -177,6 +179,20 @@ def test_counts_are_exact_at_the_window_heads(monkeypatch):
     monkeypatch.undo()
     assert len(heads) > 50
     _assert_exact(*zip(*heads))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(l1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), ulps=st.integers(-20, 20))
+def test_counts_do_not_change_within_20_ulps_of_lambda2_zero(l1, ulps):
+    # the elimination's resultant carries lambda2^4, but S itself keeps its
+    # degree and its roots there; the counts, the residual-verified solver
+    # and sympy agree on each float within 20 ulps of 0 (sympy, at about
+    # 0.15 s a subnormal, on 0 and one of them), and the count is the same
+    # on all of them, so that no breakpoint of a sweep need lie at 0
+    l2 = _floats_around(0.0, 20)
+    counts = q5_solution_counts(np.full(len(l2), l1), np.array(l2)).tolist()
+    assert counts == [ct.q5_solutions(l1, b).n_nontrivial for b in l2] == [counts[20]] * len(l2)
+    assert [q5_root_count(l1, b) for b in (0.0, l2[20 + ulps])] == [counts[20]] * 2
 
 
 def test_the_float_four_ninths_has_no_fixed_point_yet():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import fixedpoint, phase
-from clocktree.fixedpoint import _FOLD_F, q5_fold_bands, q5_solution_counts
+from clocktree.fixedpoint import _FOLD_F, q5_fold_cells, q5_solution_counts
 
 L1, L2, X = sympy.symbols("l1 l2 x")
 
@@ -155,14 +155,13 @@ def test_fold_at_half_is_the_quartic_discriminant():
     for root in (first, second):
         below, above = (ct.quartic_invariants(ct.q5_quartic_coeffs(root + t))[0] for t in (-1e-9, 1e-9))
         assert below * above < 0.0, root
-    # the line at 1/2 lands on the first root, and the nearest fold band
-    # holds it: its centre, unpolished, is about 1.3e-8 off and its radius
-    # about 2.9e-6
+    # the line at 1/2 lands on the first root, and the sweep's cell test
+    # fails the one cell of a fine axis that holds it, and no cell near it
     (_, line), = ct.q5_transition_line([0.5], tol=1e-12)
     assert abs(line - first) < 1e-9
-    _, centre, radius = q5_fold_bands(np.array([0.5]))
-    k = np.argmin(np.abs(centre - first))
-    assert abs(centre[k] - first) <= radius[k] < 1e-5
+    axis = np.linspace(0.3705, 0.371, 51)
+    _, cells = q5_fold_cells(np.array([0.5]), axis)
+    assert cells.tolist() == [int(np.searchsorted(axis, first)) - 1]
 
 
 def test_line_leaves_one_half_at_the_mirror_of_the_half_root():

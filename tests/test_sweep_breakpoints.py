@@ -2,11 +2,14 @@
 
 `phase._classify_grid` cuts each lambda1 column into runs at its
 breakpoints and evaluates only the first point of each run: every point near
-a breakpoint is a run of its own, and the other points take their run's
-(feasible, n_nontrivial).  The reference here evaluates every point with the
-same library calls: `feasible_lambdas` on the whole grid, then the counts on
-its feasible points.  The breakpoint polynomials of q = 4 are derived from the
-formulas of `_q4_candidates` with sympy, as `test_q5_folds.py` derives F.
+a breakpoint is a run of its own, a run starts at the upper point of each
+grid cell that may hold a q = 5 fold of F (`q5_fold_cells`), and the other
+points take their run's (feasible, n_nontrivial).  The reference here
+evaluates every point with the same library calls: `feasible_lambdas` on the
+whole grid, then the counts on its feasible points.  The breakpoint
+polynomials of q = 4 are derived from the formulas of `_q4_candidates` with
+sympy, as `test_q5_folds.py` derives F, and the cells of q = 5 are checked
+against F's roots from mpmath.
 """
 import math
 import random
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 import clocktree as ct
 from clocktree import phase
-from clocktree.fixedpoint import _FOLD_F, q4_fold_roots, q4_solution_counts, q5_fold_bands, q5_solution_counts
+from clocktree.fixedpoint import _FOLD_F, q4_fold_roots, q4_solution_counts, q5_fold_cells, q5_solution_counts
 from clocktree.spectral import _raw_rows, feasibility_breakpoints, feasible_lambdas
 
 from conftest import point_column
@@ -65,7 +68,7 @@ def _near_half_and_zero():
                 yield (centre - offset, centre + offset), l2_range, res
                 yield (centre + offset, centre + 5 * offset), l2_range, res
                 # one column on a fine axis: near F's triple root at (1/2, 2/5)
-                # a computed root of F is off by up to 3e-4
+                # three of its roots lie within about 2e-4 of each other
                 yield (centre - offset, centre - offset), l2_range, res
 
 
@@ -205,22 +208,61 @@ def test_feasibility_breakpoints_are_the_roots_of_the_compared_quantities():
         assert max(map(abs, quantities)) < 1e-15
 
 
-def test_q5_fold_bands_hold_the_real_roots_of_f():
-    # F has a triple root at (1/2, 2/5): just off lambda1 = 1/2 the computed
-    # roots near 2/5 are off by up to about 2e-4, and the band must say so
+def _real_roots_of_f(l1):
+    """F's real roots in lambda2 at the float l1, from mpmath at 60 digits."""
+    exact = [Fraction(0)] * 11
+    for i, row in enumerate(_FOLD_F):
+        for j, v in enumerate(row):
+            exact[j] += v * Fraction(l1) ** i
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(x.numerator) / x.denominator for x in exact]
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        return [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-40]
+
+
+def _cells_of_the_roots(l1, axis):
+    """(the cells that `q5_fold_cells` returns, the cells [axis[k], axis[k + 1]] that hold a real root of F, ends included)."""
+    columns, cells = q5_fold_cells(np.array([l1]), axis)
+    assert set(columns.tolist()) <= {0}
+    ends = axis.tolist()
+    holding = {k for r in _real_roots_of_f(l1) for k in range(len(ends) - 1) if ends[k] <= r <= ends[k + 1]}
+    return set(cells.tolist()), holding
+
+
+AXES = [np.linspace(-1.0, 1.0, 201), np.linspace(0.30, 0.56, 40), np.linspace(0.395, 0.405, 60),
+        np.linspace(0.3999, 0.4001, 41)]
+
+
+def test_no_cell_that_holds_a_real_root_of_f_is_passed():
+    # F has a triple root at (1/2, 2/5) and a double one at (1/2, 1/2): just
+    # off lambda1 = 1/2 three of its roots lie within about 2e-4 of 2/5
     for l1 in (0.5 - 1e-11, 0.5 + 1e-11, 0.5 - 1e-8, 0.45, 0.3):
-        exact = [Fraction(0)] * 11
-        for i, row in enumerate(_FOLD_F):
-            for j, v in enumerate(row):
-                exact[j] += v * Fraction(l1) ** i
-        with mpmath.workdps(60):
-            coeffs = [mpmath.mpf(x.numerator) / x.denominator for x in exact]
-            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
-            real = [float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-40]
-        _, centre, radius = q5_fold_bands(np.array([l1]))
-        # lambda2 = 1/2, exact, is a fold at every lambda1
-        assert ((centre == 0.5) & (radius == 0.0)).sum() == 1
-        for r in real:
-            assert (np.abs(centre - r) <= radius).any(), (l1, r)
-        # away from the triple root every band is narrower than the sweep's guard
-        assert radius.max(initial=0.0) < (1e-6 if l1 < 0.46 else 0.03)
+        for axis in AXES:
+            got, holding = _cells_of_the_roots(l1, axis)
+            assert holding <= got, (l1, axis[0], axis[-1])
+            if l1 < 0.46:
+                # away from the multiple roots only a cell that holds a root fails
+                assert got == holding, (l1, axis[0], axis[-1])
+
+
+# F's multiple real roots (lambda1, lambda2): the triple one, the double one
+# at lambda2 = 1/2, and the double ones where F = dF/dlambda2 = 0 (mpmath)
+MULTIPLE_ROOTS = [
+    (0.5, 0.4), (0.5, 0.5), (0.3674268561437263, 0.5008916835657881), (0.4914978769584942, 0.5218954679980543),
+    (0.494897427831781, 0.494897427831781), (0.5244535123714252, 0.4869435074656155),
+]
+_NEAR = st.floats(-15.0, -3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    centre=st.sampled_from(MULTIPLE_ROOTS),
+    offset=st.builds(lambda t, s: s * t, _NEAR, st.sampled_from([1.0, -1.0])),
+    below=st.floats(-12.0, -1.0).map(lambda e: 10.0**e),
+    above=st.floats(-12.0, -1.0).map(lambda e: 10.0**e),
+    res=st.integers(2, 60),
+)
+def test_no_cell_near_a_multiple_root_of_f_is_passed_with_a_root(centre, offset, below, above, res):
+    l1, l2 = centre
+    got, holding = _cells_of_the_roots(l1 + offset, np.linspace(l2 - below, l2 + above, res))
+    assert holding <= got

@@ -423,7 +423,7 @@ Q5_FOUR = (np.linspace(0.40, 0.52, 12)[9], np.linspace(0.30, 0.56, 12)[7])
 
 
 def test_a_solver_error_in_the_cli_sweep_is_reported_and_writes_no_csv(monkeypatch, capsys, tmp_path):
-    # the window's 20 evaluated feasible points go to the solver in one call;
+    # the window's 21 evaluated feasible points go to the solver in one call;
     # when it raises, that call is not retried and no row is written
     calls = []
 
@@ -436,7 +436,7 @@ def test_a_solver_error_in_the_cli_sweep_is_reported_and_writes_no_csv(monkeypat
     argv = ["sweep", "--q", "5", "--res", "12", "--l1min", "0.40", "--l1max", "0.52",
             "--l2min", "0.30", "--l2max", "0.56", "--out", str(out)]
     assert main(argv) == 2
-    assert calls == [20]
+    assert calls == [21]
     assert capsys.readouterr() == ("", "error: solver gave up\n")
     assert not out.exists()
 
