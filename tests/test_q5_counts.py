@@ -181,7 +181,7 @@ def test_counts_are_exact_at_the_window_heads(monkeypatch):
     _assert_exact(*zip(*heads))
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(l1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), ulps=st.integers(-20, 20))
 def test_counts_do_not_change_within_20_ulps_of_lambda2_zero(l1, ulps):
     # the elimination's resultant carries lambda2^4, but S itself keeps its

@@ -11,6 +11,7 @@ polynomials of q = 4 are derived from the formulas of `_q4_candidates` with
 sympy, as `test_q5_folds.py` derives F, and the cells of q = 5 are checked
 against F's roots from mpmath.
 """
+import functools
 import math
 import random
 from fractions import Fraction
@@ -208,6 +209,7 @@ def test_feasibility_breakpoints_are_the_roots_of_the_compared_quantities():
         assert max(map(abs, quantities)) < 1e-15
 
 
+@functools.cache
 def _real_roots_of_f(l1):
     """F's real roots in lambda2 at the float l1, from mpmath at 60 digits."""
     exact = [Fraction(0)] * 11
@@ -254,7 +256,7 @@ MULTIPLE_ROOTS = [
 _NEAR = st.floats(-15.0, -3.0).map(lambda e: 10.0**e)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     centre=st.sampled_from(MULTIPLE_ROOTS),
     offset=st.builds(lambda t, s: s * t, _NEAR, st.sampled_from([1.0, -1.0])),
