@@ -8,8 +8,9 @@ and its counts against sympy's count on that resultant at the exact values
 of the floats (`conftest.q5_root_count`): at drawn feasible points, at every
 float within 20 ulps of a fold for lambda1 in [0.3, 1/2], within 20 ulps
 of lambda2 = 0, and at the heads of the benchmark's q=5 window; and that
-both lambdas below 1/3 in size leave no fixed point.  The sign of S's discriminant, which settles the
-chain's last term where only that is open, is checked against sympy's.
+both lambdas below 1/3 in size leave no fixed point.  The sign of S's
+discriminant, which settles the chain's last term where only that is open,
+is checked against sympy's.
 lambda1 = 0, where the count is 0 by definition and S is a square, is left
 to the tests of `q5_solutions`.
 """
